@@ -52,7 +52,9 @@ def _build_parser() -> _Parser:
     def add_hess(sp):
         g = sp.add_mutually_exclusive_group(required=True)
         g.add_argument("--hess-fn", help="type-A Hessenberg function, e.g. 2,3,3")
-        g.add_argument("--hess-neg", help="negative roots, e.g. -1,0;0,-1")
+        g.add_argument("--hess-neg",
+                       help="negative roots, e.g. --hess-neg=-1,0;0,-1 (the "
+                            "'=' is needed since the value starts with '-')")
         g.add_argument("--hess", choices=("full", "borel"))
 
     def add_common(sp):
@@ -109,8 +111,11 @@ def _space_record(space: HessenbergSpace) -> dict:
 
 def _emit(text: str, output) -> None:
     if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write {output}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
 

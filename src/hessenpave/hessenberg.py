@@ -53,16 +53,10 @@ class HessenbergSpace:
         """Membership of a root in Φ_H."""
         return self.rs.root_index(root) in self._members
 
-    def contains_index(self, idx: int) -> bool:
-        return idx in self._members
-
     @property
     def member_indices(self) -> frozenset[int]:
         """Indices (into rs.all_roots) of the roots of Φ_H."""
         return self._members
-
-    def is_subspace_of(self, other: "HessenbergSpace") -> bool:
-        return self.rs == other.rs and self.negative_part <= other.negative_part
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, HessenbergSpace) and self.rs == other.rs
@@ -127,11 +121,18 @@ def enumerate_hessenberg(rs: RootSystem) -> tuple[HessenbergSpace, ...]:
     a positive root may join an ideal once everything reachable from it by
     subtracting one simple root is already present.  The result always
     starts with the Borel and ends with the full Lie algebra; it is cached
-    on the root system.
+    per type and rank.
     """
-    if rs._hessenberg_cache is not None:
-        return rs._hessenberg_cache
+    key = (rs.lie_type, rs.rank)
+    if key not in _SPACES:
+        _SPACES[key] = _build_hessenberg_spaces(rs)
+    return _SPACES[key]
 
+
+_SPACES: dict[tuple[str, int], tuple[HessenbergSpace, ...]] = {}
+
+
+def _build_hessenberg_spaces(rs: RootSystem) -> tuple[HessenbergSpace, ...]:
     npos = rs.num_positive
     pos = rs.positive_roots
     # lower covers: indices reachable by subtracting one simple root
@@ -161,12 +162,10 @@ def enumerate_hessenberg(rs: RootSystem) -> tuple[HessenbergSpace, ...]:
         frontier = nxt
 
     ordered = sorted(seen, key=lambda s: (len(s), tuple(sorted(s))))
-    spaces = tuple(
+    return tuple(
         HessenbergSpace(rs, frozenset(-pos[p] for p in ideal))
         for ideal in ordered
     )
-    rs._hessenberg_cache = spaces
-    return spaces
 
 
 def from_function(n: int, h: Iterable[int]) -> HessenbergSpace:

@@ -160,7 +160,6 @@ class ChevalleyRealization:
             if root.is_positive and not sp_is_strictly_upper(mat):
                 raise ConsistencyError(
                     f"positive root vector {root} is not strictly upper triangular")
-        self._owner = owner
         # anchor: deterministic representative entry of each root vector
         self._anchor = {
             root: min(mat) for root, mat in self.root_vectors.items()
@@ -986,8 +985,11 @@ def verify_lemmata(real: ChevalleyRealization, trial_count: int = 200,
     containment of first entries, type-D block) with seeded random trials.
 
     Type-D realizations are normalized first (idempotent), since the block
-    check is stated for the normalized constants.
+    check is stated for the normalized constants.  A trial count below 1
+    is refused: a report of zero trials would pass without checking.
     """
+    if trial_count < 1:
+        raise ValueError(f"trial count must be at least 1, got {trial_count}")
     if real.rs.lie_type == "D":
         real = normalize_type_D(real)
     named = (

@@ -31,7 +31,7 @@ rows are merged accordingly before cross-checking.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from math import factorial
 from typing import Iterable, Optional
 
 from .errors import ConsistencyError
@@ -215,9 +215,31 @@ class RootSystem:
         self.epsilon_dim = len(self._eps_simple[0])
         self.cartan_matrix: IntMatrix = self._build_cartan()
 
+        self._simple_index = tuple(self._index[s.coeffs]
+                                   for s in self.simple_roots)
+        self._reflections = tuple(self._reflection_perm(i) for i in range(rank))
+        # (β, γ, α_j) as all_roots indices with β = γ + α_j, one for each
+        # non-simple positive root β; the linearity check of WeylElement
+        # inducts on height along these
+        splits = []
+        for k, r in enumerate(self.positive_roots):
+            if r.height == 1:
+                continue
+            for a, s in zip(self._simple_index, self.simple_roots):
+                d = tuple(x - y for x, y in zip(r.coeffs, s.coeffs))
+                if min(d) >= 0 and d in self._index:
+                    splits.append((k, self._index[d], a))
+                    break
+            else:
+                raise ConsistencyError(f"{r} is not a root plus a simple root")
+        self._splits = tuple(splits)
+        # each root as one integer, additive in the coefficients: a sum of
+        # two roots has coefficients in [-4, 4], which base 9 keeps apart
+        self._keys = tuple(sum(c * 9 ** j for j, c in enumerate(r.coeffs))
+                           for r in self.all_roots)
+
         self._rows_cache: Optional[RowDecomposition] = None
         self._weyl_cache: Optional[tuple["WeylElement", ...]] = None
-        self._hessenberg_cache = None  # used by the hessenberg module
 
     # -- basic root arithmetic -------------------------------------------
 
@@ -271,6 +293,20 @@ class RootSystem:
         # entry [j][i] is the pairing of α_j against the coroot of α_i
         return tuple(out)
 
+    def _reflection_perm(self, i: int) -> tuple[int, ...]:
+        """The simple reflection s_{i+1} as a permutation of all_roots
+        indices: s(β) = β − ⟨β, α^∨⟩α, which only changes coordinate i."""
+        pairing = [row[i] for row in self.cartan_matrix]
+        perm = []
+        for r in self.all_roots:
+            img = list(r.coeffs)
+            img[i] -= sum(c * p for c, p in zip(r.coeffs, pairing))
+            k = self._index.get(tuple(img))
+            if k is None:
+                raise ConsistencyError(f"s_{i + 1}({r}) is not a root")
+            perm.append(k)
+        return tuple(perm)
+
     # -- equality / display ----------------------------------------------
 
     def __eq__(self, other) -> bool:
@@ -311,123 +347,37 @@ def parse_root(rs: RootSystem, text: str) -> Root:
 # ---------------------------------------------------------------------------
 
 
-def _reflection_matrix(rs: RootSystem, i: int) -> IntMatrix:
-    """Matrix of s_i on simple-root coordinates: s_i(α_j) = α_j − c_{ji} α_i."""
-    n = rs.rank
-    cart = rs.cartan_matrix
-    # only the i-th coordinate of the image changes: it picks up −c_{ji}
-    # from each input coordinate j
-    rows = []
-    for k in range(n):
-        row = [1 if k == j else 0 for j in range(n)]
-        if k == i - 1:
-            for j in range(n):
-                row[j] -= cart[j][i - 1]
-        rows.append(tuple(row))
-    return tuple(rows)
-
-
-def _mat_vec(m: IntMatrix, v: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(sum(m[r][c] * v[c] for c in range(len(v))) for r in range(len(m)))
-
-
-def _mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    n = len(a)
-    bt = tuple(zip(*b))
-    return tuple(
-        tuple(sum(ar[k] * bc[k] for k in range(n)) for bc in bt) for ar in a
-    )
-
-
-def _identity_matrix(n: int) -> IntMatrix:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
-def _int_inverse(m: IntMatrix) -> IntMatrix:
-    """Exact inverse of an integer matrix that is invertible over ℤ."""
-    n = len(m)
-    a = [[Fraction(m[r][c]) for c in range(n)] + [Fraction(int(r == c)) for c in range(n)]
-         for r in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    out = []
-    for r in range(n):
-        row = []
-        for c in range(n, 2 * n):
-            x = a[r][c]
-            if x.denominator != 1:
-                raise ValueError("matrix inverse is not integral")
-            row.append(int(x))
-        out.append(tuple(row))
-    return tuple(out)
-
-
 class WeylElement:
-    """A Weyl group element: an integer matrix acting on simple-root
-    coordinates, together with a canonical reduced word.
+    """A Weyl group element, stored as the permutation it induces on the
+    indices of ``rs.all_roots``, together with a canonical reduced word.
 
-    The word is recomputed on construction by greedy descent (repeatedly
-    strip the smallest ``s_i`` with ``w⁻¹α_i < 0``), so equal matrices always
-    carry identical words.  Construction validates that the matrix permutes
-    the root set and that the word length matches the inversion count.
+    The roots span, so the permutation determines the element.  The word
+    comes from greedy descent (repeatedly strip the smallest ``s_i`` with
+    ``w⁻¹α_i < 0``), so equal permutations always carry identical words;
+    it stops early at a permutation whose word ``_words`` already holds.
+    Construction checks that the permutation is a bijection, that it is
+    linear on simple-root coordinates, that greedy descent reaches the
+    identity (a diagram automorphism has no descent), and that the word
+    length matches the inversion count.
     """
 
-    __slots__ = ("rs", "matrix", "word", "_inv_matrix",
-                 "_root_perm", "_inv_root_perm", "_inversions")
+    __slots__ = ("rs", "word", "_root_perm", "_inv_root_perm", "_inversions")
 
-    def __init__(self, rs: RootSystem, matrix: IntMatrix):
-        self.rs = rs
-        self.matrix = matrix
-        perm = []
-        for r in rs.all_roots:
-            img = _mat_vec(matrix, r.coeffs)
-            if img not in rs._index:
-                raise ValueError("matrix does not permute the root set")
-            perm.append(rs._index[img])
-        self._root_perm = tuple(perm)
-        inv_perm = [0] * len(perm)
+    def __init__(self, rs: RootSystem, perm: Iterable[int],
+                 _words: Optional[dict] = None):
+        perm = tuple(perm)
+        _check_root_permutation(rs, perm)
+        inv = [0] * len(perm)
         for src, dst in enumerate(perm):
-            inv_perm[dst] = src
-        self._inv_root_perm = tuple(inv_perm)
+            inv[dst] = src
+        self.rs = rs
+        self._root_perm = perm
+        self._inv_root_perm = tuple(inv)
         npos = rs.num_positive
-        self._inversions = frozenset(
-            p for p in range(npos) if self._inv_root_perm[p] >= npos
-        )
-        self._inv_matrix = _int_inverse(matrix)
-        self.word = self._greedy_word()
+        self._inversions = frozenset(p for p in range(npos) if inv[p] >= npos)
+        self.word = _canonical_word(rs, perm, self._inv_root_perm, _words)
         if len(self.word) != len(self._inversions):
             raise ConsistencyError("reduced word length != inversion count")
-
-    def _greedy_word(self) -> tuple[int, ...]:
-        rs = self.rs
-        n = rs.rank
-        ident = _identity_matrix(n)
-        w, winv = self.matrix, self._inv_matrix
-        word = []
-        guard = 2 * rs.num_positive + 1
-        while w != ident:
-            for i in range(1, n + 1):
-                col = tuple(winv[r][i - 1] for r in range(n))  # w⁻¹ α_i
-                if any(col) and all(c <= 0 for c in col):
-                    word.append(i)
-                    s = _reflection_matrix(rs, i)
-                    w = _mat_mul(s, w)
-                    winv = _mat_mul(winv, s)
-                    break
-            else:
-                raise ConsistencyError("no descent found for a non-identity element")
-            if len(word) > guard:
-                raise ConsistencyError("greedy descent failed to terminate")
-        return tuple(word)
 
     @property
     def length(self) -> int:
@@ -446,35 +396,82 @@ class WeylElement:
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, WeylElement)
-                and self.rs == other.rs and self.matrix == other.matrix)
+                and self.rs == other.rs and self._root_perm == other._root_perm)
 
     def __hash__(self) -> int:
-        return hash((self.rs.lie_type, self.rs.rank, self.matrix))
+        return hash((self.rs.lie_type, self.rs.rank, self._root_perm))
 
     def __repr__(self) -> str:
         return f"WeylElement({self.rs.lie_type}{self.rs.rank}, word={self.word})"
 
 
+def _check_root_permutation(rs: RootSystem, perm: tuple[int, ...]) -> None:
+    """Reject a map that is not a bijection of the roots or not linear on
+    simple-root coordinates.
+
+    Linearity is checked by induction on height: the map must commute with
+    negation and send each split ``β = γ + α_j`` of a non-simple positive
+    root to a sum of images.
+    """
+    size = len(rs.all_roots)
+    if sorted(perm) != list(range(size)):
+        raise ValueError(f"not a permutation of the {size} roots of "
+                         f"{rs.lie_type}{rs.rank}")
+    npos = rs.num_positive
+    key = rs._keys
+    linear = (all(perm[k + npos] == (perm[k] + npos) % size
+                  for k in range(npos))
+              and all(key[perm[g]] + key[perm[a]] == key[perm[b]]
+                      for b, g, a in rs._splits))
+    if not linear:
+        raise ValueError("root permutation is not linear on simple-root "
+                         "coordinates")
+
+
+def _canonical_word(rs: RootSystem, perm: tuple[int, ...],
+                    inv: tuple[int, ...],
+                    words: Optional[dict]) -> tuple[int, ...]:
+    """Greedy descent on permutations: w = s_i·(s_i·w) with i the smallest
+    left descent, until a permutation with a known word (at the latest the
+    identity) is reached."""
+    if words is None:
+        words = {tuple(range(len(perm))): ()}
+    npos = rs.num_positive
+    prefix = []
+    while perm not in words:
+        i = next((i for i, a in enumerate(rs._simple_index) if inv[a] >= npos),
+                 None)
+        if i is None:
+            raise ValueError("root permutation is not induced by a Weyl "
+                             "group element")
+        prefix.append(i + 1)
+        s = rs._reflections[i]
+        perm = tuple(s[k] for k in perm)      # s_i·w
+        inv = tuple(inv[k] for k in s)        # (s_i·w)⁻¹ = w⁻¹·s_i
+    return tuple(prefix) + words[perm]
+
+
 def identity_element(rs: RootSystem) -> WeylElement:
-    return WeylElement(rs, _identity_matrix(rs.rank))
+    return WeylElement(rs, range(len(rs.all_roots)))
 
 
 def simple_reflection(rs: RootSystem, i: int) -> WeylElement:
     """The simple reflection s_i, 1-based."""
     if not 1 <= i <= rs.rank:
         raise ValueError(f"reflection index {i} out of range 1..{rs.rank}")
-    return WeylElement(rs, _reflection_matrix(rs, i))
+    return WeylElement(rs, rs._reflections[i - 1])
 
 
 def compose(w1: WeylElement, w2: WeylElement) -> WeylElement:
     """The product w1·w2 (apply w2 first when acting on roots)."""
     if w1.rs != w2.rs:
         raise ValueError("cannot compose elements of different root systems")
-    return WeylElement(w1.rs, _mat_mul(w1.matrix, w2.matrix))
+    p1 = w1._root_perm
+    return WeylElement(w1.rs, (p1[k] for k in w2._root_perm))
 
 
 def inverse(w: WeylElement) -> WeylElement:
-    return WeylElement(w.rs, w._inv_matrix)
+    return WeylElement(w.rs, w._inv_root_perm)
 
 
 def apply(w: WeylElement, root: Root) -> Root:
@@ -495,62 +492,60 @@ def format_word(w: WeylElement) -> str:
 
 def parse_word(rs: RootSystem, text: str) -> WeylElement:
     """Parse a space-separated word of reflection indices ('' = identity)."""
-    text = text.strip()
-    if not text:
-        return identity_element(rs)
     try:
         letters = [int(p) for p in text.split()]
     except ValueError:
-        raise ValueError(f"malformed Weyl word {text!r}")
-    m = _identity_matrix(rs.rank)
+        raise ValueError(f"malformed Weyl word {text.strip()!r}")
+    perm = tuple(range(len(rs.all_roots)))
     for i in letters:
         if not 1 <= i <= rs.rank:
             raise ValueError(f"reflection index {i} out of range 1..{rs.rank}")
-        m = _mat_mul(m, _reflection_matrix(rs, i))
-    return WeylElement(rs, m)
+        perm = tuple(perm[k] for k in rs._reflections[i - 1])   # perm·s_i
+    return WeylElement(rs, perm)
 
 
-_WEYL_ORDER = {"A": lambda n: _factorial(n + 1),
-               "B": lambda n: 2 ** n * _factorial(n),
-               "C": lambda n: 2 ** n * _factorial(n),
-               "D": lambda n: 2 ** (n - 1) * _factorial(n)}
+_WEYL_ORDER = {"A": lambda n: factorial(n + 1),
+               "B": lambda n: 2 ** n * factorial(n),
+               "C": lambda n: 2 ** n * factorial(n),
+               "D": lambda n: 2 ** (n - 1) * factorial(n)}
 
-
-def _factorial(n: int) -> int:
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
-    return out
+# Largest group enumerate_weyl builds: every rank <= 6 and A7 fit.  B6
+# (46,080 elements) takes about 3 s and 150 MB on a 2-vCPU Xeon; the next
+# groups up (D7, A8, B7 and C7: 322,560 to 645,120 elements) are 6 to 13
+# times the budget.
+_WEYL_BUDGET = 50_000
 
 
 def enumerate_weyl(rs: RootSystem) -> tuple[WeylElement, ...]:
     """All Weyl group elements, by length and then lexicographic reduced word.
 
-    Practical bound: the group orders grow as n!·2^n, so keep rank ≤ 7.
-    The result is cached on the root system.
+    Raises ValueError, before any work, when the group has more than
+    _WEYL_BUDGET elements.  The result is cached on the root system.
     """
     if rs._weyl_cache is not None:
         return rs._weyl_cache
-    n = rs.rank
-    gens = [_reflection_matrix(rs, i) for i in range(1, n + 1)]
-    seen = {_identity_matrix(n)}
+    expected = _WEYL_ORDER[rs.lie_type](rs.rank)
+    if expected > _WEYL_BUDGET:
+        raise ValueError(
+            f"the Weyl group of {rs.lie_type}{rs.rank} has {expected} "
+            f"elements, over the budget of {_WEYL_BUDGET}")
+    npos = rs.num_positive
     layer = [identity_element(rs)]
-    out = [layer[0]]
+    out = list(layer)
     while layer:
-        nxt = []
+        words = {w._root_perm: w.word for w in layer}
+        found = set()
         for w in layer:
-            for i in range(1, n + 1):
-                # right multiplication lengthens iff w(α_i) > 0
-                img = tuple(w.matrix[r][i - 1] for r in range(n))
-                if all(c >= 0 for c in img):
-                    m = _mat_mul(w.matrix, gens[i - 1])
-                    if m not in seen:
-                        seen.add(m)
-                        nxt.append(WeylElement(rs, m))
-        nxt.sort(key=lambda w: w.word)
-        out.extend(nxt)
-        layer = nxt
-    expected = _WEYL_ORDER[rs.lie_type](n)
+            perm = w._root_perm
+            for a, s in zip(rs._simple_index, rs._reflections):
+                # right multiplication by s_i lengthens iff w(α_i) > 0
+                if perm[a] < npos:
+                    found.add(tuple(perm[k] for k in s))
+        # each new element is one step longer than the layer, so stripping
+        # its smallest left descent lands in ``words``
+        layer = sorted((WeylElement(rs, p, words) for p in found),
+                       key=lambda w: w.word)
+        out.extend(layer)
     if len(out) != expected:
         raise ConsistencyError(
             f"Weyl enumeration found {len(out)} elements, expected {expected}")

@@ -1,7 +1,11 @@
 """CLI: subcommand behaviour, exit codes, determinism, schema validation."""
 
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -161,8 +165,34 @@ def test_usage_and_validation_errors(capsys):
                            "--hess", "borel", "--word", "1")
     assert code == 1 and "empty" in err
     code, _, err = run_cli(capsys, "paving", "--type", "A", "--rank", "2",
-                           "--hess-neg", "-1;-2")
-    assert code == 1
+                           "--hess-neg=-1;-2")
+    assert code == 1 and "is not a root of A2" in err
+
+
+def test_verify_lemmata_rejects_trials_below_one(capsys):
+    for trials in ("0", "-1"):
+        code, out, err = run_cli(capsys, "verify-lemmata", "--type", "A",
+                                 "--rank", "2", "--trials", trials)
+        assert code == 1 and out == "" and "at least 1" in err
+
+
+def test_unwritable_output_path(capsys, tmp_path):
+    target = tmp_path / "missing" / "out.json"
+    code, _, err = run_cli(capsys, "betti", "--type", "A", "--rank", "2",
+                           "--hess", "full", "--output", str(target))
+    assert code == 1 and "cannot write" in err
+    assert len(err.splitlines()) == 1
+
+
+def test_weyl_group_over_budget_exits_promptly():
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "hessenpave.cli", "betti", "--type", "A",
+         "--rank", "9", "--hess", "full"],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert "3628800 elements, over the budget of 50000" in proc.stderr
 
 
 def test_hess_flags_mutually_exclusive(capsys):

@@ -312,5 +312,92 @@ def test_group_laws_random_words(word1, word2):
 def test_weyl_element_rejects_non_root_permutation():
     from hessenpave.rootcore import WeylElement
     rs = build_root_system("A", 2)
-    with pytest.raises((ValueError, ConsistencyError)):
-        WeylElement(rs, ((1, 1), (0, 1)))
+    # all_roots of A2: 0,1 / 1,0 / 1,1 and their negatives
+    assert WeylElement(rs, range(6)) == identity_element(rs)
+    with pytest.raises(ValueError, match="not a permutation"):
+        WeylElement(rs, (0, 1, 2, 3, 4))
+    with pytest.raises(ValueError, match="not a permutation"):
+        WeylElement(rs, (0, 0, 2, 3, 4, 5))
+    # swaps α_1 and α_2 but not their negatives
+    with pytest.raises(ValueError, match="not linear"):
+        WeylElement(rs, (1, 0, 2, 3, 4, 5))
+    # sends α_1 + α_2 elsewhere than the sum of the images
+    with pytest.raises(ValueError, match="not linear"):
+        WeylElement(rs, (0, 2, 1, 3, 5, 4))
+    # the diagram flip α_1 ↔ α_2 is linear but lies outside W
+    with pytest.raises(ValueError, match="not induced by a Weyl"):
+        WeylElement(rs, (1, 0, 2, 4, 3, 5))
+
+
+# ---------------------------------------------------------------------------
+# reference: Weyl elements as products of reflection matrices
+# ---------------------------------------------------------------------------
+
+
+def _reflection_matrix(rs, i):
+    """s_i on simple-root coordinates: s_i(α_j) = α_j − c_{ji} α_i."""
+    n = rs.rank
+    cart = rs.cartan_matrix
+    return tuple(tuple(int(k == j) - (cart[j][i] if k == i else 0)
+                       for j in range(n)) for k in range(n))
+
+
+def _mat_mul(a, b):
+    return tuple(tuple(sum(x * y for x, y in zip(row, col))
+                       for col in zip(*b)) for row in a)
+
+
+def _mat_vec(m, v):
+    return tuple(sum(x * y for x, y in zip(row, v)) for row in m)
+
+
+def _reference_weyl(rs):
+    """(word, matrix) for every element, by length and then word.
+
+    Breadth first over products of reflection matrices, so each new layer
+    is one longer than the last.  Each element carries its inverse (the
+    reversed product) and is named by greedy descent: strip the smallest
+    s_i whose w⁻¹α_i, column i of the inverse, is negative.
+    """
+    n = rs.rank
+    gens = [_reflection_matrix(rs, i) for i in range(n)]
+    ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+    def greedy_word(m, minv):
+        word = []
+        while m != ident:
+            i = next(i for i in range(n) if all(row[i] <= 0 for row in minv))
+            word.append(i + 1)
+            m, minv = _mat_mul(gens[i], m), _mat_mul(minv, gens[i])
+        return tuple(word)
+
+    seen = {ident}
+    layer = [(ident, ident)]
+    out = [((), ident)]
+    while layer:
+        nxt = []
+        for m, minv in layer:
+            for g in gens:
+                p = _mat_mul(m, g)
+                if p not in seen:
+                    seen.add(p)
+                    nxt.append((p, _mat_mul(g, minv)))
+        out.extend(sorted((greedy_word(m, minv), m) for m, minv in nxt))
+        layer = nxt
+    return out
+
+
+@pytest.mark.parametrize("lie_type,rank", ALL_SMALL + [("A", 5)])
+def test_enumerate_weyl_matches_matrix_reference(lie_type, rank):
+    rs = build_root_system(lie_type, rank)
+    elems = enumerate_weyl(rs)
+    ref = _reference_weyl(rs)
+    assert [w.word for w in elems] == [word for word, _ in ref]
+    for w, (_, m) in zip(elems, ref):
+        for r in rs.all_roots:
+            assert apply(w, r).coeffs == _mat_vec(m, r.coeffs)
+
+
+def test_enumerate_weyl_refuses_groups_over_budget():
+    with pytest.raises(ValueError, match="362880 elements, over the budget"):
+        enumerate_weyl(build_root_system("A", 8))
