@@ -44,8 +44,8 @@ class PrimeFieldMatrix:
     entries: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if self.q > 7 or self.q < 2 or any(self.q % d == 0 for d in range(2, self.q)):
-            raise ValueError(f"q must be a prime at most 7, got {self.q}")
+        if self.q not in _ALLOWED_PRIMES:
+            raise ValueError(f"q must be one of {_ALLOWED_PRIMES}, got {self.q}")
         if any(not 0 <= x < self.q for row in self.entries for x in row):
             raise ValueError("entries must be reduced mod q")
 

@@ -33,30 +33,26 @@ from .rootcore import Root, RootSystem, format_root, parse_root
 class HessenbergSpace:
     """A Hessenberg space, encoded by its set of negative roots.
 
-    Instances are immutable and hashable; two spaces are equal when they
-    live in equal root systems and have the same negative part.  Use
-    :func:`from_negative_roots`, :func:`from_function`, or
-    :func:`enumerate_hessenberg` to construct validated instances.
+    ``hm`` is the whole root set Φ_H as a bitmask over ``rs.all_roots``
+    indices (bit k set iff root k lies in Φ_H); the paving kernel tests
+    cells against it.  Instances are immutable and hashable; two spaces
+    are equal when they live in equal root systems and have the same
+    negative part.  Use :func:`from_negative_roots`, :func:`from_function`,
+    or :func:`enumerate_hessenberg` to construct validated instances.
     """
 
-    __slots__ = ("rs", "negative_part", "_members")
+    __slots__ = ("rs", "negative_part", "hm")
 
     def __init__(self, rs: RootSystem, negative_part: frozenset[Root]):
         self.rs = rs
         self.negative_part = negative_part
-        members = set(range(rs.num_positive))
+        self.hm = (1 << rs.num_positive) - 1
         for beta in negative_part:
-            members.add(rs.root_index(beta))
-        self._members = frozenset(members)
+            self.hm |= 1 << rs.root_index(beta)
 
     def contains(self, root: Root) -> bool:
         """Membership of a root in Φ_H."""
-        return self.rs.root_index(root) in self._members
-
-    @property
-    def member_indices(self) -> frozenset[int]:
-        """Indices (into rs.all_roots) of the roots of Φ_H."""
-        return self._members
+        return bool(self.hm >> self.rs.root_index(root) & 1)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, HessenbergSpace) and self.rs == other.rs

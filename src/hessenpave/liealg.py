@@ -864,61 +864,132 @@ def _check_type_d_coefficients(real: ChevalleyRealization, trials: int,
 
 def _check_containment(real: ChevalleyRealization, trials: int,
                        seed: int) -> Optional[dict]:
+    """Containment of first entries.
+
+    For N the sum of simple vectors and up to three seeded regular
+    samples, every Hessenberg space and every w with a nonempty cell, each
+    row root α outside wΦ_H (w⁻¹α ∉ Φ_H) must have a nonzero line in the row
+    operator of N, with its first nonzero entry at a β for which α − β is
+    simple, and every positive α − α_j must lie in the inversion set Φ_w.
+
+    The conditions split into two bitmasks over ``rs.all_roots`` indices:
+
+    * the (w, space) part, built once per w: ``bad(w)``, the w⁻¹-image of
+      the row roots α with some positive α − α_j outside Φ_w;
+    * the N-only part, built once per sample: ``F(N)``, the row roots
+      whose line is zero or whose first nonzero entry is not at a height-1
+      difference.
+
+    A triple (N, space, w) fails iff its cell is nonempty and
+    ``(bad(w) | w⁻¹F(N)) & ~hm`` is nonzero.  Each cell is tested once,
+    against the union of ``F(N)`` over the samples; only if some cell fails
+    are the samples scanned in order, and the first failing triple (N,
+    then space, then w) is rerun root by root to name the row, the root
+    and the reason.
+    """
     rs = real.rs
-    n = rs.rank
     dec = rows(rs)
     samples = [sum_of_simple_vectors(rs)]
     for t in range(min(trials, 3)):
         samples.append(_random_nilpotent(rs, _rng(seed, f"cont:{t}"),
                                          regular=True))
-    spaces = enumerate_hessenberg(rs)
+    row_ids = [i for i in range(1, rs.rank + 1) if dec.rows[i - 1]]
+    psi = [{i: _psi_entries(real, nn.coeffs, i) for i in row_ids}
+           for nn in samples]
+    faults = [_first_entry_faults(rs, psi_rows) for psi_rows in psi]
+    any_fault = tuple(set().union(*faults))
+    drops = _positive_simple_drops(
+        rs, [alpha for i in row_ids for alpha in row_order(rs, i)])
+
     elements = enumerate_weyl(rs)
-    for nn in samples:
-        psi_rows: dict[int, tuple] = {
-            i: _psi_entries(real, nn.coeffs, i) for i in range(1, n + 1)
-            if dec.rows[i - 1]
-        }
-        for space in spaces:
-            members = space.member_indices
-            for w in elements:
-                if not cell_nonempty(w, space):
-                    continue
-                inv_perm = w.inverse_root_permutation()
-                inversions = w.inversion_indices()
-                for i, (order, mat) in psi_rows.items():
-                    index_of = {r: k for k, r in enumerate(order)}
-                    for alpha in order:
-                        aidx = rs.root_index(alpha)
-                        if inv_perm[aidx] in members:
-                            continue          # α ∈ wΦ_H: no claim
-                        line = mat[index_of[alpha]]
-                        first = next((c for c, v in enumerate(line) if v),
-                                     None)
-                        if first is None:
-                            return {"hessenberg": sorted(
-                                        format_root(r) for r in
-                                        space.negative_part),
-                                    "word": list(w.word), "row": i,
-                                    "alpha": format_root(alpha),
-                                    "reason": "zero row for an excluded root"}
-                        beta = order[first]
-                        d = Root(tuple(a - b for a, b in
-                                       zip(alpha.coeffs, beta.coeffs)))
-                        if d.height != 1:
-                            return {"word": list(w.word), "row": i,
-                                    "alpha": format_root(alpha),
-                                    "reason": "first entry not at a simple "
-                                              "difference"}
-                        for j, simple in enumerate(rs.simple_roots, start=1):
-                            diff = tuple(a - b for a, b in
-                                         zip(alpha.coeffs, simple.coeffs))
-                            if rs.is_root(diff) and all(c >= 0 for c in diff):
-                                if rs.root_index(Root(diff)) not in inversions:
-                                    return {"word": list(w.word), "row": i,
-                                            "alpha": format_root(alpha),
-                                            "simple": j,
-                                            "reason": "simple-difference root "
-                                                      "escapes the inversion set"}
+    bad = []
+    risky = []        # bad(w) | w⁻¹F(N) for the union of F(N) over samples
+    for w in elements:
+        inv = w.inverse_root_permutation()
+        outside_phi_w = ~sum(1 << p for p in w.inversion_indices())
+        b = sum(1 << inv[a] for a, dm in drops if dm & outside_phi_w)
+        bad.append(b)
+        risky.append(b | sum(1 << inv[a] for a in any_fault))
+
+    suspects = [(space, k) for space in enumerate_hessenberg(rs)
+                for k, w in enumerate(elements)
+                if risky[k] & ~space.hm and cell_nonempty(w, space)]
+    if not suspects:
+        return None
+    for psi_rows, fault in zip(psi, faults):
+        for space, k in suspects:
+            w = elements[k]
+            inv = w.inverse_root_permutation()
+            if (bad[k] | sum(1 << inv[a] for a in fault)) & ~space.hm:
+                ce = _containment_counterexample(rs, psi_rows, space, w)
+                if ce is None:
+                    raise ConsistencyError(
+                        f"containment masks flag {rs.lie_type}{rs.rank} "
+                        f"word {list(w.word)} but no root fails")
+                return ce
+    raise ConsistencyError("a containment suspect fails for no sample")
+
+
+def _first_entry_faults(rs: RootSystem, psi_rows: dict[int, tuple]
+                        ) -> tuple[int, ...]:
+    """Indices of the row roots whose row-operator line is zero or has its
+    first nonzero entry at a β with α − β not simple."""
+    out = []
+    for order, mat in psi_rows.values():
+        for alpha, line in zip(order, mat):
+            first = next((c for c, v in enumerate(line) if v), None)
+            if first is None or alpha.height - order[first].height != 1:
+                out.append(rs.root_index(alpha))
+    return tuple(out)
+
+
+def _positive_simple_drops(rs: RootSystem, roots: list[Root]
+                           ) -> tuple[tuple[int, int], ...]:
+    """For each root α: its index and the mask of the positive roots
+    α − α_j."""
+    out = []
+    for alpha in roots:
+        m = 0
+        for simple in rs.simple_roots:
+            diff = tuple(a - b for a, b in zip(alpha.coeffs, simple.coeffs))
+            if rs.is_root(diff) and all(c >= 0 for c in diff):
+                m |= 1 << rs.root_index(Root(diff))
+        out.append((rs.root_index(alpha), m))
+    return tuple(out)
+
+
+def _containment_counterexample(rs: RootSystem, psi_rows: dict[int, tuple],
+                                space: HessenbergSpace,
+                                w: WeylElement) -> Optional[dict]:
+    """The containment conditions of one nonempty cell for one N, root by
+    root: the first failing row root as a counterexample, or None."""
+    inv_perm = w.inverse_root_permutation()
+    inversions = w.inversion_indices()
+    for i, (order, mat) in psi_rows.items():
+        for line, alpha in zip(mat, order):
+            if space.hm >> inv_perm[rs.root_index(alpha)] & 1:
+                continue          # α ∈ wΦ_H: no claim
+            first = next((c for c, v in enumerate(line) if v), None)
+            if first is None:
+                return {"hessenberg": sorted(
+                            format_root(r) for r in space.negative_part),
+                        "word": list(w.word), "row": i,
+                        "alpha": format_root(alpha),
+                        "reason": "zero row for an excluded root"}
+            beta = order[first]
+            d = Root(tuple(a - b for a, b in zip(alpha.coeffs, beta.coeffs)))
+            if d.height != 1:
+                return {"word": list(w.word), "row": i,
+                        "alpha": format_root(alpha),
+                        "reason": "first entry not at a simple difference"}
+            for j, simple in enumerate(rs.simple_roots, start=1):
+                diff = tuple(a - b for a, b in zip(alpha.coeffs, simple.coeffs))
+                if rs.is_root(diff) and all(c >= 0 for c in diff):
+                    if rs.root_index(Root(diff)) not in inversions:
+                        return {"word": list(w.word), "row": i,
+                                "alpha": format_root(alpha), "simple": j,
+                                "reason": "simple-difference root escapes "
+                                          "the inversion set"}
     return None
 
 
@@ -983,6 +1054,11 @@ def verify_lemmata(real: ChevalleyRealization, trial_count: int = 200,
     """Run the structural checks (row structure, factorization count,
     near-linearity, row-operator invariance, type-D coefficient formulas,
     containment of first entries, type-D block) with seeded random trials.
+
+    The containment check covers every (N sample, space, w) triple but
+    tests each cell once: its (w, space) part and its N-only part are
+    bitmasks built once per Weyl element and once per sample (see
+    ``_check_containment``).
 
     Type-D realizations are normalized first (idempotent), since the block
     check is stated for the normalized constants.  A trial count below 1
@@ -1085,13 +1161,10 @@ def find_witness(real: ChevalleyRealization, w: WeylElement,
     if not cell_nonempty(w, space):
         raise ValueError("cell is empty; no witness exists")
 
-    perm = w.root_permutation()
-    npos = rs.num_positive
-    in_whc: set[int] = set()          # positive roots outside wΦ_H
-    wh_members = {perm[m] for m in space.member_indices}
-    for p in range(npos):
-        if p not in wh_members:
-            in_whc.add(p)
+    inv = w.inverse_root_permutation()
+    # positive roots outside wΦ_H, i.e. with w⁻¹p outside Φ_H
+    in_whc = {p for p in range(rs.num_positive)
+              if not space.hm >> inv[p] & 1}
     inversions = w.inversion_indices()
 
     current = _to_index_coeffs(real, n.coeffs)
@@ -1241,10 +1314,9 @@ def _verify_witness_matrix(real: ChevalleyRealization, w: WeylElement,
         raise ConsistencyError("matrix conjugation disagrees with the "
                                "coefficient-space computation")
 
-    perm = w.root_permutation()
-    wh_members = {perm[m] for m in space.member_indices}
+    inv = w.inverse_root_permutation()
     for root in expanded:
-        if expanded[root] and rs.root_index(root) not in wh_members:
+        if expanded[root] and not space.hm >> inv[rs.root_index(root)] & 1:
             raise ConsistencyError(
                 f"witness lands outside the translated Hessenberg space "
                 f"at {format_root(root)}")

@@ -80,10 +80,6 @@ def sp_exp_nilpotent(x: Sparse, size: int) -> Sparse:
     return out
 
 
-def sp_is_diagonal(a: Sparse) -> bool:
-    return all(r == c for (r, c) in a)
-
-
 def sp_is_strictly_upper(a: Sparse) -> bool:
     return all(r < c for (r, c) in a)
 

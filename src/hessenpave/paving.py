@@ -18,11 +18,21 @@ the Bruhat decomposition gives one cell per Weyl element ``w``:
 Ordering the cells by length gives a paving by affines, so the Betti
 numbers of the variety simply count nonempty cells by dimension and the
 odd cohomology vanishes.
+
+The kernel works on integer bitmasks over the indices of ``rs.all_roots``:
+``space.hm`` holds Φ_H, ``w.sm`` holds ``w⁻¹(simple roots)`` and ``w.im``
+holds ``w⁻¹(Φ_w)``, the last two built on first use.  A cell is nonempty iff
+``sm & hm == sm`` and its dimension is ``(im & hm).bit_count()``; row
+profiles intersect per-row masks of the positive roots.  ``compute_paving``
+tests each cell once, and ``cell_dimension`` and ``row_dimension_profile``
+refuse an empty cell with the same one-AND test rather than a second call
+of ``cell_nonempty``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 from .hessenberg import HessenbergSpace, format_negative_part
@@ -65,7 +75,7 @@ class BettiTable:
 
 
 def _check_compatible(w: WeylElement, space: HessenbergSpace) -> None:
-    if w.rs != space.rs:
+    if w.rs is not space.rs and w.rs != space.rs:
         raise ValueError("Weyl element and Hessenberg space live in "
                          "different root systems")
 
@@ -75,26 +85,18 @@ def cell_nonempty(w: WeylElement, space: HessenbergSpace) -> bool:
     every simple root α_i (equivalently, the translated sum of simple root
     vectors lies in H)."""
     _check_compatible(w, space)
-    rs = w.rs
-    inv_perm = w.inverse_root_permutation()
-    members = space.member_indices
-    for i in range(rs.rank):
-        # simple root α_{i+1} has all-roots index equal to its positive index
-        idx = rs.root_index(rs.simple_roots[i])
-        if inv_perm[idx] not in members:
-            return False
-    return True
+    sm = w.sm
+    return sm & space.hm == sm
 
 
 def cell_dimension(w: WeylElement, space: HessenbergSpace) -> int:
     """Dimension of a nonempty cell: the number of inversions of w that w⁻¹
     keeps inside Φ_H."""
     _check_compatible(w, space)
-    if not cell_nonempty(w, space):
+    hm = space.hm
+    if w.sm & hm != w.sm:
         raise ValueError("cell is empty; it has no dimension")
-    inv_perm = w.inverse_root_permutation()
-    members = space.member_indices
-    return sum(1 for p in w.inversion_indices() if inv_perm[p] in members)
+    return (w.im & hm).bit_count()
 
 
 def cell_dimension_lie(w: WeylElement, space: HessenbergSpace) -> int:
@@ -102,7 +104,7 @@ def cell_dimension_lie(w: WeylElement, space: HessenbergSpace) -> int:
     the negative roots of Φ_H sent positive by w (the Cartan contributes
     exactly the rank, which the formula subtracts)."""
     _check_compatible(w, space)
-    if not cell_nonempty(w, space):
+    if w.sm & space.hm != w.sm:
         raise ValueError("cell is empty; it has no dimension")
     rs = w.rs
     perm = w.root_permutation()
@@ -112,10 +114,16 @@ def cell_dimension_lie(w: WeylElement, space: HessenbergSpace) -> int:
     )
 
 
-def _w_phi_h_indices(w: WeylElement, space: HessenbergSpace) -> frozenset[int]:
-    """Indices of wΦ_H inside all_roots."""
-    perm = w.root_permutation()
-    return frozenset(perm[m] for m in space.member_indices)
+@lru_cache(maxsize=None)
+def _profile_masks(rs: RootSystem) -> tuple:
+    """Positive-root bitmasks of each row (types A, B, C), or of each
+    stage's (variable roots, constraint roots) pair (type D)."""
+    def mask(roots) -> int:
+        return sum(1 << rs.root_index(r) for r in roots)
+
+    if rs.lie_type != "D":
+        return tuple(mask(row) for row in rows(rs).rows)
+    return tuple((mask(dom), mask(cod)) for dom, cod in type_d_stage_sets(rs))
 
 
 def row_dimension_profile(w: WeylElement, space: HessenbergSpace) -> tuple[int, ...]:
@@ -129,28 +137,23 @@ def row_dimension_profile(w: WeylElement, space: HessenbergSpace) -> tuple[int, 
     cell dimension.
     """
     _check_compatible(w, space)
-    if not cell_nonempty(w, space):
+    hm = space.hm
+    if w.sm & hm != w.sm:
         raise ValueError("cell is empty; it has no profile")
     rs = w.rs
-    inv_indices = w.inversion_indices()
-    wh = _w_phi_h_indices(w, space)
+    inv = w.inverse_root_permutation()
 
     if rs.lie_type != "D":
-        dec = rows(rs)
-        out = []
-        for row in dec.rows:
-            out.append(sum(
-                1 for r in row
-                if rs.root_index(r) in inv_indices and rs.root_index(r) in wh
-            ))
-        return tuple(out)
+        # Φ_w ∩ wΦ_H as a mask over positive-root indices
+        kept = sum(1 << p for p in w.inversion_indices() if hm >> inv[p] & 1)
+        return tuple((kept & row).bit_count() for row in _profile_masks(rs))
 
-    out = []
-    for dom, cod in type_d_stage_sets(rs):
-        free = sum(1 for r in dom if rs.root_index(r) in inv_indices)
-        constrained = sum(1 for r in cod if rs.root_index(r) not in wh)
-        out.append(free - constrained)
-    return tuple(out)
+    inversions = sum(1 << p for p in w.inversion_indices())
+    # positive roots outside wΦ_H
+    outside = sum(1 << p for p in range(rs.num_positive)
+                  if not hm >> inv[p] & 1)
+    return tuple((inversions & dom).bit_count() - (outside & cod).bit_count()
+                 for dom, cod in _profile_masks(rs))
 
 
 def compute_paving(rs: RootSystem, space: HessenbergSpace) -> tuple[PavingCell, ...]:

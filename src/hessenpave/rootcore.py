@@ -355,13 +355,15 @@ class WeylElement:
     comes from greedy descent (repeatedly strip the smallest ``s_i`` with
     ``w⁻¹α_i < 0``), so equal permutations always carry identical words;
     it stops early at a permutation whose word ``_words`` already holds.
-    Construction checks that the permutation is a bijection, that it is
-    linear on simple-root coordinates, that greedy descent reaches the
-    identity (a diagram automorphism has no descent), and that the word
-    length matches the inversion count.
+    The cell masks ``sm`` and ``im`` are built on first use, so enumerating
+    W pays nothing for them.  Construction checks that the permutation is
+    a bijection, that it is linear on simple-root coordinates, that greedy
+    descent reaches the identity (a diagram automorphism has no descent),
+    and that the word length matches the inversion count.
     """
 
-    __slots__ = ("rs", "word", "_root_perm", "_inv_root_perm", "_inversions")
+    __slots__ = ("rs", "word", "_root_perm", "_inv_root_perm", "_inversions",
+                 "_sm", "_im")
 
     def __init__(self, rs: RootSystem, perm: Iterable[int],
                  _words: Optional[dict] = None):
@@ -393,6 +395,26 @@ class WeylElement:
     def inversion_indices(self) -> frozenset[int]:
         """Indices (into positive_roots) of the inversion set."""
         return self._inversions
+
+    @property
+    def sm(self) -> int:
+        """Bitmask over all_roots indices of w⁻¹(simple roots)."""
+        try:
+            return self._sm
+        except AttributeError:
+            inv = self._inv_root_perm
+            self._sm = sum(1 << inv[a] for a in self.rs._simple_index)
+            return self._sm
+
+    @property
+    def im(self) -> int:
+        """Bitmask over all_roots indices of w⁻¹(Φ_w), Φ_w the inversion set."""
+        try:
+            return self._im
+        except AttributeError:
+            inv = self._inv_root_perm
+            self._im = sum(1 << inv[p] for p in self._inversions)
+            return self._im
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, WeylElement)

@@ -6,6 +6,7 @@ import pytest
 
 from hessenpave.fforacle import (
     BruhatFlag,
+    PrimeFieldMatrix,
     count_points,
     enumerate_cell_flags,
     free_positions,
@@ -21,6 +22,13 @@ def test_jordan_block():
     assert n.entries == ((0, 1, 0), (0, 0, 1), (0, 0, 0))
     with pytest.raises(ValueError):
         jordan_nilpotent(3, 4)      # not prime
+
+
+def test_matrix_field_limited_to_oracle_primes():
+    assert PrimeFieldMatrix(5, ((0, 4), (1, 0))).apply((1, 1)) == (4, 1)
+    for q in (4, 7):
+        with pytest.raises(ValueError, match=r"q must be one of \(2, 3, 5\)"):
+            PrimeFieldMatrix(q, ((0, 1), (0, 0)))
 
 
 def test_flag_enumeration_counts():

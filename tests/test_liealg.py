@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from hessenpave import liealg
 from hessenpave.errors import ConsistencyError
 from hessenpave.hessenberg import (
     borel_space,
@@ -23,11 +24,13 @@ from hessenpave.liealg import (
     theta_row,
     verify_lemmata,
 )
-from hessenpave.linalg import sp_is_diagonal
 from hessenpave.paving import cell_nonempty, row_dimension_profile
 from hessenpave.rootcore import (
+    Root,
+    WeylElement,
     build_root_system,
     enumerate_weyl,
+    format_root,
     identity_element,
     parse_root,
     parse_word,
@@ -39,6 +42,10 @@ REALIZABLE = [("A", 1), ("A", 2), ("A", 3), ("A", 4),
               ("B", 2), ("B", 3), ("B", 4),
               ("C", 2), ("C", 3), ("C", 4),
               ("D", 3), ("D", 4)]
+
+
+def sp_is_diagonal(a):
+    return all(r == c for (r, c) in a)
 
 
 @pytest.fixture(scope="module")
@@ -384,6 +391,141 @@ def test_verify_lemmata_detects_zeroed_constant():
     report = verify_lemmata(real, trial_count=5, seed=3)
     failed = {c.name for c in report.checks if c.status == "fail"}
     assert "containment_first_entry" in failed, (failed, highest)
+    ce = next(c.counterexample for c in report.checks
+              if c.name == "containment_first_entry")
+    assert ce == ref_check_containment(real, 5, 3)
+
+
+def ref_check_containment(real, trials, seed):
+    """The containment check root by root for every (N sample, space, w)
+    triple, as it stood before the bitmask split.  Module-level helpers are
+    looked up on ``liealg`` so that a monkeypatch reaches both paths."""
+    rs = real.rs
+    n = rs.rank
+    dec = rows(rs)
+    samples = [liealg.sum_of_simple_vectors(rs)]
+    for t in range(min(trials, 3)):
+        samples.append(liealg._random_nilpotent(
+            rs, liealg._rng(seed, f"cont:{t}"), regular=True))
+    spaces = enumerate_hessenberg(rs)
+    elements = enumerate_weyl(rs)
+    for nn in samples:
+        psi_rows = {
+            i: liealg._psi_entries(real, nn.coeffs, i)
+            for i in range(1, n + 1) if dec.rows[i - 1]
+        }
+        for space in spaces:
+            members = (frozenset(range(rs.num_positive))
+                       | {rs.root_index(b) for b in space.negative_part})
+            for w in elements:
+                if not liealg.cell_nonempty(w, space):
+                    continue
+                inv_perm = w.inverse_root_permutation()
+                inversions = w.inversion_indices()
+                for i, (order, mat) in psi_rows.items():
+                    index_of = {r: k for k, r in enumerate(order)}
+                    for alpha in order:
+                        aidx = rs.root_index(alpha)
+                        if inv_perm[aidx] in members:
+                            continue
+                        line = mat[index_of[alpha]]
+                        first = next((c for c, v in enumerate(line) if v),
+                                     None)
+                        if first is None:
+                            return {"hessenberg": sorted(
+                                        format_root(r) for r in
+                                        space.negative_part),
+                                    "word": list(w.word), "row": i,
+                                    "alpha": format_root(alpha),
+                                    "reason": "zero row for an excluded root"}
+                        beta = order[first]
+                        d = Root(tuple(a - b for a, b in
+                                       zip(alpha.coeffs, beta.coeffs)))
+                        if d.height != 1:
+                            return {"word": list(w.word), "row": i,
+                                    "alpha": format_root(alpha),
+                                    "reason": "first entry not at a simple "
+                                              "difference"}
+                        for j, simple in enumerate(rs.simple_roots, start=1):
+                            diff = tuple(a - b for a, b in
+                                         zip(alpha.coeffs, simple.coeffs))
+                            if rs.is_root(diff) and all(c >= 0 for c in diff):
+                                if rs.root_index(Root(diff)) not in inversions:
+                                    return {"word": list(w.word), "row": i,
+                                            "alpha": format_root(alpha),
+                                            "simple": j,
+                                            "reason": "simple-difference root "
+                                                      "escapes the inversion set"}
+    return None
+
+
+def _realization(lie_type, rank):
+    real = build_chevalley(build_root_system(lie_type, rank))
+    return normalize_type_D(real) if lie_type == "D" else real
+
+
+@pytest.mark.parametrize("seed", [3, 2027])
+@pytest.mark.parametrize("lie_type,rank,trials",
+                         [(t, r, 3) for t, r in REALIZABLE]
+                         + [("A", 5, 1), ("D", 5, 1)])
+def test_containment_equals_reference(lie_type, rank, trials, seed):
+    real = _realization(lie_type, rank)
+    got = liealg._check_containment(real, trials, seed)
+    assert got == ref_check_containment(real, trials, seed)
+
+
+@pytest.mark.parametrize("sampler", ["sum_of_simple_vectors",
+                                     "_random_nilpotent"])
+@pytest.mark.parametrize("lie_type,rank,zeroed",
+                         [("A", 3, 2), ("B", 3, 3), ("C", 3, 1), ("D", 4, 4)])
+def test_containment_zero_simple_coefficient_matches_reference(
+        monkeypatch, lie_type, rank, zeroed, sampler):
+    """An N sample with one zero simple coefficient (the first sample, or
+    every later one) fails containment; both paths name the same first
+    counterexample."""
+    def degenerate(rs, *_, **__):
+        return NilpotentElement({a: int(k != zeroed) for k, a in
+                                 enumerate(rs.simple_roots, start=1)})
+
+    monkeypatch.setattr(liealg, sampler, degenerate)
+    real = _realization(lie_type, rank)
+    got = liealg._check_containment(real, 3, 5)
+    assert got is not None
+    assert got == ref_check_containment(real, 3, 5)
+
+
+@pytest.mark.parametrize("lie_type,rank", [("A", 3), ("B", 3), ("C", 3),
+                                           ("D", 4)])
+def test_containment_short_inversion_set_matches_reference(
+        monkeypatch, lie_type, rank):
+    """Reporting each inversion set one root short breaks the (w, space)
+    part of the check; both paths must name the same first
+    counterexample."""
+    full = WeylElement.inversion_indices
+    monkeypatch.setattr(WeylElement, "inversion_indices",
+                        lambda w: frozenset(sorted(full(w))[1:]))
+    real = _realization(lie_type, rank)
+    got = liealg._check_containment(real, 3, 5)
+    assert got is not None
+    assert got["reason"] == "simple-difference root escapes the inversion set"
+    assert got == ref_check_containment(real, 3, 5)
+
+
+def test_containment_tests_each_cell_at_most_once(monkeypatch):
+    """Work count, not time: the containment check runs the cell kernel at
+    most once per (space, w), however many N samples it draws."""
+    calls = []
+
+    def counted(w, space):
+        calls.append(1)
+        return cell_nonempty(w, space)
+
+    monkeypatch.setattr(liealg, "cell_nonempty", counted)
+    rs = build_root_system("C", 3)
+    report = verify_lemmata(build_chevalley(rs), trial_count=3, seed=1)
+    assert report.passed
+    cells = len(enumerate_hessenberg(rs)) * len(enumerate_weyl(rs))
+    assert 0 < len(calls) <= cells, (len(calls), cells)
 
 
 # ---------------------------------------------------------------------------

@@ -23,10 +23,87 @@ from hessenpave.rootcore import (
     format_word,
     identity_element,
     parse_word,
+    rows,
+    type_d_stage_sets,
 )
 
 SMALL = [("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 2), ("C", 3),
          ("D", 3), ("D", 4)]
+SWEEP = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3),
+         ("B", 4), ("C", 2), ("C", 3), ("C", 4), ("D", 3), ("D", 4),
+         ("A", 5)]
+
+
+# ---------------------------------------------------------------------------
+# set-based references for the bitmask kernel
+# ---------------------------------------------------------------------------
+
+
+def ref_members(space):
+    """Indices of Φ_H, read from the negative part."""
+    rs = space.rs
+    return (frozenset(range(rs.num_positive))
+            | {rs.root_index(b) for b in space.negative_part})
+
+
+def ref_cell_nonempty(w, members):
+    rs = w.rs
+    inv_perm = w.inverse_root_permutation()
+    return all(inv_perm[rs.root_index(a)] in members for a in rs.simple_roots)
+
+
+def ref_cell_dimension(w, members):
+    inv_perm = w.inverse_root_permutation()
+    return sum(1 for p in w.inversion_indices() if inv_perm[p] in members)
+
+
+def ref_row_dimension_profile(w, members):
+    rs = w.rs
+    inv_indices = w.inversion_indices()
+    perm = w.root_permutation()
+    wh = frozenset(perm[m] for m in members)
+    if rs.lie_type != "D":
+        return tuple(
+            sum(1 for r in row
+                if rs.root_index(r) in inv_indices and rs.root_index(r) in wh)
+            for row in rows(rs).rows)
+    return tuple(
+        sum(1 for r in dom if rs.root_index(r) in inv_indices)
+        - sum(1 for r in cod if rs.root_index(r) not in wh)
+        for dom, cod in type_d_stage_sets(rs))
+
+
+@pytest.mark.parametrize("lie_type,rank", SWEEP)
+def test_mask_kernel_equals_set_definitions(lie_type, rank):
+    """Every cell of the sweep: the bitmask kernel agrees with the set-based
+    definitions on nonemptiness, both dimensions and the row profile, and
+    refuses an empty cell."""
+    rs = build_root_system(lie_type, rank)
+    elems = enumerate_weyl(rs)
+    for space in enumerate_hessenberg(rs):
+        members = ref_members(space)
+        assert space.hm == sum(1 << k for k in members)
+        for w in elems:
+            nonempty = ref_cell_nonempty(w, members)
+            assert cell_nonempty(w, space) == nonempty, (space, w)
+            if nonempty:
+                dim = ref_cell_dimension(w, members)
+                assert cell_dimension(w, space) == dim, (space, w)
+                assert cell_dimension_lie(w, space) == dim, (space, w)
+                assert (row_dimension_profile(w, space)
+                        == ref_row_dimension_profile(w, members)), (space, w)
+            else:
+                for kernel in (cell_dimension, cell_dimension_lie,
+                               row_dimension_profile):
+                    assert refuses_empty(kernel, w, space), (kernel, space, w)
+
+
+def refuses_empty(kernel, w, space):
+    try:
+        kernel(w, space)
+    except ValueError as exc:
+        return "empty" in str(exc)
+    return False
 
 
 @pytest.fixture(scope="module")
