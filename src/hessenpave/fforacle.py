@@ -8,8 +8,10 @@ row) vanish, and the remaining free entries — one per inversion — take
 arbitrary field values, so the cell has exactly ``q^{inv(w)}`` points.
 
 A flag satisfies the Hessenberg condition when the single-Jordan-block
-nilpotent maps each ``V_i`` into ``V_{h(i)}``, decided here by exact rank
-computations mod q.  Counting the passing flags per cell gives an
+nilpotent maps each ``V_i`` into ``V_{h(i)}``.  The normal-form columns are
+already an echelon basis, so the coordinates of ``N·v_k`` in that basis come
+from one back-substitution mod q with no inverse, and the condition reads
+off which coordinates vanish.  Counting the passing flags per cell gives an
 independent check of the paving: a nonempty cell of predicted dimension d
 must contain exactly ``q^d`` points and an empty cell none, and the total
 must be the Betti evaluation at q.  The complex-geometry statement is used
@@ -20,6 +22,7 @@ equations, so any combinatorial slip shows up as a count mismatch.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -34,6 +37,9 @@ from .rootcore import RootSystem, WeylElement, enumerate_weyl
 
 _ALLOWED_PRIMES = (2, 3, 5)
 _MAX_N = 5
+# Most flags count_points enumerates, [n]_q! in all.  Every n <= 4 and n = 5
+# at q = 3 (251,680 flags) fit; n = 5 at q = 5 has 22,661,496 flags.
+_FLAG_BUDGET = 300_000
 
 
 @dataclass(frozen=True)
@@ -112,48 +118,35 @@ def enumerate_cell_flags(n: int, q: int, perm: tuple[int, ...]
         yield BruhatFlag(q, perm, tuple(zip(positions, values)))
 
 
-class _EchelonBasis:
-    """Incremental reduced echelon basis of a subspace of F_q^n."""
-
-    def __init__(self, q: int):
-        self.q = q
-        self.rows: list[tuple[int, ...]] = []
-        self.pivots: list[int] = []
-
-    def _reduce(self, vec: tuple[int, ...]) -> tuple[int, ...]:
-        v = list(vec)
-        for row, p in zip(self.rows, self.pivots):
-            if v[p]:
-                f = v[p]
-                v = [(x - f * y) % self.q for x, y in zip(v, row)]
-        return tuple(v)
-
-    def add(self, vec: tuple[int, ...]) -> None:
-        v = self._reduce(vec)
-        if any(v):
-            p = next(k for k, x in enumerate(v) if x)
-            inv = pow(v[p], self.q - 2, self.q)
-            self.rows.append(tuple(x * inv % self.q for x in v))
-            self.pivots.append(p)
-
-    def contains(self, vec: tuple[int, ...]) -> bool:
-        return not any(self._reduce(vec))
-
-
 def hessenberg_check(flag: BruhatFlag, nilpotent: PrimeFieldMatrix,
                      h: tuple[int, ...]) -> bool:
-    """Whether the flag satisfies N·V_i ⊆ V_{h(i)} for all i."""
-    mat = flag.matrix()
+    """Whether the flag satisfies N·V_i ⊆ V_{h(i)} for all i.
+
+    The normal-form column v_j has a 1 in row perm[j] and zeros below it.
+    Clearing a vector's entries at the pivot rows, lowest pivot first, by
+    subtracting multiples of the pivot's column therefore yields its
+    coordinates in the basis v_1..v_n, and N·v_k lies in V_m iff its
+    coordinates past m vanish.
+    """
+    q = flag.q
     n = len(flag.perm)
-    images = [nilpotent.apply(mat.column(j)) for j in range(n)]
-    basis = _EchelonBasis(flag.q)
-    filled = 0
-    for i in range(1, n + 1):
-        target = h[i - 1]
-        while filled < target:
-            basis.add(mat.column(filled))
-            filled += 1
-        if not all(basis.contains(images[k]) for k in range(i)):
+    cols = [[0] * n for _ in range(n)]
+    for j, p in enumerate(flag.perm):
+        cols[j][p - 1] = 1
+    for (r, c), v in flag.free:
+        cols[c - 1][r - 1] = v
+    sweep = sorted(range(n), key=lambda j: -flag.perm[j])
+    reach = 0              # least m with N·V_i ⊆ V_m
+    top = 0                # max(h(1..i)), h(i) for a Hessenberg function
+    for i in range(n):
+        vec = nilpotent.apply(cols[i])
+        for j in sweep:
+            f = vec[flag.perm[j] - 1]
+            if f:
+                vec = [(x - f * y) % q for x, y in zip(vec, cols[j])]
+                reach = max(reach, j + 1)
+        top = max(top, h[i])
+        if reach > top:
             return False
     return True
 
@@ -213,8 +206,16 @@ def count_points(n: int, q: int, h) -> CountReport:
 
     For every permutation cell the count must be ``q^dim`` when the paving
     declares the cell nonempty of dimension dim, and 0 when empty; the total
-    must equal the Betti evaluation at q.
+    must equal the Betti evaluation at q.  Raises ValueError, before any
+    work, when the flag variety has more than _FLAG_BUDGET points over F_q.
     """
+    if q not in _ALLOWED_PRIMES:
+        raise ValueError(f"q must be one of {_ALLOWED_PRIMES}, got {q}")
+    flags = math.prod((q ** k - 1) // (q - 1) for k in range(1, n + 1))
+    if flags > _FLAG_BUDGET:
+        raise ValueError(
+            f"the flag variety for n={n}, q={q} has {flags} points, over "
+            f"the budget of {_FLAG_BUDGET}")
     hs = tuple(int(x) for x in h)
     space = from_function(n, hs)
     rs: RootSystem = space.rs

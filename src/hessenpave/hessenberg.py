@@ -132,14 +132,9 @@ def _build_hessenberg_spaces(rs: RootSystem) -> tuple[HessenbergSpace, ...]:
     npos = rs.num_positive
     pos = rs.positive_roots
     # lower covers: indices reachable by subtracting one simple root
-    covers: list[tuple[int, ...]] = []
-    for r in pos:
-        cs = []
-        for a in rs.simple_roots:
-            d = tuple(x - y for x, y in zip(r.coeffs, a.coeffs))
-            if rs.is_root(d) and all(c >= 0 for c in d):
-                cs.append(rs.root_index(Root(d)))
-        covers.append(tuple(cs))
+    covers = [tuple(d for a in rs._simple_index
+                    if (d := line[a]) is not None)
+              for line in rs._pos_diff]
 
     seen: set[frozenset[int]] = set()
     frontier = [frozenset()]

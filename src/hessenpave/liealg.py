@@ -47,7 +47,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional
+from typing import Mapping, Optional, Sequence
 
 from .errors import ConsistencyError
 from .hessenberg import HessenbergSpace, enumerate_hessenberg
@@ -68,6 +68,7 @@ from .rootcore import (
     Root,
     RootSystem,
     WeylElement,
+    _row_key,
     enumerate_weyl,
     format_root,
     row_order,
@@ -217,20 +218,10 @@ class ChevalleyRealization:
                         f"E_{root} is not a weight vector for the Cartan")
 
     def _build_fast_tables(self) -> None:
-        rs = self.rs
-        npos = rs.num_positive
-        pos = rs.positive_roots
-        self._m_pos = [[0] * npos for _ in range(npos)]
-        self._sum_pos: list[list[Optional[int]]] = [
-            [None] * npos for _ in range(npos)
-        ]
-        for i, a in enumerate(pos):
-            for j, b in enumerate(pos):
-                s = tuple(x + y for x, y in zip(a.coeffs, b.coeffs))
-                if rs.is_root(s):
-                    k = rs.root_index(Root(s))
-                    self._sum_pos[i][j] = k
-                    self._m_pos[i][j] = self.constants.m(a, b)
+        # m_{α,β} by positive-root index; 0 where α + β is not a root
+        pos = self.rs.positive_roots
+        m = self.constants.m
+        self._m_pos = [[m(a, b) for b in pos] for a in pos]
 
     # -- conversions -------------------------------------------------------
 
@@ -386,10 +377,10 @@ def normalize_type_D(real: ChevalleyRealization) -> ChevalleyRealization:
         if abs(m) != 1:
             raise ConsistencyError(
                 f"cannot sign-normalize |m| = {abs(m)} at ({a}, {b})")
-        s = rs.root(tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
+        ia, ib = pos_index[a], pos_index[b]
         row = [0] * rs.num_positive
-        for r in (a, b, s):
-            row[pos_index[r]] ^= 1
+        for k in (ia, ib, rs._pos_sum[ia][ib]):
+            row[k] ^= 1
         rows_gf2.append(row)
         rhs.append(0 if m == 1 else 1)
     solution = gf2_solve(rows_gf2, rhs)
@@ -409,29 +400,27 @@ def normalize_type_D(real: ChevalleyRealization) -> ChevalleyRealization:
     return normalized
 
 
+def _chain_root(rs: RootSystem, lo: int, hi: int,
+                fork: bool = False) -> Optional[Root]:
+    """The root α_lo + ... + α_hi, plus α_n when ``fork``; None when that
+    sum (or an empty chain) is not a root."""
+    n = rs.rank
+    v = [1 if lo <= k <= hi else 0 for k in range(1, n + 1)]
+    if fork:
+        v[n - 1] += 1
+    t = tuple(v)
+    return Root(t) if rs.is_root(t) else None
+
+
 def _d_normalization_pairs(rs: RootSystem) -> list[tuple[Root, Root]]:
     """The six constant families (per valid row index) pinned to +1."""
     n = rs.rank
-
-    def srange(lo: int, hi: int) -> Optional[Root]:
-        if lo > hi:
-            return None
-        v = [1 if lo <= k <= hi else 0 for k in range(1, n + 1)]
-        return rs.root(v)
-
-    def plus_last(lo: int, hi: int) -> Optional[Root]:
-        # α_n added to a simple-root chain lo..hi
-        v = [1 if lo <= k <= hi else 0 for k in range(1, n + 1)]
-        v[n - 1] += 1
-        t = tuple(v)
-        return Root(t) if rs.is_root(t) else None
-
     alpha = rs.simple_roots
     pairs = []
     for i in range(1, n - 1):
-        chain_in2 = srange(i, n - 2)              # ε_i − ε_{n-1}
-        chain_i1_n1 = srange(i + 1, n - 1)        # ε_{i+1} − ε_n
-        forked_i1 = plus_last(i + 1, n - 2)       # ε_{i+1} + ε_n
+        chain_in2 = _chain_root(rs, i, n - 2)              # ε_i − ε_{n-1}
+        chain_i1_n1 = _chain_root(rs, i + 1, n - 1)        # ε_{i+1} − ε_n
+        forked_i1 = _chain_root(rs, i + 1, n - 2, True)    # ε_{i+1} + ε_n
         candidates = [
             (chain_in2, alpha[n - 2]),
             (chain_in2, alpha[n - 1]),
@@ -441,10 +430,9 @@ def _d_normalization_pairs(rs: RootSystem) -> list[tuple[Root, Root]]:
             (forked_i1, alpha[n - 2]),
         ]
         for a, b in candidates:
-            if a is None or b is None:
-                continue
-            s = tuple(x + y for x, y in zip(a.coeffs, b.coeffs))
-            if rs.is_root(s):
+            if (a is not None and b is not None
+                    and rs._pos_sum[rs.root_index(a)][rs.root_index(b)]
+                    is not None):
                 pairs.append((a, b))
     return pairs
 
@@ -477,7 +465,7 @@ def _ibracket(real: ChevalleyRealization, a: dict[int, Fraction | int],
               b: dict[int, Fraction | int]) -> dict[int, Fraction | int]:
     """[A, B] for coefficient maps supported on the positive roots."""
     m = real._m_pos
-    sums = real._sum_pos
+    sums = real.rs._pos_sum
     out: dict[int, Fraction | int] = {}
     for i, x in a.items():
         mi = m[i]
@@ -551,22 +539,29 @@ class RowMatrix:
     entries: tuple[tuple[Fraction | int, ...], ...]
 
 
+def _ad_block(real: ChevalleyRealization, coeffs: Coeffs,
+              targets: Sequence[Root], sources: Sequence[Root]
+              ) -> list[list[Fraction | int]]:
+    """The block of ad(N) on positive roots from ``sources`` to
+    ``targets``: entry (α, β) is ``m_{α−β,β} n_{α−β}`` when α − β is a
+    positive root and 0 otherwise."""
+    rs = real.rs
+    pos = rs.positive_roots
+    m = real.constants.m
+    cols = [(rs.root_index(beta), beta) for beta in sources]
+    mat = []
+    for alpha in targets:
+        diff = rs._pos_diff[rs.root_index(alpha)]
+        mat.append([0 if (d := diff[b]) is None
+                    else m(pos[d], beta) * coeffs.get(pos[d], 0)
+                    for b, beta in cols])
+    return mat
+
+
 def _psi_entries(real: ChevalleyRealization, coeffs: Coeffs, i: int
                  ) -> tuple[tuple[Root, ...], list[list[Fraction | int]]]:
-    rs = real.rs
-    order = row_order(rs, i)
-    mat = []
-    for alpha in order:
-        line = []
-        for beta in order:
-            d = tuple(x - y for x, y in zip(alpha.coeffs, beta.coeffs))
-            if rs.is_root(d) and all(c >= 0 for c in d):
-                diff = Root(d)
-                line.append(real.constants.m(diff, beta) * coeffs.get(diff, 0))
-            else:
-                line.append(0)
-        mat.append(line)
-    return order, mat
+    order = row_order(real.rs, i)
+    return order, _ad_block(real, coeffs, order, order)
 
 
 def psi_matrix(real: ChevalleyRealization, n: NilpotentElement, i: int,
@@ -674,29 +669,29 @@ def _check_row_structure(real: ChevalleyRealization, trials: int,
     for i, row in enumerate(dec.rows, start=1):
         heisenberg = rs.lie_type == "C" and i < rs.rank
         gamma = dec.type_C_long_roots[i - 1] if heisenberg else None
+        gidx = rs.root_index(gamma) if heisenberg else None
         for a in row:
             for b in row:
-                s = tuple(x + y for x, y in zip(a.coeffs, b.coeffs))
-                is_root = rs.is_root(s)
-                if not heisenberg and is_root:
+                s = rs._pos_sum[rs.root_index(a)][rs.root_index(b)]
+                if not heisenberg and s is not None:
                     return {"row": i, "alpha": format_root(a),
                             "beta": format_root(b),
                             "reason": "abelian row with a root sum"}
-                if heisenberg and is_root and Root(s) != gamma:
+                if heisenberg and s not in (None, gidx):
                     return {"row": i, "alpha": format_root(a),
                             "beta": format_root(b),
                             "reason": "Heisenberg bracket escapes the long root"}
         if heisenberg:
-            if not any(rs.root_add(a, b) == gamma for a in row for b in row):
+            if not any(rs._pos_sum[rs.root_index(a)][rs.root_index(b)] == gidx
+                       for a in row for b in row):
                 return {"row": i, "reason": "derived algebra is zero"}
             for a in row:
                 if a != gamma:
-                    d = tuple(x - y for x, y in zip(gamma.coeffs, a.coeffs))
-                    if not (rs.is_root(d) and Root(d) in row):
+                    d = rs._pos_diff[gidx][rs.root_index(a)]
+                    if d is None or rs.positive_roots[d] not in row:
                         return {"row": i, "alpha": format_root(a),
                                 "reason": "no Heisenberg partner"}
             non_central = [r for r in row if r != gamma]
-            gidx = rs.root_index(gamma)
             for t in range(min(trials, 25)):
                 rng = _rng(seed, f"heis:{i}:{t}")
                 x = {r: rng.randint(-5, 5) for r in non_central}
@@ -815,6 +810,8 @@ def _check_type_d_coefficients(real: ChevalleyRealization, trials: int,
         return None
     n = rs.rank
     dec = rows(rs)
+    pos = rs.positive_roots
+    diff = rs._pos_diff
     for t in range(trials):
         rng = _rng(seed, f"dcoef:{t}")
         nn = _random_nilpotent(rs, rng, regular=False)
@@ -826,27 +823,25 @@ def _check_type_d_coefficients(real: ChevalleyRealization, trials: int,
             xi = _to_index_coeffs(real, x)
             total = _iad_exp(real, xi, ni)
             double = Root(tuple(2 * c for c in rs.simple_roots[i].coeffs))
-            conjugating = sorted(dec.rows[i], key=lambda r: r.coeffs)
+            conjugating = [rs.root_index(r) for r in dec.rows[i]]
             for alpha in dec.rows[i - 1]:
                 if all(a >= d for a, d in zip(alpha.coeffs, double.coeffs)):
                     continue          # hypothesis excludes α ≥ 2α_{i+1}
+                line = diff[rs.root_index(alpha)]
                 # the affine conclusion needs α − β1 − β2 to never be a
                 # positive root; away from the fork row that is the same
                 # condition, but the fork pair sums low in the dominance
-                # order and must be excluded directly
-                if any(
-                    rs.is_root(d) and all(c >= 0 for c in d)
-                    for b1 in conjugating for b2 in conjugating
-                    for d in (tuple(a - u - v for a, u, v in
-                                    zip(alpha.coeffs, b1.coeffs, b2.coeffs)),)
-                ):
+                # order and must be excluded directly.  The row is abelian,
+                # so when α − β1 − β2 is a root, so is α − β1 or α − β2.
+                if any(line[b1] is not None and diff[line[b1]][b2] is not None
+                       for b1 in conjugating for b2 in conjugating):
                     continue
                 expect = nn.coeffs.get(alpha, 0)
-                for beta in rs.positive_roots:
-                    d = tuple(a - b for a, b in zip(alpha.coeffs, beta.coeffs))
-                    if rs.is_root(d) and Root(d) in dec.rows[i]:
-                        expect += (real.constants.m(Root(d), beta)
-                                   * x.get(Root(d), 0)
+                for b, beta in enumerate(pos):
+                    d = line[b]
+                    if d is not None and pos[d] in dec.rows[i]:
+                        expect += (real.constants.m(pos[d], beta)
+                                   * x.get(pos[d], 0)
                                    * nn.coeffs.get(beta, 0))
                 got = total.get(rs.root_index(alpha), 0)
                 if got != expect:
@@ -949,12 +944,10 @@ def _positive_simple_drops(rs: RootSystem, roots: list[Root]
     α − α_j."""
     out = []
     for alpha in roots:
-        m = 0
-        for simple in rs.simple_roots:
-            diff = tuple(a - b for a, b in zip(alpha.coeffs, simple.coeffs))
-            if rs.is_root(diff) and all(c >= 0 for c in diff):
-                m |= 1 << rs.root_index(Root(diff))
-        out.append((rs.root_index(alpha), m))
+        k = rs.root_index(alpha)
+        line = rs._pos_diff[k]
+        out.append((k, sum(1 << d for a in rs._simple_index
+                           if (d := line[a]) is not None)))
     return tuple(out)
 
 
@@ -967,7 +960,8 @@ def _containment_counterexample(rs: RootSystem, psi_rows: dict[int, tuple],
     inversions = w.inversion_indices()
     for i, (order, mat) in psi_rows.items():
         for line, alpha in zip(mat, order):
-            if space.hm >> inv_perm[rs.root_index(alpha)] & 1:
+            k = rs.root_index(alpha)
+            if space.hm >> inv_perm[k] & 1:
                 continue          # α ∈ wΦ_H: no claim
             first = next((c for c, v in enumerate(line) if v), None)
             if first is None:
@@ -976,20 +970,17 @@ def _containment_counterexample(rs: RootSystem, psi_rows: dict[int, tuple],
                         "word": list(w.word), "row": i,
                         "alpha": format_root(alpha),
                         "reason": "zero row for an excluded root"}
-            beta = order[first]
-            d = Root(tuple(a - b for a, b in zip(alpha.coeffs, beta.coeffs)))
-            if d.height != 1:
+            if alpha.height - order[first].height != 1:
                 return {"word": list(w.word), "row": i,
                         "alpha": format_root(alpha),
                         "reason": "first entry not at a simple difference"}
-            for j, simple in enumerate(rs.simple_roots, start=1):
-                diff = tuple(a - b for a, b in zip(alpha.coeffs, simple.coeffs))
-                if rs.is_root(diff) and all(c >= 0 for c in diff):
-                    if rs.root_index(Root(diff)) not in inversions:
-                        return {"word": list(w.word), "row": i,
-                                "alpha": format_root(alpha), "simple": j,
-                                "reason": "simple-difference root escapes "
-                                          "the inversion set"}
+            for j, a in enumerate(rs._simple_index, start=1):
+                d = rs._pos_diff[k][a]
+                if d is not None and d not in inversions:
+                    return {"word": list(w.word), "row": i,
+                            "alpha": format_root(alpha), "simple": j,
+                            "reason": "simple-difference root escapes "
+                                      "the inversion set"}
     return None
 
 
@@ -999,13 +990,6 @@ def _check_type_d_block(real: ChevalleyRealization, trials: int,
     if rs.lie_type != "D":
         return None
     n = rs.rank
-
-    def chain(lo: int, hi: int, fork: bool = False) -> Root:
-        v = [1 if lo <= k <= hi else 0 for k in range(1, n + 1)]
-        if fork:
-            v[n - 1] += 1
-        return rs.root(v)
-
     for t in range(trials):
         rng = _rng(seed, f"dblock:{t}")
         nn = _random_nilpotent(rs, rng, regular=True)
@@ -1014,21 +998,15 @@ def _check_type_d_block(real: ChevalleyRealization, trials: int,
         # i.e. i <= n-3; the last pairing degenerates (its top row root
         # Σ_{j=i+1}^n α_j stops being a root)
         for i in range(1, n - 2):
-            row_targets = [chain(i + 1, n), chain(i, n - 1),
-                           chain(i, n - 2, fork=True)]
-            col_roots = [chain(i + 1, n - 1), chain(i + 1, n - 2, fork=True),
-                         chain(i, n - 2)]
-            block = []
-            for r in row_targets:
-                line = []
-                for c in col_roots:
-                    d = tuple(a - b for a, b in zip(r.coeffs, c.coeffs))
-                    if rs.is_root(d) and all(x >= 0 for x in d):
-                        line.append(real.constants.m(c, Root(d))
-                                    * cf.get(Root(d), 0))
-                    else:
-                        line.append(0)
-                block.append(line)
+            row_targets = [_chain_root(rs, i + 1, n),
+                           _chain_root(rs, i, n - 1),
+                           _chain_root(rs, i, n - 2, fork=True)]
+            col_roots = [_chain_root(rs, i + 1, n - 1),
+                         _chain_root(rs, i + 1, n - 2, fork=True),
+                         _chain_root(rs, i, n - 2)]
+            # entry (r, c) is m_{c,r−c} n_{r−c}: the block of −ad(N)
+            block = [[-v for v in line]
+                     for line in _ad_block(real, cf, row_targets, col_roots)]
             na = cf.get(rs.simple_roots[i - 1], 0)
             nb = cf.get(rs.simple_roots[n - 2], 0)
             nc = cf.get(rs.simple_roots[n - 1], 0)
@@ -1107,29 +1085,13 @@ class WitnessResult:
     verified: bool
 
 
-def _linear_stage_matrix(real: ChevalleyRealization,
-                         current: dict[int, Fraction | int],
-                         cons: list[Root], vars_: list[Root],
-                         ) -> tuple[list[list[Fraction | int]],
-                                    list[Fraction | int]]:
-    """Rows: coefficient of each variable in the constraint equations
-    coeff_α(Ad exp X (M)) = 0; the linear part is the row operator of M."""
-    rs = real.rs
-    a = []
-    b = []
-    for alpha in cons:
-        line = []
-        for gamma in vars_:
-            d = tuple(x - y for x, y in zip(alpha.coeffs, gamma.coeffs))
-            if rs.is_root(d) and all(c >= 0 for c in d):
-                diff = Root(d)
-                line.append(real.constants.m(gamma, diff)
-                            * current.get(rs.root_index(diff), 0))
-            else:
-                line.append(0)
-        a.append(line)
-        b.append(-current.get(rs.root_index(alpha), 0))
-    return a, b
+def _split_type_d_stage(rs: RootSystem, k: int, coeffs: Coeffs
+                        ) -> tuple[Coeffs, Coeffs]:
+    """A type-D stage-k solution as (X on the plain part of row k, Y on the
+    fork parts of row k+1)."""
+    plain = rows(rs).type_D_parts[k - 1][0] if k >= 1 else frozenset()
+    return ({r: v for r, v in coeffs.items() if r in plain},
+            {r: v for r, v in coeffs.items() if r not in plain})
 
 
 def _stage_solution_to_coeffs(vars_: list[Root], x: list[Fraction]) -> Coeffs:
@@ -1181,10 +1143,8 @@ def find_witness(real: ChevalleyRealization, w: WeylElement,
                                if rs.root_index(r) in in_whc])
     else:
         for dom, cod in type_d_stage_sets(rs):
-            ordered_dom = sorted(dom, key=lambda r: (-r.height,
-                                                     tuple(-c for c in r.coeffs)))
-            ordered_cod = sorted(cod, key=lambda r: (-r.height,
-                                                     tuple(-c for c in r.coeffs)))
+            ordered_dom = sorted(dom, key=_row_key)
+            ordered_cod = sorted(cod, key=_row_key)
             stage_vars.append([r for r in ordered_dom
                                if rs.root_index(r) in inversions])
             stage_cons.append([r for r in ordered_cod
@@ -1202,8 +1162,8 @@ def find_witness(real: ChevalleyRealization, w: WeylElement,
         quad = gamma is not None and gamma in cons
 
         if quad:
-            pivot = Root(tuple(g - s for g, s in
-                               zip(gamma.coeffs, rs.simple_roots[k].coeffs)))
+            d = rs._pos_diff[rs.root_index(gamma)][rs._simple_index[k]]
+            pivot = None if d is None else rs.positive_roots[d]
             if pivot not in vars_:
                 raise ConsistencyError(
                     "long-root constraint without its adjusting coordinate")
@@ -1216,8 +1176,14 @@ def find_witness(real: ChevalleyRealization, w: WeylElement,
             x: list[Fraction] = [Fraction(0)] * len(solve_vars)
             kernel = len(solve_vars)
         else:
-            a, b = _linear_stage_matrix(real, current, solve_cons, solve_vars)
-            solved = solve_affine(a, b)
+            # coeff_α(Ad exp X (M)) = 0 for each constraint α; the linear
+            # part in X is −ad(M) from the variables to the constraints
+            block = _ad_block(real, _from_index_coeffs(real, current),
+                              solve_cons, solve_vars)
+            solved = solve_affine(
+                [[-v for v in line] for line in block],
+                [-current.get(rs.root_index(alpha), 0)
+                 for alpha in solve_cons])
             if solved is None:
                 raise ConsistencyError(
                     f"stage {k} infeasible for word {list(w.word)}")
@@ -1253,11 +1219,8 @@ def find_witness(real: ChevalleyRealization, w: WeylElement,
         if rs.lie_type != "D":
             current = _iad_exp(real, _to_index_coeffs(real, coeffs), current)
         else:
-            # stage k solves (X on the plain part of row k, Y on the fork
-            # parts of row k+1); Y conjugates first
-            plain = dec.type_D_parts[k - 1][0] if k >= 1 else frozenset()
-            x_part = {r: v for r, v in coeffs.items() if r in plain}
-            y_part = {r: v for r, v in coeffs.items() if r not in plain}
+            # Y conjugates first
+            x_part, y_part = _split_type_d_stage(rs, k, coeffs)
             current = _iad_exp(real, _to_index_coeffs(real, y_part), current)
             current = _iad_exp(real, _to_index_coeffs(real, x_part), current)
 
@@ -1284,18 +1247,13 @@ def _verify_witness_matrix(real: ChevalleyRealization, w: WeylElement,
     confirm both the coefficient-space computation and the membership."""
     rs = real.rs
     size = real.dim_rep
-    dec = rows(rs)
 
     factor_maps: list[Coeffs] = []
     if rs.lie_type != "D":
         factor_maps = list(solutions)
     else:
         for k, sol in enumerate(solutions):
-            plain = dec.type_D_parts[k - 1][0] if k >= 1 else frozenset()
-            x_part = {r: v for r, v in sol.items() if r in plain}
-            y_part = {r: v for r, v in sol.items() if r not in plain}
-            factor_maps.append(x_part)
-            factor_maps.append(y_part)
+            factor_maps.extend(_split_type_d_stage(rs, k, sol))
 
     u = {(i, i): Fraction(1) for i in range(size)}
     u_inv = {(i, i): Fraction(1) for i in range(size)}

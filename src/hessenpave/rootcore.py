@@ -14,6 +14,16 @@ coefficient vector; every structure derived from a root system (Weyl group
 enumeration, row decompositions, Hessenberg spaces, pavings) inherits its
 determinism from this order.
 
+Whether ``α − β`` or ``α + β`` is a positive root is asked all over the
+package (Hessenberg closure, lower covers, the row operators, the witness
+stages, the lemma checks), so each root system answers it from one table
+built on construction: ``rs._pos_diff[a][b]`` is the index of
+``positive_roots[a] − positive_roots[b]`` when that is a positive root and
+None otherwise.  Sums read the same table, since ``a + b = c`` iff
+``_pos_diff[c][b] == a``; ``rs._pos_sum[a][b]`` is that inverse view.  The
+lower covers of a positive root (its differences with the simple roots)
+are the entries ``_pos_diff[k][s]`` for ``s`` in ``rs._simple_index``.
+
 The *rows* ``Φ_1, ..., Φ_n`` partition the positive roots: row ``i``
 consists of the positive roots whose expansion in the orthonormal ε-basis
 begins with ``ε_i``.  Each row spans an abelian subalgebra of the nilradical
@@ -218,25 +228,35 @@ class RootSystem:
         self._simple_index = tuple(self._index[s.coeffs]
                                    for s in self.simple_roots)
         self._reflections = tuple(self._reflection_perm(i) for i in range(rank))
-        # (β, γ, α_j) as all_roots indices with β = γ + α_j, one for each
-        # non-simple positive root β; the linearity check of WeylElement
-        # inducts on height along these
-        splits = []
-        for k, r in enumerate(self.positive_roots):
-            if r.height == 1:
-                continue
-            for a, s in zip(self._simple_index, self.simple_roots):
-                d = tuple(x - y for x, y in zip(r.coeffs, s.coeffs))
-                if min(d) >= 0 and d in self._index:
-                    splits.append((k, self._index[d], a))
-                    break
-            else:
-                raise ConsistencyError(f"{r} is not a root plus a simple root")
-        self._splits = tuple(splits)
-        # each root as one integer, additive in the coefficients: a sum of
-        # two roots has coefficients in [-4, 4], which base 9 keeps apart
+        # each root as one integer, additive in the coefficients: a sum or
+        # difference of two roots has coefficients in [-4, 4], which base 9
+        # keeps apart
         self._keys = tuple(sum(c * 9 ** j for j, c in enumerate(r.coeffs))
                            for r in self.all_roots)
+        npos = self.num_positive
+        pos_key = {self._keys[k]: k for k in range(npos)}
+        self._pos_diff = tuple(
+            tuple(pos_key.get(ka - kb) for kb in self._keys[:npos])
+            for ka in self._keys[:npos])
+        sums = [[None] * npos for _ in range(npos)]
+        for c, line in enumerate(self._pos_diff):
+            for b, a in enumerate(line):
+                if a is not None:
+                    sums[a][b] = c
+        self._pos_sum = tuple(map(tuple, sums))
+        # (β, γ, α_j) as all_roots indices with β = γ + α_j, one for each
+        # non-simple positive root β (the height order puts the simple roots
+        # first); the linearity check of WeylElement inducts on height
+        # along these
+        splits = []
+        for k in range(rank, npos):
+            a = next((a for a in self._simple_index
+                      if self._pos_diff[k][a] is not None), None)
+            if a is None:
+                raise ConsistencyError(f"{self.positive_roots[k]} is not a "
+                                       "root plus a simple root")
+            splits.append((k, self._pos_diff[k][a], a))
+        self._splits = tuple(splits)
 
         self._rows_cache: Optional[RowDecomposition] = None
         self._weyl_cache: Optional[tuple["WeylElement", ...]] = None
@@ -711,12 +731,16 @@ def rows(rs: RootSystem) -> RowDecomposition:
     return dec
 
 
+def _row_key(r: Root) -> tuple:
+    """Sort key of the row basis order: height descending, then the
+    coefficient vector descending."""
+    return (-r.height, tuple(-c for c in r.coeffs))
+
+
 def row_order(rs: RootSystem, i: int) -> tuple[Root, ...]:
     """Basis order of row i: height descending, ties (type D only) broken
     with the ``α_{n-1}``-bearing root first."""
-    dec = rows(rs)
-    return tuple(sorted(dec.rows[i - 1],
-                        key=lambda r: (-r.height, tuple(-c for c in r.coeffs))))
+    return tuple(sorted(rows(rs).rows[i - 1], key=_row_key))
 
 
 def type_d_stage_sets(rs: RootSystem) -> tuple[tuple[frozenset[Root], frozenset[Root]], ...]:

@@ -195,6 +195,14 @@ def test_weyl_group_over_budget_exits_promptly():
     assert "3628800 elements, over the budget of 50000" in proc.stderr
 
 
+def test_count_points_over_flag_budget(capsys):
+    code, out, err = run_cli(capsys, "count-points", "--n", "5", "--q", "5",
+                             "--hess-fn", "2,3,4,5,5")
+    assert code == 1 and out == ""
+    assert err == ("hessenpave: the flag variety for n=5, q=5 has 22661496 "
+                   "points, over the budget of 300000\n")
+
+
 def test_hess_flags_mutually_exclusive(capsys):
     code, _, _ = run_cli(capsys, "paving", "--type", "A", "--rank", "2",
                          "--hess-fn", "2,3,3", "--hess", "full")

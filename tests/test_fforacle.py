@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from hessenpave import fforacle
 from hessenpave.fforacle import (
     BruhatFlag,
     PrimeFieldMatrix,
@@ -150,3 +151,82 @@ def test_two_prime_consistency(n):
             assert e2 == e3
             if e2 is not None:
                 assert c2.count == 2 ** e2 and c3.count == 3 ** e3
+
+
+class RefEchelonBasis:
+    """Incremental reduced echelon basis of a subspace of F_q^n."""
+
+    def __init__(self, q):
+        self.q = q
+        self.rows = []
+        self.pivots = []
+
+    def _reduce(self, vec):
+        v = list(vec)
+        for row, p in zip(self.rows, self.pivots):
+            if v[p]:
+                f = v[p]
+                v = [(x - f * y) % self.q for x, y in zip(v, row)]
+        return tuple(v)
+
+    def add(self, vec):
+        v = self._reduce(vec)
+        if any(v):
+            p = next(k for k, x in enumerate(v) if x)
+            inv = pow(v[p], self.q - 2, self.q)
+            self.rows.append(tuple(x * inv % self.q for x in v))
+            self.pivots.append(p)
+
+    def contains(self, vec):
+        return not any(self._reduce(vec))
+
+
+def ref_hessenberg_check(flag, nilpotent, h):
+    """N·V_i ⊆ V_{h(i)} for all i by a fresh echelon basis per flag, as the
+    check stood before it read coordinates off the normal form."""
+    mat = flag.matrix()
+    n = len(flag.perm)
+    images = [nilpotent.apply(mat.column(j)) for j in range(n)]
+    basis = RefEchelonBasis(flag.q)
+    filled = 0
+    for i in range(1, n + 1):
+        target = h[i - 1]
+        while filled < target:
+            basis.add(mat.column(filled))
+            filled += 1
+        if not all(basis.contains(images[k]) for k in range(i)):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("n,q", [(2, 2), (2, 3), (3, 2), (3, 3), (3, 5),
+                                 (4, 2), (4, 3)])
+def test_hessenberg_check_equals_echelon_reference(n, q):
+    """Every flag under every h: each h in {1..n}^n for n <= 3, each
+    Hessenberg function for n = 4."""
+    nil = jordan_nilpotent(n, q)
+    hs = [h for h in itertools.product(range(1, n + 1), repeat=n)
+          if n <= 3 or (all(h[i] <= h[i + 1] for i in range(n - 1))
+                        and all(v >= i for i, v in enumerate(h, start=1)))]
+    for perm in itertools.permutations(range(1, n + 1)):
+        for flag in enumerate_cell_flags(n, q, perm):
+            for h in hs:
+                assert (hessenberg_check(flag, nil, h)
+                        == ref_hessenberg_check(flag, nil, h)), (flag, h)
+
+
+def test_count_points_refuses_large_flag_varieties_before_work(monkeypatch):
+    """[5]_5! = 22,661,496 flags is over the budget; the refusal comes
+    before the space is built or any flag is enumerated."""
+    def forbidden(*_, **__):
+        raise AssertionError("count_points started work")
+
+    monkeypatch.setattr(fforacle, "from_function", forbidden)
+    monkeypatch.setattr(fforacle, "enumerate_cell_flags", forbidden)
+    with pytest.raises(ValueError, match=r"^the flag variety for n=5, q=5 "
+                       r"has 22661496 points, over the budget of 300000$"):
+        count_points(5, 5, (2, 3, 4, 5, 5))
+    with pytest.raises(ValueError, match="615195 points"):
+        count_points(6, 2, (6,) * 6)
+    with pytest.raises(ValueError, match=r"q must be one of \(2, 3, 5\)"):
+        count_points(3, 1, (2, 3, 3))

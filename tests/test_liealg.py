@@ -36,6 +36,7 @@ from hessenpave.rootcore import (
     parse_word,
     row_order,
     rows,
+    type_d_stage_sets,
 )
 
 REALIZABLE = [("A", 1), ("A", 2), ("A", 3), ("A", 4),
@@ -462,6 +463,77 @@ def ref_check_containment(real, trials, seed):
 def _realization(lie_type, rank):
     real = build_chevalley(build_root_system(lie_type, rank))
     return normalize_type_D(real) if lie_type == "D" else real
+
+
+def ref_psi_entries(real, coeffs, i):
+    """The row operator of row i from coefficient-vector arithmetic, as it
+    stood before the positive-root difference table."""
+    rs = real.rs
+    order = row_order(rs, i)
+    mat = []
+    for alpha in order:
+        line = []
+        for beta in order:
+            d = tuple(x - y for x, y in zip(alpha.coeffs, beta.coeffs))
+            if rs.is_root(d) and all(c >= 0 for c in d):
+                diff = Root(d)
+                line.append(real.constants.m(diff, beta) * coeffs.get(diff, 0))
+            else:
+                line.append(0)
+        mat.append(line)
+    return order, mat
+
+
+def ref_linear_stage_matrix(real, current, cons, vars_):
+    """The linear system of one witness stage from coefficient-vector
+    arithmetic, as it stood before the positive-root difference table:
+    entry (α, γ) is m_{γ,α−γ} times the coefficient of α − γ in M."""
+    rs = real.rs
+    a = []
+    b = []
+    for alpha in cons:
+        line = []
+        for gamma in vars_:
+            d = tuple(x - y for x, y in zip(alpha.coeffs, gamma.coeffs))
+            if rs.is_root(d) and all(c >= 0 for c in d):
+                diff = Root(d)
+                line.append(real.constants.m(gamma, diff)
+                            * current.get(rs.root_index(diff), 0))
+            else:
+                line.append(0)
+        a.append(line)
+        b.append(-current.get(rs.root_index(alpha), 0))
+    return a, b
+
+
+@pytest.mark.parametrize("lie_type,rank",
+                         REALIZABLE + [("A", 5), ("D", 5)])
+def test_ad_block_equals_coefficient_arithmetic(lie_type, rank):
+    """For seeded random nilpotents, the row operators read from the
+    positive-root table equal the reference, and the witness stage matrix
+    (rows: constraint roots, columns: variable roots) is the same block of
+    ad(N) negated."""
+    real = _realization(lie_type, rank)
+    rs = real.rs
+    if lie_type == "D":
+        stages = [(sorted(cod, key=liealg._row_key),
+                   sorted(dom, key=liealg._row_key))
+                  for dom, cod in type_d_stage_sets(rs)]
+    else:
+        stages = [(row_order(rs, i), row_order(rs, i))
+                  for i in range(1, rank + 1)]
+    for t in range(3):
+        nn = liealg._random_nilpotent(rs, liealg._rng(7, f"adblock:{t}"),
+                                      regular=t > 0)
+        for i in range(1, rank + 1):
+            if rows(rs).rows[i - 1]:
+                assert (liealg._psi_entries(real, nn.coeffs, i)
+                        == ref_psi_entries(real, nn.coeffs, i))
+        current = liealg._to_index_coeffs(real, nn.coeffs)
+        for cons, vars_ in stages:
+            ref_a, _ = ref_linear_stage_matrix(real, current, cons, vars_)
+            block = liealg._ad_block(real, nn.coeffs, cons, vars_)
+            assert [[-v for v in line] for line in block] == ref_a
 
 
 @pytest.mark.parametrize("seed", [3, 2027])

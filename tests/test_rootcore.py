@@ -401,3 +401,32 @@ def test_enumerate_weyl_matches_matrix_reference(lie_type, rank):
 def test_enumerate_weyl_refuses_groups_over_budget():
     with pytest.raises(ValueError, match="362880 elements, over the budget"):
         enumerate_weyl(build_root_system("A", 8))
+
+
+# ---------------------------------------------------------------------------
+# positive-root sum/difference table
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("lie_type,rank",
+                         [("A", r) for r in range(1, 8)]
+                         + [(t, r) for t in "BC" for r in range(2, 7)]
+                         + [("D", r) for r in range(3, 7)])
+def test_positive_root_tables_match_coefficient_arithmetic(lie_type, rank):
+    """Every positive pair: ``_pos_diff`` and ``_pos_sum`` agree with
+    subtracting and adding coefficient vectors, and the lower covers
+    behind ``_splits`` are differences with simple roots."""
+    rs = build_root_system(lie_type, rank)
+    pos = rs.positive_roots
+    index = {r.coeffs: k for k, r in enumerate(pos)}
+    for a, ra in enumerate(pos):
+        for b, rb in enumerate(pos):
+            d = tuple(x - y for x, y in zip(ra.coeffs, rb.coeffs))
+            s = tuple(x + y for x, y in zip(ra.coeffs, rb.coeffs))
+            assert rs._pos_diff[a][b] == index.get(d)
+            assert rs._pos_sum[a][b] == index.get(s)
+    assert len(rs._splits) == rs.num_positive - rank
+    for b, g, a in rs._splits:
+        assert pos[b].coeffs == tuple(
+            x + y for x, y in zip(pos[g].coeffs, rs.all_roots[a].coeffs))
+        assert rs.all_roots[a] in rs.simple_roots
