@@ -28,7 +28,7 @@ from .hessenberg import (
     parse_hessenberg,
     to_function,
 )
-from .rootcore import RootSystem, format_word, parse_word
+from .rootcore import RootSystem, check_weyl_budget, format_word, parse_word
 
 
 class _UsageError(Exception):
@@ -160,6 +160,7 @@ def _paving_rows(record: dict) -> list[list]:
 
 
 def _run_paving(args) -> int:
+    check_weyl_budget(args.lie_type, args.rank)
     rs = RootSystem(args.lie_type, args.rank)
     space = parse_hessenberg(rs, _hess_spec(args))
     record = paving.paving_record(rs, space)
@@ -172,6 +173,7 @@ def _run_paving(args) -> int:
 
 
 def _run_betti(args) -> int:
+    check_weyl_budget(args.lie_type, args.rank)
     rs = RootSystem(args.lie_type, args.rank)
     space = parse_hessenberg(rs, _hess_spec(args))
     betti = paving.poincare_polynomial(rs, space)
@@ -256,6 +258,7 @@ def _run_witness(args) -> int:
 
 
 def _run_verify_lemmata(args) -> int:
+    check_weyl_budget(args.lie_type, args.rank)
     rs = RootSystem(args.lie_type, args.rank)
     real = liealg.build_chevalley(rs)
     report = liealg.verify_lemmata(real, args.trials, args.seed)
@@ -288,6 +291,7 @@ def _run_count_points(args) -> int:
 
 
 def _run_sweep(args) -> int:
+    check_weyl_budget(args.lie_type, args.rank)
     rs = RootSystem(args.lie_type, args.rank)
     spaces = enumerate_hessenberg(rs)
     records = [paving.paving_record(rs, space) for space in spaces]

@@ -11,12 +11,26 @@ A flag satisfies the Hessenberg condition when the single-Jordan-block
 nilpotent maps each ``V_i`` into ``V_{h(i)}``.  The normal-form columns are
 already an echelon basis, so the coordinates of ``N·v_k`` in that basis come
 from one back-substitution mod q with no inverse, and the condition reads
-off which coordinates vanish.  Counting the passing flags per cell gives an
-independent check of the paving: a nonempty cell of predicted dimension d
-must contain exactly ``q^d`` points and an empty cell none, and the total
-must be the Betti evaluation at q.  The complex-geometry statement is used
-as a counting oracle over finite fields; the cells are cut out by the same
-equations, so any combinatorial slip shows up as a count mismatch.
+off which coordinates vanish.
+
+A cell is counted without visiting all of its flags.  The columns are
+assigned left to right, column j taking every value of its own free
+entries.  With ``top(i) = max(h(1..i))`` the condition is equivalent to
+``N·v_i ∈ V_{top(i)}`` for every i, and this depends on columns
+1..max(top(i), i) only (for a Hessenberg function ``h(i) ≥ i``, so that is
+1..top(i)).  It is tested as soon as those columns are set.  Later columns
+cannot change its answer, so a failure rules out the whole subtree.  Every
+flag that survives is re-checked by ``hessenberg_check``, and a
+disagreement raises ConsistencyError.  The flags of a cut subtree are
+never listed, so the work grows with the passing flags (q^dim in a cell)
+and the partial flags that get cut, not with all q^inv flags of the cell.
+
+Counting the passing flags per cell gives an independent check of the
+paving: a nonempty cell of predicted dimension d must contain exactly
+``q^d`` points and an empty cell none, and the total must be the Betti
+evaluation at q.  The complex-geometry statement is used as a counting
+oracle over finite fields; the cells are cut out by the same equations, so
+any combinatorial slip shows up as a count mismatch.
 """
 
 from __future__ import annotations
@@ -151,6 +165,68 @@ def hessenberg_check(flag: BruhatFlag, nilpotent: PrimeFieldMatrix,
     return True
 
 
+def _count_cell(n: int, q: int, perm: tuple[int, ...],
+                nilpotent: PrimeFieldMatrix, h: tuple[int, ...]) -> int:
+    """The number of flags of one Bruhat cell with N·V_i ⊆ V_{h(i)} for all
+    i, found by assigning the normal-form columns left to right.
+
+    Condition i is N·v_i ∈ V_{top(i)}, top(i) = max(h(1..i)), and is tested
+    as soon as columns 1..max(top(i), i) are set; a failure cuts the whole
+    subtree.  Each flag that survives is confirmed by ``hessenberg_check``,
+    and a disagreement raises ConsistencyError.
+    """
+    positions = free_positions(perm)
+    free_rows = [[r - 1 for r, c in positions if c == j]
+                 for j in range(1, n + 1)]
+    pivot = [p - 1 for p in perm]
+    due: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    top = 0
+    for i in range(n):
+        top = max(top, h[i])
+        due[max(top, i + 1) - 1].append((i, top))
+    # columns 1..m, lowest pivot first: the order that clears pivot rows
+    sweeps = [sorted(range(m), key=lambda j: -pivot[j]) for m in range(n + 1)]
+    # the nonzero entries of each row of N (one per row for a Jordan block)
+    n_rows = [[(c, x) for c, x in enumerate(row) if x]
+              for row in nilpotent.entries]
+    cols: list[list[int]] = [[] for _ in range(n)]
+    images: list[list[int]] = [[] for _ in range(n)]
+    count = 0
+
+    def inside(vec: list[int], m: int) -> bool:
+        """Whether vec lies in V_m, by clearing the pivot rows of v_1..v_m."""
+        for j in sweeps[m]:
+            f = vec[pivot[j]]
+            if f:
+                vec = [(x - f * y) % q for x, y in zip(vec, cols[j])]
+        return not any(vec)
+
+    def walk(j: int) -> None:
+        nonlocal count
+        if j == n:
+            flag = BruhatFlag(q, perm, tuple(
+                ((r, c), cols[c - 1][r - 1]) for r, c in positions))
+            if not hessenberg_check(flag, nilpotent, h):
+                raise ConsistencyError(
+                    f"flag {flag.free} of cell {perm} passes the column "
+                    f"test but not hessenberg_check (n={n}, q={q}, h={h})")
+            count += 1
+            return
+        for values in itertools.product(range(q), repeat=len(free_rows[j])):
+            col = [0] * n
+            col[pivot[j]] = 1
+            for r, v in zip(free_rows[j], values):
+                col[r] = v
+            cols[j] = col
+            images[j] = [sum(x * col[c] for c, x in row) % q
+                         for row in n_rows]
+            if all(inside(images[i], m) for i, m in due[j]):
+                walk(j + 1)
+
+    walk(0)
+    return count
+
+
 def weyl_to_permutation(w: WeylElement) -> tuple[int, ...]:
     """The permutation of 1..n matching a type-A Weyl element's root action."""
     rs = w.rs
@@ -229,10 +305,7 @@ def count_points(n: int, q: int, h) -> CountReport:
             predicted = q ** cell_dimension(w, space)
         else:
             predicted = 0
-        count = sum(
-            1 for flag in enumerate_cell_flags(n, q, perm)
-            if hessenberg_check(flag, nilpotent, hs)
-        )
+        count = _count_cell(n, q, perm, nilpotent, hs)
         if count != predicted:
             raise ConsistencyError(
                 f"cell {perm}: counted {count} flags, paving predicts "

@@ -15,7 +15,10 @@ re-verified exhaustively in the test suite.
 Negating everything, negative parts correspond to down-closed subsets
 (order ideals) of the positive-root poset under dominance; their
 complements in Φ⁻ are the ad-nilpotent ideals of the opposite Borel.
-Enumeration therefore walks the lattice of order ideals.
+Enumeration therefore walks the lattice of order ideals.  Order ideals are
+closed under intersection, so every set of roots lies in a smallest
+Hessenberg space, built by :func:`smallest_containing` from per-root
+down-sets.
 
 In type A with rank n−1, Hessenberg spaces match nondecreasing functions
 ``h: {1..n} → {1..n}`` with ``h(i) ≥ i``: the matrix entries allowed below
@@ -25,6 +28,7 @@ the diagonal in column ``j`` reach down to row ``h(j)``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable
 
 from .rootcore import Root, RootSystem, format_root, parse_root
@@ -128,13 +132,51 @@ def enumerate_hessenberg(rs: RootSystem) -> tuple[HessenbergSpace, ...]:
 _SPACES: dict[tuple[str, int], tuple[HessenbergSpace, ...]] = {}
 
 
+def _lower_covers(rs: RootSystem) -> list[tuple[int, ...]]:
+    """For each positive root, the indices reachable by subtracting one
+    simple root; each has smaller height, so a smaller index."""
+    return [tuple(d for a in rs._simple_index if (d := line[a]) is not None)
+            for line in rs._pos_diff]
+
+
+@lru_cache(maxsize=None)
+def _down_set_masks(rs: RootSystem) -> tuple[int, ...]:
+    """Entry p is the bitmask over ``rs.all_roots`` indices of −γ for every
+    positive root γ at or below positive root p (the negative part of the
+    smallest Hessenberg space holding −pos[p])."""
+    npos = rs.num_positive
+    down: list[int] = []
+    for p, covers in enumerate(_lower_covers(rs)):
+        m = 1 << (npos + p)
+        for c in covers:
+            m |= down[c]
+        down.append(m)
+    return tuple(down)
+
+
+def smallest_containing(rs: RootSystem, mask: int) -> int:
+    """``hm`` of the smallest Hessenberg space whose root set contains every
+    root of ``mask`` (a bitmask over ``rs.all_roots`` indices).
+
+    Negative parts are order ideals, and order ideals are closed under
+    intersection, so this space exists: Φ⁺ together with the down-sets of
+    the negated negative roots in ``mask``.
+    """
+    npos = rs.num_positive
+    down = _down_set_masks(rs)
+    hm = (1 << npos) - 1
+    neg = mask >> npos
+    while neg:
+        low = neg & -neg
+        hm |= down[low.bit_length() - 1]
+        neg ^= low
+    return hm
+
+
 def _build_hessenberg_spaces(rs: RootSystem) -> tuple[HessenbergSpace, ...]:
     npos = rs.num_positive
     pos = rs.positive_roots
-    # lower covers: indices reachable by subtracting one simple root
-    covers = [tuple(d for a in rs._simple_index
-                    if (d := line[a]) is not None)
-              for line in rs._pos_diff]
+    covers = _lower_covers(rs)
 
     seen: set[frozenset[int]] = set()
     frontier = [frozenset()]

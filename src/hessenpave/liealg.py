@@ -50,7 +50,11 @@ from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
 from .errors import ConsistencyError
-from .hessenberg import HessenbergSpace, enumerate_hessenberg
+from .hessenberg import (
+    HessenbergSpace,
+    enumerate_hessenberg,
+    smallest_containing,
+)
 from .linalg import (
     Sparse,
     gf2_solve,
@@ -69,6 +73,7 @@ from .rootcore import (
     RootSystem,
     WeylElement,
     _row_key,
+    check_weyl_budget,
     enumerate_weyl,
     format_root,
     row_order,
@@ -876,11 +881,18 @@ def _check_containment(real: ChevalleyRealization, trials: int,
       difference.
 
     A triple (N, space, w) fails iff its cell is nonempty and
-    ``(bad(w) | w⁻¹F(N)) & ~hm`` is nonzero.  Each cell is tested once,
-    against the union of ``F(N)`` over the samples; only if some cell fails
-    are the samples scanned in order, and the first failing triple (N,
-    then space, then w) is rerun root by root to name the row, the root
-    and the reason.
+    ``(bad(w) | w⁻¹F(N)) & ~hm`` is nonzero.  Let ``risky(w)`` be that mask
+    for the union of ``F(N)`` over the samples.  The cell of w is nonempty
+    in exactly the spaces whose ``hm`` contains ``w.sm``.  Negative parts
+    of Hessenberg spaces are order ideals, closed under intersection, so
+    among these spaces there is a smallest, ``smallest_containing(rs,
+    w.sm)``, and every other one contains it.  Hence some space fails for w
+    iff the smallest one does, and a passing run tests one mask per w and
+    no (space, w) pair.  That smallest space is also checked to be one of
+    the enumerated spaces.  Only for the suspect w, those whose smallest
+    space fails, are the (space, w) cells tested; the samples are then
+    scanned in order, and the first failing triple (N, then space, then w)
+    is rerun root by root to name the row, the root and the reason.
     """
     rs = real.rs
     dec = rows(rs)
@@ -897,20 +909,29 @@ def _check_containment(real: ChevalleyRealization, trials: int,
         rs, [alpha for i in row_ids for alpha in row_order(rs, i)])
 
     elements = enumerate_weyl(rs)
+    spaces = enumerate_hessenberg(rs)
+    known = {space.hm for space in spaces}
     bad = []
     risky = []        # bad(w) | w⁻¹F(N) for the union of F(N) over samples
-    for w in elements:
+    suspect_w = []
+    for k, w in enumerate(elements):
         inv = w.inverse_root_permutation()
         outside_phi_w = ~sum(1 << p for p in w.inversion_indices())
         b = sum(1 << inv[a] for a, dm in drops if dm & outside_phi_w)
         bad.append(b)
         risky.append(b | sum(1 << inv[a] for a in any_fault))
-
-    suspects = [(space, k) for space in enumerate_hessenberg(rs)
-                for k, w in enumerate(elements)
-                if risky[k] & ~space.hm and cell_nonempty(w, space)]
-    if not suspects:
+        least = smallest_containing(rs, w.sm)
+        if least not in known:
+            raise ConsistencyError(
+                f"{rs.lie_type}{rs.rank} word {list(w.word)}: the smallest "
+                "space with a nonempty cell is not an enumerated space")
+        if risky[k] & ~least:
+            suspect_w.append(k)
+    if not suspect_w:
         return None
+
+    suspects = [(space, k) for space in spaces for k in suspect_w
+                if risky[k] & ~space.hm and cell_nonempty(elements[k], space)]
     for psi_rows, fault in zip(psi, faults):
         for space, k in suspects:
             w = elements[k]
@@ -1033,17 +1054,18 @@ def verify_lemmata(real: ChevalleyRealization, trial_count: int = 200,
     near-linearity, row-operator invariance, type-D coefficient formulas,
     containment of first entries, type-D block) with seeded random trials.
 
-    The containment check covers every (N sample, space, w) triple but
-    tests each cell once: its (w, space) part and its N-only part are
-    bitmasks built once per Weyl element and once per sample (see
-    ``_check_containment``).
+    The containment check covers every (N sample, space, w) triple, but a
+    passing run tests one mask per Weyl element, against the smallest space
+    in which its cell is nonempty (see ``_check_containment``).
 
     Type-D realizations are normalized first (idempotent), since the block
     check is stated for the normalized constants.  A trial count below 1
-    is refused: a report of zero trials would pass without checking.
+    is refused: a report of zero trials would pass without checking, and so
+    is a Weyl group over the enumeration budget, before any check runs.
     """
     if trial_count < 1:
         raise ValueError(f"trial count must be at least 1, got {trial_count}")
+    check_weyl_budget(real.rs.lie_type, real.rs.rank)
     if real.rs.lie_type == "D":
         real = normalize_type_D(real)
     named = (

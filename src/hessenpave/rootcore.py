@@ -375,15 +375,16 @@ class WeylElement:
     comes from greedy descent (repeatedly strip the smallest ``s_i`` with
     ``w⁻¹α_i < 0``), so equal permutations always carry identical words;
     it stops early at a permutation whose word ``_words`` already holds.
-    The cell masks ``sm`` and ``im`` are built on first use, so enumerating
-    W pays nothing for them.  Construction checks that the permutation is
-    a bijection, that it is linear on simple-root coordinates, that greedy
-    descent reaches the identity (a diagram automorphism has no descent),
-    and that the word length matches the inversion count.
+    The cell masks ``sm`` and ``im`` and the text form ``word_text`` are
+    built on first use, so enumerating W pays nothing for them.
+    Construction checks that the permutation is a bijection, that it is
+    linear on simple-root coordinates, that greedy descent reaches the
+    identity (a diagram automorphism has no descent), and that the word
+    length matches the inversion count.
     """
 
     __slots__ = ("rs", "word", "_root_perm", "_inv_root_perm", "_inversions",
-                 "_sm", "_im")
+                 "_sm", "_im", "_word_text")
 
     def __init__(self, rs: RootSystem, perm: Iterable[int],
                  _words: Optional[dict] = None):
@@ -435,6 +436,15 @@ class WeylElement:
             inv = self._inv_root_perm
             self._im = sum(1 << inv[p] for p in self._inversions)
             return self._im
+
+    @property
+    def word_text(self) -> str:
+        """The reduced word as space-separated reflection indices."""
+        try:
+            return self._word_text
+        except AttributeError:
+            self._word_text = " ".join(str(i) for i in self.word)
+            return self._word_text
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, WeylElement)
@@ -528,8 +538,9 @@ def inversion_set(w: WeylElement) -> frozenset[Root]:
 
 
 def format_word(w: WeylElement) -> str:
-    """Text form of a Weyl element: space-separated reflection indices."""
-    return " ".join(str(i) for i in w.word)
+    """Text form of a Weyl element: space-separated reflection indices,
+    built once per element."""
+    return w.word_text
 
 
 def parse_word(rs: RootSystem, text: str) -> WeylElement:
@@ -558,6 +569,23 @@ _WEYL_ORDER = {"A": lambda n: factorial(n + 1),
 _WEYL_BUDGET = 50_000
 
 
+def check_weyl_budget(lie_type: str, rank: int) -> None:
+    """Raise ValueError when the Weyl group of the given type and rank has
+    more than _WEYL_BUDGET elements.
+
+    It needs no RootSystem, so callers can refuse before building one
+    (construction grows with the rank).  A type or rank that RootSystem
+    refuses passes here, so that RootSystem names the problem.
+    """
+    if lie_type not in _MIN_RANK or rank < _MIN_RANK[lie_type]:
+        return
+    order = _WEYL_ORDER[lie_type](rank)
+    if order > _WEYL_BUDGET:
+        raise ValueError(
+            f"the Weyl group of {lie_type}{rank} has {order} "
+            f"elements, over the budget of {_WEYL_BUDGET}")
+
+
 def enumerate_weyl(rs: RootSystem) -> tuple[WeylElement, ...]:
     """All Weyl group elements, by length and then lexicographic reduced word.
 
@@ -566,11 +594,8 @@ def enumerate_weyl(rs: RootSystem) -> tuple[WeylElement, ...]:
     """
     if rs._weyl_cache is not None:
         return rs._weyl_cache
+    check_weyl_budget(rs.lie_type, rs.rank)
     expected = _WEYL_ORDER[rs.lie_type](rs.rank)
-    if expected > _WEYL_BUDGET:
-        raise ValueError(
-            f"the Weyl group of {rs.lie_type}{rs.rank} has {expected} "
-            f"elements, over the budget of {_WEYL_BUDGET}")
     npos = rs.num_positive
     layer = [identity_element(rs)]
     out = list(layer)

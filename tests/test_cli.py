@@ -10,6 +10,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from hessenpave import cli, fforacle, liealg
 from hessenpave.cli import main
 
 
@@ -193,6 +194,35 @@ def test_weyl_group_over_budget_exits_promptly():
         env={**os.environ, "PYTHONPATH": str(src)})
     assert proc.returncode == 1 and proc.stdout == ""
     assert "3628800 elements, over the budget of 50000" in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["paving", "--type", "D", "--rank", "20", "--hess", "full"],
+    ["betti", "--type", "A", "--rank", "60", "--hess", "borel"],
+    ["sweep", "--type", "B", "--rank", "9"],
+    ["verify-lemmata", "--type", "D", "--rank", "20"],
+])
+def test_weyl_budget_refused_before_any_build(capsys, monkeypatch, argv):
+    """Commands that enumerate W compare its order with the budget before
+    they build a root system or a realization."""
+    def forbidden(*_, **__):
+        raise AssertionError("built before the budget check")
+
+    monkeypatch.setattr(cli, "RootSystem", forbidden)
+    monkeypatch.setattr(liealg, "build_chevalley", forbidden)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith(f"hessenpave: the Weyl group of {argv[2]}{argv[4]} "
+                          "has ")
+    assert err.endswith(" elements, over the budget of 50000\n")
+
+
+def test_count_mismatch_exits_2(capsys, monkeypatch):
+    monkeypatch.setattr(fforacle, "hessenberg_check", lambda *_: False)
+    code, out, err = run_cli(capsys, "count-points", "--n", "3", "--q", "2",
+                             "--hess-fn", "2,3,3")
+    assert code == 2 and out == ""
+    assert err.startswith("hessenpave: consistency failure: ")
 
 
 def test_count_points_over_flag_budget(capsys):

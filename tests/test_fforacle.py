@@ -5,6 +5,7 @@ import itertools
 import pytest
 
 from hessenpave import fforacle
+from hessenpave.errors import ConsistencyError
 from hessenpave.fforacle import (
     BruhatFlag,
     PrimeFieldMatrix,
@@ -153,6 +154,46 @@ def test_two_prime_consistency(n):
                 assert c2.count == 2 ** e2 and c3.count == 3 ** e3
 
 
+@pytest.mark.parametrize("n,q", [(2, 2), (2, 3), (2, 5), (3, 2), (3, 3),
+                                 (3, 5), (4, 2), (4, 3)])
+def test_pruned_cell_count_equals_brute_force(n, q):
+    """Column-by-column counting with pruning gives the same count as
+    testing every flag of the cell, on every cell under every Hessenberg
+    function."""
+    from hessenpave.hessenberg import enumerate_hessenberg, to_function
+    nil = jordan_nilpotent(n, q)
+    for space in enumerate_hessenberg(build_root_system("A", n - 1)):
+        h = to_function(space)
+        for perm in itertools.permutations(range(1, n + 1)):
+            brute = sum(1 for flag in enumerate_cell_flags(n, q, perm)
+                        if hessenberg_check(flag, nil, h))
+            assert fforacle._count_cell(n, q, perm, nil, h) == brute, \
+                (h, perm)
+
+
+def test_count_points_checks_each_passing_flag_once(monkeypatch):
+    """Work count: hessenberg_check confirms exactly the passing flags
+    (216 of the 29,016 flags of n = 4 over F_5)."""
+    checked = []
+
+    def counted(flag, nilpotent, h):
+        checked.append(flag)
+        return hessenberg_check(flag, nilpotent, h)
+
+    monkeypatch.setattr(fforacle, "hessenberg_check", counted)
+    report = count_points(4, 5, (2, 3, 4, 4))
+    assert len(checked) == report.total == 216
+    assert len(set(checked)) == len(checked)
+
+
+def test_count_points_rejects_a_flag_the_check_refuses(monkeypatch):
+    """A flag that survives the pruned walk but fails the per-flag check
+    is a consistency failure, not a count."""
+    monkeypatch.setattr(fforacle, "hessenberg_check", lambda *_: False)
+    with pytest.raises(ConsistencyError, match="passes the column test"):
+        count_points(3, 2, (2, 3, 3))
+
+
 class RefEchelonBasis:
     """Incremental reduced echelon basis of a subspace of F_q^n."""
 
@@ -223,6 +264,7 @@ def test_count_points_refuses_large_flag_varieties_before_work(monkeypatch):
 
     monkeypatch.setattr(fforacle, "from_function", forbidden)
     monkeypatch.setattr(fforacle, "enumerate_cell_flags", forbidden)
+    monkeypatch.setattr(fforacle, "_count_cell", forbidden)
     with pytest.raises(ValueError, match=r"^the flag variety for n=5, q=5 "
                        r"has 22661496 points, over the budget of 300000$"):
         count_points(5, 5, (2, 3, 4, 5, 5))

@@ -15,9 +15,10 @@ from hessenpave.hessenberg import (
     from_negative_roots,
     full_space,
     parse_hessenberg,
+    smallest_containing,
     to_function,
 )
-from hessenpave.rootcore import build_root_system, parse_root
+from hessenpave.rootcore import build_root_system, enumerate_weyl, parse_root
 
 
 def test_from_negative_roots_examples():
@@ -161,3 +162,23 @@ def test_round_trip_random_functions(n, data):
         prev = v
     h = tuple(values)
     assert to_function(from_function(n, h)) == h
+
+
+@pytest.mark.parametrize("lie_type,rank", [
+    ("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("B", 4),
+    ("C", 2), ("C", 3), ("C", 4), ("D", 3), ("D", 4), ("A", 5), ("D", 5)])
+def test_smallest_containing_is_the_meet_of_nonempty_cells(lie_type, rank):
+    """For each w, the smallest space holding w⁻¹(simple roots) is the AND
+    of hm over the spaces where the cell of w is nonempty, and it is one of
+    the enumerated spaces."""
+    rs = build_root_system(lie_type, rank)
+    spaces = enumerate_hessenberg(rs)
+    known = {s.hm for s in spaces}
+    for w in enumerate_weyl(rs):
+        meet = -1
+        for s in spaces:
+            if w.sm & s.hm == w.sm:
+                meet &= s.hm
+        least = smallest_containing(rs, w.sm)
+        assert least == meet, w
+        assert least in known, w

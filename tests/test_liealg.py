@@ -1,6 +1,7 @@
 """Matrix realizations, row operators, lemma checks, witnesses."""
 
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -11,6 +12,7 @@ from hessenpave.hessenberg import (
     enumerate_hessenberg,
     full_space,
     parse_hessenberg,
+    smallest_containing,
 )
 from hessenpave.liealg import (
     NilpotentElement,
@@ -583,21 +585,37 @@ def test_containment_short_inversion_set_matches_reference(
     assert got == ref_check_containment(real, 3, 5)
 
 
+def test_verify_lemmata_refuses_group_over_budget_before_checks():
+    """A realization whose Weyl group is over the enumeration budget is
+    refused before any check runs (a stand-in, since building D20 takes
+    seconds)."""
+    fake = SimpleNamespace(rs=SimpleNamespace(lie_type="D", rank=20))
+    with pytest.raises(ValueError, match="over the budget of 50000"):
+        verify_lemmata(fake, 1)
+
+
 def test_containment_tests_each_cell_at_most_once(monkeypatch):
-    """Work count, not time: the containment check runs the cell kernel at
-    most once per (space, w), however many N samples it draws."""
+    """Work count, not time: a passing containment check computes one
+    smallest space per w and runs the cell kernel on no (space, w) pair,
+    however many N samples it draws."""
     calls = []
+    closures = []
 
     def counted(w, space):
         calls.append(1)
         return cell_nonempty(w, space)
 
+    def counted_closure(rs, mask):
+        closures.append(mask)
+        return smallest_containing(rs, mask)
+
     monkeypatch.setattr(liealg, "cell_nonempty", counted)
+    monkeypatch.setattr(liealg, "smallest_containing", counted_closure)
     rs = build_root_system("C", 3)
     report = verify_lemmata(build_chevalley(rs), trial_count=3, seed=1)
     assert report.passed
-    cells = len(enumerate_hessenberg(rs)) * len(enumerate_weyl(rs))
-    assert 0 < len(calls) <= cells, (len(calls), cells)
+    assert calls == []
+    assert sorted(closures) == sorted(w.sm for w in enumerate_weyl(rs))
 
 
 # ---------------------------------------------------------------------------
