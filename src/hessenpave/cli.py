@@ -7,6 +7,14 @@ byte-identical bytes.  Exit codes: 0 success, 1 validation or usage error,
 2 internal consistency failure (a count mismatch or a failed lemma check).
 
 The environment variable ``HESSENPAVE_SEED`` overrides ``--seed``.
+
+One output path: each ``_run_*`` function computes its result and returns
+``(exit code, JSON record, CSV/table header, rows)``, where rows is a lazy
+iterable, so a JSON run never builds it.  ``main`` alone reads ``--format``,
+renders once (``_json_text``, ``_csv_text`` or ``_table_text``) and writes
+once (``_emit``), so a failed lemma check writes its report before exiting 2.
+``main`` looks the renderers up as module attributes at call time, so they
+can be replaced on the module, as the benchmark's tracer does to time them.
 """
 
 from __future__ import annotations
@@ -17,15 +25,16 @@ import io
 import json
 import os
 import sys
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
 
 from . import fforacle, liealg, paving
 from .errors import ConsistencyError
 from .hessenberg import (
-    HessenbergSpace,
+    check_space_budget,
     enumerate_hessenberg,
-    format_negative_part,
     parse_hessenberg,
+    space_fields,
     to_function,
 )
 from .rootcore import RootSystem, check_weyl_budget, format_word, parse_word
@@ -41,7 +50,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> _Parser:
-    p = _Parser(prog="hessenpave", description=__doc__)
+    # --help shows the user-facing paragraphs only
+    p = _Parser(prog="hessenpave",
+                description=__doc__.split("\n\nOne output path")[0])
     sub = p.add_subparsers(dest="command", required=True)
 
     def add_system(sp):
@@ -105,10 +116,6 @@ def _hess_spec(args) -> str:
     return args.hess
 
 
-def _space_record(space: HessenbergSpace) -> dict:
-    return {"neg": [r for r in format_negative_part(space).split(";") if r]}
-
-
 def _emit(text: str, output) -> None:
     if output:
         try:
@@ -124,7 +131,7 @@ def _json_text(record) -> str:
     return json.dumps(record, indent=2) + "\n"
 
 
-def _csv_text(header: list[str], rows: list[list]) -> str:
+def _csv_text(header: list[str], rows: Iterable[list]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
@@ -133,7 +140,7 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
     return buf.getvalue()
 
 
-def _table_text(header: list[str], rows: list[list]) -> str:
+def _table_text(header: list[str], rows: Iterable[list]) -> str:
     cols = [header] + [[str(x) for x in row] for row in rows]
     widths = [max(len(r[k]) for r in cols) for k in range(len(header))]
     lines = []
@@ -146,75 +153,57 @@ _PAVING_COLUMNS = ["type", "rank", "hessenberg", "word", "length",
                    "nonempty", "dim", "row_profile"]
 
 
-def _paving_rows(record: dict) -> list[list]:
-    hess = "neg=" + ";".join(record["hessenberg"]["neg"])
-    rows = []
+def _paving_rows(record: dict, hess: str) -> Iterator[list]:
     for cell in record["cells"]:
         profile = ("|".join(str(d) for d in cell["row_profile"])
                    if cell["row_profile"] is not None else "")
-        rows.append([record["type"], record["rank"], hess, cell["word"],
-                     cell["length"], str(cell["nonempty"]).lower(),
-                     cell["dim"] if cell["dim"] is not None else "",
-                     profile])
-    return rows
+        yield [record["type"], record["rank"], hess, cell["word"],
+               cell["length"], str(cell["nonempty"]).lower(),
+               cell["dim"] if cell["dim"] is not None else "",
+               profile]
 
 
-def _run_paving(args) -> int:
+def _run_paving(args) -> tuple:
     check_weyl_budget(args.lie_type, args.rank)
     rs = RootSystem(args.lie_type, args.rank)
     space = parse_hessenberg(rs, _hess_spec(args))
     record = paving.paving_record(rs, space)
-    if args.format == "json":
-        _emit(_json_text(record), args.output)
-    else:
-        render = _csv_text if args.format == "csv" else _table_text
-        _emit(render(_PAVING_COLUMNS, _paving_rows(record)), args.output)
-    return 0
+    return (0, record, _PAVING_COLUMNS,
+            _paving_rows(record, space_fields(space)[1]))
 
 
-def _run_betti(args) -> int:
+def _run_betti(args) -> tuple:
     check_weyl_budget(args.lie_type, args.rank)
     rs = RootSystem(args.lie_type, args.rank)
     space = parse_hessenberg(rs, _hess_spec(args))
     betti = paving.poincare_polynomial(rs, space)
+    hess, column = space_fields(space)
     record = {
         "type": rs.lie_type,
         "rank": rs.rank,
-        "hessenberg": _space_record(space),
+        "hessenberg": hess,
         "betti": list(betti.coefficients),
     }
-    if args.format == "json":
-        _emit(_json_text(record), args.output)
-    else:
-        header = ["type", "rank", "hessenberg", "betti"]
-        row = [[record["type"], record["rank"],
-                "neg=" + ";".join(record["hessenberg"]["neg"]),
-                "|".join(str(b) for b in record["betti"])]]
-        render = _csv_text if args.format == "csv" else _table_text
-        _emit(render(header, row), args.output)
-    return 0
+    rows = ([r["type"], r["rank"], column, "|".join(str(b) for b in r["betti"])]
+            for r in (record,))
+    return 0, record, ["type", "rank", "hessenberg", "betti"], rows
 
 
-def _run_enumerate_hess(args) -> int:
+def _run_enumerate_hess(args) -> tuple:
+    check_space_budget(args.lie_type, args.rank)
     rs = RootSystem(args.lie_type, args.rank)
     spaces = enumerate_hessenberg(rs)
     entries = []
     for space in spaces:
-        entry = {"neg": _space_record(space)["neg"]}
+        entry = space_fields(space)[0]
         entry["h"] = list(to_function(space)) if rs.lie_type == "A" else None
         entries.append(entry)
     record = {"type": rs.lie_type, "rank": rs.rank,
               "count": len(spaces), "spaces": entries}
-    if args.format == "json":
-        _emit(_json_text(record), args.output)
-    else:
-        header = ["type", "rank", "index", "neg", "h"]
-        rows = [[rs.lie_type, rs.rank, k, ";".join(e["neg"]),
-                 ",".join(str(v) for v in e["h"]) if e["h"] else ""]
-                for k, e in enumerate(entries)]
-        render = _csv_text if args.format == "csv" else _table_text
-        _emit(render(header, rows), args.output)
-    return 0
+    rows = ([rs.lie_type, rs.rank, k, ";".join(e["neg"]),
+             ",".join(str(v) for v in e["h"]) if e["h"] else ""]
+            for k, e in enumerate(entries))
+    return 0, record, ["type", "rank", "index", "neg", "h"], rows
 
 
 def _format_rational(v) -> str:
@@ -222,7 +211,7 @@ def _format_rational(v) -> str:
     return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
 
-def _run_witness(args) -> int:
+def _run_witness(args) -> tuple:
     rs = RootSystem(args.lie_type, args.rank)
     space = parse_hessenberg(rs, _hess_spec(args))
     w = parse_word(rs, args.word)
@@ -238,74 +227,59 @@ def _run_witness(args) -> int:
     record = {
         "type": rs.lie_type,
         "rank": rs.rank,
-        "hessenberg": _space_record(space),
+        "hessenberg": space_fields(space)[0],
         "word": format_word(w),
         "verified": result.verified,
         "stage_kernel_dims": list(result.stage_kernel_dims),
         "row_profile": list(profile),
         "stages": stages,
     }
-    if args.format == "json":
-        _emit(_json_text(record), args.output)
-    else:
-        header = ["stage", "kernel_dim", "solution"]
-        rows = [[k, d, " ".join(f"{r}={v}" for r, v in s.items())]
-                for k, (d, s) in enumerate(zip(record["stage_kernel_dims"],
-                                               stages))]
-        render = _csv_text if args.format == "csv" else _table_text
-        _emit(render(header, rows), args.output)
-    return 0
+    rows = ([k, d, " ".join(f"{r}={v}" for r, v in s.items())]
+            for k, (d, s) in enumerate(zip(record["stage_kernel_dims"],
+                                           stages)))
+    return 0, record, ["stage", "kernel_dim", "solution"], rows
 
 
-def _run_verify_lemmata(args) -> int:
+def _run_verify_lemmata(args) -> tuple:
     check_weyl_budget(args.lie_type, args.rank)
     rs = RootSystem(args.lie_type, args.rank)
     real = liealg.build_chevalley(rs)
     report = liealg.verify_lemmata(real, args.trials, args.seed)
     record = report.to_record()
-    if args.format == "json":
-        _emit(_json_text(record), args.output)
-    else:
-        header = ["check", "status"]
-        rows = [[c["name"], c["status"]] for c in record["checks"]]
-        render = _csv_text if args.format == "csv" else _table_text
-        _emit(render(header, rows), args.output)
-    return 0 if report.passed else 2
+    rows = ([c["name"], c["status"]] for c in record["checks"])
+    return 0 if report.passed else 2, record, ["check", "status"], rows
 
 
-def _run_count_points(args) -> int:
+def _run_count_points(args) -> tuple:
     h = tuple(int(x) for x in args.hess_fn.split(","))
-    report = fforacle.count_points(args.n, args.q, h)
-    record = report.to_record()
-    if args.format == "json":
-        _emit(_json_text(record), args.output)
-    else:
-        header = ["n", "q", "h", "perm", "count", "predicted"]
-        rows = [[record["n"], record["q"],
-                 ",".join(str(v) for v in record["h"]),
-                 c["perm"], c["count"], c["predicted"]]
-                for c in record["cells"]]
-        render = _csv_text if args.format == "csv" else _table_text
-        _emit(render(header, rows), args.output)
-    return 0
+    record = fforacle.count_points(args.n, args.q, h).to_record()
+    rows = ([record["n"], record["q"], ",".join(str(v) for v in record["h"]),
+             c["perm"], c["count"], c["predicted"]]
+            for c in record["cells"])
+    return 0, record, ["n", "q", "h", "perm", "count", "predicted"], rows
 
 
-def _run_sweep(args) -> int:
-    check_weyl_budget(args.lie_type, args.rank)
+# Most cells (|W| times the number of spaces) that sweep computes: every
+# rank <= 5 system and A6 (2,162,160 cells) fit; D6 (15.5 M cells), B6 and
+# C6 (42.6 M) and A7 (57.7 M) pass the Weyl budget but would run for hours.
+_CELL_BUDGET = 2_500_000
+
+
+def _run_sweep(args) -> tuple:
+    order = check_weyl_budget(args.lie_type, args.rank)
+    count = check_space_budget(args.lie_type, args.rank)
+    if order is not None and order * count > _CELL_BUDGET:
+        raise ValueError(
+            f"a sweep of {args.lie_type}{args.rank} has {order * count} "
+            f"cells, over the budget of {_CELL_BUDGET}")
     rs = RootSystem(args.lie_type, args.rank)
     spaces = enumerate_hessenberg(rs)
     records = [paving.paving_record(rs, space) for space in spaces]
-    if args.format == "json":
-        record = {"type": rs.lie_type, "rank": rs.rank,
-                  "hessenberg_count": len(spaces), "pavings": records}
-        _emit(_json_text(record), args.output)
-    else:
-        rows = []
-        for rec in records:
-            rows.extend(_paving_rows(rec))
-        render = _csv_text if args.format == "csv" else _table_text
-        _emit(render(_PAVING_COLUMNS, rows), args.output)
-    return 0
+    record = {"type": rs.lie_type, "rank": rs.rank,
+              "hessenberg_count": len(spaces), "pavings": records}
+    rows = (row for space, rec in zip(spaces, records)
+            for row in _paving_rows(rec, space_fields(space)[1]))
+    return 0, record, _PAVING_COLUMNS, rows
 
 
 _RUNNERS = {
@@ -336,7 +310,15 @@ def main(argv=None) -> int:
                       file=sys.stderr)
                 return 1
     try:
-        return _RUNNERS[args.command](args)
+        code, record, header, rows = _RUNNERS[args.command](args)
+        if args.format == "json":
+            text = _json_text(record)
+        elif args.format == "csv":
+            text = _csv_text(header, rows)
+        else:
+            text = _table_text(header, rows)
+        _emit(text, args.output)
+        return code
     except ValueError as exc:
         print(f"hessenpave: {exc}", file=sys.stderr)
         return 1

@@ -29,9 +29,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import comb
 from typing import Iterable
 
-from .rootcore import Root, RootSystem, format_root, parse_root
+from .errors import ConsistencyError
+from .rootcore import _MIN_RANK, Root, RootSystem, format_root, parse_root
 
 
 class HessenbergSpace:
@@ -113,6 +115,35 @@ def full_space(rs: RootSystem) -> HessenbergSpace:
     return HessenbergSpace(rs, frozenset(rs.negative_roots))
 
 
+# The number of ad-nilpotent ideals, so of Hessenberg spaces, by type.
+_SPACE_COUNT = {"A": lambda n: comb(2 * n + 2, n + 1) // (n + 2),
+                "B": lambda n: comb(2 * n, n),
+                "C": lambda n: comb(2 * n, n),
+                "D": lambda n: comb(2 * n, n) - comb(2 * n - 2, n - 1)}
+
+# Most spaces enumerate_hessenberg builds: A10 (58,786 spaces) takes about
+# 9 s on a 2-vCPU Xeon; the next counts up (D10 136,136, B10 and C10
+# 184,756, A11 208,012) would take minutes and hold every space in memory.
+_SPACE_BUDGET = 60_000
+
+
+def check_space_budget(lie_type: str, rank: int) -> int | None:
+    """Return the number of Hessenberg spaces of the given type and rank,
+    and raise ValueError when it is over _SPACE_BUDGET.
+
+    Like ``check_weyl_budget`` it needs no RootSystem, and a type or rank
+    that RootSystem refuses passes here (returning None) so that RootSystem
+    names the problem.
+    """
+    if lie_type not in _MIN_RANK or rank < _MIN_RANK[lie_type]:
+        return None
+    count = _SPACE_COUNT[lie_type](rank)
+    if count > _SPACE_BUDGET:
+        raise ValueError(f"{lie_type}{rank} has {count} Hessenberg spaces, "
+                         f"over the budget of {_SPACE_BUDGET}")
+    return count
+
+
 def enumerate_hessenberg(rs: RootSystem) -> tuple[HessenbergSpace, ...]:
     """All Hessenberg spaces, ordered by size of the negative part and then
     lexicographically on the sorted index tuple of the negated roots.
@@ -121,11 +152,19 @@ def enumerate_hessenberg(rs: RootSystem) -> tuple[HessenbergSpace, ...]:
     a positive root may join an ideal once everything reachable from it by
     subtracting one simple root is already present.  The result always
     starts with the Borel and ends with the full Lie algebra; it is cached
-    per type and rank.
+    per type and rank.  Raises ValueError, before any work, when there are
+    more than _SPACE_BUDGET spaces, and ConsistencyError when the count
+    differs from the closed form for ad-nilpotent ideals.
     """
     key = (rs.lie_type, rs.rank)
     if key not in _SPACES:
-        _SPACES[key] = _build_hessenberg_spaces(rs)
+        expected = check_space_budget(rs.lie_type, rs.rank)
+        spaces = _build_hessenberg_spaces(rs)
+        if len(spaces) != expected:
+            raise ConsistencyError(
+                f"Hessenberg enumeration of {rs.lie_type}{rs.rank} found "
+                f"{len(spaces)} spaces, expected {expected}")
+        _SPACES[key] = spaces
     return _SPACES[key]
 
 
@@ -265,6 +304,14 @@ def format_negative_part(space: HessenbergSpace) -> str:
     rs = space.rs
     ordered = sorted(space.negative_part, key=rs.root_index)
     return ";".join(format_root(r) for r in ordered)
+
+
+def space_fields(space: HessenbergSpace) -> tuple[dict, str]:
+    """The space as command output shows it: the JSON record
+    ``{"neg": [root, ...]}`` and the CSV/table column ``neg=root;root``,
+    which :func:`parse_hessenberg` reads back."""
+    text = format_negative_part(space)
+    return {"neg": text.split(";") if text else []}, "neg=" + text
 
 
 def parse_hessenberg(rs: RootSystem, text: str) -> HessenbergSpace:

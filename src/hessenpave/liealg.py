@@ -228,6 +228,31 @@ class ChevalleyRealization:
         m = self.constants.m
         self._m_pos = [[m(a, b) for b in pos] for a in pos]
 
+    def _rescaled(self, sign: dict[Root, int]) -> ChevalleyRealization:
+        """This realization with each E_α replaced by sign[α]·E_α, where
+        sign is ±1 and equal on α and −α.
+
+        Nothing is validated again: a constant m(a, b) becomes
+        sign[a]·sign[b]·sign[a+b]·m(a, b), while the Cartan basis
+        [E_α, E_−α] and the anchors (matrix positions) do not change.
+        """
+        rs = self.rs
+        out = object.__new__(ChevalleyRealization)
+        out.rs = rs
+        out.dim_rep = self.dim_rep
+        out.root_vectors = {
+            root: sp_scale(mat, -1) if sign[root] == -1 else dict(mat)
+            for root, mat in self.root_vectors.items()
+        }
+        out._anchor = self._anchor
+        out.constants = StructureConstantTable({
+            (a, b): sign[a] * sign[b] * sign[rs.root_add(a, b)] * m
+            for (a, b), m in self.constants.entries.items()
+        })
+        out.cartan_basis = self.cartan_basis
+        out._build_fast_tables()
+        return out
+
     # -- conversions -------------------------------------------------------
 
     def matrix_of(self, element: NilpotentElement) -> Sparse:
@@ -363,8 +388,10 @@ def normalize_type_D(real: ChevalleyRealization) -> ChevalleyRealization:
 
     The rescaling is by signs: with all relevant constants ±1, the
     requirement is a linear system over GF(2) on sign exponents, solved
-    exactly.  Normalizing an already-normalized realization is the
-    identity.  Raises ConsistencyError when no consistent rescaling exists.
+    exactly.  The validated realization is rescaled, not rebuilt, and
+    every normalization pair is checked to reach +1 afterwards.
+    Normalizing an already-normalized realization is the identity.  Raises
+    ConsistencyError when no consistent rescaling exists.
     """
     rs = real.rs
     if rs.lie_type != "D":
@@ -392,13 +419,11 @@ def normalize_type_D(real: ChevalleyRealization) -> ChevalleyRealization:
     if solution is None:
         raise ConsistencyError("no consistent rescaling of root vectors exists")
 
-    vectors = {}
+    sign = {}
     for root in rs.all_roots:
         base = root if root.is_positive else -root
-        c = -1 if solution[pos_index[base]] else 1
-        vectors[root] = sp_scale(real.root_vectors[root], c) if c == -1 \
-            else dict(real.root_vectors[root])
-    normalized = ChevalleyRealization(rs, vectors)
+        sign[root] = -1 if solution[pos_index[base]] else 1
+    normalized = real._rescaled(sign)
     for a, b in targets:
         if normalized.constants.m(a, b) != 1:
             raise ConsistencyError("normalization failed to reach +1")

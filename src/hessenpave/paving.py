@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
-from .hessenberg import HessenbergSpace, format_negative_part
+from .hessenberg import HessenbergSpace, space_fields
 from .rootcore import (
     RootSystem,
     WeylElement,
@@ -169,37 +169,39 @@ def compute_paving(rs: RootSystem, space: HessenbergSpace) -> tuple[PavingCell, 
     return tuple(cells)
 
 
-def poincare_polynomial(rs: RootSystem, space: HessenbergSpace) -> BettiTable:
-    """Betti numbers: entry k counts nonempty cells of dimension k."""
-    dims = [c.dim for c in compute_paving(rs, space) if c.nonempty]
-    top = max(dims)
-    coeffs = [0] * (top + 1)
+def _betti_tally(dims: list[int]) -> tuple[int, ...]:
+    """Entry k counts the nonempty cells of dimension k."""
+    coeffs = [0] * (max(dims) + 1)
     for d in dims:
         coeffs[d] += 1
-    return BettiTable(tuple(coeffs))
+    return tuple(coeffs)
+
+
+def poincare_polynomial(rs: RootSystem, space: HessenbergSpace) -> BettiTable:
+    """Betti numbers: entry k counts nonempty cells of dimension k."""
+    return BettiTable(_betti_tally(
+        [c.dim for c in compute_paving(rs, space) if c.nonempty]))
 
 
 def paving_record(rs: RootSystem, space: HessenbergSpace) -> dict:
     """JSON-ready record of a full paving (deterministic key and cell order)."""
     cells = []
-    betti: dict[int, int] = {}
+    dims = []
     for cell in compute_paving(rs, space):
-        entry = {
+        if cell.nonempty:
+            dims.append(cell.dim)
+        cells.append({
             "word": format_word(cell.w),
             "length": cell.length,
             "nonempty": cell.nonempty,
             "dim": cell.dim,
             "row_profile": (list(row_dimension_profile(cell.w, space))
                             if cell.nonempty else None),
-        }
-        if cell.nonempty:
-            betti[cell.dim] = betti.get(cell.dim, 0) + 1
-        cells.append(entry)
-    top = max(betti)
+        })
     return {
         "type": rs.lie_type,
         "rank": rs.rank,
-        "hessenberg": {"neg": [r for r in format_negative_part(space).split(";") if r]},
+        "hessenberg": space_fields(space)[0],
         "cells": cells,
-        "betti": [betti.get(k, 0) for k in range(top + 1)],
+        "betti": list(_betti_tally(dims)),
     }

@@ -569,21 +569,23 @@ _WEYL_ORDER = {"A": lambda n: factorial(n + 1),
 _WEYL_BUDGET = 50_000
 
 
-def check_weyl_budget(lie_type: str, rank: int) -> None:
-    """Raise ValueError when the Weyl group of the given type and rank has
-    more than _WEYL_BUDGET elements.
+def check_weyl_budget(lie_type: str, rank: int) -> int | None:
+    """Return the order of the Weyl group of the given type and rank, and
+    raise ValueError when it has more than _WEYL_BUDGET elements.
 
     It needs no RootSystem, so callers can refuse before building one
     (construction grows with the rank).  A type or rank that RootSystem
-    refuses passes here, so that RootSystem names the problem.
+    refuses passes here (returning None), so that RootSystem names the
+    problem.
     """
     if lie_type not in _MIN_RANK or rank < _MIN_RANK[lie_type]:
-        return
+        return None
     order = _WEYL_ORDER[lie_type](rank)
     if order > _WEYL_BUDGET:
         raise ValueError(
             f"the Weyl group of {lie_type}{rank} has {order} "
             f"elements, over the budget of {_WEYL_BUDGET}")
+    return order
 
 
 def enumerate_weyl(rs: RootSystem) -> tuple[WeylElement, ...]:
@@ -594,8 +596,7 @@ def enumerate_weyl(rs: RootSystem) -> tuple[WeylElement, ...]:
     """
     if rs._weyl_cache is not None:
         return rs._weyl_cache
-    check_weyl_budget(rs.lie_type, rs.rank)
-    expected = _WEYL_ORDER[rs.lie_type](rs.rank)
+    expected = check_weyl_budget(rs.lie_type, rs.rank)
     npos = rs.num_positive
     layer = [identity_element(rs)]
     out = list(layer)

@@ -6,8 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hessenpave import hessenberg
+from hessenpave.errors import ConsistencyError
 from hessenpave.hessenberg import (
     borel_space,
+    check_space_budget,
     complement_ideal,
     enumerate_hessenberg,
     format_negative_part,
@@ -76,6 +79,47 @@ def test_enumeration_counts_other_types():
     assert len(enumerate_hessenberg(build_root_system("B", 3))) == 20
     assert len(enumerate_hessenberg(build_root_system("C", 3))) == 20
     assert len(enumerate_hessenberg(build_root_system("D", 4))) == 50
+
+
+# Ad-nilpotent ideal counts: Catalan numbers C_{n+1} in A_n, binom(2n, n) in
+# B_n and C_n, binom(2n, n) - binom(2n-2, n-1) in D_n.
+KNOWN_SPACE_COUNTS = {
+    "A": {1: 2, 2: 5, 3: 14, 4: 42, 5: 132, 6: 429, 7: 1430},
+    "B": {2: 6, 3: 20, 4: 70, 5: 252},
+    "C": {2: 6, 3: 20, 4: 70, 5: 252},
+    "D": {3: 14, 4: 50, 5: 182, 6: 672},
+}
+
+
+@pytest.mark.parametrize("lie_type", sorted(KNOWN_SPACE_COUNTS))
+def test_enumeration_count_matches_closed_form(lie_type):
+    for rank, count in KNOWN_SPACE_COUNTS[lie_type].items():
+        assert check_space_budget(lie_type, rank) == count
+        assert len(enumerate_hessenberg(build_root_system(lie_type, rank))) \
+            == count
+
+
+def test_enumeration_count_mismatch_raises(monkeypatch):
+    build = hessenberg._build_hessenberg_spaces
+    monkeypatch.setattr(hessenberg, "_SPACES", {})
+    monkeypatch.setattr(hessenberg, "_build_hessenberg_spaces",
+                        lambda rs: build(rs)[:-1])
+    with pytest.raises(ConsistencyError,
+                       match="enumeration of B3 found 19 spaces, expected 20"):
+        enumerate_hessenberg(build_root_system("B", 3))
+
+
+def test_space_budget():
+    assert check_space_budget("A", 10) == 58786
+    for lie_type, rank, count in [("A", 11, 208012), ("B", 10, 184756),
+                                  ("C", 10, 184756), ("D", 10, 136136)]:
+        with pytest.raises(ValueError, match=(
+                f"^{lie_type}{rank} has {count} Hessenberg spaces, over the "
+                "budget of 60000$")):
+            check_space_budget(lie_type, rank)
+    # left for RootSystem to refuse with its own message
+    assert check_space_budget("B", 1) is None
+    assert check_space_budget("E", 6) is None
 
 
 @pytest.mark.parametrize("lie_type,rank",

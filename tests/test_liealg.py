@@ -334,6 +334,27 @@ def test_normalize_type_d_idempotent():
                for r in rs.all_roots)
 
 
+@pytest.mark.parametrize("rank", [3, 4, 5, 6])
+def test_normalize_type_d_equals_validated_rebuild(rank):
+    """The rescaled realization equals a full, validated construction from
+    the same sign-rescaled root vectors."""
+    rs = build_root_system("D", rank)
+    real = build_chevalley(rs)
+    norm = normalize_type_D(real)
+    vectors = {}
+    for root, mat in real.root_vectors.items():
+        anchor = min(mat)
+        sign = norm.root_vectors[root][anchor] // mat[anchor]
+        assert sign in (1, -1)
+        vectors[root] = {pos: sign * v for pos, v in mat.items()}
+    ref = liealg.ChevalleyRealization(rs, vectors)
+    assert norm.root_vectors == ref.root_vectors
+    assert norm.constants.entries == ref.constants.entries
+    assert norm.cartan_basis == ref.cartan_basis
+    assert norm._m_pos == ref._m_pos
+    assert norm._anchor == ref._anchor
+
+
 def test_normalize_rejects_other_types(real_a2):
     with pytest.raises(ValueError):
         normalize_type_D(real_a2)
