@@ -90,4 +90,20 @@ from .fforacle import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "BettiTable", "BruhatFlag", "ChevalleyRealization", "ComplementIdeal",
+    "ConsistencyError", "HessenbergSpace", "NilpotentElement", "PavingCell",
+    "PrimeFieldMatrix", "Root", "RootSystem", "RowDecomposition",
+    "StructureConstantTable", "WeylElement", "WitnessResult", "ad_exp",
+    "apply", "bracket", "build_chevalley", "build_root_system",
+    "cell_dimension", "cell_dimension_lie", "cell_nonempty",
+    "complement_ideal", "compose", "compute_paving", "count_points",
+    "dominance_leq", "enumerate_cell_flags", "enumerate_hessenberg",
+    "enumerate_weyl", "find_witness", "format_root", "format_word",
+    "from_function", "from_negative_roots", "hessenberg_check",
+    "identity_element", "inverse", "inversion_set", "jordan_nilpotent",
+    "normalize_type_D", "parse_root", "parse_word", "poincare_polynomial",
+    "psi_matrix", "row_dimension_profile", "rows", "simple_reflection",
+    "sum_of_simple_vectors", "theta_row", "to_function", "verify_lemmata",
+    "weyl_to_permutation",
+]

@@ -37,8 +37,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Iterator
+from collections.abc import Iterator
 
 from .errors import ConsistencyError
 from .hessenberg import from_function
@@ -47,7 +46,7 @@ from .paving import (
     cell_nonempty,
     poincare_polynomial,
 )
-from .rootcore import RootSystem, WeylElement, enumerate_weyl
+from .rootcore import RootSystem, WeylElement, _Record, enumerate_weyl
 
 _ALLOWED_PRIMES = (2, 3, 5)
 _MAX_N = 5
@@ -56,18 +55,17 @@ _MAX_N = 5
 _FLAG_BUDGET = 300_000
 
 
-@dataclass(frozen=True)
-class PrimeFieldMatrix:
+class PrimeFieldMatrix(_Record):
     """A matrix over F_q with entries reduced to [0, q)."""
 
-    q: int
-    entries: tuple[tuple[int, ...], ...]
+    __slots__ = ("q", "entries")
 
-    def __post_init__(self):
-        if self.q not in _ALLOWED_PRIMES:
-            raise ValueError(f"q must be one of {_ALLOWED_PRIMES}, got {self.q}")
-        if any(not 0 <= x < self.q for row in self.entries for x in row):
+    def __init__(self, q: int, entries: tuple[tuple[int, ...], ...]):
+        if q not in _ALLOWED_PRIMES:
+            raise ValueError(f"q must be one of {_ALLOWED_PRIMES}, got {q}")
+        if any(not 0 <= x < q for row in entries for x in row):
             raise ValueError("entries must be reduced mod q")
+        super().__init__(q, entries)
 
     def column(self, j: int) -> tuple[int, ...]:
         return tuple(row[j] for row in self.entries)
@@ -84,15 +82,18 @@ def jordan_nilpotent(n: int, q: int) -> PrimeFieldMatrix:
     ))
 
 
-@dataclass(frozen=True)
-class BruhatFlag:
+class BruhatFlag(_Record):
     """A flag in Bruhat normal form: pivot pattern ``perm`` (1-based,
     column j has its pivot in row perm[j-1]) plus one free entry per
     inversion position."""
 
-    q: int
-    perm: tuple[int, ...]
-    free: tuple[tuple[tuple[int, int], int], ...]
+    __slots__ = ("q", "perm", "free")
+
+    def __init__(self, q: int, perm: tuple[int, ...],
+                 free: tuple[tuple[tuple[int, int], int], ...]):
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "perm", perm)
+        object.__setattr__(self, "free", free)
 
     def matrix(self) -> PrimeFieldMatrix:
         n = len(self.perm)
@@ -245,15 +246,17 @@ def weyl_to_permutation(w: WeylElement) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class CellCount:
-    perm: tuple[int, ...]
-    count: int
-    predicted: int
+class CellCount(_Record):
+    __slots__ = ("perm", "count", "predicted")
+
+    def __init__(self, perm: tuple[int, ...], count: int, predicted: int):
+        object.__setattr__(self, "perm", perm)
+        object.__setattr__(self, "count", count)
+        object.__setattr__(self, "predicted", predicted)
 
 
-@dataclass(frozen=True)
-class CountReport:
+class CountReport(_Record):
+    __slots__ = ("n", "q", "h", "cells", "total", "betti_eval")
     n: int
     q: int
     h: tuple[int, ...]

@@ -27,13 +27,19 @@ the diagonal in column ``j`` reach down to row ``h(j)``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable
 from functools import lru_cache
 from math import comb
-from typing import Iterable
 
 from .errors import ConsistencyError
-from .rootcore import _MIN_RANK, Root, RootSystem, format_root, parse_root
+from .rootcore import (
+    _MIN_RANK,
+    Root,
+    RootSystem,
+    _Record,
+    format_root,
+    parse_root,
+)
 
 
 class HessenbergSpace:
@@ -72,8 +78,7 @@ class HessenbergSpace:
                 f"neg={format_negative_part(self)!r})")
 
 
-@dataclass(frozen=True)
-class ComplementIdeal:
+class ComplementIdeal(_Record):
     """The negative roots missing from a Hessenberg space.
 
     This set is downward closed (subtracting a positive root stays inside
@@ -81,6 +86,7 @@ class ComplementIdeal:
     ideal of the opposite Borel.
     """
 
+    __slots__ = ("roots",)
     roots: frozenset[Root]
 
 

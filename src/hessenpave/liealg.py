@@ -45,9 +45,8 @@ combinatorial row profile.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
 
 from .errors import ConsistencyError
 from .hessenberg import (
@@ -72,6 +71,7 @@ from .rootcore import (
     Root,
     RootSystem,
     WeylElement,
+    _Record,
     _row_key,
     check_weyl_budget,
     enumerate_weyl,
@@ -87,26 +87,31 @@ DEFAULT_SEED = 2026
 Coeffs = dict[Root, Fraction | int]
 
 
-@dataclass(frozen=True)
-class StructureConstantTable:
+class StructureConstantTable(_Record):
     """The constants m_{α,β} with [E_α, E_β] = m_{α,β} E_{α+β}.
 
     Entries exist exactly for the pairs whose sum is a root; the stored
     integers are nonzero and antisymmetric in the arguments.
     """
 
+    __slots__ = ("entries",)
     entries: dict[tuple[Root, Root], int]
 
     def m(self, a: Root, b: Root) -> int:
         return self.entries.get((a, b), 0)
 
 
-@dataclass
-class NilpotentElement:
+class NilpotentElement(_Record):
     """An element of the nilradical, as a finitely supported coefficient map
-    on the positive roots."""
+    on the positive roots.  Unlike the other records it is mutable, and so
+    unhashable."""
 
+    __slots__ = ("coeffs",)
     coeffs: Coeffs
+
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
 
     def support(self) -> set[Root]:
         return {r for r, v in self.coeffs.items() if v}
@@ -431,7 +436,7 @@ def normalize_type_D(real: ChevalleyRealization) -> ChevalleyRealization:
 
 
 def _chain_root(rs: RootSystem, lo: int, hi: int,
-                fork: bool = False) -> Optional[Root]:
+                fork: bool = False) -> Root | None:
     """The root α_lo + ... + α_hi, plus α_n when ``fork``; None when that
     sum (or an empty chain) is not a root."""
     n = rs.rank
@@ -560,11 +565,11 @@ def _project(rs: RootSystem, coeffs: dict[int, Fraction | int],
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RowMatrix:
+class RowMatrix(_Record):
     """A square matrix indexed by the roots of one row, in the fixed order
     (height descending, type-D ties resolved by coefficient order)."""
 
+    __slots__ = ("roots", "entries")
     roots: tuple[Root, ...]
     entries: tuple[tuple[Fraction | int, ...], ...]
 
@@ -641,15 +646,15 @@ def theta_row(real: ChevalleyRealization, n: NilpotentElement,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(_Record):
+    __slots__ = ("name", "status", "counterexample")
     name: str
     status: str                      # "pass" | "fail"
-    counterexample: Optional[dict]
+    counterexample: dict | None
 
 
-@dataclass(frozen=True)
-class LemmataReport:
+class LemmataReport(_Record):
+    __slots__ = ("checks", "seed", "trials")
     checks: tuple[CheckResult, ...]
     seed: int
     trials: int
@@ -693,7 +698,7 @@ def _random_row_element(rs: RootSystem, rng: random.Random, j: int) -> Coeffs:
 
 
 def _check_row_structure(real: ChevalleyRealization, trials: int,
-                         seed: int) -> Optional[dict]:
+                         seed: int) -> dict | None:
     rs = real.rs
     dec = rows(rs)
     for i, row in enumerate(dec.rows, start=1):
@@ -741,7 +746,7 @@ def _check_row_structure(real: ChevalleyRealization, trials: int,
     return None
 
 
-def _check_factorization_count(real: ChevalleyRealization) -> Optional[dict]:
+def _check_factorization_count(real: ChevalleyRealization) -> dict | None:
     rs = real.rs
     dec = rows(rs)
     total = sum(len(r) for r in dec.rows)
@@ -751,7 +756,7 @@ def _check_factorization_count(real: ChevalleyRealization) -> Optional[dict]:
 
 
 def _check_near_linearity(real: ChevalleyRealization, trials: int,
-                          seed: int) -> Optional[dict]:
+                          seed: int) -> dict | None:
     rs = real.rs
     n = rs.rank
     dec = rows(rs)
@@ -809,7 +814,7 @@ def _check_near_linearity(real: ChevalleyRealization, trials: int,
 
 
 def _check_psi_invariance(real: ChevalleyRealization, trials: int,
-                          seed: int) -> Optional[dict]:
+                          seed: int) -> dict | None:
     rs = real.rs
     n = rs.rank
     dec = rows(rs)
@@ -834,7 +839,7 @@ def _check_psi_invariance(real: ChevalleyRealization, trials: int,
 
 
 def _check_type_d_coefficients(real: ChevalleyRealization, trials: int,
-                               seed: int) -> Optional[dict]:
+                               seed: int) -> dict | None:
     rs = real.rs
     if rs.lie_type != "D":
         return None
@@ -888,7 +893,7 @@ def _check_type_d_coefficients(real: ChevalleyRealization, trials: int,
 
 
 def _check_containment(real: ChevalleyRealization, trials: int,
-                       seed: int) -> Optional[dict]:
+                       seed: int) -> dict | None:
     """Containment of first entries.
 
     For N the sum of simple vectors and up to three seeded regular
@@ -999,7 +1004,7 @@ def _positive_simple_drops(rs: RootSystem, roots: list[Root]
 
 def _containment_counterexample(rs: RootSystem, psi_rows: dict[int, tuple],
                                 space: HessenbergSpace,
-                                w: WeylElement) -> Optional[dict]:
+                                w: WeylElement) -> dict | None:
     """The containment conditions of one nonempty cell for one N, root by
     root: the first failing row root as a counterexample, or None."""
     inv_perm = w.inverse_root_permutation()
@@ -1031,7 +1036,7 @@ def _containment_counterexample(rs: RootSystem, psi_rows: dict[int, tuple],
 
 
 def _check_type_d_block(real: ChevalleyRealization, trials: int,
-                        seed: int) -> Optional[dict]:
+                        seed: int) -> dict | None:
     rs = real.rs
     if rs.lie_type != "D":
         return None
@@ -1116,8 +1121,7 @@ def verify_lemmata(real: ChevalleyRealization, trial_count: int = 200,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WitnessResult:
+class WitnessResult(_Record):
     """Stage-by-stage solution of the unipotent conjugation problem.
 
     ``stage_solutions[k]`` is the coefficient map solved at stage k (rows
@@ -1127,6 +1131,7 @@ class WitnessResult:
     match the row dimension profile of the cell.
     """
 
+    __slots__ = ("stage_solutions", "stage_kernel_dims", "verified")
     stage_solutions: tuple[Coeffs, ...]
     stage_kernel_dims: tuple[int, ...]
     verified: bool
@@ -1147,7 +1152,7 @@ def _stage_solution_to_coeffs(vars_: list[Root], x: list[Fraction]) -> Coeffs:
 
 def find_witness(real: ChevalleyRealization, w: WeylElement,
                  space: HessenbergSpace,
-                 n: Optional[NilpotentElement] = None) -> WitnessResult:
+                 n: NilpotentElement | None = None) -> WitnessResult:
     """Solve for a unipotent element u with Ad(u)(N) inside Ad(w)(H).
 
     Works stage by stage from the deepest row outward; each stage is an

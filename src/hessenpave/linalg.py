@@ -10,7 +10,6 @@ dozen, so the point is exactness and determinism, not asymptotics.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional
 
 Sparse = dict[tuple[int, int], Fraction | int]
 
@@ -91,7 +90,7 @@ def sp_is_strictly_upper(a: Sparse) -> bool:
 
 def solve_affine(matrix: list[list[Fraction | int]],
                  rhs: list[Fraction | int],
-                 ) -> Optional[tuple[list[Fraction], int]]:
+                 ) -> tuple[list[Fraction], int] | None:
     """Solve ``A x = rhs`` exactly.
 
     Returns ``(x, kernel_dim)`` where x is the particular solution with all
@@ -129,7 +128,7 @@ def solve_affine(matrix: list[list[Fraction | int]],
     return x, n - len(pivots)
 
 
-def gf2_solve(rows: list[list[int]], rhs: list[int]) -> Optional[list[int]]:
+def gf2_solve(rows: list[list[int]], rhs: list[int]) -> list[int] | None:
     """Solve a linear system over GF(2); free variables are set to zero.
 
     Rows are 0/1 coefficient lists.  Returns a 0/1 solution vector or None

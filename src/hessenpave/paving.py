@@ -31,14 +31,13 @@ of ``cell_nonempty``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
 
 from .hessenberg import HessenbergSpace, space_fields
 from .rootcore import (
     RootSystem,
     WeylElement,
+    _Record,
     enumerate_weyl,
     format_word,
     rows,
@@ -46,23 +45,25 @@ from .rootcore import (
 )
 
 
-@dataclass(frozen=True)
-class PavingCell:
+class PavingCell(_Record):
     """One Bruhat cell of the paving: empty, or affine of dimension dim."""
 
-    w: WeylElement
-    nonempty: bool
-    dim: Optional[int]
+    __slots__ = ("w", "nonempty", "dim")
+
+    def __init__(self, w: WeylElement, nonempty: bool, dim: int | None):
+        object.__setattr__(self, "w", w)
+        object.__setattr__(self, "nonempty", nonempty)
+        object.__setattr__(self, "dim", dim)
 
     @property
     def length(self) -> int:
         return self.w.length
 
 
-@dataclass(frozen=True)
-class BettiTable:
+class BettiTable(_Record):
     """Nonempty-cell counts by dimension; entry k is the 2k-th Betti number."""
 
+    __slots__ = ("coefficients",)
     coefficients: tuple[int, ...]
 
     def evaluate(self, q: int) -> int:

@@ -40,9 +40,8 @@ rows are merged accordingly before cross-checking.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable
 from math import factorial
-from typing import Iterable, Optional
 
 from .errors import ConsistencyError
 
@@ -53,11 +52,78 @@ _MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 3}
 IntMatrix = tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
-class Root:
+class _Record:
+    """Base of the package's immutable value records.
+
+    A subclass lists its fields, in order, as ``__slots__``.  Instances are
+    built positionally or by keyword, equal exactly the instances of their
+    own class with equal fields, hash as the tuple of their field values,
+    print as ``Name(field=value, ...)``, refuse assignment, and copy and
+    pickle by value.  A record built once per cell or per flag defines its
+    own ``__init__``, which stores each field with ``object.__setattr__``.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *args, **kwargs):
+        names = self.__slots__
+        values = dict(zip(names, args))
+        for name, value in kwargs.items():
+            if name in values or name not in names:
+                raise TypeError(f"{type(self).__name__}() got an unexpected "
+                                f"or repeated field {name!r}")
+            values[name] = value
+        if len(args) > len(names) or len(values) < len(names):
+            raise TypeError(f"{type(self).__name__}() takes the fields "
+                            f"{', '.join(names)}")
+        for name in names:
+            object.__setattr__(self, name, values[name])
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, since assignment is refused
+        return type(self), self._values()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot "
+                             f"set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot "
+                             f"delete {name!r}")
+
+
+class Root(_Record):
     """A root, stored as its coefficient vector over the simple roots."""
 
-    coeffs: tuple[int, ...]
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: tuple[int, ...]):
+        object.__setattr__(self, "coeffs", coeffs)
+
+    # roots key most dicts in the package, so these two skip _values()
+    def __eq__(self, other):
+        if other.__class__ is Root:
+            return self.coeffs == other.coeffs
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.coeffs,))
 
     @property
     def height(self) -> int:
@@ -258,8 +324,8 @@ class RootSystem:
             splits.append((k, self._pos_diff[k][a], a))
         self._splits = tuple(splits)
 
-        self._rows_cache: Optional[RowDecomposition] = None
-        self._weyl_cache: Optional[tuple["WeylElement", ...]] = None
+        self._rows_cache: RowDecomposition | None = None
+        self._weyl_cache: tuple["WeylElement", ...] | None = None
 
     # -- basic root arithmetic -------------------------------------------
 
@@ -281,7 +347,7 @@ class RootSystem:
         except KeyError:
             raise ValueError(f"{root} is not a root of {self.lie_type}{self.rank}")
 
-    def root_add(self, a: Root, b: Root) -> Optional[Root]:
+    def root_add(self, a: Root, b: Root) -> Root | None:
         """Return a + b when it is a root, else None."""
         s = tuple(x + y for x, y in zip(a.coeffs, b.coeffs))
         return Root(s) if s in self._index else None
@@ -387,7 +453,7 @@ class WeylElement:
                  "_sm", "_im", "_word_text")
 
     def __init__(self, rs: RootSystem, perm: Iterable[int],
-                 _words: Optional[dict] = None):
+                 _words: dict | None = None):
         perm = tuple(perm)
         _check_root_permutation(rs, perm)
         inv = [0] * len(perm)
@@ -482,7 +548,7 @@ def _check_root_permutation(rs: RootSystem, perm: tuple[int, ...]) -> None:
 
 def _canonical_word(rs: RootSystem, perm: tuple[int, ...],
                     inv: tuple[int, ...],
-                    words: Optional[dict]) -> tuple[int, ...]:
+                    words: dict | None) -> tuple[int, ...]:
     """Greedy descent on permutations: w = s_i·(s_i·w) with i the smallest
     left descent, until a permutation with a known word (at the latest the
     identity) is reached."""
@@ -626,8 +692,7 @@ def enumerate_weyl(rs: RootSystem) -> tuple[WeylElement, ...]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RowDecomposition:
+class RowDecomposition(_Record):
     """The partition of the positive roots into rows.
 
     ``rows[i-1]`` is row ``i``.  For type C, ``type_C_long_roots[i-1]`` is
@@ -637,10 +702,13 @@ class RowDecomposition:
     many of the fork roots ``{α_{n-1}, α_n}`` appear as summands.
     """
 
-    rows: tuple[frozenset[Root], ...]
-    type_C_long_roots: Optional[tuple[Optional[Root], ...]] = None
-    type_D_parts: Optional[tuple[tuple[frozenset[Root], frozenset[Root],
-                                       frozenset[Root]], ...]] = None
+    __slots__ = ("rows", "type_C_long_roots", "type_D_parts")
+
+    def __init__(self, rows: tuple[frozenset[Root], ...],
+                 type_C_long_roots: tuple[Root | None, ...] | None = None,
+                 type_D_parts: tuple[tuple[frozenset[Root], frozenset[Root],
+                                           frozenset[Root]], ...] | None = None):
+        super().__init__(rows, type_C_long_roots, type_D_parts)
 
 
 def _closed_form_rows(rs: RootSystem) -> list[set[Root]]:
@@ -722,7 +790,7 @@ def rows(rs: RootSystem) -> RowDecomposition:
     long_roots = None
     d_parts = None
     if rs.lie_type == "C":
-        lst: list[Optional[Root]] = []
+        lst: list[Root | None] = []
         for i in range(1, n + 1):
             if i < n:
                 v = [0] * n

@@ -1,0 +1,52 @@
+"""What importing the package costs and what it exports."""
+
+import os
+import subprocess
+import sys
+import types
+from pathlib import Path
+
+import hessenpave
+from hessenpave import rootcore
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def test_cli_import_leaves_out_dataclasses_and_inspect():
+    """A fresh ``import hessenpave.cli`` (every CLI call pays it) loads
+    neither ``dataclasses`` nor ``inspect``, and does load the modules that
+    perfbench/traced.py looks up in ``sys.modules`` right after that import.
+    ``-S`` keeps site hooks from loading modules on the package's behalf."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    code = "import sys, hessenpave.cli; print(' '.join(sys.modules))"
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60,
+                          check=True)
+    loaded = set(proc.stdout.split())
+    assert "dataclasses" not in loaded
+    assert "inspect" not in loaded
+    for name in ("hessenpave.liealg", "hessenpave.linalg",
+                 "hessenpave.fforacle"):
+        assert name in loaded, name
+
+
+def test_no_source_file_imports_dataclasses():
+    files = sorted((SRC / "hessenpave").rglob("*.py"))
+    assert files
+    for path in files:
+        text = path.read_text(encoding="utf-8")
+        assert "from dataclasses" not in text, path.name
+        assert "import dataclasses" not in text, path.name
+
+
+def test_all_lists_public_non_module_names():
+    names = hessenpave.__all__
+    assert len(names) == len(set(names)) == 54
+    for name in names:
+        assert not name.startswith("_"), name
+        assert not isinstance(getattr(hessenpave, name), types.ModuleType), name
+    exported = [getattr(hessenpave, name) for name in names]
+    assert rootcore._Record not in exported
+    star: dict = {}
+    exec("from hessenpave import *", star)
+    assert set(star) - {"__builtins__"} == set(names)

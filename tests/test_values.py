@@ -6,6 +6,8 @@ sets and dicts of roots iterate in a fixed order), refuses assignment,
 and prints as ``Name(field=value, ...)``.
 """
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -83,6 +85,14 @@ def test_positional_and_keyword_construction(cls, names, values):
         assert getattr(by_position, name) is value
         assert getattr(by_keyword, name) is value
     assert by_position == by_keyword
+
+
+@pytest.mark.parametrize("cls, names, values", RECORDS, ids=IDS)
+def test_copy_and_pickle_keep_the_value(cls, names, values):
+    x = cls(*values)
+    for y in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+        assert type(y) is cls
+        assert y == x
 
 
 @pytest.mark.parametrize("cls, names, values", RECORDS, ids=IDS)
