@@ -37,7 +37,13 @@ from .hessenberg import (
     space_fields,
     to_function,
 )
-from .rootcore import RootSystem, check_weyl_budget, format_word, parse_word
+from .rootcore import (
+    RootSystem,
+    check_root_budget,
+    check_weyl_budget,
+    format_word,
+    parse_word,
+)
 
 
 class _UsageError(Exception):
@@ -212,6 +218,7 @@ def _format_rational(v) -> str:
 
 
 def _run_witness(args) -> tuple:
+    check_root_budget(args.lie_type, args.rank)
     rs = RootSystem(args.lie_type, args.rank)
     space = parse_hessenberg(rs, _hess_spec(args))
     w = parse_word(rs, args.word)

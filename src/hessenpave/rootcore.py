@@ -42,12 +42,18 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from math import factorial
+from operator import itemgetter
 
 from .errors import ConsistencyError
 
 LIE_TYPES = ("A", "B", "C", "D")
 
 _MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 3}
+
+_POSITIVE_COUNT = {"A": lambda n: n * (n + 1) // 2,
+                   "B": lambda n: n * n,
+                   "C": lambda n: n * n,
+                   "D": lambda n: n * (n - 1)}
 
 IntMatrix = tuple[tuple[int, ...], ...]
 
@@ -259,12 +265,7 @@ class RootSystem:
 
         vectors = sorted(set(_positive_coeff_vectors(lie_type, rank)),
                          key=lambda v: (sum(v), v))
-        expected = {
-            "A": rank * (rank + 1) // 2,
-            "B": rank * rank,
-            "C": rank * rank,
-            "D": rank * (rank - 1),
-        }[lie_type]
+        expected = _POSITIVE_COUNT[lie_type](rank)
         if len(vectors) != expected:
             raise ConsistencyError(
                 f"{lie_type}{rank}: built {len(vectors)} positive roots, "
@@ -439,21 +440,22 @@ class WeylElement:
 
     The roots span, so the permutation determines the element.  The word
     comes from greedy descent (repeatedly strip the smallest ``s_i`` with
-    ``w⁻¹α_i < 0``), so equal permutations always carry identical words;
-    it stops early at a permutation whose word ``_words`` already holds.
-    The cell masks ``sm`` and ``im`` and the text form ``word_text`` are
-    built on first use, so enumerating W pays nothing for them.
-    Construction checks that the permutation is a bijection, that it is
-    linear on simple-root coordinates, that greedy descent reaches the
-    identity (a diagram automorphism has no descent), and that the word
-    length matches the inversion count.
+    ``w⁻¹α_i < 0``), so equal permutations always carry identical words.
+    The public constructor is for outside input: it checks that the
+    permutation is a bijection, that it is linear on simple-root
+    coordinates, that greedy descent reaches the identity (a diagram
+    automorphism has no descent), and that the word length matches the
+    inversion count.  ``enumerate_weyl`` builds its elements through
+    ``_trusted_element`` instead, from fields it derives from a parent
+    element and a validated simple reflection, and fills in the cell masks
+    ``sm`` and ``im`` there; elsewhere they and the text form
+    ``word_text`` are built on first use.
     """
 
     __slots__ = ("rs", "word", "_root_perm", "_inv_root_perm", "_inversions",
                  "_sm", "_im", "_word_text")
 
-    def __init__(self, rs: RootSystem, perm: Iterable[int],
-                 _words: dict | None = None):
+    def __init__(self, rs: RootSystem, perm: Iterable[int]):
         perm = tuple(perm)
         _check_root_permutation(rs, perm)
         inv = [0] * len(perm)
@@ -464,7 +466,7 @@ class WeylElement:
         self._inv_root_perm = tuple(inv)
         npos = rs.num_positive
         self._inversions = frozenset(p for p in range(npos) if inv[p] >= npos)
-        self.word = _canonical_word(rs, perm, self._inv_root_perm, _words)
+        self.word = _canonical_word(rs, perm, self._inv_root_perm)
         if len(self.word) != len(self._inversions):
             raise ConsistencyError("reduced word length != inversion count")
 
@@ -547,26 +549,40 @@ def _check_root_permutation(rs: RootSystem, perm: tuple[int, ...]) -> None:
 
 
 def _canonical_word(rs: RootSystem, perm: tuple[int, ...],
-                    inv: tuple[int, ...],
-                    words: dict | None) -> tuple[int, ...]:
+                    inv: tuple[int, ...]) -> tuple[int, ...]:
     """Greedy descent on permutations: w = s_i·(s_i·w) with i the smallest
-    left descent, until a permutation with a known word (at the latest the
-    identity) is reached."""
-    if words is None:
-        words = {tuple(range(len(perm))): ()}
+    left descent, until the identity is reached."""
+    identity = tuple(range(len(perm)))
     npos = rs.num_positive
-    prefix = []
-    while perm not in words:
+    word = []
+    while perm != identity:
         i = next((i for i, a in enumerate(rs._simple_index) if inv[a] >= npos),
                  None)
         if i is None:
             raise ValueError("root permutation is not induced by a Weyl "
                              "group element")
-        prefix.append(i + 1)
+        word.append(i + 1)
         s = rs._reflections[i]
         perm = tuple(s[k] for k in perm)      # s_i·w
         inv = tuple(inv[k] for k in s)        # (s_i·w)⁻¹ = w⁻¹·s_i
-    return tuple(prefix) + words[perm]
+    return tuple(word)
+
+
+def _trusted_element(rs: RootSystem, word: tuple[int, ...],
+                     perm: tuple[int, ...], inv: tuple[int, ...],
+                     inversions: frozenset[int], sm: int,
+                     im: int) -> WeylElement:
+    """A WeylElement from fields the caller has derived itself, with no
+    checks; only ``enumerate_weyl`` calls it."""
+    w = object.__new__(WeylElement)
+    w.rs = rs
+    w.word = word
+    w._root_perm = perm
+    w._inv_root_perm = inv
+    w._inversions = inversions
+    w._sm = sm
+    w._im = im
+    return w
 
 
 def identity_element(rs: RootSystem) -> WeylElement:
@@ -629,7 +645,7 @@ _WEYL_ORDER = {"A": lambda n: factorial(n + 1),
                "D": lambda n: 2 ** (n - 1) * factorial(n)}
 
 # Largest group enumerate_weyl builds: every rank <= 6 and A7 fit.  B6
-# (46,080 elements) takes about 3 s and 150 MB on a 2-vCPU Xeon; the next
+# (46,080 elements) takes about 0.4 s and 150 MB on a 2-vCPU Xeon; the next
 # groups up (D7, A8, B7 and C7: 322,560 to 645,120 elements) are 6 to 13
 # times the budget.
 _WEYL_BUDGET = 50_000
@@ -654,8 +670,42 @@ def check_weyl_budget(lie_type: str, rank: int) -> int | None:
     return order
 
 
+# Most roots of a system the witness command builds a realization for:
+# A19 (380 roots) and B14 and C14 (392) take about 1 s on a 2-vCPU Xeon;
+# the realization checks all |Φ|² brackets, so the cost grows as rank⁴
+# (A30 took 5.8 s, A40 17.9 s).
+_ROOT_BUDGET = 400
+
+
+def check_root_budget(lie_type: str, rank: int) -> int | None:
+    """Return the number of roots of the given type and rank, and raise
+    ValueError when it is over _ROOT_BUDGET.
+
+    Like ``check_weyl_budget`` it needs no RootSystem, and a type or rank
+    that RootSystem refuses passes here (returning None).
+    """
+    if lie_type not in _MIN_RANK or rank < _MIN_RANK[lie_type]:
+        return None
+    count = 2 * _POSITIVE_COUNT[lie_type](rank)
+    if count > _ROOT_BUDGET:
+        raise ValueError(f"{lie_type}{rank} has {count} roots, over the "
+                         f"budget of {_ROOT_BUDGET}")
+    return count
+
+
 def enumerate_weyl(rs: RootSystem) -> tuple[WeylElement, ...]:
     """All Weyl group elements, by length and then lexicographic reduced word.
+
+    One pass builds each element once, already in output order.  The
+    canonical word of v is ``(j,) + word(s_j·v)`` with j the smallest left
+    descent of v, so layer ℓ+1 is, for j = 1..rank and then w in layer ℓ in
+    order, every v = s_j·w for which j is not a left descent of w (v is one
+    longer) and no k < j is a left descent of v.  Each field of v comes
+    from w: ``v = s_j∘w``, ``v⁻¹ = w⁻¹∘s_j``, ``Φ_v = s_j(Φ_w) ∪ {α_j}``,
+    ``v⁻¹(Φ_v) = w⁻¹(Φ_w) ∪ {w⁻¹(−α_j)}``.  The simple reflections are
+    checked once to be linear bijections of the roots, so their products
+    need no check; the group order and the single longest element, of
+    length |Φ⁺|, are checked at the end.
 
     Raises ValueError, before any work, when the group has more than
     _WEYL_BUDGET elements.  The result is cached on the root system.
@@ -663,26 +713,47 @@ def enumerate_weyl(rs: RootSystem) -> tuple[WeylElement, ...]:
     if rs._weyl_cache is not None:
         return rs._weyl_cache
     expected = check_weyl_budget(rs.lie_type, rs.rank)
+    for s in rs._reflections:
+        _check_root_permutation(rs, s)
     npos = rs.num_positive
-    layer = [identity_element(rs)]
+    simple = rs._simple_index
+    ident = tuple(range(len(rs.all_roots)))
+    layer = [_trusted_element(rs, (), ident, ident, frozenset(),
+                              sum(1 << a for a in simple), 0)]
     out = list(layer)
-    while layer:
-        words = {w._root_perm: w.word for w in layer}
-        found = set()
-        for w in layer:
-            perm = w._root_perm
-            for a, s in zip(rs._simple_index, rs._reflections):
-                # right multiplication by s_i lengthens iff w(α_i) > 0
-                if perm[a] < npos:
-                    found.add(tuple(perm[k] for k in s))
-        # each new element is one step longer than the layer, so stripping
-        # its smallest left descent lands in ``words``
-        layer = sorted((WeylElement(rs, p, words) for p in found),
-                       key=lambda w: w.word)
+    while True:
+        nxt = []
+        for j, (a, s) in enumerate(zip(simple, rs._reflections), 1):
+            # w⁻¹ at α_j (a left descent of w makes v shorter) and at
+            # s_j(α_k) for k < j, which is v⁻¹(α_k) (a left descent of v
+            # below j gives v a smaller first letter)
+            tests = [a, *[s[b] for b in simple[:j - 1]]]
+            # every system has at least two roots, so these itemgetters
+            # return tuples
+            v_inv_of = itemgetter(*s)
+            for w in layer:
+                inv = w._inv_root_perm
+                if max([inv[c] for c in tests]) >= npos:
+                    continue
+                vinv = v_inv_of(inv)
+                nxt.append(_trusted_element(
+                    rs, (j,) + w.word, itemgetter(*w._root_perm)(s), vinv,
+                    frozenset([a, *[s[p] for p in w._inversions]]),
+                    sum([1 << vinv[b] for b in simple]),
+                    w._im | 1 << inv[a + npos]))
+        if not nxt:
+            break
+        layer = nxt
         out.extend(layer)
+        if len(out) > expected:
+            break       # only a wrong generator gets here; stop, then report
     if len(out) != expected:
         raise ConsistencyError(
             f"Weyl enumeration found {len(out)} elements, expected {expected}")
+    if len(layer) != 1 or len(layer[0].word) != npos:
+        raise ConsistencyError(
+            f"Weyl enumeration ended with {len(layer)} elements of length "
+            f"{len(layer[0].word)}, expected one of length {npos}")
     rs._weyl_cache = tuple(out)
     return rs._weyl_cache
 

@@ -237,6 +237,12 @@ def test_weyl_budget_refused_before_any_build(capsys, monkeypatch, argv):
      "a sweep of C6 has 42577920 cells, over the budget of 2500000"),
     (["sweep", "--type", "D", "--rank", "6"],
      "a sweep of D6 has 15482880 cells, over the budget of 2500000"),
+    (["witness", "--type", "A", "--rank", "20", "--hess", "full", "--word", ""],
+     "A20 has 420 roots, over the budget of 400"),
+    (["witness", "--type", "D", "--rank", "15", "--hess", "full", "--word", ""],
+     "D15 has 420 roots, over the budget of 400"),
+    (["witness", "--type", "A", "--rank", "40", "--hess", "full", "--word", ""],
+     "A40 has 1640 roots, over the budget of 400"),
 ])
 def test_space_and_cell_budgets_refused_before_any_build(capsys, monkeypatch,
                                                          argv, message):
@@ -257,6 +263,10 @@ def test_space_and_cell_budgets_refused_before_any_build(capsys, monkeypatch,
     ["sweep", "--type", "B", "--rank", "5"],
     ["sweep", "--type", "C", "--rank", "5"],
     ["sweep", "--type", "D", "--rank", "5"],
+    ["witness", "--type", "A", "--rank", "19", "--hess", "full", "--word", ""],
+    ["witness", "--type", "B", "--rank", "14", "--hess", "full", "--word", ""],
+    ["witness", "--type", "C", "--rank", "14", "--hess", "full", "--word", ""],
+    ["witness", "--type", "D", "--rank", "14", "--hess", "full", "--word", ""],
 ])
 def test_space_and_cell_budgets_admit(monkeypatch, argv):
     """Largest systems within each budget go on to build the root system."""

@@ -398,6 +398,69 @@ def test_enumerate_weyl_matches_matrix_reference(lie_type, rank):
             assert apply(w, r).coeffs == _mat_vec(m, r.coeffs)
 
 
+@pytest.mark.parametrize("lie_type,rank",
+                         ALL_SMALL + [("A", 5), ("B", 5), ("C", 5), ("D", 5)])
+def test_enumerate_weyl_fast_path_matches_checked_constructor(lie_type, rank):
+    """Every enumerated element, whose fields are derived from its parent
+    without checks, equals the element the public constructor builds and
+    checks from the same permutation, and the order is strictly increasing
+    in (length, word)."""
+    from hessenpave.rootcore import WeylElement
+    rs = build_root_system(lie_type, rank)
+    elems = enumerate_weyl(rs)
+    for w in elems:
+        ref = WeylElement(rs, w.root_permutation())
+        assert w.word == ref.word
+        assert w.inverse_root_permutation() == ref.inverse_root_permutation()
+        assert w.inversion_indices() == ref.inversion_indices()
+        assert (w.sm, w.im, w.word_text) == (ref.sm, ref.im, ref.word_text)
+    keys = [(w.length, w.word) for w in elems]
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+
+
+def test_enumerate_weyl_validates_the_simple_reflections():
+    rs = build_root_system("A", 3)
+    a1, a2 = rs._simple_index[:2]
+    # swaps α_1 and α_2 but not their negatives
+    bad = list(range(len(rs.all_roots)))
+    bad[a1], bad[a2] = a2, a1
+    rs._reflections = (tuple(bad),) + rs._reflections[1:]
+    with pytest.raises(ValueError, match="not linear"):
+        enumerate_weyl(rs)
+    # the diagram flip α_1 ↔ α_3 is linear but not a reflection: the
+    # enumeration stops once it has too many elements and says so
+    rs = build_root_system("A", 3)
+    flip = tuple(rs._index[r.coeffs[::-1]] for r in rs.all_roots)
+    rs._reflections = (flip,) + rs._reflections[1:]
+    with pytest.raises(ConsistencyError, match="expected 24"):
+        enumerate_weyl(rs)
+
+
+def test_enumerate_weyl_checks_generators_not_products(monkeypatch):
+    """The permutation check runs once per simple reflection, and no
+    enumerated element goes through the checking constructor except at
+    most the identity."""
+    from hessenpave import rootcore
+    calls = {"check": 0, "init": 0}
+    check = rootcore._check_root_permutation
+    init = rootcore.WeylElement.__init__
+
+    def counted_check(*args):
+        calls["check"] += 1
+        return check(*args)
+
+    def counted_init(self, *args):
+        calls["init"] += 1
+        init(self, *args)
+
+    monkeypatch.setattr(rootcore, "_check_root_permutation", counted_check)
+    monkeypatch.setattr(rootcore.WeylElement, "__init__", counted_init)
+    rs = build_root_system("D", 5)
+    assert len(enumerate_weyl(rs)) == 1920
+    assert calls["check"] == rs.rank
+    assert calls["init"] <= 1
+
+
 def test_enumerate_weyl_refuses_groups_over_budget():
     with pytest.raises(ValueError, match="362880 elements, over the budget"):
         enumerate_weyl(build_root_system("A", 8))
