@@ -258,7 +258,11 @@ def _run_verify_lemmata(args) -> tuple:
 
 
 def _run_count_points(args) -> tuple:
-    h = tuple(int(x) for x in args.hess_fn.split(","))
+    try:
+        h = tuple(int(x) for x in args.hess_fn.split(","))
+    except ValueError:
+        raise ValueError("--hess-fn must be comma-separated integers, "
+                         f"got {args.hess_fn!r}") from None
     record = fforacle.count_points(args.n, args.q, h).to_record()
     rows = ([record["n"], record["q"], ",".join(str(v) for v in record["h"]),
              c["perm"], c["count"], c["predicted"]]

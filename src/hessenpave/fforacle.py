@@ -14,16 +14,24 @@ from one back-substitution mod q with no inverse, and the condition reads
 off which coordinates vanish.
 
 A cell is counted without visiting all of its flags.  The columns are
-assigned left to right, column j taking every value of its own free
-entries.  With ``top(i) = max(h(1..i))`` the condition is equivalent to
-``N·v_i ∈ V_{top(i)}`` for every i, and this depends on columns
-1..max(top(i), i) only (for a Hessenberg function ``h(i) ≥ i``, so that is
-1..top(i)).  It is tested as soon as those columns are set.  Later columns
-cannot change its answer, so a failure rules out the whole subtree.  Every
-flag that survives is re-checked by ``hessenberg_check``, and a
-disagreement raises ConsistencyError.  The flags of a cut subtree are
-never listed, so the work grows with the passing flags (q^dim in a cell)
-and the partial flags that get cut, not with all q^inv flags of the cell.
+assigned left to right.  With ``top(i) = max(h(1..i))`` the condition is
+equivalent to ``N·v_i ∈ V_{top(i)}`` for every i, and this depends on
+columns 1..max(top(i), i) only (for a Hessenberg function ``h(i) ≥ i``, so
+that is 1..top(i)).  It is tested as soon as those columns are set.  Later
+columns cannot change its answer, so a failure rules out the whole subtree.
+A condition due at column j with i < j reads ``N·v_i ∈ V_{j−1} + F·v_j``
+with v_i already fixed.  Clearing the pivot rows of v_1..v_{j−1} from
+``N·v_i`` leaves a residual r; if r = 0 every v_j passes, and otherwise
+only ``v_j = r / r[pivot_j]`` can, since a normal-form column is 1 at its
+pivot and 0 at the earlier pivot rows.  So column j is solved for, not
+searched: the walk tries every value of its free entries only when no due
+condition pins it (no condition due, every residual 0, or only the
+self-condition i = j of ``h(i) = i``).  Every tried column still goes through the containment
+test, and every flag that survives is re-checked by ``hessenberg_check``;
+a disagreement raises ConsistencyError.  The flags of a cut subtree are
+never listed and a pinned column is never guessed, so the work grows with
+the passing partial flags (q^dim whole flags in a cell), not with all q^inv
+flags of the cell.
 
 Counting the passing flags per cell gives an independent check of the
 paving: a nonempty cell of predicted dimension d must contain exactly
@@ -166,6 +174,34 @@ def hessenberg_check(flag: BruhatFlag, nilpotent: PrimeFieldMatrix,
     return True
 
 
+def _column(n: int, pivot: int, rows: list[int],
+            values: tuple[int, ...]) -> list[int]:
+    """The normal-form column with a 1 at row ``pivot`` and ``values`` at
+    its free ``rows``; the column walk calls it once per column it tries."""
+    col = [0] * n
+    col[pivot] = 1
+    for r, v in zip(rows, values):
+        col[r] = v
+    return col
+
+
+def _solve_column(q: int, r: list[int], pivot: int,
+                  rows: list[int]) -> tuple[int, ...] | None:
+    """The free-entry values of the one normal-form column v with r ∈ F·v,
+    or None when there is none.
+
+    r is nonzero and already zero at the pivot rows of the earlier columns.
+    A column has 1 at ``pivot`` and is zero outside ``rows`` and ``pivot``,
+    so v = r / r[pivot], which needs r[pivot] ≠ 0 and r zero off those rows.
+    """
+    c = r[pivot]
+    if not c or any(x for k, x in enumerate(r)
+                    if k != pivot and k not in rows):
+        return None
+    inv = pow(c, q - 2, q)
+    return tuple(r[k] * inv % q for k in rows)
+
+
 def _count_cell(n: int, q: int, perm: tuple[int, ...],
                 nilpotent: PrimeFieldMatrix, h: tuple[int, ...]) -> int:
     """The number of flags of one Bruhat cell with N·V_i ⊆ V_{h(i)} for all
@@ -173,8 +209,13 @@ def _count_cell(n: int, q: int, perm: tuple[int, ...],
 
     Condition i is N·v_i ∈ V_{top(i)}, top(i) = max(h(1..i)), and is tested
     as soon as columns 1..max(top(i), i) are set; a failure cuts the whole
-    subtree.  Each flag that survives is confirmed by ``hessenberg_check``,
-    and a disagreement raises ConsistencyError.
+    subtree.  When a condition due at column j has i < j and a nonzero
+    residual modulo V_{j−1}, it pins v_j, and ``_solve_column`` proposes
+    that one column; otherwise every value of the free entries is tried.
+    Either way each tried column is tested against every due condition, so
+    the walk reaches the same partial flags as trying every value would.
+    Each flag that survives is confirmed by ``hessenberg_check``, and a
+    disagreement raises ConsistencyError.
     """
     positions = free_positions(perm)
     free_rows = [[r - 1 for r, c in positions if c == j]
@@ -194,13 +235,29 @@ def _count_cell(n: int, q: int, perm: tuple[int, ...],
     images: list[list[int]] = [[] for _ in range(n)]
     count = 0
 
-    def inside(vec: list[int], m: int) -> bool:
-        """Whether vec lies in V_m, by clearing the pivot rows of v_1..v_m."""
+    def residual(vec: list[int], m: int) -> list[int]:
+        """vec with the pivot rows of v_1..v_m cleared, lowest pivot first:
+        zero exactly when vec lies in V_m."""
         for j in sweeps[m]:
             f = vec[pivot[j]]
             if f:
                 vec = [(x - f * y) % q for x, y in zip(vec, cols[j])]
-        return not any(vec)
+        return vec
+
+    def inside(vec: list[int], m: int) -> bool:
+        """Whether vec lies in V_m, by clearing the pivot rows of v_1..v_m."""
+        return not any(residual(vec, m))
+
+    def choices(j: int):
+        """The values of column j's free entries worth trying: the one that
+        the first due condition with a nonzero residual pins, else all."""
+        for i, _ in due[j]:
+            if i < j:
+                r = residual(images[i], j)
+                if any(r):
+                    values = _solve_column(q, r, pivot[j], free_rows[j])
+                    return () if values is None else (values,)
+        return itertools.product(range(q), repeat=len(free_rows[j]))
 
     def walk(j: int) -> None:
         nonlocal count
@@ -213,11 +270,8 @@ def _count_cell(n: int, q: int, perm: tuple[int, ...],
                     f"test but not hessenberg_check (n={n}, q={q}, h={h})")
             count += 1
             return
-        for values in itertools.product(range(q), repeat=len(free_rows[j])):
-            col = [0] * n
-            col[pivot[j]] = 1
-            for r, v in zip(free_rows[j], values):
-                col[r] = v
+        for values in choices(j):
+            col = _column(n, pivot[j], free_rows[j], values)
             cols[j] = col
             images[j] = [sum(x * col[c] for c, x in row) % q
                          for row in n_rows]
@@ -286,10 +340,13 @@ def count_points(n: int, q: int, h) -> CountReport:
     For every permutation cell the count must be ``q^dim`` when the paving
     declares the cell nonempty of dimension dim, and 0 when empty; the total
     must equal the Betti evaluation at q.  Raises ValueError, before any
-    work, when the flag variety has more than _FLAG_BUDGET points over F_q.
+    work, when n is outside 2.._MAX_N or the flag variety has more than
+    _FLAG_BUDGET points over F_q.
     """
     if q not in _ALLOWED_PRIMES:
         raise ValueError(f"q must be one of {_ALLOWED_PRIMES}, got {q}")
+    if not 2 <= n <= _MAX_N:
+        raise ValueError(f"n must be between 2 and {_MAX_N}, got {n}")
     flags = math.prod((q ** k - 1) // (q - 1) for k in range(1, n + 1))
     if flags > _FLAG_BUDGET:
         raise ValueError(

@@ -178,14 +178,19 @@ class ChevalleyRealization:
 
     def _extract_constants(self) -> StructureConstantTable:
         rs = self.rs
+        roots = rs.all_roots
+        keys = rs._keys
+        # a + b by its key, the sum of the keys of a and b; key 0 is a + b = 0
+        by_key = {k: r for k, r in zip(keys, roots)}
         entries: dict[tuple[Root, Root], int] = {}
-        for a in rs.all_roots:
+        for a, ka in zip(roots, keys):
             ea = self.root_vectors[a]
-            for b in rs.all_roots:
-                s = tuple(x + y for x, y in zip(a.coeffs, b.coeffs))
+            for b, kb in zip(roots, keys):
+                s = ka + kb
                 br = sp_commutator(ea, self.root_vectors[b])
-                if rs.is_root(s):
-                    target = self.root_vectors[Root(s)]
+                ab = by_key.get(s)
+                if ab is not None:
+                    target = self.root_vectors[ab]
                     pos, val = next(iter(target.items()))
                     coeff = Fraction(br.get(pos, 0), 1) / val
                     if coeff == 0 or coeff.denominator != 1:
@@ -193,9 +198,9 @@ class ChevalleyRealization:
                             f"bad structure constant for {a} + {b}")
                     if not sp_equal(br, sp_scale(target, coeff)):
                         raise ConsistencyError(
-                            f"[E_{a}, E_{b}] is not a multiple of E_{Root(s)}")
+                            f"[E_{a}, E_{b}] is not a multiple of E_{ab}")
                     entries[(a, b)] = int(coeff)
-                elif any(s):
+                elif s:
                     if br:
                         raise ConsistencyError(
                             f"[E_{a}, E_{b}] nonzero but {a} + {b} is not a root")

@@ -297,6 +297,22 @@ def test_count_points_over_flag_budget(capsys):
                    "points, over the budget of 300000\n")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--n", "-3", "--q", "2", "--hess-fn", "2"],
+     "n must be between 2 and 5, got -3"),
+    (["--n", "6", "--q", "2", "--hess-fn", "2,3,4,5,6,6"],
+     "n must be between 2 and 5, got 6"),
+    (["--n", "3", "--q", "2", "--hess-fn", "a,b"],
+     "--hess-fn must be comma-separated integers, got 'a,b'"),
+    (["--n", "3", "--q", "2", "--hess-fn", "2,,3"],
+     "--hess-fn must be comma-separated integers, got '2,,3'"),
+])
+def test_count_points_refuses_bad_input(capsys, argv, message):
+    code, out, err = run_cli(capsys, "count-points", *argv)
+    assert code == 1 and out == ""
+    assert err == f"hessenpave: {message}\n"
+
+
 def test_hess_flags_mutually_exclusive(capsys):
     code, _, _ = run_cli(capsys, "paving", "--type", "A", "--rank", "2",
                          "--hess-fn", "2,3,3", "--hess", "full")

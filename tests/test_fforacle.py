@@ -154,21 +154,55 @@ def test_two_prime_consistency(n):
                 assert c2.count == 2 ** e2 and c3.count == 3 ** e3
 
 
+def hessenberg_functions(n):
+    """Every h that from_function admits: nondecreasing, i <= h(i) <= n."""
+    return [h for h in itertools.product(range(1, n + 1), repeat=n)
+            if all(h[i] <= h[i + 1] for i in range(n - 1))
+            and all(v >= i for i, v in enumerate(h, start=1))]
+
+
 @pytest.mark.parametrize("n,q", [(2, 2), (2, 3), (2, 5), (3, 2), (3, 3),
-                                 (3, 5), (4, 2), (4, 3)])
+                                 (3, 5), (4, 2), (4, 3), (5, 2)])
 def test_pruned_cell_count_equals_brute_force(n, q):
-    """Column-by-column counting with pruning gives the same count as
-    testing every flag of the cell, on every cell under every Hessenberg
-    function."""
-    from hessenpave.hessenberg import enumerate_hessenberg, to_function
+    """Column-by-column counting, with pinned columns solved for, gives the
+    same count as testing every flag of the cell: on every cell under every
+    Hessenberg function for n <= 4, the ones with h(i) = i included, and
+    under the certify function and the two extremes for n = 5."""
     nil = jordan_nilpotent(n, q)
-    for space in enumerate_hessenberg(build_root_system("A", n - 1)):
-        h = to_function(space)
+    hs = (hessenberg_functions(n) if n <= 4
+          else [(2, 3, 4, 5, 5), (1, 2, 3, 4, 5), (5, 5, 5, 5, 5)])
+    for h in hs:
         for perm in itertools.permutations(range(1, n + 1)):
             brute = sum(1 for flag in enumerate_cell_flags(n, q, perm)
                         if hessenberg_check(flag, nil, h))
             assert fforacle._count_cell(n, q, perm, nil, h) == brute, \
                 (h, perm)
+
+
+def test_count_points_tries_only_pinned_columns(monkeypatch):
+    """Work count: a column that a due condition pins is solved for, so the
+    walk tries 1,740 columns for n = 4 over F_5, where trying every value
+    of each column's free entries took 11,940."""
+    tried = []
+    column = fforacle._column
+
+    def counted(*args):
+        tried.append(args)
+        return column(*args)
+
+    monkeypatch.setattr(fforacle, "_column", counted)
+    assert count_points(4, 5, (2, 3, 4, 4)).total == 216
+    assert len(tried) == 1740
+
+
+def test_count_points_catches_a_solver_that_proposes_too_few(monkeypatch):
+    """A column solver that never proposes a column undercounts some cell,
+    and the comparison with the paving refuses it."""
+    monkeypatch.setattr(fforacle, "_solve_column", lambda *_: None)
+    with pytest.raises(ConsistencyError,
+                       match=r"^cell \(.*\): counted \d+ flags, paving "
+                             r"predicts \d+ \(n=4, q=3, h=\(2, 3, 4, 4\)\)$"):
+        count_points(4, 3, (2, 3, 4, 4))
 
 
 def test_count_points_checks_each_passing_flag_once(monkeypatch):
@@ -246,9 +280,8 @@ def test_hessenberg_check_equals_echelon_reference(n, q):
     """Every flag under every h: each h in {1..n}^n for n <= 3, each
     Hessenberg function for n = 4."""
     nil = jordan_nilpotent(n, q)
-    hs = [h for h in itertools.product(range(1, n + 1), repeat=n)
-          if n <= 3 or (all(h[i] <= h[i + 1] for i in range(n - 1))
-                        and all(v >= i for i, v in enumerate(h, start=1)))]
+    hs = (list(itertools.product(range(1, n + 1), repeat=n)) if n <= 3
+          else hessenberg_functions(n))
     for perm in itertools.permutations(range(1, n + 1)):
         for flag in enumerate_cell_flags(n, q, perm):
             for h in hs:
@@ -257,8 +290,9 @@ def test_hessenberg_check_equals_echelon_reference(n, q):
 
 
 def test_count_points_refuses_large_flag_varieties_before_work(monkeypatch):
-    """[5]_5! = 22,661,496 flags is over the budget; the refusal comes
-    before the space is built or any flag is enumerated."""
+    """[5]_5! = 22,661,496 flags is over the budget, and n = 6 is past the
+    largest n the oracle takes; the refusal comes before the space is built
+    or any flag is enumerated, and n is checked before the budget."""
     def forbidden(*_, **__):
         raise AssertionError("count_points started work")
 
@@ -268,7 +302,9 @@ def test_count_points_refuses_large_flag_varieties_before_work(monkeypatch):
     with pytest.raises(ValueError, match=r"^the flag variety for n=5, q=5 "
                        r"has 22661496 points, over the budget of 300000$"):
         count_points(5, 5, (2, 3, 4, 5, 5))
-    with pytest.raises(ValueError, match="615195 points"):
-        count_points(6, 2, (6,) * 6)
     with pytest.raises(ValueError, match=r"q must be one of \(2, 3, 5\)"):
         count_points(3, 1, (2, 3, 3))
+    for n in (-3, 0, 1, 6, 10 ** 9):
+        with pytest.raises(ValueError,
+                           match=rf"^n must be between 2 and 5, got {n}$"):
+            count_points(n, 2, (2,))
