@@ -114,9 +114,19 @@ def _build_parser() -> _Parser:
     return p
 
 
+def _hess_fn_values(text: str) -> tuple[int, ...]:
+    """The values of a ``--hess-fn`` list, refusing any part that is not an
+    integer (an empty part included)."""
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise ValueError("--hess-fn must be comma-separated integers, "
+                         f"got {text!r}") from None
+
+
 def _hess_spec(args) -> str:
     if args.hess_fn is not None:
-        return "h=" + args.hess_fn
+        return "h=" + ",".join(str(v) for v in _hess_fn_values(args.hess_fn))
     if args.hess_neg is not None:
         return "neg=" + args.hess_neg
     return args.hess
@@ -258,11 +268,7 @@ def _run_verify_lemmata(args) -> tuple:
 
 
 def _run_count_points(args) -> tuple:
-    try:
-        h = tuple(int(x) for x in args.hess_fn.split(","))
-    except ValueError:
-        raise ValueError("--hess-fn must be comma-separated integers, "
-                         f"got {args.hess_fn!r}") from None
+    h = _hess_fn_values(args.hess_fn)
     record = fforacle.count_points(args.n, args.q, h).to_record()
     rows = ([record["n"], record["q"], ",".join(str(v) for v in record["h"]),
              c["perm"], c["count"], c["predicted"]]

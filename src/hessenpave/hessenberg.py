@@ -1,11 +1,13 @@
-"""Hessenberg spaces as root subsets.
+"""Hessenberg spaces as integer bitmasks of their root sets.
 
 A Hessenberg space is a subspace ``H`` of the Lie algebra containing the
 Borel and closed under bracket with it.  Such a space is a direct sum of
 root spaces together with the full Cartan, so it is determined by its root
 set ``Φ_H``, which contains every positive root and is closed under adding
-positive roots.  Only the negative part ``Φ_H ∩ Φ⁻`` carries information,
-and that is the canonical encoding used here.
+positive roots.  A space is stored as ``hm``, the bitmask of ``Φ_H`` over
+``rs.all_roots`` indices, and nothing else: the positive bits are always
+set, so only the negative bits (the negative part ``Φ_H ∩ Φ⁻``) carry
+information.  This module alone turns those bits back into roots.
 
 Closure under adding any positive root is equivalent to closure under
 adding simple roots (positive roots are built up from simples inside Φ⁺),
@@ -15,7 +17,8 @@ re-verified exhaustively in the test suite.
 Negating everything, negative parts correspond to down-closed subsets
 (order ideals) of the positive-root poset under dominance; their
 complements in Φ⁻ are the ad-nilpotent ideals of the opposite Borel.
-Enumeration therefore walks the lattice of order ideals.  Order ideals are
+Enumeration therefore walks the lattice of order ideals, each an integer
+mask over the positive-root indices.  Order ideals are
 closed under intersection, so every set of roots lies in a smallest
 Hessenberg space, built by :func:`smallest_containing` from per-root
 down-sets.
@@ -43,24 +46,28 @@ from .rootcore import (
 
 
 class HessenbergSpace:
-    """A Hessenberg space, encoded by its set of negative roots.
+    """A Hessenberg space, stored as the bitmask of its root set.
 
-    ``hm`` is the whole root set Φ_H as a bitmask over ``rs.all_roots``
-    indices (bit k set iff root k lies in Φ_H); the paving kernel tests
-    cells against it.  Instances are immutable and hashable; two spaces
-    are equal when they live in equal root systems and have the same
-    negative part.  Use :func:`from_negative_roots`, :func:`from_function`,
-    or :func:`enumerate_hessenberg` to construct validated instances.
+    ``hm`` is Φ_H as a bitmask over ``rs.all_roots`` indices (bit k set iff
+    root k lies in Φ_H); the paving kernel tests cells against it, and it is
+    the space's identity: two spaces are equal when they live in equal root
+    systems and have the same mask.  ``negative_part`` decodes the negative
+    bits into roots on demand.  Use :func:`from_negative_roots`,
+    :func:`from_function`, :func:`parse_hessenberg` or
+    :func:`enumerate_hessenberg` to construct validated instances.
     """
 
-    __slots__ = ("rs", "negative_part", "hm")
+    __slots__ = ("rs", "hm")
 
-    def __init__(self, rs: RootSystem, negative_part: frozenset[Root]):
+    def __init__(self, rs: RootSystem, hm: int):
         self.rs = rs
-        self.negative_part = negative_part
-        self.hm = (1 << rs.num_positive) - 1
-        for beta in negative_part:
-            self.hm |= 1 << rs.root_index(beta)
+        self.hm = hm
+
+    @property
+    def negative_part(self) -> frozenset[Root]:
+        """Φ_H ∩ Φ⁻, the roots of the negative bits of ``hm``."""
+        rs = self.rs
+        return frozenset(_negated(rs, self.hm >> rs.num_positive))
 
     def contains(self, root: Root) -> bool:
         """Membership of a root in Φ_H."""
@@ -68,14 +75,21 @@ class HessenbergSpace:
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, HessenbergSpace) and self.rs == other.rs
-                and self.negative_part == other.negative_part)
+                and self.hm == other.hm)
 
     def __hash__(self) -> int:
-        return hash((self.rs.lie_type, self.rs.rank, self.negative_part))
+        return hash((self.rs.lie_type, self.rs.rank, self.hm))
 
     def __repr__(self) -> str:
         return (f"HessenbergSpace({self.rs.lie_type}{self.rs.rank}, "
                 f"neg={format_negative_part(self)!r})")
+
+
+def _negated(rs: RootSystem, ideal: int) -> list[Root]:
+    """−pos[p] for each bit p of ``ideal``, a mask over positive-root
+    indices, in ascending p (so in ``rs.all_roots`` index order)."""
+    neg = rs.negative_roots
+    return [neg[p] for p in range(rs.num_positive) if ideal >> p & 1]
 
 
 class ComplementIdeal(_Record):
@@ -97,10 +111,12 @@ def from_negative_roots(rs: RootSystem, negatives: Iterable[Root]) -> Hessenberg
     closure condition fails; the error names the offending pair.
     """
     neg = frozenset(negatives)
+    hm = (1 << rs.num_positive) - 1
     for beta in neg:
-        rs.root_index(beta)
+        k = rs.root_index(beta)
         if not beta.is_negative:
             raise ValueError(f"{format_root(beta)} is not a negative root")
+        hm |= 1 << k
     for beta in neg:
         for i, alpha in enumerate(rs.simple_roots, start=1):
             s = rs.root_add(beta, alpha)
@@ -108,17 +124,17 @@ def from_negative_roots(rs: RootSystem, negatives: Iterable[Root]) -> Hessenberg
                 raise ValueError(
                     f"closure violation: {format_root(beta)} is in the space "
                     f"but {format_root(beta)} + α_{i} = {format_root(s)} is not")
-    return HessenbergSpace(rs, neg)
+    return HessenbergSpace(rs, hm)
 
 
 def borel_space(rs: RootSystem) -> HessenbergSpace:
     """The minimal Hessenberg space Φ_H = Φ⁺ (H is the Borel itself)."""
-    return HessenbergSpace(rs, frozenset())
+    return HessenbergSpace(rs, (1 << rs.num_positive) - 1)
 
 
 def full_space(rs: RootSystem) -> HessenbergSpace:
     """The maximal Hessenberg space Φ_H = Φ (H is the whole Lie algebra)."""
-    return HessenbergSpace(rs, frozenset(rs.negative_roots))
+    return HessenbergSpace(rs, (1 << len(rs.all_roots)) - 1)
 
 
 # The number of ad-nilpotent ideals, so of Hessenberg spaces, by type.
@@ -220,30 +236,27 @@ def smallest_containing(rs: RootSystem, mask: int) -> int:
 
 def _build_hessenberg_spaces(rs: RootSystem) -> tuple[HessenbergSpace, ...]:
     npos = rs.num_positive
-    pos = rs.positive_roots
-    covers = _lower_covers(rs)
+    covers = [sum(1 << c for c in cs) for cs in _lower_covers(rs)]
 
-    seen: set[frozenset[int]] = set()
-    frontier = [frozenset()]
-    seen.add(frontier[0])
+    seen = {0}
+    frontier = [0]
     while frontier:
         nxt = []
         for ideal in frontier:
-            for p in range(npos):
-                if p in ideal:
-                    continue
-                if all(c in ideal for c in covers[p]):
-                    grown = ideal | {p}
+            for p, below in enumerate(covers):
+                bit = 1 << p
+                if not ideal & bit and below & ideal == below:
+                    grown = ideal | bit
                     if grown not in seen:
                         seen.add(grown)
                         nxt.append(grown)
         frontier = nxt
 
-    ordered = sorted(seen, key=lambda s: (len(s), tuple(sorted(s))))
-    return tuple(
-        HessenbergSpace(rs, frozenset(-pos[p] for p in ideal))
-        for ideal in ordered
-    )
+    ordered = sorted(seen, key=lambda m: (
+        m.bit_count(), [p for p in range(npos) if m >> p & 1]))
+    borel = (1 << npos) - 1
+    return tuple(HessenbergSpace(rs, borel | ideal << npos)
+                 for ideal in ordered)
 
 
 def from_function(n: int, h: Iterable[int]) -> HessenbergSpace:
@@ -295,9 +308,10 @@ def to_function(space: HessenbergSpace) -> tuple[int, ...]:
 
 def complement_ideal(space: HessenbergSpace) -> ComplementIdeal:
     """The negative roots outside the space (an ad-nilpotent ideal of b⁻)."""
-    missing = frozenset(r for r in space.rs.negative_roots
-                        if r not in space.negative_part)
-    return ComplementIdeal(missing)
+    rs = space.rs
+    npos = rs.num_positive
+    missing = ~(space.hm >> npos) & ((1 << npos) - 1)
+    return ComplementIdeal(frozenset(_negated(rs, missing)))
 
 
 # ---------------------------------------------------------------------------
@@ -306,10 +320,11 @@ def complement_ideal(space: HessenbergSpace) -> ComplementIdeal:
 
 
 def format_negative_part(space: HessenbergSpace) -> str:
-    """Semicolon-separated negative roots in root text format."""
+    """Semicolon-separated negative roots in root text format, in
+    ``rs.all_roots`` index order."""
     rs = space.rs
-    ordered = sorted(space.negative_part, key=rs.root_index)
-    return ";".join(format_root(r) for r in ordered)
+    return ";".join(format_root(r)
+                    for r in _negated(rs, space.hm >> rs.num_positive))
 
 
 def space_fields(space: HessenbergSpace) -> tuple[dict, str]:
@@ -336,9 +351,12 @@ def parse_hessenberg(rs: RootSystem, text: str) -> HessenbergSpace:
     if text.startswith("h="):
         if rs.lie_type != "A":
             raise ValueError("h=... requires a type-A root system")
-        values = [int(p) for p in text[2:].split(",") if p.strip()]
-        space = from_function(rs.rank + 1, values)
-        return HessenbergSpace(rs, space.negative_part)
+        try:
+            values = [int(p) for p in text[2:].split(",")]
+        except ValueError:
+            raise ValueError(f"malformed Hessenberg text {text!r}") from None
+        # from_function's A_{n−1} indexes its roots as rs does
+        return HessenbergSpace(rs, from_function(rs.rank + 1, values).hm)
     if text.startswith("neg="):
         body = text[4:].strip()
         if not body:

@@ -52,6 +52,7 @@ from .errors import ConsistencyError
 from .hessenberg import (
     HessenbergSpace,
     enumerate_hessenberg,
+    format_negative_part,
     smallest_containing,
 )
 from .linalg import (
@@ -76,6 +77,7 @@ from .rootcore import (
     check_weyl_budget,
     enumerate_weyl,
     format_root,
+    format_word,
     row_order,
     rows,
     strictly_dominates,
@@ -604,29 +606,28 @@ def _psi_entries(real: ChevalleyRealization, coeffs: Coeffs, i: int
     return order, _ad_block(real, coeffs, order, order)
 
 
-def psi_matrix(real: ChevalleyRealization, n: NilpotentElement, i: int,
-               cross_check: bool = True) -> RowMatrix:
+def psi_matrix(real: ChevalleyRealization, n: NilpotentElement,
+               i: int) -> RowMatrix:
     """The restriction-and-projection of ad(N) to row i, as a matrix.
 
     Entry (α, β) is ``m_{α−β,β} n_{α−β}`` when α−β is a positive root and 0
-    otherwise.  With ``cross_check`` the same matrix is recomputed from
-    genuine matrix brackets ρ_i[N, E_β] and the two must agree.
+    otherwise.  The same matrix is recomputed from genuine matrix brackets
+    ρ_i[N, E_β], and the two must agree.
     """
     rs = real.rs
     if not 1 <= i <= rs.rank:
         raise ValueError(f"row index {i} out of range")
     order, mat = _psi_entries(real, n.coeffs, i)
 
-    if cross_check:
-        nmat = real.matrix_of(n)
-        for col, beta in enumerate(order):
-            br = sp_commutator(nmat, real.root_vectors[beta])
-            _, expanded = real.expand(br)
-            for row, alpha in enumerate(order):
-                if expanded.get(alpha, 0) != mat[row][col]:
-                    raise ConsistencyError(
-                        "row operator disagrees with matrix brackets at "
-                        f"({format_root(alpha)}, {format_root(beta)})")
+    nmat = real.matrix_of(n)
+    for col, beta in enumerate(order):
+        br = sp_commutator(nmat, real.root_vectors[beta])
+        _, expanded = real.expand(br)
+        for row, alpha in enumerate(order):
+            if expanded.get(alpha, 0) != mat[row][col]:
+                raise ConsistencyError(
+                    "row operator disagrees with matrix brackets at "
+                    f"({format_root(alpha)}, {format_root(beta)})")
     return RowMatrix(order, tuple(tuple(line) for line in mat))
 
 
@@ -1155,6 +1156,16 @@ def _stage_solution_to_coeffs(vars_: list[Root], x: list[Fraction]) -> Coeffs:
     return {r: v for r, v in zip(vars_, x) if v}
 
 
+def _witness_context(space: HessenbergSpace, w: WeylElement,
+                     stage: int) -> str:
+    """The system, space, word and stage of a witness failure, in the terms
+    of the ``witness`` command that reproduces it."""
+    rs = space.rs
+    return (f"system {rs.lie_type}{rs.rank}, space "
+            f"neg={format_negative_part(space)}, word '{format_word(w)}', "
+            f"stage {stage}")
+
+
 def find_witness(real: ChevalleyRealization, w: WeylElement,
                  space: HessenbergSpace,
                  n: NilpotentElement | None = None) -> WitnessResult:
@@ -1243,7 +1254,7 @@ def find_witness(real: ChevalleyRealization, w: WeylElement,
                  for alpha in solve_cons])
             if solved is None:
                 raise ConsistencyError(
-                    f"stage {k} infeasible for word {list(w.word)}")
+                    f"stage infeasible ({_witness_context(space, w, k)})")
             x, kernel = solved
         coeffs = _stage_solution_to_coeffs(solve_vars, list(x))
 
@@ -1284,13 +1295,16 @@ def find_witness(real: ChevalleyRealization, w: WeylElement,
         for alpha in cons:
             if current.get(rs.root_index(alpha), 0) != 0:
                 raise ConsistencyError(
-                    f"stage {k} left its constraints unsatisfied")
+                    "stage left its constraints unsatisfied "
+                    f"({_witness_context(space, w, k)})")
 
     profile = row_dimension_profile(w, space)
     if tuple(kernels) != profile:
+        k = next((k for k, (a, b) in enumerate(zip(kernels, profile))
+                  if a != b), min(len(kernels), len(profile)))
         raise ConsistencyError(
             f"stage kernel dimensions {tuple(kernels)} differ from the row "
-            f"profile {profile}")
+            f"profile {profile} ({_witness_context(space, w, k)})")
 
     _verify_witness_matrix(real, w, space, n, solutions, current)
     return WitnessResult(tuple(solutions), tuple(kernels), True)

@@ -20,19 +20,24 @@ numbers of the variety simply count nonempty cells by dimension and the
 odd cohomology vanishes.
 
 The kernel works on integer bitmasks over the indices of ``rs.all_roots``:
-``space.hm`` holds Φ_H, ``w.sm`` holds ``w⁻¹(simple roots)`` and ``w.im``
-holds ``w⁻¹(Φ_w)``, the last two built on first use.  A cell is nonempty iff
-``sm & hm == sm`` and its dimension is ``(im & hm).bit_count()``; row
-profiles intersect per-row masks of the positive roots.  ``compute_paving``
-tests each cell once, and ``cell_dimension`` and ``row_dimension_profile``
-refuse an empty cell with the same one-AND test rather than a second call
-of ``cell_nonempty``.
+``space.hm`` is Φ_H (the only form in which a space is stored), ``w.sm``
+holds ``w⁻¹(simple roots)`` and ``w.im`` holds ``w⁻¹(Φ_w)``, the last two
+built on first use.  A cell is nonempty iff ``sm & hm == sm`` and its
+dimension is ``(im & hm).bit_count()``; the Lie-algebra formula counts the
+negative bits of ``hm`` that ``w`` sends to positive roots; row profiles
+intersect per-row masks of the positive roots.  No function here turns
+``hm`` back into roots.  ``compute_paving`` tests each cell once, and
+``cell_dimension`` and ``row_dimension_profile`` refuse an empty cell with
+the same one-AND test rather than a second call of ``cell_nonempty``.
+``paving_record`` requires each printed row profile to sum to its cell's
+dimension.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
+from .errors import ConsistencyError
 from .hessenberg import HessenbergSpace, space_fields
 from .rootcore import (
     RootSystem,
@@ -107,12 +112,11 @@ def cell_dimension_lie(w: WeylElement, space: HessenbergSpace) -> int:
     _check_compatible(w, space)
     if w.sm & space.hm != w.sm:
         raise ValueError("cell is empty; it has no dimension")
-    rs = w.rs
     perm = w.root_permutation()
-    npos = rs.num_positive
-    return sum(
-        1 for beta in space.negative_part if perm[rs.root_index(beta)] < npos
-    )
+    npos = w.rs.num_positive
+    hm = space.hm
+    return sum(1 for k in range(npos, len(perm))
+               if hm >> k & 1 and perm[k] < npos)
 
 
 @lru_cache(maxsize=None)
@@ -185,19 +189,29 @@ def poincare_polynomial(rs: RootSystem, space: HessenbergSpace) -> BettiTable:
 
 
 def paving_record(rs: RootSystem, space: HessenbergSpace) -> dict:
-    """JSON-ready record of a full paving (deterministic key and cell order)."""
+    """JSON-ready record of a full paving (deterministic key and cell order).
+
+    Raises ConsistencyError when a nonempty cell's row profile does not sum
+    to its dimension; the message names the system, space and word.
+    """
     cells = []
     dims = []
     for cell in compute_paving(rs, space):
+        profile = None
         if cell.nonempty:
             dims.append(cell.dim)
+            profile = list(row_dimension_profile(cell.w, space))
+            if sum(profile) != cell.dim:
+                raise ConsistencyError(
+                    f"row profile {profile} sums to {sum(profile)}, not the "
+                    f"cell dimension {cell.dim} ({rs.lie_type}{rs.rank}, "
+                    f"{space_fields(space)[1]}, word '{format_word(cell.w)}')")
         cells.append({
             "word": format_word(cell.w),
             "length": cell.length,
             "nonempty": cell.nonempty,
             "dim": cell.dim,
-            "row_profile": (list(row_dimension_profile(cell.w, space))
-                            if cell.nonempty else None),
+            "row_profile": profile,
         })
     return {
         "type": rs.lie_type,

@@ -297,20 +297,53 @@ def test_count_points_over_flag_budget(capsys):
                    "points, over the budget of 300000\n")
 
 
+_SYSTEM_A2 = ["--type", "A", "--rank", "2"]
+
+
 @pytest.mark.parametrize("argv, message", [
-    (["--n", "-3", "--q", "2", "--hess-fn", "2"],
+    (["count-points", "--n", "-3", "--q", "2", "--hess-fn", "2"],
      "n must be between 2 and 5, got -3"),
-    (["--n", "6", "--q", "2", "--hess-fn", "2,3,4,5,6,6"],
+    (["count-points", "--n", "6", "--q", "2", "--hess-fn", "2,3,4,5,6,6"],
      "n must be between 2 and 5, got 6"),
-    (["--n", "3", "--q", "2", "--hess-fn", "a,b"],
+    (["count-points", "--n", "3", "--q", "2", "--hess-fn", "a,b"],
      "--hess-fn must be comma-separated integers, got 'a,b'"),
-    (["--n", "3", "--q", "2", "--hess-fn", "2,,3"],
+    (["count-points", "--n", "3", "--q", "2", "--hess-fn", "2,,3"],
      "--hess-fn must be comma-separated integers, got '2,,3'"),
+    # the other subcommands that take --hess-fn parse it the same way
+    (["paving", *_SYSTEM_A2, "--hess-fn", "a,b"],
+     "--hess-fn must be comma-separated integers, got 'a,b'"),
+    (["paving", *_SYSTEM_A2, "--hess-fn", "2,,3,3"],
+     "--hess-fn must be comma-separated integers, got '2,,3,3'"),
+    (["betti", *_SYSTEM_A2, "--hess-fn", "a,b"],
+     "--hess-fn must be comma-separated integers, got 'a,b'"),
+    (["betti", *_SYSTEM_A2, "--hess-fn", "2,,3,3"],
+     "--hess-fn must be comma-separated integers, got '2,,3,3'"),
+    (["witness", *_SYSTEM_A2, "--word", "", "--hess-fn", "a,b"],
+     "--hess-fn must be comma-separated integers, got 'a,b'"),
+    (["witness", *_SYSTEM_A2, "--word", "", "--hess-fn", "2,,3,3"],
+     "--hess-fn must be comma-separated integers, got '2,,3,3'"),
 ])
 def test_count_points_refuses_bad_input(capsys, argv, message):
-    code, out, err = run_cli(capsys, "count-points", *argv)
+    """count-points refuses a bad n, and every subcommand that takes
+    --hess-fn refuses a list that is not all integers, with one line."""
+    code, out, err = run_cli(capsys, *argv)
     assert code == 1 and out == ""
     assert err == f"hessenpave: {message}\n"
+
+
+def test_paving_refuses_profile_that_misses_dimension(capsys, monkeypatch):
+    """A row profile that does not sum to its cell's dimension stops the
+    paving with exit 2, one stderr line and no output."""
+    profile = cli.paving.row_dimension_profile
+    monkeypatch.setattr(cli.paving, "row_dimension_profile",
+                        lambda w, s: (profile(w, s)[0] + 1,)
+                        + profile(w, s)[1:])
+    code, out, err = run_cli(capsys, "paving", *_SYSTEM_A2,
+                             "--hess-fn", "2,3,3")
+    assert code == 2 and out == ""
+    assert err == ("hessenpave: consistency failure: row profile [1, 0] "
+                   "sums to 1, not the cell dimension 0 (A2, neg=0,-1;-1,0, "
+                   "word '')\n")
 
 
 def test_hess_flags_mutually_exclusive(capsys):

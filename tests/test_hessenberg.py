@@ -193,6 +193,9 @@ def test_parse_hessenberg_forms():
         parse_hessenberg(b2, "h=2,3,3")   # functions are type A only
     with pytest.raises(ValueError):
         parse_hessenberg(b2, "nonsense")
+    for bad in ("h=2,,3", "h=a,b", "h="):
+        with pytest.raises(ValueError, match="malformed Hessenberg text"):
+            parse_hessenberg(a2, bad)
 
 
 @settings(max_examples=40, deadline=None)
@@ -226,3 +229,62 @@ def test_smallest_containing_is_the_meet_of_nonempty_cells(lie_type, rank):
         least = smallest_containing(rs, w.sm)
         assert least == meet, w
         assert least in known, w
+
+
+# Every system of rank <= 4, plus A5.
+SWEEP = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3),
+         ("B", 4), ("C", 2), ("C", 3), ("C", 4), ("D", 3), ("D", 4),
+         ("A", 5)]
+
+
+def ref_negative_parts(rs):
+    """Reference enumeration: grow order ideals of positive-root indices as
+    frozensets (an index joins once every lower cover is in), sort by size
+    and then by ascending members, and negate the roots."""
+    npos = rs.num_positive
+    pos = rs.positive_roots
+    covers = hessenberg._lower_covers(rs)
+    seen = {frozenset()}
+    frontier = [frozenset()]
+    while frontier:
+        nxt = []
+        for ideal in frontier:
+            for p in range(npos):
+                if p not in ideal and all(c in ideal for c in covers[p]):
+                    grown = ideal | {p}
+                    if grown not in seen:
+                        seen.add(grown)
+                        nxt.append(grown)
+        frontier = nxt
+    ordered = sorted(seen, key=lambda s: (len(s), tuple(sorted(s))))
+    return [frozenset(-pos[p] for p in ideal) for ideal in ordered]
+
+
+@pytest.mark.parametrize("lie_type,rank", SWEEP)
+def test_enumeration_equals_frozenset_reference(lie_type, rank):
+    """The mask enumeration yields the reference's spaces in its order, with
+    the mask and negative part the reference's roots give."""
+    rs = build_root_system(lie_type, rank)
+    spaces = enumerate_hessenberg(rs)
+    ref = ref_negative_parts(rs)
+    assert [s.negative_part for s in spaces] == ref
+    borel = (1 << rs.num_positive) - 1
+    assert [s.hm for s in spaces] == [
+        borel | sum(1 << rs.root_index(b) for b in neg) for neg in ref]
+
+
+@pytest.mark.parametrize("lie_type,rank", SWEEP)
+def test_space_is_its_mask(lie_type, rank):
+    """A space stores rs and hm only, compares and hashes by hm, and
+    rebuilds from its decoded negative part."""
+    rs = build_root_system(lie_type, rank)
+    spaces = enumerate_hessenberg(rs)
+    assert hessenberg.HessenbergSpace.__slots__ == ("rs", "hm")
+    assert len({s.hm for s in spaces}) == len(spaces)
+    fresh = build_root_system(lie_type, rank)     # equal, not identical
+    for s in spaces:
+        again = hessenberg.HessenbergSpace(fresh, s.hm)
+        assert again == s and hash(again) == hash(s)
+        assert from_negative_roots(rs, s.negative_part) == s
+    assert len(set(spaces)) == len(spaces)
+    assert spaces[0] != spaces[-1]

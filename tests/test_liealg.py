@@ -1,11 +1,14 @@
 """Matrix realizations, row operators, lemma checks, witnesses."""
 
+import re
+import sys
 from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
 
 from hessenpave import liealg
+from hessenpave.cli import main
 from hessenpave.errors import ConsistencyError
 from hessenpave.hessenberg import (
     borel_space,
@@ -714,6 +717,69 @@ def test_witness_sampled_high_rank(lie_type, rank, sample):
         if checked >= sample:
             break
     assert checked == sample
+
+
+def _stage_solve(fake):
+    """solve_affine with ``fake`` answering the stage solves of find_witness;
+    every other caller (the realization's own expansions) gets the real
+    solve."""
+    solve = liealg.solve_affine
+
+    def patched(matrix, rhs):
+        if sys._getframe(1).f_code.co_name == "find_witness":
+            return fake(solve, matrix, rhs)
+        return solve(matrix, rhs)
+    return patched
+
+
+def _bump_second_entry(profile):
+    return lambda w, s: tuple(d + (k == 1) for k, d in enumerate(profile(w, s)))
+
+
+# One fault injected into find_witness per failure message it must raise:
+# no solution, a solution of all ones that misses the constraints, and a
+# row profile one larger in stage 1.
+_WITNESS_FAULTS = {
+    "stage infeasible": lambda: ("solve_affine", _stage_solve(
+        lambda solve, m, rhs: None)),
+    "stage left its constraints unsatisfied": lambda: (
+        "solve_affine", _stage_solve(
+            lambda solve, m, rhs: ([Fraction(1)] * len(m[0]),
+                                   solve(m, rhs)[1]))),
+    "stage kernel dimensions": lambda: (
+        "row_dimension_profile",
+        _bump_second_entry(liealg.row_dimension_profile)),
+}
+
+
+@pytest.mark.parametrize("fault", list(_WITNESS_FAULTS))
+def test_witness_failure_names_its_cell(capsys, monkeypatch, fault):
+    """Each find_witness consistency failure names the system, the space,
+    the word and the stage, and the witness command built from those names
+    fails again with exit 2."""
+    rs = build_root_system("A", 3)
+    real = build_chevalley(rs)
+    monkeypatch.setattr(liealg, *_WITNESS_FAULTS[fault]())
+    message = None
+    for space in enumerate_hessenberg(rs):
+        for w in enumerate_weyl(rs):
+            if message is None and cell_nonempty(w, space):
+                try:
+                    find_witness(real, w, space)
+                except ConsistencyError as exc:
+                    message = str(exc)
+    assert message is not None and message.startswith(fault)
+    found = re.search(r"\(system ([ABCD])(\d+), space neg=(\S*), "
+                      r"word '([\d ]*)', stage (\d+)\)$", message)
+    assert found, message
+    lie_type, rank, neg, word, stage = found.groups()
+    if fault == "stage kernel dimensions":
+        assert stage == "1"
+    code = main(["witness", "--type", lie_type, "--rank", rank,
+                 f"--hess-neg={neg}", "--word", word])
+    out = capsys.readouterr()
+    assert code == 2 and out.out == ""
+    assert out.err == f"hessenpave: consistency failure: {message}\n"
 
 
 def test_witness_nondefault_regular_nilpotent(real_c2):
