@@ -203,9 +203,10 @@ def _solve_column(q: int, r: list[int], pivot: int,
 
 
 def _count_cell(n: int, q: int, perm: tuple[int, ...],
-                nilpotent: PrimeFieldMatrix, h: tuple[int, ...]) -> int:
+                h: tuple[int, ...]) -> int:
     """The number of flags of one Bruhat cell with N·V_i ⊆ V_{h(i)} for all
-    i, found by assigning the normal-form columns left to right.
+    i, N the Jordan block, found by assigning the normal-form columns left
+    to right.  N·v_j is v_j shifted up one row.
 
     Condition i is N·v_i ∈ V_{top(i)}, top(i) = max(h(1..i)), and is tested
     as soon as columns 1..max(top(i), i) are set; a failure cuts the whole
@@ -228,9 +229,7 @@ def _count_cell(n: int, q: int, perm: tuple[int, ...],
         due[max(top, i + 1) - 1].append((i, top))
     # columns 1..m, lowest pivot first: the order that clears pivot rows
     sweeps = [sorted(range(m), key=lambda j: -pivot[j]) for m in range(n + 1)]
-    # the nonzero entries of each row of N (one per row for a Jordan block)
-    n_rows = [[(c, x) for c, x in enumerate(row) if x]
-              for row in nilpotent.entries]
+    nilpotent = jordan_nilpotent(n, q)
     cols: list[list[int]] = [[] for _ in range(n)]
     images: list[list[int]] = [[] for _ in range(n)]
     count = 0
@@ -273,8 +272,7 @@ def _count_cell(n: int, q: int, perm: tuple[int, ...],
         for values in choices(j):
             col = _column(n, pivot[j], free_rows[j], values)
             cols[j] = col
-            images[j] = [sum(x * col[c] for c, x in row) % q
-                         for row in n_rows]
+            images[j] = col[1:] + [0]
             if all(inside(images[i], m) for i, m in due[j]):
                 walk(j + 1)
 
@@ -355,7 +353,6 @@ def count_points(n: int, q: int, h) -> CountReport:
     hs = tuple(int(x) for x in h)
     space = from_function(n, hs)
     rs: RootSystem = space.rs
-    nilpotent = jordan_nilpotent(n, q)
 
     cells = []
     total = 0
@@ -365,7 +362,7 @@ def count_points(n: int, q: int, h) -> CountReport:
             predicted = q ** cell_dimension(w, space)
         else:
             predicted = 0
-        count = _count_cell(n, q, perm, nilpotent, hs)
+        count = _count_cell(n, q, perm, hs)
         if count != predicted:
             raise ConsistencyError(
                 f"cell {perm}: counted {count} flags, paving predicts "

@@ -265,6 +265,14 @@ def from_function(n: int, h: Iterable[int]) -> HessenbergSpace:
     The function must be nondecreasing with ``i ≤ h(i) ≤ n``.  The negative
     root ``ε_i − ε_j`` (for ``i > j``) belongs to the space iff ``i ≤ h(j)``.
     """
+    hs = _checked_function(n, h)
+    rs = RootSystem("A", n - 1)
+    return HessenbergSpace(rs, _function_mask(rs, hs))
+
+
+def _checked_function(n: int, h: Iterable[int]) -> tuple[int, ...]:
+    """h as a tuple, or ValueError when it is not a Hessenberg function on
+    {1..n}, n ≥ 2."""
     hs = tuple(int(x) for x in h)
     if len(hs) != n:
         raise ValueError(f"expected {n} values, got {len(hs)}")
@@ -277,16 +285,21 @@ def from_function(n: int, h: Iterable[int]) -> HessenbergSpace:
         raise ValueError(f"h = {hs} is not nondecreasing")
     if n < 2:
         raise ValueError("need n >= 2 for a rank >= 1 ambient system")
+    return hs
 
-    rs = RootSystem("A", n - 1)
-    neg = set()
+
+def _function_mask(rs: RootSystem, hs: tuple[int, ...]) -> int:
+    """Φ_H of a Hessenberg function as a mask over the roots of ``rs``, of
+    type A_{n−1}: every positive root, and ``ε_i − ε_j`` for
+    ``j < i ≤ h(j)``.  A nondecreasing h with ``h(i) ≥ i`` makes that set
+    closed, so the mask needs no further check."""
+    n = len(hs)
+    hm = (1 << rs.num_positive) - 1
     for j in range(1, n):
-        for i in range(j + 1, n + 1):
-            if i <= hs[j - 1]:
-                coeffs = tuple(-1 if j <= k <= i - 1 else 0
-                               for k in range(1, n))
-                neg.add(rs.root(coeffs))
-    return from_negative_roots(rs, neg)
+        for i in range(j + 1, hs[j - 1] + 1):
+            hm |= 1 << rs._index[tuple(-1 if j <= k < i else 0
+                                       for k in range(1, n))]
+    return hm
 
 
 def to_function(space: HessenbergSpace) -> tuple[int, ...]:
@@ -355,8 +368,8 @@ def parse_hessenberg(rs: RootSystem, text: str) -> HessenbergSpace:
             values = [int(p) for p in text[2:].split(",")]
         except ValueError:
             raise ValueError(f"malformed Hessenberg text {text!r}") from None
-        # from_function's A_{n−1} indexes its roots as rs does
-        return HessenbergSpace(rs, from_function(rs.rank + 1, values).hm)
+        hs = _checked_function(rs.rank + 1, values)
+        return HessenbergSpace(rs, _function_mask(rs, hs))
     if text.startswith("neg="):
         body = text[4:].strip()
         if not body:

@@ -39,7 +39,14 @@ with determinant ``2·n_{α_i}n_{α_{n-1}}n_{α_n}``).
 for a unipotent group element conjugating a regular nilpotent into the
 translated Hessenberg space, confirming each nonempty cell with an actual
 point and matching the per-stage solution-space dimensions against the
-combinatorial row profile.
+combinatorial row profile.  Its stages, like the rows of the lemma checks,
+come from ``rootcore.stage_table``, which alone knows the type-D pairing.
+
+The coefficient-space calculus (``_ibracket``, ``_iad_exp``, ``_ad_block``)
+and the witness stages key coefficients by positive-root index, and the
+lemma checks read their rows as indices.  Roots key coefficients only at
+the public boundary: ``NilpotentElement``, ``RowMatrix``,
+``WitnessResult``, and the text of counterexamples and errors.
 """
 
 from __future__ import annotations
@@ -73,15 +80,14 @@ from .rootcore import (
     RootSystem,
     WeylElement,
     _Record,
-    _row_key,
     check_weyl_budget,
     enumerate_weyl,
     format_root,
     format_word,
     row_order,
     rows,
+    stage_table,
     strictly_dominates,
-    type_d_stage_sets,
 )
 
 DEFAULT_SEED = 2026
@@ -558,10 +564,6 @@ def ad_exp(real: ChevalleyRealization, x: NilpotentElement,
     return NilpotentElement(_from_index_coeffs(real, _iad_exp(real, xi, ni)))
 
 
-def _row_indices(rs: RootSystem, i: int) -> frozenset[int]:
-    return frozenset(rs.root_index(r) for r in rows(rs).rows[i - 1])
-
-
 def _project(rs: RootSystem, coeffs: dict[int, Fraction | int],
              indices: frozenset[int]) -> dict[int, Fraction | int]:
     return {k: v for k, v in coeffs.items() if k in indices and v}
@@ -581,29 +583,26 @@ class RowMatrix(_Record):
     entries: tuple[tuple[Fraction | int, ...], ...]
 
 
-def _ad_block(real: ChevalleyRealization, coeffs: Coeffs,
-              targets: Sequence[Root], sources: Sequence[Root]
+def _ad_block(real: ChevalleyRealization, coeffs: dict[int, Fraction | int],
+              targets: Sequence[int], sources: Sequence[int]
               ) -> list[list[Fraction | int]]:
     """The block of ad(N) on positive roots from ``sources`` to
-    ``targets``: entry (α, β) is ``m_{α−β,β} n_{α−β}`` when α − β is a
-    positive root and 0 otherwise."""
-    rs = real.rs
-    pos = rs.positive_roots
+    ``targets`` (positive-root indices, N index-keyed): entry (α, β) is
+    ``m_{α−β,β} n_{α−β}`` when α − β is a positive root and 0 otherwise."""
+    pos = real.rs.positive_roots
+    diff = real.rs._pos_diff
     m = real.constants.m
-    cols = [(rs.root_index(beta), beta) for beta in sources]
-    mat = []
-    for alpha in targets:
-        diff = rs._pos_diff[rs.root_index(alpha)]
-        mat.append([0 if (d := diff[b]) is None
-                    else m(pos[d], beta) * coeffs.get(pos[d], 0)
-                    for b, beta in cols])
-    return mat
+    return [[0 if (d := line[b]) is None
+             else m(pos[d], pos[b]) * coeffs.get(d, 0)
+             for b in sources]
+            for line in (diff[a] for a in targets)]
 
 
 def _psi_entries(real: ChevalleyRealization, coeffs: Coeffs, i: int
                  ) -> tuple[tuple[Root, ...], list[list[Fraction | int]]]:
-    order = row_order(real.rs, i)
-    return order, _ad_block(real, coeffs, order, order)
+    order = stage_table(real.rs).rows[i - 1]
+    return (row_order(real.rs, i),
+            _ad_block(real, _to_index_coeffs(real, coeffs), order, order))
 
 
 def psi_matrix(real: ChevalleyRealization, n: NilpotentElement,
@@ -643,7 +642,8 @@ def theta_row(real: ChevalleyRealization, n: NilpotentElement,
             raise ValueError("X must be supported on a single row")
     xi = _to_index_coeffs(real, x.coeffs)
     ni = _to_index_coeffs(real, n.coeffs)
-    out = _project(rs, _iad_exp(real, xi, ni), _row_indices(rs, i))
+    out = _project(rs, _iad_exp(real, xi, ni),
+                   frozenset(stage_table(rs).rows[i - 1]))
     return _from_index_coeffs(real, out)
 
 
@@ -699,54 +699,49 @@ def _random_nilpotent(rs: RootSystem, rng: random.Random,
     return NilpotentElement(coeffs)
 
 
-def _random_row_element(rs: RootSystem, rng: random.Random, j: int) -> Coeffs:
-    return {r: v for r in row_order(rs, j) if (v := rng.randint(-5, 5))}
+def _random_row_element(rs: RootSystem, rng: random.Random, j: int
+                        ) -> dict[int, int]:
+    """Seeded coefficients on row j, index-keyed, drawn in row basis order."""
+    return {k: v for k in stage_table(rs).rows[j - 1]
+            if (v := rng.randint(-5, 5))}
 
 
 def _check_row_structure(real: ChevalleyRealization, trials: int,
                          seed: int) -> dict | None:
     rs = real.rs
     dec = rows(rs)
-    for i, row in enumerate(dec.rows, start=1):
+    pos = rs.positive_roots
+    sums = rs._pos_sum
+    for i, row in enumerate(stage_table(rs).rows, start=1):
         heisenberg = rs.lie_type == "C" and i < rs.rank
-        gamma = dec.type_C_long_roots[i - 1] if heisenberg else None
-        gidx = rs.root_index(gamma) if heisenberg else None
+        gidx = (rs.root_index(dec.type_C_long_roots[i - 1]) if heisenberg
+                else None)
         for a in row:
             for b in row:
-                s = rs._pos_sum[rs.root_index(a)][rs.root_index(b)]
+                s = sums[a][b]
                 if not heisenberg and s is not None:
-                    return {"row": i, "alpha": format_root(a),
-                            "beta": format_root(b),
+                    return {"row": i, "alpha": format_root(pos[a]),
+                            "beta": format_root(pos[b]),
                             "reason": "abelian row with a root sum"}
                 if heisenberg and s not in (None, gidx):
-                    return {"row": i, "alpha": format_root(a),
-                            "beta": format_root(b),
+                    return {"row": i, "alpha": format_root(pos[a]),
+                            "beta": format_root(pos[b]),
                             "reason": "Heisenberg bracket escapes the long root"}
         if heisenberg:
-            if not any(rs._pos_sum[rs.root_index(a)][rs.root_index(b)] == gidx
-                       for a in row for b in row):
+            if not any(sums[a][b] == gidx for a in row for b in row):
                 return {"row": i, "reason": "derived algebra is zero"}
             for a in row:
-                if a != gamma:
-                    d = rs._pos_diff[gidx][rs.root_index(a)]
-                    if d is None or rs.positive_roots[d] not in row:
-                        return {"row": i, "alpha": format_root(a),
-                                "reason": "no Heisenberg partner"}
-            non_central = [r for r in row if r != gamma]
+                if a != gidx and rs._pos_diff[gidx][a] not in row:
+                    return {"row": i, "alpha": format_root(pos[a]),
+                            "reason": "no Heisenberg partner"}
+            non_central = [a for a in row if a != gidx]
             for t in range(min(trials, 25)):
                 rng = _rng(seed, f"heis:{i}:{t}")
-                x = {r: rng.randint(-5, 5) for r in non_central}
-                if not any(x.values()):
+                x = {a: v for a in non_central if (v := rng.randint(-5, 5))}
+                if not x:
                     x[non_central[0]] = 1
-                xi = _to_index_coeffs(real, x)
-                hit = False
-                for b in row:
-                    img = _ibracket(real, xi,
-                                    {rs.root_index(b): 1})
-                    if img.get(gidx, 0):
-                        hit = True
-                        break
-                if not hit:
+                if not any(_ibracket(real, x, {b: 1}).get(gidx, 0)
+                           for b in row):
                     return {"row": i, "trial": t,
                             "reason": "ad X misses the long root"}
     return None
@@ -770,17 +765,15 @@ def _check_near_linearity(real: ChevalleyRealization, trials: int,
     if rs.lie_type == "C":
         for i in range(1, n):
             gamma_idx[i] = rs.root_index(dec.type_C_long_roots[i - 1])
-    row_idx = [frozenset(rs.root_index(r) for r in dec.rows[i])
-               for i in range(n)]
+    row_idx = [frozenset(row) for row in stage_table(rs).rows]
     for t in range(trials):
         rng = _rng(seed, f"nl:{t}")
         nn = _random_nilpotent(rs, rng, regular=False)
         ni = _to_index_coeffs(real, nn.coeffs)
         for j in range(1, n + 1):
-            if not dec.rows[j - 1]:
+            if not row_idx[j - 1]:
                 continue
-            x = _random_row_element(rs, rng, j)
-            xi = _to_index_coeffs(real, x)
+            xi = _random_row_element(rs, rng, j)
             b1 = _ibracket(real, xi, ni)
             b2 = _ibracket(real, xi, b1)
             b3 = _ibracket(real, xi, b2)
@@ -822,22 +815,21 @@ def _check_near_linearity(real: ChevalleyRealization, trials: int,
 def _check_psi_invariance(real: ChevalleyRealization, trials: int,
                           seed: int) -> dict | None:
     rs = real.rs
-    n = rs.rank
-    dec = rows(rs)
+    table = stage_table(rs).rows
     for t in range(trials):
         rng = _rng(seed, f"psi:{t}")
-        nn = _random_nilpotent(rs, rng, regular=False)
-        for i in range(2, n + 1):
-            if not dec.rows[i - 1]:
+        ni = _to_index_coeffs(real, _random_nilpotent(rs, rng,
+                                                      regular=False).coeffs)
+        for i in range(2, rs.rank + 1):
+            order = table[i - 1]
+            if not order:
                 continue
+            before = _ad_block(real, ni, order, order)
             for j in range(1, i):
-                if not dec.rows[i - j - 1]:
+                if not table[i - j - 1]:
                     continue
-                x = _random_row_element(rs, rng, i - j)
-                moved = ad_exp(real, NilpotentElement(x), nn)
-                _, before = _psi_entries(real, nn.coeffs, i)
-                _, after = _psi_entries(real, moved.coeffs, i)
-                if before != after:
+                moved = _iad_exp(real, _random_row_element(rs, rng, i - j), ni)
+                if _ad_block(real, moved, order, order) != before:
                     return {"trial": t, "row": i, "conjugating_row": i - j,
                             "reason": "row operator changed under "
                                       "lower-row conjugation"}
@@ -849,26 +841,26 @@ def _check_type_d_coefficients(real: ChevalleyRealization, trials: int,
     rs = real.rs
     if rs.lie_type != "D":
         return None
-    n = rs.rank
-    dec = rows(rs)
+    table = stage_table(rs).rows
     pos = rs.positive_roots
     diff = rs._pos_diff
+    m = real.constants.m
     for t in range(trials):
         rng = _rng(seed, f"dcoef:{t}")
-        nn = _random_nilpotent(rs, rng, regular=False)
-        ni = _to_index_coeffs(real, nn.coeffs)
-        for i in range(1, n):
-            if not dec.rows[i]:
+        ni = _to_index_coeffs(real, _random_nilpotent(rs, rng,
+                                                      regular=False).coeffs)
+        for i in range(1, rs.rank):
+            conjugating = table[i]
+            if not conjugating:
                 continue
-            x = _random_row_element(rs, rng, i + 1)
-            xi = _to_index_coeffs(real, x)
+            xi = _random_row_element(rs, rng, i + 1)
             total = _iad_exp(real, xi, ni)
-            double = Root(tuple(2 * c for c in rs.simple_roots[i].coeffs))
-            conjugating = [rs.root_index(r) for r in dec.rows[i]]
-            for alpha in dec.rows[i - 1]:
-                if all(a >= d for a, d in zip(alpha.coeffs, double.coeffs)):
+            double = tuple(2 * c for c in rs.simple_roots[i].coeffs)
+            for a in table[i - 1]:
+                alpha = pos[a]
+                if all(c >= d for c, d in zip(alpha.coeffs, double)):
                     continue          # hypothesis excludes α ≥ 2α_{i+1}
-                line = diff[rs.root_index(alpha)]
+                line = diff[a]
                 # the affine conclusion needs α − β1 − β2 to never be a
                 # positive root; away from the fork row that is the same
                 # condition, but the fork pair sums low in the dominance
@@ -877,21 +869,16 @@ def _check_type_d_coefficients(real: ChevalleyRealization, trials: int,
                 if any(line[b1] is not None and diff[line[b1]][b2] is not None
                        for b1 in conjugating for b2 in conjugating):
                     continue
-                expect = nn.coeffs.get(alpha, 0)
-                for b, beta in enumerate(pos):
-                    d = line[b]
-                    if d is not None and pos[d] in dec.rows[i]:
-                        expect += (real.constants.m(pos[d], beta)
-                                   * x.get(pos[d], 0)
-                                   * nn.coeffs.get(beta, 0))
-                got = total.get(rs.root_index(alpha), 0)
-                if got != expect:
+                expect = ni.get(a, 0)
+                for b, d in enumerate(line):
+                    if d is not None and d in conjugating:
+                        expect += m(pos[d], pos[b]) * xi.get(d, 0) * ni.get(b, 0)
+                if total.get(a, 0) != expect:
                     return {"trial": t, "row": i, "alpha": format_root(alpha),
                             "reason": "first coefficient formula mismatch"}
-                trimmed = {r: v for r, v in x.items()
-                           if not strictly_dominates(alpha, r)}
-                kept = _iad_exp(real, _to_index_coeffs(real, trimmed), ni)
-                if kept.get(rs.root_index(alpha), 0) != nn.coeffs.get(alpha, 0):
+                trimmed = {r: v for r, v in xi.items()
+                           if not strictly_dominates(alpha, pos[r])}
+                if _iad_exp(real, trimmed, ni).get(a, 0) != ni.get(a, 0):
                     return {"trial": t, "row": i, "alpha": format_root(alpha),
                             "reason": "coefficient moved despite zero "
                                       "lower coordinates"}
@@ -931,18 +918,17 @@ def _check_containment(real: ChevalleyRealization, trials: int,
     is rerun root by root to name the row, the root and the reason.
     """
     rs = real.rs
-    dec = rows(rs)
+    table = stage_table(rs).rows
     samples = [sum_of_simple_vectors(rs)]
     for t in range(min(trials, 3)):
         samples.append(_random_nilpotent(rs, _rng(seed, f"cont:{t}"),
                                          regular=True))
-    row_ids = [i for i in range(1, rs.rank + 1) if dec.rows[i - 1]]
+    row_ids = [i for i, row in enumerate(table, start=1) if row]
     psi = [{i: _psi_entries(real, nn.coeffs, i) for i in row_ids}
            for nn in samples]
     faults = [_first_entry_faults(rs, psi_rows) for psi_rows in psi]
     any_fault = tuple(set().union(*faults))
-    drops = _positive_simple_drops(
-        rs, [alpha for i in row_ids for alpha in row_order(rs, i)])
+    drops = _positive_simple_drops(rs, [k for i in row_ids for k in table[i - 1]])
 
     elements = enumerate_weyl(rs)
     spaces = enumerate_hessenberg(rs)
@@ -986,22 +972,22 @@ def _first_entry_faults(rs: RootSystem, psi_rows: dict[int, tuple]
                         ) -> tuple[int, ...]:
     """Indices of the row roots whose row-operator line is zero or has its
     first nonzero entry at a β with α − β not simple."""
+    table = stage_table(rs).rows
     out = []
-    for order, mat in psi_rows.values():
-        for alpha, line in zip(order, mat):
+    for i, (order, mat) in psi_rows.items():
+        for k, alpha, line in zip(table[i - 1], order, mat):
             first = next((c for c, v in enumerate(line) if v), None)
             if first is None or alpha.height - order[first].height != 1:
-                out.append(rs.root_index(alpha))
+                out.append(k)
     return tuple(out)
 
 
-def _positive_simple_drops(rs: RootSystem, roots: list[Root]
+def _positive_simple_drops(rs: RootSystem, indices: list[int]
                            ) -> tuple[tuple[int, int], ...]:
-    """For each root α: its index and the mask of the positive roots
-    α − α_j."""
+    """For each positive root α, by index: the index and the mask of the
+    positive roots α − α_j."""
     out = []
-    for alpha in roots:
-        k = rs.root_index(alpha)
+    for k in indices:
         line = rs._pos_diff[k]
         out.append((k, sum(1 << d for a in rs._simple_index
                            if (d := line[a]) is not None)))
@@ -1015,9 +1001,9 @@ def _containment_counterexample(rs: RootSystem, psi_rows: dict[int, tuple],
     root: the first failing row root as a counterexample, or None."""
     inv_perm = w.inverse_root_permutation()
     inversions = w.inversion_indices()
+    table = stage_table(rs).rows
     for i, (order, mat) in psi_rows.items():
-        for line, alpha in zip(mat, order):
-            k = rs.root_index(alpha)
+        for k, alpha, line in zip(table[i - 1], order, mat):
             if space.hm >> inv_perm[k] & 1:
                 continue          # α ∈ wΦ_H: no claim
             first = next((c for c, v in enumerate(line) if v), None)
@@ -1051,6 +1037,7 @@ def _check_type_d_block(real: ChevalleyRealization, trials: int,
         rng = _rng(seed, f"dblock:{t}")
         nn = _random_nilpotent(rs, rng, regular=True)
         cf = nn.coeffs
+        ci = _to_index_coeffs(real, cf)
         # the 3x3 middle block exists for stages pairing two full rows,
         # i.e. i <= n-3; the last pairing degenerates (its top row root
         # Σ_{j=i+1}^n α_j stops being a root)
@@ -1063,7 +1050,9 @@ def _check_type_d_block(real: ChevalleyRealization, trials: int,
                          _chain_root(rs, i, n - 2)]
             # entry (r, c) is m_{c,r−c} n_{r−c}: the block of −ad(N)
             block = [[-v for v in line]
-                     for line in _ad_block(real, cf, row_targets, col_roots)]
+                     for line in _ad_block(
+                         real, ci, [rs.root_index(r) for r in row_targets],
+                         [rs.root_index(r) for r in col_roots])]
             na = cf.get(rs.simple_roots[i - 1], 0)
             nb = cf.get(rs.simple_roots[n - 2], 0)
             nc = cf.get(rs.simple_roots[n - 1], 0)
@@ -1143,27 +1132,23 @@ class WitnessResult(_Record):
     verified: bool
 
 
-def _split_type_d_stage(rs: RootSystem, k: int, coeffs: Coeffs
-                        ) -> tuple[Coeffs, Coeffs]:
-    """A type-D stage-k solution as (X on the plain part of row k, Y on the
-    fork parts of row k+1)."""
-    plain = rows(rs).type_D_parts[k - 1][0] if k >= 1 else frozenset()
-    return ({r: v for r, v in coeffs.items() if r in plain},
-            {r: v for r, v in coeffs.items() if r not in plain})
-
-
-def _stage_solution_to_coeffs(vars_: list[Root], x: list[Fraction]) -> Coeffs:
-    return {r: v for r, v in zip(vars_, x) if v}
+def _stage_factors(coeffs: dict[int, Fraction], first: Sequence[int]
+                   ) -> tuple[dict[int, Fraction], dict[int, Fraction]]:
+    """A stage solution as (the rest, its part on ``first``); the part on
+    ``first`` conjugates first."""
+    head = {k: coeffs[k] for k in first if k in coeffs}
+    return {k: v for k, v in coeffs.items() if k not in head}, head
 
 
 def _witness_context(space: HessenbergSpace, w: WeylElement,
-                     stage: int) -> str:
-    """The system, space, word and stage of a witness failure, in the terms
-    of the ``witness`` command that reproduces it."""
+                     stage: int | None = None) -> str:
+    """The system, space and word of a witness failure, and its stage when
+    one stage is at fault, in the terms of the ``witness`` command that
+    reproduces it."""
     rs = space.rs
+    at = "" if stage is None else f", stage {stage}"
     return (f"system {rs.lie_type}{rs.rank}, space "
-            f"neg={format_negative_part(space)}, word '{format_word(w)}', "
-            f"stage {stage}")
+            f"neg={format_negative_part(space)}, word '{format_word(w)}'{at}")
 
 
 def find_witness(real: ChevalleyRealization, w: WeylElement,
@@ -1192,49 +1177,28 @@ def find_witness(real: ChevalleyRealization, w: WeylElement,
         raise ValueError("cell is empty; no witness exists")
 
     inv = w.inverse_root_permutation()
-    # positive roots outside wΦ_H, i.e. with w⁻¹p outside Φ_H
-    in_whc = {p for p in range(rs.num_positive)
-              if not space.hm >> inv[p] & 1}
     inversions = w.inversion_indices()
-
+    long_roots = [None if g is None else rs.root_index(g)
+                  for g in rows(rs).type_C_long_roots or (None,) * rs.rank]
+    stages = stage_table(rs).stages
     current = _to_index_coeffs(real, n.coeffs)
-    dec = rows(rs)
+    solutions: list[dict[int, Fraction]] = [{} for _ in stages]
+    kernels: list[int] = [0] * len(stages)
 
-    stage_vars: list[list[Root]] = []
-    stage_cons: list[list[Root]] = []
-    if rs.lie_type != "D":
-        for i in range(1, rs.rank + 1):
-            order = row_order(rs, i)
-            stage_vars.append([r for r in order
-                               if rs.root_index(r) in inversions])
-            stage_cons.append([r for r in order
-                               if rs.root_index(r) in in_whc])
-    else:
-        for dom, cod in type_d_stage_sets(rs):
-            ordered_dom = sorted(dom, key=_row_key)
-            ordered_cod = sorted(cod, key=_row_key)
-            stage_vars.append([r for r in ordered_dom
-                               if rs.root_index(r) in inversions])
-            stage_cons.append([r for r in ordered_cod
-                               if rs.root_index(r) in in_whc])
-
-    solutions: list[Coeffs] = [dict() for _ in stage_vars]
-    kernels: list[int] = [0] * len(stage_vars)
-
-    for k in range(len(stage_vars) - 1, -1, -1):
-        vars_ = stage_vars[k]
-        cons = stage_cons[k]
-        gamma = None
-        if rs.lie_type == "C" and k + 1 < rs.rank:
-            gamma = dec.type_C_long_roots[k]
-        quad = gamma is not None and gamma in cons
+    for k in range(len(stages) - 1, -1, -1):
+        stage_vars, stage_cons, first = stages[k]
+        vars_ = [p for p in stage_vars if p in inversions]
+        # the stage's roots outside wΦ_H, i.e. with w⁻¹p outside Φ_H
+        cons = [p for p in stage_cons if not space.hm >> inv[p] & 1]
+        gamma = long_roots[k]
+        quad = gamma in cons
 
         if quad:
-            d = rs._pos_diff[rs.root_index(gamma)][rs._simple_index[k]]
-            pivot = None if d is None else rs.positive_roots[d]
+            pivot = rs._pos_diff[gamma][rs._simple_index[k]]
             if pivot not in vars_:
                 raise ConsistencyError(
-                    "long-root constraint without its adjusting coordinate")
+                    "long-root constraint without its adjusting coordinate "
+                    f"({_witness_context(space, w, k)})")
             solve_vars = [v for v in vars_ if v != pivot]
             solve_cons = [c for c in cons if c != gamma]
         else:
@@ -1246,54 +1210,46 @@ def find_witness(real: ChevalleyRealization, w: WeylElement,
         else:
             # coeff_α(Ad exp X (M)) = 0 for each constraint α; the linear
             # part in X is −ad(M) from the variables to the constraints
-            block = _ad_block(real, _from_index_coeffs(real, current),
-                              solve_cons, solve_vars)
+            block = _ad_block(real, current, solve_cons, solve_vars)
             solved = solve_affine(
                 [[-v for v in line] for line in block],
-                [-current.get(rs.root_index(alpha), 0)
-                 for alpha in solve_cons])
+                [-current.get(alpha, 0) for alpha in solve_cons])
             if solved is None:
                 raise ConsistencyError(
                     f"stage infeasible ({_witness_context(space, w, k)})")
             x, kernel = solved
-        coeffs = _stage_solution_to_coeffs(solve_vars, list(x))
+        coeffs = {p: v for p, v in zip(solve_vars, x) if v}
 
         if quad:
-            gidx = rs.root_index(gamma)
-            base = _to_index_coeffs(real, coeffs)
-
             def gamma_coeff(tval: Fraction) -> Fraction:
-                trial = dict(base)
+                trial = dict(coeffs)
                 if tval:
-                    trial[rs.root_index(pivot)] = tval
-                return _iad_exp(real, trial, current).get(gidx, 0)
+                    trial[pivot] = tval
+                return _iad_exp(real, trial, current).get(gamma, 0)
 
             c0 = gamma_coeff(Fraction(0))
             c1 = gamma_coeff(Fraction(1))
             c2 = gamma_coeff(Fraction(2))
             if c2 - 2 * c1 + c0 != 0:
-                raise ConsistencyError("long-root coordinate is not affine "
-                                       "along its adjusting line")
+                raise ConsistencyError(
+                    "long-root coordinate is not affine along its adjusting "
+                    f"line ({_witness_context(space, w, k)})")
             slope = c1 - c0
             if slope == 0:
-                raise ConsistencyError("degenerate long-root adjustment")
+                raise ConsistencyError(
+                    "degenerate long-root adjustment "
+                    f"({_witness_context(space, w, k)})")
             tval = Fraction(-c0) / Fraction(slope)
             if tval:
                 coeffs[pivot] = tval
 
         solutions[k] = coeffs
         kernels[k] = kernel
-
-        if rs.lie_type != "D":
-            current = _iad_exp(real, _to_index_coeffs(real, coeffs), current)
-        else:
-            # Y conjugates first
-            x_part, y_part = _split_type_d_stage(rs, k, coeffs)
-            current = _iad_exp(real, _to_index_coeffs(real, y_part), current)
-            current = _iad_exp(real, _to_index_coeffs(real, x_part), current)
+        rest, head = _stage_factors(coeffs, first)
+        current = _iad_exp(real, rest, _iad_exp(real, head, current))
 
         for alpha in cons:
-            if current.get(rs.root_index(alpha), 0) != 0:
+            if current.get(alpha, 0) != 0:
                 raise ConsistencyError(
                     "stage left its constraints unsatisfied "
                     f"({_witness_context(space, w, k)})")
@@ -1307,45 +1263,45 @@ def find_witness(real: ChevalleyRealization, w: WeylElement,
             f"profile {profile} ({_witness_context(space, w, k)})")
 
     _verify_witness_matrix(real, w, space, n, solutions, current)
-    return WitnessResult(tuple(solutions), tuple(kernels), True)
+    pos = rs.positive_roots
+    return WitnessResult(
+        tuple({pos[p]: v for p, v in sol.items()} for sol in solutions),
+        tuple(kernels), True)
 
 
 def _verify_witness_matrix(real: ChevalleyRealization, w: WeylElement,
                            space: HessenbergSpace, n: NilpotentElement,
-                           solutions: list[Coeffs],
+                           solutions: list[dict[int, Fraction]],
                            final: dict[int, Fraction | int]) -> None:
     """Direct matrix check: conjugate N by the solved unipotent element and
     confirm both the coefficient-space computation and the membership."""
     rs = real.rs
     size = real.dim_rep
 
-    factor_maps: list[Coeffs] = []
-    if rs.lie_type != "D":
-        factor_maps = list(solutions)
-    else:
-        for k, sol in enumerate(solutions):
-            factor_maps.extend(_split_type_d_stage(rs, k, sol))
-
     u = {(i, i): Fraction(1) for i in range(size)}
     u_inv = {(i, i): Fraction(1) for i in range(size)}
-    for fm in factor_maps:
-        xmat = real.matrix_of(NilpotentElement(fm))
-        u = sp_mul(u, sp_exp_nilpotent(xmat, size))
-        u_inv = sp_mul(sp_exp_nilpotent(sp_scale(xmat, -1), size), u_inv)
+    for sol, (_, _, first) in zip(solutions, stage_table(rs).stages):
+        for factor in filter(None, _stage_factors(sol, first)):
+            xmat = real.matrix_of(
+                NilpotentElement(_from_index_coeffs(real, factor)))
+            u = sp_mul(u, sp_exp_nilpotent(xmat, size))
+            u_inv = sp_mul(sp_exp_nilpotent(sp_scale(xmat, -1), size), u_inv)
 
     conj = sp_mul(sp_mul(u, real.matrix_of(n)), u_inv)
     cartan, expanded = real.expand(conj)
     if any(cartan):
-        raise ConsistencyError("conjugated nilpotent acquired a Cartan part")
+        raise ConsistencyError("conjugated nilpotent acquired a Cartan part "
+                               f"({_witness_context(space, w)})")
     final_map = _from_index_coeffs(real, final)
     if {r: Fraction(v) for r, v in expanded.items()} != \
             {r: Fraction(v) for r, v in final_map.items()}:
-        raise ConsistencyError("matrix conjugation disagrees with the "
-                               "coefficient-space computation")
+        raise ConsistencyError(
+            "matrix conjugation disagrees with the coefficient-space "
+            f"computation ({_witness_context(space, w)})")
 
     inv = w.inverse_root_permutation()
     for root in expanded:
         if expanded[root] and not space.hm >> inv[rs.root_index(root)] & 1:
             raise ConsistencyError(
                 f"witness lands outside the translated Hessenberg space "
-                f"at {format_root(root)}")
+                f"at {format_root(root)} ({_witness_context(space, w)})")

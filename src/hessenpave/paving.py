@@ -24,13 +24,15 @@ The kernel works on integer bitmasks over the indices of ``rs.all_roots``:
 holds ``w⁻¹(simple roots)`` and ``w.im`` holds ``w⁻¹(Φ_w)``, the last two
 built on first use.  A cell is nonempty iff ``sm & hm == sm`` and its
 dimension is ``(im & hm).bit_count()``; the Lie-algebra formula counts the
-negative bits of ``hm`` that ``w`` sends to positive roots; row profiles
-intersect per-row masks of the positive roots.  No function here turns
-``hm`` back into roots.  ``compute_paving`` tests each cell once, and
-``cell_dimension`` and ``row_dimension_profile`` refuse an empty cell with
-the same one-AND test rather than a second call of ``cell_nonempty``.
-``paving_record`` requires each printed row profile to sum to its cell's
-dimension.
+negative bits of ``hm`` that ``w`` sends to positive roots.  A row profile
+entry ANDs the inversions, and the positive roots outside ``wΦ_H``, with
+the variable and constraint masks of one stage of ``rootcore.stage_table``:
+one formula for every type, since the type-D pairing lives in the table.
+No function here turns ``hm`` back into roots.  ``compute_paving`` tests
+each cell once, and ``cell_dimension`` and ``row_dimension_profile`` refuse
+an empty cell with the same one-AND test rather than a second call of
+``cell_nonempty``.  ``paving_record`` requires each printed row profile to
+sum to its cell's dimension.
 """
 
 from __future__ import annotations
@@ -45,8 +47,7 @@ from .rootcore import (
     _Record,
     enumerate_weyl,
     format_word,
-    rows,
-    type_d_stage_sets,
+    stage_table,
 )
 
 
@@ -120,45 +121,36 @@ def cell_dimension_lie(w: WeylElement, space: HessenbergSpace) -> int:
 
 
 @lru_cache(maxsize=None)
-def _profile_masks(rs: RootSystem) -> tuple:
-    """Positive-root bitmasks of each row (types A, B, C), or of each
-    stage's (variable roots, constraint roots) pair (type D)."""
-    def mask(roots) -> int:
-        return sum(1 << rs.root_index(r) for r in roots)
-
-    if rs.lie_type != "D":
-        return tuple(mask(row) for row in rows(rs).rows)
-    return tuple((mask(dom), mask(cod)) for dom, cod in type_d_stage_sets(rs))
+def _profile_masks(rs: RootSystem) -> tuple[tuple[int, int], ...]:
+    """Positive-root bitmasks of each stage's (variables, constraints)."""
+    return tuple((sum(1 << k for k in vars_), sum(1 << k for k in cons))
+                 for vars_, cons, _ in stage_table(rs).stages)
 
 
 def row_dimension_profile(w: WeylElement, space: HessenbergSpace) -> tuple[int, ...]:
     """Per-stage dimensions of a nonempty cell.
 
-    In types A, B, C entry ``i−1`` is ``|Φ_w ∩ Φ_i ∩ wΦ_H|`` for row i.  In
-    type D stage ``i`` (0-based) pairs the plain part of row i with the
-    fork-bearing parts of row i+1, and its entry is the variable count
-    ``|Φ_w ∩ (Φ_i^0 ∪ Φ_{i+1}^1 ∪ Φ_{i+1}^2)|`` minus the constraint count
-    ``|(Φ_i^0 ∪ Φ_i^1 ∪ Φ_{i+1}^2) ∩ wΦ_H^c|``.  Entries always sum to the
-    cell dimension.
+    Entry k is the variable count ``|Φ_w ∩ V_k|`` minus the constraint
+    count ``|C_k ∖ wΦ_H|``, with ``V_k`` and ``C_k`` the variables and
+    constraints of stage k in ``rootcore.stage_table``.  In types A, B, C
+    both are row k+1, and the entry is ``|Φ_w ∩ Φ_{k+1} ∩ wΦ_H|``: Φ⁺ lies
+    in Φ_H, so every positive root outside wΦ_H is an inversion.  In type
+    D stage k pairs the plain part of row k with the fork-bearing parts of
+    row k+1.  Entries always sum to the cell dimension.
     """
     _check_compatible(w, space)
     hm = space.hm
     if w.sm & hm != w.sm:
         raise ValueError("cell is empty; it has no profile")
-    rs = w.rs
     inv = w.inverse_root_permutation()
-
-    if rs.lie_type != "D":
-        # Φ_w ∩ wΦ_H as a mask over positive-root indices
-        kept = sum(1 << p for p in w.inversion_indices() if hm >> inv[p] & 1)
-        return tuple((kept & row).bit_count() for row in _profile_masks(rs))
-
-    inversions = sum(1 << p for p in w.inversion_indices())
-    # positive roots outside wΦ_H
-    outside = sum(1 << p for p in range(rs.num_positive)
-                  if not hm >> inv[p] & 1)
-    return tuple((inversions & dom).bit_count() - (outside & cod).bit_count()
-                 for dom, cod in _profile_masks(rs))
+    # Φ_w, and the positive roots outside wΦ_H, all of which are in Φ_w
+    phi_w = outside = 0
+    for p in w.inversion_indices():
+        phi_w |= 1 << p
+        if not hm >> inv[p] & 1:
+            outside |= 1 << p
+    return tuple((phi_w & vm).bit_count() - (outside & cm).bit_count()
+                 for vm, cm in _profile_masks(w.rs))
 
 
 def compute_paving(rs: RootSystem, space: HessenbergSpace) -> tuple[PavingCell, ...]:

@@ -36,6 +36,14 @@ the second fork root ``α_n`` in a row of its own, while the closed forms
 (and everything downstream: the row partition into 0/1/2 parts, the paired
 solve stages) place it in row ``n−1`` together with ``α_{n-1}``.  The fork
 rows are merged accordingly before cross-checking.
+
+``rows`` and ``type_d_stage_sets`` define the rows and the paired type-D
+stages as sets of roots.  Everything downstream (the row profiles of
+:mod:`hessenpave.paving`, the witness stages and lemma checks of
+:mod:`hessenpave.liealg`) reads them through ``stage_table``, built once
+per root system: each row, and each stage's variables, constraints and
+first-conjugating part, as positive-root indices in row basis order.  The
+type-D split into stages is decided there and nowhere else.
 """
 
 from __future__ import annotations
@@ -326,6 +334,7 @@ class RootSystem:
         self._splits = tuple(splits)
 
         self._rows_cache: RowDecomposition | None = None
+        self._stages_cache: StageTable | None = None
         self._weyl_cache: tuple["WeylElement", ...] | None = None
 
     # -- basic root arithmetic -------------------------------------------
@@ -905,7 +914,8 @@ def _row_key(r: Root) -> tuple:
 def row_order(rs: RootSystem, i: int) -> tuple[Root, ...]:
     """Basis order of row i: height descending, ties (type D only) broken
     with the ``α_{n-1}``-bearing root first."""
-    return tuple(sorted(rows(rs).rows[i - 1], key=_row_key))
+    pos = rs.positive_roots
+    return tuple(pos[k] for k in stage_table(rs).rows[i - 1])
 
 
 def type_d_stage_sets(rs: RootSystem) -> tuple[tuple[frozenset[Root], frozenset[Root]], ...]:
@@ -932,3 +942,42 @@ def type_d_stage_sets(rs: RootSystem) -> tuple[tuple[frozenset[Root], frozenset[
         cod = part(i, 0) | part(i, 1) | part(i + 1, 2)
         out.append((frozenset(dom), frozenset(cod)))
     return tuple(out)
+
+
+class StageTable(_Record):
+    """Rows and solve stages as positive-root indices in row basis order.
+
+    ``rows[i-1]`` is row i.  ``stages[k]`` is ``(vars, cons, first)`` for
+    stage k (0-based): the roots the stage solves for, the roots it
+    constrains, and the part of ``vars`` that conjugates first.  In types
+    A, B, C stage k is row k+1 on both sides and ``first`` is empty; in
+    type D it is the pair of ``type_d_stage_sets`` and ``first`` is the
+    fork parts of row k+1.
+    """
+
+    __slots__ = ("rows", "stages")
+    rows: tuple[tuple[int, ...], ...]
+    stages: tuple[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]], ...]
+
+
+def stage_table(rs: RootSystem) -> StageTable:
+    """The stage table, derived from ``rows`` and ``type_d_stage_sets`` with
+    one sort by ``_row_key``; cached on the root system."""
+    if rs._stages_cache is not None:
+        return rs._stages_cache
+    dec = rows(rs)
+    basis = sorted(rs.positive_roots, key=_row_key)
+
+    def ordered(roots: frozenset[Root]) -> tuple[int, ...]:
+        return tuple(rs._index[r.coeffs] for r in basis if r in roots)
+
+    row_idx = tuple(ordered(row) for row in dec.rows)
+    if rs.lie_type == "D":
+        stages = tuple(
+            (ordered(dom), ordered(cod),
+             ordered(dec.type_D_parts[k][1] | dec.type_D_parts[k][2]))
+            for k, (dom, cod) in enumerate(type_d_stage_sets(rs)))
+    else:
+        stages = tuple((row, row, ()) for row in row_idx)
+    rs._stages_cache = StageTable(row_idx, stages)
+    return rs._stages_cache

@@ -175,7 +175,7 @@ def test_pruned_cell_count_equals_brute_force(n, q):
         for perm in itertools.permutations(range(1, n + 1)):
             brute = sum(1 for flag in enumerate_cell_flags(n, q, perm)
                         if hessenberg_check(flag, nil, h))
-            assert fforacle._count_cell(n, q, perm, nil, h) == brute, \
+            assert fforacle._count_cell(n, q, perm, h) == brute, \
                 (h, perm)
 
 

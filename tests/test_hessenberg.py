@@ -74,6 +74,46 @@ def test_function_round_trip(n):
         assert to_function(from_function(n, h)) == h
 
 
+def ref_function_space(rs, h):
+    """The space of h from one Root per allowed entry, as from_function
+    built it before the mask helper."""
+    n = rs.rank + 1
+    neg = [rs.root(tuple(-1 if j <= k <= i - 1 else 0 for k in range(1, n)))
+           for j in range(1, n) for i in range(j + 1, n + 1) if i <= h[j - 1]]
+    return from_negative_roots(rs, neg)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_function_mask_equals_root_construction(n):
+    """Every Hessenberg function with n <= 5 gives the same mask through
+    from_function, through ``h=`` text on a given system, and one Root at
+    a time."""
+    rs = build_root_system("A", n - 1)
+    for h in _all_hessenberg_functions(n):
+        want = ref_function_space(rs, h).hm
+        assert from_function(n, h).hm == want, h
+        text = "h=" + ",".join(map(str, h))
+        assert parse_hessenberg(rs, text).hm == want, h
+
+
+def test_parse_function_builds_no_root_system(monkeypatch):
+    """``h=`` text is read on the given system; only from_function, which
+    has none, builds one."""
+    built = []
+    system = hessenberg.RootSystem
+
+    def counted(*args):
+        built.append(args)
+        return system(*args)
+
+    monkeypatch.setattr(hessenberg, "RootSystem", counted)
+    rs = build_root_system("A", 3)
+    space = parse_hessenberg(rs, "h=2,3,4,4")
+    assert space.rs is rs and built == []
+    assert from_function(4, (2, 3, 4, 4)) == space
+    assert built == [("A", 3)]
+
+
 def test_enumeration_counts_other_types():
     assert len(enumerate_hessenberg(build_root_system("B", 2))) == 6
     assert len(enumerate_hessenberg(build_root_system("B", 3))) == 20

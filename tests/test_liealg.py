@@ -7,7 +7,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from hessenpave import liealg
+from hessenpave import liealg, rootcore
 from hessenpave.cli import main
 from hessenpave.errors import ConsistencyError
 from hessenpave.hessenberg import (
@@ -32,7 +32,9 @@ from hessenpave.liealg import (
 from hessenpave.paving import cell_nonempty, row_dimension_profile
 from hessenpave.rootcore import (
     Root,
+    StageTable,
     WeylElement,
+    _row_key,
     build_root_system,
     enumerate_weyl,
     format_root,
@@ -41,6 +43,7 @@ from hessenpave.rootcore import (
     parse_word,
     row_order,
     rows,
+    stage_table,
     type_d_stage_sets,
 )
 
@@ -542,8 +545,7 @@ def test_ad_block_equals_coefficient_arithmetic(lie_type, rank):
     real = _realization(lie_type, rank)
     rs = real.rs
     if lie_type == "D":
-        stages = [(sorted(cod, key=liealg._row_key),
-                   sorted(dom, key=liealg._row_key))
+        stages = [(sorted(cod, key=_row_key), sorted(dom, key=_row_key))
                   for dom, cod in type_d_stage_sets(rs)]
     else:
         stages = [(row_order(rs, i), row_order(rs, i))
@@ -558,7 +560,9 @@ def test_ad_block_equals_coefficient_arithmetic(lie_type, rank):
         current = liealg._to_index_coeffs(real, nn.coeffs)
         for cons, vars_ in stages:
             ref_a, _ = ref_linear_stage_matrix(real, current, cons, vars_)
-            block = liealg._ad_block(real, nn.coeffs, cons, vars_)
+            block = liealg._ad_block(real, current,
+                                     [rs.root_index(r) for r in cons],
+                                     [rs.root_index(r) for r in vars_])
             assert [[-v for v in line] for line in block] == ref_a
 
 
@@ -607,6 +611,22 @@ def test_containment_short_inversion_set_matches_reference(
     assert got is not None
     assert got["reason"] == "simple-difference root escapes the inversion set"
     assert got == ref_check_containment(real, 3, 5)
+
+
+@pytest.mark.parametrize("lie_type,rank", [("B", 4), ("D", 5)])
+def test_lemma_checks_sort_rows_once(monkeypatch, lie_type, rank):
+    """Work count: a whole lemma run on a fresh system computes the row
+    basis order once, not once per row and trial."""
+    calls = []
+
+    def counted(root):
+        calls.append(root)
+        return _row_key(root)
+
+    monkeypatch.setattr(rootcore, "_row_key", counted)
+    rs = build_root_system(lie_type, rank)
+    assert verify_lemmata(build_chevalley(rs), 50).passed
+    assert 0 < len(calls) <= 2 * rs.num_positive
 
 
 def test_verify_lemmata_refuses_group_over_budget_before_checks():
@@ -719,47 +739,115 @@ def test_witness_sampled_high_rank(lie_type, rank, sample):
     assert checked == sample
 
 
+def _from(caller, original, fake):
+    """``original`` with ``fake(original, *args)`` answering the calls made
+    from the function named ``caller``; every other caller gets the real
+    function."""
+    def patched(*args):
+        if sys._getframe(1).f_code.co_name == caller:
+            return fake(original, *args)
+        return original(*args)
+    return patched
+
+
 def _stage_solve(fake):
     """solve_affine with ``fake`` answering the stage solves of find_witness;
     every other caller (the realization's own expansions) gets the real
     solve."""
-    solve = liealg.solve_affine
-
-    def patched(matrix, rhs):
-        if sys._getframe(1).f_code.co_name == "find_witness":
-            return fake(solve, matrix, rhs)
-        return solve(matrix, rhs)
-    return patched
+    return "solve_affine", _from("find_witness", liealg.solve_affine, fake)
 
 
 def _bump_second_entry(profile):
     return lambda w, s: tuple(d + (k == 1) for k, d in enumerate(profile(w, s)))
 
 
-# One fault injected into find_witness per failure message it must raise:
-# no solution, a solution of all ones that misses the constraints, and a
-# row profile one larger in stage 1.
+def _without_long_root_pivots(rs):
+    """The stage table with the adjusting coordinate of each type-C long
+    root dropped from the stage variables."""
+    table = stage_table(rs)
+    pivots = {rs._pos_diff[rs.root_index(g)][rs._simple_index[k]]
+              for k, g in enumerate(rows(rs).type_C_long_roots) if g}
+    return StageTable(table.rows, tuple(
+        (tuple(p for p in vars_ if p not in pivots), cons, first)
+        for vars_, cons, first in table.stages))
+
+
+def _long_root_line(fake):
+    """_iad_exp with ``fake`` answering the long-root adjustment's probes."""
+    return "_iad_exp", _from("gamma_coeff", liealg._iad_exp, fake)
+
+
+def _quadratic(iad_exp, real, x, n):
+    """Every coefficient plus the square norm of X: not affine in X."""
+    out = iad_exp(real, x, n)
+    sq = sum(v * v for v in x.values())
+    return {p: out.get(p, 0) + sq for p in range(real.rs.num_positive)}
+
+
+def _in_verify(original, fake):
+    return _from("_verify_witness_matrix", original, fake)
+
+
+def _plus_every_root(original, *args):
+    """A coefficient map with 1 added on every positive root."""
+    out = dict(original(*args))
+    for root in args[0].rs.positive_roots:
+        out[root] = out.get(root, 0) + 1
+    return out
+
+
+Real = liealg.ChevalleyRealization
+
+# One fault injected into find_witness per failure message it must raise,
+# with the system where the message first shows: no solution, a solution
+# of all ones that misses the constraints, a row profile one larger in
+# stage 1, a type-C long root with no adjusting coordinate, or with a
+# coordinate that is quadratic or constant along its line, a Cartan part
+# in the conjugated matrix, a conjugated matrix twice the coefficient
+# computation, and both computations one larger on every positive root.
 _WITNESS_FAULTS = {
-    "stage infeasible": lambda: ("solve_affine", _stage_solve(
-        lambda solve, m, rhs: None)),
-    "stage left its constraints unsatisfied": lambda: (
-        "solve_affine", _stage_solve(
+    "stage infeasible": ("A", 3, lambda: [(liealg, *_stage_solve(
+        lambda solve, m, rhs: None))]),
+    "stage left its constraints unsatisfied": ("A", 3, lambda: [(
+        liealg, *_stage_solve(
             lambda solve, m, rhs: ([Fraction(1)] * len(m[0]),
-                                   solve(m, rhs)[1]))),
-    "stage kernel dimensions": lambda: (
-        "row_dimension_profile",
-        _bump_second_entry(liealg.row_dimension_profile)),
+                                   solve(m, rhs)[1])))]),
+    "stage kernel dimensions": ("A", 3, lambda: [(
+        liealg, "row_dimension_profile",
+        _bump_second_entry(liealg.row_dimension_profile))]),
+    "long-root constraint without its adjusting coordinate": ("C", 3, lambda: [
+        (liealg, "stage_table", _without_long_root_pivots)]),
+    "long-root coordinate is not affine": ("C", 3, lambda: [
+        (liealg, *_long_root_line(_quadratic))]),
+    "degenerate long-root adjustment": ("C", 3, lambda: [
+        (liealg, *_long_root_line(
+            lambda iad_exp, real, x, n: iad_exp(real, {}, n)))]),
+    "conjugated nilpotent acquired a Cartan part": ("A", 3, lambda: [
+        (Real, "expand", _in_verify(Real.expand, lambda expand, real, m: (
+            tuple(c + 1 for c in expand(real, m)[0]),
+            expand(real, m)[1])))]),
+    "matrix conjugation disagrees": ("A", 3, lambda: [
+        (Real, "matrix_of", _in_verify(Real.matrix_of, lambda matrix_of, *a:
+            liealg.sp_scale(matrix_of(*a), 2)))]),
+    "witness lands outside the translated Hessenberg space": ("A", 3, lambda: [
+        (Real, "expand", _in_verify(Real.expand, lambda expand, real, m: (
+            expand(real, m)[0], _plus_every_root(
+                lambda *a: expand(*a)[1], real, m)))),
+        (liealg, "_from_index_coeffs",
+         _in_verify(liealg._from_index_coeffs, _plus_every_root))]),
 }
 
 
 @pytest.mark.parametrize("fault", list(_WITNESS_FAULTS))
 def test_witness_failure_names_its_cell(capsys, monkeypatch, fault):
     """Each find_witness consistency failure names the system, the space,
-    the word and the stage, and the witness command built from those names
-    fails again with exit 2."""
-    rs = build_root_system("A", 3)
+    the word and, when one stage is at fault, the stage; the witness
+    command built from those names fails again with exit 2."""
+    lie_type, rank, patches = _WITNESS_FAULTS[fault]
+    rs = build_root_system(lie_type, rank)
     real = build_chevalley(rs)
-    monkeypatch.setattr(liealg, *_WITNESS_FAULTS[fault]())
+    for target, name, value in patches():
+        monkeypatch.setattr(target, name, value)
     message = None
     for space in enumerate_hessenberg(rs):
         for w in enumerate_weyl(rs):
@@ -770,11 +858,13 @@ def test_witness_failure_names_its_cell(capsys, monkeypatch, fault):
                     message = str(exc)
     assert message is not None and message.startswith(fault)
     found = re.search(r"\(system ([ABCD])(\d+), space neg=(\S*), "
-                      r"word '([\d ]*)', stage (\d+)\)$", message)
+                      r"word '([\d ]*)'(, stage (\d+))?\)$", message)
     assert found, message
-    lie_type, rank, neg, word, stage = found.groups()
+    lie_type, rank, neg, word, _, stage = found.groups()
     if fault == "stage kernel dimensions":
         assert stage == "1"
+    assert (stage is None) == fault.startswith(("conjugated", "matrix",
+                                                "witness"))
     code = main(["witness", "--type", lie_type, "--rank", rank,
                  f"--hess-neg={neg}", "--word", word])
     out = capsys.readouterr()

@@ -1,5 +1,6 @@
 """What importing the package costs and what it exports."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -50,3 +51,35 @@ def test_all_lists_public_non_module_names():
     star: dict = {}
     exec("from hessenpave import *", star)
     assert set(star) - {"__builtins__"} == set(names)
+
+
+def _type_d_comparisons(tree) -> list[int]:
+    """Lines of the comparisons of a ``lie_type`` with ``"D"`` in a tree."""
+    out = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Compare):
+            continue
+        operands = [node.left, *node.comparators]
+        if (any(isinstance(o, ast.Attribute) and o.attr == "lie_type"
+                or isinstance(o, ast.Name) and o.id == "lie_type"
+                for o in operands)
+                and any(isinstance(c, ast.Constant) and c.value == "D"
+                        for o in operands for c in ast.walk(o))):
+            out.append(node.lineno)
+    return out
+
+
+def test_type_d_stage_split_stays_in_rootcore():
+    """The row profile and the witness solver read the type-D stage split
+    from ``rootcore.stage_table``; neither tests for type D itself."""
+    def parse(name):
+        return ast.parse((SRC / "hessenpave" / name).read_text(encoding="utf-8"))
+
+    assert _type_d_comparisons(parse("paving.py")) == []
+    liealg = parse("liealg.py")
+    functions = {node.name: node for node in liealg.body
+                 if isinstance(node, ast.FunctionDef)}
+    for name in ("find_witness", "_verify_witness_matrix"):
+        assert _type_d_comparisons(functions[name]) == [], name
+    # the detector sees the comparisons that belong elsewhere
+    assert _type_d_comparisons(functions["normalize_type_D"])

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from hessenpave.errors import ConsistencyError
 from hessenpave.rootcore import (
+    _row_key,
     apply,
     build_root_system,
     compose,
@@ -23,6 +24,7 @@ from hessenpave.rootcore import (
     row_order,
     rows,
     simple_reflection,
+    stage_table,
     type_d_stage_sets,
 )
 
@@ -210,6 +212,38 @@ def test_type_d_stage_sets_partition_both_sides():
         cods = [r for _, cod in stages for r in cod]
         assert sorted(doms, key=str) == sorted(rs.positive_roots, key=str)
         assert sorted(cods, key=str) == sorted(rs.positive_roots, key=str)
+
+
+def ref_stage_table(rs):
+    """Rows and stages as positive-root indices, built the way the row
+    profile and the witness solver built them before the stage table: a
+    ``_row_key`` sort of each row and of each type-D stage set, and the
+    type-D split that conjugates first by everything off the plain part of
+    row k."""
+    dec = rows(rs)
+
+    def ordered(roots):
+        return tuple(rs.root_index(r) for r in sorted(roots, key=_row_key))
+
+    row_orders = tuple(ordered(row) for row in dec.rows)
+    if rs.lie_type != "D":
+        return row_orders, tuple((r, r, ()) for r in row_orders)
+    stages = []
+    for k, (dom, cod) in enumerate(type_d_stage_sets(rs)):
+        plain = dec.type_D_parts[k - 1][0] if k >= 1 else frozenset()
+        stages.append((ordered(dom), ordered(cod), ordered(dom - plain)))
+    return row_orders, tuple(stages)
+
+
+@pytest.mark.parametrize("lie_type,rank",
+                         ALL_SMALL + [("A", 5), ("D", 5)])
+def test_stage_table_equals_reference(lie_type, rank):
+    rs = build_root_system(lie_type, rank)
+    table = stage_table(rs)
+    assert (table.rows, table.stages) == ref_stage_table(rs)
+    for i, row in enumerate(rows(rs).rows, start=1):
+        assert row_order(rs, i) == tuple(sorted(row, key=_row_key))
+    assert stage_table(rs) is table
 
 
 # ---------------------------------------------------------------------------
