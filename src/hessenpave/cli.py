@@ -258,6 +258,7 @@ def _run_witness(args) -> tuple:
 
 
 def _run_verify_lemmata(args) -> tuple:
+    liealg.check_trial_count(args.trials)
     check_weyl_budget(args.lie_type, args.rank)
     rs = RootSystem(args.lie_type, args.rank)
     real = liealg.build_chevalley(rs)

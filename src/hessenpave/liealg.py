@@ -10,14 +10,19 @@ vector of ``ε_i − ε_j`` the (i, j) matrix unit.  Types B, C, D preserve an
 antidiagonal symmetric (B: odd size, D: even size) or antidiagonal-block
 alternating (C) bilinear form, chosen precisely so that the Borel consists
 of upper-triangular matrices: every positive root vector is strictly upper
-triangular and has at most two nonzero entries.  Structure constants
-``[E_α, E_β] = m_{α,β} E_{α+β}`` are extracted from matrix brackets on
-construction and every defining relation is re-verified exhaustively — a
-realization that fails its own bracket table refuses to build.
+triangular and has at most two nonzero entries.
 
-All arithmetic is exact (ints and ``fractions.Fraction``); the adjoint
-exponential ``Ad(exp X) = Σ ad(X)^k / k!`` terminates because ad(X) is
-nilpotent, so no truncation or tolerance appears anywhere.
+The realization is integer: root-vector entries, structure constants
+``[E_α, E_β] = m_{α,β} E_{α+β}`` and Cartan eigenvalues are all ints.  The
+constants are stored once, as ``StructureConstantTable.table`` over
+``rs.all_roots`` indices (positives first), which the calculus, the lemma
+checks and the type-D normalization read.  Construction brackets only the
+root pairs that can be nonzero and re-verifies every defining relation; a
+realization that fails its own bracket table refuses to build, naming its
+system.  Rationals (``fractions.Fraction``) enter only in the adjoint
+exponential ``Ad(exp X) = Σ ad(X)^k / k!``, which terminates because ad(X)
+is nilpotent, and in the witness solves; no truncation or tolerance
+appears anywhere.
 
 Row operators
 -------------
@@ -98,15 +103,17 @@ Coeffs = dict[Root, Fraction | int]
 class StructureConstantTable(_Record):
     """The constants m_{α,β} with [E_α, E_β] = m_{α,β} E_{α+β}.
 
-    Entries exist exactly for the pairs whose sum is a root; the stored
-    integers are nonzero and antisymmetric in the arguments.
+    ``table[a][b]`` is the int m for the roots of ``rs.all_roots`` indices
+    a and b (positives first), 0 where α + β is not a root; nonzero entries
+    are antisymmetric in the arguments.
     """
 
-    __slots__ = ("entries",)
-    entries: dict[tuple[Root, Root], int]
+    __slots__ = ("rs", "table")
+    rs: RootSystem
+    table: tuple[tuple[int, ...], ...]
 
     def m(self, a: Root, b: Root) -> int:
-        return self.entries.get((a, b), 0)
+        return self.table[self.rs.root_index(a)][self.rs.root_index(b)]
 
 
 class NilpotentElement(_Record):
@@ -141,23 +148,26 @@ class ChevalleyRealization:
     """A validated matrix realization of a classical Lie algebra.
 
     Attributes: ``rs``, ``dim_rep`` (n+1 / 2n+1 / 2n / 2n for A/B/C/D),
-    ``root_vectors`` mapping every root (both signs) to a sparse matrix,
-    ``cartan_basis`` (the n diagonal brackets [E_{α_i}, E_{−α_i}]), and
-    ``constants``.
+    ``root_vectors`` mapping every root (both signs) to a sparse matrix
+    with nonzero integer entries, ``cartan_basis`` (the n diagonal brackets
+    [E_{α_i}, E_{−α_i}]), and ``constants``.  A construction error names
+    the system.
     """
 
     def __init__(self, rs: RootSystem, root_vectors: dict[Root, Sparse]):
         self.rs = rs
         self.dim_rep = _dim_rep(rs)
         self.root_vectors = root_vectors
-        self._validate_supports()
-        self.constants = self._extract_constants()
-        self.cartan_basis = tuple(
-            sp_commutator(root_vectors[a], root_vectors[-a])
-            for a in rs.simple_roots
-        )
-        self._validate_weights()
-        self._build_fast_tables()
+        try:
+            self._validate_supports()
+            self.constants = self._extract_constants()
+            self.cartan_basis = tuple(
+                sp_commutator(root_vectors[a], root_vectors[-a])
+                for a in rs.simple_roots
+            )
+            self._validate_weights()
+        except ConsistencyError as exc:
+            raise ConsistencyError(f"{rs.lie_type}{rs.rank}: {exc}") from None
 
     # -- construction checks ---------------------------------------------
 
@@ -169,9 +179,12 @@ class ChevalleyRealization:
         for root, mat in self.root_vectors.items():
             if not mat:
                 raise ConsistencyError(f"zero root vector at {root}")
-            for pos in mat:
+            for pos, v in mat.items():
                 if pos[0] == pos[1]:
                     raise ConsistencyError("root vector with diagonal entry")
+                if type(v) is not int or not v:
+                    raise ConsistencyError(
+                        f"entry {v!r} of E_{root} is not a nonzero integer")
                 if pos in owner:
                     raise ConsistencyError(
                         f"matrix position {pos} shared by {owner[pos]} and {root}")
@@ -185,91 +198,68 @@ class ChevalleyRealization:
         }
 
     def _extract_constants(self) -> StructureConstantTable:
+        """Read each m_{α,β} off [E_α, E_β] in integers, forming the
+        commutator only where α + β is a root or zero or the supports chain
+        (a column of one matrix meets a row of the other): every other pair
+        brackets to zero exactly."""
         rs = self.rs
         roots = rs.all_roots
         keys = rs._keys
+        vectors = [self.root_vectors[r] for r in roots]
         # a + b by its key, the sum of the keys of a and b; key 0 is a + b = 0
-        by_key = {k: r for k, r in zip(keys, roots)}
-        entries: dict[tuple[Root, Root], int] = {}
-        for a, ka in zip(roots, keys):
-            ea = self.root_vectors[a]
-            for b, kb in zip(roots, keys):
-                s = ka + kb
-                br = sp_commutator(ea, self.root_vectors[b])
-                ab = by_key.get(s)
-                if ab is not None:
-                    target = self.root_vectors[ab]
+        by_key = {k: s for s, k in enumerate(keys)}
+        rows_in = [sum({1 << r for r, _ in mat}) for mat in vectors]
+        cols_in = [sum({1 << c for _, c in mat}) for mat in vectors]
+        table = [[0] * len(roots) for _ in roots]
+        sums = []
+        for a, (ra, ka, ea) in enumerate(zip(roots, keys, vectors)):
+            for b, (rb, kb) in enumerate(zip(roots, keys)):
+                s = by_key.get(ka + kb)
+                if s is None and ka + kb and not (cols_in[a] & rows_in[b]
+                                                  or cols_in[b] & rows_in[a]):
+                    continue
+                br = sp_commutator(ea, vectors[b])
+                if s is not None:
+                    target = vectors[s]
                     pos, val = next(iter(target.items()))
-                    coeff = Fraction(br.get(pos, 0), 1) / val
-                    if coeff == 0 or coeff.denominator != 1:
+                    num = br.get(pos, 0)
+                    if not num or num % val:
                         raise ConsistencyError(
-                            f"bad structure constant for {a} + {b}")
-                    if not sp_equal(br, sp_scale(target, coeff)):
-                        raise ConsistencyError(
-                            f"[E_{a}, E_{b}] is not a multiple of E_{ab}")
-                    entries[(a, b)] = int(coeff)
-                elif s:
+                            f"bad structure constant for {ra} + {rb}")
+                    if not sp_equal(br, sp_scale(target, num // val)):
+                        raise ConsistencyError(f"[E_{ra}, E_{rb}] is not a "
+                                               f"multiple of E_{roots[s]}")
+                    table[a][b] = num // val
+                    sums.append((a, b))
+                elif ka + kb:
                     if br:
-                        raise ConsistencyError(
-                            f"[E_{a}, E_{b}] nonzero but {a} + {b} is not a root")
-                else:
-                    if any(r != c for (r, c) in br):
-                        raise ConsistencyError(
-                            f"[E_{a}, E_{-a}] is not diagonal")
-        for (a, b), m in entries.items():
-            if entries.get((b, a)) != -m:
+                        raise ConsistencyError(f"[E_{ra}, E_{rb}] nonzero but "
+                                               f"{ra} + {rb} is not a root")
+                elif any(r != c for (r, c) in br):
+                    raise ConsistencyError(f"[E_{ra}, E_{rb}] is not diagonal")
+        for a, b in sums:
+            if table[b][a] != -table[a][b]:
                 raise ConsistencyError("structure constants not antisymmetric")
-        return StructureConstantTable(entries)
+        return StructureConstantTable(rs, tuple(map(tuple, table)))
 
     def _validate_weights(self) -> None:
         rs = self.rs
-        eig = []
         for h in self.cartan_basis:
-            row = []
+            eig = []              # the integer eigenvalue on each E_{α_j}
             for a in rs.simple_roots:
                 ea = self.root_vectors[a]
-                br = sp_commutator(h, ea)
                 pos, val = next(iter(ea.items()))
-                row.append(Fraction(br.get(pos, 0)) / val)
-            eig.append(row)
-        for root in rs.all_roots:
-            er = self.root_vectors[root]
-            for i, h in enumerate(self.cartan_basis):
-                lam = sum(c * eig[i][j] for j, c in enumerate(root.coeffs))
+                num = sp_commutator(h, ea).get(pos, 0)
+                if num % val:
+                    raise ConsistencyError(f"Cartan eigenvalue {num}/{val} "
+                                           f"on E_{a} is not an integer")
+                eig.append(num // val)
+            for root in rs.all_roots:
+                er = self.root_vectors[root]
+                lam = sum(c * e for c, e in zip(root.coeffs, eig))
                 if not sp_equal(sp_commutator(h, er), sp_scale(er, lam)):
                     raise ConsistencyError(
                         f"E_{root} is not a weight vector for the Cartan")
-
-    def _build_fast_tables(self) -> None:
-        # m_{α,β} by positive-root index; 0 where α + β is not a root
-        pos = self.rs.positive_roots
-        m = self.constants.m
-        self._m_pos = [[m(a, b) for b in pos] for a in pos]
-
-    def _rescaled(self, sign: dict[Root, int]) -> ChevalleyRealization:
-        """This realization with each E_α replaced by sign[α]·E_α, where
-        sign is ±1 and equal on α and −α.
-
-        Nothing is validated again: a constant m(a, b) becomes
-        sign[a]·sign[b]·sign[a+b]·m(a, b), while the Cartan basis
-        [E_α, E_−α] and the anchors (matrix positions) do not change.
-        """
-        rs = self.rs
-        out = object.__new__(ChevalleyRealization)
-        out.rs = rs
-        out.dim_rep = self.dim_rep
-        out.root_vectors = {
-            root: sp_scale(mat, -1) if sign[root] == -1 else dict(mat)
-            for root, mat in self.root_vectors.items()
-        }
-        out._anchor = self._anchor
-        out.constants = StructureConstantTable({
-            (a, b): sign[a] * sign[b] * sign[rs.root_add(a, b)] * m
-            for (a, b), m in self.constants.entries.items()
-        })
-        out.cartan_basis = self.cartan_basis
-        out._build_fast_tables()
-        return out
 
     # -- conversions -------------------------------------------------------
 
@@ -326,77 +316,41 @@ def _dim_rep(rs: RootSystem) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _classify_epsilon(vec: tuple[int, ...]) -> tuple[str, int, int]:
-    """Recognize an ε-vector as (kind, a, b) with 1-based indices."""
-    plus = [k + 1 for k, v in enumerate(vec) if v > 0]
-    minus = [k + 1 for k, v in enumerate(vec) if v < 0]
-    values = sorted(v for v in vec if v)
-    if values == [-1, 1]:
-        return "diff", plus[0], minus[0]          # ε_a − ε_b
-    if values == [1, 1]:
-        return "sum", plus[0], plus[1]            # ε_a + ε_b, a < b
-    if values == [-1, -1]:
-        return "negsum", minus[0], minus[1]       # −ε_a − ε_b, a < b
-    if values == [1]:
-        return "short", plus[0], 0                # ε_a
-    if values == [-1]:
-        return "negshort", minus[0], 0
-    if values == [2]:
-        return "long", plus[0], 0                 # 2ε_a
-    if values == [-2]:
-        return "neglong", minus[0], 0
-    raise ConsistencyError(f"unrecognized ε-vector {vec}")
+def _root_vectors(rs: RootSystem) -> dict[Root, Sparse]:
+    """The defining-representation matrix of every root vector (0-based).
 
-
-def _root_matrix(rs: RootSystem, root: Root) -> Sparse:
-    """The defining-representation matrix of a root vector (0-based)."""
-    n = rs.rank
-    t = rs.lie_type
-    kind, a, b = _classify_epsilon(rs.epsilon_vector(root))
-    if t == "A":
-        if kind == "diff":
-            return {(a - 1, b - 1): 1}
-        raise ConsistencyError("type A roots must be ε-differences")
-    if t == "B":
-        size = 2 * n + 1
-
-        def mir(k: int) -> int:  # 1-based mirror index, 0-based output
-            return size - k
-
-        if kind == "diff":
-            return {(a - 1, b - 1): 1, (mir(b), mir(a)): -1}
-        if kind == "sum":
-            return {(a - 1, mir(b)): 1, (b - 1, mir(a)): -1}
-        if kind == "negsum":
-            return {(mir(b), a - 1): 1, (mir(a), b - 1): -1}
-        if kind == "short":
-            return {(a - 1, n): 1, (n, mir(a)): -1}
-        if kind == "negshort":
-            return {(n, a - 1): 1, (mir(a), n): -1}
-    if t in ("C", "D"):
-        size = 2 * n
-
-        def mir(k: int) -> int:
-            return size - k
-
-        sign = 1 if t == "C" else -1
-        if kind == "diff":
-            return {(a - 1, b - 1): 1, (mir(b), mir(a)): -1}
-        if kind == "sum":
-            return {(a - 1, mir(b)): 1, (b - 1, mir(a)): sign}
-        if kind == "negsum":
-            return {(mir(b), a - 1): 1, (mir(a), b - 1): sign}
-        if kind == "long":
-            return {(a - 1, mir(a)): 1}
-        if kind == "neglong":
-            return {(mir(a), a - 1): 1}
-    raise ConsistencyError(f"root {root} has no matrix in type {t}")
+    Basis vector k has weight ε_{k+1} (in types B, C, D for k < n, with
+    weight −ε_{k+1} on its mirror size−1−k and 0 on the middle one of B).
+    E_α lives where wt(r) − wt(c) = α.  It holds 1 at the first such
+    position (r, c) by row, and in types B, C, D also its mirror
+    (size−1−c, size−1−r), unless that is (r, c) (a long root of C), with the
+    sign that preserves the form: −1 in B and D, −σ(r)σ(c) in C, σ being +1
+    on the first n basis vectors and −1 after.
+    """
+    n, t = rs.rank, rs.lie_type
+    size = _dim_rep(rs)
+    # ε-vectors as additive keys, ε_{k+1} as 8**k: a weight minus a root has
+    # entries in −3..3, which base 8 keeps apart
+    wt = [8 ** k for k in range(size if t == "A" else n)]
+    if t != "A":
+        wt += [0] * (t == "B") + [-w for w in reversed(wt)]
+    index = {w: k for k, w in enumerate(wt)}
+    simple = [sum(e * 8 ** k for k, e in enumerate(v)) for v in rs._eps_simple]
+    vectors = {}
+    for root in rs.all_roots:
+        key = sum(c * e for c, e in zip(root.coeffs, simple))
+        r, c = next((r, index[w - key]) for r, w in enumerate(wt)
+                    if w - key in index)
+        mat = vectors[root] = {(r, c): 1}
+        mirror = (size - 1 - c, size - 1 - r)
+        if t != "A" and mirror != (r, c):
+            mat[mirror] = -1 if t != "C" or (r < n) == (c < n) else 1
+    return vectors
 
 
 def build_chevalley(rs: RootSystem) -> ChevalleyRealization:
     """Build and fully validate the matrix realization for a root system."""
-    vectors = {root: _root_matrix(rs, root) for root in rs.all_roots}
-    return ChevalleyRealization(rs, vectors)
+    return ChevalleyRealization(rs, _root_vectors(rs))
 
 
 def normalize_type_D(real: ChevalleyRealization) -> ChevalleyRealization:
@@ -406,8 +360,8 @@ def normalize_type_D(real: ChevalleyRealization) -> ChevalleyRealization:
 
     The rescaling is by signs: with all relevant constants ±1, the
     requirement is a linear system over GF(2) on sign exponents, solved
-    exactly.  The validated realization is rescaled, not rebuilt, and
-    every normalization pair is checked to reach +1 afterwards.
+    exactly.  The rescaled root vectors are built and validated as a new
+    realization, and every normalization pair is checked to reach +1.
     Normalizing an already-normalized realization is the identity.  Raises
     ConsistencyError when no consistent rescaling exists.
     """
@@ -417,17 +371,16 @@ def normalize_type_D(real: ChevalleyRealization) -> ChevalleyRealization:
     n = rs.rank
 
     targets = _d_normalization_pairs(rs)
-    pos_index = {r: k for k, r in enumerate(rs.positive_roots)}
     rows_gf2 = []
     rhs = []
     for a, b in targets:
-        m = real.constants.m(a, b)
+        ia, ib = rs.root_index(a), rs.root_index(b)
+        m = real.constants.table[ia][ib]
         if m == 0:
             raise ConsistencyError("normalization pair does not sum to a root")
         if abs(m) != 1:
             raise ConsistencyError(
                 f"cannot sign-normalize |m| = {abs(m)} at ({a}, {b})")
-        ia, ib = pos_index[a], pos_index[b]
         row = [0] * rs.num_positive
         for k in (ia, ib, rs._pos_sum[ia][ib]):
             row[k] ^= 1
@@ -437,11 +390,10 @@ def normalize_type_D(real: ChevalleyRealization) -> ChevalleyRealization:
     if solution is None:
         raise ConsistencyError("no consistent rescaling of root vectors exists")
 
-    sign = {}
-    for root in rs.all_roots:
-        base = root if root.is_positive else -root
-        sign[root] = -1 if solution[pos_index[base]] else 1
-    normalized = real._rescaled(sign)
+    # all_roots lists the negative roots in the order of the positive ones
+    normalized = ChevalleyRealization(rs, {
+        root: sp_scale(real.root_vectors[root], -1 if flip else 1)
+        for root, flip in zip(rs.all_roots, solution * 2)})
     for a, b in targets:
         if normalized.constants.m(a, b) != 1:
             raise ConsistencyError("normalization failed to reach +1")
@@ -512,7 +464,7 @@ def _from_index_coeffs(real: ChevalleyRealization, coeffs: dict[int, Fraction | 
 def _ibracket(real: ChevalleyRealization, a: dict[int, Fraction | int],
               b: dict[int, Fraction | int]) -> dict[int, Fraction | int]:
     """[A, B] for coefficient maps supported on the positive roots."""
-    m = real._m_pos
+    m = real.constants.table
     sums = real.rs._pos_sum
     out: dict[int, Fraction | int] = {}
     for i, x in a.items():
@@ -539,8 +491,7 @@ def _iad_exp(real: ChevalleyRealization, x: dict[int, Fraction | int],
         if not term:
             return out
         if k > 1:
-            term = {i: Fraction(v, k) if not isinstance(v, Fraction) else v / k
-                    for i, v in term.items()}
+            term = {i: Fraction(v, k) for i, v in term.items()}
         for i, v in term.items():
             w = out.get(i, 0) + v
             if w:
@@ -589,11 +540,10 @@ def _ad_block(real: ChevalleyRealization, coeffs: dict[int, Fraction | int],
     """The block of ad(N) on positive roots from ``sources`` to
     ``targets`` (positive-root indices, N index-keyed): entry (α, β) is
     ``m_{α−β,β} n_{α−β}`` when α − β is a positive root and 0 otherwise."""
-    pos = real.rs.positive_roots
     diff = real.rs._pos_diff
-    m = real.constants.m
+    m = real.constants.table
     return [[0 if (d := line[b]) is None
-             else m(pos[d], pos[b]) * coeffs.get(d, 0)
+             else m[d][b] * coeffs.get(d, 0)
              for b in sources]
             for line in (diff[a] for a in targets)]
 
@@ -844,7 +794,7 @@ def _check_type_d_coefficients(real: ChevalleyRealization, trials: int,
     table = stage_table(rs).rows
     pos = rs.positive_roots
     diff = rs._pos_diff
-    m = real.constants.m
+    m = real.constants.table
     for t in range(trials):
         rng = _rng(seed, f"dcoef:{t}")
         ni = _to_index_coeffs(real, _random_nilpotent(rs, rng,
@@ -872,7 +822,7 @@ def _check_type_d_coefficients(real: ChevalleyRealization, trials: int,
                 expect = ni.get(a, 0)
                 for b, d in enumerate(line):
                     if d is not None and d in conjugating:
-                        expect += m(pos[d], pos[b]) * xi.get(d, 0) * ni.get(b, 0)
+                        expect += m[d][b] * xi.get(d, 0) * ni.get(b, 0)
                 if total.get(a, 0) != expect:
                     return {"trial": t, "row": i, "alpha": format_root(alpha),
                             "reason": "first coefficient formula mismatch"}
@@ -1073,6 +1023,21 @@ def _check_type_d_block(real: ChevalleyRealization, trials: int,
     return None
 
 
+# Most trials verify_lemmata runs: a trial costs 1.6-3.6 ms on C6, A7, B6
+# and D6 (in-process, 2-vCPU Xeon), so no admitted run takes a minute.
+_TRIAL_BUDGET = 10_000
+
+
+def check_trial_count(trial_count: int) -> None:
+    """Refuse a trial count below 1 (zero trials would pass unchecked) or
+    over _TRIAL_BUDGET, with ValueError; it needs no realization."""
+    if trial_count < 1:
+        raise ValueError(f"trial count must be at least 1, got {trial_count}")
+    if trial_count > _TRIAL_BUDGET:
+        raise ValueError(f"trial count {trial_count} is over the budget of "
+                         f"{_TRIAL_BUDGET}")
+
+
 def verify_lemmata(real: ChevalleyRealization, trial_count: int = 200,
                    seed: int = DEFAULT_SEED) -> LemmataReport:
     """Run the structural checks (row structure, factorization count,
@@ -1084,12 +1049,11 @@ def verify_lemmata(real: ChevalleyRealization, trial_count: int = 200,
     in which its cell is nonempty (see ``_check_containment``).
 
     Type-D realizations are normalized first (idempotent), since the block
-    check is stated for the normalized constants.  A trial count below 1
-    is refused: a report of zero trials would pass without checking, and so
-    is a Weyl group over the enumeration budget, before any check runs.
+    check is stated for the normalized constants.  A trial count outside
+    ``check_trial_count`` is refused, and so is a Weyl group over the
+    enumeration budget, before any check runs.
     """
-    if trial_count < 1:
-        raise ValueError(f"trial count must be at least 1, got {trial_count}")
+    check_trial_count(trial_count)
     check_weyl_budget(real.rs.lie_type, real.rs.rank)
     if real.rs.lie_type == "D":
         real = normalize_type_D(real)

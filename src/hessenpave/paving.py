@@ -33,6 +33,11 @@ each cell once, and ``cell_dimension`` and ``row_dimension_profile`` refuse
 an empty cell with the same one-AND test rather than a second call of
 ``cell_nonempty``.  ``paving_record`` requires each printed row profile to
 sum to its cell's dimension.
+
+Every Betti tally must also equal ``betti_product``, the closed form
+∏_{i=1..rank} [e_i + 1]_q (Sommers–Tymoczko; Abe–Horiguchi–Masuda–Murai–
+Sato): with λ_k the number of roots of I = −(Φ_H ∩ Φ⁻) at height k,
+e_i = #{k : λ_k ≥ i}.
 """
 
 from __future__ import annotations
@@ -166,25 +171,62 @@ def compute_paving(rs: RootSystem, space: HessenbergSpace) -> tuple[PavingCell, 
     return tuple(cells)
 
 
-def _betti_tally(dims: list[int]) -> tuple[int, ...]:
-    """Entry k counts the nonempty cells of dimension k."""
+def _betti_tally(space: HessenbergSpace, dims: list[int]) -> tuple[int, ...]:
+    """Entry k counts the nonempty cells of dimension k; raises
+    ConsistencyError, naming the system and space, when the tally differs
+    from ``betti_product``."""
     coeffs = [0] * (max(dims) + 1)
     for d in dims:
         coeffs[d] += 1
-    return tuple(coeffs)
+    product = betti_product(space).coefficients
+    if tuple(coeffs) != product:
+        raise ConsistencyError(
+            f"cell Betti numbers {coeffs} differ from the closed-form "
+            f"product {list(product)} ({space.rs.lie_type}{space.rs.rank}, "
+            f"{space_fields(space)[1]})")
+    return product
+
+
+@lru_cache(maxsize=None)
+def _height_masks(rs: RootSystem) -> tuple[int, ...]:
+    """Positive-root bitmask of each height."""
+    masks: dict[int, int] = {}
+    for k, root in enumerate(rs.positive_roots):
+        masks[root.height] = masks.get(root.height, 0) | 1 << k
+    return tuple(masks.values())
+
+
+def _exponents(space: HessenbergSpace) -> tuple[int, ...]:
+    """e_1..e_rank: e_i = #{k : λ_k ≥ i}, λ_k the roots of I at height k."""
+    ideal = space.hm >> space.rs.num_positive   # bit k: −(root k) ∈ Φ_H
+    lam = [(ideal & m).bit_count() for m in _height_masks(space.rs)]
+    return tuple(sum(1 for x in lam if x >= i)
+                 for i in range(1, space.rs.rank + 1))
+
+
+def betti_product(space: HessenbergSpace) -> BettiTable:
+    """The Betti numbers in closed form, ∏_{i=1..rank} [e_i + 1]_q."""
+    coeffs = [1]
+    for e in _exponents(space):
+        # times 1 + q + ... + q^e
+        coeffs = [sum(coeffs[max(0, d - e):d + 1])
+                  for d in range(len(coeffs) + e)]
+    return BettiTable(tuple(coeffs))
 
 
 def poincare_polynomial(rs: RootSystem, space: HessenbergSpace) -> BettiTable:
-    """Betti numbers: entry k counts nonempty cells of dimension k."""
+    """Betti numbers: entry k counts nonempty cells of dimension k.  Raises
+    ConsistencyError when they differ from ``betti_product``."""
     return BettiTable(_betti_tally(
-        [c.dim for c in compute_paving(rs, space) if c.nonempty]))
+        space, [c.dim for c in compute_paving(rs, space) if c.nonempty]))
 
 
 def paving_record(rs: RootSystem, space: HessenbergSpace) -> dict:
     """JSON-ready record of a full paving (deterministic key and cell order).
 
     Raises ConsistencyError when a nonempty cell's row profile does not sum
-    to its dimension; the message names the system, space and word.
+    to its dimension (the message names the system, space and word), or
+    when the Betti numbers differ from ``betti_product``.
     """
     cells = []
     dims = []
@@ -210,5 +252,5 @@ def paving_record(rs: RootSystem, space: HessenbergSpace) -> dict:
         "rank": rs.rank,
         "hessenberg": space_fields(space)[0],
         "cells": cells,
-        "betti": list(_betti_tally(dims)),
+        "betti": list(_betti_tally(space, dims)),
     }

@@ -178,6 +178,24 @@ def test_verify_lemmata_rejects_trials_below_one(capsys):
         assert code == 1 and out == "" and "at least 1" in err
 
 
+def test_verify_lemmata_refuses_trials_over_budget_before_work(capsys,
+                                                               monkeypatch):
+    """Over 10,000 trials is refused with one line and exit 1, before the
+    root system or the realization is built or any check runs."""
+    def forbidden(*_, **__):
+        raise AssertionError("verify-lemmata started work")
+
+    monkeypatch.setattr(cli, "RootSystem", forbidden)
+    monkeypatch.setattr(liealg, "build_chevalley", forbidden)
+    monkeypatch.setattr(liealg, "verify_lemmata", forbidden)
+    for trials in ("10001", "99999999999"):
+        code, out, err = run_cli(capsys, "verify-lemmata", "--type", "B",
+                                 "--rank", "6", "--trials", trials)
+        assert code == 1 and out == ""
+        assert err == (f"hessenpave: trial count {trials} is over the "
+                       "budget of 10000\n")
+
+
 def test_unwritable_output_path(capsys, tmp_path):
     target = tmp_path / "missing" / "out.json"
     code, _, err = run_cli(capsys, "betti", "--type", "A", "--rank", "2",

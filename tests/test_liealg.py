@@ -1,5 +1,6 @@
 """Matrix realizations, row operators, lemma checks, witnesses."""
 
+import random
 import re
 import sys
 from fractions import Fraction
@@ -29,6 +30,7 @@ from hessenpave.liealg import (
     theta_row,
     verify_lemmata,
 )
+from hessenpave.linalg import sp_commutator, sp_equal, sp_scale
 from hessenpave.paving import cell_nonempty, row_dimension_profile
 from hessenpave.rootcore import (
     Root,
@@ -81,11 +83,12 @@ def test_realizations_build_and_selfcheck(lie_type, rank):
     expected_size = {"A": rank + 1, "B": 2 * rank + 1,
                      "C": 2 * rank, "D": 2 * rank}[lie_type]
     assert real.dim_rep == expected_size
-    for (a, b), m in real.constants.entries.items():
-        assert m != 0
-        assert real.constants.m(b, a) == -m
-        s = tuple(x + y for x, y in zip(a.coeffs, b.coeffs))
-        assert rs.is_root(s)
+    table = real.constants.table
+    for a, line in zip(rs.all_roots, table):
+        for b, m in zip(rs.all_roots, line):
+            s = tuple(x + y for x, y in zip(a.coeffs, b.coeffs))
+            assert (m != 0) == rs.is_root(s)
+            assert real.constants.m(b, a) == -m
 
 
 def test_a1_single_matrix_unit():
@@ -119,6 +122,144 @@ def test_bracket_opposite_roots_is_diagonal(real_a2):
 def test_expand_rejects_foreign_matrix(real_a2):
     with pytest.raises(ValueError):
         real_a2.expand({(1, 0): 1, (0, 1): 1, (2, 2): 1, (0, 0): 5})
+
+
+def ref_extract_constants(real):
+    """The structure constants as they were read before the integer table:
+    a rational commutator for every one of the |Φ|² root pairs, in
+    ``rs.all_roots`` order, with the same checks and messages."""
+    rs = real.rs
+    roots = rs.all_roots
+    table = [[0] * len(roots) for _ in roots]
+    found = []
+    for i, a in enumerate(roots):
+        for j, b in enumerate(roots):
+            br = sp_commutator(real.root_vectors[a], real.root_vectors[b])
+            ab = rs.root_add(a, b)
+            if ab is not None:
+                target = real.root_vectors[ab]
+                pos, val = next(iter(target.items()))
+                coeff = Fraction(br.get(pos, 0), 1) / val
+                if coeff == 0 or coeff.denominator != 1:
+                    raise ConsistencyError(
+                        f"bad structure constant for {a} + {b}")
+                if not sp_equal(br, sp_scale(target, coeff)):
+                    raise ConsistencyError(
+                        f"[E_{a}, E_{b}] is not a multiple of E_{ab}")
+                table[i][j] = int(coeff)
+                found.append((i, j))
+            elif a != -b:
+                if br:
+                    raise ConsistencyError(
+                        f"[E_{a}, E_{b}] nonzero but {a} + {b} is not a root")
+            elif any(r != c for (r, c) in br):
+                raise ConsistencyError(f"[E_{a}, E_{b}] is not diagonal")
+    for i, j in found:
+        if table[j][i] != -table[i][j]:
+            raise ConsistencyError("structure constants not antisymmetric")
+    return liealg.StructureConstantTable(rs, tuple(map(tuple, table)))
+
+
+class RefRealization(liealg.ChevalleyRealization):
+    _extract_constants = ref_extract_constants
+
+
+def _constants_or_error(cls, rs, vectors):
+    try:
+        return cls(rs, vectors).constants
+    except ConsistencyError as exc:
+        return str(exc)
+
+
+def _corrupted(rs, vectors, rng, kind):
+    """The root vectors with one seeded corruption of one root vector: an
+    entry with its sign flipped, an extra entry (at a position no root
+    vector holds on the root's side of the diagonal when there is one), or
+    the vector scaled by 2."""
+    root = rng.choice(rs.all_roots)
+    mat = dict(vectors[root])
+    if kind == "flip":
+        pos = rng.choice(sorted(mat))
+        mat[pos] = -mat[pos]
+    elif kind == "extra":
+        size = liealg._dim_rep(rs)
+        held = {pos for m in vectors.values() for pos in m}
+        free = [(r, c) for r in range(size) for c in range(size)
+                if r != c and (r, c) not in mat]
+        pos = rng.choice([(r, c) for r, c in free if (r, c) not in held
+                          and (r < c) == root.is_positive] or free)
+        mat[pos] = rng.choice([-1, 1])
+    else:
+        mat = {pos: 2 * v for pos, v in mat.items()}
+    return {**vectors, root: mat}
+
+
+REFERENCE_SYSTEMS = [(t, r) for t in "ABCD" for r in range(1, 7)
+                     if r >= {"A": 1, "B": 2, "C": 2, "D": 3}[t]] + [("A", 12)]
+
+
+@pytest.mark.parametrize("lie_type,rank", REFERENCE_SYSTEMS)
+def test_constants_equal_the_full_rational_scan(lie_type, rank):
+    """The integer table, bracketing only pairs that can be nonzero, equals
+    the rational scan of every pair; under seeded corruptions of one root
+    vector both raise the same first error, which names the system."""
+    rs = build_root_system(lie_type, rank)
+    vectors = liealg._root_vectors(rs)
+    table = liealg.ChevalleyRealization(rs, vectors).constants
+    assert table == RefRealization(rs, vectors).constants
+    rng = random.Random(f"corrupt:{lie_type}{rank}")
+    errors = []
+    for kind in ("flip", "extra", "scale") * 2:
+        bad = _corrupted(rs, vectors, rng, kind)
+        got = _constants_or_error(liealg.ChevalleyRealization, rs, bad)
+        assert got == _constants_or_error(RefRealization, rs, bad), kind
+        if isinstance(got, str):
+            assert got.startswith(f"{lie_type}{rank}: "), got
+            errors.append(got)
+    assert errors
+
+
+def test_root_sum_pair_without_chaining_supports_is_refused():
+    """α_1 at (0, 1) and α_2 at (0, 2): no column of one meets a row of the
+    other, so [E_α1, E_α2] = 0 though α_1 + α_2 is a root."""
+    rs = build_root_system("A", 2)
+    a1, a2, a12 = rs.positive_roots
+    vectors = {a1: {(0, 1): 1}, a2: {(0, 2): 1}, a12: {(1, 2): 1}}
+    vectors.update({-r: {(c, r_): v for (r_, c), v in m.items()}
+                    for r, m in list(vectors.items())})
+    message = f"A2: bad structure constant for {a1} + {a2}"
+    for cls in (liealg.ChevalleyRealization, RefRealization):
+        with pytest.raises(ConsistencyError) as exc:
+            cls(rs, vectors)
+        assert str(exc.value) == message
+
+
+def test_constants_bracket_only_pairs_that_can_be_nonzero(monkeypatch):
+    """On A12, 3,588 of the 24,336 root pairs have a + b a root or zero, or
+    chaining supports; only those are bracketed."""
+    rs = build_root_system("A", 12)
+    real = build_chevalley(rs)
+    calls = []
+
+    def counting(a, b):
+        calls.append(1)
+        return sp_commutator(a, b)
+
+    monkeypatch.setattr(liealg, "sp_commutator", counting)
+    assert real._extract_constants() == real.constants
+    assert len(rs.all_roots) ** 2 == 24_336
+    assert len(calls) == 3_588
+
+
+def test_realization_entries_must_be_nonzero_integers():
+    rs = build_root_system("B", 2)
+    vectors = liealg._root_vectors(rs)
+    root = rs.positive_roots[0]
+    for value in (Fraction(1, 2), 0):
+        bad = {**vectors, root: {pos: value for pos in vectors[root]}}
+        with pytest.raises(ConsistencyError,
+                           match=r"^B2: entry .* is not a nonzero integer$"):
+            liealg.ChevalleyRealization(rs, bad)
 
 
 # ---------------------------------------------------------------------------
@@ -355,9 +496,8 @@ def test_normalize_type_d_equals_validated_rebuild(rank):
         vectors[root] = {pos: sign * v for pos, v in mat.items()}
     ref = liealg.ChevalleyRealization(rs, vectors)
     assert norm.root_vectors == ref.root_vectors
-    assert norm.constants.entries == ref.constants.entries
+    assert norm.constants == ref.constants
     assert norm.cartan_basis == ref.cartan_basis
-    assert norm._m_pos == ref._m_pos
     assert norm._anchor == ref._anchor
 
 
@@ -397,13 +537,22 @@ def test_c3_row_structure():
             assert sums == set()
 
 
+def set_constant(real, a, b, value):
+    """Replace the one stored m_{a,b} of a realization by ``value``."""
+    rs = real.rs
+    table = [list(line) for line in real.constants.table]
+    table[rs.root_index(a)][rs.root_index(b)] = value
+    real.constants = liealg.StructureConstantTable(
+        rs, tuple(map(tuple, table)))
+
+
 def test_psi_cross_check_detects_corrupted_table(real_c2):
     """The formula route of the row operator is checked against genuine
     matrix brackets; corrupting the stored constants must trip it."""
     rs = real_c2.rs
     real = build_chevalley(rs)
     a1, a2 = rs.simple_roots
-    real.constants.entries[(a2, a1)] = 7
+    set_constant(real, a2, a1, 7)
     with pytest.raises(ConsistencyError):
         psi_matrix(real, sum_of_simple_vectors(rs), 1)
 
@@ -416,8 +565,8 @@ def test_verify_lemmata_detects_zeroed_constant():
     highest = parse_root(rs, "1,2,2")
     second = parse_root(rs, "1,1,2")
     a2 = rs.simple_roots[1]
-    assert real.constants.entries.get((a2, second))
-    real.constants.entries[(a2, second)] = 0
+    assert real.constants.m(a2, second)
+    set_constant(real, a2, second, 0)
     report = verify_lemmata(real, trial_count=5, seed=3)
     failed = {c.name for c in report.checks if c.status == "fail"}
     assert "containment_first_entry" in failed, (failed, highest)
@@ -737,6 +886,30 @@ def test_witness_sampled_high_rank(lie_type, rank, sample):
         if checked >= sample:
             break
     assert checked == sample
+
+
+@pytest.mark.parametrize("lie_type,rank,sample", [
+    ("B", 3, 150), ("C", 3, 150), ("D", 4, 150), ("D", 5, 100)])
+def test_witness_random_regular_nilpotent(lie_type, rank, sample):
+    """Seeded random regular N on sampled nonempty cells: every witness is
+    verified, and the stage solutions are not all zero, as they are for the
+    sum of simple vectors, so the order of conjugation inside a stage is
+    exercised."""
+    rs = build_root_system(lie_type, rank)
+    real = build_chevalley(rs)
+    if lie_type == "D":
+        real = normalize_type_D(real)
+    rng = random.Random(f"witness-n:{lie_type}{rank}")
+    pairs = [(space, w) for space in enumerate_hessenberg(rs)
+             for w in enumerate_weyl(rs) if cell_nonempty(w, space)]
+    moved = 0
+    for space, w in rng.sample(pairs, sample):
+        n = liealg._random_nilpotent(rs, rng, regular=True)
+        wit = find_witness(real, w, space, n)
+        assert wit.verified
+        assert wit.stage_kernel_dims == row_dimension_profile(w, space)
+        moved += any(wit.stage_solutions)
+    assert moved
 
 
 def _from(caller, original, fake):

@@ -83,3 +83,22 @@ def test_type_d_stage_split_stays_in_rootcore():
         assert _type_d_comparisons(functions[name]) == [], name
     # the detector sees the comparisons that belong elsewhere
     assert _type_d_comparisons(functions["normalize_type_D"])
+
+
+def test_realization_constants_are_read_in_integers():
+    """The structure constants and the Cartan eigenvalues are integers: the
+    methods that read them off the matrices never name ``Fraction``."""
+    tree = ast.parse(
+        (SRC / "hessenpave" / "liealg.py").read_text(encoding="utf-8"))
+    realization = next(node for node in tree.body
+                       if isinstance(node, ast.ClassDef)
+                       and node.name == "ChevalleyRealization")
+    methods = {node.name: node for node in realization.body
+               if isinstance(node, ast.FunctionDef)}
+    for name in ("_extract_constants", "_validate_weights"):
+        named = {node.id for node in ast.walk(methods[name])
+                 if isinstance(node, ast.Name)}
+        assert "Fraction" not in named, name
+    # the detector sees the name where it is used
+    assert any(isinstance(node, ast.Name) and node.id == "Fraction"
+               for node in ast.walk(methods["expand"]))

@@ -2,6 +2,8 @@
 
 import pytest
 
+from hessenpave import paving
+from hessenpave.cli import main
 from hessenpave.hessenberg import (
     borel_space,
     enumerate_hessenberg,
@@ -9,6 +11,8 @@ from hessenpave.hessenberg import (
     parse_hessenberg,
 )
 from hessenpave.paving import (
+    BettiTable,
+    betti_product,
     cell_dimension,
     cell_dimension_lie,
     cell_nonempty,
@@ -292,6 +296,38 @@ def test_peterson_betti_numbers_are_binomial(lie_type, rank):
     peterson = from_negative_roots(rs, [-a for a in rs.simple_roots])
     betti = poincare_polynomial(rs, peterson).coefficients
     assert betti == tuple(comb(rank, k) for k in range(rank + 1))
+
+
+@pytest.mark.parametrize("lie_type,rank", SWEEP)
+def test_betti_product_equals_cell_count(lie_type, rank):
+    """The closed-form product equals the nonempty cells counted by
+    dimension, for every space of the sweep."""
+    rs = build_root_system(lie_type, rank)
+    for space in enumerate_hessenberg(rs):
+        dims = [c.dim for c in compute_paving(rs, space) if c.nonempty]
+        tally = [0] * (max(dims) + 1)
+        for d in dims:
+            tally[d] += 1
+        assert betti_product(space) == BettiTable(tuple(tally)), space
+
+
+def test_betti_product_off_by_one_exits_2(monkeypatch, capsys):
+    """An off-by-one in the exponents e_i makes every Betti route refuse:
+    ``betti``, ``paving`` and ``sweep`` exit 2 with one line naming the
+    system and the space."""
+    exponents = paving._exponents
+    monkeypatch.setattr(paving, "_exponents",
+                        lambda space: tuple(e + 1 for e in exponents(space)))
+    for argv in (["betti", "--type", "B", "--rank", "3", "--hess", "full"],
+                 ["paving", "--type", "A", "--rank", "2", "--hess", "borel"],
+                 ["sweep", "--type", "C", "--rank", "2"]):
+        assert main(argv) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.count("\n") == 1, out.err
+        assert out.err.startswith("hessenpave: consistency failure: cell "
+                                  "Betti numbers ")
+        assert f"({argv[2]}{argv[4]}, neg=" in out.err
 
 
 def test_paving_record_shape(a2, peterson):

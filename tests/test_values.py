@@ -49,7 +49,8 @@ RECORDS = [
     (ComplementIdeal, ("roots",), (frozenset({-_A12}),)),
     (PavingCell, ("w", "nonempty", "dim"), (_W, True, 1)),
     (BettiTable, ("coefficients",), ((1, 2, 1),)),
-    (StructureConstantTable, ("entries",), ({(_A1, _A2): 1, (_A2, _A1): -1},)),
+    (StructureConstantTable, ("rs", "table"),
+     (_RS, ((0, 1, 0), (-1, 0, 0), (0, 0, 0)))),
     (RowMatrix, ("roots", "entries"),
      ((_A12, _A1), ((0, Fraction(1, 2)), (0, 0)))),
     (CheckResult, ("name", "status", "counterexample"),
