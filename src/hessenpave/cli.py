@@ -15,18 +15,22 @@ renders once (``_json_text``, ``_csv_text`` or ``_table_text``) and writes
 once (``_emit``), so a failed lemma check writes its report before exiting 2.
 ``main`` looks the renderers up as module attributes at call time, so they
 can be replaced on the module, as the benchmark's tracer does to time them.
+
+Every call pays the import of this module, so standard-library modules that
+only some commands need are imported where they are used: ``json`` in
+``_json_text``, ``csv`` in ``_csv_text``, and ``fractions`` only by the
+``linalg`` and ``liealg`` functions that build rationals (``witness`` and
+``verify-lemmata``).  ``_format_rational`` reads ``numerator`` and
+``denominator``, which ints and Fractions both have.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import io
-import json
 import os
 import sys
 from collections.abc import Iterable, Iterator
-from fractions import Fraction
 
 from . import fforacle, liealg, paving
 from .errors import ConsistencyError
@@ -144,10 +148,14 @@ def _emit(text: str, output) -> None:
 
 
 def _json_text(record) -> str:
+    import json
+
     return json.dumps(record, indent=2) + "\n"
 
 
 def _csv_text(header: list[str], rows: Iterable[list]) -> str:
+    import csv
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
@@ -223,8 +231,11 @@ def _run_enumerate_hess(args) -> tuple:
 
 
 def _format_rational(v) -> str:
-    f = Fraction(v)
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+    """An int or Fraction as ``p`` or ``p/q``; both types carry
+    ``numerator`` and ``denominator``."""
+    if v.denominator == 1:
+        return str(v.numerator)
+    return f"{v.numerator}/{v.denominator}"
 
 
 def _run_witness(args) -> tuple:

@@ -39,6 +39,8 @@ from .rootcore import (
     _MIN_RANK,
     Root,
     RootSystem,
+    _bounded_count,
+    _count_text,
     _Record,
     format_root,
     parse_root,
@@ -155,14 +157,15 @@ def check_space_budget(lie_type: str, rank: int) -> int | None:
 
     Like ``check_weyl_budget`` it needs no RootSystem, and a type or rank
     that RootSystem refuses passes here (returning None) so that RootSystem
-    names the problem.
+    names the problem.  A count over 10^18 is named as such, not computed.
     """
     if lie_type not in _MIN_RANK or rank < _MIN_RANK[lie_type]:
         return None
-    count = _SPACE_COUNT[lie_type](rank)
-    if count > _SPACE_BUDGET:
-        raise ValueError(f"{lie_type}{rank} has {count} Hessenberg spaces, "
-                         f"over the budget of {_SPACE_BUDGET}")
+    count = _bounded_count(_SPACE_COUNT[lie_type], lie_type, rank)
+    if count is None or count > _SPACE_BUDGET:
+        raise ValueError(f"{lie_type}{rank} has {_count_text(count)} "
+                         f"Hessenberg spaces, over the budget of "
+                         f"{_SPACE_BUDGET}")
     return count
 
 

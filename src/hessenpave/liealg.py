@@ -22,7 +22,11 @@ realization that fails its own bracket table refuses to build, naming its
 system.  Rationals (``fractions.Fraction``) enter only in the adjoint
 exponential ``Ad(exp X) = Σ ad(X)^k / k!``, which terminates because ad(X)
 is nilpotent, and in the witness solves; no truncation or tolerance
-appears anywhere.
+appears anywhere.  ``Fraction`` is imported inside the functions that build
+rationals (``ChevalleyRealization.expand``, ``_iad_exp``,
+``_check_near_linearity``, ``find_witness``, ``_verify_witness_matrix``)
+and ``random`` inside ``_rng``, which seeds every lemma trial, so that
+importing the module, which every CLI call does, loads neither.
 
 Row operators
 -------------
@@ -56,9 +60,7 @@ the public boundary: ``NilpotentElement``, ``RowMatrix``,
 
 from __future__ import annotations
 
-import random
 from collections.abc import Mapping, Sequence
-from fractions import Fraction
 
 from .errors import ConsistencyError
 from .hessenberg import (
@@ -97,7 +99,7 @@ from .rootcore import (
 
 DEFAULT_SEED = 2026
 
-Coeffs = dict[Root, Fraction | int]
+Coeffs = dict[Root, "Fraction | int"]
 
 
 class StructureConstantTable(_Record):
@@ -277,6 +279,8 @@ class ChevalleyRealization:
         Returns (cartan coefficients, root coefficient map); raises
         ValueError when the matrix is not in the span.
         """
+        from fractions import Fraction
+
         coeffs: Coeffs = {}
         residual = dict(mat)
         for root in self.rs.all_roots:
@@ -484,6 +488,8 @@ def _ibracket(real: ChevalleyRealization, a: dict[int, Fraction | int],
 def _iad_exp(real: ChevalleyRealization, x: dict[int, Fraction | int],
              n: dict[int, Fraction | int]) -> dict[int, Fraction | int]:
     """Ad(exp X)(N) = Σ ad(X)^k(N)/k! in coefficient space; exact."""
+    from fractions import Fraction
+
     out = dict(n)
     term = n
     for k in range(1, 4 * real.rs.num_positive + 2):
@@ -632,6 +638,8 @@ class LemmataReport(_Record):
 
 
 def _rng(seed: int, tag: str) -> random.Random:
+    import random
+
     return random.Random(f"hessenpave:{seed}:{tag}")
 
 
@@ -698,16 +706,24 @@ def _check_row_structure(real: ChevalleyRealization, trials: int,
 
 
 def _check_factorization_count(real: ChevalleyRealization) -> dict | None:
+    """The rows of the stage table, which the witness stages and the row
+    profiles read, partition the positive roots: each index exactly once."""
     rs = real.rs
-    dec = rows(rs)
-    total = sum(len(r) for r in dec.rows)
-    if total != rs.num_positive:
-        return {"sum_of_rows": total, "positive_roots": rs.num_positive}
-    return None
+    seen = [k for row in stage_table(rs).rows for k in row]
+    if sorted(seen) == list(range(rs.num_positive)):
+        return None
+    pos = rs.positive_roots
+    return {"sum_of_rows": len(seen), "positive_roots": rs.num_positive,
+            "missing": [format_root(pos[k]) for k in range(len(pos))
+                        if k not in seen],
+            "repeated": [format_root(pos[k]) for k in sorted(set(seen))
+                         if seen.count(k) > 1]}
 
 
 def _check_near_linearity(real: ChevalleyRealization, trials: int,
                           seed: int) -> dict | None:
+    from fractions import Fraction
+
     rs = real.rs
     n = rs.rank
     dec = rows(rs)
@@ -878,7 +894,7 @@ def _check_containment(real: ChevalleyRealization, trials: int,
            for nn in samples]
     faults = [_first_entry_faults(rs, psi_rows) for psi_rows in psi]
     any_fault = tuple(set().union(*faults))
-    drops = _positive_simple_drops(rs, [k for i in row_ids for k in table[i - 1]])
+    drops = _positive_simple_drops(rs)
 
     elements = enumerate_weyl(rs)
     spaces = enumerate_hessenberg(rs)
@@ -919,7 +935,7 @@ def _check_containment(real: ChevalleyRealization, trials: int,
 
 
 def _first_entry_faults(rs: RootSystem, psi_rows: dict[int, tuple]
-                        ) -> tuple[int, ...]:
+                        ) -> frozenset[int]:
     """Indices of the row roots whose row-operator line is zero or has its
     first nonzero entry at a β with α − β not simple."""
     table = stage_table(rs).rows
@@ -929,19 +945,15 @@ def _first_entry_faults(rs: RootSystem, psi_rows: dict[int, tuple]
             first = next((c for c, v in enumerate(line) if v), None)
             if first is None or alpha.height - order[first].height != 1:
                 out.append(k)
-    return tuple(out)
+    return frozenset(out)
 
 
-def _positive_simple_drops(rs: RootSystem, indices: list[int]
-                           ) -> tuple[tuple[int, int], ...]:
+def _positive_simple_drops(rs: RootSystem) -> tuple[tuple[int, int], ...]:
     """For each positive root α, by index: the index and the mask of the
     positive roots α − α_j."""
-    out = []
-    for k in indices:
-        line = rs._pos_diff[k]
-        out.append((k, sum(1 << d for a in rs._simple_index
-                           if (d := line[a]) is not None)))
-    return tuple(out)
+    return tuple((k, sum(1 << d for a in rs._simple_index
+                         if (d := line[a]) is not None))
+                 for k, line in enumerate(rs._pos_diff))
 
 
 def _containment_counterexample(rs: RootSystem, psi_rows: dict[int, tuple],
@@ -1129,6 +1141,8 @@ def find_witness(real: ChevalleyRealization, w: WeylElement,
     non-regular N, ConsistencyError if any stage is infeasible or the final
     membership check fails (both would contradict the paving).
     """
+    from fractions import Fraction
+
     rs = real.rs
     if w.rs != rs or space.rs != rs:
         raise ValueError("Weyl element, space, and realization must share "
@@ -1239,6 +1253,8 @@ def _verify_witness_matrix(real: ChevalleyRealization, w: WeylElement,
                            final: dict[int, Fraction | int]) -> None:
     """Direct matrix check: conjugate N by the solved unipotent element and
     confirm both the coefficient-space computation and the membership."""
+    from fractions import Fraction
+
     rs = real.rs
     size = real.dim_rep
 

@@ -5,13 +5,15 @@ plain ints passing through untouched) or over GF(2); matrices in the
 Lie-algebra realizations are sparse dicts ``{(row, col): value}`` since
 root vectors have at most two nonzero entries.  Sizes never exceed a few
 dozen, so the point is exactness and determinism, not asymptotics.
+
+``Fraction`` is imported only by the two functions that build rationals,
+``sp_exp_nilpotent`` and ``solve_affine``, so importing this module (and
+the CLI) does not load ``fractions``.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-Sparse = dict[tuple[int, int], Fraction | int]
+Sparse = dict[tuple[int, int], "Fraction | int"]
 
 
 # ---------------------------------------------------------------------------
@@ -67,6 +69,8 @@ def sp_equal(a: Sparse, b: Sparse) -> bool:
 def sp_exp_nilpotent(x: Sparse, size: int) -> Sparse:
     """exp of a nilpotent matrix; the series must terminate within `size`
     steps, which is checked."""
+    from fractions import Fraction
+
     out = sp_identity(size)
     term: Sparse = sp_identity(size)
     for k in range(1, size + 1):
@@ -98,6 +102,8 @@ def solve_affine(matrix: list[list[Fraction | int]],
     Pivoting is deterministic (first nonzero entry in column order), so the
     returned solution is a pure function of the input.
     """
+    from fractions import Fraction
+
     m = len(matrix)
     n = len(matrix[0]) if m else 0
     a = [[Fraction(x) for x in row] + [Fraction(rhs[r])]

@@ -643,6 +643,33 @@ _WEYL_ORDER = {"A": lambda n: factorial(n + 1),
                "C": lambda n: 2 ** n * factorial(n),
                "D": lambda n: 2 ** (n - 1) * factorial(n)}
 
+# Counts in refusal messages are exact up to this size and named "more than
+# 10^18" past it, so a budget check never builds a number of thousands of
+# digits: 2001! has 5,700, which Python refuses to print, and the order at
+# rank 10^8 would take minutes to compute.
+_SHOWN_COUNT_LIMIT = 10 ** 18
+
+
+def _bounded_count(count, lie_type: str, rank: int) -> int | None:
+    """``count(rank)``, or None when it is over _SHOWN_COUNT_LIMIT.
+
+    ``count`` must grow with the rank, as the Weyl orders and the numbers
+    of Hessenberg spaces do, so walking up from the smallest rank can stop
+    at the first count over the limit (below rank 40 for every type).
+    """
+    value = None
+    for r in range(_MIN_RANK[lie_type], rank + 1):
+        value = count(r)
+        if value > _SHOWN_COUNT_LIMIT:
+            return None
+    return value
+
+
+def _count_text(value: int | None) -> str:
+    """A count from ``_bounded_count`` as refusal messages print it."""
+    return "more than 10^18" if value is None else str(value)
+
+
 # Largest group enumerate_weyl builds: every rank <= 6 and A7 fit.  B6
 # (46,080 elements) takes about 0.4 s and 150 MB on a 2-vCPU Xeon; the next
 # groups up (D7, A8, B7 and C7: 322,560 to 645,120 elements) are 6 to 13
@@ -657,14 +684,14 @@ def check_weyl_budget(lie_type: str, rank: int) -> int | None:
     It needs no RootSystem, so callers can refuse before building one
     (construction grows with the rank).  A type or rank that RootSystem
     refuses passes here (returning None), so that RootSystem names the
-    problem.
+    problem.  An order over 10^18 is named as such, not computed.
     """
     if lie_type not in _MIN_RANK or rank < _MIN_RANK[lie_type]:
         return None
-    order = _WEYL_ORDER[lie_type](rank)
-    if order > _WEYL_BUDGET:
+    order = _bounded_count(_WEYL_ORDER[lie_type], lie_type, rank)
+    if order is None or order > _WEYL_BUDGET:
         raise ValueError(
-            f"the Weyl group of {lie_type}{rank} has {order} "
+            f"the Weyl group of {lie_type}{rank} has {_count_text(order)} "
             f"elements, over the budget of {_WEYL_BUDGET}")
     return order
 

@@ -11,7 +11,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from hessenpave import cli, fforacle, liealg
+from hessenpave import cli, fforacle, liealg, paving, rootcore
 from hessenpave.cli import main
 
 
@@ -213,6 +213,44 @@ def test_weyl_group_over_budget_exits_promptly():
         env={**os.environ, "PYTHONPATH": str(src)})
     assert proc.returncode == 1 and proc.stdout == ""
     assert "3628800 elements, over the budget of 50000" in proc.stderr
+
+
+_HUGE_WEYL = "elements, over the budget of 50000"
+_HUGE_SPACES = "Hessenberg spaces, over the budget of 60000"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["betti", "--type", "A", "--rank", "2000", "--hess", "full"],
+     f"the Weyl group of A2000 has more than 10^18 {_HUGE_WEYL}"),
+    (["sweep", "--type", "B", "--rank", "1500"],
+     f"the Weyl group of B1500 has more than 10^18 {_HUGE_WEYL}"),
+    (["verify-lemmata", "--type", "C", "--rank", "5000", "--trials", "1"],
+     f"the Weyl group of C5000 has more than 10^18 {_HUGE_WEYL}"),
+    (["enumerate-hess", "--type", "A", "--rank", "10000"],
+     f"A10000 has more than 10^18 {_HUGE_SPACES}"),
+    (["betti", "--type", "D", "--rank", "100000000", "--hess", "borel"],
+     f"the Weyl group of D100000000 has more than 10^18 {_HUGE_WEYL}"),
+    (["sweep", "--type", "A", "--rank", "100000000"],
+     f"the Weyl group of A100000000 has more than 10^18 {_HUGE_WEYL}"),
+    (["verify-lemmata", "--type", "B", "--rank", "100000000"],
+     f"the Weyl group of B100000000 has more than 10^18 {_HUGE_WEYL}"),
+    (["enumerate-hess", "--type", "C", "--rank", "100000000"],
+     f"C100000000 has more than 10^18 {_HUGE_SPACES}"),
+])
+def test_budget_refusals_at_huge_ranks_are_prompt(argv, message):
+    """From rank ~1,700 an exact Weyl order or space count has more digits
+    than Python prints, and at rank 10^8 it takes minutes to compute; the
+    checks stop counting past 10^18 and refuse in well under 2 s."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import time\nfrom hessenpave.cli import main\n"
+            f"t0 = time.perf_counter()\nrc = main({argv!r})\n"
+            "print(rc, time.perf_counter() - t0)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    rc, elapsed = proc.stdout.split()
+    assert rc == "1" and float(elapsed) < 2
+    assert proc.stderr == f"hessenpave: {message}\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -473,3 +511,35 @@ def test_failed_lemma_writes_report_then_exits_2(capsys, monkeypatch):
     assert code == 2
     assert "factorization_count,fail\n" in out
     assert "row_structure,pass\n" in out
+
+
+@pytest.mark.parametrize("fault", ["repeated", "dropped"])
+def test_stage_table_off_partition_fails_factorization_count(
+        capsys, monkeypatch, fault):
+    """The witness stages and row profiles read ``stage_table``: a row that
+    repeats or drops a positive-root index fails ``factorization_count``,
+    and the report is written before exit 2."""
+    original = rootcore.stage_table
+
+    def corrupted(rs):
+        table = original(rs)
+        first = table.rows[0]
+        row = first + first[:1] if fault == "repeated" else first[:-1]
+        return rootcore.StageTable((row,) + table.rows[1:], table.stages)
+
+    for module in (rootcore, liealg, paving):
+        monkeypatch.setattr(module, "stage_table", corrupted)
+    code, out, _ = run_cli(capsys, "verify-lemmata", "--type", "B",
+                           "--rank", "3", "--trials", "2")
+    assert code == 2
+    check = next(c for c in json.loads(out)["checks"]
+                 if c["name"] == "factorization_count")
+    assert check["status"] == "fail"
+    rs = rootcore.RootSystem("B", 3)
+    first = [rootcore.format_root(rs.positive_roots[k])
+             for k in original(rs).rows[0]]
+    if fault == "repeated":
+        expected = {"sum_of_rows": 10, "missing": [], "repeated": first[:1]}
+    else:
+        expected = {"sum_of_rows": 8, "missing": first[-1:], "repeated": []}
+    assert check["counterexample"] == {**expected, "positive_roots": 9}

@@ -7,6 +7,8 @@ import sys
 import types
 from pathlib import Path
 
+import pytest
+
 import hessenpave
 from hessenpave import rootcore
 
@@ -29,6 +31,85 @@ def test_cli_import_leaves_out_dataclasses_and_inspect():
     for name in ("hessenpave.liealg", "hessenpave.linalg",
                  "hessenpave.fforacle"):
         assert name in loaded, name
+
+
+# Standard-library modules that only some commands need: ``decimal`` and
+# ``numbers`` come in with ``fractions``.
+_DEFERRED = {"json", "csv", "fractions", "decimal", "numbers", "random"}
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (None, set()),
+    (["betti", "--type", "B", "--rank", "3", "--hess", "full",
+      "--format", "table"], set()),
+    (["enumerate-hess", "--type", "D", "--rank", "4", "--format", "table"],
+     set()),
+    (["betti", "--type", "B", "--rank", "3", "--hess", "full",
+      "--format", "json"], {"json"}),
+    (["paving", "--type", "A", "--rank", "2", "--hess", "borel",
+      "--format", "csv"], {"csv"}),
+    (["witness", "--type", "C", "--rank", "3", "--hess", "full",
+      "--word", "1 2", "--format", "table"],
+     {"fractions", "decimal", "numbers"}),
+])
+def test_cli_loads_stdlib_modules_only_where_used(argv, loaded):
+    """``json``, ``csv``, ``fractions`` and ``random`` cost 7-8 ms of a
+    15 ms import together: ``import hessenpave.cli`` loads none of them,
+    and a command loads only those its output format and its arithmetic
+    need.  ``-S`` keeps site hooks from loading them on its behalf."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    code = "import io, sys\nimport hessenpave.cli\n"
+    if argv is not None:
+        code += ("sys.stdout = io.StringIO()\n"
+                 f"assert hessenpave.cli.main({argv!r}) == 0\n"
+                 "sys.stdout = sys.__stdout__\n")
+    code += "print(' '.join(sys.modules))"
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60,
+                          check=True)
+    assert set(proc.stdout.split()) & _DEFERRED == loaded
+
+
+_MODULE_LEVEL_BANNED = {"json", "csv", "fractions", "random", "decimal",
+                        "typing"}
+
+
+def _module_level_imports(tree) -> set[str]:
+    """Top-level names of the modules a tree imports outside function
+    bodies, i.e. when the module itself is imported."""
+    out = set()
+    todo = list(tree.body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.Lambda)):
+            continue
+        if isinstance(node, ast.Import):
+            out.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            out.add(node.module.split(".")[0])
+        todo.extend(ast.iter_child_nodes(node))
+    return out
+
+
+def test_no_source_file_imports_deferred_modules_at_module_level():
+    """Every CLI call imports every package module, so a module-level
+    import of these would bring their cost back into each call (``typing``
+    costs about 3 ms); they are imported inside the functions that use
+    them."""
+    files = sorted((SRC / "hessenpave").glob("*.py"))
+    assert files
+    for path in files:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        assert not _module_level_imports(tree) & _MODULE_LEVEL_BANNED, \
+            path.name
+    # the detector sees module-level imports, also inside classes and
+    # conditionals, and skips function bodies
+    probe = ast.parse("import json.decoder\n"
+                      "class K:\n    from csv import writer\n"
+                      "if True:\n    import typing\n"
+                      "def f():\n    import random\n")
+    assert _module_level_imports(probe) == {"json", "csv", "typing"}
 
 
 def test_no_source_file_imports_dataclasses():
