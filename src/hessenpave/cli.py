@@ -243,10 +243,7 @@ def _run_witness(args) -> tuple:
     rs = RootSystem(args.lie_type, args.rank)
     space = parse_hessenberg(rs, _hess_spec(args))
     w = parse_word(rs, args.word)
-    real = liealg.build_chevalley(rs)
-    if rs.lie_type == "D":
-        real = liealg.normalize_type_D(real)
-    result = liealg.find_witness(real, w, space)
+    result = liealg.find_witness(liealg.build_chevalley(rs), w, space)
     profile = paving.row_dimension_profile(w, space)
     stages = []
     for sol in result.stage_solutions:

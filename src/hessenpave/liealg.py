@@ -48,8 +48,10 @@ with determinant ``2·n_{α_i}n_{α_{n-1}}n_{α_n}``).
 for a unipotent group element conjugating a regular nilpotent into the
 translated Hessenberg space, confirming each nonempty cell with an actual
 point and matching the per-stage solution-space dimensions against the
-combinatorial row profile.  Its stages, like the rows of the lemma checks,
-come from ``rootcore.stage_table``, which alone knows the type-D pairing.
+combinatorial row profile; each solved stage conjugates by one
+exponential.  Its stages and type-C long roots, like the rows of the lemma
+checks, come from ``rootcore.stage_table``, which alone knows the type-D
+pairing.
 
 The coefficient-space calculus (``_ibracket``, ``_iad_exp``, ``_ad_block``)
 and the witness stages key coefficients by positive-root index, and the
@@ -92,7 +94,6 @@ from .rootcore import (
     format_root,
     format_word,
     row_order,
-    rows,
     stage_table,
     strictly_dominates,
 )
@@ -590,16 +591,12 @@ def theta_row(real: ChevalleyRealization, n: NilpotentElement,
               x: NilpotentElement, i: int) -> Coeffs:
     """ρ_i Ad(exp X)(N) for X supported on a single row."""
     rs = real.rs
-    supp = x.support()
-    if supp:
-        hosting = {j for j in range(1, rs.rank + 1)
-                   if supp & rows(rs).rows[j - 1]}
-        if len(hosting) != 1:
-            raise ValueError("X must be supported on a single row")
+    table = stage_table(rs).rows
     xi = _to_index_coeffs(real, x.coeffs)
+    if xi and sum(not xi.keys().isdisjoint(row) for row in table) != 1:
+        raise ValueError("X must be supported on a single row")
     ni = _to_index_coeffs(real, n.coeffs)
-    out = _project(rs, _iad_exp(real, xi, ni),
-                   frozenset(stage_table(rs).rows[i - 1]))
+    out = _project(rs, _iad_exp(real, xi, ni), frozenset(table[i - 1]))
     return _from_index_coeffs(real, out)
 
 
@@ -667,13 +664,12 @@ def _random_row_element(rs: RootSystem, rng: random.Random, j: int
 def _check_row_structure(real: ChevalleyRealization, trials: int,
                          seed: int) -> dict | None:
     rs = real.rs
-    dec = rows(rs)
+    table = stage_table(rs)
     pos = rs.positive_roots
     sums = rs._pos_sum
-    for i, row in enumerate(stage_table(rs).rows, start=1):
-        heisenberg = rs.lie_type == "C" and i < rs.rank
-        gidx = (rs.root_index(dec.type_C_long_roots[i - 1]) if heisenberg
-                else None)
+    for i, row in enumerate(table.rows, start=1):
+        gidx = table.long_roots[i - 1]
+        heisenberg = gidx is not None
         for a in row:
             for b in row:
                 s = sums[a][b]
@@ -726,12 +722,8 @@ def _check_near_linearity(real: ChevalleyRealization, trials: int,
 
     rs = real.rs
     n = rs.rank
-    dec = rows(rs)
-    gamma_idx = {}
-    if rs.lie_type == "C":
-        for i in range(1, n):
-            gamma_idx[i] = rs.root_index(dec.type_C_long_roots[i - 1])
-    row_idx = [frozenset(row) for row in stage_table(rs).rows]
+    table = stage_table(rs)
+    row_idx = [frozenset(row) for row in table.rows]
     for t in range(trials):
         rng = _rng(seed, f"nl:{t}")
         nn = _random_nilpotent(rs, rng, regular=False)
@@ -761,12 +753,11 @@ def _check_near_linearity(real: ChevalleyRealization, trials: int,
                     for k, v in quad.items():
                         expect[k] = expect.get(k, 0) + Fraction(v, 2)
                     expect = {k: v for k, v in expect.items() if v}
-                    if i == j and rs.lie_type == "C":
-                        allowed = {gamma_idx[i]} if i in gamma_idx else set()
-                        if set(quad) - allowed:
-                            return {"trial": t, "row": j,
-                                    "reason": "quadratic part escapes the "
-                                              "long root"}
+                    if (i == j and rs.lie_type == "C"
+                            and set(quad) - {table.long_roots[i - 1]}):
+                        return {"trial": t, "row": j,
+                                "reason": "quadratic part escapes the "
+                                          "long root"}
                 else:
                     expect = dict(base)
                     for k, v in lin.items():
@@ -1095,25 +1086,18 @@ def verify_lemmata(real: ChevalleyRealization, trial_count: int = 200,
 class WitnessResult(_Record):
     """Stage-by-stage solution of the unipotent conjugation problem.
 
-    ``stage_solutions[k]`` is the coefficient map solved at stage k (rows
-    ascending; in type D stage k pairs the plain part of row k with the
-    fork parts of row k+1, and k starts at 0).  ``stage_kernel_dims``
-    records the dimension of each stage's affine solution space; these
-    match the row dimension profile of the cell.
+    ``stage_solutions[k]`` is the coefficient map X_k solved at stage k
+    (rows ascending; in type D stage k pairs the plain part of row k with
+    the fork parts of row k+1, and k starts at 0); the unipotent element is
+    ``exp(X_0) exp(X_1) ...``.  ``stage_kernel_dims`` records the dimension
+    of each stage's affine solution space; these match the row dimension
+    profile of the cell.
     """
 
     __slots__ = ("stage_solutions", "stage_kernel_dims", "verified")
     stage_solutions: tuple[Coeffs, ...]
     stage_kernel_dims: tuple[int, ...]
     verified: bool
-
-
-def _stage_factors(coeffs: dict[int, Fraction], first: Sequence[int]
-                   ) -> tuple[dict[int, Fraction], dict[int, Fraction]]:
-    """A stage solution as (the rest, its part on ``first``); the part on
-    ``first`` conjugates first."""
-    head = {k: coeffs[k] for k in first if k in coeffs}
-    return {k: v for k, v in coeffs.items() if k not in head}, head
 
 
 def _witness_context(space: HessenbergSpace, w: WeylElement,
@@ -1135,11 +1119,22 @@ def find_witness(real: ChevalleyRealization, w: WeylElement,
     Works stage by stage from the deepest row outward; each stage is an
     exact affine solve over the rationals (plus the one quadratic long-root
     coordinate in type C, adjusted last along its own line), with free
-    parameters pinned to zero.  The result is verified by direct matrix
-    computation, and the stage kernel dimensions are checked against the
-    row dimension profile.  Raises ValueError for an empty cell or a
-    non-regular N, ConsistencyError if any stage is infeasible or the final
-    membership check fails (both would contradict the paving).
+    parameters pinned to zero, and its solution X moves the current element
+    M to Ad(exp X)(M), one exponential per stage.
+
+    A type-D stage solves on the plain part of row k and the fork parts of
+    row k+1 at once, and needs no order between the two: a term that
+    depends on splitting X into factors comes from bracketing those parts,
+    which lands in the fork parts of row k, and no term of degree 2 or
+    more in X reaches a constraint of stage k.  So each stage is the same
+    affine system whatever the order, with the same kernel dimension and
+    feasibility; only the point reached could differ.
+
+    The result is verified by direct matrix computation, and the stage
+    kernel dimensions are checked against the row dimension profile.
+    Raises ValueError for an empty cell or a non-regular N,
+    ConsistencyError if any stage is infeasible or the final membership
+    check fails (both would contradict the paving).
     """
     from fractions import Fraction
 
@@ -1156,19 +1151,18 @@ def find_witness(real: ChevalleyRealization, w: WeylElement,
 
     inv = w.inverse_root_permutation()
     inversions = w.inversion_indices()
-    long_roots = [None if g is None else rs.root_index(g)
-                  for g in rows(rs).type_C_long_roots or (None,) * rs.rank]
-    stages = stage_table(rs).stages
+    table = stage_table(rs)
+    stages = table.stages
     current = _to_index_coeffs(real, n.coeffs)
     solutions: list[dict[int, Fraction]] = [{} for _ in stages]
     kernels: list[int] = [0] * len(stages)
 
     for k in range(len(stages) - 1, -1, -1):
-        stage_vars, stage_cons, first = stages[k]
+        stage_vars, stage_cons = stages[k]
         vars_ = [p for p in stage_vars if p in inversions]
         # the stage's roots outside wΦ_H, i.e. with w⁻¹p outside Φ_H
         cons = [p for p in stage_cons if not space.hm >> inv[p] & 1]
-        gamma = long_roots[k]
+        gamma = table.long_roots[k]
         quad = gamma in cons
 
         if quad:
@@ -1223,8 +1217,7 @@ def find_witness(real: ChevalleyRealization, w: WeylElement,
 
         solutions[k] = coeffs
         kernels[k] = kernel
-        rest, head = _stage_factors(coeffs, first)
-        current = _iad_exp(real, rest, _iad_exp(real, head, current))
+        current = _iad_exp(real, coeffs, current)
 
         for alpha in cons:
             if current.get(alpha, 0) != 0:
@@ -1260,12 +1253,10 @@ def _verify_witness_matrix(real: ChevalleyRealization, w: WeylElement,
 
     u = {(i, i): Fraction(1) for i in range(size)}
     u_inv = {(i, i): Fraction(1) for i in range(size)}
-    for sol, (_, _, first) in zip(solutions, stage_table(rs).stages):
-        for factor in filter(None, _stage_factors(sol, first)):
-            xmat = real.matrix_of(
-                NilpotentElement(_from_index_coeffs(real, factor)))
-            u = sp_mul(u, sp_exp_nilpotent(xmat, size))
-            u_inv = sp_mul(sp_exp_nilpotent(sp_scale(xmat, -1), size), u_inv)
+    for sol in filter(None, solutions):
+        xmat = real.matrix_of(NilpotentElement(_from_index_coeffs(real, sol)))
+        u = sp_mul(u, sp_exp_nilpotent(xmat, size))
+        u_inv = sp_mul(sp_exp_nilpotent(sp_scale(xmat, -1), size), u_inv)
 
     conj = sp_mul(sp_mul(u, real.matrix_of(n)), u_inv)
     cartan, expanded = real.expand(conj)

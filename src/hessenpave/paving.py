@@ -129,7 +129,7 @@ def cell_dimension_lie(w: WeylElement, space: HessenbergSpace) -> int:
 def _profile_masks(rs: RootSystem) -> tuple[tuple[int, int], ...]:
     """Positive-root bitmasks of each stage's (variables, constraints)."""
     return tuple((sum(1 << k for k in vars_), sum(1 << k for k in cons))
-                 for vars_, cons, _ in stage_table(rs).stages)
+                 for vars_, cons in stage_table(rs).stages)
 
 
 def row_dimension_profile(w: WeylElement, space: HessenbergSpace) -> tuple[int, ...]:

@@ -41,9 +41,10 @@ rows are merged accordingly before cross-checking.
 stages as sets of roots.  Everything downstream (the row profiles of
 :mod:`hessenpave.paving`, the witness stages and lemma checks of
 :mod:`hessenpave.liealg`) reads them through ``stage_table``, built once
-per root system: each row, and each stage's variables, constraints and
-first-conjugating part, as positive-root indices in row basis order.  The
-type-D split into stages is decided there and nowhere else.
+per root system: each row and each stage's variables and constraints, as
+positive-root indices in row basis order, and the index of each row's
+type-C long root.  The type-D split into stages is decided there and
+nowhere else.
 """
 
 from __future__ import annotations
@@ -965,17 +966,17 @@ def type_d_stage_sets(rs: RootSystem) -> tuple[tuple[frozenset[Root], frozenset[
 class StageTable(_Record):
     """Rows and solve stages as positive-root indices in row basis order.
 
-    ``rows[i-1]`` is row i.  ``stages[k]`` is ``(vars, cons, first)`` for
-    stage k (0-based): the roots the stage solves for, the roots it
-    constrains, and the part of ``vars`` that conjugates first.  In types
-    A, B, C stage k is row k+1 on both sides and ``first`` is empty; in
-    type D it is the pair of ``type_d_stage_sets`` and ``first`` is the
-    fork parts of row k+1.
+    ``rows[i-1]`` is row i.  ``stages[k]`` is ``(vars, cons)`` for stage k
+    (0-based): the roots the stage solves for and the roots it constrains.
+    In types A, B, C stage k is row k+1 on both sides; in type D it is the
+    pair of ``type_d_stage_sets``.  ``long_roots[i-1]`` is the index of the
+    long root ``2ε_i`` of row i in type C (i < n) and None elsewhere.
     """
 
-    __slots__ = ("rows", "stages")
+    __slots__ = ("rows", "stages", "long_roots")
     rows: tuple[tuple[int, ...], ...]
-    stages: tuple[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]], ...]
+    stages: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
+    long_roots: tuple[int | None, ...]
 
 
 def stage_table(rs: RootSystem) -> StageTable:
@@ -991,11 +992,11 @@ def stage_table(rs: RootSystem) -> StageTable:
 
     row_idx = tuple(ordered(row) for row in dec.rows)
     if rs.lie_type == "D":
-        stages = tuple(
-            (ordered(dom), ordered(cod),
-             ordered(dec.type_D_parts[k][1] | dec.type_D_parts[k][2]))
-            for k, (dom, cod) in enumerate(type_d_stage_sets(rs)))
+        stages = tuple((ordered(dom), ordered(cod))
+                       for dom, cod in type_d_stage_sets(rs))
     else:
-        stages = tuple((row, row, ()) for row in row_idx)
-    rs._stages_cache = StageTable(row_idx, stages)
+        stages = tuple((row, row) for row in row_idx)
+    long_roots = tuple(None if g is None else rs._index[g.coeffs]
+                       for g in dec.type_C_long_roots or (None,) * rs.rank)
+    rs._stages_cache = StageTable(row_idx, stages, long_roots)
     return rs._stages_cache

@@ -889,27 +889,33 @@ def test_witness_sampled_high_rank(lie_type, rank, sample):
 
 
 @pytest.mark.parametrize("lie_type,rank,sample", [
-    ("B", 3, 150), ("C", 3, 150), ("D", 4, 150), ("D", 5, 100)])
+    pytest.param("B", 3, None, id="B-3-all"),
+    pytest.param("C", 3, None, id="C-3-all"),
+    pytest.param("D", 4, None, id="D-4-all"),
+    ("D", 5, 100)])
 def test_witness_random_regular_nilpotent(lie_type, rank, sample):
-    """Seeded random regular N on sampled nonempty cells: every witness is
-    verified, and the stage solutions are not all zero, as they are for the
-    sum of simple vectors, so the order of conjugation inside a stage is
-    exercised."""
+    """Seeded random regular N on every nonempty cell, or a sample of them:
+    every witness is verified, and the stage solutions are not all zero,
+    as they are for the sum of simple vectors, so a type-D stage that
+    conjugates by one exponential is exercised.  Type D runs on the
+    realization as built and on its normalization."""
     rs = build_root_system(lie_type, rank)
     real = build_chevalley(rs)
-    if lie_type == "D":
-        real = normalize_type_D(real)
     rng = random.Random(f"witness-n:{lie_type}{rank}")
     pairs = [(space, w) for space in enumerate_hessenberg(rs)
              for w in enumerate_weyl(rs) if cell_nonempty(w, space)]
-    moved = 0
-    for space, w in rng.sample(pairs, sample):
-        n = liealg._random_nilpotent(rs, rng, regular=True)
-        wit = find_witness(real, w, space, n)
-        assert wit.verified
-        assert wit.stage_kernel_dims == row_dimension_profile(w, space)
-        moved += any(wit.stage_solutions)
-    assert moved
+    if sample is not None:
+        pairs = rng.sample(pairs, sample)
+    ns = [liealg._random_nilpotent(rs, rng, regular=True) for _ in pairs]
+    for realization in ([real, normalize_type_D(real)] if lie_type == "D"
+                        else [real]):
+        moved = 0
+        for (space, w), n in zip(pairs, ns):
+            wit = find_witness(realization, w, space, n)
+            assert wit.verified
+            assert wit.stage_kernel_dims == row_dimension_profile(w, space)
+            moved += any(wit.stage_solutions)
+        assert moved
 
 
 def _from(caller, original, fake):
@@ -938,11 +944,11 @@ def _without_long_root_pivots(rs):
     """The stage table with the adjusting coordinate of each type-C long
     root dropped from the stage variables."""
     table = stage_table(rs)
-    pivots = {rs._pos_diff[rs.root_index(g)][rs._simple_index[k]]
-              for k, g in enumerate(rows(rs).type_C_long_roots) if g}
+    pivots = {rs._pos_diff[g][rs._simple_index[k]]
+              for k, g in enumerate(table.long_roots) if g is not None}
     return StageTable(table.rows, tuple(
-        (tuple(p for p in vars_ if p not in pivots), cons, first)
-        for vars_, cons, first in table.stages))
+        (tuple(p for p in vars_ if p not in pivots), cons)
+        for vars_, cons in table.stages), table.long_roots)
 
 
 def _long_root_line(fake):

@@ -150,20 +150,46 @@ def _type_d_comparisons(tree) -> list[int]:
     return out
 
 
+def _names(tree) -> tuple[set[str], set[str]]:
+    """The names a tree imports, and the names and attributes it reads."""
+    imported, read = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Name):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+    return imported, read
+
+
 def test_type_d_stage_split_stays_in_rootcore():
     """The row profile and the witness solver read the type-D stage split
-    from ``rootcore.stage_table``; neither tests for type D itself."""
+    from ``rootcore.stage_table``; neither tests for type D itself.
+    ``liealg`` reads rows and type-C long roots from the same table, never
+    from ``rows``, and the ``witness`` command solves in the realization
+    as built, whatever the type."""
     def parse(name):
         return ast.parse((SRC / "hessenpave" / name).read_text(encoding="utf-8"))
 
+    def functions(tree):
+        return {node.name: node for node in tree.body
+                if isinstance(node, ast.FunctionDef)}
+
     assert _type_d_comparisons(parse("paving.py")) == []
     liealg = parse("liealg.py")
-    functions = {node.name: node for node in liealg.body
-                 if isinstance(node, ast.FunctionDef)}
     for name in ("find_witness", "_verify_witness_matrix"):
-        assert _type_d_comparisons(functions[name]) == [], name
-    # the detector sees the comparisons that belong elsewhere
-    assert _type_d_comparisons(functions["normalize_type_D"])
+        assert _type_d_comparisons(functions(liealg)[name]) == [], name
+    parts = {"type_C_long_roots", "type_D_parts"}
+    imported, read = _names(liealg)
+    assert "rows" not in imported
+    assert read & parts == set()
+    assert _type_d_comparisons(functions(parse("cli.py"))["_run_witness"]) == []
+    # the detectors see the comparisons, imports and names that belong
+    # elsewhere
+    assert _type_d_comparisons(functions(liealg)["normalize_type_D"])
+    assert "rows" in _names(parse("__init__.py"))[0]
+    assert _names(parse("rootcore.py"))[1] >= parts
 
 
 def test_realization_constants_are_read_in_integers():

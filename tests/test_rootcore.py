@@ -215,24 +215,23 @@ def test_type_d_stage_sets_partition_both_sides():
 
 
 def ref_stage_table(rs):
-    """Rows and stages as positive-root indices, built the way the row
-    profile and the witness solver built them before the stage table: a
-    ``_row_key`` sort of each row and of each type-D stage set, and the
-    type-D split that conjugates first by everything off the plain part of
-    row k."""
+    """Rows, stages and long roots as positive-root indices, built the way
+    the row profile and the witness solver built them before the stage
+    table: a ``_row_key`` sort of each row and of each type-D stage set,
+    and the index of each root of ``rows(rs).type_C_long_roots``."""
     dec = rows(rs)
 
     def ordered(roots):
         return tuple(rs.root_index(r) for r in sorted(roots, key=_row_key))
 
     row_orders = tuple(ordered(row) for row in dec.rows)
+    long_roots = tuple(None if g is None else rs.root_index(g)
+                       for g in dec.type_C_long_roots or [None] * rs.rank)
     if rs.lie_type != "D":
-        return row_orders, tuple((r, r, ()) for r in row_orders)
-    stages = []
-    for k, (dom, cod) in enumerate(type_d_stage_sets(rs)):
-        plain = dec.type_D_parts[k - 1][0] if k >= 1 else frozenset()
-        stages.append((ordered(dom), ordered(cod), ordered(dom - plain)))
-    return row_orders, tuple(stages)
+        return row_orders, tuple((r, r) for r in row_orders), long_roots
+    stages = tuple((ordered(dom), ordered(cod))
+                   for dom, cod in type_d_stage_sets(rs))
+    return row_orders, stages, long_roots
 
 
 @pytest.mark.parametrize("lie_type,rank",
@@ -240,7 +239,7 @@ def ref_stage_table(rs):
 def test_stage_table_equals_reference(lie_type, rank):
     rs = build_root_system(lie_type, rank)
     table = stage_table(rs)
-    assert (table.rows, table.stages) == ref_stage_table(rs)
+    assert (table.rows, table.stages, table.long_roots) == ref_stage_table(rs)
     for i, row in enumerate(rows(rs).rows, start=1):
         assert row_order(rs, i) == tuple(sorted(row, key=_row_key))
     assert stage_table(rs) is table
