@@ -16,6 +16,17 @@ once (``_emit``), so a failed lemma check writes its report before exiting 2.
 ``main`` looks the renderers up as module attributes at call time, so they
 can be replaced on the module, as the benchmark's tracer does to time them.
 
+One exit path: both launchers, ``python -m hessenpave.cli`` and the
+``hessenpave`` script, end through ``run``.  It calls ``main``, then does
+what CPython's own shutdown does before teardown: it runs the ``atexit``
+handlers and flushes stdout and stderr.  Then it ends the process with
+``os._exit``, which skips only the freeing of every module and object and the
+final garbage collection: about 13 ms of a roughly 75 ms call.  The package
+starts no thread and registers no ``atexit`` handler, so nothing else is
+skipped.  ``--help`` and an uncaught exception leave by Python's normal exit.
+A failed write or final flush of stdout (a closed pipe, a full disk) is one
+line on stderr and exit 1, unless the exit code is already nonzero.
+
 Every call pays the import of this module, so standard-library modules that
 only some commands need are imported where they are used: ``json`` in
 ``_json_text``, ``csv`` in ``_csv_text``, and ``fractions`` only by the
@@ -27,6 +38,7 @@ only some commands need are imported where they are used: ``json`` in
 from __future__ import annotations
 
 import argparse
+import atexit
 import io
 import os
 import sys
@@ -144,7 +156,10 @@ def _emit(text: str, output) -> None:
         except OSError as exc:
             raise ValueError(f"cannot write {output}: {exc.strerror}") from exc
     else:
-        sys.stdout.write(text)
+        try:
+            sys.stdout.write(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write stdout: {exc.strerror}") from exc
 
 
 def _json_text(record) -> str:
@@ -353,5 +368,21 @@ def main(argv=None) -> int:
         return 2
 
 
+def run() -> None:
+    """Run ``main`` on ``sys.argv`` and end the process with its exit code
+    (see "One exit path" above); never returns."""
+    code = main()
+    atexit._run_exitfuncs()
+    try:
+        sys.stdout.flush()
+    except OSError as exc:
+        if code == 0:
+            code = 1
+            print(f"hessenpave: cannot write stdout: {exc.strerror}",
+                  file=sys.stderr)
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

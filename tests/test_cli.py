@@ -544,3 +544,165 @@ def test_stage_table_off_partition_fails_factorization_count(
     else:
         expected = {"sum_of_rows": 8, "missing": first[-1:], "repeated": []}
     assert check["counterexample"] == {**expected, "positive_roots": 9}
+
+
+# ---------------------------------------------------------------------------
+# the exit path: cli.run, as both launchers call it
+# ---------------------------------------------------------------------------
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+# Block-buffered stdout, as in a plain shell: a run that skipped the final
+# flush would lose the tail of its output.
+CHILD_ENV = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+CHILD_ENV["PYTHONPATH"] = str(SRC)
+
+
+def cli_child(argv, code=None, stdout=subprocess.PIPE, env=CHILD_ENV,
+              flags=()):
+    """Run ``python -m hessenpave.cli ARGV`` in a child, or ``python -c
+    CODE`` with ``sys.argv[1:]`` set to ARGV."""
+    cmd = [sys.executable, *flags]
+    cmd += ["-m", "hessenpave.cli"] if code is None else ["-c", code]
+    return subprocess.run(cmd + list(argv), stdout=stdout,
+                          stderr=subprocess.PIPE, env=env, timeout=120)
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--type", "C", "--rank", "4", "--format", "json"],
+    ["paving", "--type", "D", "--rank", "4", "--hess", "full",
+     "--format", "csv"],
+    ["enumerate-hess", "--type", "B", "--rank", "4", "--format", "table"],
+])
+def test_output_complete_through_exit_path(capsys, tmp_path, argv):
+    """A real child writes the same bytes as ``main`` in process, through
+    a pipe and to an --output file (the C4 sweep is 4.7 MB)."""
+    assert main(argv) == 0
+    expected = capsys.readouterr().out.encode()
+    proc = cli_child(argv)
+    assert proc.returncode == 0 and proc.stderr == b""
+    assert proc.stdout == expected
+    target = tmp_path / "out.txt"
+    proc = cli_child([*argv, "--output", str(target)])
+    assert proc.returncode == 0 and proc.stdout == proc.stderr == b""
+    assert target.read_bytes() == expected
+
+
+def _closed_pipe():
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    return write_end
+
+
+_SINKS = ["closed-pipe"] + (["dev-full"] if os.path.exists("/dev/full")
+                            else [])
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+@pytest.mark.parametrize("sink", _SINKS)
+@pytest.mark.parametrize("argv", [
+    ["betti", "--type", "A", "--rank", "2", "--hess", "full"],
+    ["sweep", "--type", "B", "--rank", "3"],
+])
+def test_failed_stdout_write_is_one_line_exit_1(argv, sink, unbuffered):
+    """A write to stdout that fails, in ``_emit`` (large or unbuffered
+    output) or in the final flush of ``run`` (small buffered output),
+    exits 1 with one line and no traceback."""
+    env = dict(CHILD_ENV, PYTHONUNBUFFERED=unbuffered)
+    if sink == "closed-pipe":
+        fd, reason = _closed_pipe(), "Broken pipe"
+    else:
+        fd, reason = os.open("/dev/full", os.O_WRONLY), \
+            "No space left on device"
+    try:
+        proc = cli_child(argv, stdout=fd, env=env)
+    finally:
+        os.close(fd)
+    assert proc.returncode == 1
+    assert proc.stderr.decode() == f"hessenpave: cannot write stdout: {reason}\n"
+
+
+def test_failed_final_flush_keeps_nonzero_code():
+    """When the command already failed, a failed flush adds no line and
+    keeps the code."""
+    forced_failure = ("from hessenpave import cli, liealg\n"
+                      "liealg._check_factorization_count = "
+                      "lambda real: {'forced': True}\n"
+                      "cli.run()\n")
+    fd = _closed_pipe()
+    try:
+        proc = cli_child(["verify-lemmata", "--type", "A", "--rank", "2",
+                          "--trials", "2", "--format", "csv"],
+                         code=forced_failure, stdout=fd)
+    finally:
+        os.close(fd)
+    assert proc.returncode == 2 and proc.stderr == b""
+
+
+_FORCE_BETTI_MISMATCH = (
+    "from hessenpave import cli, paving\n"
+    "product = paving.betti_product\n"
+    "paving.betti_product = lambda space: paving.BettiTable("
+    "product(space).coefficients + (1,))\n"
+    "cli.run()\n")
+
+
+@pytest.mark.parametrize("argv, code, rc, message", [
+    (["paving", "--type", "A", "--rank", "2", "--hess-fn", "2,3,3",
+      "--bogus"], None, 1, "hessenpave: unrecognized arguments: --bogus"),
+    (["betti", "--type", "A", "--rank", "9", "--hess", "full"], None, 1,
+     "hessenpave: the Weyl group of A9 has 3628800 elements, over the "
+     "budget of 50000"),
+    (["verify-lemmata", "--type", "B", "--rank", "3", "--trials", "10001"],
+     None, 1, "hessenpave: trial count 10001 is over the budget of 10000"),
+    (["betti", "--type", "B", "--rank", "3", "--hess", "full"],
+     _FORCE_BETTI_MISMATCH, 2,
+     "hessenpave: consistency failure: cell Betti numbers "),
+])
+def test_exit_codes_through_run(argv, code, rc, message):
+    """Usage errors and budget refusals exit 1, a consistency failure
+    exits 2, each with one stderr line and no stdout."""
+    proc = cli_child(argv, code=code)
+    err = proc.stderr.decode()
+    assert proc.returncode == rc and proc.stdout == b""
+    assert err.startswith(message) and err.count("\n") == 1, err
+
+
+def test_run_calls_atexit_handlers_then_flushes():
+    """A handler registered before ``cli.run()`` runs, after the command's
+    output, and what it prints reaches stdout."""
+    code = ("import atexit\n"
+            "atexit.register(print, 'handler ran')\n"
+            "from hessenpave import cli\n"
+            "cli.run()\n")
+    argv = ["betti", "--type", "A", "--rank", "2", "--hess", "full",
+            "--format", "table"]
+    proc = cli_child(argv, code=code)
+    assert proc.returncode == 0 and proc.stderr == b""
+    assert proc.stdout.decode() == ("type  rank  hessenberg           betti\n"
+                                    "A     2     neg=0,-1;-1,0;-1,-1  1|2|2|1\n"
+                                    "handler ran\n")
+
+
+def test_help_exits_0():
+    proc = cli_child(["--help"])
+    assert proc.returncode == 0 and proc.stderr == b""
+    assert proc.stdout.startswith(b"usage: hessenpave")
+    assert b"One exit path" not in proc.stdout
+
+
+def test_commands_start_no_thread_and_register_no_exit_handler():
+    """What ``run`` skips is safe to skip only while the package starts no
+    thread and registers no ``atexit`` handler; ``-S`` keeps site hooks
+    from registering their own."""
+    code = ("import atexit, io, sys, threading\n"
+            "from hessenpave import cli\n"
+            "before = atexit._ncallbacks()\n"
+            f"for argv in {[[c, *a] for c, a in PINNED_ARGV.items()]!r}:\n"
+            "    sys.stdout = io.StringIO()\n"
+            "    assert cli.main(argv) == 0, argv\n"
+            "    sys.stdout = sys.__stdout__\n"
+            "print(threading.active_count(), before, atexit._ncallbacks())\n")
+    proc = cli_child([], code=code, flags=["-S"])
+    assert proc.returncode == 0, proc.stderr
+    threads, before, after = proc.stdout.split()
+    assert threads == b"1" and before == after

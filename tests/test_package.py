@@ -209,3 +209,34 @@ def test_realization_constants_are_read_in_integers():
     # the detector sees the name where it is used
     assert any(isinstance(node, ast.Name) and node.id == "Fraction"
                for node in ast.walk(methods["expand"]))
+
+
+def _main_block_calls(tree) -> list[str]:
+    """The source of each statement in the ``if __name__ == "__main__":``
+    blocks of a module."""
+    out = []
+    for node in tree.body:
+        if (isinstance(node, ast.If) and isinstance(node.test, ast.Compare)
+                and isinstance(node.test.left, ast.Name)
+                and node.test.left.id == "__name__"):
+            out += [ast.unparse(stmt) for stmt in node.body]
+    return out
+
+
+def test_cli_main_block_only_calls_run():
+    """``python -m hessenpave.cli`` ends through ``cli.run``, the one exit
+    path."""
+    tree = ast.parse((SRC / "hessenpave" / "cli.py").read_text(encoding="utf-8"))
+    assert _main_block_calls(tree) == ["run()"]
+    # the detector sees a block that bypasses run
+    probe = ast.parse("if __name__ == '__main__':\n    sys.exit(main())\n")
+    assert _main_block_calls(probe) == ["sys.exit(main())"]
+
+
+def test_console_script_is_run():
+    """The installed ``hessenpave`` script ends through ``cli.run`` too."""
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = SRC.parent / "pyproject.toml"
+    with open(pyproject, "rb") as fh:
+        scripts = tomllib.load(fh)["project"]["scripts"]
+    assert scripts == {"hessenpave": "hessenpave.cli:run"}
