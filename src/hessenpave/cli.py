@@ -8,6 +8,16 @@ byte-identical bytes.  Exit codes: 0 success, 1 validation or usage error,
 
 The environment variable ``HESSENPAVE_SEED`` overrides ``--seed``.
 
+One grammar: ``_COMMANDS`` maps each command to its runner and its
+options, and ``_parse`` reads the command line from that table alone.  It
+follows the rules of the ``argparse`` parser it replaced, messages
+included: ``--flag=value``, the last of a repeated flag wins, a unique
+prefix names its flag (an exact match wins), and the token after a flag is
+its value unless it looks like an option and not like a negative number.
+Errors are reported in argparse's order: those met reading the tokens,
+then missing required flags, then the ``--hess*`` group, then
+unrecognized arguments.  ``--help`` is rendered from the same table.
+
 One output path: each ``_run_*`` function computes its result and returns
 ``(exit code, JSON record, CSV/table header, rows)``, where rows is a lazy
 iterable, so a JSON run never builds it.  ``main`` alone reads ``--format``,
@@ -17,18 +27,21 @@ once (``_emit``), so a failed lemma check writes its report before exiting 2.
 can be replaced on the module, as the benchmark's tracer does to time them.
 
 One exit path: both launchers, ``python -m hessenpave.cli`` and the
-``hessenpave`` script, end through ``run``.  It calls ``main``, then does
-what CPython's own shutdown does before teardown: it runs the ``atexit``
-handlers and flushes stdout and stderr.  Then it ends the process with
-``os._exit``, which skips only the freeing of every module and object and the
-final garbage collection: about 13 ms of a roughly 75 ms call.  The package
-starts no thread and registers no ``atexit`` handler, so nothing else is
-skipped.  ``--help`` and an uncaught exception leave by Python's normal exit.
-A failed write or final flush of stdout (a closed pipe, a full disk) is one
-line on stderr and exit 1, unless the exit code is already nonzero.
+``hessenpave`` script, end through ``run``, ``--help`` included.  It calls
+``main``, then does what CPython's own shutdown does before teardown: it
+runs the ``atexit`` handlers and flushes stdout and stderr.  Then it ends
+the process with ``os._exit``, which skips only the freeing of every module
+and object and the final garbage collection: about 13 ms of a roughly 75 ms
+call.  The package starts no thread and registers no ``atexit`` handler, so
+nothing else is skipped.  Only an uncaught exception leaves by Python's
+normal exit.  A failed write or final flush of stdout (a closed pipe, a
+full disk) is one line on stderr and exit 1, unless the exit code is
+already nonzero.
 
-Every call pays the import of this module, so standard-library modules that
-only some commands need are imported where they are used: ``json`` in
+Every call pays the import of this module, so it loads no ``argparse``,
+``gettext`` or ``locale``: importing them and building argparse's parsers
+cost about a tenth of a small query.  Standard-library modules that only
+some commands need are imported where they are used: ``json`` in
 ``_json_text``, ``csv`` in ``_csv_text``, and ``fractions`` only by the
 ``linalg`` and ``liealg`` functions that build rationals (``witness`` and
 ``verify-lemmata``).  ``_format_rational`` reads ``numerator`` and
@@ -37,7 +50,6 @@ only some commands need are imported where they are used: ``json`` in
 
 from __future__ import annotations
 
-import argparse
 import atexit
 import io
 import os
@@ -62,74 +74,6 @@ from .rootcore import (
 )
 
 
-class _UsageError(Exception):
-    pass
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise _UsageError(message)
-
-
-def _build_parser() -> _Parser:
-    # --help shows the user-facing paragraphs only
-    p = _Parser(prog="hessenpave",
-                description=__doc__.split("\n\nOne output path")[0])
-    sub = p.add_subparsers(dest="command", required=True)
-
-    def add_system(sp):
-        sp.add_argument("--type", required=True, dest="lie_type",
-                        choices=("A", "B", "C", "D"))
-        sp.add_argument("--rank", required=True, type=int)
-
-    def add_hess(sp):
-        g = sp.add_mutually_exclusive_group(required=True)
-        g.add_argument("--hess-fn", help="type-A Hessenberg function, e.g. 2,3,3")
-        g.add_argument("--hess-neg",
-                       help="negative roots, e.g. --hess-neg=-1,0;0,-1 (the "
-                            "'=' is needed since the value starts with '-')")
-        g.add_argument("--hess", choices=("full", "borel"))
-
-    def add_common(sp):
-        sp.add_argument("--format", default="json",
-                        choices=("json", "csv", "table"))
-        sp.add_argument("--output", default=None, help="output path (default stdout)")
-
-    for name in ("paving", "betti"):
-        sp = sub.add_parser(name)
-        add_system(sp)
-        add_hess(sp)
-        add_common(sp)
-
-    sp = sub.add_parser("enumerate-hess")
-    add_system(sp)
-    add_common(sp)
-
-    sp = sub.add_parser("witness")
-    add_system(sp)
-    add_hess(sp)
-    sp.add_argument("--word", required=True,
-                    help="space-separated reflection indices ('' = identity)")
-    add_common(sp)
-
-    sp = sub.add_parser("verify-lemmata")
-    add_system(sp)
-    sp.add_argument("--trials", type=int, default=200)
-    sp.add_argument("--seed", type=int, default=liealg.DEFAULT_SEED)
-    add_common(sp)
-
-    sp = sub.add_parser("count-points")
-    sp.add_argument("--n", required=True, type=int)
-    sp.add_argument("--q", required=True, type=int)
-    sp.add_argument("--hess-fn", required=True)
-    add_common(sp)
-
-    sp = sub.add_parser("sweep")
-    add_system(sp)
-    add_common(sp)
-    return p
-
-
 def _hess_fn_values(text: str) -> tuple[int, ...]:
     """The values of a ``--hess-fn`` list, refusing any part that is not an
     integer (an empty part included)."""
@@ -149,7 +93,7 @@ def _hess_spec(args) -> str:
 
 
 def _emit(text: str, output) -> None:
-    if output:
+    if output is not None:
         try:
             with open(output, "w", encoding="utf-8") as fh:
                 fh.write(text)
@@ -203,6 +147,7 @@ def _paving_rows(record: dict, hess: str) -> Iterator[list]:
 
 
 def _run_paving(args) -> tuple:
+    """The cells of one Hessenberg variety and their dimensions."""
     check_weyl_budget(args.lie_type, args.rank)
     rs = RootSystem(args.lie_type, args.rank)
     space = parse_hessenberg(rs, _hess_spec(args))
@@ -212,6 +157,7 @@ def _run_paving(args) -> tuple:
 
 
 def _run_betti(args) -> tuple:
+    """The Betti numbers of one Hessenberg variety."""
     check_weyl_budget(args.lie_type, args.rank)
     rs = RootSystem(args.lie_type, args.rank)
     space = parse_hessenberg(rs, _hess_spec(args))
@@ -229,6 +175,7 @@ def _run_betti(args) -> tuple:
 
 
 def _run_enumerate_hess(args) -> tuple:
+    """Every Hessenberg space of one root system."""
     check_space_budget(args.lie_type, args.rank)
     rs = RootSystem(args.lie_type, args.rank)
     spaces = enumerate_hessenberg(rs)
@@ -254,6 +201,7 @@ def _format_rational(v) -> str:
 
 
 def _run_witness(args) -> tuple:
+    """Solve for and check a point of one cell, stage by stage."""
     check_root_budget(args.lie_type, args.rank)
     rs = RootSystem(args.lie_type, args.rank)
     space = parse_hessenberg(rs, _hess_spec(args))
@@ -281,6 +229,7 @@ def _run_witness(args) -> tuple:
 
 
 def _run_verify_lemmata(args) -> tuple:
+    """Check the lemmata the paving rests on, in seeded trials."""
     liealg.check_trial_count(args.trials)
     check_weyl_budget(args.lie_type, args.rank)
     rs = RootSystem(args.lie_type, args.rank)
@@ -292,6 +241,7 @@ def _run_verify_lemmata(args) -> tuple:
 
 
 def _run_count_points(args) -> tuple:
+    """Count the F_q points of each type-A cell."""
     h = _hess_fn_values(args.hess_fn)
     record = fforacle.count_points(args.n, args.q, h).to_record()
     rows = ([record["n"], record["q"], ",".join(str(v) for v in record["h"]),
@@ -307,6 +257,7 @@ _CELL_BUDGET = 2_500_000
 
 
 def _run_sweep(args) -> tuple:
+    """The paving of every Hessenberg space of one root system."""
     order = check_weyl_budget(args.lie_type, args.rank)
     count = check_space_budget(args.lie_type, args.rank)
     if order is not None and order * count > _CELL_BUDGET:
@@ -323,35 +274,306 @@ def _run_sweep(args) -> tuple:
     return 0, record, _PAVING_COLUMNS, rows
 
 
-_RUNNERS = {
-    "paving": _run_paving,
-    "betti": _run_betti,
-    "enumerate-hess": _run_enumerate_hess,
-    "witness": _run_witness,
-    "verify-lemmata": _run_verify_lemmata,
-    "count-points": _run_count_points,
-    "sweep": _run_sweep,
+class _UsageError(ValueError):
+    pass
+
+
+class _Help(Exception):
+    """``-h`` or ``--help`` was read: print the help of ``command`` (None
+    for the top level) and exit 0."""
+
+    def __init__(self, command):
+        super().__init__(command)
+        self.command = command
+
+
+_REQUIRED, _OPTIONAL, _ONE_OF = "required", "optional", "one of"
+
+
+def _option(flag, dest=None, type=str, choices=None, default=None,
+            rule=_OPTIONAL, help=""):
+    """One row of an option table: ``(flag, dest, type, choices, default,
+    rule, help)``.  ``rule`` is ``_REQUIRED``, ``_OPTIONAL`` or ``_ONE_OF``:
+    a command's ``_ONE_OF`` options form one group, of which exactly one
+    must be given."""
+    return (flag, dest or flag[2:].replace("-", "_"), type, choices, default,
+            rule, help)
+
+
+_SYSTEM = (
+    _option("--type", "lie_type", choices=("A", "B", "C", "D"),
+            rule=_REQUIRED, help="Lie type"),
+    _option("--rank", type=int, rule=_REQUIRED,
+            help="rank of the root system"),
+)
+_SPACE = (
+    _option("--hess-fn", rule=_ONE_OF,
+            help="type-A Hessenberg function, e.g. 2,3,3"),
+    _option("--hess-neg", rule=_ONE_OF,
+            help="negative roots, e.g. --hess-neg=-1,0;0,-1 (the\n"
+                 "'=' is needed since the value starts with '-')"),
+    _option("--hess", choices=("full", "borel"), rule=_ONE_OF,
+            help="the flag variety or the Borel space"),
+)
+_OUTPUT = (
+    _option("--format", choices=("json", "csv", "table"), default="json",
+            help="output format (default json)"),
+    _option("--output", help="output path (default stdout)"),
+)
+
+# Each command's runner and options, in the order --help lists them.
+_COMMANDS = {
+    "paving": (_run_paving, _SYSTEM + _SPACE + _OUTPUT),
+    "betti": (_run_betti, _SYSTEM + _SPACE + _OUTPUT),
+    "enumerate-hess": (_run_enumerate_hess, _SYSTEM + _OUTPUT),
+    "witness": (_run_witness, _SYSTEM + _SPACE + (
+        _option("--word", rule=_REQUIRED,
+                help="space-separated reflection indices ('' = identity)"),
+    ) + _OUTPUT),
+    "verify-lemmata": (_run_verify_lemmata, _SYSTEM + (
+        _option("--trials", type=int, default=200,
+                help="random trials per check (default 200)"),
+        _option("--seed", type=int, default=liealg.DEFAULT_SEED,
+                help=f"seed (default {liealg.DEFAULT_SEED}; "
+                     "HESSENPAVE_SEED overrides it)"),
+    ) + _OUTPUT),
+    "count-points": (_run_count_points, (
+        _option("--n", type=int, rule=_REQUIRED,
+                help="flags of F_q^n (type A_{n-1})"),
+        _option("--q", type=int, rule=_REQUIRED, help="field size, a prime"),
+        _option("--hess-fn", rule=_REQUIRED,
+                help="type-A Hessenberg function, e.g. 2,3,4,4"),
+    ) + _OUTPUT),
+    "sweep": (_run_sweep, _SYSTEM + _OUTPUT),
 }
+
+_HELP_FLAGS = {"-h": None, "--help": None}
+
+
+def _looks_negative(token: str) -> bool:
+    r"""argparse's negative-number test, ``^-\d+$|^-\d*\.\d+$``, whose ``$``
+    also matches before a final newline."""
+    body = token[1:-1] if token.endswith("\n") else token[1:]
+    whole, dot, fraction = body.partition(".")
+    if not dot:
+        return whole.isdecimal()
+    return (not whole or whole.isdecimal()) and fraction.isdecimal()
+
+
+def _read_token(token: str, flags: dict):
+    """What one token is, read as argparse reads it before any value is
+    taken: None for a value, else ``(option, flag, explicit value or
+    None)``, where ``option`` is the flag's table row, None for ``-h`` and
+    ``--help``, and ``False`` for a flag the command does not have."""
+    if not token or token[0] != "-":
+        return None
+    if token in flags:
+        return flags[token], token, None
+    if len(token) == 1:
+        return None
+    flag, eq, value = token.partition("=")
+    if eq and flag in flags:
+        return flags[flag], flag, value
+    if token[1] == "-":
+        found = [(f, value if eq else None) for f in flags
+                 if f.startswith(flag)]
+    else:                       # the table's only one-dash flag is -h
+        found = [(f, token[2:]) for f in flags if f == token[:2]]
+    if len(found) > 1:
+        raise _UsageError(f"ambiguous option: {token} could match "
+                          + ", ".join(f for f, _ in found))
+    if found:
+        flag, value = found[0]
+        return flags[flag], flag, value
+    if _looks_negative(token) or " " in token:
+        return None
+    return False, token, None
+
+
+def _check_help(flag: str, explicit) -> None:
+    """``-h`` takes no value: ``-hh`` is ``-h -h``, and any other text
+    after the flag is refused."""
+    if explicit is not None:
+        rest = explicit if flag == "--help" else explicit.lstrip("h")
+        if rest or not explicit:
+            raise _UsageError("argument -h/--help: ignored explicit "
+                              f"argument {rest!r}")
+
+
+class _Args:
+    """A parsed command line: ``command`` and one attribute per option
+    ``dest`` of that command."""
+
+
+def _parse_command(command: str, tokens: list) -> tuple:
+    """The options of ``command`` read from ``tokens``, and the tokens
+    left unread."""
+    options = _COMMANDS[command][1]
+    flags = dict(_HELP_FLAGS)
+    flags.update((row[0], row) for row in options)
+    # argparse reads every token before it takes any value; after "--"
+    # (read as False) every token is a value
+    read = []
+    for k, token in enumerate(tokens):
+        if token == "--":
+            read += [False] + [None] * (len(tokens) - k - 1)
+            break
+        read.append(_read_token(token, flags))
+    args = _Args()
+    for row in options:
+        setattr(args, row[1], row[4])
+    seen, extras, chosen = set(), [], None
+    k = 0
+    while k < len(tokens):
+        if not read[k] or read[k][0] is False:
+            extras.append(tokens[k])
+            k += 1
+            continue
+        option, flag, value = read[k]
+        if option is None:
+            _check_help(flag, value)
+            raise _Help(command)
+        flag, dest, kind, choices, _, rule, _ = option
+        if value is None:
+            if k + 1 == len(tokens) or read[k + 1] is not None:
+                raise _UsageError(f"argument {flag}: expected one argument")
+            value = tokens[k + 1]
+            k += 1
+        k += 1
+        try:
+            value = kind(value)
+        except ValueError:
+            raise _UsageError(f"argument {flag}: invalid {kind.__name__} "
+                              f"value: {value!r}") from None
+        if choices is not None and value not in choices:
+            raise _UsageError(f"argument {flag}: invalid choice: {value!r} "
+                              f"(choose from {', '.join(map(repr, choices))})")
+        if rule is _ONE_OF:
+            if chosen not in (None, flag):
+                raise _UsageError(f"argument {flag}: not allowed with "
+                                  f"argument {chosen}")
+            chosen = flag
+        setattr(args, dest, value)
+        seen.add(flag)
+    missing = [row[0] for row in options
+               if row[5] is _REQUIRED and row[0] not in seen]
+    if missing:
+        raise _UsageError("the following arguments are required: "
+                          + ", ".join(missing))
+    group = [row[0] for row in options if row[5] is _ONE_OF]
+    if group and chosen is None:
+        raise _UsageError(f"one of the arguments {' '.join(group)} "
+                          "is required")
+    return args, extras
+
+
+def _parse(argv) -> _Args:
+    """Read a command line; raise ``_UsageError`` with the message argparse
+    gave, or ``_Help`` for ``-h``/``--help``."""
+    argv = list(argv)
+    extras = []
+    for k, token in enumerate(argv):
+        # before the command, only -h and --help are flags
+        entry = None if token == "--" else _read_token(token, _HELP_FLAGS)
+        if entry is None:
+            break
+        option, flag, value = entry
+        if option is False:
+            extras.append(token)
+            continue
+        _check_help(flag, value)
+        raise _Help(None)
+    else:
+        k = len(argv)
+    # after "--" every token is positional, the first one the command
+    command = argv[k] if k < len(argv) else None
+    if command is None or command == "--" and k + 1 == len(argv):
+        raise _UsageError("the following arguments are required: command")
+    if command not in _COMMANDS:
+        raise _UsageError(f"argument command: invalid choice: {command!r} "
+                          f"(choose from {', '.join(map(repr, _COMMANDS))})")
+    args, more = _parse_command(command, argv[k + 1:])
+    args.command = command
+    if extras or more:
+        raise _UsageError("unrecognized arguments: " + " ".join(extras + more))
+    return args
+
+
+def _usage(command) -> str:
+    """The usage lines of one command, or of the top level for None."""
+    if command is None:
+        return "usage: hessenpave [-h] COMMAND [OPTION ...]\n"
+    head = f"usage: hessenpave {command}"
+    options = _COMMANDS[command][1]
+    group = [row[0] for row in options if row[5] is _ONE_OF]
+    parts = ["[-h]"]
+    for flag, dest, _, choices, _, rule, _ in options:
+        text = f"{flag} {_metavar(dest, choices)}"
+        if rule is _ONE_OF:
+            text = (("(" if flag == group[0] else "| ") + text
+                    + (")" if flag == group[-1] else ""))
+        elif rule is _OPTIONAL:
+            text = f"[{text}]"
+        parts.append(text)
+    lines = [head]
+    for part in parts:
+        if len(lines[-1]) + 1 + len(part) > 79:
+            lines.append(" " * len(head))
+        lines[-1] += " " + part
+    return "\n".join(lines) + "\n"
+
+
+def _metavar(dest: str, choices) -> str:
+    return "{" + ",".join(choices) + "}" if choices else dest.upper()
+
+
+def _help_text(command) -> str:
+    """The ``--help`` text of one command, or of the top level for None."""
+    if command is None:
+        names = list(_COMMANDS)
+        width = max(map(len, names))
+        rows = [f"  {name:<{width}}  {_summary(name)}" for name in names]
+        # python -OO strips the docstrings
+        about = (__doc__ or "").split("\n\nOne grammar")[0]
+        return (_usage(None) + "\n" + about + "\n\ncommands:\n"
+                + "\n".join(rows) + "\n\nRun 'hessenpave COMMAND --help' "
+                  "for the options of one command.\n")
+    rows = [("-h, --help", "show this help and exit")]
+    for flag, dest, _, choices, _, _, text in _COMMANDS[command][1]:
+        rows.append((f"{flag} {_metavar(dest, choices)}", text))
+    width = max(len(left) for left, _ in rows)
+    lines = []
+    for left, text in rows:
+        first, *more = text.split("\n")
+        lines.append(f"  {left:<{width}}  {first}".rstrip())
+        lines += [" " * (width + 4) + line for line in more]
+    return (_usage(command) + "\n" + _summary(command) + "\n\noptions:\n"
+            + "\n".join(lines) + "\n")
+
+
+def _summary(command: str) -> str:
+    """The runner's docstring, on one line."""
+    return " ".join((_COMMANDS[command][0].__doc__ or "").split())
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"hessenpave: {exc}", file=sys.stderr)
-        return 1
-    if hasattr(args, "seed"):
-        env_seed = os.environ.get("HESSENPAVE_SEED")
-        if env_seed is not None:
-            try:
-                args.seed = int(env_seed)
-            except ValueError:
-                print(f"hessenpave: bad HESSENPAVE_SEED {env_seed!r}",
-                      file=sys.stderr)
-                return 1
-    try:
-        code, record, header, rows = _RUNNERS[args.command](args)
+        try:
+            args = _parse(sys.argv[1:] if argv is None else argv)
+        except _Help as request:
+            _emit(_help_text(request.command), None)
+            return 0
+        if args.output == "":
+            raise _UsageError("--output must name a file")
+        if hasattr(args, "seed"):
+            env_seed = os.environ.get("HESSENPAVE_SEED")
+            if env_seed is not None:
+                try:
+                    args.seed = int(env_seed)
+                except ValueError:
+                    raise _UsageError(
+                        f"bad HESSENPAVE_SEED {env_seed!r}") from None
+        code, record, header, rows = _COMMANDS[args.command][0](args)
         if args.format == "json":
             text = _json_text(record)
         elif args.format == "csv":

@@ -1,8 +1,12 @@
 """CLI: subcommand behaviour, exit codes, determinism, schema validation."""
 
+import argparse
+import contextlib
 import hashlib
+import io
 import json
 import os
+import random
 import subprocess
 import sys
 from importlib import resources
@@ -121,6 +125,16 @@ def test_env_seed_overrides_flag(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "verify-lemmata", "--type", "A",
                            "--rank", "2")
     assert code == 1 and "HESSENPAVE_SEED" in err
+
+
+def test_env_seed_ignored_by_commands_without_seed(capsys, monkeypatch):
+    """Only ``verify-lemmata`` has ``--seed``: a bad HESSENPAVE_SEED
+    changes nothing in the other commands."""
+    argv = ["betti", "--type", "B", "--rank", "2", "--hess", "full"]
+    code, expected, _ = run_cli(capsys, *argv)
+    assert code == 0
+    monkeypatch.setenv("HESSENPAVE_SEED", "oops")
+    assert run_cli(capsys, *argv) == (0, expected, "")
 
 
 def test_determinism_byte_identical(tmp_path):
@@ -408,6 +422,206 @@ def test_hess_flags_mutually_exclusive(capsys):
     assert code == 1
 
 
+# ---------------------------------------------------------------------------
+# the grammar: cli._parse against the argparse parser it replaced
+# ---------------------------------------------------------------------------
+
+
+class RefUsageError(Exception):
+    pass
+
+
+class _RefParser(argparse.ArgumentParser):
+    def error(self, message):
+        raise RefUsageError(message)
+
+
+def ref_build_parser() -> _RefParser:
+    """The argparse parser the CLI used before ``cli._COMMANDS``: the
+    reference that ``cli._parse`` must agree with."""
+    p = _RefParser(prog="hessenpave")
+    sub = p.add_subparsers(dest="command", required=True)
+
+    def add_system(sp):
+        sp.add_argument("--type", required=True, dest="lie_type",
+                        choices=("A", "B", "C", "D"))
+        sp.add_argument("--rank", required=True, type=int)
+
+    def add_hess(sp):
+        g = sp.add_mutually_exclusive_group(required=True)
+        g.add_argument("--hess-fn", help="type-A Hessenberg function, e.g. 2,3,3")
+        g.add_argument("--hess-neg",
+                       help="negative roots, e.g. --hess-neg=-1,0;0,-1 (the "
+                            "'=' is needed since the value starts with '-')")
+        g.add_argument("--hess", choices=("full", "borel"))
+
+    def add_common(sp):
+        sp.add_argument("--format", default="json",
+                        choices=("json", "csv", "table"))
+        sp.add_argument("--output", default=None, help="output path (default stdout)")
+
+    for name in ("paving", "betti"):
+        sp = sub.add_parser(name)
+        add_system(sp)
+        add_hess(sp)
+        add_common(sp)
+
+    sp = sub.add_parser("enumerate-hess")
+    add_system(sp)
+    add_common(sp)
+
+    sp = sub.add_parser("witness")
+    add_system(sp)
+    add_hess(sp)
+    sp.add_argument("--word", required=True,
+                    help="space-separated reflection indices ('' = identity)")
+    add_common(sp)
+
+    sp = sub.add_parser("verify-lemmata")
+    add_system(sp)
+    sp.add_argument("--trials", type=int, default=200)
+    sp.add_argument("--seed", type=int, default=liealg.DEFAULT_SEED)
+    add_common(sp)
+
+    sp = sub.add_parser("count-points")
+    sp.add_argument("--n", required=True, type=int)
+    sp.add_argument("--q", required=True, type=int)
+    sp.add_argument("--hess-fn", required=True)
+    add_common(sp)
+
+    sp = sub.add_parser("sweep")
+    add_system(sp)
+    add_common(sp)
+    return p
+
+
+REF_PARSER = ref_build_parser()
+
+
+def ref_outcome(argv):
+    """What the reference parser makes of ``argv``: its attributes, its
+    error message, or the command whose help it printed (None for the top
+    level)."""
+    printed = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(printed):
+            return "args", vars(REF_PARSER.parse_args(argv))
+    except RefUsageError as exc:
+        return "error", str(exc)
+    except SystemExit:
+        prog = printed.getvalue().split()[2]
+        return "help", None if prog.startswith("[") else prog
+
+
+def new_outcome(argv):
+    try:
+        return "args", vars(cli._parse(argv))
+    except cli._UsageError as exc:
+        return "error", str(exc)
+    except cli._Help as request:
+        return "help", request.command
+
+
+_B3 = ["--type", "B", "--rank", "3"]
+PARSE_CORPUS = [
+    # the README examples
+    ["paving", "--type", "A", "--rank", "2", "--hess-fn", "2,3,3",
+     "--format", "json"],
+    ["betti", "--type", "D", "--rank", "4", "--hess", "full"],
+    ["enumerate-hess", "--type", "C", "--rank", "3"],
+    ["witness", "--type", "C", "--rank", "2", "--hess", "full",
+     "--word", "1 2 1 2"],
+    ["verify-lemmata", "--type", "D", "--rank", "4", "--trials", "200",
+     "--seed", "2026"],
+    ["count-points", "--n", "4", "--q", "3", "--hess-fn", "2,3,4,4"],
+    ["sweep", "--type", "B", "--rank", "3", "--output", "b3.json"],
+    # one command line of each kind the benchmark runs
+    ["sweep", "--type", "D", "--rank", "5", "--format", "json"],
+    ["verify-lemmata", "--type", "C", "--rank", "4", "--trials", "50",
+     "--seed", "2030"],
+    ["count-points", "--n", "5", "--q", "2", "--hess-fn", "2,3,4,5,5"],
+    ["betti", "--type", "A", "--rank", "3", "--hess-neg=-1,0,0;0,-1,0",
+     "--format", "csv"],
+    ["paving", "--type", "C", "--rank", "4",
+     "--hess-neg=-1,0,0,0;0,-1,0,0", "--format", "table"],
+    ["witness", "--type", "D", "--rank", "4", "--hess-neg=-1,0,0,0",
+     "--word", "1 2 3"],
+    ["enumerate-hess", "--type", "B", "--rank", "4", "--format", "table"],
+    # usage errors and argparse's reading rules
+    [],
+    ["bogus"],
+    ["betti", "--type", "B", "--ra", "2", "--hess", "full"],
+    ["betti", *_B3, "--hess-n=-1,0"],
+    ["betti", *_B3, "--hess-", "full"],
+    ["betti", "--type", "B", "--rank", "-3", "--hess", "full"],
+    ["betti", "--type", "B", "--rank", "-0.5", "--hess", "full"],
+    ["betti", *_B3, "--hess-neg", "-1,0"],
+    ["betti", *_B3, "--hess-neg="],
+    ["betti", *_B3, "--hess", "full", "--format="],
+    ["witness", *_B3, "--hess", "full", "--word", "-1 2"],
+    ["betti", *_B3, "--hess", "full", "--output", "-"],
+    ["betti", *_B3, "--hess", "full", "--output"],
+    ["betti", *_B3, "--hess", "full", "-x"],
+    ["betti", *_B3, "--hess", "full", "extra"],
+    ["betti", *_B3, "--hess", "full", "--hess", "borel"],
+    ["betti", *_B3, "--hess-fn", "2,3,3", "--hess", "full"],
+    ["betti", *_B3, "--hess-neg=-1,0", "--hess-fn", "2,3,3"],
+    ["betti", *_B3],
+    ["betti"],
+    ["verify-lemmata", *_B3, "--t", "5"],
+]
+
+
+def _mutated_corpus(count, seed=0):
+    """Command lines one to three token edits away from a valid one, drawn
+    from flags, prefixes, values and stray tokens."""
+    tokens = ["--type", "--rank", "--hess-fn", "--hess-neg", "--hess",
+              "--format", "--output", "--word", "--trials", "--seed", "--n",
+              "--q", "--ty", "--h", "--he", "--hess-", "--t", "--o", "-h",
+              "--help", "-hh", "-hx", "-h=", "--help=x", "--type=A",
+              "--type=", "--rank=-1", "--hess=full", "--hess-n=-1,0",
+              "--format=csv", "--t=B", "--=x", "--x=1", "-x", "-", "--",
+              "", "A", "E", "2", "-3", "-0.5", "-.5", "-1,0", "-1 2",
+              "full", "table", "-1\n", " 3", "--type A", "bogus"]
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        command = rng.choice(PARSE_CORPUS[:7])
+        argv = list(command)
+        for _ in range(rng.randint(1, 3)):
+            k = rng.randrange(len(argv) + 1)
+            edit = rng.random()
+            if edit < 0.4 or len(argv) < 2:
+                argv.insert(k, rng.choice(tokens))
+            elif edit < 0.7:
+                del argv[min(k, len(argv) - 1)]
+            else:
+                argv[min(k, len(argv) - 1)] = rng.choice(tokens)
+        out.append(argv)
+    return out
+
+
+def test_parse_matches_reference_parser():
+    """On every command line of the corpus, and of 3000 edits of valid
+    ones, ``cli._parse`` gives the reference parser's attributes, its exact
+    error message, or the help of the same command."""
+    outcomes = set()
+    for argv in PARSE_CORPUS + _mutated_corpus(3000):
+        expected = ref_outcome(argv)
+        assert new_outcome(argv) == expected, argv
+        outcomes.add(expected[0])
+    assert outcomes == {"args", "error", "help"}
+
+
+def test_explicit_double_dash_is_a_value():
+    """``--flag=--`` reads ``--`` as the value, where argparse stored an
+    empty list that failed later with a traceback."""
+    argv = ["betti", "--type", "A", "--rank=--", "--hess", "full"]
+    assert ref_outcome(argv)[1]["rank"] == []
+    assert new_outcome(argv) == (
+        "error", "argument --rank: invalid int value: '--'")
+
+
 # One small case per subcommand, and the sha256 of its stdout in each format,
 # recorded before the output path was shared by all subcommands.
 PINNED_ARGV = {
@@ -684,10 +898,38 @@ def test_run_calls_atexit_handlers_then_flushes():
 
 
 def test_help_exits_0():
+    """``--help``, at the top level and after a command, prints the help
+    to stdout and exits 0 through ``run``."""
     proc = cli_child(["--help"])
     assert proc.returncode == 0 and proc.stderr == b""
     assert proc.stdout.startswith(b"usage: hessenpave")
     assert b"One exit path" not in proc.stdout
+    for command in cli._COMMANDS:
+        assert f"\n  {command}  ".encode() in proc.stdout
+    proc = cli_child(["betti", "--help"])
+    assert proc.returncode == 0 and proc.stderr == b""
+    out = proc.stdout.decode()
+    assert out.startswith("usage: hessenpave betti [-h] --type {A,B,C,D}")
+    assert "--hess-neg HESS_NEG" in out
+    assert "--hess-neg=-1,0;0,-1" in out and "'=' is needed" in out
+    assert "--format {json,csv,table}" in out
+
+
+def test_commands_and_help_run_without_docstrings():
+    """Under ``python -OO``, which strips docstrings, commands and
+    ``--help`` still exit 0."""
+    for argv in (["betti", "--type", "A", "--rank", "2", "--hess", "full"],
+                 ["--help"], ["betti", "--help"]):
+        proc = cli_child(argv, flags=["-OO"])
+        assert proc.returncode == 0 and proc.stderr == b"", argv
+
+
+def test_empty_output_is_refused():
+    """``--output ""`` (say, an unset shell variable) is one line and exit
+    1, not the whole output on stdout."""
+    proc = cli_child(["sweep", "--type", "B", "--rank", "3", "--output", ""])
+    assert proc.returncode == 1 and proc.stdout == b""
+    assert proc.stderr == b"hessenpave: --output must name a file\n"
 
 
 def test_commands_start_no_thread_and_register_no_exit_handler():

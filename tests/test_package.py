@@ -36,6 +36,9 @@ def test_cli_import_leaves_out_dataclasses_and_inspect():
 # Standard-library modules that only some commands need: ``decimal`` and
 # ``numbers`` come in with ``fractions``.
 _DEFERRED = {"json", "csv", "fractions", "decimal", "numbers", "random"}
+# Modules no command needs: the command line is read without ``argparse``,
+# which brings in ``gettext`` and, at its first message, ``locale``.
+_NEVER = {"argparse", "gettext", "locale"}
 
 
 @pytest.mark.parametrize("argv, loaded", [
@@ -56,7 +59,9 @@ def test_cli_loads_stdlib_modules_only_where_used(argv, loaded):
     """``json``, ``csv``, ``fractions`` and ``random`` cost 7-8 ms of a
     15 ms import together: ``import hessenpave.cli`` loads none of them,
     and a command loads only those its output format and its arithmetic
-    need.  ``-S`` keeps site hooks from loading them on its behalf."""
+    need.  None of them loads ``argparse``, ``gettext`` or ``locale``
+    (about 4 ms).  ``-S`` keeps site hooks from loading them on its
+    behalf."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     code = "import io, sys\nimport hessenpave.cli\n"
     if argv is not None:
@@ -67,11 +72,13 @@ def test_cli_loads_stdlib_modules_only_where_used(argv, loaded):
     proc = subprocess.run([sys.executable, "-S", "-c", code], env=env,
                           capture_output=True, text=True, timeout=60,
                           check=True)
-    assert set(proc.stdout.split()) & _DEFERRED == loaded
+    modules = set(proc.stdout.split())
+    assert modules & _DEFERRED == loaded
+    assert modules & _NEVER == set()
 
 
 _MODULE_LEVEL_BANNED = {"json", "csv", "fractions", "random", "decimal",
-                        "typing"}
+                        "typing", "argparse"}
 
 
 def _module_level_imports(tree) -> set[str]:
