@@ -15,26 +15,32 @@ from hessenpave import (
     format_root,
     format_word,
     inversion_set,
-    rows,
     simple_reflection,
 )
+from hessenpave.rootcore import stage_table
 
 for lie_type, rank in [("A", 2), ("B", 2), ("C", 2), ("D", 4)]:
     rs = build_root_system(lie_type, rank)
     print(f"== {lie_type}{rank}: {rs.num_positive} positive roots ==")
     print("  positives:", ", ".join(format_root(r) for r in rs.positive_roots))
 
-    dec = rows(rs)
-    for i, row in enumerate(dec.rows, start=1):
-        members = ", ".join(sorted(format_root(r) for r in row)) or "(empty)"
+    table = stage_table(rs)
+
+    def texts(indices):
+        return sorted(format_root(rs.positive_roots[k]) for k in indices)
+
+    for i, (row, long_root) in enumerate(zip(table.rows, table.long_roots),
+                                         start=1):
+        members = ", ".join(texts(row)) or "(empty)"
         extra = ""
-        if dec.type_C_long_roots and dec.type_C_long_roots[i - 1]:
-            extra = f"   [Heisenberg, long root {dec.type_C_long_roots[i-1]}]"
+        if long_root is not None:
+            extra = (f"   [Heisenberg, long root "
+                     f"{rs.positive_roots[long_root]}]")
         print(f"  row {i}: {members}{extra}")
-    if dec.type_D_parts:
-        p0, p1, p2 = dec.type_D_parts[0]
-        print("  row 1 fork split:",
-              [sorted(map(format_root, p)) for p in (p0, p1, p2)])
+    if lie_type == "D":
+        variables, constraints = table.stages[0]
+        print("  stage 0 solves for", texts(variables), "against",
+              texts(constraints))
     print()
 
 a2 = build_root_system("A", 2)

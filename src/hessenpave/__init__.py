@@ -27,7 +27,6 @@ from .errors import ConsistencyError
 from .rootcore import (
     Root,
     RootSystem,
-    RowDecomposition,
     WeylElement,
     apply,
     build_root_system,
@@ -41,7 +40,6 @@ from .rootcore import (
     inversion_set,
     parse_root,
     parse_word,
-    rows,
     simple_reflection,
 )
 from .hessenberg import (
@@ -93,17 +91,16 @@ __version__ = "0.1.0"
 __all__ = [
     "BettiTable", "BruhatFlag", "ChevalleyRealization", "ComplementIdeal",
     "ConsistencyError", "HessenbergSpace", "NilpotentElement", "PavingCell",
-    "PrimeFieldMatrix", "Root", "RootSystem", "RowDecomposition",
-    "StructureConstantTable", "WeylElement", "WitnessResult", "ad_exp",
-    "apply", "bracket", "build_chevalley", "build_root_system",
-    "cell_dimension", "cell_dimension_lie", "cell_nonempty",
-    "complement_ideal", "compose", "compute_paving", "count_points",
-    "dominance_leq", "enumerate_cell_flags", "enumerate_hessenberg",
-    "enumerate_weyl", "find_witness", "format_root", "format_word",
-    "from_function", "from_negative_roots", "hessenberg_check",
+    "PrimeFieldMatrix", "Root", "RootSystem", "StructureConstantTable",
+    "WeylElement", "WitnessResult", "ad_exp", "apply", "bracket",
+    "build_chevalley", "build_root_system", "cell_dimension",
+    "cell_dimension_lie", "cell_nonempty", "complement_ideal", "compose",
+    "compute_paving", "count_points", "dominance_leq", "enumerate_cell_flags",
+    "enumerate_hessenberg", "enumerate_weyl", "find_witness", "format_root",
+    "format_word", "from_function", "from_negative_roots", "hessenberg_check",
     "identity_element", "inverse", "inversion_set", "jordan_nilpotent",
     "normalize_type_D", "parse_root", "parse_word", "poincare_polynomial",
-    "psi_matrix", "row_dimension_profile", "rows", "simple_reflection",
+    "psi_matrix", "row_dimension_profile", "simple_reflection",
     "sum_of_simple_vectors", "theta_row", "to_function", "verify_lemmata",
     "weyl_to_permutation",
 ]

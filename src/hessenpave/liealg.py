@@ -591,6 +591,8 @@ def theta_row(real: ChevalleyRealization, n: NilpotentElement,
               x: NilpotentElement, i: int) -> Coeffs:
     """ρ_i Ad(exp X)(N) for X supported on a single row."""
     rs = real.rs
+    if not 1 <= i <= rs.rank:
+        raise ValueError(f"row index {i} out of range")
     table = stage_table(rs).rows
     xi = _to_index_coeffs(real, x.coeffs)
     if xi and sum(not xi.keys().isdisjoint(row) for row in table) != 1:

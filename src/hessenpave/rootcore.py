@@ -30,21 +30,20 @@ begins with ``ε_i``.  Each row spans an abelian subalgebra of the nilradical
 except in type C, where rows ``i < n`` are Heisenberg with one-dimensional
 derived algebra spanned by the long root ``2ε_i``.  Row membership is
 computed both from closed-form generators and from the dominance order, and
-the two computations are cross-checked on construction.  The one convention
-worth spelling out: in type D the dominance-order computation would place
-the second fork root ``α_n`` in a row of its own, while the closed forms
-(and everything downstream: the row partition into 0/1/2 parts, the paired
-solve stages) place it in row ``n−1`` together with ``α_{n-1}``.  The fork
-rows are merged accordingly before cross-checking.
+the two computations are cross-checked when the stage table is built.  The
+one convention worth spelling out: in type D the dominance-order computation
+would place the second fork root ``α_n`` in a row of its own, while the
+closed forms (and everything downstream: the row partition into 0/1/2 parts,
+the paired solve stages) place it in row ``n−1`` together with ``α_{n-1}``.
+The fork rows are merged accordingly before cross-checking.
 
-``rows`` and ``type_d_stage_sets`` define the rows and the paired type-D
-stages as sets of roots.  Everything downstream (the row profiles of
+``stage_table`` is the one definition of the rows and the solve stages,
+built once per root system from positive-root indices: each row and each
+stage's variables and constraints, in row basis order, and the index of
+each row's type-C long root.  Everything downstream (the row profiles of
 :mod:`hessenpave.paving`, the witness stages and lemma checks of
-:mod:`hessenpave.liealg`) reads them through ``stage_table``, built once
-per root system: each row and each stage's variables and constraints, as
-positive-root indices in row basis order, and the index of each row's
-type-C long root.  The type-D split into stages is decided there and
-nowhere else.
+:mod:`hessenpave.liealg`) reads it, and the type-D split into stages is
+decided there and nowhere else.
 """
 
 from __future__ import annotations
@@ -333,7 +332,6 @@ class RootSystem:
             splits.append((k, self._pos_diff[k][a], a))
         self._splits = tuple(splits)
 
-        self._rows_cache: RowDecomposition | None = None
         self._stages_cache: StageTable | None = None
         self._weyl_cache: tuple["WeylElement", ...] | None = None
 
@@ -791,137 +789,65 @@ def enumerate_weyl(rs: RootSystem) -> tuple[WeylElement, ...]:
 # ---------------------------------------------------------------------------
 
 
-class RowDecomposition(_Record):
-    """The partition of the positive roots into rows.
-
-    ``rows[i-1]`` is row ``i``.  For type C, ``type_C_long_roots[i-1]`` is
-    the long root ``2ε_i`` spanning the derived algebra of the Heisenberg
-    row (None for row n and for other types).  For type D,
-    ``type_D_parts[i-1]`` splits row ``i`` into the three parts counting how
-    many of the fork roots ``{α_{n-1}, α_n}`` appear as summands.
-    """
-
-    __slots__ = ("rows", "type_C_long_roots", "type_D_parts")
-
-    def __init__(self, rows: tuple[frozenset[Root], ...],
-                 type_C_long_roots: tuple[Root | None, ...] | None = None,
-                 type_D_parts: tuple[tuple[frozenset[Root], frozenset[Root],
-                                           frozenset[Root]], ...] | None = None):
-        super().__init__(rows, type_C_long_roots, type_D_parts)
-
-
-def _closed_form_rows(rs: RootSystem) -> list[set[Root]]:
+def _closed_form_index_rows(rs: RootSystem
+                            ) -> tuple[list[list[int]], list[int | None]]:
+    """Rows from their closed forms, as positive-root indices, and the
+    index of the long root ``2ε_i`` of each type-C row i < n (None
+    elsewhere).  Row i holds ``ε_i − ε_j`` (j > i) and, by type, ``ε_i``
+    (B), ``ε_i + ε_j`` (j > i; B, C, D) and ``2ε_i`` (C); in type D row
+    n−1 holds ``ε_{n-1} + ε_n = α_n`` too, and row n is empty."""
     n = rs.rank
     t = rs.lie_type
 
-    def span(lo: int, hi: int) -> list[int]:
-        return [1 if lo <= k <= hi else 0 for k in range(1, n + 1)]
+    def root(*spans: tuple[int, int]) -> int:
+        # the root with 1 added on positions lo..hi (1-based) of each span
+        v = [0] * n
+        for lo, hi in spans:
+            for k in range(lo, hi + 1):
+                v[k - 1] += 1
+        return rs._index[tuple(v)]
 
-    def mk(v: list[int]) -> Root:
-        return rs.root(v)
-
-    out: list[set[Root]] = []
+    rows: list[list[int]] = []
+    long_roots: list[int | None] = [None] * n
     for i in range(1, n + 1):
-        row: set[Root] = set()
-        if t == "A":
-            for k in range(i, n + 1):
-                row.add(mk(span(i, k)))
-        elif t == "B":
-            for k in range(i, n + 1):
-                row.add(mk(span(i, k)))
-            for k in range(i + 1, n + 1):
-                v = span(i, n)
-                for j in range(k, n + 1):
-                    v[j - 1] += 1
-                row.add(mk(v))
+        if t == "D":
+            row = [root((i, k)) for k in range(i, n)]
+            row += [root((i, n - 2), (n, n), (k, n - 1))
+                    for k in range(i + 1, n + 1)]
+        else:
+            row = [root((i, k)) for k in range(i, n + 1)]
+        if t == "B":
+            row += [root((i, n), (k, n)) for k in range(i + 1, n + 1)]
         elif t == "C":
-            for k in range(i, n + 1):
-                row.add(mk(span(i, k)))
-            for k in range(i, n):
-                v = span(i, n)
-                for j in range(k, n):
-                    v[j - 1] += 1
-                row.add(mk(v))
-        elif t == "D":
-            for k in range(i, n):
-                row.add(mk(span(i, k)))
-            for k in range(i + 1, n + 1):
-                v = span(i, n - 2)
-                v[n - 1] += 1
-                for j in range(k, n):
-                    v[j - 1] += 1
-                row.add(mk(v))
-        out.append(row)
-    return out
-
-
-def _dominance_rows(rs: RootSystem) -> list[set[Root]]:
-    """Rows from the dominance order: root α lands in the first row i with
-    α ≥ α_i.  In type D the two fork rows are merged into row n−1 (see the
-    module docstring)."""
-    n = rs.rank
-    out: list[set[Root]] = [set() for _ in range(n)]
-    for alpha in rs.positive_roots:
-        i = next(k for k in range(1, n + 1)
-                 if dominates(alpha, rs.simple_roots[k - 1]))
-        out[i - 1].add(alpha)
-    if rs.lie_type == "D":
-        out[n - 2] |= out[n - 1]
-        out[n - 1] = set()
-    return out
-
-
-def rows(rs: RootSystem) -> RowDecomposition:
-    """The row decomposition, computed two ways and cross-checked."""
-    if rs._rows_cache is not None:
-        return rs._rows_cache
-    n = rs.rank
-    closed = _closed_form_rows(rs)
-    definitional = _dominance_rows(rs)
-    if closed != definitional:
-        raise ConsistencyError(
-            f"row decompositions disagree for {rs.lie_type}{rs.rank}")
-    if set().union(*closed) != set(rs.positive_roots):
-        raise ConsistencyError("rows do not cover the positive roots")
-    if sum(len(r) for r in closed) != rs.num_positive:
-        raise ConsistencyError("rows overlap")
-
-    long_roots = None
-    d_parts = None
-    if rs.lie_type == "C":
-        lst: list[Root | None] = []
-        for i in range(1, n + 1):
+            row += [root((i, n), (k, n - 1)) for k in range(i, n)]
             if i < n:
-                v = [0] * n
-                for k in range(i, n):
-                    v[k - 1] = 2
-                v[n - 1] = 1
-                gamma = rs.root(v)
-                if gamma not in closed[i - 1]:
-                    raise ConsistencyError(f"long root of row {i} not in the row")
-                lst.append(gamma)
-            else:
-                lst.append(None)
-        long_roots = tuple(lst)
-    if rs.lie_type == "D":
-        parts = []
-        for i in range(1, n + 1):
-            p0, p1, p2 = set(), set(), set()
-            for alpha in closed[i - 1]:
-                fork = (alpha.coeffs[n - 2] >= 1) + (alpha.coeffs[n - 1] >= 1)
-                (p0, p1, p2)[fork].add(alpha)
-            if len(p1) not in (0, 2):
-                raise ConsistencyError("middle part of a D row must have 0 or 2 roots")
-            parts.append((frozenset(p0), frozenset(p1), frozenset(p2)))
-        d_parts = tuple(parts)
+                long_roots[i - 1] = root((i, n), (i, n - 1))
+        rows.append(row)
+    return rows, long_roots
 
-    dec = RowDecomposition(
-        rows=tuple(frozenset(r) for r in closed),
-        type_C_long_roots=long_roots,
-        type_D_parts=d_parts,
-    )
-    rs._rows_cache = dec
-    return dec
+
+def _dominance_index_rows(rs: RootSystem) -> list[list[int]]:
+    """Rows from the dominance order, as ascending positive-root indices:
+    root α lands in the first row i with α ≥ α_i, the row of its first
+    nonzero simple coefficient.  In type D the two fork rows are merged
+    into row n−1 (see the module docstring)."""
+    last = rs.rank - 2 if rs.lie_type == "D" else rs.rank - 1
+    out: list[list[int]] = [[] for _ in range(rs.rank)]
+    for k, alpha in enumerate(rs.positive_roots):
+        first = next(i for i, c in enumerate(alpha.coeffs) if c)
+        out[min(first, last)].append(k)
+    return out
+
+
+def _fork_parts(rs: RootSystem, row: list[int]
+                ) -> tuple[list[int], list[int], list[int]]:
+    """A type-D row split into three parts by how many of the fork roots
+    ``α_{n-1}``, ``α_n`` appear as summands of each root."""
+    parts: tuple[list[int], list[int], list[int]] = ([], [], [])
+    for k in row:
+        coeffs = rs.positive_roots[k].coeffs
+        parts[(coeffs[-2] > 0) + (coeffs[-1] > 0)].append(k)
+    return parts
 
 
 def _row_key(r: Root) -> tuple:
@@ -933,34 +859,10 @@ def _row_key(r: Root) -> tuple:
 def row_order(rs: RootSystem, i: int) -> tuple[Root, ...]:
     """Basis order of row i: height descending, ties (type D only) broken
     with the ``α_{n-1}``-bearing root first."""
+    if not 1 <= i <= rs.rank:
+        raise ValueError(f"row index {i} out of range")
     pos = rs.positive_roots
     return tuple(pos[k] for k in stage_table(rs).rows[i - 1])
-
-
-def type_d_stage_sets(rs: RootSystem) -> tuple[tuple[frozenset[Root], frozenset[Root]], ...]:
-    """Per-stage (variable roots, constraint roots) for the paired type-D
-    solve.  Stage i (0-based, i = 0..n−1) solves for coordinates on
-    ``Φ_i^0 ∪ Φ_{i+1}^1 ∪ Φ_{i+1}^2`` against constraints on
-    ``Φ_i^0 ∪ Φ_i^1 ∪ Φ_{i+1}^2``; out-of-range rows contribute nothing.
-    The stages partition the positive roots on both sides, which is what
-    makes the per-stage dimensions sum to the cell dimension."""
-    if rs.lie_type != "D":
-        raise ValueError("stage sets are a type-D notion")
-    dec = rows(rs)
-    n = rs.rank
-    empty = frozenset()
-
-    def part(i: int, k: int) -> frozenset[Root]:
-        if 1 <= i <= n:
-            return dec.type_D_parts[i - 1][k]
-        return empty
-
-    out = []
-    for i in range(0, n):
-        dom = part(i, 0) | part(i + 1, 1) | part(i + 1, 2)
-        cod = part(i, 0) | part(i, 1) | part(i + 1, 2)
-        out.append((frozenset(dom), frozenset(cod)))
-    return tuple(out)
 
 
 class StageTable(_Record):
@@ -968,9 +870,10 @@ class StageTable(_Record):
 
     ``rows[i-1]`` is row i.  ``stages[k]`` is ``(vars, cons)`` for stage k
     (0-based): the roots the stage solves for and the roots it constrains.
-    In types A, B, C stage k is row k+1 on both sides; in type D it is the
-    pair of ``type_d_stage_sets``.  ``long_roots[i-1]`` is the index of the
-    long root ``2ε_i`` of row i in type C (i < n) and None elsewhere.
+    In types A, B, C stage k is row k+1 on both sides; in type D it pairs
+    the plain part of row k with the fork-bearing parts of row k+1 (see
+    ``stage_table``).  ``long_roots[i-1]`` is the index of the long root
+    ``2ε_i`` of row i in type C (i < n) and None elsewhere.
     """
 
     __slots__ = ("rows", "stages", "long_roots")
@@ -980,23 +883,47 @@ class StageTable(_Record):
 
 
 def stage_table(rs: RootSystem) -> StageTable:
-    """The stage table, derived from ``rows`` and ``type_d_stage_sets`` with
-    one sort by ``_row_key``; cached on the root system."""
+    """The stage table, cached on the root system.
+
+    The closed-form rows must partition the positive roots and equal the
+    dominance-order rows, and each type-C long root must lie in its row;
+    a failure raises ConsistencyError naming the system.  Every index list
+    follows one sort of the positive roots by ``_row_key``.
+    """
     if rs._stages_cache is not None:
         return rs._stages_cache
-    dec = rows(rs)
-    basis = sorted(rs.positive_roots, key=_row_key)
+    name = f"{rs.lie_type}{rs.rank}"
+    rows, long_roots = _closed_form_index_rows(rs)
+    members = [k for row in rows for k in row]
+    if set(members) != set(range(rs.num_positive)):
+        raise ConsistencyError(f"{name}: rows do not cover the positive roots")
+    if len(members) != rs.num_positive:
+        raise ConsistencyError(f"{name}: rows overlap")
+    if [sorted(row) for row in rows] != _dominance_index_rows(rs):
+        raise ConsistencyError(f"{name}: row decompositions disagree")
+    for i, (row, gamma) in enumerate(zip(rows, long_roots), start=1):
+        if gamma is not None and gamma not in row:
+            raise ConsistencyError(
+                f"{name}: long root of row {i} not in the row")
+    pos = rs.positive_roots
+    basis = sorted(range(rs.num_positive), key=lambda k: _row_key(pos[k]))
 
-    def ordered(roots: frozenset[Root]) -> tuple[int, ...]:
-        return tuple(rs._index[r.coeffs] for r in basis if r in roots)
+    def ordered(*parts: list[int]) -> tuple[int, ...]:
+        chosen = set().union(*parts)
+        return tuple(k for k in basis if k in chosen)
 
-    row_idx = tuple(ordered(row) for row in dec.rows)
+    row_idx = tuple(ordered(row) for row in rows)
     if rs.lie_type == "D":
-        stages = tuple((ordered(dom), ordered(cod))
-                       for dom, cod in type_d_stage_sets(rs))
+        # parts[i] splits row i (row 0 is empty); stage i solves for
+        # Φ_i^0 ∪ Φ_{i+1}^1 ∪ Φ_{i+1}^2 against Φ_i^0 ∪ Φ_i^1 ∪ Φ_{i+1}^2,
+        # so the stages partition the positive roots on both sides
+        parts = [([], [], [])] + [_fork_parts(rs, row) for row in rows]
+        if any(len(p[1]) not in (0, 2) for p in parts):
+            raise ConsistencyError(
+                f"{name}: middle part of a D row must have 0 or 2 roots")
+        stages = tuple((ordered(a[0], b[1], b[2]), ordered(a[0], a[1], b[2]))
+                       for a, b in zip(parts, parts[1:]))
     else:
         stages = tuple((row, row) for row in row_idx)
-    long_roots = tuple(None if g is None else rs._index[g.coeffs]
-                       for g in dec.type_C_long_roots or (None,) * rs.rank)
-    rs._stages_cache = StageTable(row_idx, stages, long_roots)
+    rs._stages_cache = StageTable(row_idx, stages, tuple(long_roots))
     return rs._stages_cache

@@ -44,9 +44,7 @@ from hessenpave.rootcore import (
     parse_root,
     parse_word,
     row_order,
-    rows,
     stage_table,
-    type_d_stage_sets,
 )
 
 REALIZABLE = [("A", 1), ("A", 2), ("A", 3), ("A", 4),
@@ -375,6 +373,16 @@ def test_theta_row_basic(real_a2):
         theta_row(real_a2, n, NilpotentElement({a1: 1, a2: 1}), 1)
 
 
+@pytest.mark.parametrize("i", [0, -1, 3])
+def test_theta_row_refuses_rows_out_of_range(real_a2, i):
+    """Row indices run 1..rank, as for ``psi_matrix``: 0 and −1 would
+    otherwise project onto another row and rank + 1 fail with a bare
+    IndexError."""
+    n = sum_of_simple_vectors(real_a2.rs)
+    with pytest.raises(ValueError, match=rf"^row index {i} out of range$"):
+        theta_row(real_a2, n, NilpotentElement({}), i)
+
+
 def _theta_as_polynomial(real, n, i, j):
     """Fit a degree-2 polynomial to the row-i projection of Ad(exp X)(N)
     for X on row j, from values on a sparse quadratic grid."""
@@ -443,12 +451,12 @@ def test_theta_is_degree_two_polynomial(lie_type, rank):
     rng = random.Random(f"theta:{lie_type}{rank}")
     coeffs = {r: rng.randint(-3, 3) or 2 for r in rs.positive_roots}
     n = NilpotentElement(coeffs)
-    dec = rows(rs)
+    table = stage_table(rs).rows
     for j in range(1, rank + 1):
-        if not dec.rows[j - 1]:
+        if not table[j - 1]:
             continue
         for i in range(1, rank + 1):
-            if not dec.rows[i - 1]:
+            if not table[i - 1]:
                 continue
             _, value, evaluate = _theta_as_polynomial(real, n, i, j)
             k = len(row_order(rs, j))
@@ -528,11 +536,12 @@ def test_c3_row_structure():
     """Rows 1 and 2 of C3 are Heisenberg with their long roots; row 3 is
     abelian."""
     rs = build_root_system("C", 3)
-    dec = rows(rs)
-    for i, row in enumerate(dec.rows, start=1):
+    table = stage_table(rs)
+    for i in range(1, 4):
+        row = row_order(rs, i)
         sums = {rs.root_add(a, b) for a in row for b in row} - {None}
         if i < 3:
-            assert sums == {dec.type_C_long_roots[i - 1]}
+            assert sums == {rs.positive_roots[table.long_roots[i - 1]]}
         else:
             assert sums == set()
 
@@ -581,7 +590,7 @@ def ref_check_containment(real, trials, seed):
     looked up on ``liealg`` so that a monkeypatch reaches both paths."""
     rs = real.rs
     n = rs.rank
-    dec = rows(rs)
+    table = stage_table(rs).rows
     samples = [liealg.sum_of_simple_vectors(rs)]
     for t in range(min(trials, 3)):
         samples.append(liealg._random_nilpotent(
@@ -591,7 +600,7 @@ def ref_check_containment(real, trials, seed):
     for nn in samples:
         psi_rows = {
             i: liealg._psi_entries(real, nn.coeffs, i)
-            for i in range(1, n + 1) if dec.rows[i - 1]
+            for i in range(1, n + 1) if table[i - 1]
         }
         for space in spaces:
             members = (frozenset(range(rs.num_positive))
@@ -693,17 +702,15 @@ def test_ad_block_equals_coefficient_arithmetic(lie_type, rank):
     ad(N) negated."""
     real = _realization(lie_type, rank)
     rs = real.rs
-    if lie_type == "D":
-        stages = [(sorted(cod, key=_row_key), sorted(dom, key=_row_key))
-                  for dom, cod in type_d_stage_sets(rs)]
-    else:
-        stages = [(row_order(rs, i), row_order(rs, i))
-                  for i in range(1, rank + 1)]
+    table = stage_table(rs)
+    stages = [([rs.positive_roots[k] for k in cons],
+               [rs.positive_roots[k] for k in vars_])
+              for vars_, cons in table.stages]
     for t in range(3):
         nn = liealg._random_nilpotent(rs, liealg._rng(7, f"adblock:{t}"),
                                       regular=t > 0)
         for i in range(1, rank + 1):
-            if rows(rs).rows[i - 1]:
+            if table.rows[i - 1]:
                 assert (liealg._psi_entries(real, nn.coeffs, i)
                         == ref_psi_entries(real, nn.coeffs, i))
         current = liealg._to_index_coeffs(real, nn.coeffs)

@@ -130,7 +130,7 @@ def test_no_source_file_imports_dataclasses():
 
 def test_all_lists_public_non_module_names():
     names = hessenpave.__all__
-    assert len(names) == len(set(names)) == 54
+    assert len(names) == len(set(names)) == 52
     for name in names:
         assert not name.startswith("_"), name
         assert not isinstance(getattr(hessenpave, name), types.ModuleType), name
@@ -170,11 +170,28 @@ def _names(tree) -> tuple[set[str], set[str]]:
     return imported, read
 
 
+# The root-set representation of the rows that ``rootcore.stage_table``
+# replaced; ``rows`` alone is also the table's field and a common local name.
+_ROW_SET_NAMES = {"RowDecomposition", "type_d_stage_sets", "_closed_form_rows",
+                  "_dominance_rows", "_rows_cache", "type_C_long_roots",
+                  "type_D_parts"}
+
+
+def _row_set_names(tree) -> set[str]:
+    """The names of the root-set rows that a tree defines, imports or
+    reads, and ``rows`` where it is imported or defined as a function."""
+    imported, read = _names(tree)
+    defined = {node.name for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    return (((imported | read | defined) & _ROW_SET_NAMES)
+            | ({"rows"} & (imported | defined)))
+
+
 def test_type_d_stage_split_stays_in_rootcore():
     """The row profile and the witness solver read the type-D stage split
-    from ``rootcore.stage_table``; neither tests for type D itself.
-    ``liealg`` reads rows and type-C long roots from the same table, never
-    from ``rows``, and the ``witness`` command solves in the realization
+    from ``rootcore.stage_table``; neither tests for type D itself.  The
+    table is the one representation of the rows: no module keeps the
+    root-set one, and the ``witness`` command solves in the realization
     as built, whatever the type."""
     def parse(name):
         return ast.parse((SRC / "hessenpave" / name).read_text(encoding="utf-8"))
@@ -187,16 +204,20 @@ def test_type_d_stage_split_stays_in_rootcore():
     liealg = parse("liealg.py")
     for name in ("find_witness", "_verify_witness_matrix"):
         assert _type_d_comparisons(functions(liealg)[name]) == [], name
-    parts = {"type_C_long_roots", "type_D_parts"}
-    imported, read = _names(liealg)
-    assert "rows" not in imported
-    assert read & parts == set()
+    for path in sorted((SRC / "hessenpave").glob("*.py")):
+        assert _row_set_names(parse(path.name)) == set(), path.name
     assert _type_d_comparisons(functions(parse("cli.py"))["_run_witness"]) == []
     # the detectors see the comparisons, imports and names that belong
     # elsewhere
     assert _type_d_comparisons(functions(liealg)["normalize_type_D"])
-    assert "rows" in _names(parse("__init__.py"))[0]
-    assert _names(parse("rootcore.py"))[1] >= parts
+    probe = ast.parse("from .rootcore import rows\n"
+                      "class RowDecomposition: pass\n"
+                      "def type_d_stage_sets(rs): pass\n"
+                      "rs._rows_cache = dec.type_D_parts[0]\n")
+    assert _row_set_names(probe) == {"rows", "RowDecomposition",
+                                     "type_d_stage_sets", "_rows_cache",
+                                     "type_D_parts"}
+    assert _row_set_names(ast.parse("rows = stage_table(rs).rows")) == set()
 
 
 def test_realization_constants_are_read_in_integers():

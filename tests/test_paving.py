@@ -27,8 +27,7 @@ from hessenpave.rootcore import (
     format_word,
     identity_element,
     parse_word,
-    rows,
-    type_d_stage_sets,
+    stage_table,
 )
 
 SMALL = [("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 2), ("C", 3),
@@ -66,15 +65,13 @@ def ref_row_dimension_profile(w, members):
     inv_indices = w.inversion_indices()
     perm = w.root_permutation()
     wh = frozenset(perm[m] for m in members)
+    table = stage_table(rs)
     if rs.lie_type != "D":
-        return tuple(
-            sum(1 for r in row
-                if rs.root_index(r) in inv_indices and rs.root_index(r) in wh)
-            for row in rows(rs).rows)
-    return tuple(
-        sum(1 for r in dom if rs.root_index(r) in inv_indices)
-        - sum(1 for r in cod if rs.root_index(r) not in wh)
-        for dom, cod in type_d_stage_sets(rs))
+        return tuple(sum(1 for k in row if k in inv_indices and k in wh)
+                     for row in table.rows)
+    return tuple(sum(1 for k in vars_ if k in inv_indices)
+                 - sum(1 for k in cons if k not in wh)
+                 for vars_, cons in table.stages)
 
 
 @pytest.mark.parametrize("lie_type,rank", SWEEP)

@@ -6,13 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hessenpave import cli, paving, rootcore
 from hessenpave.errors import ConsistencyError
 from hessenpave.rootcore import (
+    Root,
+    _Record,
     _row_key,
     apply,
     build_root_system,
     compose,
     dominance_leq,
+    dominates,
     enumerate_weyl,
     format_root,
     format_word,
@@ -22,10 +26,8 @@ from hessenpave.rootcore import (
     parse_root,
     parse_word,
     row_order,
-    rows,
     simple_reflection,
     stage_table,
-    type_d_stage_sets,
 )
 
 ALL_SMALL = [("A", 1), ("A", 2), ("A", 3), ("A", 4),
@@ -137,48 +139,215 @@ def test_dominance_is_partial_order(lie_type, rank):
 # ---------------------------------------------------------------------------
 
 
+class RefRowDecomposition(_Record):
+    """The partition of the positive roots into rows.
+
+    ``rows[i-1]`` is row ``i``.  For type C, ``type_C_long_roots[i-1]`` is
+    the long root ``2ε_i`` spanning the derived algebra of the Heisenberg
+    row (None for row n and for other types).  For type D,
+    ``type_D_parts[i-1]`` splits row ``i`` into the three parts counting how
+    many of the fork roots ``{α_{n-1}, α_n}`` appear as summands.
+    """
+
+    __slots__ = ("rows", "type_C_long_roots", "type_D_parts")
+
+    def __init__(self, rows: tuple[frozenset[Root], ...],
+                 type_C_long_roots: tuple[Root | None, ...] | None = None,
+                 type_D_parts: tuple[tuple[frozenset[Root], frozenset[Root],
+                                           frozenset[Root]], ...] | None = None):
+        super().__init__(rows, type_C_long_roots, type_D_parts)
+
+
+def ref_closed_form_rows(rs) -> list[set[Root]]:
+    n = rs.rank
+    t = rs.lie_type
+
+    def span(lo: int, hi: int) -> list[int]:
+        return [1 if lo <= k <= hi else 0 for k in range(1, n + 1)]
+
+    def mk(v: list[int]) -> Root:
+        return rs.root(v)
+
+    out: list[set[Root]] = []
+    for i in range(1, n + 1):
+        row: set[Root] = set()
+        if t == "A":
+            for k in range(i, n + 1):
+                row.add(mk(span(i, k)))
+        elif t == "B":
+            for k in range(i, n + 1):
+                row.add(mk(span(i, k)))
+            for k in range(i + 1, n + 1):
+                v = span(i, n)
+                for j in range(k, n + 1):
+                    v[j - 1] += 1
+                row.add(mk(v))
+        elif t == "C":
+            for k in range(i, n + 1):
+                row.add(mk(span(i, k)))
+            for k in range(i, n):
+                v = span(i, n)
+                for j in range(k, n):
+                    v[j - 1] += 1
+                row.add(mk(v))
+        elif t == "D":
+            for k in range(i, n):
+                row.add(mk(span(i, k)))
+            for k in range(i + 1, n + 1):
+                v = span(i, n - 2)
+                v[n - 1] += 1
+                for j in range(k, n):
+                    v[j - 1] += 1
+                row.add(mk(v))
+        out.append(row)
+    return out
+
+
+def ref_dominance_rows(rs) -> list[set[Root]]:
+    """Rows from the dominance order: root α lands in the first row i with
+    α ≥ α_i.  In type D the two fork rows are merged into row n−1."""
+    n = rs.rank
+    out: list[set[Root]] = [set() for _ in range(n)]
+    for alpha in rs.positive_roots:
+        i = next(k for k in range(1, n + 1)
+                 if dominates(alpha, rs.simple_roots[k - 1]))
+        out[i - 1].add(alpha)
+    if rs.lie_type == "D":
+        out[n - 2] |= out[n - 1]
+        out[n - 1] = set()
+    return out
+
+
+def ref_rows(rs) -> RefRowDecomposition:
+    """The row decomposition as sets of roots, computed two ways and
+    cross-checked: the library's definition before the stage table took
+    its place."""
+    n = rs.rank
+    closed = ref_closed_form_rows(rs)
+    definitional = ref_dominance_rows(rs)
+    if closed != definitional:
+        raise ConsistencyError(
+            f"row decompositions disagree for {rs.lie_type}{rs.rank}")
+    if set().union(*closed) != set(rs.positive_roots):
+        raise ConsistencyError("rows do not cover the positive roots")
+    if sum(len(r) for r in closed) != rs.num_positive:
+        raise ConsistencyError("rows overlap")
+
+    long_roots = None
+    d_parts = None
+    if rs.lie_type == "C":
+        lst: list[Root | None] = []
+        for i in range(1, n + 1):
+            if i < n:
+                v = [0] * n
+                for k in range(i, n):
+                    v[k - 1] = 2
+                v[n - 1] = 1
+                gamma = rs.root(v)
+                if gamma not in closed[i - 1]:
+                    raise ConsistencyError(f"long root of row {i} not in the row")
+                lst.append(gamma)
+            else:
+                lst.append(None)
+        long_roots = tuple(lst)
+    if rs.lie_type == "D":
+        parts = []
+        for i in range(1, n + 1):
+            p0, p1, p2 = set(), set(), set()
+            for alpha in closed[i - 1]:
+                fork = (alpha.coeffs[n - 2] >= 1) + (alpha.coeffs[n - 1] >= 1)
+                (p0, p1, p2)[fork].add(alpha)
+            if len(p1) not in (0, 2):
+                raise ConsistencyError("middle part of a D row must have 0 or 2 roots")
+            parts.append((frozenset(p0), frozenset(p1), frozenset(p2)))
+        d_parts = tuple(parts)
+
+    return RefRowDecomposition(
+        rows=tuple(frozenset(r) for r in closed),
+        type_C_long_roots=long_roots,
+        type_D_parts=d_parts,
+    )
+
+
+def ref_type_d_stage_sets(rs) -> tuple[tuple[frozenset[Root], frozenset[Root]], ...]:
+    """Per-stage (variable roots, constraint roots) for the paired type-D
+    solve.  Stage i (0-based, i = 0..n−1) solves for coordinates on
+    ``Φ_i^0 ∪ Φ_{i+1}^1 ∪ Φ_{i+1}^2`` against constraints on
+    ``Φ_i^0 ∪ Φ_i^1 ∪ Φ_{i+1}^2``; out-of-range rows contribute nothing.
+    The stages partition the positive roots on both sides, which is what
+    makes the per-stage dimensions sum to the cell dimension."""
+    if rs.lie_type != "D":
+        raise ValueError("stage sets are a type-D notion")
+    dec = ref_rows(rs)
+    n = rs.rank
+    empty = frozenset()
+
+    def part(i: int, k: int) -> frozenset[Root]:
+        if 1 <= i <= n:
+            return dec.type_D_parts[i - 1][k]
+        return empty
+
+    out = []
+    for i in range(0, n):
+        dom = part(i, 0) | part(i + 1, 1) | part(i + 1, 2)
+        cod = part(i, 0) | part(i, 1) | part(i + 1, 2)
+        out.append((frozenset(dom), frozenset(cod)))
+    return tuple(out)
+
+
+def table_roots(rs, indices):
+    """The positive roots at the given indices, as a set."""
+    return frozenset(rs.positive_roots[k] for k in indices)
+
+
 def test_rows_a2_b2_frozen():
     a2 = build_root_system("A", 2)
-    dec = rows(a2)
-    assert dec.rows[0] == roots_by_text(a2, "1,0", "1,1")
-    assert dec.rows[1] == roots_by_text(a2, "0,1")
+    table = stage_table(a2)
+    assert table_roots(a2, table.rows[0]) == roots_by_text(a2, "1,0", "1,1")
+    assert table_roots(a2, table.rows[1]) == roots_by_text(a2, "0,1")
 
     b2 = build_root_system("B", 2)
-    decb = rows(b2)
-    assert decb.rows[0] == roots_by_text(b2, "1,0", "1,1", "1,2")
-    assert decb.rows[1] == roots_by_text(b2, "0,1")
+    tableb = stage_table(b2)
+    assert table_roots(b2, tableb.rows[0]) == roots_by_text(
+        b2, "1,0", "1,1", "1,2")
+    assert table_roots(b2, tableb.rows[1]) == roots_by_text(b2, "0,1")
 
 
 def test_rows_d4_frozen():
     d4 = build_root_system("D", 4)
-    dec = rows(d4)
-    assert dec.rows[0] == roots_by_text(
+    table = stage_table(d4)
+    assert table_roots(d4, table.rows[0]) == roots_by_text(
         d4, "1,0,0,0", "1,1,0,0", "1,1,1,0", "1,1,0,1", "1,1,1,1", "1,2,1,1")
-    p0, p1, p2 = dec.type_D_parts[0]
+    p0, p1, p2 = ref_rows(d4).type_D_parts[0]
     assert p0 == roots_by_text(d4, "1,0,0,0", "1,1,0,0")
     assert p1 == roots_by_text(d4, "1,1,1,0", "1,1,0,1")
     assert p2 == roots_by_text(d4, "1,1,1,1", "1,2,1,1")
+    # stage 0 solves for the fork-bearing parts of row 1 against its part
+    # 2; stage 1 pairs part 0 of row 1 (and part 1 as constraints) with
+    # the fork-bearing parts of row 2
+    vars0, cons0 = table.stages[0]
+    assert table_roots(d4, vars0) == p1 | p2
+    assert table_roots(d4, cons0) == p2
+    vars1, cons1 = table.stages[1]
+    assert table_roots(d4, vars1) == p0 | roots_by_text(
+        d4, "0,1,0,1", "0,1,1,0", "0,1,1,1")
+    assert table_roots(d4, cons1) == p0 | p1 | roots_by_text(d4, "0,1,1,1")
     # fork row carries both fork simple roots; row n is empty
-    assert dec.rows[2] == roots_by_text(d4, "0,0,1,0", "0,0,0,1")
-    assert dec.rows[3] == frozenset()
+    assert table_roots(d4, table.rows[2]) == roots_by_text(
+        d4, "0,0,1,0", "0,0,0,1")
+    assert table.rows[3] == ()
 
 
 @pytest.mark.parametrize("lie_type,rank",
                          ALL_SMALL + [("A", 5), ("A", 6), ("B", 5), ("B", 6),
                                       ("C", 5), ("C", 6), ("D", 5), ("D", 6)])
 def test_rows_partition_and_table_agreement(lie_type, rank):
-    """rows() itself cross-checks the closed forms against the dominance
-    computation and would raise on disagreement; here we re-verify the
-    partition property."""
+    """Building the table cross-checks the closed forms against the
+    dominance computation and would raise on disagreement; here we
+    re-verify the partition property."""
     rs = build_root_system(lie_type, rank)
-    dec = rows(rs)
-    union = set()
-    total = 0
-    for row in dec.rows:
-        union |= row
-        total += len(row)
-    assert union == set(rs.positive_roots)
-    assert total == rs.num_positive
+    members = [k for row in stage_table(rs).rows for k in row]
+    assert sorted(members) == list(range(rs.num_positive))
 
 
 @pytest.mark.parametrize("lie_type,rank",
@@ -197,29 +366,28 @@ def test_rows_totally_ordered_by_height(lie_type, rank):
 
 def test_type_c_long_roots():
     c3 = build_root_system("C", 3)
-    dec = rows(c3)
-    assert format_root(dec.type_C_long_roots[0]) == "2,2,1"
-    assert format_root(dec.type_C_long_roots[1]) == "0,2,1"
-    assert dec.type_C_long_roots[2] is None
+    long_roots = stage_table(c3).long_roots
+    assert format_root(c3.positive_roots[long_roots[0]]) == "2,2,1"
+    assert format_root(c3.positive_roots[long_roots[1]]) == "0,2,1"
+    assert long_roots[2] is None
 
 
 def test_type_d_stage_sets_partition_both_sides():
     for rank in (3, 4, 5):
         rs = build_root_system("D", rank)
-        stages = type_d_stage_sets(rs)
+        stages = stage_table(rs).stages
         assert len(stages) == rank
-        doms = [r for dom, _ in stages for r in dom]
-        cods = [r for _, cod in stages for r in cod]
-        assert sorted(doms, key=str) == sorted(rs.positive_roots, key=str)
-        assert sorted(cods, key=str) == sorted(rs.positive_roots, key=str)
+        for side in (0, 1):
+            members = [k for stage in stages for k in stage[side]]
+            assert sorted(members) == list(range(rs.num_positive))
 
 
 def ref_stage_table(rs):
-    """Rows, stages and long roots as positive-root indices, built the way
-    the row profile and the witness solver built them before the stage
-    table: a ``_row_key`` sort of each row and of each type-D stage set,
-    and the index of each root of ``rows(rs).type_C_long_roots``."""
-    dec = rows(rs)
+    """Rows, stages and long roots as positive-root indices, built from
+    the root-set reference: a ``_row_key`` sort of each row and of each
+    type-D stage set, and the index of each root of
+    ``ref_rows(rs).type_C_long_roots``."""
+    dec = ref_rows(rs)
 
     def ordered(roots):
         return tuple(rs.root_index(r) for r in sorted(roots, key=_row_key))
@@ -230,19 +398,103 @@ def ref_stage_table(rs):
     if rs.lie_type != "D":
         return row_orders, tuple((r, r) for r in row_orders), long_roots
     stages = tuple((ordered(dom), ordered(cod))
-                   for dom, cod in type_d_stage_sets(rs))
+                   for dom, cod in ref_type_d_stage_sets(rs))
     return row_orders, stages, long_roots
 
 
-@pytest.mark.parametrize("lie_type,rank",
-                         ALL_SMALL + [("A", 5), ("D", 5)])
+RANK_8 = ([("A", r) for r in range(1, 9)] + [("B", r) for r in range(2, 9)]
+          + [("C", r) for r in range(2, 9)] + [("D", r) for r in range(3, 9)])
+
+
+@pytest.mark.parametrize("lie_type,rank", RANK_8)
 def test_stage_table_equals_reference(lie_type, rank):
+    """Every system of rank ≤ 8: the index table equals the root-set
+    reference in its rows, stages and long roots."""
     rs = build_root_system(lie_type, rank)
     table = stage_table(rs)
     assert (table.rows, table.stages, table.long_roots) == ref_stage_table(rs)
-    for i, row in enumerate(rows(rs).rows, start=1):
+    for i, row in enumerate(ref_rows(rs).rows, start=1):
         assert row_order(rs, i) == tuple(sorted(row, key=_row_key))
     assert stage_table(rs) is table
+
+
+@pytest.mark.parametrize("i", [0, -1, 4])
+def test_row_order_refuses_rows_out_of_range(i):
+    """Row indices run 1..rank; 0 and −1 would otherwise read another row
+    and rank + 1 fail with a bare IndexError."""
+    with pytest.raises(ValueError, match=rf"^row index {i} out of range$"):
+        row_order(build_root_system("A", 3), i)
+
+
+def _move_root(rs):
+    rows, long_roots = BUILD_ROWS(rs)
+    rows[1].append(rows[0].pop())
+    return rows, long_roots
+
+
+def _drop_root(rs):
+    rows, long_roots = BUILD_ROWS(rs)
+    rows[0].pop()
+    return rows, long_roots
+
+
+def _repeat_root(rs):
+    rows, long_roots = BUILD_ROWS(rs)
+    rows[1].append(rows[0][0])
+    return rows, long_roots
+
+
+def _misplace_long_root(rs):
+    rows, long_roots = BUILD_ROWS(rs)
+    long_roots[0] = rows[1][0]
+    return rows, long_roots
+
+
+def _split_middle_part(rs, row):
+    p0, p1, p2 = FORK_PARTS(rs, row)
+    return p0 + p1[:1], p1[1:], p2
+
+
+BUILD_ROWS = rootcore._closed_form_index_rows
+FORK_PARTS = rootcore._fork_parts
+
+# (system, builder patched, patch, the check it must trip)
+BROKEN_TABLES = [
+    ("A3", "_closed_form_index_rows", _move_root, "row decompositions disagree"),
+    ("B3", "_closed_form_index_rows", _drop_root,
+     "rows do not cover the positive roots"),
+    ("D4", "_closed_form_index_rows", _repeat_root, "rows overlap"),
+    ("C3", "_closed_form_index_rows", _misplace_long_root,
+     "long root of row 1 not in the row"),
+    ("D4", "_fork_parts", _split_middle_part,
+     "middle part of a D row must have 0 or 2 roots"),
+]
+
+
+@pytest.mark.parametrize("system,builder,patch,message", BROKEN_TABLES,
+                         ids=[p[2].__name__.strip("_") for p in BROKEN_TABLES])
+def test_stage_table_build_checks_can_fail(monkeypatch, system, builder,
+                                           patch, message):
+    """Each build-time check of the stage table trips when one index
+    builder is broken, and the error names the system."""
+    monkeypatch.setattr(rootcore, builder, patch)
+    rs = build_root_system(system[0], int(system[1:]))
+    with pytest.raises(ConsistencyError, match=rf"^{system}: {message}$"):
+        stage_table(rs)
+
+
+def test_broken_stage_table_exits_2(monkeypatch, capsys):
+    """A command that reads the rows reports a broken table as a
+    consistency failure: exit 2 and one line on stderr naming the
+    system."""
+    monkeypatch.setattr(rootcore, "_fork_parts", _split_middle_part)
+    paving._profile_masks.cache_clear()
+    code = cli.main(["paving", "--type", "D", "--rank", "4", "--hess", "full"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err == ("hessenpave: consistency failure: D4: middle part of a D "
+                   "row must have 0 or 2 roots\n")
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from hessenpave.liealg import (
 from hessenpave.paving import BettiTable, PavingCell
 from hessenpave.rootcore import (
     Root,
-    RowDecomposition,
+    StageTable,
     build_root_system,
     enumerate_weyl,
 )
@@ -44,8 +44,8 @@ _CELL = CellCount((2, 1), 3, 3)
 # (class, field names in order, one value per field)
 RECORDS = [
     (Root, ("coeffs",), ((1, 0, -1),)),
-    (RowDecomposition, ("rows", "type_C_long_roots", "type_D_parts"),
-     ((frozenset({_A1, _A12}), frozenset({_A2})), (_A1, None), None)),
+    (StageTable, ("rows", "stages", "long_roots"),
+     (((2, 0), (1,)), (((2, 0), (2, 0)), ((1,), (1,))), (None, None))),
     (ComplementIdeal, ("roots",), (frozenset({-_A12}),)),
     (PavingCell, ("w", "nonempty", "dim"), (_W, True, 1)),
     (BettiTable, ("coefficients",), ((1, 2, 1),)),
@@ -170,15 +170,6 @@ def test_repr_text():
         "PavingCell(w=WeylElement(A2, word=(1,)), nonempty=False, dim=None)")
     assert repr(CellCount((2, 1), 3, 3)) == (
         "CellCount(perm=(2, 1), count=3, predicted=3)")
-
-
-def test_row_decomposition_defaults():
-    rows = (frozenset({_A1}),)
-    dec = RowDecomposition(rows)
-    assert dec.type_C_long_roots is None
-    assert dec.type_D_parts is None
-    assert dec == RowDecomposition(rows, None, None)
-    assert RowDecomposition(rows, type_D_parts=()).type_C_long_roots is None
 
 
 def test_prime_field_matrix_checks():
