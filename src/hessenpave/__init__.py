@@ -67,7 +67,6 @@ from .liealg import (
     StructureConstantTable,
     WitnessResult,
     ad_exp,
-    bracket,
     build_chevalley,
     find_witness,
     normalize_type_D,
@@ -77,30 +76,25 @@ from .liealg import (
     verify_lemmata,
 )
 from .fforacle import (
-    BruhatFlag,
-    PrimeFieldMatrix,
     count_points,
-    enumerate_cell_flags,
     hessenberg_check,
-    jordan_nilpotent,
     weyl_to_permutation,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BettiTable", "BruhatFlag", "ChevalleyRealization", "ComplementIdeal",
-    "ConsistencyError", "HessenbergSpace", "NilpotentElement", "PavingCell",
-    "PrimeFieldMatrix", "Root", "RootSystem", "StructureConstantTable",
-    "WeylElement", "WitnessResult", "ad_exp", "apply", "bracket",
-    "build_chevalley", "build_root_system", "cell_dimension",
-    "cell_dimension_lie", "cell_nonempty", "complement_ideal", "compose",
-    "compute_paving", "count_points", "dominance_leq", "enumerate_cell_flags",
-    "enumerate_hessenberg", "enumerate_weyl", "find_witness", "format_root",
-    "format_word", "from_function", "from_negative_roots", "hessenberg_check",
-    "identity_element", "inverse", "inversion_set", "jordan_nilpotent",
-    "normalize_type_D", "parse_root", "parse_word", "poincare_polynomial",
-    "psi_matrix", "row_dimension_profile", "simple_reflection",
-    "sum_of_simple_vectors", "theta_row", "to_function", "verify_lemmata",
-    "weyl_to_permutation",
+    "BettiTable", "ChevalleyRealization", "ComplementIdeal",
+    "ConsistencyError", "HessenbergSpace", "NilpotentElement",
+    "PavingCell", "Root", "RootSystem", "StructureConstantTable",
+    "WeylElement", "WitnessResult", "ad_exp", "apply", "build_chevalley",
+    "build_root_system", "cell_dimension", "cell_dimension_lie",
+    "cell_nonempty", "complement_ideal", "compose", "compute_paving",
+    "count_points", "dominance_leq", "enumerate_hessenberg",
+    "enumerate_weyl", "find_witness", "format_root", "format_word",
+    "from_function", "from_negative_roots", "hessenberg_check",
+    "identity_element", "inverse", "inversion_set", "normalize_type_D",
+    "parse_root", "parse_word", "poincare_polynomial", "psi_matrix",
+    "row_dimension_profile", "simple_reflection", "sum_of_simple_vectors",
+    "theta_row", "to_function", "verify_lemmata", "weyl_to_permutation",
 ]

@@ -5,10 +5,12 @@ permutation; the cell is an affine space whose points have a unique
 column-echelon normal form.  Columns carry pivots at the rows given by the
 permutation, entries below a pivot and to the right of a pivot (in its
 row) vanish, and the remaining free entries — one per inversion — take
-arbitrary field values, so the cell has exactly ``q^{inv(w)}`` points.
+arbitrary field values, so the cell has exactly ``q^{inv(w)}`` points.  A
+flag is held as the list of its normal-form columns and nothing else.
 
 A flag satisfies the Hessenberg condition when the single-Jordan-block
-nilpotent maps each ``V_i`` into ``V_{h(i)}``.  The normal-form columns are
+nilpotent N maps each ``V_i`` into ``V_{h(i)}``.  N is never built as a
+matrix: ``N·v`` is v shifted up one row.  The normal-form columns are
 already an echelon basis, so the coordinates of ``N·v_k`` in that basis come
 from one back-substitution mod q with no inverse, and the condition reads
 off which coordinates vanish.
@@ -26,12 +28,13 @@ only ``v_j = r / r[pivot_j]`` can, since a normal-form column is 1 at its
 pivot and 0 at the earlier pivot rows.  So column j is solved for, not
 searched: the walk tries every value of its free entries only when no due
 condition pins it (no condition due, every residual 0, or only the
-self-condition i = j of ``h(i) = i``).  Every tried column still goes through the containment
-test, and every flag that survives is re-checked by ``hessenberg_check``;
-a disagreement raises ConsistencyError.  The flags of a cut subtree are
-never listed and a pinned column is never guessed, so the work grows with
-the passing partial flags (q^dim whole flags in a cell), not with all q^inv
-flags of the cell.
+self-condition i = j of ``h(i) = i``).  Every tried column still goes
+through the containment test, and ``hessenberg_check`` re-checks the
+columns of every flag that survives by its own full pivot sweep, apart
+from the walk's incremental residuals; a disagreement raises
+ConsistencyError.  The flags of a cut subtree are never listed and a
+pinned column is never guessed, so the work grows with the passing partial
+flags (q^dim whole flags in a cell), not with all q^inv flags of the cell.
 
 Counting the passing flags per cell gives an independent check of the
 paving: a nonempty cell of predicted dimension d must contain exactly
@@ -45,10 +48,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Iterator
 
 from .errors import ConsistencyError
-from .hessenberg import from_function
+from .hessenberg import _checked_function, from_function
 from .paving import (
     cell_dimension,
     cell_nonempty,
@@ -63,60 +65,9 @@ _MAX_N = 5
 _FLAG_BUDGET = 300_000
 
 
-class PrimeFieldMatrix(_Record):
-    """A matrix over F_q with entries reduced to [0, q)."""
-
-    __slots__ = ("q", "entries")
-
-    def __init__(self, q: int, entries: tuple[tuple[int, ...], ...]):
-        if q not in _ALLOWED_PRIMES:
-            raise ValueError(f"q must be one of {_ALLOWED_PRIMES}, got {q}")
-        if any(not 0 <= x < q for row in entries for x in row):
-            raise ValueError("entries must be reduced mod q")
-        super().__init__(q, entries)
-
-    def column(self, j: int) -> tuple[int, ...]:
-        return tuple(row[j] for row in self.entries)
-
-    def apply(self, vec: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(sum(r * v for r, v in zip(row, vec)) % self.q
-                     for row in self.entries)
-
-
-def jordan_nilpotent(n: int, q: int) -> PrimeFieldMatrix:
-    """The regular nilpotent single Jordan block: ones on the superdiagonal."""
-    return PrimeFieldMatrix(q, tuple(
-        tuple(1 if c == r + 1 else 0 for c in range(n)) for r in range(n)
-    ))
-
-
-class BruhatFlag(_Record):
-    """A flag in Bruhat normal form: pivot pattern ``perm`` (1-based,
-    column j has its pivot in row perm[j-1]) plus one free entry per
-    inversion position."""
-
-    __slots__ = ("q", "perm", "free")
-
-    def __init__(self, q: int, perm: tuple[int, ...],
-                 free: tuple[tuple[tuple[int, int], int], ...]):
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "perm", perm)
-        object.__setattr__(self, "free", free)
-
-    def matrix(self) -> PrimeFieldMatrix:
-        n = len(self.perm)
-        m = [[0] * n for _ in range(n)]
-        for j, p in enumerate(self.perm):
-            m[p - 1][j] = 1
-        for (r, c), v in self.free:
-            m[r - 1][c - 1] = v
-        return PrimeFieldMatrix(self.q, tuple(tuple(row) for row in m))
-
-
 def free_positions(perm: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
     """The free (row, column) positions of the cell's normal form: above the
     pivot of the column, in rows not already used by earlier pivots."""
-    n = len(perm)
     earlier: set[int] = set()
     out = []
     for j, p in enumerate(perm, start=1):
@@ -127,44 +78,26 @@ def free_positions(perm: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-def enumerate_cell_flags(n: int, q: int, perm: tuple[int, ...]
-                         ) -> Iterator[BruhatFlag]:
-    """All flags of one Bruhat cell, exactly q^(number of inversions)."""
-    if n > _MAX_N:
-        raise ValueError(f"flag enumeration is limited to n <= {_MAX_N}")
-    if q not in _ALLOWED_PRIMES:
-        raise ValueError(f"q must be one of {_ALLOWED_PRIMES}")
-    if sorted(perm) != list(range(1, n + 1)):
-        raise ValueError(f"{perm} is not a permutation of 1..{n}")
-    positions = free_positions(perm)
-    for values in itertools.product(range(q), repeat=len(positions)):
-        yield BruhatFlag(q, perm, tuple(zip(positions, values)))
-
-
-def hessenberg_check(flag: BruhatFlag, nilpotent: PrimeFieldMatrix,
+def hessenberg_check(q: int, perm: tuple[int, ...], cols: list[list[int]],
                      h: tuple[int, ...]) -> bool:
-    """Whether the flag satisfies N·V_i ⊆ V_{h(i)} for all i.
+    """Whether the flag with normal-form columns ``cols`` (pivot pattern
+    ``perm``, 1-based: column j has its pivot in row perm[j-1]) satisfies
+    N·V_i ⊆ V_{h(i)} for all i, N the Jordan block.
 
-    The normal-form column v_j has a 1 in row perm[j] and zeros below it.
-    Clearing a vector's entries at the pivot rows, lowest pivot first, by
-    subtracting multiples of the pivot's column therefore yields its
-    coordinates in the basis v_1..v_n, and N·v_k lies in V_m iff its
-    coordinates past m vanish.
+    N·v is v shifted up one row.  The normal-form column v_j has a 1 in row
+    perm[j] and zeros below it.  Clearing a vector's entries at the pivot
+    rows, lowest pivot first, by subtracting multiples of the pivot's column
+    therefore yields its coordinates in the basis v_1..v_n, and N·v_k lies
+    in V_m iff its coordinates past m vanish.
     """
-    q = flag.q
-    n = len(flag.perm)
-    cols = [[0] * n for _ in range(n)]
-    for j, p in enumerate(flag.perm):
-        cols[j][p - 1] = 1
-    for (r, c), v in flag.free:
-        cols[c - 1][r - 1] = v
-    sweep = sorted(range(n), key=lambda j: -flag.perm[j])
+    n = len(perm)
+    sweep = sorted(range(n), key=lambda j: -perm[j])
     reach = 0              # least m with N·V_i ⊆ V_m
     top = 0                # max(h(1..i)), h(i) for a Hessenberg function
     for i in range(n):
-        vec = nilpotent.apply(cols[i])
+        vec = cols[i][1:] + [0]
         for j in sweep:
-            f = vec[flag.perm[j] - 1]
+            f = vec[perm[j] - 1]
             if f:
                 vec = [(x - f * y) % q for x, y in zip(vec, cols[j])]
                 reach = max(reach, j + 1)
@@ -229,7 +162,6 @@ def _count_cell(n: int, q: int, perm: tuple[int, ...],
         due[max(top, i + 1) - 1].append((i, top))
     # columns 1..m, lowest pivot first: the order that clears pivot rows
     sweeps = [sorted(range(m), key=lambda j: -pivot[j]) for m in range(n + 1)]
-    nilpotent = jordan_nilpotent(n, q)
     cols: list[list[int]] = [[] for _ in range(n)]
     images: list[list[int]] = [[] for _ in range(n)]
     count = 0
@@ -261,11 +193,11 @@ def _count_cell(n: int, q: int, perm: tuple[int, ...],
     def walk(j: int) -> None:
         nonlocal count
         if j == n:
-            flag = BruhatFlag(q, perm, tuple(
-                ((r, c), cols[c - 1][r - 1]) for r, c in positions))
-            if not hessenberg_check(flag, nilpotent, h):
+            if not hessenberg_check(q, perm, cols, h):
+                free = tuple(((r, c), cols[c - 1][r - 1])
+                             for r, c in positions)
                 raise ConsistencyError(
-                    f"flag {flag.free} of cell {perm} passes the column "
+                    f"flag {free} of cell {perm} passes the column "
                     f"test but not hessenberg_check (n={n}, q={q}, h={h})")
             count += 1
             return
@@ -339,7 +271,8 @@ def count_points(n: int, q: int, h) -> CountReport:
     declares the cell nonempty of dimension dim, and 0 when empty; the total
     must equal the Betti evaluation at q.  Raises ValueError, before any
     work, when n is outside 2.._MAX_N or the flag variety has more than
-    _FLAG_BUDGET points over F_q.
+    _FLAG_BUDGET points over F_q, and then when h is not a Hessenberg
+    function of ints.
     """
     if q not in _ALLOWED_PRIMES:
         raise ValueError(f"q must be one of {_ALLOWED_PRIMES}, got {q}")
@@ -350,7 +283,7 @@ def count_points(n: int, q: int, h) -> CountReport:
         raise ValueError(
             f"the flag variety for n={n}, q={q} has {flags} points, over "
             f"the budget of {_FLAG_BUDGET}")
-    hs = tuple(int(x) for x in h)
+    hs = _checked_function(n, h)
     space = from_function(n, hs)
     rs: RootSystem = space.rs
 
@@ -373,5 +306,6 @@ def count_points(n: int, q: int, h) -> CountReport:
     betti_eval = poincare_polynomial(rs, space).evaluate(q)
     if total != betti_eval:
         raise ConsistencyError(
-            f"total {total} differs from the Betti evaluation {betti_eval}")
+            f"total {total} differs from the Betti evaluation {betti_eval} "
+            f"(n={n}, q={q}, h={hs})")
     return CountReport(n, q, hs, tuple(cells), total, betti_eval)

@@ -177,23 +177,19 @@ def enumerate_hessenberg(rs: RootSystem) -> tuple[HessenbergSpace, ...]:
     a positive root may join an ideal once everything reachable from it by
     subtracting one simple root is already present.  The result always
     starts with the Borel and ends with the full Lie algebra; it is cached
-    per type and rank.  Raises ValueError, before any work, when there are
+    on the root system.  Raises ValueError, before any work, when there are
     more than _SPACE_BUDGET spaces, and ConsistencyError when the count
     differs from the closed form for ad-nilpotent ideals.
     """
-    key = (rs.lie_type, rs.rank)
-    if key not in _SPACES:
+    if rs._spaces_cache is None:
         expected = check_space_budget(rs.lie_type, rs.rank)
         spaces = _build_hessenberg_spaces(rs)
         if len(spaces) != expected:
             raise ConsistencyError(
                 f"Hessenberg enumeration of {rs.lie_type}{rs.rank} found "
                 f"{len(spaces)} spaces, expected {expected}")
-        _SPACES[key] = spaces
-    return _SPACES[key]
-
-
-_SPACES: dict[tuple[str, int], tuple[HessenbergSpace, ...]] = {}
+        rs._spaces_cache = spaces
+    return rs._spaces_cache
 
 
 def _lower_covers(rs: RootSystem) -> list[tuple[int, ...]]:
@@ -275,11 +271,14 @@ def from_function(n: int, h: Iterable[int]) -> HessenbergSpace:
 
 def _checked_function(n: int, h: Iterable[int]) -> tuple[int, ...]:
     """h as a tuple, or ValueError when it is not a Hessenberg function on
-    {1..n}, n ≥ 2."""
-    hs = tuple(int(x) for x in h)
+    {1..n}, n ≥ 2, or holds a value that is not an int (a float, a string
+    or a bool is refused, not converted)."""
+    hs = tuple(h)
     if len(hs) != n:
         raise ValueError(f"expected {n} values, got {len(hs)}")
     for i, v in enumerate(hs, start=1):
+        if type(v) is not int:
+            raise ValueError(f"h({i}) = {v!r} is not an integer")
         if v < i:
             raise ValueError(f"h({i}) = {v} < {i}")
         if v > n:

@@ -373,7 +373,7 @@ def normalize_type_D(real: ChevalleyRealization) -> ChevalleyRealization:
     rs = real.rs
     if rs.lie_type != "D":
         raise ValueError("normalization applies to type D only")
-    n = rs.rank
+    name = f"D{rs.rank}"
 
     targets = _d_normalization_pairs(rs)
     rows_gf2 = []
@@ -382,10 +382,12 @@ def normalize_type_D(real: ChevalleyRealization) -> ChevalleyRealization:
         ia, ib = rs.root_index(a), rs.root_index(b)
         m = real.constants.table[ia][ib]
         if m == 0:
-            raise ConsistencyError("normalization pair does not sum to a root")
+            raise ConsistencyError(
+                f"{name}: normalization pair does not sum to a root")
         if abs(m) != 1:
             raise ConsistencyError(
-                f"cannot sign-normalize |m| = {abs(m)} at ({a}, {b})")
+                f"{name}: cannot sign-normalize |m| = {abs(m)} at "
+                f"({a}, {b})")
         row = [0] * rs.num_positive
         for k in (ia, ib, rs._pos_sum[ia][ib]):
             row[k] ^= 1
@@ -393,7 +395,8 @@ def normalize_type_D(real: ChevalleyRealization) -> ChevalleyRealization:
         rhs.append(0 if m == 1 else 1)
     solution = gf2_solve(rows_gf2, rhs)
     if solution is None:
-        raise ConsistencyError("no consistent rescaling of root vectors exists")
+        raise ConsistencyError(
+            f"{name}: no consistent rescaling of root vectors exists")
 
     # all_roots lists the negative roots in the order of the positive ones
     normalized = ChevalleyRealization(rs, {
@@ -401,7 +404,7 @@ def normalize_type_D(real: ChevalleyRealization) -> ChevalleyRealization:
         for root, flip in zip(rs.all_roots, solution * 2)})
     for a, b in targets:
         if normalized.constants.m(a, b) != 1:
-            raise ConsistencyError("normalization failed to reach +1")
+            raise ConsistencyError(f"{name}: normalization failed to reach +1")
     return normalized
 
 
@@ -506,11 +509,6 @@ def _iad_exp(real: ChevalleyRealization, x: dict[int, Fraction | int],
             elif i in out:
                 del out[i]
     raise ConsistencyError("adjoint exponential series failed to terminate")
-
-
-def bracket(real: ChevalleyRealization, a: Sparse, b: Sparse) -> Sparse:
-    """Matrix commutator in the realization."""
-    return sp_commutator(a, b)
 
 
 def ad_exp(real: ChevalleyRealization, x: NilpotentElement,
@@ -924,7 +922,8 @@ def _check_containment(real: ChevalleyRealization, trials: int,
                         f"containment masks flag {rs.lie_type}{rs.rank} "
                         f"word {list(w.word)} but no root fails")
                 return ce
-    raise ConsistencyError("a containment suspect fails for no sample")
+    raise ConsistencyError(f"{rs.lie_type}{rs.rank}: a containment suspect "
+                           "fails for no sample")
 
 
 def _first_entry_faults(rs: RootSystem, psi_rows: dict[int, tuple]

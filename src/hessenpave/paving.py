@@ -125,13 +125,6 @@ def cell_dimension_lie(w: WeylElement, space: HessenbergSpace) -> int:
                if hm >> k & 1 and perm[k] < npos)
 
 
-@lru_cache(maxsize=None)
-def _profile_masks(rs: RootSystem) -> tuple[tuple[int, int], ...]:
-    """Positive-root bitmasks of each stage's (variables, constraints)."""
-    return tuple((sum(1 << k for k in vars_), sum(1 << k for k in cons))
-                 for vars_, cons in stage_table(rs).stages)
-
-
 def row_dimension_profile(w: WeylElement, space: HessenbergSpace) -> tuple[int, ...]:
     """Per-stage dimensions of a nonempty cell.
 
@@ -155,7 +148,7 @@ def row_dimension_profile(w: WeylElement, space: HessenbergSpace) -> tuple[int, 
         if not hm >> inv[p] & 1:
             outside |= 1 << p
     return tuple((phi_w & vm).bit_count() - (outside & cm).bit_count()
-                 for vm, cm in _profile_masks(w.rs))
+                 for vm, cm in stage_table(w.rs).masks)
 
 
 def compute_paving(rs: RootSystem, space: HessenbergSpace) -> tuple[PavingCell, ...]:

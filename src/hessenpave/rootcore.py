@@ -334,6 +334,7 @@ class RootSystem:
 
         self._stages_cache: StageTable | None = None
         self._weyl_cache: tuple["WeylElement", ...] | None = None
+        self._spaces_cache: tuple["HessenbergSpace", ...] | None = None
 
     # -- basic root arithmetic -------------------------------------------
 
@@ -775,10 +776,12 @@ def enumerate_weyl(rs: RootSystem) -> tuple[WeylElement, ...]:
             break       # only a wrong generator gets here; stop, then report
     if len(out) != expected:
         raise ConsistencyError(
-            f"Weyl enumeration found {len(out)} elements, expected {expected}")
+            f"{rs.lie_type}{rs.rank}: Weyl enumeration found {len(out)} "
+            f"elements, expected {expected}")
     if len(layer) != 1 or len(layer[0].word) != npos:
         raise ConsistencyError(
-            f"Weyl enumeration ended with {len(layer)} elements of length "
+            f"{rs.lie_type}{rs.rank}: Weyl enumeration ended with "
+            f"{len(layer)} elements of length "
             f"{len(layer[0].word)}, expected one of length {npos}")
     rs._weyl_cache = tuple(out)
     return rs._weyl_cache
@@ -873,13 +876,16 @@ class StageTable(_Record):
     In types A, B, C stage k is row k+1 on both sides; in type D it pairs
     the plain part of row k with the fork-bearing parts of row k+1 (see
     ``stage_table``).  ``long_roots[i-1]`` is the index of the long root
-    ``2ε_i`` of row i in type C (i < n) and None elsewhere.
+    ``2ε_i`` of row i in type C (i < n) and None elsewhere.  ``masks[k]``
+    is stage k's ``(vars, cons)`` as bitmasks over positive-root indices,
+    which the row profiles of :mod:`hessenpave.paving` read.
     """
 
-    __slots__ = ("rows", "stages", "long_roots")
+    __slots__ = ("rows", "stages", "long_roots", "masks")
     rows: tuple[tuple[int, ...], ...]
     stages: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
     long_roots: tuple[int | None, ...]
+    masks: tuple[tuple[int, int], ...]
 
 
 def stage_table(rs: RootSystem) -> StageTable:
@@ -925,5 +931,7 @@ def stage_table(rs: RootSystem) -> StageTable:
                        for a, b in zip(parts, parts[1:]))
     else:
         stages = tuple((row, row) for row in row_idx)
-    rs._stages_cache = StageTable(row_idx, stages, tuple(long_roots))
+    masks = tuple((sum(1 << k for k in vars_), sum(1 << k for k in cons))
+                  for vars_, cons in stages)
+    rs._stages_cache = StageTable(row_idx, stages, tuple(long_roots), masks)
     return rs._stages_cache

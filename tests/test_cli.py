@@ -740,7 +740,7 @@ def test_stage_table_off_partition_fails_factorization_count(
         first = table.rows[0]
         row = first + first[:1] if fault == "repeated" else first[:-1]
         return rootcore.StageTable((row,) + table.rows[1:], table.stages,
-                                   table.long_roots)
+                                   table.long_roots, table.masks)
 
     for module in (rootcore, liealg, paving):
         monkeypatch.setattr(module, "stage_table", corrupted)

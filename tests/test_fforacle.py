@@ -1,59 +1,55 @@
 """Finite-field flag counting against the paving predictions."""
 
 import itertools
+import re
 
 import pytest
 
 from hessenpave import fforacle
 from hessenpave.errors import ConsistencyError
 from hessenpave.fforacle import (
-    BruhatFlag,
-    PrimeFieldMatrix,
     count_points,
-    enumerate_cell_flags,
     free_positions,
     hessenberg_check,
-    jordan_nilpotent,
     weyl_to_permutation,
 )
+from hessenpave.hessenberg import from_function
+from hessenpave.paving import BettiTable
 from hessenpave.rootcore import apply, build_root_system, enumerate_weyl
 
 
-def test_jordan_block():
-    n = jordan_nilpotent(3, 2)
-    assert n.entries == ((0, 1, 0), (0, 0, 1), (0, 0, 0))
-    with pytest.raises(ValueError):
-        jordan_nilpotent(3, 4)      # not prime
-
-
-def test_matrix_field_limited_to_oracle_primes():
-    assert PrimeFieldMatrix(5, ((0, 4), (1, 0))).apply((1, 1)) == (4, 1)
-    for q in (4, 7):
-        with pytest.raises(ValueError, match=r"q must be one of \(2, 3, 5\)"):
-            PrimeFieldMatrix(q, ((0, 1), (0, 0)))
+def ref_cell_flags(n, q, perm):
+    """Every flag of one Bruhat cell, q^(number of inversions) of them, as
+    its normal-form columns: column j is 1 in row perm[j-1], takes each
+    value at its free positions and is 0 elsewhere."""
+    assert sorted(perm) == list(range(1, n + 1)), perm
+    positions = free_positions(perm)
+    for values in itertools.product(range(q), repeat=len(positions)):
+        cols = [[0] * n for _ in range(n)]
+        for j, p in enumerate(perm):
+            cols[j][p - 1] = 1
+        for (r, c), v in zip(positions, values):
+            cols[c - 1][r - 1] = v
+        yield cols
 
 
 def test_flag_enumeration_counts():
     # identity: a single flag; simple transposition: q flags; w0: q^3
-    assert len(list(enumerate_cell_flags(3, 2, (1, 2, 3)))) == 1
-    assert len(list(enumerate_cell_flags(3, 2, (2, 1, 3)))) == 2
-    assert len(list(enumerate_cell_flags(3, 2, (3, 2, 1)))) == 8
-    total = sum(len(list(enumerate_cell_flags(3, 2, p)))
+    assert len(list(ref_cell_flags(3, 2, (1, 2, 3)))) == 1
+    assert len(list(ref_cell_flags(3, 2, (2, 1, 3)))) == 2
+    assert len(list(ref_cell_flags(3, 2, (3, 2, 1)))) == 8
+    total = sum(len(list(ref_cell_flags(3, 2, p)))
                 for p in itertools.permutations((1, 2, 3)))
     assert total == 21
-    with pytest.raises(ValueError):
-        list(enumerate_cell_flags(6, 2, (1, 2, 3, 4, 5, 6)))
-    with pytest.raises(ValueError):
-        list(enumerate_cell_flags(3, 4, (1, 2, 3)))
 
 
 def test_flags_are_distinct_points():
     seen = set()
     for p in itertools.permutations((1, 2, 3)):
-        for flag in enumerate_cell_flags(3, 3, p):
-            mat = flag.matrix().entries
-            assert mat not in seen
-            seen.add(mat)
+        for cols in ref_cell_flags(3, 3, p):
+            flag = tuple(map(tuple, cols))
+            assert flag not in seen
+            seen.add(flag)
     assert len(seen) == sum(3 ** k for k in (0, 1, 1, 2, 2, 3))
 
 
@@ -83,30 +79,26 @@ def test_weyl_to_permutation_action():
 
 
 def test_hessenberg_check_trivial_cases():
-    n = jordan_nilpotent(3, 2)
     for perm in itertools.permutations((1, 2, 3)):
-        for flag in enumerate_cell_flags(3, 2, perm):
-            assert hessenberg_check(flag, n, (3, 3, 3))
-    standard = BruhatFlag(2, (1, 2, 3), ())
+        for cols in ref_cell_flags(3, 2, perm):
+            assert hessenberg_check(2, perm, cols, (3, 3, 3))
+    standard = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
     for h in [(1, 2, 3), (2, 2, 3), (2, 3, 3), (3, 3, 3)]:
-        assert hessenberg_check(standard, n, h)
+        assert hessenberg_check(2, (1, 2, 3), standard, h)
 
 
 def test_hessenberg_check_invariant_plane():
     """For h = (2,2,3) the passing flags are exactly those whose plane is
     the unique N-invariant one: span(e1, e2)."""
-    n = jordan_nilpotent(3, 2)
     passing = []
     for perm in itertools.permutations((1, 2, 3)):
-        for flag in enumerate_cell_flags(3, 2, perm):
-            if hessenberg_check(flag, n, (2, 2, 3)):
-                passing.append(flag)
+        for cols in ref_cell_flags(3, 2, perm):
+            if hessenberg_check(2, perm, cols, (2, 2, 3)):
+                passing.append(cols)
     assert len(passing) == 3
-    for flag in passing:
-        mat = flag.matrix()
+    for cols in passing:
         for j in (0, 1):
-            col = mat.column(j)
-            assert col[2] == 0          # inside span(e1, e2)
+            assert cols[j][2] == 0          # inside span(e1, e2)
 
 
 def test_count_points_frozen_examples():
@@ -168,13 +160,12 @@ def test_pruned_cell_count_equals_brute_force(n, q):
     same count as testing every flag of the cell: on every cell under every
     Hessenberg function for n <= 4, the ones with h(i) = i included, and
     under the certify function and the two extremes for n = 5."""
-    nil = jordan_nilpotent(n, q)
     hs = (hessenberg_functions(n) if n <= 4
           else [(2, 3, 4, 5, 5), (1, 2, 3, 4, 5), (5, 5, 5, 5, 5)])
     for h in hs:
         for perm in itertools.permutations(range(1, n + 1)):
-            brute = sum(1 for flag in enumerate_cell_flags(n, q, perm)
-                        if hessenberg_check(flag, nil, h))
+            brute = sum(1 for cols in ref_cell_flags(n, q, perm)
+                        if hessenberg_check(q, perm, cols, h))
             assert fforacle._count_cell(n, q, perm, h) == brute, \
                 (h, perm)
 
@@ -210,9 +201,9 @@ def test_count_points_checks_each_passing_flag_once(monkeypatch):
     (216 of the 29,016 flags of n = 4 over F_5)."""
     checked = []
 
-    def counted(flag, nilpotent, h):
-        checked.append(flag)
-        return hessenberg_check(flag, nilpotent, h)
+    def counted(q, perm, cols, h):
+        checked.append(tuple(map(tuple, cols)))
+        return hessenberg_check(q, perm, cols, h)
 
     monkeypatch.setattr(fforacle, "hessenberg_check", counted)
     report = count_points(4, 5, (2, 3, 4, 4))
@@ -226,6 +217,48 @@ def test_count_points_rejects_a_flag_the_check_refuses(monkeypatch):
     monkeypatch.setattr(fforacle, "hessenberg_check", lambda *_: False)
     with pytest.raises(ConsistencyError, match="passes the column test"):
         count_points(3, 2, (2, 3, 3))
+    # the message lists the refused flag's free entries ((r, c), v)
+    monkeypatch.setattr(fforacle, "hessenberg_check",
+                        lambda q, perm, cols, h: perm == (1, 2, 3))
+    with pytest.raises(ConsistencyError, match=re.escape(
+            "flag (((1, 1), 0),) of cell (2, 1, 3) passes the column test "
+            "but not hessenberg_check (n=3, q=2, h=(2, 3, 3))")):
+        count_points(3, 2, (2, 3, 3))
+
+
+def test_count_points_total_check_names_the_case(monkeypatch):
+    """A total that differs from the Betti evaluation is a consistency
+    failure naming n, q and h."""
+    monkeypatch.setattr(fforacle, "poincare_polynomial",
+                        lambda rs, space: BettiTable((1, 1)))
+    with pytest.raises(ConsistencyError, match=re.escape(
+            "total 9 differs from the Betti evaluation 3 "
+            "(n=3, q=2, h=(2, 3, 3))")):
+        count_points(3, 2, (2, 3, 3))
+
+
+@pytest.mark.parametrize("h, bad", [
+    ((2.9, 3.5, 3), "h(1) = 2.9"),
+    ((2, 3.0, 3), "h(2) = 3.0"),
+    ("233", "h(1) = '2'"),
+    ((True, 2, 3), "h(1) = True"),
+    ((2, 3, False), "h(3) = False"),
+])
+def test_count_points_refuses_non_integer_values(h, bad):
+    """A float, a string or a bool in h is refused, not truncated or read
+    as digits, by count_points and by from_function alike."""
+    message = "^" + re.escape(f"{bad} is not an integer") + "$"
+    with pytest.raises(ValueError, match=message):
+        count_points(3, 2, h)
+    with pytest.raises(ValueError, match=message):
+        from_function(3, h)
+    # the refusals of q, n and the flag budget come first
+    with pytest.raises(ValueError, match="q must be one of"):
+        count_points(3, 4, h)
+    with pytest.raises(ValueError, match="n must be between 2 and 5"):
+        count_points(6, 2, h)
+    with pytest.raises(ValueError, match="over the budget"):
+        count_points(5, 5, h)
 
 
 class RefEchelonBasis:
@@ -256,18 +289,27 @@ class RefEchelonBasis:
         return not any(self._reduce(vec))
 
 
-def ref_hessenberg_check(flag, nilpotent, h):
-    """N·V_i ⊆ V_{h(i)} for all i by a fresh echelon basis per flag, as the
-    check stood before it read coordinates off the normal form."""
-    mat = flag.matrix()
-    n = len(flag.perm)
-    images = [nilpotent.apply(mat.column(j)) for j in range(n)]
-    basis = RefEchelonBasis(flag.q)
+def ref_jordan(n):
+    """The regular nilpotent single Jordan block: ones on the
+    superdiagonal."""
+    return [[1 if c == r + 1 else 0 for c in range(n)] for r in range(n)]
+
+
+def ref_hessenberg_check(q, cols, h):
+    """N·V_i ⊆ V_{h(i)} for all i, with N·v a product by the explicit
+    Jordan matrix and membership tested against a fresh echelon basis per
+    flag, as the check stood before it read coordinates off the normal
+    form."""
+    n = len(cols)
+    nil = ref_jordan(n)
+    images = [tuple(sum(a * b for a, b in zip(row, col)) % q for row in nil)
+              for col in cols]
+    basis = RefEchelonBasis(q)
     filled = 0
     for i in range(1, n + 1):
         target = h[i - 1]
         while filled < target:
-            basis.add(mat.column(filled))
+            basis.add(cols[filled])
             filled += 1
         if not all(basis.contains(images[k]) for k in range(i)):
             return False
@@ -279,14 +321,13 @@ def ref_hessenberg_check(flag, nilpotent, h):
 def test_hessenberg_check_equals_echelon_reference(n, q):
     """Every flag under every h: each h in {1..n}^n for n <= 3, each
     Hessenberg function for n = 4."""
-    nil = jordan_nilpotent(n, q)
     hs = (list(itertools.product(range(1, n + 1), repeat=n)) if n <= 3
           else hessenberg_functions(n))
     for perm in itertools.permutations(range(1, n + 1)):
-        for flag in enumerate_cell_flags(n, q, perm):
+        for cols in ref_cell_flags(n, q, perm):
             for h in hs:
-                assert (hessenberg_check(flag, nil, h)
-                        == ref_hessenberg_check(flag, nil, h)), (flag, h)
+                assert (hessenberg_check(q, perm, cols, h)
+                        == ref_hessenberg_check(q, cols, h)), (cols, h)
 
 
 def test_count_points_refuses_large_flag_varieties_before_work(monkeypatch):
@@ -297,7 +338,6 @@ def test_count_points_refuses_large_flag_varieties_before_work(monkeypatch):
         raise AssertionError("count_points started work")
 
     monkeypatch.setattr(fforacle, "from_function", forbidden)
-    monkeypatch.setattr(fforacle, "enumerate_cell_flags", forbidden)
     monkeypatch.setattr(fforacle, "_count_cell", forbidden)
     with pytest.raises(ValueError, match=r"^the flag variety for n=5, q=5 "
                        r"has 22661496 points, over the budget of 300000$"):

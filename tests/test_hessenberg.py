@@ -50,6 +50,17 @@ def test_from_function_examples():
         from_function(3, (0, 2, 3))       # h(1) < 1
     with pytest.raises(ValueError):
         from_function(3, (2, 3, 4))       # above n
+    with pytest.raises(ValueError, match=r"^h\(1\) = 2.7 is not an integer$"):
+        from_function(3, (2.7, 3, 3))     # not truncated to 2
+
+
+def test_spaces_belong_to_their_root_system():
+    """The spaces are cached on the root system that enumerated them, not
+    shared between equal instances."""
+    for rs in (build_root_system("B", 3), build_root_system("B", 3)):
+        spaces = enumerate_hessenberg(rs)
+        assert len(spaces) == 20
+        assert all(space.rs is rs for space in spaces)
 
 
 def _all_hessenberg_functions(n):
@@ -141,7 +152,6 @@ def test_enumeration_count_matches_closed_form(lie_type):
 
 def test_enumeration_count_mismatch_raises(monkeypatch):
     build = hessenberg._build_hessenberg_spaces
-    monkeypatch.setattr(hessenberg, "_SPACES", {})
     monkeypatch.setattr(hessenberg, "_build_hessenberg_spaces",
                         lambda rs: build(rs)[:-1])
     with pytest.raises(ConsistencyError,

@@ -21,7 +21,6 @@ from hessenpave.hessenberg import (
 from hessenpave.liealg import (
     NilpotentElement,
     ad_exp,
-    bracket,
     build_chevalley,
     find_witness,
     normalize_type_D,
@@ -113,7 +112,7 @@ def test_c2_has_long_root_vector(real_c2):
 def test_bracket_opposite_roots_is_diagonal(real_a2):
     rs = real_a2.rs
     for a in rs.positive_roots:
-        h = bracket(real_a2, real_a2.root_vectors[a], real_a2.root_vectors[-a])
+        h = sp_commutator(real_a2.root_vectors[a], real_a2.root_vectors[-a])
         assert h and sp_is_diagonal(h)
 
 
@@ -512,6 +511,24 @@ def test_normalize_type_d_equals_validated_rebuild(rank):
 def test_normalize_rejects_other_types(real_a2):
     with pytest.raises(ValueError):
         normalize_type_D(real_a2)
+
+
+@pytest.mark.parametrize("value, message", [
+    (0, "D4: normalization pair does not sum to a root"),
+    (2, "D4: cannot sign-normalize |m| = 2 at (1,1,0,0, 0,0,1,0)"),
+])
+def test_normalize_failure_names_the_system(value, message):
+    """A structure constant of a normalization pair that is 0 or not ±1
+    is a consistency failure naming the system."""
+    rs = build_root_system("D", 4)
+    real = build_chevalley(rs)
+    a, b = liealg._d_normalization_pairs(rs)[0]
+    table = [list(line) for line in real.constants.table]
+    table[rs.root_index(a)][rs.root_index(b)] = value
+    real.constants = liealg.StructureConstantTable(
+        rs, tuple(map(tuple, table)))
+    with pytest.raises(ConsistencyError, match=f"^{re.escape(message)}$"):
+        normalize_type_D(real)
 
 
 # ---------------------------------------------------------------------------
@@ -955,7 +972,7 @@ def _without_long_root_pivots(rs):
               for k, g in enumerate(table.long_roots) if g is not None}
     return StageTable(table.rows, tuple(
         (tuple(p for p in vars_ if p not in pivots), cons)
-        for vars_, cons in table.stages), table.long_roots)
+        for vars_, cons in table.stages), table.long_roots, table.masks)
 
 
 def _long_root_line(fake):

@@ -130,7 +130,7 @@ def test_no_source_file_imports_dataclasses():
 
 def test_all_lists_public_non_module_names():
     names = hessenpave.__all__
-    assert len(names) == len(set(names)) == 52
+    assert len(names) == len(set(names)) == 47
     for name in names:
         assert not name.startswith("_"), name
         assert not isinstance(getattr(hessenpave, name), types.ModuleType), name
@@ -218,6 +218,37 @@ def test_type_d_stage_split_stays_in_rootcore():
                                      "type_d_stage_sets", "_rows_cache",
                                      "type_D_parts"}
     assert _row_set_names(ast.parse("rows = stage_table(rs).rows")) == set()
+
+
+# The finite-field flag types the oracle dropped for its normal-form
+# columns, and the commutator wrapper ``sp_commutator`` replaced.
+_REMOVED_NAMES = {"BruhatFlag", "PrimeFieldMatrix", "jordan_nilpotent",
+                  "enumerate_cell_flags", "bracket"}
+
+
+def _removed_names(tree) -> set[str]:
+    """The removed names that a tree defines or imports."""
+    imported, _ = _names(tree)
+    defined = {node.name for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    return (imported | defined) & _REMOVED_NAMES
+
+
+def test_removed_flag_types_stay_out_of_the_library():
+    """A flag is its normal-form columns and N is a shift: no module defines
+    or imports the old flag, matrix and Jordan-block types, the cell
+    enumerator, or the ``bracket`` wrapper."""
+    for path in sorted((SRC / "hessenpave").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        assert _removed_names(tree) == set(), path.name
+    # the detector sees definitions and imports of those names, and not
+    # other uses of the words
+    probe = ast.parse("from .fforacle import BruhatFlag, jordan_nilpotent\n"
+                      "class PrimeFieldMatrix: pass\n"
+                      "def enumerate_cell_flags(n, q, perm): pass\n"
+                      "def bracket(real, a, b): pass\n")
+    assert _removed_names(probe) == _REMOVED_NAMES
+    assert _removed_names(ast.parse("bracket = sp_commutator(a, b)")) == set()
 
 
 def test_realization_constants_are_read_in_integers():

@@ -12,12 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from hessenpave.fforacle import (
-    BruhatFlag,
-    CellCount,
-    CountReport,
-    PrimeFieldMatrix,
-)
+from hessenpave.fforacle import CellCount, CountReport
 from hessenpave.hessenberg import ComplementIdeal
 from hessenpave.liealg import (
     CheckResult,
@@ -44,8 +39,9 @@ _CELL = CellCount((2, 1), 3, 3)
 # (class, field names in order, one value per field)
 RECORDS = [
     (Root, ("coeffs",), ((1, 0, -1),)),
-    (StageTable, ("rows", "stages", "long_roots"),
-     (((2, 0), (1,)), (((2, 0), (2, 0)), ((1,), (1,))), (None, None))),
+    (StageTable, ("rows", "stages", "long_roots", "masks"),
+     (((2, 0), (1,)), (((2, 0), (2, 0)), ((1,), (1,))), (None, None),
+      ((5, 5), (2, 2)))),
     (ComplementIdeal, ("roots",), (frozenset({-_A12}),)),
     (PavingCell, ("w", "nonempty", "dim"), (_W, True, 1)),
     (BettiTable, ("coefficients",), ((1, 2, 1),)),
@@ -58,8 +54,6 @@ RECORDS = [
     (LemmataReport, ("checks", "seed", "trials"), ((_CHECK,), 2026, 3)),
     (WitnessResult, ("stage_solutions", "stage_kernel_dims", "verified"),
      (({_A1: 1}, {}), (1, 0), True)),
-    (PrimeFieldMatrix, ("q", "entries"), (3, ((0, 1), (0, 0)))),
-    (BruhatFlag, ("q", "perm", "free"), (2, (2, 1), (((1, 1), 1),))),
     (CellCount, ("perm", "count", "predicted"), ((2, 1), 3, 3)),
     (CountReport, ("n", "q", "h", "cells", "total", "betti_eval"),
      (2, 3, (2, 2), (_CELL,), 4, 4)),
@@ -111,11 +105,7 @@ def test_equality_is_by_value_and_class(cls, names, values):
     x = cls(*values)
     assert x == cls(*values)
     assert not x != cls(*values)
-    if cls is PrimeFieldMatrix:
-        changed = (2,) + values[1:]
-    else:
-        changed = ("changed",) + values[1:]
-    assert x != cls(*changed)
+    assert x != cls("changed", *values[1:])
     assert x.__eq__(object()) is NotImplemented
     assert x != object()
 
@@ -170,15 +160,6 @@ def test_repr_text():
         "PavingCell(w=WeylElement(A2, word=(1,)), nonempty=False, dim=None)")
     assert repr(CellCount((2, 1), 3, 3)) == (
         "CellCount(perm=(2, 1), count=3, predicted=3)")
-
-
-def test_prime_field_matrix_checks():
-    with pytest.raises(ValueError, match=r"q must be one of \(2, 3, 5\), got 7"):
-        PrimeFieldMatrix(7, ((0,),))
-    with pytest.raises(ValueError, match="entries must be reduced mod q"):
-        PrimeFieldMatrix(3, ((0, 3), (0, 0)))
-    with pytest.raises(ValueError, match="entries must be reduced mod q"):
-        PrimeFieldMatrix(q=5, entries=((-1,),))
 
 
 def test_nilpotent_element_is_mutable_and_unhashable():
