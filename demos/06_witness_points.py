@@ -19,7 +19,6 @@ from hessenpave import (
     enumerate_weyl,
     find_witness,
     format_word,
-    normalize_type_D,
     cell_nonempty,
     row_dimension_profile,
 )
@@ -48,7 +47,7 @@ print("  stage dims:", wit.stage_kernel_dims, " verified:", wit.verified)
 
 print("\nD4 spot check: every nonempty cell of one mid-sized space")
 d4 = build_root_system("D", 4)
-real_d = normalize_type_D(build_chevalley(d4))
+real_d = build_chevalley(d4)
 space = enumerate_hessenberg(d4)[17]
 count = 0
 for w in enumerate_weyl(d4):

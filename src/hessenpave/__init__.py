@@ -69,7 +69,6 @@ from .liealg import (
     ad_exp,
     build_chevalley,
     find_witness,
-    normalize_type_D,
     psi_matrix,
     sum_of_simple_vectors,
     theta_row,
@@ -93,8 +92,8 @@ __all__ = [
     "count_points", "dominance_leq", "enumerate_hessenberg",
     "enumerate_weyl", "find_witness", "format_root", "format_word",
     "from_function", "from_negative_roots", "hessenberg_check",
-    "identity_element", "inverse", "inversion_set", "normalize_type_D",
-    "parse_root", "parse_word", "poincare_polynomial", "psi_matrix",
+    "identity_element", "inverse", "inversion_set", "parse_root",
+    "parse_word", "poincare_polynomial", "psi_matrix",
     "row_dimension_profile", "simple_reflection", "sum_of_simple_vectors",
     "theta_row", "to_function", "verify_lemmata", "weyl_to_permutation",
 ]

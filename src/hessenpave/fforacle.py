@@ -270,12 +270,17 @@ def count_points(n: int, q: int, h) -> CountReport:
     For every permutation cell the count must be ``q^dim`` when the paving
     declares the cell nonempty of dimension dim, and 0 when empty; the total
     must equal the Betti evaluation at q.  Raises ValueError, before any
-    work, when n is outside 2.._MAX_N or the flag variety has more than
-    _FLAG_BUDGET points over F_q, and then when h is not a Hessenberg
+    work, when q or n is not an int (a float or a bool is refused, not
+    converted), when n is outside 2.._MAX_N or the flag variety has more
+    than _FLAG_BUDGET points over F_q, and then when h is not a Hessenberg
     function of ints.
     """
+    if type(q) is not int:
+        raise ValueError(f"q must be an integer, got {q!r}")
     if q not in _ALLOWED_PRIMES:
         raise ValueError(f"q must be one of {_ALLOWED_PRIMES}, got {q}")
+    if type(n) is not int:
+        raise ValueError(f"n must be an integer, got {n!r}")
     if not 2 <= n <= _MAX_N:
         raise ValueError(f"n must be between 2 and {_MAX_N}, got {n}")
     flags = math.prod((q ** k - 1) // (q - 1) for k in range(1, n + 1))

@@ -15,14 +15,16 @@ triangular and has at most two nonzero entries.
 The realization is integer: root-vector entries, structure constants
 ``[E_α, E_β] = m_{α,β} E_{α+β}`` and Cartan eigenvalues are all ints.  The
 constants are stored once, as ``StructureConstantTable.table`` over
-``rs.all_roots`` indices (positives first), which the calculus, the lemma
-checks and the type-D normalization read.  Construction brackets only the
-root pairs that can be nonzero and re-verifies every defining relation; a
-realization that fails its own bracket table refuses to build, naming its
-system.  Rationals (``fractions.Fraction``) enter only in the adjoint
-exponential ``Ad(exp X) = Σ ad(X)^k / k!``, which terminates because ad(X)
-is nilpotent, and in the witness solves; no truncation or tolerance
-appears anywhere.  ``Fraction`` is imported inside the functions that build
+``rs.all_roots`` indices (positives first), which the calculus and the
+lemma checks read.  Construction brackets only the root pairs that can be
+nonzero and re-verifies every defining relation; a realization that fails
+its own bracket table refuses to build, naming its system.  Type D is
+built in the root-vector signs for which the constants of the paired stages
+are +1 (see ``_root_vectors``); the type-D block check fails on other signs.
+Rationals (``fractions.Fraction``) enter only in the adjoint exponential
+``Ad(exp X) = Σ ad(X)^k / k!``, which terminates because ad(X) is
+nilpotent, and in the witness solves; no truncation or tolerance appears
+anywhere.  ``Fraction`` is imported inside the functions that build
 rationals (``ChevalleyRealization.expand``, ``_iad_exp``,
 ``_check_near_linearity``, ``find_witness``, ``_verify_witness_matrix``)
 and ``random`` inside ``_rng``, which seeds every lemma trial, so that
@@ -73,7 +75,6 @@ from .hessenberg import (
 )
 from .linalg import (
     Sparse,
-    gf2_solve,
     solve_affine,
     sp_add,
     sp_commutator,
@@ -326,11 +327,23 @@ def _root_vectors(rs: RootSystem) -> dict[Root, Sparse]:
 
     Basis vector k has weight ε_{k+1} (in types B, C, D for k < n, with
     weight −ε_{k+1} on its mirror size−1−k and 0 on the middle one of B).
-    E_α lives where wt(r) − wt(c) = α.  It holds 1 at the first such
+    E_α lives where wt(r) − wt(c) = α.  It holds s = ±1 at the first such
     position (r, c) by row, and in types B, C, D also its mirror
     (size−1−c, size−1−r), unless that is (r, c) (a long root of C), with the
-    sign that preserves the form: −1 in B and D, −σ(r)σ(c) in C, σ being +1
+    sign that preserves the form: −s in B and D, −σ(r)σ(c)s in C, σ being +1
     on the first n basis vectors and −1 after.
+
+    s is +1 except in type D, where it is −1 on ±β for β = ε_1 − ε_2 when
+    n ≥ 4 and for β = ε_j − ε_{n−1}, ε_j − ε_n and ε_j + ε_n with
+    2 ≤ j ≤ n−2 (α_j + … + α_{n−2}, alone or plus α_{n−1} or α_n).  With
+    these signs the constants the paired stages read are +1: for every row
+    i, with c_i = α_i + … + α_{n−2} and wherever the sum is a root,
+    m(c_i, α_{n−1}), m(c_i, α_n), m(α_i, c_{i+1} + α_{n−1}),
+    m(α_i, c_{i+1} + α_n), m(c_{i+1} + α_{n−1}, α_n) and
+    m(c_{i+1} + α_n, α_{n−1}).  So each 3×3 block has the normalized form,
+    with determinant 2·n_{α_i}n_{α_{n−1}}n_{α_n}, that
+    ``_check_type_d_block`` tests; a realization with other signs fails
+    that check.
     """
     n, t = rs.rank, rs.lie_type
     size = _dim_rep(rs)
@@ -341,71 +354,28 @@ def _root_vectors(rs: RootSystem) -> dict[Root, Sparse]:
         wt += [0] * (t == "B") + [-w for w in reversed(wt)]
     index = {w: k for k, w in enumerate(wt)}
     simple = [sum(e * 8 ** k for k, e in enumerate(v)) for v in rs._eps_simple]
+    flip = set()                # keys of the type-D roots ±β negated
+    if t == "D":
+        flip = {wt[0] - wt[1]} if n >= 4 else set()
+        for e in wt[1:n - 2]:
+            flip |= {e - wt[n - 2], e - wt[n - 1], e + wt[n - 1]}
+        flip |= {-k for k in flip}
     vectors = {}
     for root in rs.all_roots:
         key = sum(c * e for c, e in zip(root.coeffs, simple))
         r, c = next((r, index[w - key]) for r, w in enumerate(wt)
                     if w - key in index)
-        mat = vectors[root] = {(r, c): 1}
+        s = -1 if key in flip else 1
+        mat = vectors[root] = {(r, c): s}
         mirror = (size - 1 - c, size - 1 - r)
         if t != "A" and mirror != (r, c):
-            mat[mirror] = -1 if t != "C" or (r < n) == (c < n) else 1
+            mat[mirror] = -s if t != "C" or (r < n) == (c < n) else s
     return vectors
 
 
 def build_chevalley(rs: RootSystem) -> ChevalleyRealization:
     """Build and fully validate the matrix realization for a root system."""
     return ChevalleyRealization(rs, _root_vectors(rs))
-
-
-def normalize_type_D(real: ChevalleyRealization) -> ChevalleyRealization:
-    """Rescale a type-D realization so the six families of structure
-    constants used by the paired-stage analysis all equal +1, for every row
-    index simultaneously.
-
-    The rescaling is by signs: with all relevant constants ±1, the
-    requirement is a linear system over GF(2) on sign exponents, solved
-    exactly.  The rescaled root vectors are built and validated as a new
-    realization, and every normalization pair is checked to reach +1.
-    Normalizing an already-normalized realization is the identity.  Raises
-    ConsistencyError when no consistent rescaling exists.
-    """
-    rs = real.rs
-    if rs.lie_type != "D":
-        raise ValueError("normalization applies to type D only")
-    name = f"D{rs.rank}"
-
-    targets = _d_normalization_pairs(rs)
-    rows_gf2 = []
-    rhs = []
-    for a, b in targets:
-        ia, ib = rs.root_index(a), rs.root_index(b)
-        m = real.constants.table[ia][ib]
-        if m == 0:
-            raise ConsistencyError(
-                f"{name}: normalization pair does not sum to a root")
-        if abs(m) != 1:
-            raise ConsistencyError(
-                f"{name}: cannot sign-normalize |m| = {abs(m)} at "
-                f"({a}, {b})")
-        row = [0] * rs.num_positive
-        for k in (ia, ib, rs._pos_sum[ia][ib]):
-            row[k] ^= 1
-        rows_gf2.append(row)
-        rhs.append(0 if m == 1 else 1)
-    solution = gf2_solve(rows_gf2, rhs)
-    if solution is None:
-        raise ConsistencyError(
-            f"{name}: no consistent rescaling of root vectors exists")
-
-    # all_roots lists the negative roots in the order of the positive ones
-    normalized = ChevalleyRealization(rs, {
-        root: sp_scale(real.root_vectors[root], -1 if flip else 1)
-        for root, flip in zip(rs.all_roots, solution * 2)})
-    for a, b in targets:
-        if normalized.constants.m(a, b) != 1:
-            raise ConsistencyError(f"{name}: normalization failed to reach +1")
-    return normalized
 
 
 def _chain_root(rs: RootSystem, lo: int, hi: int,
@@ -418,31 +388,6 @@ def _chain_root(rs: RootSystem, lo: int, hi: int,
         v[n - 1] += 1
     t = tuple(v)
     return Root(t) if rs.is_root(t) else None
-
-
-def _d_normalization_pairs(rs: RootSystem) -> list[tuple[Root, Root]]:
-    """The six constant families (per valid row index) pinned to +1."""
-    n = rs.rank
-    alpha = rs.simple_roots
-    pairs = []
-    for i in range(1, n - 1):
-        chain_in2 = _chain_root(rs, i, n - 2)              # ε_i − ε_{n-1}
-        chain_i1_n1 = _chain_root(rs, i + 1, n - 1)        # ε_{i+1} − ε_n
-        forked_i1 = _chain_root(rs, i + 1, n - 2, True)    # ε_{i+1} + ε_n
-        candidates = [
-            (chain_in2, alpha[n - 2]),
-            (chain_in2, alpha[n - 1]),
-            (alpha[i - 1], chain_i1_n1),
-            (alpha[i - 1], forked_i1),
-            (chain_i1_n1, alpha[n - 1]),
-            (forked_i1, alpha[n - 2]),
-        ]
-        for a, b in candidates:
-            if (a is not None and b is not None
-                    and rs._pos_sum[rs.root_index(a)][rs.root_index(b)]
-                    is not None):
-                pairs.append((a, b))
-    return pairs
 
 
 # ---------------------------------------------------------------------------
@@ -1033,8 +978,12 @@ _TRIAL_BUDGET = 10_000
 
 
 def check_trial_count(trial_count: int) -> None:
-    """Refuse a trial count below 1 (zero trials would pass unchecked) or
+    """Refuse a trial count that is not an int (a float or a bool is
+    refused, not converted), below 1 (zero trials would pass unchecked) or
     over _TRIAL_BUDGET, with ValueError; it needs no realization."""
+    if type(trial_count) is not int:
+        raise ValueError(
+            f"trial count must be an integer, got {trial_count!r}")
     if trial_count < 1:
         raise ValueError(f"trial count must be at least 1, got {trial_count}")
     if trial_count > _TRIAL_BUDGET:
@@ -1052,15 +1001,14 @@ def verify_lemmata(real: ChevalleyRealization, trial_count: int = 200,
     passing run tests one mask per Weyl element, against the smallest space
     in which its cell is nonempty (see ``_check_containment``).
 
-    Type-D realizations are normalized first (idempotent), since the block
-    check is stated for the normalized constants.  A trial count outside
-    ``check_trial_count`` is refused, and so is a Weyl group over the
-    enumeration budget, before any check runs.
+    The realization is checked as given.  The type-D block check is stated
+    for the signs ``build_chevalley`` gives (see ``_root_vectors``), so a
+    type-D realization with other signs fails ``type_d_block``.  A trial
+    count outside ``check_trial_count`` is refused, and so is a Weyl group
+    over the enumeration budget, before any check runs.
     """
     check_trial_count(trial_count)
     check_weyl_budget(real.rs.lie_type, real.rs.rank)
-    if real.rs.lie_type == "D":
-        real = normalize_type_D(real)
     named = (
         ("row_structure", lambda: _check_row_structure(real, trial_count, seed)),
         ("factorization_count", lambda: _check_factorization_count(real)),

@@ -1,9 +1,9 @@
 """Small exact linear algebra utilities.
 
 Everything here works over the rationals (``fractions.Fraction``, with
-plain ints passing through untouched) or over GF(2); matrices in the
-Lie-algebra realizations are sparse dicts ``{(row, col): value}`` since
-root vectors have at most two nonzero entries.  Sizes never exceed a few
+plain ints passing through untouched); matrices in the Lie-algebra
+realizations are sparse dicts ``{(row, col): value}`` since root vectors
+have at most two nonzero entries.  Sizes never exceed a few
 dozen, so the point is exactness and determinism, not asymptotics.
 
 ``Fraction`` is imported only by the two functions that build rationals,
@@ -132,35 +132,3 @@ def solve_affine(matrix: list[list[Fraction | int]],
     for prow_, col in pivots:
         x[col] = a[prow_][n]
     return x, n - len(pivots)
-
-
-def gf2_solve(rows: list[list[int]], rhs: list[int]) -> list[int] | None:
-    """Solve a linear system over GF(2); free variables are set to zero.
-
-    Rows are 0/1 coefficient lists.  Returns a 0/1 solution vector or None
-    when inconsistent.
-    """
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    a = [list(row) + [b & 1] for row, b in zip(rows, rhs)]
-    pivots = []
-    prow = 0
-    for col in range(n):
-        pr = next((r for r in range(prow, m) if a[r][col] & 1), None)
-        if pr is None:
-            continue
-        a[prow], a[pr] = a[pr], a[prow]
-        for r in range(m):
-            if r != prow and a[r][col] & 1:
-                a[r] = [(x ^ y) for x, y in zip(a[r], a[prow])]
-        pivots.append((prow, col))
-        prow += 1
-        if prow == m:
-            break
-    for r in range(prow, m):
-        if a[r][n]:
-            return None
-    x = [0] * n
-    for prow_, col in pivots:
-        x[col] = a[prow_][n]
-    return x

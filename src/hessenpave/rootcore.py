@@ -264,6 +264,8 @@ class RootSystem:
     def __init__(self, lie_type: str, rank: int):
         if lie_type not in LIE_TYPES:
             raise ValueError(f"lie_type must be one of {LIE_TYPES}, got {lie_type!r}")
+        if type(rank) is not int:
+            raise ValueError(f"rank must be an integer, got {rank!r}")
         if rank < _MIN_RANK[lie_type]:
             raise ValueError(
                 f"type {lie_type} needs rank >= {_MIN_RANK[lie_type]}, got {rank}"
@@ -686,7 +688,8 @@ def check_weyl_budget(lie_type: str, rank: int) -> int | None:
     refuses passes here (returning None), so that RootSystem names the
     problem.  An order over 10^18 is named as such, not computed.
     """
-    if lie_type not in _MIN_RANK or rank < _MIN_RANK[lie_type]:
+    if (lie_type not in _MIN_RANK or type(rank) is not int
+            or rank < _MIN_RANK[lie_type]):
         return None
     order = _bounded_count(_WEYL_ORDER[lie_type], lie_type, rank)
     if order is None or order > _WEYL_BUDGET:
@@ -711,7 +714,8 @@ def check_root_budget(lie_type: str, rank: int) -> int | None:
     Like ``check_weyl_budget`` it needs no RootSystem, and a type or rank
     that RootSystem refuses passes here (returning None).
     """
-    if lie_type not in _MIN_RANK or rank < _MIN_RANK[lie_type]:
+    if (lie_type not in _MIN_RANK or type(rank) is not int
+            or rank < _MIN_RANK[lie_type]):
         return None
     count = 2 * _POSITIVE_COUNT[lie_type](rank)
     if count > _ROOT_BUDGET:

@@ -18,7 +18,6 @@ from hessenpave.hessenberg import (
 from hessenpave.liealg import (
     build_chevalley,
     find_witness,
-    normalize_type_D,
     verify_lemmata,
 )
 from hessenpave.fforacle import count_points
@@ -138,8 +137,6 @@ def test_criterion_6_constructive_witnesses():
     for lie_type, rank in LEMMA_SYSTEMS:
         rs = build_root_system(lie_type, rank)
         real = build_chevalley(rs)
-        if lie_type == "D":
-            real = normalize_type_D(real)
         for space in enumerate_hessenberg(rs):
             for w in enumerate_weyl(rs):
                 if not cell_nonempty(w, space):

@@ -330,6 +330,21 @@ def test_hessenberg_check_equals_echelon_reference(n, q):
                         == ref_hessenberg_check(q, cols, h)), (cols, h)
 
 
+@pytest.mark.parametrize("n, q, message", [
+    (3, 2.0, "q must be an integer, got 2.0"),
+    (3, True, "q must be an integer, got True"),
+    (3, "2", "q must be an integer, got '2'"),
+    (3.0, 2, "n must be an integer, got 3.0"),
+    (True, 2, "n must be an integer, got True"),
+    (3.0, 2.0, "q must be an integer, got 2.0"),
+])
+def test_count_points_refuses_non_integer_sizes(n, q, message):
+    """A q or an n that is not an int is refused by name, q first, not
+    compared with ints and then failing inside the arithmetic."""
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        count_points(n, q, (2, 3, 3))
+
+
 def test_count_points_refuses_large_flag_varieties_before_work(monkeypatch):
     """[5]_5! = 22,661,496 flags is over the budget, and n = 6 is past the
     largest n the oracle takes; the refusal comes before the space is built

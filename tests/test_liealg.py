@@ -1,5 +1,6 @@
 """Matrix realizations, row operators, lemma checks, witnesses."""
 
+import json
 import random
 import re
 import sys
@@ -23,7 +24,6 @@ from hessenpave.liealg import (
     ad_exp,
     build_chevalley,
     find_witness,
-    normalize_type_D,
     psi_matrix,
     sum_of_simple_vectors,
     theta_row,
@@ -465,25 +465,137 @@ def test_theta_is_degree_two_polynomial(lie_type, rank):
 
 
 # ---------------------------------------------------------------------------
-# type D normalization
+# type D signs
 # ---------------------------------------------------------------------------
 
 
+def ref_gf2_solve(rows, rhs):
+    """Solve a linear system over GF(2); free variables are set to zero.
+
+    Rows are 0/1 coefficient lists.  Returns a 0/1 solution vector or None
+    when inconsistent.
+    """
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    a = [list(row) + [b & 1] for row, b in zip(rows, rhs)]
+    pivots = []
+    prow = 0
+    for col in range(n):
+        pr = next((r for r in range(prow, m) if a[r][col] & 1), None)
+        if pr is None:
+            continue
+        a[prow], a[pr] = a[pr], a[prow]
+        for r in range(m):
+            if r != prow and a[r][col] & 1:
+                a[r] = [(x ^ y) for x, y in zip(a[r], a[prow])]
+        pivots.append((prow, col))
+        prow += 1
+        if prow == m:
+            break
+    for r in range(prow, m):
+        if a[r][n]:
+            return None
+    x = [0] * n
+    for prow_, col in pivots:
+        x[col] = a[prow_][n]
+    return x
+
+
+def ref_d_normalization_pairs(rs):
+    """The six constant families (per valid row index) pinned to +1."""
+    chain = liealg._chain_root
+    n = rs.rank
+    alpha = rs.simple_roots
+    pairs = []
+    for i in range(1, n - 1):
+        chain_in2 = chain(rs, i, n - 2)              # ε_i − ε_{n-1}
+        chain_i1_n1 = chain(rs, i + 1, n - 1)        # ε_{i+1} − ε_n
+        forked_i1 = chain(rs, i + 1, n - 2, True)    # ε_{i+1} + ε_n
+        candidates = [
+            (chain_in2, alpha[n - 2]),
+            (chain_in2, alpha[n - 1]),
+            (alpha[i - 1], chain_i1_n1),
+            (alpha[i - 1], forked_i1),
+            (chain_i1_n1, alpha[n - 1]),
+            (forked_i1, alpha[n - 2]),
+        ]
+        for a, b in candidates:
+            if (a is not None and b is not None
+                    and rs._pos_sum[rs.root_index(a)][rs.root_index(b)]
+                    is not None):
+                pairs.append((a, b))
+    return pairs
+
+
+def ref_normalize_type_D(real):
+    """Rescale a type-D realization by signs so the six families of
+    structure constants of ``ref_d_normalization_pairs`` all equal +1, for
+    every row index at once: with all those constants ±1 this is a linear
+    system over GF(2) on sign exponents.  The rescaled root vectors are
+    built and validated as a new realization."""
+    rs = real.rs
+    assert rs.lie_type == "D"
+    targets = ref_d_normalization_pairs(rs)
+    rows_gf2, rhs = [], []
+    for a, b in targets:
+        ia, ib = rs.root_index(a), rs.root_index(b)
+        m = real.constants.table[ia][ib]
+        assert abs(m) == 1, (a, b, m)
+        row = [0] * rs.num_positive
+        for k in (ia, ib, rs._pos_sum[ia][ib]):
+            row[k] ^= 1
+        rows_gf2.append(row)
+        rhs.append(0 if m == 1 else 1)
+    solution = ref_gf2_solve(rows_gf2, rhs)
+    assert solution is not None
+    # all_roots lists the negative roots in the order of the positive ones
+    normalized = liealg.ChevalleyRealization(rs, {
+        root: sp_scale(real.root_vectors[root], -1 if flip else 1)
+        for root, flip in zip(rs.all_roots, solution * 2)})
+    for a, b in targets:
+        assert normalized.constants.m(a, b) == 1, (a, b)
+    return normalized
+
+
+def ref_old_signs(real):
+    """The realization with every root vector's first entry by row (its
+    anchor) +1: the signs the type-D build used before it applied the sign
+    rule."""
+    return liealg.ChevalleyRealization(real.rs, {
+        root: sp_scale(mat, mat[min(mat)])
+        for root, mat in real.root_vectors.items()})
+
+
 def test_normalize_type_d_pinned_constants():
+    """Two constants the normalization pins are +1 as built."""
     rs = build_root_system("D", 4)
-    norm = normalize_type_D(build_chevalley(rs))
+    real = build_chevalley(rs)
     chain12 = parse_root(rs, "1,1,0,0")      # α_1 + α_2
     alpha3 = rs.simple_roots[2]
-    assert norm.constants.m(chain12, alpha3) == 1
+    assert real.constants.m(chain12, alpha3) == 1
     chain23 = parse_root(rs, "0,1,1,0")      # α_2 + α_3
     alpha4 = rs.simple_roots[3]
-    assert norm.constants.m(chain23, alpha4) == 1
+    assert real.constants.m(chain23, alpha4) == 1
+
+
+@pytest.mark.parametrize("rank", range(3, 13))
+def test_type_d_build_is_normalized(rank):
+    """The built type-D realization is a fixed point of the reference
+    normalizer, and normalizing the old signs gives it back; from D4 on
+    those signs differ.  D3 is the trap: its one pinned pair is
+    (α_1, α_2), so flipping α_1 there would break it."""
+    rs = build_root_system("D", rank)
+    real = build_chevalley(rs)
+    old = ref_old_signs(real)
+    assert ref_normalize_type_D(real).root_vectors == real.root_vectors
+    assert ref_normalize_type_D(old).root_vectors == real.root_vectors
+    assert (old.root_vectors == real.root_vectors) == (rank == 3)
 
 
 def test_normalize_type_d_idempotent():
     rs = build_root_system("D", 4)
-    once = normalize_type_D(build_chevalley(rs))
-    twice = normalize_type_D(once)
+    once = ref_normalize_type_D(ref_old_signs(build_chevalley(rs)))
+    twice = ref_normalize_type_D(once)
     assert all(once.root_vectors[r] == twice.root_vectors[r]
                for r in rs.all_roots)
 
@@ -493,8 +605,8 @@ def test_normalize_type_d_equals_validated_rebuild(rank):
     """The rescaled realization equals a full, validated construction from
     the same sign-rescaled root vectors."""
     rs = build_root_system("D", rank)
-    real = build_chevalley(rs)
-    norm = normalize_type_D(real)
+    real = ref_old_signs(build_chevalley(rs))
+    norm = ref_normalize_type_D(real)
     vectors = {}
     for root, mat in real.root_vectors.items():
         anchor = min(mat)
@@ -508,27 +620,53 @@ def test_normalize_type_d_equals_validated_rebuild(rank):
     assert norm._anchor == ref._anchor
 
 
-def test_normalize_rejects_other_types(real_a2):
-    with pytest.raises(ValueError):
-        normalize_type_D(real_a2)
+def test_type_d_verify_lemmata_builds_one_realization(capsys, monkeypatch):
+    """Work count: a type-D ``verify-lemmata`` checks the realization it
+    builds, with no second, re-signed one."""
+    built = []
+    original = liealg.ChevalleyRealization.__init__
+
+    def counted(self, rs, vectors):
+        built.append(rs)
+        original(self, rs, vectors)
+
+    monkeypatch.setattr(liealg.ChevalleyRealization, "__init__", counted)
+    assert main(["verify-lemmata", "--type", "D", "--rank", "5",
+                 "--trials", "2"]) == 0
+    capsys.readouterr()
+    assert len(built) == 1
 
 
-@pytest.mark.parametrize("value, message", [
-    (0, "D4: normalization pair does not sum to a root"),
-    (2, "D4: cannot sign-normalize |m| = 2 at (1,1,0,0, 0,0,1,0)"),
-])
-def test_normalize_failure_names_the_system(value, message):
-    """A structure constant of a normalization pair that is 0 or not ±1
-    is a consistency failure naming the system."""
-    rs = build_root_system("D", 4)
-    real = build_chevalley(rs)
-    a, b = liealg._d_normalization_pairs(rs)[0]
-    table = [list(line) for line in real.constants.table]
-    table[rs.root_index(a)][rs.root_index(b)] = value
-    real.constants = liealg.StructureConstantTable(
-        rs, tuple(map(tuple, table)))
-    with pytest.raises(ConsistencyError, match=f"^{re.escape(message)}$"):
-        normalize_type_D(real)
+def test_type_d_sign_rule_without_alpha_1_flip_exits_2(capsys, monkeypatch):
+    """The block check guards the sign rule: with the flip of E_{±α_1}
+    undone, ``verify-lemmata`` D5 still prints its report, fails
+    ``type_d_block`` and exits 2."""
+    original = liealg._root_vectors
+
+    def without_alpha_1_flip(rs):
+        vectors = original(rs)
+        for root in (rs.simple_roots[0], -rs.simple_roots[0]):
+            vectors[root] = sp_scale(vectors[root], -1)
+        return vectors
+
+    monkeypatch.setattr(liealg, "_root_vectors", without_alpha_1_flip)
+    code = main(["verify-lemmata", "--type", "D", "--rank", "5",
+                 "--trials", "2"])
+    out = capsys.readouterr().out
+    assert code == 2
+    status = {c["name"]: c["status"] for c in json.loads(out)["checks"]}
+    assert status.pop("type_d_block") == "fail"
+    assert set(status.values()) == {"pass"}
+
+
+@pytest.mark.parametrize("rank", [4, 5, 6])
+def test_type_d_block_fails_on_other_signs(rank):
+    """``verify_lemmata`` checks the realization it is given: on the old
+    signs the type-D block check fails, and every other check passes."""
+    real = ref_old_signs(build_chevalley(build_root_system("D", rank)))
+    report = verify_lemmata(real, trial_count=2, seed=5)
+    assert [c.name for c in report.checks if c.status == "fail"] == [
+        "type_d_block"]
 
 
 # ---------------------------------------------------------------------------
@@ -665,8 +803,7 @@ def ref_check_containment(real, trials, seed):
 
 
 def _realization(lie_type, rank):
-    real = build_chevalley(build_root_system(lie_type, rank))
-    return normalize_type_D(real) if lie_type == "D" else real
+    return build_chevalley(build_root_system(lie_type, rank))
 
 
 def ref_psi_entries(real, coeffs, i):
@@ -802,6 +939,18 @@ def test_lemma_checks_sort_rows_once(monkeypatch, lie_type, rank):
     assert 0 < len(calls) <= 2 * rs.num_positive
 
 
+@pytest.mark.parametrize("trials", [2.5, 2.0, True, "2"])
+def test_verify_lemmata_refuses_non_integer_trial_counts(real_a2, trials):
+    """A trial count that is not an int is refused by name, not run as
+    one trial (True) or failing inside the trial loop (2.5)."""
+    message = ("^" + re.escape(f"trial count must be an integer, got "
+                               f"{trials!r}") + "$")
+    with pytest.raises(ValueError, match=message):
+        liealg.check_trial_count(trials)
+    with pytest.raises(ValueError, match=message):
+        verify_lemmata(real_a2, trials)
+
+
 def test_verify_lemmata_refuses_group_over_budget_before_checks():
     """A realization whose Weyl group is over the enumeration budget is
     refused before any check runs (a stand-in, since building D20 takes
@@ -874,8 +1023,6 @@ def test_witness_c2_full_space(real_c2):
 def test_witness_exhaustive_small(lie_type, rank):
     rs = build_root_system(lie_type, rank)
     real = build_chevalley(rs)
-    if lie_type == "D":
-        real = normalize_type_D(real)
     for space in enumerate_hessenberg(rs):
         for w in enumerate_weyl(rs):
             if cell_nonempty(w, space):
@@ -892,8 +1039,6 @@ def test_witness_sampled_high_rank(lie_type, rank, sample):
     import random
     rs = build_root_system(lie_type, rank)
     real = build_chevalley(rs)
-    if lie_type == "D":
-        real = normalize_type_D(real)
     spaces = enumerate_hessenberg(rs)
     elems = enumerate_weyl(rs)
     rng = random.Random(f"sample:{lie_type}{rank}")
@@ -922,7 +1067,8 @@ def test_witness_random_regular_nilpotent(lie_type, rank, sample):
     every witness is verified, and the stage solutions are not all zero,
     as they are for the sum of simple vectors, so a type-D stage that
     conjugates by one exponential is exercised.  Type D runs on the
-    realization as built and on its normalization."""
+    realization as built and on the old signs, so both sign choices are
+    covered."""
     rs = build_root_system(lie_type, rank)
     real = build_chevalley(rs)
     rng = random.Random(f"witness-n:{lie_type}{rank}")
@@ -931,7 +1077,7 @@ def test_witness_random_regular_nilpotent(lie_type, rank, sample):
     if sample is not None:
         pairs = rng.sample(pairs, sample)
     ns = [liealg._random_nilpotent(rs, rng, regular=True) for _ in pairs]
-    for realization in ([real, normalize_type_D(real)] if lie_type == "D"
+    for realization in ([real, ref_old_signs(real)] if lie_type == "D"
                         else [real]):
         moved = 0
         for (space, w), n in zip(pairs, ns):

@@ -130,7 +130,7 @@ def test_no_source_file_imports_dataclasses():
 
 def test_all_lists_public_non_module_names():
     names = hessenpave.__all__
-    assert len(names) == len(set(names)) == 47
+    assert len(names) == len(set(names)) == 46
     for name in names:
         assert not name.startswith("_"), name
         assert not isinstance(getattr(hessenpave, name), types.ModuleType), name
@@ -209,7 +209,9 @@ def test_type_d_stage_split_stays_in_rootcore():
     assert _type_d_comparisons(functions(parse("cli.py"))["_run_witness"]) == []
     # the detectors see the comparisons, imports and names that belong
     # elsewhere
-    assert _type_d_comparisons(functions(liealg)["normalize_type_D"])
+    assert _type_d_comparisons(ast.parse(
+        "if real.rs.lie_type == 'D':\n    pass\n"
+        "flip = lie_type != 'D' or rank < 4\n")) == [1, 3]
     probe = ast.parse("from .rootcore import rows\n"
                       "class RowDecomposition: pass\n"
                       "def type_d_stage_sets(rs): pass\n"
@@ -221,9 +223,11 @@ def test_type_d_stage_split_stays_in_rootcore():
 
 
 # The finite-field flag types the oracle dropped for its normal-form
-# columns, and the commutator wrapper ``sp_commutator`` replaced.
+# columns, the commutator wrapper ``sp_commutator`` replaced, and the type-D
+# sign normalization that the signs of ``liealg._root_vectors`` replaced.
 _REMOVED_NAMES = {"BruhatFlag", "PrimeFieldMatrix", "jordan_nilpotent",
-                  "enumerate_cell_flags", "bracket"}
+                  "enumerate_cell_flags", "bracket", "normalize_type_D",
+                  "_d_normalization_pairs", "gf2_solve"}
 
 
 def _removed_names(tree) -> set[str]:
@@ -237,7 +241,9 @@ def _removed_names(tree) -> set[str]:
 def test_removed_flag_types_stay_out_of_the_library():
     """A flag is its normal-form columns and N is a shift: no module defines
     or imports the old flag, matrix and Jordan-block types, the cell
-    enumerator, or the ``bracket`` wrapper."""
+    enumerator, or the ``bracket`` wrapper.  Type D is built in its
+    normalized signs: no module defines or imports the sign normalizer or
+    its GF(2) solver."""
     for path in sorted((SRC / "hessenpave").glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         assert _removed_names(tree) == set(), path.name
@@ -246,7 +252,10 @@ def test_removed_flag_types_stay_out_of_the_library():
     probe = ast.parse("from .fforacle import BruhatFlag, jordan_nilpotent\n"
                       "class PrimeFieldMatrix: pass\n"
                       "def enumerate_cell_flags(n, q, perm): pass\n"
-                      "def bracket(real, a, b): pass\n")
+                      "def bracket(real, a, b): pass\n"
+                      "from .linalg import gf2_solve\n"
+                      "def normalize_type_D(real): pass\n"
+                      "def _d_normalization_pairs(rs): pass\n")
     assert _removed_names(probe) == _REMOVED_NAMES
     assert _removed_names(ast.parse("bracket = sp_commutator(a, b)")) == set()
 

@@ -1,6 +1,7 @@
 """Root systems, Weyl groups, rows: frozen examples and invariants."""
 
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -10,10 +11,13 @@ from hessenpave import cli, rootcore
 from hessenpave.errors import ConsistencyError
 from hessenpave.rootcore import (
     Root,
+    RootSystem,
     _Record,
     _row_key,
     apply,
     build_root_system,
+    check_root_budget,
+    check_weyl_budget,
     compose,
     dominance_leq,
     dominates,
@@ -93,6 +97,18 @@ def test_rank_bounds_rejected():
     with pytest.raises(ValueError):
         build_root_system("E", 6)
     build_root_system("D", 3)   # accepted low edge
+
+
+@pytest.mark.parametrize("rank", [2.0, True, "2", None])
+def test_non_integer_rank_is_refused(rank):
+    """RootSystem refuses a rank that is not an int by name (True is not
+    A1); the budget checks let it through, returning None, so that
+    RootSystem is the one to name it."""
+    message = "^" + re.escape(f"rank must be an integer, got {rank!r}") + "$"
+    with pytest.raises(ValueError, match=message):
+        RootSystem("A", rank)
+    assert check_weyl_budget("A", rank) is None
+    assert check_root_budget("A", rank) is None
 
 
 def test_root_text_round_trip():
