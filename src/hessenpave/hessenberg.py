@@ -31,7 +31,6 @@ the diagonal in column ``j`` reach down to row ``h(j)``.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from functools import lru_cache
 from math import comb
 
 from .errors import ConsistencyError
@@ -199,19 +198,20 @@ def _lower_covers(rs: RootSystem) -> list[tuple[int, ...]]:
             for line in rs._pos_diff]
 
 
-@lru_cache(maxsize=None)
 def _down_set_masks(rs: RootSystem) -> tuple[int, ...]:
     """Entry p is the bitmask over ``rs.all_roots`` indices of −γ for every
     positive root γ at or below positive root p (the negative part of the
-    smallest Hessenberg space holding −pos[p])."""
-    npos = rs.num_positive
-    down: list[int] = []
-    for p, covers in enumerate(_lower_covers(rs)):
-        m = 1 << (npos + p)
-        for c in covers:
-            m |= down[c]
-        down.append(m)
-    return tuple(down)
+    smallest Hessenberg space holding −pos[p]); cached on the root system."""
+    if rs._down_sets_cache is None:
+        npos = rs.num_positive
+        down: list[int] = []
+        for p, covers in enumerate(_lower_covers(rs)):
+            m = 1 << (npos + p)
+            for c in covers:
+                m |= down[c]
+            down.append(m)
+        rs._down_sets_cache = tuple(down)
+    return rs._down_sets_cache
 
 
 def smallest_containing(rs: RootSystem, mask: int) -> int:

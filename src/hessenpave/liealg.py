@@ -21,13 +21,16 @@ nonzero and re-verifies every defining relation; a realization that fails
 its own bracket table refuses to build, naming its system.  Type D is
 built in the root-vector signs for which the constants of the paired stages
 are +1 (see ``_root_vectors``); the type-D block check fails on other signs.
-Rationals (``fractions.Fraction``) enter only in the adjoint exponential
-``Ad(exp X) = Σ ad(X)^k / k!``, which terminates because ad(X) is
-nilpotent, and in the witness solves; no truncation or tolerance appears
-anywhere.  ``Fraction`` is imported inside the functions that build
-rationals (``ChevalleyRealization.expand``, ``_iad_exp``,
-``_check_near_linearity``, ``find_witness``, ``_verify_witness_matrix``)
-and ``random`` inside ``_rng``, which seeds every lemma trial, so that
+The adjoint exponential ``Ad(exp X) = Σ ad(X)^k / k!`` terminates because
+ad(X) is nilpotent; ``_iad_series`` adds up K!·Ad(exp X)(N) with integer
+weights, K the last nonzero power, and the lemma checks compare those
+integers, so they run in integers throughout and ``verify-lemmata`` never
+loads ``fractions``.  Rationals (``fractions.Fraction``) enter only in
+``ChevalleyRealization.expand``, in the witness's exponential
+``_iad_exp`` (the series divided by K!) and in the witness solves
+(``find_witness``, ``_verify_witness_matrix``); no truncation or tolerance
+appears anywhere.  ``Fraction`` is imported inside those functions and
+``random`` inside ``_rng``, which seeds every lemma trial, so that
 importing the module, which every CLI call does, loads neither.
 
 Row operators
@@ -55,7 +58,8 @@ exponential.  Its stages and type-C long roots, like the rows of the lemma
 checks, come from ``rootcore.stage_table``, which alone knows the type-D
 pairing.
 
-The coefficient-space calculus (``_ibracket``, ``_iad_exp``, ``_ad_block``)
+The coefficient-space calculus (``_ibracket``, ``_iad_series``,
+``_iad_exp``, ``_ad_block``)
 and the witness stages key coefficients by positive-root index, and the
 lemma checks read their rows as indices.  Roots key coefficients only at
 the public boundary: ``NilpotentElement``, ``RowMatrix``,
@@ -65,6 +69,7 @@ the public boundary: ``NilpotentElement``, ``RowMatrix``,
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
+from math import factorial
 
 from .errors import ConsistencyError
 from .hessenberg import (
@@ -414,18 +419,30 @@ def _from_index_coeffs(real: ChevalleyRealization, coeffs: dict[int, Fraction | 
     return {pos[i]: v for i, v in sorted(coeffs.items()) if v}
 
 
+def _sum_pairs(rs: RootSystem) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """For each positive root i, by index, the pairs (j, k) of indices with
+    ``pos[i] + pos[j] = pos[k]``, read off ``rs._pos_sum``; cached on the
+    root system."""
+    if rs._sum_pairs_cache is None:
+        rs._sum_pairs_cache = tuple(
+            tuple((j, k) for j, k in enumerate(line) if k is not None)
+            for line in rs._pos_sum)
+    return rs._sum_pairs_cache
+
+
 def _ibracket(real: ChevalleyRealization, a: dict[int, Fraction | int],
               b: dict[int, Fraction | int]) -> dict[int, Fraction | int]:
-    """[A, B] for coefficient maps supported on the positive roots."""
+    """[A, B] for coefficient maps supported on the positive roots.  For
+    each root i of A it visits only the roots j with i + j a positive root,
+    and it reads the constants off ``real.constants`` on each call."""
     m = real.constants.table
-    sums = real.rs._pos_sum
+    pairs = _sum_pairs(real.rs)
     out: dict[int, Fraction | int] = {}
     for i, x in a.items():
         mi = m[i]
-        si = sums[i]
-        for j, y in b.items():
-            k = si[j]
-            if k is not None:
+        for j, k in pairs[i]:
+            y = b.get(j)
+            if y:
                 w = out.get(k, 0) + mi[j] * x * y
                 if w:
                     out[k] = w
@@ -434,26 +451,45 @@ def _ibracket(real: ChevalleyRealization, a: dict[int, Fraction | int],
     return out
 
 
-def _iad_exp(real: ChevalleyRealization, x: dict[int, Fraction | int],
-             n: dict[int, Fraction | int]) -> dict[int, Fraction | int]:
-    """Ad(exp X)(N) = Σ ad(X)^k(N)/k! in coefficient space; exact."""
-    from fractions import Fraction
-
-    out = dict(n)
-    term = n
-    for k in range(1, 4 * real.rs.num_positive + 2):
-        term = _ibracket(real, x, term)
+def _iad_series(real: ChevalleyRealization, x: dict[int, Fraction | int],
+                n: dict[int, Fraction | int]
+                ) -> tuple[int, dict[int, Fraction | int]]:
+    """``(K!, K!·Ad(exp X)(N))``, K the highest power with ad(X)^K(N)
+    nonzero: the powers ad(X)^k(N), added up with the integer weights
+    K!/k!.  Integer X and N give integers, which the lemma checks compare
+    as they are; ad(X) is nilpotent, so the series ends."""
+    terms = [n]
+    for _ in range(4 * real.rs.num_positive + 1):
+        term = _ibracket(real, x, terms[-1])
         if not term:
-            return out
-        if k > 1:
-            term = {i: Fraction(v, k) for i, v in term.items()}
+            break
+        terms.append(term)
+    else:
+        raise ConsistencyError("adjoint exponential series failed to "
+                               "terminate")
+    scale = factorial(len(terms) - 1)
+    out = {i: scale * v for i, v in n.items()}
+    weight = scale
+    for k, term in enumerate(terms[1:], start=1):
+        weight //= k                            # K!/k!
         for i, v in term.items():
-            w = out.get(i, 0) + v
+            w = out.get(i, 0) + weight * v
             if w:
                 out[i] = w
             elif i in out:
                 del out[i]
-    raise ConsistencyError("adjoint exponential series failed to terminate")
+    return scale, out
+
+
+def _iad_exp(real: ChevalleyRealization, x: dict[int, Fraction | int],
+             n: dict[int, Fraction | int]) -> dict[int, Fraction | int]:
+    """Ad(exp X)(N) = Σ ad(X)^k(N)/k! in coefficient space; exact."""
+    scale, out = _iad_series(real, x, n)
+    if scale == 1:
+        return out
+    from fractions import Fraction
+
+    return {i: Fraction(v, scale) for i, v in out.items()}
 
 
 def ad_exp(real: ChevalleyRealization, x: NilpotentElement,
@@ -585,18 +621,27 @@ def _rng(seed: int, tag: str) -> random.Random:
     return random.Random(f"hessenpave:{seed}:{tag}")
 
 
-def _random_nilpotent(rs: RootSystem, rng: random.Random,
-                      regular: bool) -> NilpotentElement:
-    coeffs: Coeffs = {}
-    simples = set(rs.simple_roots)
-    for root in rs.positive_roots:
-        if regular and root in simples:
+def _random_coeffs(rs: RootSystem, rng: random.Random,
+                   regular: bool) -> dict[int, int]:
+    """Seeded coefficients on the positive roots, index-keyed, drawn in
+    index order; with ``regular`` every simple root's is nonzero."""
+    simples = set(rs._simple_index) if regular else ()
+    out = {}
+    for k in range(rs.num_positive):
+        if k in simples:
             v = rng.choice([-5, -4, -3, -2, -1, 1, 2, 3, 4, 5])
         else:
             v = rng.randint(-5, 5)
         if v:
-            coeffs[root] = v
-    return NilpotentElement(coeffs)
+            out[k] = v
+    return out
+
+
+def _random_nilpotent(rs: RootSystem, rng: random.Random,
+                      regular: bool) -> NilpotentElement:
+    pos = rs.positive_roots
+    return NilpotentElement({pos[k]: v for k, v in
+                             _random_coeffs(rs, rng, regular).items()})
 
 
 def _random_row_element(rs: RootSystem, rng: random.Random, j: int
@@ -663,54 +708,42 @@ def _check_factorization_count(real: ChevalleyRealization) -> dict | None:
 
 def _check_near_linearity(real: ChevalleyRealization, trials: int,
                           seed: int) -> dict | None:
-    from fractions import Fraction
-
+    """For X on row j, with b_k = ad(X)^k(N): b3 = 0, so Ad(exp X)(N) − N
+    is b1 + b2/2, read off the brackets themselves.  It must vanish on
+    every row i > j (2b1 + b2 does), and on row j it must be b1 (b2
+    vanishes there) in types A, B, D; in type C, b2 on row j lies on the
+    row's long root.  Rows i < j carry no claim.  The stage table's rows
+    partition the positive roots (``factorization_count`` checks that)."""
     rs = real.rs
-    n = rs.rank
     table = stage_table(rs)
-    row_idx = [frozenset(row) for row in table.rows]
+    row_of = {k: i for i, row in enumerate(table.rows, start=1) for k in row}
+    type_c = rs.lie_type == "C"
     for t in range(trials):
         rng = _rng(seed, f"nl:{t}")
-        nn = _random_nilpotent(rs, rng, regular=False)
-        ni = _to_index_coeffs(real, nn.coeffs)
-        for j in range(1, n + 1):
-            if not row_idx[j - 1]:
+        ni = _random_coeffs(rs, rng, regular=False)
+        for j, row in enumerate(table.rows, start=1):
+            if not row:
                 continue
             xi = _random_row_element(rs, rng, j)
             b1 = _ibracket(real, xi, ni)
             b2 = _ibracket(real, xi, b1)
-            b3 = _ibracket(real, xi, b2)
-            if b3:
+            if _ibracket(real, xi, b2):
                 return {"trial": t, "row": j,
                         "reason": "cube of the adjoint action is nonzero"}
-            lhs = _iad_exp(real, xi, ni)
-            for i in range(1, n + 1):
-                li = _project(rs, lhs, row_idx[i - 1])
-                base = _project(rs, ni, row_idx[i - 1])
-                lin = _project(rs, b1, row_idx[i - 1])
-                quad = _project(rs, b2, row_idx[i - 1])
-                if i > j:
-                    expect = base
-                elif i < j or rs.lie_type == "C":
-                    expect = dict(base)
-                    for k, v in lin.items():
-                        expect[k] = expect.get(k, 0) + v
-                    for k, v in quad.items():
-                        expect[k] = expect.get(k, 0) + Fraction(v, 2)
-                    expect = {k: v for k, v in expect.items() if v}
-                    if (i == j and rs.lie_type == "C"
-                            and set(quad) - {table.long_roots[i - 1]}):
-                        return {"trial": t, "row": j,
-                                "reason": "quadratic part escapes the "
-                                          "long root"}
-                else:
-                    expect = dict(base)
-                    for k, v in lin.items():
-                        expect[k] = expect.get(k, 0) + v
-                    expect = {k: v for k, v in expect.items() if v}
-                if {k: v for k, v in li.items() if v} != expect:
-                    return {"trial": t, "source_row": j, "target_row": i,
-                            "reason": "case formula mismatch"}
+            quad = {k for k in b2 if row_of.get(k) == j}
+            if type_c:
+                if quad - {table.long_roots[j - 1]}:
+                    return {"trial": t, "row": j,
+                            "reason": "quadratic part escapes the long root"}
+            elif quad:
+                return {"trial": t, "source_row": j, "target_row": j,
+                        "reason": "case formula mismatch"}
+            moved = [i for k in b1.keys() | b2.keys()
+                     if (i := row_of.get(k, 0)) > j
+                     and 2 * b1.get(k, 0) + b2.get(k, 0)]
+            if moved:
+                return {"trial": t, "source_row": j, "target_row": min(moved),
+                        "reason": "case formula mismatch"}
     return None
 
 
@@ -720,8 +753,7 @@ def _check_psi_invariance(real: ChevalleyRealization, trials: int,
     table = stage_table(rs).rows
     for t in range(trials):
         rng = _rng(seed, f"psi:{t}")
-        ni = _to_index_coeffs(real, _random_nilpotent(rs, rng,
-                                                      regular=False).coeffs)
+        ni = _random_coeffs(rs, rng, regular=False)
         for i in range(2, rs.rank + 1):
             order = table[i - 1]
             if not order:
@@ -730,8 +762,12 @@ def _check_psi_invariance(real: ChevalleyRealization, trials: int,
             for j in range(1, i):
                 if not table[i - j - 1]:
                     continue
-                moved = _iad_exp(real, _random_row_element(rs, rng, i - j), ni)
-                if _ad_block(real, moved, order, order) != before:
+                # both sides K! times the row operator
+                scale, moved = _iad_series(
+                    real, _random_row_element(rs, rng, i - j), ni)
+                expect = before if scale == 1 else [
+                    [scale * v for v in line] for line in before]
+                if _ad_block(real, moved, order, order) != expect:
                     return {"trial": t, "row": i, "conjugating_row": i - j,
                             "reason": "row operator changed under "
                                       "lower-row conjugation"}
@@ -749,14 +785,13 @@ def _check_type_d_coefficients(real: ChevalleyRealization, trials: int,
     m = real.constants.table
     for t in range(trials):
         rng = _rng(seed, f"dcoef:{t}")
-        ni = _to_index_coeffs(real, _random_nilpotent(rs, rng,
-                                                      regular=False).coeffs)
+        ni = _random_coeffs(rs, rng, regular=False)
         for i in range(1, rs.rank):
             conjugating = table[i]
             if not conjugating:
                 continue
             xi = _random_row_element(rs, rng, i + 1)
-            total = _iad_exp(real, xi, ni)
+            scale, total = _iad_series(real, xi, ni)    # K! times Ad(exp X)N
             double = tuple(2 * c for c in rs.simple_roots[i].coeffs)
             for a in table[i - 1]:
                 alpha = pos[a]
@@ -775,12 +810,13 @@ def _check_type_d_coefficients(real: ChevalleyRealization, trials: int,
                 for b, d in enumerate(line):
                     if d is not None and d in conjugating:
                         expect += m[d][b] * xi.get(d, 0) * ni.get(b, 0)
-                if total.get(a, 0) != expect:
+                if total.get(a, 0) != scale * expect:
                     return {"trial": t, "row": i, "alpha": format_root(alpha),
                             "reason": "first coefficient formula mismatch"}
                 trimmed = {r: v for r, v in xi.items()
                            if not strictly_dominates(alpha, pos[r])}
-                if _iad_exp(real, trimmed, ni).get(a, 0) != ni.get(a, 0):
+                trimmed_scale, moved = _iad_series(real, trimmed, ni)
+                if moved.get(a, 0) != trimmed_scale * ni.get(a, 0):
                     return {"trial": t, "row": i, "alpha": format_root(alpha),
                             "reason": "coefficient moved despite zero "
                                       "lower coordinates"}
@@ -840,7 +876,7 @@ def _check_containment(real: ChevalleyRealization, trials: int,
     suspect_w = []
     for k, w in enumerate(elements):
         inv = w.inverse_root_permutation()
-        outside_phi_w = ~sum(1 << p for p in w.inversion_indices())
+        outside_phi_w = ~w.inversion_mask()
         b = sum(1 << inv[a] for a, dm in drops if dm & outside_phi_w)
         bad.append(b)
         risky.append(b | sum(1 << inv[a] for a in any_fault))
@@ -969,11 +1005,29 @@ def _check_type_d_block(real: ChevalleyRealization, trials: int,
             if det != 2 * na * nb * nc or det == 0:
                 return {"trial": t, "stage": i, "det": str(det),
                         "reason": "determinant differs from 2·n_i·n_{n-1}·n_n"}
+    # the constants _root_vectors pins to +1, on every row i <= n-2 and
+    # wherever the sum is a root: the blocks above read them for i <= n-3,
+    # and the last pairing and D3's m(α_1, α_2) only here
+    fork_a, fork_b = rs.simple_roots[n - 2], rs.simple_roots[n - 1]
+    for i in range(1, n - 1):
+        chain = _chain_root(rs, i, n - 2)                 # c_i
+        next_a = _chain_root(rs, i + 1, n - 1)            # c_{i+1} + α_{n-1}
+        next_b = _chain_root(rs, i + 1, n - 2, fork=True)  # c_{i+1} + α_n
+        alpha_i = rs.simple_roots[i - 1]
+        for a, b in ((chain, fork_a), (chain, fork_b), (alpha_i, next_a),
+                     (alpha_i, next_b), (next_a, fork_b), (next_b, fork_a)):
+            if rs.root_add(a, b) is not None and real.constants.m(a, b) != 1:
+                return {"row": i, "alpha": format_root(a),
+                        "beta": format_root(b),
+                        "constant": str(real.constants.m(a, b)),
+                        "reason": "pinned structure constant is not +1"}
     return None
 
 
-# Most trials verify_lemmata runs: a trial costs 1.6-3.6 ms on C6, A7, B6
-# and D6 (in-process, 2-vCPU Xeon), so no admitted run takes a minute.
+# Most trials verify_lemmata runs: a trial of the trial-driven checks costs
+# 0.8-2.0 ms on C6, A7, B6 and D6 (in-process, 2-vCPU Xeon; containment
+# draws at most three samples whatever the count), so no admitted run
+# takes half a minute.
 _TRIAL_BUDGET = 10_000
 
 

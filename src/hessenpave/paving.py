@@ -42,8 +42,6 @@ e_i = #{k : λ_k ≥ i}.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from .errors import ConsistencyError
 from .hessenberg import HessenbergSpace, space_fields
 from .rootcore import (
@@ -180,13 +178,14 @@ def _betti_tally(space: HessenbergSpace, dims: list[int]) -> tuple[int, ...]:
     return product
 
 
-@lru_cache(maxsize=None)
 def _height_masks(rs: RootSystem) -> tuple[int, ...]:
-    """Positive-root bitmask of each height."""
-    masks: dict[int, int] = {}
-    for k, root in enumerate(rs.positive_roots):
-        masks[root.height] = masks.get(root.height, 0) | 1 << k
-    return tuple(masks.values())
+    """Positive-root bitmask of each height; cached on the root system."""
+    if rs._heights_cache is None:
+        masks: dict[int, int] = {}
+        for k, root in enumerate(rs.positive_roots):
+            masks[root.height] = masks.get(root.height, 0) | 1 << k
+        rs._heights_cache = tuple(masks.values())
+    return rs._heights_cache
 
 
 def _exponents(space: HessenbergSpace) -> tuple[int, ...]:

@@ -50,6 +50,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from math import factorial
+from itertools import compress
 from operator import itemgetter
 
 from .errors import ConsistencyError
@@ -320,6 +321,8 @@ class RootSystem:
                 if a is not None:
                     sums[a][b] = c
         self._pos_sum = tuple(map(tuple, sums))
+        # bit p of a positive-root mask, by index
+        self._pos_bits = tuple(1 << p for p in range(npos))
         # (β, γ, α_j) as all_roots indices with β = γ + α_j, one for each
         # non-simple positive root β (the height order puts the simple roots
         # first); the linearity check of WeylElement inducts on height
@@ -334,9 +337,14 @@ class RootSystem:
             splits.append((k, self._pos_diff[k][a], a))
         self._splits = tuple(splits)
 
+        # per-system tables other modules build on first use and keep here,
+        # so that they live and die with this instance
         self._stages_cache: StageTable | None = None
         self._weyl_cache: tuple["WeylElement", ...] | None = None
         self._spaces_cache: tuple["HessenbergSpace", ...] | None = None
+        self._down_sets_cache: tuple[int, ...] | None = None
+        self._heights_cache: tuple[int, ...] | None = None
+        self._sum_pairs_cache: tuple[tuple[tuple[int, int], ...], ...] | None = None
 
     # -- basic root arithmetic -------------------------------------------
 
@@ -436,8 +444,9 @@ def parse_root(rs: RootSystem, text: str) -> Root:
 
 
 class WeylElement:
-    """A Weyl group element, stored as the permutation it induces on the
-    indices of ``rs.all_roots``, together with a canonical reduced word.
+    """A Weyl group element, stored as the permutation its inverse induces
+    on the indices of ``rs.all_roots``, together with a canonical reduced
+    word.
 
     The roots span, so the permutation determines the element.  The word
     comes from greedy descent (repeatedly strip the smallest ``s_i`` with
@@ -447,13 +456,17 @@ class WeylElement:
     coordinates, that greedy descent reaches the identity (a diagram
     automorphism has no descent), and that the word length matches the
     inversion count.  ``enumerate_weyl`` builds its elements through
-    ``_trusted_element`` instead, from fields it derives from a parent
-    element and a validated simple reflection, and fills in the cell masks
-    ``sm`` and ``im`` there; elsewhere they and the text form
-    ``word_text`` are built on first use.
+    ``_trusted_element`` instead, from the word, the inverse permutation
+    and the cell masks ``sm`` and ``im``, which it derives from a parent
+    element and a validated simple reflection.  Everything else is derived
+    from the inverse permutation on first use and then kept: the
+    permutation itself (``root_permutation``), the inversion set
+    (``inversion_indices``; ``inversion_mask`` is rebuilt on each call),
+    the masks ``sm`` and ``im`` of an element built elsewhere, and the text
+    form ``word_text``.
     """
 
-    __slots__ = ("rs", "word", "_root_perm", "_inv_root_perm", "_inversions",
+    __slots__ = ("rs", "word", "_inv_root_perm", "_root_perm", "_inversions",
                  "_sm", "_im", "_word_text")
 
     def __init__(self, rs: RootSystem, perm: Iterable[int]):
@@ -465,10 +478,8 @@ class WeylElement:
         self.rs = rs
         self._root_perm = perm
         self._inv_root_perm = tuple(inv)
-        npos = rs.num_positive
-        self._inversions = frozenset(p for p in range(npos) if inv[p] >= npos)
         self.word = _canonical_word(rs, perm, self._inv_root_perm)
-        if len(self.word) != len(self._inversions):
+        if len(self.word) != len(self.inversion_indices()):
             raise ConsistencyError("reduced word length != inversion count")
 
     @property
@@ -477,14 +488,35 @@ class WeylElement:
 
     def root_permutation(self) -> tuple[int, ...]:
         """Action on all_roots indices (positives first, then negatives)."""
-        return self._root_perm
+        try:
+            return self._root_perm
+        except AttributeError:
+            inv = self._inv_root_perm
+            perm = [0] * len(inv)
+            for dst, src in enumerate(inv):
+                perm[src] = dst
+            self._root_perm = tuple(perm)
+            return self._root_perm
 
     def inverse_root_permutation(self) -> tuple[int, ...]:
         return self._inv_root_perm
 
+    def inversion_mask(self) -> int:
+        """Bitmask over positive-root indices of the inversion set: the
+        positive roots p with w⁻¹p negative."""
+        rs = self.rs
+        return sum(compress(rs._pos_bits,
+                            map(rs.num_positive.__le__, self._inv_root_perm)))
+
     def inversion_indices(self) -> frozenset[int]:
         """Indices (into positive_roots) of the inversion set."""
-        return self._inversions
+        try:
+            return self._inversions
+        except AttributeError:
+            mask = self.inversion_mask()
+            self._inversions = frozenset(p for p in range(self.rs.num_positive)
+                                         if mask >> p & 1)
+            return self._inversions
 
     @property
     def sm(self) -> int:
@@ -503,7 +535,7 @@ class WeylElement:
             return self._im
         except AttributeError:
             inv = self._inv_root_perm
-            self._im = sum(1 << inv[p] for p in self._inversions)
+            self._im = sum(1 << inv[p] for p in self.inversion_indices())
             return self._im
 
     @property
@@ -516,11 +548,11 @@ class WeylElement:
             return self._word_text
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, WeylElement)
-                and self.rs == other.rs and self._root_perm == other._root_perm)
+        return (isinstance(other, WeylElement) and self.rs == other.rs
+                and self._inv_root_perm == other._inv_root_perm)
 
     def __hash__(self) -> int:
-        return hash((self.rs.lie_type, self.rs.rank, self._root_perm))
+        return hash((self.rs.lie_type, self.rs.rank, self._inv_root_perm))
 
     def __repr__(self) -> str:
         return f"WeylElement({self.rs.lie_type}{self.rs.rank}, word={self.word})"
@@ -570,17 +602,13 @@ def _canonical_word(rs: RootSystem, perm: tuple[int, ...],
 
 
 def _trusted_element(rs: RootSystem, word: tuple[int, ...],
-                     perm: tuple[int, ...], inv: tuple[int, ...],
-                     inversions: frozenset[int], sm: int,
-                     im: int) -> WeylElement:
+                     inv: tuple[int, ...], sm: int, im: int) -> WeylElement:
     """A WeylElement from fields the caller has derived itself, with no
     checks; only ``enumerate_weyl`` calls it."""
     w = object.__new__(WeylElement)
     w.rs = rs
     w.word = word
-    w._root_perm = perm
     w._inv_root_perm = inv
-    w._inversions = inversions
     w._sm = sm
     w._im = im
     return w
@@ -601,8 +629,8 @@ def compose(w1: WeylElement, w2: WeylElement) -> WeylElement:
     """The product w1·w2 (apply w2 first when acting on roots)."""
     if w1.rs != w2.rs:
         raise ValueError("cannot compose elements of different root systems")
-    p1 = w1._root_perm
-    return WeylElement(w1.rs, (p1[k] for k in w2._root_perm))
+    p1 = w1.root_permutation()
+    return WeylElement(w1.rs, (p1[k] for k in w2.root_permutation()))
 
 
 def inverse(w: WeylElement) -> WeylElement:
@@ -612,12 +640,12 @@ def inverse(w: WeylElement) -> WeylElement:
 def apply(w: WeylElement, root: Root) -> Root:
     """The image w(root); always a valid root."""
     idx = w.rs.root_index(root)
-    return w.rs.all_roots[w._root_perm[idx]]
+    return w.rs.all_roots[w.root_permutation()[idx]]
 
 
 def inversion_set(w: WeylElement) -> frozenset[Root]:
     """The positive roots sent negative by w⁻¹."""
-    return frozenset(w.rs.positive_roots[p] for p in w._inversions)
+    return frozenset(w.rs.positive_roots[p] for p in w.inversion_indices())
 
 
 def format_word(w: WeylElement) -> str:
@@ -673,9 +701,9 @@ def _count_text(value: int | None) -> str:
 
 
 # Largest group enumerate_weyl builds: every rank <= 6 and A7 fit.  B6
-# (46,080 elements) takes about 0.4 s and 150 MB on a 2-vCPU Xeon; the next
-# groups up (D7, A8, B7 and C7: 322,560 to 645,120 elements) are 6 to 13
-# times the budget.
+# (46,080 elements) takes about 0.3 s, in a process of 60 MB peak, on a
+# 2-vCPU Xeon; the next groups up (D7, A8, B7 and C7: 322,560 to 645,120
+# elements) are 6 to 13 times the budget.
 _WEYL_BUDGET = 50_000
 
 
@@ -731,9 +759,12 @@ def enumerate_weyl(rs: RootSystem) -> tuple[WeylElement, ...]:
     canonical word of v is ``(j,) + word(s_j·v)`` with j the smallest left
     descent of v, so layer ℓ+1 is, for j = 1..rank and then w in layer ℓ in
     order, every v = s_j·w for which j is not a left descent of w (v is one
-    longer) and no k < j is a left descent of v.  Each field of v comes
-    from w: ``v = s_j∘w``, ``v⁻¹ = w⁻¹∘s_j``, ``Φ_v = s_j(Φ_w) ∪ {α_j}``,
-    ``v⁻¹(Φ_v) = w⁻¹(Φ_w) ∪ {w⁻¹(−α_j)}``.  The simple reflections are
+    longer) and no k < j is a left descent of v; both tests read w⁻¹ at
+    roots fixed per j.  Each element is built from four fields, all from
+    w: the word, ``v⁻¹ = w⁻¹∘s_j``, ``sm`` (the images ``v⁻¹(α_k) =
+    w⁻¹(s_j α_k)``) and ``im`` (``v⁻¹(Φ_v) = w⁻¹(Φ_w) ∪ {w⁻¹(−α_j)}``).
+    The permutation v and the inversion set Φ_v are derived from v⁻¹ on
+    first use, by the callers that need them.  The simple reflections are
     checked once to be linear bijections of the roots, so their products
     need no check; the group order and the single longest element, of
     length |Φ⁺|, are checked at the end.
@@ -749,29 +780,32 @@ def enumerate_weyl(rs: RootSystem) -> tuple[WeylElement, ...]:
     npos = rs.num_positive
     simple = rs._simple_index
     ident = tuple(range(len(rs.all_roots)))
-    layer = [_trusted_element(rs, (), ident, ident, frozenset(),
-                              sum(1 << a for a in simple), 0)]
+    layer = [_trusted_element(rs, (), ident, sum(1 << a for a in simple), 0)]
     out = list(layer)
+    # per generator j: the index of −α_j; the roots α_j and s_j(α_k) for
+    # k < j, at which w⁻¹ must be positive (a left descent of w makes v
+    # shorter, and v⁻¹(α_k) = w⁻¹(s_j α_k) < 0 gives v a smaller first
+    # letter); w⁻¹ ↦ w⁻¹∘s_j, an itemgetter returning a tuple, since every
+    # system has at least two roots; and the roots s_j(α_k) for every k,
+    # whose w⁻¹-images are v⁻¹(α_k)
+    gens = [(j, a + npos, (a, *[s[b] for b in simple[:j - 1]]),
+             itemgetter(*s), tuple(s[b] for b in simple))
+            for j, (a, s) in enumerate(zip(simple, rs._reflections), 1)]
     while True:
         nxt = []
-        for j, (a, s) in enumerate(zip(simple, rs._reflections), 1):
-            # w⁻¹ at α_j (a left descent of w makes v shorter) and at
-            # s_j(α_k) for k < j, which is v⁻¹(α_k) (a left descent of v
-            # below j gives v a smaller first letter)
-            tests = [a, *[s[b] for b in simple[:j - 1]]]
-            # every system has at least two roots, so these itemgetters
-            # return tuples
-            v_inv_of = itemgetter(*s)
+        for j, neg, tests, v_inv_of, sm_roots in gens:
             for w in layer:
                 inv = w._inv_root_perm
-                if max([inv[c] for c in tests]) >= npos:
-                    continue
-                vinv = v_inv_of(inv)
-                nxt.append(_trusted_element(
-                    rs, (j,) + w.word, itemgetter(*w._root_perm)(s), vinv,
-                    frozenset([a, *[s[p] for p in w._inversions]]),
-                    sum([1 << vinv[b] for b in simple]),
-                    w._im | 1 << inv[a + npos]))
+                for c in tests:
+                    if inv[c] >= npos:
+                        break
+                else:
+                    sm = 0
+                    for c in sm_roots:
+                        sm |= 1 << inv[c]
+                    nxt.append(_trusted_element(rs, (j,) + w.word,
+                                                v_inv_of(inv), sm,
+                                                w._im | 1 << inv[neg]))
         if not nxt:
             break
         layer = nxt

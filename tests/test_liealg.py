@@ -669,6 +669,50 @@ def test_type_d_block_fails_on_other_signs(rank):
         "type_d_block"]
 
 
+def test_type_d_block_pins_d3(capsys, monkeypatch):
+    """D3 has no 3×3 block, only its pinned constants: with E_{±α_1}
+    negated there too, m(α_1, α_2) is −1, so ``verify-lemmata`` D3 fails
+    ``type_d_block``, naming the row and the two roots, and exits 2."""
+    original = liealg._root_vectors
+
+    def alpha_1_flipped(rs):
+        vectors = original(rs)
+        for root in (rs.simple_roots[0], -rs.simple_roots[0]):
+            vectors[root] = sp_scale(vectors[root], -1)
+        return vectors
+
+    monkeypatch.setattr(liealg, "_root_vectors", alpha_1_flipped)
+    code = main(["verify-lemmata", "--type", "D", "--rank", "3",
+                 "--trials", "2"])
+    checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert code == 2
+    assert checks.pop("type_d_block")["counterexample"] == {
+        "row": 1, "alpha": "1,0,0", "beta": "0,1,0", "constant": "-1",
+        "reason": "pinned structure constant is not +1"}
+    assert {c["status"] for c in checks.values()} == {"pass"}
+
+
+@pytest.mark.parametrize("rank", [3, 4, 5])
+def test_type_d_block_checks_every_pinned_constant(rank):
+    """Each constant ``ref_d_normalization_pairs`` lists (4 on D3, 10 on
+    D4, 16 on D5, counted with repeats) is checked: set to −1 alone, it
+    fails the block check, which names it.  Those left to the pinned pass
+    (the last pairing's, which no 3×3 block reads) are named by it."""
+    pairs = ref_d_normalization_pairs(build_root_system("D", rank))
+    assert len(pairs) == {3: 4, 4: 10, 5: 16}[rank]
+    named = 0
+    for a, b in pairs:
+        real = build_chevalley(build_root_system("D", rank))
+        set_constant(real, a, b, -1)
+        ce = liealg._check_type_d_block(real, 2, 7)
+        assert ce is not None, (a, b)
+        if "constant" in ce:
+            assert (ce["alpha"], ce["beta"]) == (format_root(a),
+                                                 format_root(b))
+            named += 1
+    assert named >= 4
+
+
 # ---------------------------------------------------------------------------
 # verify_lemmata
 # ---------------------------------------------------------------------------
@@ -913,14 +957,289 @@ def test_containment_short_inversion_set_matches_reference(
     """Reporting each inversion set one root short breaks the (w, space)
     part of the check; both paths must name the same first
     counterexample."""
-    full = WeylElement.inversion_indices
-    monkeypatch.setattr(WeylElement, "inversion_indices",
-                        lambda w: frozenset(sorted(full(w))[1:]))
+    full = WeylElement.inversion_mask
+    monkeypatch.setattr(WeylElement, "inversion_mask",
+                        lambda w: full(w) & full(w) - 1)
     real = _realization(lie_type, rank)
     got = liealg._check_containment(real, 3, 5)
     assert got is not None
     assert got["reason"] == "simple-difference root escapes the inversion set"
     assert got == ref_check_containment(real, 3, 5)
+
+
+# ---------------------------------------------------------------------------
+# the integer lemma kernels against the rational ones they replaced
+# ---------------------------------------------------------------------------
+
+# The bracket, the Fraction-based adjoint exponential and the three lemma
+# checks built on them, as they stood before the checks compared scaled
+# integers; module-level helpers are looked up on ``liealg``.
+
+def ref_ibracket(real, a, b):
+    """[A, B] for coefficient maps supported on the positive roots."""
+    m = real.constants.table
+    sums = real.rs._pos_sum
+    out = {}
+    for i, x in a.items():
+        mi = m[i]
+        si = sums[i]
+        for j, y in b.items():
+            k = si[j]
+            if k is not None:
+                w = out.get(k, 0) + mi[j] * x * y
+                if w:
+                    out[k] = w
+                elif k in out:
+                    del out[k]
+    return out
+
+
+def ref_iad_exp(real, x, n):
+    """Ad(exp X)(N) = Σ ad(X)^k(N)/k! in coefficient space; exact."""
+    out = dict(n)
+    term = n
+    for k in range(1, 4 * real.rs.num_positive + 2):
+        term = ref_ibracket(real, x, term)
+        if not term:
+            return out
+        if k > 1:
+            term = {i: Fraction(v, k) for i, v in term.items()}
+        for i, v in term.items():
+            w = out.get(i, 0) + v
+            if w:
+                out[i] = w
+            elif i in out:
+                del out[i]
+    raise ConsistencyError("adjoint exponential series failed to terminate")
+
+
+def ref_check_near_linearity(real, trials, seed):
+    rs = real.rs
+    n = rs.rank
+    table = liealg.stage_table(rs)
+    row_idx = [frozenset(row) for row in table.rows]
+    for t in range(trials):
+        rng = liealg._rng(seed, f"nl:{t}")
+        nn = liealg._random_nilpotent(rs, rng, regular=False)
+        ni = liealg._to_index_coeffs(real, nn.coeffs)
+        for j in range(1, n + 1):
+            if not row_idx[j - 1]:
+                continue
+            xi = liealg._random_row_element(rs, rng, j)
+            b1 = ref_ibracket(real, xi, ni)
+            b2 = ref_ibracket(real, xi, b1)
+            b3 = ref_ibracket(real, xi, b2)
+            if b3:
+                return {"trial": t, "row": j,
+                        "reason": "cube of the adjoint action is nonzero"}
+            lhs = ref_iad_exp(real, xi, ni)
+            for i in range(1, n + 1):
+                li = liealg._project(rs, lhs, row_idx[i - 1])
+                base = liealg._project(rs, ni, row_idx[i - 1])
+                lin = liealg._project(rs, b1, row_idx[i - 1])
+                quad = liealg._project(rs, b2, row_idx[i - 1])
+                if i > j:
+                    expect = base
+                elif i < j or rs.lie_type == "C":
+                    expect = dict(base)
+                    for k, v in lin.items():
+                        expect[k] = expect.get(k, 0) + v
+                    for k, v in quad.items():
+                        expect[k] = expect.get(k, 0) + Fraction(v, 2)
+                    expect = {k: v for k, v in expect.items() if v}
+                    if (i == j and rs.lie_type == "C"
+                            and set(quad) - {table.long_roots[i - 1]}):
+                        return {"trial": t, "row": j,
+                                "reason": "quadratic part escapes the "
+                                          "long root"}
+                else:
+                    expect = dict(base)
+                    for k, v in lin.items():
+                        expect[k] = expect.get(k, 0) + v
+                    expect = {k: v for k, v in expect.items() if v}
+                if {k: v for k, v in li.items() if v} != expect:
+                    return {"trial": t, "source_row": j, "target_row": i,
+                            "reason": "case formula mismatch"}
+    return None
+
+
+def ref_check_psi_invariance(real, trials, seed):
+    rs = real.rs
+    table = liealg.stage_table(rs).rows
+    for t in range(trials):
+        rng = liealg._rng(seed, f"psi:{t}")
+        ni = liealg._to_index_coeffs(real, liealg._random_nilpotent(
+            rs, rng, regular=False).coeffs)
+        for i in range(2, rs.rank + 1):
+            order = table[i - 1]
+            if not order:
+                continue
+            before = liealg._ad_block(real, ni, order, order)
+            for j in range(1, i):
+                if not table[i - j - 1]:
+                    continue
+                moved = ref_iad_exp(
+                    real, liealg._random_row_element(rs, rng, i - j), ni)
+                if liealg._ad_block(real, moved, order, order) != before:
+                    return {"trial": t, "row": i, "conjugating_row": i - j,
+                            "reason": "row operator changed under "
+                                      "lower-row conjugation"}
+    return None
+
+
+def ref_check_type_d_coefficients(real, trials, seed):
+    rs = real.rs
+    if rs.lie_type != "D":
+        return None
+    table = liealg.stage_table(rs).rows
+    pos = rs.positive_roots
+    diff = rs._pos_diff
+    m = real.constants.table
+    for t in range(trials):
+        rng = liealg._rng(seed, f"dcoef:{t}")
+        ni = liealg._to_index_coeffs(real, liealg._random_nilpotent(
+            rs, rng, regular=False).coeffs)
+        for i in range(1, rs.rank):
+            conjugating = table[i]
+            if not conjugating:
+                continue
+            xi = liealg._random_row_element(rs, rng, i + 1)
+            total = ref_iad_exp(real, xi, ni)
+            double = tuple(2 * c for c in rs.simple_roots[i].coeffs)
+            for a in table[i - 1]:
+                alpha = pos[a]
+                if all(c >= d for c, d in zip(alpha.coeffs, double)):
+                    continue          # hypothesis excludes α ≥ 2α_{i+1}
+                line = diff[a]
+                # the affine conclusion needs α − β1 − β2 to never be a
+                # positive root; away from the fork row that is the same
+                # condition, but the fork pair sums low in the dominance
+                # order and must be excluded directly.  The row is abelian,
+                # so when α − β1 − β2 is a root, so is α − β1 or α − β2.
+                if any(line[b1] is not None and diff[line[b1]][b2] is not None
+                       for b1 in conjugating for b2 in conjugating):
+                    continue
+                expect = ni.get(a, 0)
+                for b, d in enumerate(line):
+                    if d is not None and d in conjugating:
+                        expect += m[d][b] * xi.get(d, 0) * ni.get(b, 0)
+                if total.get(a, 0) != expect:
+                    return {"trial": t, "row": i, "alpha": format_root(alpha),
+                            "reason": "first coefficient formula mismatch"}
+                trimmed = {r: v for r, v in xi.items()
+                           if not rootcore.strictly_dominates(alpha, pos[r])}
+                if ref_iad_exp(real, trimmed, ni).get(a, 0) != ni.get(a, 0):
+                    return {"trial": t, "row": i, "alpha": format_root(alpha),
+                            "reason": "coefficient moved despite zero "
+                                      "lower coordinates"}
+    return None
+
+
+KERNEL_SYSTEMS = REALIZABLE + [("A", 5), ("D", 5)]
+
+_KERNEL_CHECKS = (("_check_near_linearity", ref_check_near_linearity),
+                  ("_check_psi_invariance", ref_check_psi_invariance),
+                  ("_check_type_d_coefficients", ref_check_type_d_coefficients))
+
+
+def _random_index_coeffs(rs, rng, density):
+    """Seeded nonzero coefficients on a random subset of the positive roots,
+    index-keyed."""
+    return {k: rng.choice([-3, -2, -1, 1, 2, 3])
+            for k in range(rs.num_positive) if rng.random() < density}
+
+
+def _assert_kernels_equal_reference(real, rng, trials, seed):
+    rs = real.rs
+    for _ in range(5):
+        x = _random_index_coeffs(rs, rng, 0.4)
+        n = _random_index_coeffs(rs, rng, 0.8)
+        assert liealg._ibracket(real, x, n) == ref_ibracket(real, x, n)
+        assert liealg._iad_exp(real, x, n) == ref_iad_exp(real, x, n)
+        halves = {k: Fraction(v, 2) for k, v in x.items()}
+        assert (liealg._iad_exp(real, halves, n)
+                == ref_iad_exp(real, halves, n))
+    for name, ref in _KERNEL_CHECKS:
+        assert (getattr(liealg, name)(real, trials, seed)
+                == ref(real, trials, seed)), name
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("lie_type,rank", KERNEL_SYSTEMS)
+def test_lemma_kernels_equal_reference(lie_type, rank, seed):
+    real = _realization(lie_type, rank)
+    _assert_kernels_equal_reference(
+        real, random.Random(f"kernels:{seed}"), 3, seed)
+    # the scaled series divides back to the rational exponential
+    rng = random.Random(f"series:{seed}")
+    x = _random_index_coeffs(real.rs, rng, 0.5)
+    n = _random_index_coeffs(real.rs, rng, 0.8)
+    scale, scaled = liealg._iad_series(real, x, n)
+    assert {k: Fraction(v, scale) for k, v in scaled.items()} == \
+        ref_iad_exp(real, x, n)
+
+
+@pytest.mark.parametrize("lie_type,rank", [s for s in KERNEL_SYSTEMS
+                                           if s != ("A", 1)])
+def test_lemma_kernels_equal_reference_on_corrupted_constants(lie_type,
+                                                              rank):
+    """Twelve seeded single-constant corruptions per system (A1 has no root
+    sums to corrupt), each set to 0, negated or doubled: the kernels and the
+    checks still return what the references return.  One constant does not
+    change which sums are roots, so the checks pass here; the moved-root
+    test below compares failing results."""
+    real = _realization(lie_type, rank)
+    rs = real.rs
+    pos = rs.positive_roots
+    sums = [(a, b) for a in range(rs.num_positive)
+            for b in range(rs.num_positive) if rs._pos_sum[a][b] is not None]
+    built = real.constants
+    rng = random.Random(f"corrupt:{lie_type}{rank}")
+    for k in range(12):
+        a, b = rng.choice(sums)
+        m = built.table[a][b]
+        set_constant(real, pos[a], pos[b], (0, -m, 2 * m)[k % 3])
+        _assert_kernels_equal_reference(real, rng, 2, k)
+        real.constants = built
+
+
+@pytest.mark.parametrize("source_row", [1, 2])
+@pytest.mark.parametrize("lie_type,rank", [("B", 3), ("C", 3), ("D", 4)])
+def test_lemma_kernels_equal_reference_with_a_root_moved_a_row(
+        lie_type, rank, source_row):
+    """The first root of a row that is not its long root, moved to the next
+    row of the stage table: from row 1 that fails near-linearity, and both
+    versions of each check return the same result."""
+    real = _realization(lie_type, rank)
+    rs = real.rs
+    table = stage_table(rs)
+    rows = [list(row) for row in table.rows]
+    root = next(k for k in rows[source_row - 1]
+                if k not in table.long_roots)
+    rows[source_row - 1].remove(root)
+    rows[source_row].append(root)
+    rs._stages_cache = StageTable(tuple(map(tuple, rows)), table.stages,
+                                  table.long_roots, table.masks)
+    got = liealg._check_near_linearity(real, 3, 1)
+    assert got == ref_check_near_linearity(real, 3, 1)
+    if source_row == 1:
+        assert got is not None
+    for name, ref in _KERNEL_CHECKS:
+        assert getattr(liealg, name)(real, 3, 1) == ref(real, 3, 1), name
+
+
+def test_set_constant_reaches_the_bracket():
+    """The bracket reads the constants at call time, so a replaced table
+    reaches it."""
+    rs = build_root_system("B", 3)
+    real = build_chevalley(rs)
+    a, b = rs.simple_roots[:2]
+    ia, ib, isum = (rs.root_index(r) for r in (a, b, rs.root_add(a, b)))
+    assert liealg._ibracket(real, {ia: 1}, {ib: 1}) == {
+        isum: real.constants.m(a, b)}
+    set_constant(real, a, b, 7)
+    assert liealg._ibracket(real, {ia: 1}, {ib: 1}) == {isum: 7}
+    assert liealg._ibracket(real, {ia: 2}, {ib: 3}) == {isum: 42}
 
 
 @pytest.mark.parametrize("lie_type,rank", [("B", 4), ("D", 5)])

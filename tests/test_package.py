@@ -54,6 +54,9 @@ _NEVER = {"argparse", "gettext", "locale"}
     (["witness", "--type", "C", "--rank", "3", "--hess", "full",
       "--word", "1 2", "--format", "table"],
      {"fractions", "decimal", "numbers"}),
+    # the lemma checks run in integers
+    (["verify-lemmata", "--type", "C", "--rank", "3", "--trials", "3"],
+     {"json", "random"}),
 ])
 def test_cli_loads_stdlib_modules_only_where_used(argv, loaded):
     """``json``, ``csv``, ``fractions`` and ``random`` cost 7-8 ms of a
@@ -260,9 +263,24 @@ def test_removed_flag_types_stay_out_of_the_library():
     assert _removed_names(ast.parse("bracket = sp_commutator(a, b)")) == set()
 
 
+def _names_outside_annotations(tree) -> set[str]:
+    """The names a tree uses, leaving out those in type annotations: a
+    kernel that takes rational input may say so without building one."""
+    skip = set()
+    for node in ast.walk(tree):
+        for note in (getattr(node, "annotation", None),
+                     getattr(node, "returns", None)):
+            if note is not None:
+                skip.update(map(id, ast.walk(note)))
+    return {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and id(node) not in skip}
+
+
 def test_realization_constants_are_read_in_integers():
     """The structure constants and the Cartan eigenvalues are integers: the
-    methods that read them off the matrices never name ``Fraction``."""
+    methods that read them off the matrices never name ``Fraction``, and
+    neither do the seven lemma checks, the bracket and the scaled series
+    they run on."""
     tree = ast.parse(
         (SRC / "hessenpave" / "liealg.py").read_text(encoding="utf-8"))
     realization = next(node for node in tree.body
@@ -270,13 +288,20 @@ def test_realization_constants_are_read_in_integers():
                        and node.name == "ChevalleyRealization")
     methods = {node.name: node for node in realization.body
                if isinstance(node, ast.FunctionDef)}
-    for name in ("_extract_constants", "_validate_weights"):
-        named = {node.id for node in ast.walk(methods[name])
-                 if isinstance(node, ast.Name)}
-        assert "Fraction" not in named, name
-    # the detector sees the name where it is used
-    assert any(isinstance(node, ast.Name) and node.id == "Fraction"
-               for node in ast.walk(methods["expand"]))
+    functions = {node.name: node for node in tree.body
+                 if isinstance(node, ast.FunctionDef)}
+    checks = [name for name in functions if name.startswith("_check_")]
+    assert len(checks) == 7, checks
+    for name, node in ([(name, methods[name]) for name in
+                        ("_extract_constants", "_validate_weights")]
+                       + [(name, functions[name]) for name in
+                          checks + ["_ibracket", "_iad_series"]]):
+        assert "Fraction" not in _names_outside_annotations(node), name
+    # the detector sees the name where it is used, and not in annotations
+    assert "Fraction" in _names_outside_annotations(methods["expand"])
+    probe = ast.parse("def f(x: Fraction) -> Fraction:\n"
+                      "    y: Fraction = x\n    return y\n")
+    assert "Fraction" not in _names_outside_annotations(probe)
 
 
 def _main_block_calls(tree) -> list[str]:

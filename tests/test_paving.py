@@ -342,3 +342,20 @@ def test_mixed_system_rejected(a2):
     b2 = build_root_system("B", 2)
     with pytest.raises(ValueError):
         cell_nonempty(identity_element(b2), borel_space(a2))
+
+
+def test_per_system_masks_live_on_their_instance():
+    """The down-set and height masks are kept on the root system they were
+    built from: two equal systems build and keep their own, and the one a
+    system keeps is the one it is given again."""
+    from hessenpave import hessenberg
+
+    first, second = build_root_system("D", 4), build_root_system("D", 4)
+    assert first == second
+    for build, field in ((hessenberg._down_set_masks, "_down_sets_cache"),
+                         (paving._height_masks, "_heights_cache")):
+        assert getattr(first, field) is None
+        masks = build(first)
+        assert getattr(first, field) is masks and build(first) is masks
+        assert getattr(second, field) is None
+        assert build(second) == masks and build(second) is not masks
