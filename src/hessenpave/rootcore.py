@@ -49,8 +49,8 @@ decided there and nowhere else.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from math import factorial
 from itertools import compress
+from math import factorial
 from operator import itemgetter
 
 from .errors import ConsistencyError
@@ -344,7 +344,8 @@ class RootSystem:
         self._spaces_cache: tuple["HessenbergSpace", ...] | None = None
         self._down_sets_cache: tuple[int, ...] | None = None
         self._heights_cache: tuple[int, ...] | None = None
-        self._sum_pairs_cache: tuple[tuple[tuple[int, int], ...], ...] | None = None
+        self._sum_pairs_cache: tuple[tuple[tuple[int, int], ...], ...] | None
+        self._sum_pairs_cache = None
 
     # -- basic root arithmetic -------------------------------------------
 
@@ -444,9 +445,8 @@ def parse_root(rs: RootSystem, text: str) -> Root:
 
 
 class WeylElement:
-    """A Weyl group element, stored as the permutation its inverse induces
-    on the indices of ``rs.all_roots``, together with a canonical reduced
-    word.
+    """A Weyl group element w, stored as the permutation w⁻¹ induces on the
+    indices of ``rs.all_roots``, together with a canonical reduced word.
 
     The roots span, so the permutation determines the element.  The word
     comes from greedy descent (repeatedly strip the smallest ``s_i`` with
@@ -509,7 +509,8 @@ class WeylElement:
                             map(rs.num_positive.__le__, self._inv_root_perm)))
 
     def inversion_indices(self) -> frozenset[int]:
-        """Indices (into positive_roots) of the inversion set."""
+        """Indices (into positive_roots) of the inversion set, read off
+        ``inversion_mask``."""
         try:
             return self._inversions
         except AttributeError:

@@ -684,7 +684,8 @@ def test_type_d_block_pins_d3(capsys, monkeypatch):
     monkeypatch.setattr(liealg, "_root_vectors", alpha_1_flipped)
     code = main(["verify-lemmata", "--type", "D", "--rank", "3",
                  "--trials", "2"])
-    checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    report = json.loads(capsys.readouterr().out)
+    checks = {c["name"]: c for c in report["checks"]}
     assert code == 2
     assert checks.pop("type_d_block")["counterexample"] == {
         "row": 1, "alpha": "1,0,0", "beta": "0,1,0", "constant": "-1",
@@ -1137,9 +1138,10 @@ def ref_check_type_d_coefficients(real, trials, seed):
 
 KERNEL_SYSTEMS = REALIZABLE + [("A", 5), ("D", 5)]
 
-_KERNEL_CHECKS = (("_check_near_linearity", ref_check_near_linearity),
-                  ("_check_psi_invariance", ref_check_psi_invariance),
-                  ("_check_type_d_coefficients", ref_check_type_d_coefficients))
+_KERNEL_CHECKS = (
+    ("_check_near_linearity", ref_check_near_linearity),
+    ("_check_psi_invariance", ref_check_psi_invariance),
+    ("_check_type_d_coefficients", ref_check_type_d_coefficients))
 
 
 def _random_index_coeffs(rs, rng, density):
