@@ -855,8 +855,11 @@ def _check_containment(real: ChevalleyRealization, trials: int,
     among these spaces there is a smallest, ``smallest_containing(rs,
     w.sm)``, and every other one contains it.  Hence some space fails for w
     iff the smallest one does, and a passing run tests one mask per w and
-    no (space, w) pair.  That smallest space is also checked to be one of
-    the enumerated spaces.  Only for the suspect w, those whose smallest
+    no (space, w) pair.  Every space holds Φ⁺, so only the bits of
+    ``risky(w)`` in ``w.im`` (the negative w⁻¹-images of positive roots)
+    can leave it: the mask is built, in one pass over the positive roots,
+    only for the w with ``w.im`` outside their smallest space.  That
+    smallest space is also checked to be one of the enumerated spaces.  Only for the suspect w, those whose smallest
     space fails, are the (space, w) cells tested; the samples are then
     scanned in order, and the first failing triple (N, then space, then w)
     is rerun root by root to name the row, the root and the reason.
@@ -882,23 +885,27 @@ def _check_containment(real: ChevalleyRealization, trials: int,
     elements = enumerate_weyl(rs)
     spaces = enumerate_hessenberg(rs)
     known = {space.hm for space in spaces}
-    risky = []        # bad(w) | w⁻¹F(N) for the union of F(N) over samples
-    suspect_w = []
+    risky = {}        # bad(w) | w⁻¹F(N), F(N) over all samples, by suspect w
     for k, w in enumerate(elements):
-        # inv lists the positive roots first, as flagged does
-        outside_phi_w = ~w.inversion_mask()
-        risky.append(sum([1 << x for x, dm in
-                          zip(w.inverse_root_permutation(), flagged)
-                          if dm & outside_phi_w]))
         least = smallest_containing(rs, w.sm)
         if least not in known:
             raise ConsistencyError(
                 f"{rs.lie_type}{rs.rank} word {list(w.word)}: the smallest "
                 "space with a nonempty cell is not an enumerated space")
-        if risky[k] & ~least:
-            suspect_w.append(k)
-    if not suspect_w:
+        # every space holds Φ⁺, and the w⁻¹-images of positive roots that
+        # are negative make up w.im, so a w with w.im inside least space
+        # cannot fail
+        if w.im & ~least:
+            # inv lists the positive roots first, as flagged does
+            outside_phi_w = ~w.inversion_mask()
+            mask = sum([1 << x for x, dm in
+                        zip(w.inverse_root_permutation(), flagged)
+                        if dm & outside_phi_w])
+            if mask & ~least:
+                risky[k] = mask
+    if not risky:
         return None
+    suspect_w = list(risky)
 
     suspects = [(space, k) for space in spaces for k in suspect_w
                 if risky[k] & ~space.hm and cell_nonempty(elements[k], space)]

@@ -1281,6 +1281,16 @@ def test_verify_lemmata_refuses_group_over_budget_before_checks():
         verify_lemmata(fake, 1)
 
 
+@pytest.mark.parametrize("lie_type,rank", [("C", 3), ("D", 5)])
+def test_containment_leaves_inversion_sets_unbuilt(lie_type, rank):
+    """Work count: a passing containment check reads each Weyl element's
+    inverse permutation and builds no permutation or inversion set."""
+    real = _realization(lie_type, rank)
+    assert liealg._check_containment(real, 3, 1) is None
+    assert not any(hasattr(w, "_inversions") or hasattr(w, "_root_perm")
+                   for w in enumerate_weyl(real.rs))
+
+
 def test_containment_tests_each_cell_at_most_once(monkeypatch):
     """Work count, not time: a passing containment check computes one
     smallest space per w and runs the cell kernel on no (space, w) pair,

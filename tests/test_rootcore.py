@@ -718,6 +718,27 @@ def test_enumerate_weyl_fast_path_matches_checked_constructor(lie_type, rank):
     assert all(a < b for a, b in zip(keys, keys[1:]))
 
 
+def _derived(w):
+    """The lazily derived fields an element holds so far."""
+    return {name for name in ("_root_perm", "_inversions")
+            if hasattr(w, name)}
+
+
+def test_enumerate_weyl_builds_four_fields_per_element():
+    """Work count: an enumerated element holds its word, inverse
+    permutation and cell masks; its permutation and inversion set are
+    built only when asked for, and then kept."""
+    rs = build_root_system("D", 4)
+    elems = enumerate_weyl(rs)
+    assert all(_derived(w) == set() for w in elems)
+    w = elems[-1]
+    perm = w.root_permutation()
+    assert w.root_permutation() is perm
+    assert w.inversion_indices() is w.inversion_indices()
+    assert _derived(w) == {"_root_perm", "_inversions"}
+    assert all(_derived(v) == set() for v in elems[:-1])
+
+
 def test_enumerate_weyl_validates_the_simple_reflections():
     rs = build_root_system("A", 3)
     a1, a2 = rs._simple_index[:2]
