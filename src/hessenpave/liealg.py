@@ -69,7 +69,6 @@ the public boundary: ``NilpotentElement``, ``RowMatrix``,
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
-from math import factorial
 
 from .errors import ConsistencyError
 from .hessenberg import (
@@ -455,30 +454,27 @@ def _iad_series(real: ChevalleyRealization, x: dict[int, Fraction | int],
                 n: dict[int, Fraction | int]
                 ) -> tuple[int, dict[int, Fraction | int]]:
     """``(K!, K!·Ad(exp X)(N))``, K the highest power with ad(X)^K(N)
-    nonzero: the powers ad(X)^k(N), added up with the integer weights
-    K!/k!.  Integer X and N give integers, which the lemma checks compare
-    as they are; ad(X) is nilpotent, so the series ends."""
-    terms = [n]
-    for _ in range(4 * real.rs.num_positive + 1):
-        term = _ibracket(real, x, terms[-1])
+    nonzero: the powers ad(X)^k(N) added up Horner-wise, as
+    k!·Σ_{i≤k} ad(X)^i(N)/i! = k·((k−1)!·Σ_{i<k} …) + ad(X)^k(N).  Integer
+    X and N give integers, which the lemma checks compare as they are;
+    ad(X) is nilpotent, so the series ends."""
+    out = dict(n)
+    term = n
+    scale = 1
+    for k in range(1, 4 * real.rs.num_positive + 2):
+        term = _ibracket(real, x, term)
         if not term:
-            break
-        terms.append(term)
-    else:
-        raise ConsistencyError("adjoint exponential series failed to "
-                               "terminate")
-    scale = factorial(len(terms) - 1)
-    out = {i: scale * v for i, v in n.items()}
-    weight = scale
-    for k, term in enumerate(terms[1:], start=1):
-        weight //= k                            # K!/k!
+            return scale, out
+        if k > 1:
+            scale *= k
+            out = {i: k * v for i, v in out.items()}
         for i, v in term.items():
-            w = out.get(i, 0) + weight * v
+            w = out.get(i, 0) + v
             if w:
                 out[i] = w
             elif i in out:
                 del out[i]
-    return scale, out
+    raise ConsistencyError("adjoint exponential series failed to terminate")
 
 
 def _iad_exp(real: ChevalleyRealization, x: dict[int, Fraction | int],
@@ -859,10 +855,11 @@ def _check_containment(real: ChevalleyRealization, trials: int,
     ``risky(w)`` in ``w.im`` (the negative w⁻¹-images of positive roots)
     can leave it: the mask is built, in one pass over the positive roots,
     only for the w with ``w.im`` outside their smallest space.  That
-    smallest space is also checked to be one of the enumerated spaces.  Only for the suspect w, those whose smallest
-    space fails, are the (space, w) cells tested; the samples are then
-    scanned in order, and the first failing triple (N, then space, then w)
-    is rerun root by root to name the row, the root and the reason.
+    smallest space is also checked to be one of the enumerated spaces.
+    Only for the suspect w, those whose smallest space fails, are the
+    (space, w) cells tested; the samples are then scanned in order, and the
+    first failing triple (N, then space, then w) is rerun root by root to
+    name the row, the root and the reason.
     """
     rs = real.rs
     table = stage_table(rs).rows
@@ -892,10 +889,7 @@ def _check_containment(real: ChevalleyRealization, trials: int,
             raise ConsistencyError(
                 f"{rs.lie_type}{rs.rank} word {list(w.word)}: the smallest "
                 "space with a nonempty cell is not an enumerated space")
-        # every space holds Φ⁺, and the w⁻¹-images of positive roots that
-        # are negative make up w.im, so a w with w.im inside least space
-        # cannot fail
-        if w.im & ~least:
+        if w.im & ~least:         # else no risky bit can leave least
             # inv lists the positive roots first, as flagged does
             outside_phi_w = ~w.inversion_mask()
             mask = sum([1 << x for x, dm in
