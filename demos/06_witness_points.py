@@ -12,7 +12,6 @@ per-stage solution-space dimensions reproduce the cell's row profile.
 from fractions import Fraction
 
 from hessenpave import (
-    NilpotentElement,
     build_chevalley,
     build_root_system,
     enumerate_hessenberg,
@@ -33,14 +32,17 @@ for w in enumerate_weyl(c2):
         print(f"  {format_word(w) or '(identity)':8} empty")
         continue
     wit = find_witness(real, w, space)
-    sol = [{str(r): str(v) for r, v in s.items()} for s in wit.stage_solutions]
+    pos = c2.positive_roots
+    sol = [{str(pos[p]): str(v) for p, v in sorted(s.items())}
+           for s in wit.stage_solutions]
     print(f"  {format_word(w) or '(identity)':8} dims {wit.stage_kernel_dims} "
           f"= profile {row_dimension_profile(w, space)}  stages {sol}")
 
 print("\nA witness with a genuinely rational solution, off the default "
       "nilpotent (C2, full space, longest element):")
-n = NilpotentElement({c2.simple_roots[0]: Fraction(3, 2),
-                      c2.simple_roots[1]: -2})
+# N maps positive-root indices to coefficients: 3/2 on alpha1, -2 on alpha2
+a1, a2 = (c2.root_index(a) for a in c2.simple_roots)
+n = {a1: Fraction(3, 2), a2: -2}
 w0 = enumerate_weyl(c2)[-1]
 wit = find_witness(real, w0, parse_hessenberg(c2, "full"), n)
 print("  stage dims:", wit.stage_kernel_dims, " verified:", wit.verified)

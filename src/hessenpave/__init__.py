@@ -11,10 +11,9 @@ point anywhere:
 * the paving of a regular nilpotent Hessenberg variety by Bruhat cells —
   nonemptiness, dimensions by two independent formulas, per-row dimension
   profiles, and Betti numbers (``paving``);
-* explicit matrix realizations of the classical Lie algebras, the
-  row-projected adjoint operators, computational verification of the
-  supporting structural lemmata, and constructive witness points for every
-  nonempty cell (``liealg``);
+* explicit matrix realizations of the classical Lie algebras,
+  computational verification of the supporting structural lemmata, and
+  constructive witness points for every nonempty cell (``liealg``);
 * an independent type-A oracle that counts flags over small prime fields
   and compares point counts against the predicted cell dimensions
   (``fforacle``).
@@ -63,15 +62,10 @@ from .paving import (
 )
 from .liealg import (
     ChevalleyRealization,
-    NilpotentElement,
     StructureConstantTable,
     WitnessResult,
-    ad_exp,
     build_chevalley,
     find_witness,
-    psi_matrix,
-    sum_of_simple_vectors,
-    theta_row,
     verify_lemmata,
 )
 from .fforacle import (
@@ -84,16 +78,16 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BettiTable", "ChevalleyRealization", "ComplementIdeal",
-    "ConsistencyError", "HessenbergSpace", "NilpotentElement",
-    "PavingCell", "Root", "RootSystem", "StructureConstantTable",
-    "WeylElement", "WitnessResult", "ad_exp", "apply", "build_chevalley",
+    "ConsistencyError", "HessenbergSpace", "PavingCell", "Root",
+    "RootSystem", "StructureConstantTable", "WeylElement", "WitnessResult",
+    "apply", "build_chevalley",
     "build_root_system", "cell_dimension", "cell_dimension_lie",
     "cell_nonempty", "complement_ideal", "compose", "compute_paving",
     "count_points", "dominance_leq", "enumerate_hessenberg",
     "enumerate_weyl", "find_witness", "format_root", "format_word",
     "from_function", "from_negative_roots", "hessenberg_check",
     "identity_element", "inverse", "inversion_set", "parse_root",
-    "parse_word", "poincare_polynomial", "psi_matrix",
-    "row_dimension_profile", "simple_reflection", "sum_of_simple_vectors",
-    "theta_row", "to_function", "verify_lemmata", "weyl_to_permutation",
+    "parse_word", "poincare_polynomial", "row_dimension_profile",
+    "simple_reflection", "to_function", "verify_lemmata",
+    "weyl_to_permutation",
 ]

@@ -208,10 +208,9 @@ def _run_witness(args) -> tuple:
     w = parse_word(rs, args.word)
     result = liealg.find_witness(liealg.build_chevalley(rs), w, space)
     profile = paving.row_dimension_profile(w, space)
-    stages = []
-    for sol in result.stage_solutions:
-        ordered = sorted(sol.items(), key=lambda kv: rs.root_index(kv[0]))
-        stages.append({str(root): _format_rational(v) for root, v in ordered})
+    pos = rs.positive_roots
+    stages = [{str(pos[p]): _format_rational(v) for p, v in sorted(sol.items())}
+              for sol in result.stage_solutions]
     record = {
         "type": rs.lie_type,
         "rank": rs.rank,

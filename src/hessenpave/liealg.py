@@ -35,13 +35,12 @@ importing the module, which every CLI call does, loads neither.
 
 Row operators
 -------------
-For a nilpotent element ``N = Σ n_α E_α`` the operator ``psi_matrix``
-restricts ad(N) to a row of the positive roots and projects back onto it;
-in the height-ordered basis it is strictly upper triangular with nonzero
+For a nilpotent element ``N = Σ n_α E_α`` the row operator of row i is
+``_ad_block`` on the stage table's row i: ad(N) restricted to the row and
+projected back onto it, entry (α, β) being ``m_{α−β,β} n_{α−β}``.  In the
+row's basis order it is strictly upper triangular with nonzero
 superdiagonal for regular N (types A/B/C), the fact driving the dimension
-count of the paving.  ``theta_row`` is the row projection of the adjoint
-exponential; on a single row it is affine except for the one quadratic
-coordinate in type C, which lands on the long root of the row.
+count of the paving.
 
 ``verify_lemmata`` turns the structural facts into executable checks
 (abelian/Heisenberg rows, the near-linearity case formulas, invariance of
@@ -58,12 +57,11 @@ exponential.  Its stages and type-C long roots, like the rows of the lemma
 checks, come from ``rootcore.stage_table``, which alone knows the type-D
 pairing.
 
-The coefficient-space calculus (``_ibracket``, ``_iad_series``,
-``_iad_exp``, ``_ad_block``)
-and the witness stages key coefficients by positive-root index, and the
-lemma checks read their rows as indices.  Roots key coefficients only at
-the public boundary: ``NilpotentElement``, ``RowMatrix``,
-``WitnessResult``, and the text of counterexamples and errors.
+Every coefficient map is keyed by root index: ``root_vectors`` and
+``expand`` by ``rs.all_roots`` index (positives first), N, the calculus
+(``_ibracket``, ``_iad_series``, ``_iad_exp``, ``_ad_block``), the lemma
+checks and the witness stages by positive-root index.  Roots appear only
+in text: counterexamples, error messages and the CLI's witness output.
 """
 
 from __future__ import annotations
@@ -98,14 +96,11 @@ from .rootcore import (
     enumerate_weyl,
     format_root,
     format_word,
-    row_order,
     stage_table,
     strictly_dominates,
 )
 
 DEFAULT_SEED = 2026
-
-Coeffs = dict[Root, "Fraction | int"]
 
 
 class StructureConstantTable(_Record):
@@ -120,58 +115,29 @@ class StructureConstantTable(_Record):
     rs: RootSystem
     table: tuple[tuple[int, ...], ...]
 
-    def m(self, a: Root, b: Root) -> int:
-        return self.table[self.rs.root_index(a)][self.rs.root_index(b)]
-
-
-class NilpotentElement(_Record):
-    """An element of the nilradical, as a finitely supported coefficient map
-    on the positive roots.  Unlike the other records it is mutable, and so
-    unhashable."""
-
-    __slots__ = ("coeffs",)
-    coeffs: Coeffs
-
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None
-
-    def support(self) -> set[Root]:
-        return {r for r, v in self.coeffs.items() if v}
-
-    def coefficient(self, root: Root) -> Fraction | int:
-        return self.coeffs.get(root, 0)
-
-    def is_regular(self, rs: RootSystem) -> bool:
-        """Regular iff every simple-root coefficient is nonzero."""
-        return all(self.coeffs.get(a, 0) != 0 for a in rs.simple_roots)
-
-
-def sum_of_simple_vectors(rs: RootSystem) -> NilpotentElement:
-    """The standard regular nilpotent: coefficient 1 on every simple root."""
-    return NilpotentElement({a: 1 for a in rs.simple_roots})
-
 
 class ChevalleyRealization:
     """A validated matrix realization of a classical Lie algebra.
 
     Attributes: ``rs``, ``dim_rep`` (n+1 / 2n+1 / 2n / 2n for A/B/C/D),
-    ``root_vectors`` mapping every root (both signs) to a sparse matrix
-    with nonzero integer entries, ``cartan_basis`` (the n diagonal brackets
+    ``root_vectors``, the sparse matrix with nonzero integer entries of
+    every root, by ``rs.all_roots`` index (positives first, then their
+    negatives in the same order), ``cartan_basis`` (the n diagonal brackets
     [E_{α_i}, E_{−α_i}]), and ``constants``.  A construction error names
     the system.
     """
 
-    def __init__(self, rs: RootSystem, root_vectors: dict[Root, Sparse]):
+    def __init__(self, rs: RootSystem, root_vectors: Sequence[Sparse]):
         self.rs = rs
         self.dim_rep = _dim_rep(rs)
         self.root_vectors = root_vectors
         try:
             self._validate_supports()
             self.constants = self._extract_constants()
+            npos = rs.num_positive
             self.cartan_basis = tuple(
-                sp_commutator(root_vectors[a], root_vectors[-a])
-                for a in rs.simple_roots
+                sp_commutator(root_vectors[s], root_vectors[s + npos])
+                for s in rs._simple_index
             )
             self._validate_weights()
         except ConsistencyError as exc:
@@ -181,10 +147,12 @@ class ChevalleyRealization:
 
     def _validate_supports(self) -> None:
         rs = self.rs
-        if set(self.root_vectors) != set(rs.all_roots):
-            raise ConsistencyError("realization must carry every root")
+        if (not isinstance(self.root_vectors, Sequence)
+                or len(self.root_vectors) != len(rs.all_roots)):
+            raise ConsistencyError("realization must carry every root, by "
+                                   "rs.all_roots index")
         owner: dict[tuple[int, int], Root] = {}
-        for root, mat in self.root_vectors.items():
+        for root, mat in zip(rs.all_roots, self.root_vectors):
             if not mat:
                 raise ConsistencyError(f"zero root vector at {root}")
             for pos, v in mat.items():
@@ -201,9 +169,7 @@ class ChevalleyRealization:
                 raise ConsistencyError(
                     f"positive root vector {root} is not strictly upper triangular")
         # anchor: deterministic representative entry of each root vector
-        self._anchor = {
-            root: min(mat) for root, mat in self.root_vectors.items()
-        }
+        self._anchor = [min(mat) for mat in self.root_vectors]
 
     def _extract_constants(self) -> StructureConstantTable:
         """Read each m_{α,β} off [E_α, E_β] in integers, forming the
@@ -213,7 +179,7 @@ class ChevalleyRealization:
         rs = self.rs
         roots = rs.all_roots
         keys = rs._keys
-        vectors = [self.root_vectors[r] for r in roots]
+        vectors = self.root_vectors
         # a + b by its key, the sum of the keys of a and b; key 0 is a + b = 0
         by_key = {k: s for s, k in enumerate(keys)}
         rows_in = [sum({1 << r for r, _ in mat}) for mat in vectors]
@@ -254,16 +220,15 @@ class ChevalleyRealization:
         rs = self.rs
         for h in self.cartan_basis:
             eig = []              # the integer eigenvalue on each E_{α_j}
-            for a in rs.simple_roots:
-                ea = self.root_vectors[a]
+            for a, s in zip(rs.simple_roots, rs._simple_index):
+                ea = self.root_vectors[s]
                 pos, val = next(iter(ea.items()))
                 num = sp_commutator(h, ea).get(pos, 0)
                 if num % val:
                     raise ConsistencyError(f"Cartan eigenvalue {num}/{val} "
                                            f"on E_{a} is not an integer")
                 eig.append(num // val)
-            for root in rs.all_roots:
-                er = self.root_vectors[root]
+            for root, er in zip(rs.all_roots, self.root_vectors):
                 lam = sum(c * e for c, e in zip(root.coeffs, eig))
                 if not sp_equal(sp_commutator(h, er), sp_scale(er, lam)):
                     raise ConsistencyError(
@@ -271,32 +236,34 @@ class ChevalleyRealization:
 
     # -- conversions -------------------------------------------------------
 
-    def matrix_of(self, element: NilpotentElement) -> Sparse:
-        """The matrix Σ n_α E_α of a coefficient map."""
+    def matrix_of(self, coeffs: Mapping[int, Fraction | int]) -> Sparse:
+        """The matrix Σ n_α E_α of a coefficient map keyed by
+        ``rs.all_roots`` index."""
         out: Sparse = {}
-        for root, v in element.coeffs.items():
+        for k, v in coeffs.items():
             if v:
-                out = sp_add(out, sp_scale(self.root_vectors[root], v))
+                out = sp_add(out, sp_scale(self.root_vectors[k], v))
         return out
 
-    def expand(self, mat: Sparse) -> tuple[tuple[Fraction, ...], Coeffs]:
+    def expand(self, mat: Sparse
+               ) -> tuple[tuple[Fraction, ...], dict[int, Fraction]]:
         """Expand a matrix over the root-vector basis plus the Cartan.
 
-        Returns (cartan coefficients, root coefficient map); raises
-        ValueError when the matrix is not in the span.
+        Returns (cartan coefficients, root coefficient map keyed by
+        ``rs.all_roots`` index); raises ValueError when the matrix is not
+        in the span.
         """
         from fractions import Fraction
 
-        coeffs: Coeffs = {}
+        coeffs: dict[int, Fraction] = {}
         residual = dict(mat)
-        for root in self.rs.all_roots:
-            anchor = self._anchor[root]
+        for k, (anchor, vec) in enumerate(zip(self._anchor,
+                                              self.root_vectors)):
             if anchor in residual:
-                c = Fraction(residual[anchor]) / self.root_vectors[root][anchor]
+                c = Fraction(residual[anchor]) / vec[anchor]
                 if c:
-                    coeffs[root] = c
-                    residual = sp_add(
-                        residual, sp_scale(self.root_vectors[root], -c))
+                    coeffs[k] = c
+                    residual = sp_add(residual, sp_scale(vec, -c))
         if any(r != c for (r, c) in residual):
             raise ValueError("matrix is not expressible in the root-vector "
                              "basis plus the Cartan")
@@ -326,8 +293,9 @@ def _dim_rep(rs: RootSystem) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _root_vectors(rs: RootSystem) -> dict[Root, Sparse]:
-    """The defining-representation matrix of every root vector (0-based).
+def _root_vectors(rs: RootSystem) -> tuple[Sparse, ...]:
+    """The defining-representation matrix of every root vector (0-based),
+    by ``rs.all_roots`` index.
 
     Basis vector k has weight ε_{k+1} (in types B, C, D for k < n, with
     weight −ε_{k+1} on its mirror size−1−k and 0 on the middle one of B).
@@ -364,17 +332,18 @@ def _root_vectors(rs: RootSystem) -> dict[Root, Sparse]:
         for e in wt[1:n - 2]:
             flip |= {e - wt[n - 2], e - wt[n - 1], e + wt[n - 1]}
         flip |= {-k for k in flip}
-    vectors = {}
+    vectors = []
     for root in rs.all_roots:
         key = sum(c * e for c, e in zip(root.coeffs, simple))
         r, c = next((r, index[w - key]) for r, w in enumerate(wt)
                     if w - key in index)
         s = -1 if key in flip else 1
-        mat = vectors[root] = {(r, c): s}
+        mat = {(r, c): s}
         mirror = (size - 1 - c, size - 1 - r)
         if t != "A" and mirror != (r, c):
             mat[mirror] = -s if t != "C" or (r < n) == (c < n) else s
-    return vectors
+        vectors.append(mat)
+    return tuple(vectors)
 
 
 def build_chevalley(rs: RootSystem) -> ChevalleyRealization:
@@ -383,39 +352,19 @@ def build_chevalley(rs: RootSystem) -> ChevalleyRealization:
 
 
 def _chain_root(rs: RootSystem, lo: int, hi: int,
-                fork: bool = False) -> Root | None:
-    """The root α_lo + ... + α_hi, plus α_n when ``fork``; None when that
-    sum (or an empty chain) is not a root."""
+                fork: bool = False) -> int | None:
+    """The index of the root α_lo + ... + α_hi, plus α_n when ``fork``;
+    None when that sum (or an empty chain) is not a root."""
     n = rs.rank
     v = [1 if lo <= k <= hi else 0 for k in range(1, n + 1)]
     if fork:
         v[n - 1] += 1
-    t = tuple(v)
-    return Root(t) if rs.is_root(t) else None
+    return rs._index.get(tuple(v))
 
 
 # ---------------------------------------------------------------------------
 # coefficient-space adjoint calculus
 # ---------------------------------------------------------------------------
-
-
-def _to_index_coeffs(real: ChevalleyRealization, coeffs: Mapping[Root, Fraction | int]
-                     ) -> dict[int, Fraction | int]:
-    rs = real.rs
-    out: dict[int, Fraction | int] = {}
-    for root, v in coeffs.items():
-        if v:
-            idx = rs.root_index(root)
-            if idx >= rs.num_positive:
-                raise ValueError(f"{format_root(root)} is not a positive root")
-            out[idx] = v
-    return out
-
-
-def _from_index_coeffs(real: ChevalleyRealization, coeffs: dict[int, Fraction | int]
-                       ) -> Coeffs:
-    pos = real.rs.positive_roots
-    return {pos[i]: v for i, v in sorted(coeffs.items()) if v}
 
 
 def _sum_pairs(rs: RootSystem) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -488,34 +437,6 @@ def _iad_exp(real: ChevalleyRealization, x: dict[int, Fraction | int],
     return {i: Fraction(v, scale) for i, v in out.items()}
 
 
-def ad_exp(real: ChevalleyRealization, x: NilpotentElement,
-           n: NilpotentElement) -> NilpotentElement:
-    """Ad(exp X)(N) for X, N in the nilradical, exactly, re-expanded in the
-    root-vector basis."""
-    xi = _to_index_coeffs(real, x.coeffs)
-    ni = _to_index_coeffs(real, n.coeffs)
-    return NilpotentElement(_from_index_coeffs(real, _iad_exp(real, xi, ni)))
-
-
-def _project(rs: RootSystem, coeffs: dict[int, Fraction | int],
-             indices: frozenset[int]) -> dict[int, Fraction | int]:
-    return {k: v for k, v in coeffs.items() if k in indices and v}
-
-
-# ---------------------------------------------------------------------------
-# psi and theta
-# ---------------------------------------------------------------------------
-
-
-class RowMatrix(_Record):
-    """A square matrix indexed by the roots of one row, in the fixed order
-    (height descending, type-D ties resolved by coefficient order)."""
-
-    __slots__ = ("roots", "entries")
-    roots: tuple[Root, ...]
-    entries: tuple[tuple[Fraction | int, ...], ...]
-
-
 def _ad_block(real: ChevalleyRealization, coeffs: dict[int, Fraction | int],
               targets: Sequence[int], sources: Sequence[int]
               ) -> list[list[Fraction | int]]:
@@ -528,53 +449,6 @@ def _ad_block(real: ChevalleyRealization, coeffs: dict[int, Fraction | int],
              else m[d][b] * coeffs.get(d, 0)
              for b in sources]
             for line in (diff[a] for a in targets)]
-
-
-def _psi_entries(real: ChevalleyRealization, coeffs: Coeffs, i: int
-                 ) -> tuple[tuple[Root, ...], list[list[Fraction | int]]]:
-    order = stage_table(real.rs).rows[i - 1]
-    return (row_order(real.rs, i),
-            _ad_block(real, _to_index_coeffs(real, coeffs), order, order))
-
-
-def psi_matrix(real: ChevalleyRealization, n: NilpotentElement,
-               i: int) -> RowMatrix:
-    """The restriction-and-projection of ad(N) to row i, as a matrix.
-
-    Entry (α, β) is ``m_{α−β,β} n_{α−β}`` when α−β is a positive root and 0
-    otherwise.  The same matrix is recomputed from genuine matrix brackets
-    ρ_i[N, E_β], and the two must agree.
-    """
-    rs = real.rs
-    if not 1 <= i <= rs.rank:
-        raise ValueError(f"row index {i} out of range")
-    order, mat = _psi_entries(real, n.coeffs, i)
-
-    nmat = real.matrix_of(n)
-    for col, beta in enumerate(order):
-        br = sp_commutator(nmat, real.root_vectors[beta])
-        _, expanded = real.expand(br)
-        for row, alpha in enumerate(order):
-            if expanded.get(alpha, 0) != mat[row][col]:
-                raise ConsistencyError(
-                    "row operator disagrees with matrix brackets at "
-                    f"({format_root(alpha)}, {format_root(beta)})")
-    return RowMatrix(order, tuple(tuple(line) for line in mat))
-
-
-def theta_row(real: ChevalleyRealization, n: NilpotentElement,
-              x: NilpotentElement, i: int) -> Coeffs:
-    """ρ_i Ad(exp X)(N) for X supported on a single row."""
-    rs = real.rs
-    if not 1 <= i <= rs.rank:
-        raise ValueError(f"row index {i} out of range")
-    table = stage_table(rs).rows
-    xi = _to_index_coeffs(real, x.coeffs)
-    if xi and sum(not xi.keys().isdisjoint(row) for row in table) != 1:
-        raise ValueError("X must be supported on a single row")
-    ni = _to_index_coeffs(real, n.coeffs)
-    out = _project(rs, _iad_exp(real, xi, ni), frozenset(table[i - 1]))
-    return _from_index_coeffs(real, out)
 
 
 # ---------------------------------------------------------------------------
@@ -631,13 +505,6 @@ def _random_coeffs(rs: RootSystem, rng: random.Random,
         if v:
             out[k] = v
     return out
-
-
-def _random_nilpotent(rs: RootSystem, rng: random.Random,
-                      regular: bool) -> NilpotentElement:
-    pos = rs.positive_roots
-    return NilpotentElement({pos[k]: v for k, v in
-                             _random_coeffs(rs, rng, regular).items()})
 
 
 def _random_row_element(rs: RootSystem, rng: random.Random, j: int
@@ -863,12 +730,12 @@ def _check_containment(real: ChevalleyRealization, trials: int,
     """
     rs = real.rs
     table = stage_table(rs).rows
-    samples = [sum_of_simple_vectors(rs)]
+    samples = [dict.fromkeys(rs._simple_index, 1)]
     for t in range(min(trials, 3)):
-        samples.append(_random_nilpotent(rs, _rng(seed, f"cont:{t}"),
-                                         regular=True))
-    row_ids = [i for i, row in enumerate(table, start=1) if row]
-    psi = [{i: _psi_entries(real, nn.coeffs, i) for i in row_ids}
+        samples.append(_random_coeffs(rs, _rng(seed, f"cont:{t}"),
+                                      regular=True))
+    rows = [(i, row) for i, row in enumerate(table, start=1) if row]
+    psi = [{i: _ad_block(real, nn, row, row) for i, row in rows}
            for nn in samples]
     faults = [_first_entry_faults(rs, psi_rows) for psi_rows in psi]
     any_fault = tuple(set().union(*faults))
@@ -923,16 +790,18 @@ def _check_containment(real: ChevalleyRealization, trials: int,
                            "fails for no sample")
 
 
-def _first_entry_faults(rs: RootSystem, psi_rows: dict[int, tuple]
+def _first_entry_faults(rs: RootSystem, psi_rows: dict[int, list]
                         ) -> frozenset[int]:
     """Indices of the row roots whose row-operator line is zero or has its
     first nonzero entry at a β with α − β not simple."""
     table = stage_table(rs).rows
+    simple = frozenset(rs._simple_index)
     out = []
-    for i, (order, mat) in psi_rows.items():
-        for k, alpha, line in zip(table[i - 1], order, mat):
+    for i, mat in psi_rows.items():
+        row = table[i - 1]
+        for k, line in zip(row, mat):
             first = next((c for c, v in enumerate(line) if v), None)
-            if first is None or alpha.height - order[first].height != 1:
+            if first is None or rs._pos_diff[k][row[first]] not in simple:
                 out.append(k)
     return frozenset(out)
 
@@ -945,7 +814,7 @@ def _positive_simple_drops(rs: RootSystem) -> tuple[tuple[int, int], ...]:
                  for k, line in enumerate(rs._pos_diff))
 
 
-def _containment_counterexample(rs: RootSystem, psi_rows: dict[int, tuple],
+def _containment_counterexample(rs: RootSystem, psi_rows: dict[int, list],
                                 space: HessenbergSpace,
                                 w: WeylElement) -> dict | None:
     """The containment conditions of one nonempty cell for one N, root by
@@ -953,26 +822,28 @@ def _containment_counterexample(rs: RootSystem, psi_rows: dict[int, tuple],
     inv_perm = w.inverse_root_permutation()
     inversions = w.inversion_indices()
     table = stage_table(rs).rows
-    for i, (order, mat) in psi_rows.items():
-        for k, alpha, line in zip(table[i - 1], order, mat):
+    simple = rs._simple_index
+    pos = rs.positive_roots
+    for i, mat in psi_rows.items():
+        row = table[i - 1]
+        for k, line in zip(row, mat):
             if space.hm >> inv_perm[k] & 1:
                 continue          # α ∈ wΦ_H: no claim
+            alpha = format_root(pos[k])
             first = next((c for c, v in enumerate(line) if v), None)
             if first is None:
                 return {"hessenberg": sorted(
                             format_root(r) for r in space.negative_part),
-                        "word": list(w.word), "row": i,
-                        "alpha": format_root(alpha),
+                        "word": list(w.word), "row": i, "alpha": alpha,
                         "reason": "zero row for an excluded root"}
-            if alpha.height - order[first].height != 1:
-                return {"word": list(w.word), "row": i,
-                        "alpha": format_root(alpha),
+            if rs._pos_diff[k][row[first]] not in simple:
+                return {"word": list(w.word), "row": i, "alpha": alpha,
                         "reason": "first entry not at a simple difference"}
-            for j, a in enumerate(rs._simple_index, start=1):
+            for j, a in enumerate(simple, start=1):
                 d = rs._pos_diff[k][a]
                 if d is not None and d not in inversions:
                     return {"word": list(w.word), "row": i,
-                            "alpha": format_root(alpha), "simple": j,
+                            "alpha": alpha, "simple": j,
                             "reason": "simple-difference root escapes "
                                       "the inversion set"}
     return None
@@ -984,11 +855,11 @@ def _check_type_d_block(real: ChevalleyRealization, trials: int,
     if rs.lie_type != "D":
         return None
     n = rs.rank
+    simple = rs._simple_index
+    m = real.constants.table
     for t in range(trials):
         rng = _rng(seed, f"dblock:{t}")
-        nn = _random_nilpotent(rs, rng, regular=True)
-        cf = nn.coeffs
-        ci = _to_index_coeffs(real, cf)
+        cf = _random_coeffs(rs, rng, regular=True)
         # the 3x3 middle block exists for stages pairing two full rows,
         # i.e. i <= n-3; the last pairing degenerates (its top row root
         # Σ_{j=i+1}^n α_j stops being a root)
@@ -1001,12 +872,10 @@ def _check_type_d_block(real: ChevalleyRealization, trials: int,
                          _chain_root(rs, i, n - 2)]
             # entry (r, c) is m_{c,r−c} n_{r−c}: the block of −ad(N)
             block = [[-v for v in line]
-                     for line in _ad_block(
-                         real, ci, [rs.root_index(r) for r in row_targets],
-                         [rs.root_index(r) for r in col_roots])]
-            na = cf.get(rs.simple_roots[i - 1], 0)
-            nb = cf.get(rs.simple_roots[n - 2], 0)
-            nc = cf.get(rs.simple_roots[n - 1], 0)
+                     for line in _ad_block(real, cf, row_targets, col_roots)]
+            na = cf.get(simple[i - 1], 0)
+            nb = cf.get(simple[n - 2], 0)
+            nc = cf.get(simple[n - 1], 0)
             expected = [[nc, nb, 0], [-na, 0, nb], [0, -na, nc]]
             if block != expected:
                 return {"trial": t, "stage": i, "block": [
@@ -1024,18 +893,18 @@ def _check_type_d_block(real: ChevalleyRealization, trials: int,
     # the constants _root_vectors pins to +1, on every row i <= n-2 and
     # wherever the sum is a root: the blocks above read them for i <= n-3,
     # and the last pairing and D3's m(α_1, α_2) only here
-    fork_a, fork_b = rs.simple_roots[n - 2], rs.simple_roots[n - 1]
+    fork_a, fork_b = simple[n - 2], simple[n - 1]
+    pos = rs.positive_roots
     for i in range(1, n - 1):
         chain = _chain_root(rs, i, n - 2)                  # c_i
         next_a = _chain_root(rs, i + 1, n - 1)             # c_{i+1} + α_{n-1}
         next_b = _chain_root(rs, i + 1, n - 2, fork=True)  # c_{i+1} + α_n
-        alpha_i = rs.simple_roots[i - 1]
+        alpha_i = simple[i - 1]
         for a, b in ((chain, fork_a), (chain, fork_b), (alpha_i, next_a),
                      (alpha_i, next_b), (next_a, fork_b), (next_b, fork_a)):
-            if rs.root_add(a, b) is not None and real.constants.m(a, b) != 1:
-                return {"row": i, "alpha": format_root(a),
-                        "beta": format_root(b),
-                        "constant": str(real.constants.m(a, b)),
+            if rs._pos_sum[a][b] is not None and m[a][b] != 1:
+                return {"row": i, "alpha": format_root(pos[a]),
+                        "beta": format_root(pos[b]), "constant": str(m[a][b]),
                         "reason": "pinned structure constant is not +1"}
     return None
 
@@ -1105,16 +974,16 @@ def verify_lemmata(real: ChevalleyRealization, trial_count: int = 200,
 class WitnessResult(_Record):
     """Stage-by-stage solution of the unipotent conjugation problem.
 
-    ``stage_solutions[k]`` is the coefficient map X_k solved at stage k
-    (rows ascending; in type D stage k pairs the plain part of row k with
-    the fork parts of row k+1, and k starts at 0); the unipotent element is
-    ``exp(X_0) exp(X_1) ...``.  ``stage_kernel_dims`` records the dimension
-    of each stage's affine solution space; these match the row dimension
-    profile of the cell.
+    ``stage_solutions[k]`` is the coefficient map X_k solved at stage k,
+    keyed by positive-root index (rows ascending; in type D stage k pairs
+    the plain part of row k with the fork parts of row k+1, and k starts at
+    0); the unipotent element is ``exp(X_0) exp(X_1) ...``.
+    ``stage_kernel_dims`` records the dimension of each stage's affine
+    solution space; these match the row dimension profile of the cell.
     """
 
     __slots__ = ("stage_solutions", "stage_kernel_dims", "verified")
-    stage_solutions: tuple[Coeffs, ...]
+    stage_solutions: tuple[dict[int, Fraction], ...]
     stage_kernel_dims: tuple[int, ...]
     verified: bool
 
@@ -1132,8 +1001,13 @@ def _witness_context(space: HessenbergSpace, w: WeylElement,
 
 def find_witness(real: ChevalleyRealization, w: WeylElement,
                  space: HessenbergSpace,
-                 n: NilpotentElement | None = None) -> WitnessResult:
+                 n: Mapping[int, int | Fraction] | None = None
+                 ) -> WitnessResult:
     """Solve for a unipotent element u with Ad(u)(N) inside Ad(w)(H).
+
+    N is a map from positive-root index to an int or Fraction coefficient,
+    by default 1 on every simple root; the stage solutions are keyed the
+    same way.
 
     Works stage by stage from the deepest row outward; each stage is an
     exact affine solve over the rationals (plus the one quadratic long-root
@@ -1151,7 +1025,9 @@ def find_witness(real: ChevalleyRealization, w: WeylElement,
 
     The result is verified by direct matrix computation, and the stage
     kernel dimensions are checked against the row dimension profile.
-    Raises ValueError for an empty cell or a non-regular N,
+    Raises ValueError for an empty cell, for an N with a key that is not a
+    positive-root index or a coefficient that is not an int or Fraction,
+    and for a non-regular N (a zero simple-root coefficient);
     ConsistencyError if any stage is infeasible or the final membership
     check fails (both would contradict the paving).
     """
@@ -1162,8 +1038,15 @@ def find_witness(real: ChevalleyRealization, w: WeylElement,
         raise ValueError("Weyl element, space, and realization must share "
                          "one root system")
     if n is None:
-        n = sum_of_simple_vectors(rs)
-    if not n.is_regular(rs):
+        n = dict.fromkeys(rs._simple_index, 1)
+    for k, v in n.items():
+        if type(k) is not int or not 0 <= k < rs.num_positive:
+            raise ValueError(f"N must be keyed by positive-root indices "
+                             f"0..{rs.num_positive - 1}, got {k!r}")
+        if type(v) not in (int, Fraction):
+            raise ValueError(f"coefficient {v!r} of N at {k} is not an int "
+                             "or a Fraction")
+    if not all(n.get(a) for a in rs._simple_index):
         raise ValueError("witness search requires a regular nilpotent")
     if not cell_nonempty(w, space):
         raise ValueError("cell is empty; no witness exists")
@@ -1172,7 +1055,7 @@ def find_witness(real: ChevalleyRealization, w: WeylElement,
     inversions = w.inversion_indices()
     table = stage_table(rs)
     stages = table.stages
-    current = _to_index_coeffs(real, n.coeffs)
+    current = {k: v for k, v in n.items() if v}
     solutions: list[dict[int, Fraction]] = [{} for _ in stages]
     kernels: list[int] = [0] * len(stages)
 
@@ -1253,14 +1136,12 @@ def find_witness(real: ChevalleyRealization, w: WeylElement,
             f"profile {profile} ({_witness_context(space, w, k)})")
 
     _verify_witness_matrix(real, w, space, n, solutions, current)
-    pos = rs.positive_roots
-    return WitnessResult(
-        tuple({pos[p]: v for p, v in sol.items()} for sol in solutions),
-        tuple(kernels), True)
+    return WitnessResult(tuple(solutions), tuple(kernels), True)
 
 
 def _verify_witness_matrix(real: ChevalleyRealization, w: WeylElement,
-                           space: HessenbergSpace, n: NilpotentElement,
+                           space: HessenbergSpace,
+                           n: Mapping[int, Fraction | int],
                            solutions: list[dict[int, Fraction]],
                            final: dict[int, Fraction | int]) -> None:
     """Direct matrix check: conjugate N by the solved unipotent element and
@@ -1273,7 +1154,7 @@ def _verify_witness_matrix(real: ChevalleyRealization, w: WeylElement,
     u = {(i, i): Fraction(1) for i in range(size)}
     u_inv = {(i, i): Fraction(1) for i in range(size)}
     for sol in filter(None, solutions):
-        xmat = real.matrix_of(NilpotentElement(_from_index_coeffs(real, sol)))
+        xmat = real.matrix_of(sol)
         u = sp_mul(u, sp_exp_nilpotent(xmat, size))
         u_inv = sp_mul(sp_exp_nilpotent(sp_scale(xmat, -1), size), u_inv)
 
@@ -1282,16 +1163,16 @@ def _verify_witness_matrix(real: ChevalleyRealization, w: WeylElement,
     if any(cartan):
         raise ConsistencyError("conjugated nilpotent acquired a Cartan part "
                                f"({_witness_context(space, w)})")
-    final_map = _from_index_coeffs(real, final)
-    if {r: Fraction(v) for r, v in expanded.items()} != \
-            {r: Fraction(v) for r, v in final_map.items()}:
+    if {k: Fraction(v) for k, v in expanded.items()} != \
+            {k: Fraction(v) for k, v in final.items() if v}:
         raise ConsistencyError(
             "matrix conjugation disagrees with the coefficient-space "
             f"computation ({_witness_context(space, w)})")
 
     inv = w.inverse_root_permutation()
-    for root in expanded:
-        if expanded[root] and not space.hm >> inv[rs.root_index(root)] & 1:
+    for k, v in expanded.items():
+        if v and not space.hm >> inv[k] & 1:
             raise ConsistencyError(
                 f"witness lands outside the translated Hessenberg space "
-                f"at {format_root(root)} ({_witness_context(space, w)})")
+                f"at {format_root(rs.all_roots[k])} "
+                f"({_witness_context(space, w)})")

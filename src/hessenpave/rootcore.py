@@ -729,10 +729,11 @@ def check_weyl_budget(lie_type: str, rank: int) -> int | None:
 
 
 # Most roots of a system the witness command builds a realization for:
-# A19 (380 roots) and B14 and C14 (392) take 0.3-0.4 s as a fresh process
-# on a 2-vCPU Xeon.  The realization brackets only the root pairs whose
-# supports can meet, about 10 % of the |Φ|² pairs, but still looks every
-# pair up once (building A19 takes 0.19 s in-process, A30 0.77 s).
+# A19 (380 roots) and B14 and C14 (392) take 0.25-0.5 s as a fresh process
+# on a 2-vCPU Xeon (five runs each).  The realization brackets only the
+# root pairs whose supports can meet, about 10 % of the |Φ|² pairs, but
+# still looks every pair up once (building A19 takes 0.2 s in-process,
+# A30 0.9 s).
 _ROOT_BUDGET = 400
 
 

@@ -19,16 +19,7 @@ from hessenpave.hessenberg import (
     parse_hessenberg,
     smallest_containing,
 )
-from hessenpave.liealg import (
-    NilpotentElement,
-    ad_exp,
-    build_chevalley,
-    find_witness,
-    psi_matrix,
-    sum_of_simple_vectors,
-    theta_row,
-    verify_lemmata,
-)
+from hessenpave.liealg import build_chevalley, find_witness, verify_lemmata
 from hessenpave.linalg import sp_commutator, sp_equal, sp_scale
 from hessenpave.paving import cell_nonempty, row_dimension_profile
 from hessenpave.rootcore import (
@@ -54,6 +45,12 @@ REALIZABLE = [("A", 1), ("A", 2), ("A", 3), ("A", 4),
 
 def sp_is_diagonal(a):
     return all(r == c for (r, c) in a)
+
+
+def constant(real, a, b):
+    """The structure constant m_{a,b} of two roots."""
+    rs = real.rs
+    return real.constants.table[rs.root_index(a)][rs.root_index(b)]
 
 
 @pytest.fixture(scope="module")
@@ -85,34 +82,36 @@ def test_realizations_build_and_selfcheck(lie_type, rank):
         for b, m in zip(rs.all_roots, line):
             s = tuple(x + y for x, y in zip(a.coeffs, b.coeffs))
             assert (m != 0) == rs.is_root(s)
-            assert real.constants.m(b, a) == -m
+            assert constant(real, b, a) == -m
 
 
 def test_a1_single_matrix_unit():
     real = build_chevalley(build_root_system("A", 1))
-    vec = real.root_vectors[real.rs.simple_roots[0]]
+    vec = real.root_vectors[real.rs.root_index(real.rs.simple_roots[0])]
     assert vec == {(0, 1): 1}
 
 
 def test_a2_structure_constants(real_a2):
     rs = real_a2.rs
     a1, a2 = rs.simple_roots
-    m = real_a2.constants.m(a1, a2)
+    m = constant(real_a2, a1, a2)
     assert m in (1, -1)
-    assert real_a2.constants.m(a2, a1) == -m
+    assert constant(real_a2, a2, a1) == -m
 
 
 def test_c2_has_long_root_vector(real_c2):
     rs = real_c2.rs
     gamma = parse_root(rs, "2,1")
     assert real_c2.dim_rep == 4
-    assert gamma in real_c2.root_vectors
+    assert real_c2.root_vectors[rs.root_index(gamma)]
 
 
 def test_bracket_opposite_roots_is_diagonal(real_a2):
     rs = real_a2.rs
+    vectors = real_a2.root_vectors
     for a in rs.positive_roots:
-        h = sp_commutator(real_a2.root_vectors[a], real_a2.root_vectors[-a])
+        h = sp_commutator(vectors[rs.root_index(a)],
+                          vectors[rs.root_index(-a)])
         assert h and sp_is_diagonal(h)
 
 
@@ -127,14 +126,15 @@ def ref_extract_constants(real):
     ``rs.all_roots`` order, with the same checks and messages."""
     rs = real.rs
     roots = rs.all_roots
+    vectors = dict(zip(roots, real.root_vectors))
     table = [[0] * len(roots) for _ in roots]
     found = []
     for i, a in enumerate(roots):
         for j, b in enumerate(roots):
-            br = sp_commutator(real.root_vectors[a], real.root_vectors[b])
+            br = sp_commutator(vectors[a], vectors[b])
             ab = rs.root_add(a, b)
             if ab is not None:
-                target = real.root_vectors[ab]
+                target = vectors[ab]
                 pos, val = next(iter(target.items()))
                 coeff = Fraction(br.get(pos, 0), 1) / val
                 if coeff == 0 or coeff.denominator != 1:
@@ -174,13 +174,14 @@ def _corrupted(rs, vectors, rng, kind):
     vector holds on the root's side of the diagonal when there is one), or
     the vector scaled by 2."""
     root = rng.choice(rs.all_roots)
-    mat = dict(vectors[root])
+    k = rs.root_index(root)
+    mat = dict(vectors[k])
     if kind == "flip":
         pos = rng.choice(sorted(mat))
         mat[pos] = -mat[pos]
     elif kind == "extra":
         size = liealg._dim_rep(rs)
-        held = {pos for m in vectors.values() for pos in m}
+        held = {pos for m in vectors for pos in m}
         free = [(r, c) for r in range(size) for c in range(size)
                 if r != c and (r, c) not in mat]
         pos = rng.choice([(r, c) for r, c in free if (r, c) not in held
@@ -188,7 +189,7 @@ def _corrupted(rs, vectors, rng, kind):
         mat[pos] = rng.choice([-1, 1])
     else:
         mat = {pos: 2 * v for pos, v in mat.items()}
-    return {**vectors, root: mat}
+    return vectors[:k] + (mat,) + vectors[k + 1:]
 
 
 REFERENCE_SYSTEMS = [(t, r) for t in "ABCD" for r in range(1, 7)
@@ -227,7 +228,7 @@ def test_root_sum_pair_without_chaining_supports_is_refused():
     message = f"A2: bad structure constant for {a1} + {a2}"
     for cls in (liealg.ChevalleyRealization, RefRealization):
         with pytest.raises(ConsistencyError) as exc:
-            cls(rs, vectors)
+            cls(rs, tuple(vectors[r] for r in rs.all_roots))
         assert str(exc.value) == message
 
 
@@ -251,12 +252,162 @@ def test_constants_bracket_only_pairs_that_can_be_nonzero(monkeypatch):
 def test_realization_entries_must_be_nonzero_integers():
     rs = build_root_system("B", 2)
     vectors = liealg._root_vectors(rs)
-    root = rs.positive_roots[0]
     for value in (Fraction(1, 2), 0):
-        bad = {**vectors, root: {pos: value for pos in vectors[root]}}
+        bad = ({pos: value for pos in vectors[0]},) + vectors[1:]
         with pytest.raises(ConsistencyError,
                            match=r"^B2: entry .* is not a nonzero integer$"):
             liealg.ChevalleyRealization(rs, bad)
+
+
+@pytest.mark.parametrize("shape", ["root-keyed", "short"])
+def test_realization_takes_vectors_by_root_index(shape):
+    """The root vectors are a sequence over ``rs.all_roots``: a map keyed by
+    root, or a sequence one short, is refused by name."""
+    rs = build_root_system("B", 2)
+    vectors = liealg._root_vectors(rs)
+    bad = (dict(zip(rs.all_roots, vectors)) if shape == "root-keyed"
+           else vectors[:-1])
+    with pytest.raises(ConsistencyError, match=r"^B2: realization must carry "
+                       r"every root, by rs\.all_roots index$"):
+        liealg.ChevalleyRealization(rs, bad)
+
+
+# ---------------------------------------------------------------------------
+# Root-keyed references: the adjoint exponential and the row operators
+# ---------------------------------------------------------------------------
+
+# ``ad_exp``, ``psi_matrix``, ``theta_row`` and ``RowMatrix`` as the library
+# kept them when its public edge keyed coefficients by ``Root``.  Here a
+# coefficient map is a dict from positive roots to values; the two
+# converters adapt it to the index-keyed realization and calculus.
+
+
+def ref_to_index_coeffs(real, coeffs):
+    rs = real.rs
+    out = {}
+    for root, v in coeffs.items():
+        if v:
+            idx = rs.root_index(root)
+            if idx >= rs.num_positive:
+                raise ValueError(f"{format_root(root)} is not a positive root")
+            out[idx] = v
+    return out
+
+
+def ref_from_index_coeffs(real, coeffs):
+    pos = real.rs.positive_roots
+    return {pos[i]: v for i, v in sorted(coeffs.items()) if v}
+
+
+def ref_project(coeffs, indices):
+    return {k: v for k, v in coeffs.items() if k in indices and v}
+
+
+def ref_sum_of_simple_vectors(rs):
+    """The standard regular nilpotent: coefficient 1 on every simple root."""
+    return {a: 1 for a in rs.simple_roots}
+
+
+def ref_ad_exp(real, x, n):
+    """Ad(exp X)(N) for X, N in the nilradical, exactly, re-expanded in the
+    root-vector basis."""
+    xi = ref_to_index_coeffs(real, x)
+    ni = ref_to_index_coeffs(real, n)
+    return ref_from_index_coeffs(real, liealg._iad_exp(real, xi, ni))
+
+
+class ref_RowMatrix(rootcore._Record):
+    """A square matrix indexed by the roots of one row, in the fixed order
+    (height descending, type-D ties resolved by coefficient order)."""
+
+    __slots__ = ("roots", "entries")
+
+
+def ref_psi_matrix(real, n, i):
+    """The restriction-and-projection of ad(N) to row i, as a matrix.
+
+    Entry (α, β) is ``m_{α−β,β} n_{α−β}`` when α−β is a positive root and 0
+    otherwise.  The same matrix is recomputed from genuine matrix brackets
+    ρ_i[N, E_β], and the two must agree.
+    """
+    rs = real.rs
+    if not 1 <= i <= rs.rank:
+        raise ValueError(f"row index {i} out of range")
+    row = stage_table(rs).rows[i - 1]
+    ni = ref_to_index_coeffs(real, n)
+    order, mat = row_order(rs, i), liealg._ad_block(real, ni, row, row)
+
+    nmat = real.matrix_of(ni)
+    for col, beta in enumerate(order):
+        br = sp_commutator(nmat, real.root_vectors[rs.root_index(beta)])
+        _, expanded = real.expand(br)
+        for r, alpha in enumerate(order):
+            if expanded.get(rs.root_index(alpha), 0) != mat[r][col]:
+                raise ConsistencyError(
+                    "row operator disagrees with matrix brackets at "
+                    f"({format_root(alpha)}, {format_root(beta)})")
+    return ref_RowMatrix(order, tuple(tuple(line) for line in mat))
+
+
+def ref_theta_row(real, n, x, i):
+    """ρ_i Ad(exp X)(N) for X supported on a single row."""
+    rs = real.rs
+    if not 1 <= i <= rs.rank:
+        raise ValueError(f"row index {i} out of range")
+    table = stage_table(rs).rows
+    xi = ref_to_index_coeffs(real, x)
+    if xi and sum(not xi.keys().isdisjoint(row) for row in table) != 1:
+        raise ValueError("X must be supported on a single row")
+    ni = ref_to_index_coeffs(real, n)
+    out = ref_project(liealg._iad_exp(real, xi, ni), frozenset(table[i - 1]))
+    return ref_from_index_coeffs(real, out)
+
+
+def _reference_samples(rs):
+    """N as the sum of the simple vectors and three seeded regular samples,
+    index-keyed."""
+    rng = random.Random(f"reference-n:{rs.lie_type}{rs.rank}")
+    return [dict.fromkeys(rs._simple_index, 1)] + [
+        liealg._random_coeffs(rs, rng, regular=True) for _ in range(3)]
+
+
+@pytest.mark.parametrize("lie_type,rank", REALIZABLE + [("A", 5), ("D", 5)])
+def test_reference_psi_matrix_equals_ad_block(lie_type, rank):
+    """The reference row operator, which cross-checks itself against
+    genuine matrix brackets, equals the block of ad(N) that the containment
+    check reads, on every row and for every sample N."""
+    real = build_chevalley(build_root_system(lie_type, rank))
+    rs = real.rs
+    rows = stage_table(rs).rows
+    for nn in _reference_samples(rs):
+        roots = ref_from_index_coeffs(real, nn)
+        for i, row in enumerate(rows, start=1):
+            pm = ref_psi_matrix(real, roots, i)
+            assert pm.roots == row_order(rs, i)
+            assert pm.entries == tuple(
+                map(tuple, liealg._ad_block(real, nn, row, row)))
+
+
+@pytest.mark.parametrize("lie_type,rank", REALIZABLE + [("A", 5), ("D", 5)])
+def test_reference_theta_row_equals_row_projection(lie_type, rank):
+    """For seeded X on one row, the reference θ on every row equals the
+    row projection of the index-keyed ``_iad_exp``."""
+    real = build_chevalley(build_root_system(lie_type, rank))
+    rs = real.rs
+    rows = stage_table(rs).rows
+    rng = random.Random(f"reference-x:{lie_type}{rank}")
+    for nn in _reference_samples(rs):
+        roots = ref_from_index_coeffs(real, nn)
+        for j, source in enumerate(rows, start=1):
+            if not source:
+                continue
+            x = liealg._random_row_element(rs, rng, j)
+            moved = liealg._iad_exp(real, x, nn)
+            for i, row in enumerate(rows, start=1):
+                got = ref_theta_row(real, roots, ref_from_index_coeffs(real, x),
+                                    i)
+                assert {rs.root_index(r): v for r, v in got.items()} == {
+                    k: v for k in row if (v := moved.get(k))}
 
 
 # ---------------------------------------------------------------------------
@@ -267,20 +418,19 @@ def test_realization_entries_must_be_nonzero_integers():
 def test_ad_exp_examples(real_a2):
     rs = real_a2.rs
     a1, a2 = rs.simple_roots
-    n = NilpotentElement({a1: 1})
-    assert ad_exp(real_a2, NilpotentElement({}), n).coeffs == n.coeffs
-    moved = ad_exp(real_a2, NilpotentElement({a2: 1}), n)
-    m = real_a2.constants.m(a2, a1)
+    n = {a1: 1}
+    assert ref_ad_exp(real_a2, {}, n) == n
+    moved = ref_ad_exp(real_a2, {a2: 1}, n)
+    m = constant(real_a2, a2, a1)
     theta = parse_root(rs, "1,1")
-    assert moved.coeffs == {a1: 1, theta: m}
+    assert moved == {a1: 1, theta: m}
 
 
 def test_ad_exp_rejects_negative_support(real_a2):
     rs = real_a2.rs
     neg = parse_root(rs, "-1,0")
     with pytest.raises(ValueError):
-        ad_exp(real_a2, NilpotentElement({neg: 1}),
-               sum_of_simple_vectors(rs))
+        ref_ad_exp(real_a2, {neg: 1}, ref_sum_of_simple_vectors(rs))
 
 
 @pytest.mark.parametrize("lie_type,rank", [("A", 3), ("B", 3), ("C", 3), ("D", 4)])
@@ -288,13 +438,12 @@ def test_regularity_preserved_under_conjugation(lie_type, rank):
     import random
     rs = build_root_system(lie_type, rank)
     real = build_chevalley(rs)
-    n = sum_of_simple_vectors(rs)
+    n = ref_sum_of_simple_vectors(rs)
     rng = random.Random("regularity")
     for _ in range(25):
-        x = NilpotentElement({
-            r: v for r in rs.positive_roots if (v := rng.randint(-3, 3))})
-        moved = ad_exp(real, x, n)
-        assert moved.is_regular(rs)
+        x = {r: v for r in rs.positive_roots if (v := rng.randint(-3, 3))}
+        moved = ref_ad_exp(real, x, n)
+        assert all(moved.get(a, 0) != 0 for a in rs.simple_roots)
 
 
 # ---------------------------------------------------------------------------
@@ -304,11 +453,11 @@ def test_regularity_preserved_under_conjugation(lie_type, rank):
 
 def test_psi_a2_frozen(real_a2):
     rs = real_a2.rs
-    n = sum_of_simple_vectors(rs)
-    pm = psi_matrix(real_a2, n, 1)
+    n = ref_sum_of_simple_vectors(rs)
+    pm = ref_psi_matrix(real_a2, n, 1)
     assert [str(r) for r in pm.roots] == ["1,1", "1,0"]
     a1, a2 = rs.simple_roots
-    expected = real_a2.constants.m(a2, a1)
+    expected = constant(real_a2, a2, a1)
     assert pm.entries == ((0, expected), (0, 0))
     assert expected != 0
 
@@ -316,7 +465,7 @@ def test_psi_a2_frozen(real_a2):
 def test_psi_zero_superdiagonal_for_non_regular(real_a2):
     rs = real_a2.rs
     theta = parse_root(rs, "1,1")
-    pm = psi_matrix(real_a2, NilpotentElement({theta: 7}), 1)
+    pm = ref_psi_matrix(real_a2, {theta: 7}, 1)
     assert all(pm.entries[k][k + 1] == 0 for k in range(len(pm.roots) - 1))
 
 
@@ -326,7 +475,7 @@ def test_psi_strictly_upper_with_nonzero_superdiagonal(lie_type, rank):
     rs = build_root_system(lie_type, rank)
     real = build_chevalley(rs)
     rng = random.Random(f"psi:{lie_type}{rank}")
-    samples = [sum_of_simple_vectors(rs)]
+    samples = [ref_sum_of_simple_vectors(rs)]
     for _ in range(5):
         coeffs = {}
         for r in rs.positive_roots:
@@ -335,10 +484,10 @@ def test_psi_strictly_upper_with_nonzero_superdiagonal(lie_type, rank):
                 v = v or 1
             if v:
                 coeffs[r] = v
-        samples.append(NilpotentElement(coeffs))
+        samples.append(coeffs)
     for n in samples:
         for i in range(1, rank + 1):
-            pm = psi_matrix(real, n, i)
+            pm = ref_psi_matrix(real, n, i)
             size = len(pm.roots)
             for r in range(size):
                 for c in range(r + 1):
@@ -349,7 +498,7 @@ def test_psi_strictly_upper_with_nonzero_superdiagonal(lie_type, rank):
 
 def test_c2_heisenberg_row_psi(real_c2):
     rs = real_c2.rs
-    pm = psi_matrix(real_c2, sum_of_simple_vectors(rs), 1)
+    pm = ref_psi_matrix(real_c2, ref_sum_of_simple_vectors(rs), 1)
     assert len(pm.roots) == 3
     assert pm.entries[0][1] != 0 and pm.entries[1][2] != 0
 
@@ -361,25 +510,25 @@ def test_c2_heisenberg_row_psi(real_c2):
 
 def test_theta_row_basic(real_a2):
     rs = real_a2.rs
-    n = sum_of_simple_vectors(rs)
+    n = ref_sum_of_simple_vectors(rs)
     a1, a2 = rs.simple_roots
-    assert theta_row(real_a2, n, NilpotentElement({}), 1) == {a1: 1}
+    assert ref_theta_row(real_a2, n, {}, 1) == {a1: 1}
     # conjugating by a deeper row leaves shallower projections intact only
     # upward: row 2 is unchanged by row-1 elements
-    x = NilpotentElement({a1: 3})
-    assert theta_row(real_a2, n, x, 2) == {a2: 1}
+    x = {a1: 3}
+    assert ref_theta_row(real_a2, n, x, 2) == {a2: 1}
     with pytest.raises(ValueError):
-        theta_row(real_a2, n, NilpotentElement({a1: 1, a2: 1}), 1)
+        ref_theta_row(real_a2, n, {a1: 1, a2: 1}, 1)
 
 
 @pytest.mark.parametrize("i", [0, -1, 3])
 def test_theta_row_refuses_rows_out_of_range(real_a2, i):
-    """Row indices run 1..rank, as for ``psi_matrix``: 0 and −1 would
+    """Row indices run 1..rank, as for ``ref_psi_matrix``: 0 and −1 would
     otherwise project onto another row and rank + 1 fail with a bare
     IndexError."""
-    n = sum_of_simple_vectors(real_a2.rs)
+    n = ref_sum_of_simple_vectors(real_a2.rs)
     with pytest.raises(ValueError, match=rf"^row index {i} out of range$"):
-        theta_row(real_a2, n, NilpotentElement({}), i)
+        ref_theta_row(real_a2, n, {}, i)
 
 
 def _theta_as_polynomial(real, n, i, j):
@@ -390,9 +539,8 @@ def _theta_as_polynomial(real, n, i, j):
     targets = row_order(rs, i)
 
     def value(point):
-        x = NilpotentElement(
-            {r: v for r, v in zip(basis, point) if v})
-        got = theta_row(real, n, x, i)
+        x = {r: v for r, v in zip(basis, point) if v}
+        got = ref_theta_row(real, n, x, i)
         return tuple(Fraction(got.get(t, 0)) for t in targets)
 
     k = len(basis)
@@ -448,8 +596,7 @@ def test_theta_is_degree_two_polynomial(lie_type, rank):
     rs = build_root_system(lie_type, rank)
     real = build_chevalley(rs)
     rng = random.Random(f"theta:{lie_type}{rank}")
-    coeffs = {r: rng.randint(-3, 3) or 2 for r in rs.positive_roots}
-    n = NilpotentElement(coeffs)
+    n = {r: rng.randint(-3, 3) or 2 for r in rs.positive_roots}
     table = stage_table(rs).rows
     for j in range(1, rank + 1):
         if not table[j - 1]:
@@ -503,7 +650,10 @@ def ref_gf2_solve(rows, rhs):
 
 def ref_d_normalization_pairs(rs):
     """The six constant families (per valid row index) pinned to +1."""
-    chain = liealg._chain_root
+    def chain(rs, *args):
+        k = liealg._chain_root(rs, *args)
+        return None if k is None else rs.positive_roots[k]
+
     n = rs.rank
     alpha = rs.simple_roots
     pairs = []
@@ -549,11 +699,11 @@ def ref_normalize_type_D(real):
     solution = ref_gf2_solve(rows_gf2, rhs)
     assert solution is not None
     # all_roots lists the negative roots in the order of the positive ones
-    normalized = liealg.ChevalleyRealization(rs, {
-        root: sp_scale(real.root_vectors[root], -1 if flip else 1)
-        for root, flip in zip(rs.all_roots, solution * 2)})
+    normalized = liealg.ChevalleyRealization(rs, tuple(
+        sp_scale(mat, -1 if flip else 1)
+        for mat, flip in zip(real.root_vectors, solution * 2)))
     for a, b in targets:
-        assert normalized.constants.m(a, b) == 1, (a, b)
+        assert constant(normalized, a, b) == 1, (a, b)
     return normalized
 
 
@@ -561,9 +711,8 @@ def ref_old_signs(real):
     """The realization with every root vector's first entry by row (its
     anchor) +1: the signs the type-D build used before it applied the sign
     rule."""
-    return liealg.ChevalleyRealization(real.rs, {
-        root: sp_scale(mat, mat[min(mat)])
-        for root, mat in real.root_vectors.items()})
+    return liealg.ChevalleyRealization(real.rs, tuple(
+        sp_scale(mat, mat[min(mat)]) for mat in real.root_vectors))
 
 
 def test_normalize_type_d_pinned_constants():
@@ -572,10 +721,10 @@ def test_normalize_type_d_pinned_constants():
     real = build_chevalley(rs)
     chain12 = parse_root(rs, "1,1,0,0")      # α_1 + α_2
     alpha3 = rs.simple_roots[2]
-    assert real.constants.m(chain12, alpha3) == 1
+    assert constant(real, chain12, alpha3) == 1
     chain23 = parse_root(rs, "0,1,1,0")      # α_2 + α_3
     alpha4 = rs.simple_roots[3]
-    assert real.constants.m(chain23, alpha4) == 1
+    assert constant(real, chain23, alpha4) == 1
 
 
 @pytest.mark.parametrize("rank", range(3, 13))
@@ -596,8 +745,8 @@ def test_normalize_type_d_idempotent():
     rs = build_root_system("D", 4)
     once = ref_normalize_type_D(ref_old_signs(build_chevalley(rs)))
     twice = ref_normalize_type_D(once)
-    assert all(once.root_vectors[r] == twice.root_vectors[r]
-               for r in rs.all_roots)
+    assert all(a == b for a, b in zip(once.root_vectors, twice.root_vectors,
+                                      strict=True))
 
 
 @pytest.mark.parametrize("rank", [3, 4, 5, 6])
@@ -607,13 +756,13 @@ def test_normalize_type_d_equals_validated_rebuild(rank):
     rs = build_root_system("D", rank)
     real = ref_old_signs(build_chevalley(rs))
     norm = ref_normalize_type_D(real)
-    vectors = {}
-    for root, mat in real.root_vectors.items():
+    vectors = []
+    for mat, normed in zip(real.root_vectors, norm.root_vectors):
         anchor = min(mat)
-        sign = norm.root_vectors[root][anchor] // mat[anchor]
+        sign = normed[anchor] // mat[anchor]
         assert sign in (1, -1)
-        vectors[root] = {pos: sign * v for pos, v in mat.items()}
-    ref = liealg.ChevalleyRealization(rs, vectors)
+        vectors.append({pos: sign * v for pos, v in mat.items()})
+    ref = liealg.ChevalleyRealization(rs, tuple(vectors))
     assert norm.root_vectors == ref.root_vectors
     assert norm.constants == ref.constants
     assert norm.cartan_basis == ref.cartan_basis
@@ -644,10 +793,11 @@ def test_type_d_sign_rule_without_alpha_1_flip_exits_2(capsys, monkeypatch):
     original = liealg._root_vectors
 
     def without_alpha_1_flip(rs):
-        vectors = original(rs)
+        vectors = list(original(rs))
         for root in (rs.simple_roots[0], -rs.simple_roots[0]):
-            vectors[root] = sp_scale(vectors[root], -1)
-        return vectors
+            k = rs.root_index(root)
+            vectors[k] = sp_scale(vectors[k], -1)
+        return tuple(vectors)
 
     monkeypatch.setattr(liealg, "_root_vectors", without_alpha_1_flip)
     code = main(["verify-lemmata", "--type", "D", "--rank", "5",
@@ -676,10 +826,11 @@ def test_type_d_block_pins_d3(capsys, monkeypatch):
     original = liealg._root_vectors
 
     def alpha_1_flipped(rs):
-        vectors = original(rs)
+        vectors = list(original(rs))
         for root in (rs.simple_roots[0], -rs.simple_roots[0]):
-            vectors[root] = sp_scale(vectors[root], -1)
-        return vectors
+            k = rs.root_index(root)
+            vectors[k] = sp_scale(vectors[k], -1)
+        return tuple(vectors)
 
     monkeypatch.setattr(liealg, "_root_vectors", alpha_1_flipped)
     code = main(["verify-lemmata", "--type", "D", "--rank", "3",
@@ -763,7 +914,7 @@ def test_psi_cross_check_detects_corrupted_table(real_c2):
     a1, a2 = rs.simple_roots
     set_constant(real, a2, a1, 7)
     with pytest.raises(ConsistencyError):
-        psi_matrix(real, sum_of_simple_vectors(rs), 1)
+        ref_psi_matrix(real, ref_sum_of_simple_vectors(rs), 1)
 
 
 def test_verify_lemmata_detects_zeroed_constant():
@@ -774,7 +925,7 @@ def test_verify_lemmata_detects_zeroed_constant():
     highest = parse_root(rs, "1,2,2")
     second = parse_root(rs, "1,1,2")
     a2 = rs.simple_roots[1]
-    assert real.constants.m(a2, second)
+    assert constant(real, a2, second)
     set_constant(real, a2, second, 0)
     report = verify_lemmata(real, trial_count=5, seed=3)
     failed = {c.name for c in report.checks if c.status == "fail"}
@@ -791,15 +942,16 @@ def ref_check_containment(real, trials, seed):
     rs = real.rs
     n = rs.rank
     table = stage_table(rs).rows
-    samples = [liealg.sum_of_simple_vectors(rs)]
+    samples = [dict.fromkeys(rs._simple_index, 1)]
     for t in range(min(trials, 3)):
-        samples.append(liealg._random_nilpotent(
+        samples.append(liealg._random_coeffs(
             rs, liealg._rng(seed, f"cont:{t}"), regular=True))
     spaces = enumerate_hessenberg(rs)
     elements = enumerate_weyl(rs)
     for nn in samples:
         psi_rows = {
-            i: liealg._psi_entries(real, nn.coeffs, i)
+            i: (row_order(rs, i),
+                liealg._ad_block(real, nn, table[i - 1], table[i - 1]))
             for i in range(1, n + 1) if table[i - 1]
         }
         for space in spaces:
@@ -863,7 +1015,7 @@ def ref_psi_entries(real, coeffs, i):
             d = tuple(x - y for x, y in zip(alpha.coeffs, beta.coeffs))
             if rs.is_root(d) and all(c >= 0 for c in d):
                 diff = Root(d)
-                line.append(real.constants.m(diff, beta) * coeffs.get(diff, 0))
+                line.append(constant(real, diff, beta) * coeffs.get(diff, 0))
             else:
                 line.append(0)
         mat.append(line)
@@ -883,7 +1035,7 @@ def ref_linear_stage_matrix(real, current, cons, vars_):
             d = tuple(x - y for x, y in zip(alpha.coeffs, gamma.coeffs))
             if rs.is_root(d) and all(c >= 0 for c in d):
                 diff = Root(d)
-                line.append(real.constants.m(gamma, diff)
+                line.append(constant(real, gamma, diff)
                             * current.get(rs.root_index(diff), 0))
             else:
                 line.append(0)
@@ -906,13 +1058,14 @@ def test_ad_block_equals_coefficient_arithmetic(lie_type, rank):
                [rs.positive_roots[k] for k in vars_])
               for vars_, cons in table.stages]
     for t in range(3):
-        nn = liealg._random_nilpotent(rs, liealg._rng(7, f"adblock:{t}"),
-                                      regular=t > 0)
-        for i in range(1, rank + 1):
-            if table.rows[i - 1]:
-                assert (liealg._psi_entries(real, nn.coeffs, i)
-                        == ref_psi_entries(real, nn.coeffs, i))
-        current = liealg._to_index_coeffs(real, nn.coeffs)
+        current = liealg._random_coeffs(rs, liealg._rng(7, f"adblock:{t}"),
+                                        regular=t > 0)
+        roots = ref_from_index_coeffs(real, current)
+        for i, row in enumerate(table.rows, start=1):
+            if row:
+                assert ((row_order(rs, i),
+                         liealg._ad_block(real, current, row, row))
+                        == ref_psi_entries(real, roots, i))
         for cons, vars_ in stages:
             ref_a, _ = ref_linear_stage_matrix(real, current, cons, vars_)
             block = liealg._ad_block(real, current,
@@ -937,15 +1090,20 @@ def test_containment_equals_reference(lie_type, rank, trials, seed):
                          [("A", 3, 2), ("B", 3, 3), ("C", 3, 1), ("D", 4, 4)])
 def test_containment_zero_simple_coefficient_matches_reference(
         monkeypatch, lie_type, rank, zeroed, sampler):
-    """An N sample with one zero simple coefficient (the first sample, or
-    every later one) fails containment; both paths name the same first
-    counterexample."""
-    def degenerate(rs, *_, **__):
-        return NilpotentElement({a: int(k != zeroed) for k, a in
-                                 enumerate(rs.simple_roots, start=1)})
-
-    monkeypatch.setattr(liealg, sampler, degenerate)
+    """An N sample with one zero simple coefficient fails containment: the
+    first sample, the sum of the simple vectors, or every later, seeded one
+    (the parameter names the function that once drew it).  Both paths name
+    the same first counterexample."""
     real = _realization(lie_type, rank)
+    simple = real.rs._simple_index
+    degenerate = {a: int(k != zeroed) for k, a in enumerate(simple, start=1)}
+    if sampler == "sum_of_simple_vectors":
+        ones, block = dict.fromkeys(simple, 1), liealg._ad_block
+        monkeypatch.setattr(liealg, "_ad_block", lambda real, nn, *rows: block(
+            real, degenerate if nn == ones else nn, *rows))
+    else:
+        monkeypatch.setattr(liealg, "_random_coeffs",
+                            lambda *_, **__: dict(degenerate))
     got = liealg._check_containment(real, 3, 5)
     assert got is not None
     assert got == ref_check_containment(real, 3, 5)
@@ -1021,8 +1179,7 @@ def ref_check_near_linearity(real, trials, seed):
     row_idx = [frozenset(row) for row in table.rows]
     for t in range(trials):
         rng = liealg._rng(seed, f"nl:{t}")
-        nn = liealg._random_nilpotent(rs, rng, regular=False)
-        ni = liealg._to_index_coeffs(real, nn.coeffs)
+        ni = liealg._random_coeffs(rs, rng, regular=False)
         for j in range(1, n + 1):
             if not row_idx[j - 1]:
                 continue
@@ -1035,10 +1192,10 @@ def ref_check_near_linearity(real, trials, seed):
                         "reason": "cube of the adjoint action is nonzero"}
             lhs = ref_iad_exp(real, xi, ni)
             for i in range(1, n + 1):
-                li = liealg._project(rs, lhs, row_idx[i - 1])
-                base = liealg._project(rs, ni, row_idx[i - 1])
-                lin = liealg._project(rs, b1, row_idx[i - 1])
-                quad = liealg._project(rs, b2, row_idx[i - 1])
+                li = ref_project(lhs, row_idx[i - 1])
+                base = ref_project(ni, row_idx[i - 1])
+                lin = ref_project(b1, row_idx[i - 1])
+                quad = ref_project(b2, row_idx[i - 1])
                 if i > j:
                     expect = base
                 elif i < j or rs.lie_type == "C":
@@ -1069,8 +1226,7 @@ def ref_check_psi_invariance(real, trials, seed):
     table = liealg.stage_table(rs).rows
     for t in range(trials):
         rng = liealg._rng(seed, f"psi:{t}")
-        ni = liealg._to_index_coeffs(real, liealg._random_nilpotent(
-            rs, rng, regular=False).coeffs)
+        ni = liealg._random_coeffs(rs, rng, regular=False)
         for i in range(2, rs.rank + 1):
             order = table[i - 1]
             if not order:
@@ -1098,8 +1254,7 @@ def ref_check_type_d_coefficients(real, trials, seed):
     m = real.constants.table
     for t in range(trials):
         rng = liealg._rng(seed, f"dcoef:{t}")
-        ni = liealg._to_index_coeffs(real, liealg._random_nilpotent(
-            rs, rng, regular=False).coeffs)
+        ni = liealg._random_coeffs(rs, rng, regular=False)
         for i in range(1, rs.rank):
             conjugating = table[i]
             if not conjugating:
@@ -1238,7 +1393,7 @@ def test_set_constant_reaches_the_bracket():
     a, b = rs.simple_roots[:2]
     ia, ib, isum = (rs.root_index(r) for r in (a, b, rs.root_add(a, b)))
     assert liealg._ibracket(real, {ia: 1}, {ib: 1}) == {
-        isum: real.constants.m(a, b)}
+        isum: constant(real, a, b)}
     set_constant(real, a, b, 7)
     assert liealg._ibracket(real, {ia: 1}, {ib: 1}) == {isum: 7}
     assert liealg._ibracket(real, {ia: 2}, {ib: 3}) == {isum: 42}
@@ -1329,7 +1484,70 @@ def test_witness_identity_and_errors(real_a2):
         find_witness(real_a2, parse_word(rs, "1"), borel_space(rs))
     with pytest.raises(ValueError, match="regular"):
         find_witness(real_a2, identity_element(rs), borel_space(rs),
-                     NilpotentElement({parse_root(rs, "1,1"): 1}))
+                     {rs.root_index(parse_root(rs, "1,1")): 1})
+
+
+# N maps for A2, built from its simple-root indices s1, s2 and the number of
+# positive roots p, each refused by find_witness with the message matched
+_MALFORMED_N = {
+    # True first, so that the int key 1 does not absorb it
+    "bool key": (lambda s1, s2, p: {True: 1, s1: 1, s2: 1},
+                 "N must be keyed by positive-root indices 0..2, got True"),
+    "negative-root key": (lambda s1, s2, p: {s1: 1, s2: 1, p: 1},
+                          "N must be keyed by positive-root indices 0..2, got 3"),
+    "negative key": (lambda s1, s2, p: {s1: 1, s2: 1, -1: 1},
+                     "N must be keyed by positive-root indices 0..2, got -1"),
+    "root key": (lambda s1, s2, p: {s1: 1, s2: 1, Root((1, 1)): 1},
+                 "N must be keyed by positive-root indices 0..2, got Root"),
+    "float value": (lambda s1, s2, p: {s1: 1.0, s2: 1},
+                    "coefficient 1.0 of N at "),
+    "str value": (lambda s1, s2, p: {s1: 1, s2: "1"},
+                  "coefficient '1' of N at "),
+    "bool value": (lambda s1, s2, p: {s1: True, s2: 1},
+                   "coefficient True of N at "),
+    "zero simple coefficient": (lambda s1, s2, p: {s1: 1, s2: 0},
+                                "witness search requires a regular nilpotent"),
+}
+
+
+@pytest.mark.parametrize("case", list(_MALFORMED_N))
+def test_witness_refuses_malformed_nilpotent_before_solving(
+        monkeypatch, real_a2, case):
+    """A key that is not a positive-root index (a bool is not an int), a
+    coefficient that is not exactly an int or a Fraction, and a zero
+    simple-root coefficient are refused with ValueError before any cell
+    test or solve."""
+    rs = real_a2.rs
+    build, message = _MALFORMED_N[case]
+    n = build(*rs._simple_index, rs.num_positive)
+    assert rs.num_positive == 3
+
+    def refused(*args):
+        raise AssertionError("find_witness went past its input check")
+
+    for name in ("cell_nonempty", "solve_affine", "_iad_exp"):
+        monkeypatch.setattr(liealg, name, refused)
+    with pytest.raises(ValueError) as exc:
+        find_witness(real_a2, identity_element(rs), borel_space(rs), n)
+    assert str(exc.value).startswith(message)
+
+
+def test_witness_refuses_floating_point_nilpotent_on_every_b3_cell():
+    """Exact arithmetic throughout: an N with float coefficients is refused
+    on every nonempty B3 cell, where it once verified most cells and ended
+    in a bare TypeError on the others."""
+    rs = build_root_system("B", 3)
+    real = build_chevalley(rs)
+    n = {k: 0.5 * (1 + k % 3) for k in range(rs.num_positive)}
+    cells = 0
+    for space in enumerate_hessenberg(rs):
+        for w in enumerate_weyl(rs):
+            if cell_nonempty(w, space):
+                cells += 1
+                with pytest.raises(ValueError, match="is not an int or a "
+                                   "Fraction$"):
+                    find_witness(real, w, space, n)
+    assert cells == 273
 
 
 def test_witness_a2_peterson(real_a2):
@@ -1407,7 +1625,7 @@ def test_witness_random_regular_nilpotent(lie_type, rank, sample):
              for w in enumerate_weyl(rs) if cell_nonempty(w, space)]
     if sample is not None:
         pairs = rng.sample(pairs, sample)
-    ns = [liealg._random_nilpotent(rs, rng, regular=True) for _ in pairs]
+    ns = [liealg._random_coeffs(rs, rng, regular=True) for _ in pairs]
     for realization in ([real, ref_old_signs(real)] if lie_type == "D"
                         else [real]):
         moved = 0
@@ -1468,12 +1686,19 @@ def _in_verify(original, fake):
     return _from("_verify_witness_matrix", original, fake)
 
 
-def _plus_every_root(original, *args):
+def _plus_every_root(rs, coeffs):
     """A coefficient map with 1 added on every positive root."""
-    out = dict(original(*args))
-    for root in args[0].rs.positive_roots:
-        out[root] = out.get(root, 0) + 1
+    out = dict(coeffs)
+    for k in range(rs.num_positive):
+        out[k] = out.get(k, 0) + 1
     return out
+
+
+def _final_plus_every_root(verify):
+    """_verify_witness_matrix handed the coefficient-space result with 1
+    added on every positive root."""
+    return lambda real, w, space, n, solutions, final: verify(
+        real, w, space, n, solutions, _plus_every_root(real.rs, final))
 
 
 Real = liealg.ChevalleyRealization
@@ -1511,10 +1736,9 @@ _WITNESS_FAULTS = {
             liealg.sp_scale(matrix_of(*a), 2)))]),
     "witness lands outside the translated Hessenberg space": ("A", 3, lambda: [
         (Real, "expand", _in_verify(Real.expand, lambda expand, real, m: (
-            expand(real, m)[0], _plus_every_root(
-                lambda *a: expand(*a)[1], real, m)))),
-        (liealg, "_from_index_coeffs",
-         _in_verify(liealg._from_index_coeffs, _plus_every_root))]),
+            expand(real, m)[0], _plus_every_root(real.rs, expand(real, m)[1])))),
+        (liealg, "_verify_witness_matrix",
+         _final_plus_every_root(liealg._verify_witness_matrix))]),
 }
 
 
@@ -1555,9 +1779,9 @@ def test_witness_failure_names_its_cell(capsys, monkeypatch, fault):
 def test_witness_nondefault_regular_nilpotent(real_c2):
     """Any regular nilpotent works, not only the all-ones one."""
     rs = real_c2.rs
-    n = NilpotentElement({rs.simple_roots[0]: Fraction(3, 2),
-                          rs.simple_roots[1]: -2,
-                          parse_root(rs, "2,1"): 5})
+    a1, a2, gamma = (rs.root_index(r) for r in (
+        *rs.simple_roots, parse_root(rs, "2,1")))
+    n = {a1: Fraction(3, 2), a2: -2, gamma: 5}
     for space in enumerate_hessenberg(rs):
         for w in enumerate_weyl(rs):
             if cell_nonempty(w, space):

@@ -133,7 +133,7 @@ def test_no_source_file_imports_dataclasses():
 
 def test_all_lists_public_non_module_names():
     names = hessenpave.__all__
-    assert len(names) == len(set(names)) == 46
+    assert len(names) == len(set(names)) == 41
     for name in names:
         assert not name.startswith("_"), name
         assert not isinstance(getattr(hessenpave, name), types.ModuleType), name
@@ -302,6 +302,50 @@ def test_realization_constants_are_read_in_integers():
     probe = ast.parse("def f(x: Fraction) -> Fraction:\n"
                       "    y: Fraction = x\n    return y\n")
     assert "Fraction" not in _names_outside_annotations(probe)
+
+
+# What turns a root into an index or builds one: outside the text of
+# counterexamples and errors, ``liealg`` works on root indices only.
+_ROOT_CALLS = {"root_index", "root_add", "Root"}
+
+
+def _root_calls(tree) -> set[str]:
+    """The ``root_index``, ``root_add`` and ``Root`` calls in a tree, by
+    name, whether called as a method or a plain name."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(
+                func, "id", None)
+            if name in _ROOT_CALLS:
+                out.add(name)
+    return out
+
+
+def test_roots_stay_at_the_edge_of_liealg():
+    """The lemma checks, the coefficient calculus and the witness solver
+    key every coefficient map by root index: none of them converts a root
+    to an index or builds a root, and the module defines no converter
+    between the two key types."""
+    tree = ast.parse(
+        (SRC / "hessenpave" / "liealg.py").read_text(encoding="utf-8"))
+    functions = {node.name: node for node in tree.body
+                 if isinstance(node, ast.FunctionDef)}
+    checks = [name for name in functions if name.startswith("_check_")]
+    assert len(checks) == 7, checks
+    for name in checks + ["_ibracket", "_iad_series", "_ad_block",
+                          "_chain_root", "find_witness",
+                          "_verify_witness_matrix"]:
+        assert _root_calls(functions[name]) == set(), name
+    assert not {"_to_index_coeffs", "_from_index_coeffs"} & {
+        node.name for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    # the detector sees each call, and not the bare names
+    probe = ast.parse("k = rs.root_index(a)\ns = rs.root_add(a, b)\n"
+                      "r = Root((1, 0))\nf = rs.root_index\n")
+    assert _root_calls(probe) == _ROOT_CALLS
+    assert _root_calls(ast.parse("f = rs.root_index\nRoot\n")) == set()
 
 
 def _main_block_calls(tree) -> list[str]:
