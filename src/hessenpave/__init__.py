@@ -29,12 +29,10 @@ from .rootcore import (
     WeylElement,
     apply,
     build_root_system,
-    compose,
     dominance_leq,
     enumerate_weyl,
     format_root,
     format_word,
-    identity_element,
     inverse,
     inversion_set,
     parse_root,
@@ -71,7 +69,6 @@ from .liealg import (
 from .fforacle import (
     count_points,
     hessenberg_check,
-    weyl_to_permutation,
 )
 
 __version__ = "0.1.0"
@@ -82,12 +79,11 @@ __all__ = [
     "RootSystem", "StructureConstantTable", "WeylElement", "WitnessResult",
     "apply", "build_chevalley",
     "build_root_system", "cell_dimension", "cell_dimension_lie",
-    "cell_nonempty", "complement_ideal", "compose", "compute_paving",
+    "cell_nonempty", "complement_ideal", "compute_paving",
     "count_points", "dominance_leq", "enumerate_hessenberg",
     "enumerate_weyl", "find_witness", "format_root", "format_word",
     "from_function", "from_negative_roots", "hessenberg_check",
-    "identity_element", "inverse", "inversion_set", "parse_root",
+    "inverse", "inversion_set", "parse_root",
     "parse_word", "poincare_polynomial", "row_dimension_profile",
     "simple_reflection", "to_function", "verify_lemmata",
-    "weyl_to_permutation",
 ]

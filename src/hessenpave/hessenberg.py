@@ -35,12 +35,12 @@ from math import comb
 
 from .errors import ConsistencyError
 from .rootcore import (
-    _MIN_RANK,
     Root,
     RootSystem,
     _bounded_count,
     _count_text,
     _Record,
+    _refused_by_root_system,
     format_root,
     parse_root,
 )
@@ -144,9 +144,10 @@ _SPACE_COUNT = {"A": lambda n: comb(2 * n + 2, n + 1) // (n + 2),
                 "C": lambda n: comb(2 * n, n),
                 "D": lambda n: comb(2 * n, n) - comb(2 * n - 2, n - 1)}
 
-# Most spaces enumerate_hessenberg builds: A10 (58,786 spaces) takes about
-# 9 s on a 2-vCPU Xeon; the next counts up (D10 136,136, B10 and C10
-# 184,756, A11 208,012) would take minutes and hold every space in memory.
+# Most spaces enumerate_hessenberg builds: ``enumerate-hess`` on A10 (58,786
+# spaces) takes about 6 s and 370 MB peak as a fresh process on a 2-vCPU
+# Xeon; the next counts up (D10 136,136, B10 and C10 184,756, A11 208,012)
+# would take minutes and hold every space in memory.
 _SPACE_BUDGET = 60_000
 
 
@@ -158,7 +159,7 @@ def check_space_budget(lie_type: str, rank: int) -> int | None:
     that RootSystem refuses passes here (returning None) so that RootSystem
     names the problem.  A count over 10^18 is named as such, not computed.
     """
-    if lie_type not in _MIN_RANK or rank < _MIN_RANK[lie_type]:
+    if _refused_by_root_system(lie_type, rank):
         return None
     count = _bounded_count(_SPACE_COUNT[lie_type], lie_type, rank)
     if count is None or count > _SPACE_BUDGET:
@@ -290,17 +291,33 @@ def _checked_function(n: int, h: Iterable[int]) -> tuple[int, ...]:
     return hs
 
 
+def _column_masks(rs: RootSystem) -> tuple[tuple[int, ...], ...]:
+    """Entry j−1 is column j of a type-A_{n−1} matrix: for t = 0..n−j, the
+    mask over ``rs.all_roots`` indices of its top t entries below the
+    diagonal, the roots ``ε_i − ε_j`` with ``j < i ≤ j + t``.  Cached on
+    the root system."""
+    if rs._columns_cache is None:
+        npos = rs.num_positive
+        columns = []
+        for j in range(rs.rank + 1):
+            masks, p = [0], None
+            for a in rs._simple_index[j:]:
+                # ε_j − ε_i = α_j + … + α_{i−1}, one simple root at a time
+                p = a if p is None else rs._pos_sum[p][a]
+                masks.append(masks[-1] | 1 << (npos + p))
+            columns.append(tuple(masks))
+        rs._columns_cache = tuple(columns)
+    return rs._columns_cache
+
+
 def _function_mask(rs: RootSystem, hs: tuple[int, ...]) -> int:
     """Φ_H of a Hessenberg function as a mask over the roots of ``rs``, of
     type A_{n−1}: every positive root, and ``ε_i − ε_j`` for
     ``j < i ≤ h(j)``.  A nondecreasing h with ``h(i) ≥ i`` makes that set
     closed, so the mask needs no further check."""
-    n = len(hs)
     hm = (1 << rs.num_positive) - 1
-    for j in range(1, n):
-        for i in range(j + 1, hs[j - 1] + 1):
-            hm |= 1 << rs._index[tuple(-1 if j <= k < i else 0
-                                       for k in range(1, n))]
+    for j, (column, h) in enumerate(zip(_column_masks(rs), hs), start=1):
+        hm |= column[h - j]
     return hm
 
 
@@ -309,16 +326,10 @@ def to_function(space: HessenbergSpace) -> tuple[int, ...]:
     rs = space.rs
     if rs.lie_type != "A":
         raise ValueError("Hessenberg functions only encode type-A spaces")
-    n = rs.rank + 1
-    out = []
-    for j in range(1, n + 1):
-        hj = j
-        for i in range(j + 1, n + 1):
-            coeffs = tuple(-1 if j <= k <= i - 1 else 0 for k in range(1, n))
-            if space.contains(Root(coeffs)):
-                hj = max(hj, i)
-        out.append(hj)
-    return tuple(out)
+    hm = space.hm
+    # Φ_H is closed, so the entries it holds in column j are the top h(j) − j
+    return tuple(j + (hm & column[-1]).bit_count()
+                 for j, column in enumerate(_column_masks(rs), start=1))
 
 
 def complement_ideal(space: HessenbergSpace) -> ComplementIdeal:

@@ -820,7 +820,7 @@ def _containment_counterexample(rs: RootSystem, psi_rows: dict[int, list],
     """The containment conditions of one nonempty cell for one N, root by
     root: the first failing row root as a counterexample, or None."""
     inv_perm = w.inverse_root_permutation()
-    inversions = w.inversion_indices()
+    phi_w = w.inversion_mask()
     table = stage_table(rs).rows
     simple = rs._simple_index
     pos = rs.positive_roots
@@ -841,7 +841,7 @@ def _containment_counterexample(rs: RootSystem, psi_rows: dict[int, list],
                         "reason": "first entry not at a simple difference"}
             for j, a in enumerate(simple, start=1):
                 d = rs._pos_diff[k][a]
-                if d is not None and d not in inversions:
+                if d is not None and not phi_w >> d & 1:
                     return {"word": list(w.word), "row": i,
                             "alpha": alpha, "simple": j,
                             "reason": "simple-difference root escapes "
@@ -1052,7 +1052,7 @@ def find_witness(real: ChevalleyRealization, w: WeylElement,
         raise ValueError("cell is empty; no witness exists")
 
     inv = w.inverse_root_permutation()
-    inversions = w.inversion_indices()
+    phi_w = w.inversion_mask()
     table = stage_table(rs)
     stages = table.stages
     current = {k: v for k, v in n.items() if v}
@@ -1061,7 +1061,7 @@ def find_witness(real: ChevalleyRealization, w: WeylElement,
 
     for k in range(len(stages) - 1, -1, -1):
         stage_vars, stage_cons = stages[k]
-        vars_ = [p for p in stage_vars if p in inversions]
+        vars_ = [p for p in stage_vars if phi_w >> p & 1]
         # the stage's roots outside wΦ_H, i.e. with w⁻¹p outside Φ_H
         cons = [p for p in stage_cons if not space.hm >> inv[p] & 1]
         gamma = table.long_roots[k]

@@ -21,12 +21,12 @@ odd cohomology vanishes.
 
 The kernel works on integer bitmasks over the indices of ``rs.all_roots``:
 ``space.hm`` is Φ_H (the only form in which a space is stored), ``w.sm``
-holds ``w⁻¹(simple roots)`` and ``w.im`` holds ``w⁻¹(Φ_w)``, the last two
-built on first use.  A cell is nonempty iff ``sm & hm == sm`` and its
+holds ``w⁻¹(simple roots)`` and ``w.im`` holds ``w⁻¹(Φ_w)``, both stored
+on the element.  A cell is nonempty iff ``sm & hm == sm`` and its
 dimension is ``(im & hm).bit_count()``; the Lie-algebra formula counts the
 negative bits of ``hm`` that ``w`` sends to positive roots.  A row profile
-entry ANDs the inversions, and the positive roots outside ``wΦ_H``, with
-the variable and constraint masks of one stage of ``rootcore.stage_table``:
+entry ANDs ``w.inversion_mask()``, and the positive roots outside ``wΦ_H``,
+with the variable and constraint masks of one stage of ``stage_table``:
 one formula for every type, since the type-D pairing lives in the table.
 No function here turns ``hm`` back into roots.  ``compute_paving`` tests
 each cell once, and ``cell_dimension`` and ``row_dimension_profile`` refuse
@@ -139,10 +139,10 @@ def row_dimension_profile(w: WeylElement, space: HessenbergSpace) -> tuple[int, 
     if w.sm & hm != w.sm:
         raise ValueError("cell is empty; it has no profile")
     inv = w.inverse_root_permutation()
-    # Φ_w, and the positive roots outside wΦ_H, all of which are in Φ_w
-    phi_w = outside = 0
-    for p in w.inversion_indices():
-        phi_w |= 1 << p
+    phi_w = w.inversion_mask()
+    # the positive roots outside wΦ_H, all of which are in Φ_w
+    outside = 0
+    for p in range(w.rs.num_positive):
         if not hm >> inv[p] & 1:
             outside |= 1 << p
     return tuple((phi_w & vm).bit_count() - (outside & cm).bit_count()

@@ -343,6 +343,7 @@ class RootSystem:
         self._weyl_cache: tuple["WeylElement", ...] | None = None
         self._spaces_cache: tuple["HessenbergSpace", ...] | None = None
         self._down_sets_cache: tuple[int, ...] | None = None
+        self._columns_cache: tuple[tuple[int, ...], ...] | None = None
         self._heights_cache: tuple[int, ...] | None = None
         self._sum_pairs_cache: tuple[tuple[tuple[int, int], ...], ...] | None
         self._sum_pairs_cache = None
@@ -456,18 +457,15 @@ class WeylElement:
     coordinates, that greedy descent reaches the identity (a diagram
     automorphism has no descent), and that the word length matches the
     inversion count.  ``enumerate_weyl`` builds its elements through
-    ``_trusted_element`` instead, from the word, the inverse permutation
-    and the cell masks ``sm`` and ``im``, which it derives from a parent
-    element and a validated simple reflection.  Everything else is derived
-    from the inverse permutation on first use and then kept: the
-    permutation itself (``root_permutation``), the inversion set
-    (``inversion_indices``; ``inversion_mask`` is rebuilt on each call),
-    the masks ``sm`` and ``im`` of an element built elsewhere, and the text
-    form ``word_text``.
+    ``_trusted_element`` instead, from fields it derives from a parent
+    element and a validated simple reflection.  Either way the element
+    holds its word, its inverse permutation and the cell masks ``sm`` (w⁻¹
+    of the simple roots) and ``im`` (w⁻¹ of the inversion set Φ_w) over
+    ``rs.all_roots`` indices.  The permutation (``root_permutation``) and
+    Φ_w as a mask (``inversion_mask``) are rebuilt on each call.
     """
 
-    __slots__ = ("rs", "word", "_inv_root_perm", "_root_perm", "_inversions",
-                 "_sm", "_im", "_word_text")
+    __slots__ = ("rs", "word", "_inv_root_perm", "sm", "im", "_word_text")
 
     def __init__(self, rs: RootSystem, perm: Iterable[int]):
         perm = tuple(perm)
@@ -475,11 +473,14 @@ class WeylElement:
         inv = [0] * len(perm)
         for src, dst in enumerate(perm):
             inv[dst] = src
+        inv = tuple(inv)
+        npos = rs.num_positive
         self.rs = rs
-        self._root_perm = perm
-        self._inv_root_perm = tuple(inv)
-        self.word = _canonical_word(rs, perm, self._inv_root_perm)
-        if len(self.word) != len(self.inversion_indices()):
+        self._inv_root_perm = inv
+        self.sm = sum(1 << inv[a] for a in rs._simple_index)
+        self.im = sum(1 << x for x in inv[:npos] if x >= npos)
+        self.word = _canonical_word(rs, perm, inv)
+        if len(self.word) != self.im.bit_count():
             raise ConsistencyError("reduced word length != inversion count")
 
     @property
@@ -488,15 +489,11 @@ class WeylElement:
 
     def root_permutation(self) -> tuple[int, ...]:
         """Action on all_roots indices (positives first, then negatives)."""
-        try:
-            return self._root_perm
-        except AttributeError:
-            inv = self._inv_root_perm
-            perm = [0] * len(inv)
-            for dst, src in enumerate(inv):
-                perm[src] = dst
-            self._root_perm = tuple(perm)
-            return self._root_perm
+        inv = self._inv_root_perm
+        perm = [0] * len(inv)
+        for dst, src in enumerate(inv):
+            perm[src] = dst
+        return tuple(perm)
 
     def inverse_root_permutation(self) -> tuple[int, ...]:
         return self._inv_root_perm
@@ -507,37 +504,6 @@ class WeylElement:
         rs = self.rs
         return sum(compress(rs._pos_bits,
                             map(rs.num_positive.__le__, self._inv_root_perm)))
-
-    def inversion_indices(self) -> frozenset[int]:
-        """Indices (into positive_roots) of the inversion set, read off
-        ``inversion_mask``."""
-        try:
-            return self._inversions
-        except AttributeError:
-            mask = self.inversion_mask()
-            self._inversions = frozenset(p for p in range(self.rs.num_positive)
-                                         if mask >> p & 1)
-            return self._inversions
-
-    @property
-    def sm(self) -> int:
-        """Bitmask over all_roots indices of w⁻¹(simple roots)."""
-        try:
-            return self._sm
-        except AttributeError:
-            inv = self._inv_root_perm
-            self._sm = sum(1 << inv[a] for a in self.rs._simple_index)
-            return self._sm
-
-    @property
-    def im(self) -> int:
-        """Bitmask over all_roots indices of w⁻¹(Φ_w), Φ_w the inversion set."""
-        try:
-            return self._im
-        except AttributeError:
-            inv = self._inv_root_perm
-            self._im = sum(1 << inv[p] for p in self.inversion_indices())
-            return self._im
 
     @property
     def word_text(self) -> str:
@@ -610,8 +576,8 @@ def _trusted_element(rs: RootSystem, word: tuple[int, ...],
     w.rs = rs
     w.word = word
     w._inv_root_perm = inv
-    w._sm = sm
-    w._im = im
+    w.sm = sm
+    w.im = im
     return w
 
 
@@ -646,7 +612,9 @@ def apply(w: WeylElement, root: Root) -> Root:
 
 def inversion_set(w: WeylElement) -> frozenset[Root]:
     """The positive roots sent negative by w⁻¹."""
-    return frozenset(w.rs.positive_roots[p] for p in w.inversion_indices())
+    mask = w.inversion_mask()
+    return frozenset(r for p, r in enumerate(w.rs.positive_roots)
+                     if mask >> p & 1)
 
 
 def format_word(w: WeylElement) -> str:
@@ -696,6 +664,13 @@ def _bounded_count(count, lie_type: str, rank: int) -> int | None:
     return value
 
 
+def _refused_by_root_system(lie_type: str, rank: int) -> bool:
+    """Whether RootSystem refuses the type or rank (a rank that is not an
+    int included: a float, a string or a bool)."""
+    return (lie_type not in _MIN_RANK or type(rank) is not int
+            or rank < _MIN_RANK[lie_type])
+
+
 def _count_text(value: int | None) -> str:
     """A count from ``_bounded_count`` as refusal messages print it."""
     return "more than 10^18" if value is None else str(value)
@@ -717,8 +692,7 @@ def check_weyl_budget(lie_type: str, rank: int) -> int | None:
     refuses passes here (returning None), so that RootSystem names the
     problem.  An order over 10^18 is named as such, not computed.
     """
-    if (lie_type not in _MIN_RANK or type(rank) is not int
-            or rank < _MIN_RANK[lie_type]):
+    if _refused_by_root_system(lie_type, rank):
         return None
     order = _bounded_count(_WEYL_ORDER[lie_type], lie_type, rank)
     if order is None or order > _WEYL_BUDGET:
@@ -744,8 +718,7 @@ def check_root_budget(lie_type: str, rank: int) -> int | None:
     Like ``check_weyl_budget`` it needs no RootSystem, and a type or rank
     that RootSystem refuses passes here (returning None).
     """
-    if (lie_type not in _MIN_RANK or type(rank) is not int
-            or rank < _MIN_RANK[lie_type]):
+    if _refused_by_root_system(lie_type, rank):
         return None
     count = 2 * _POSITIVE_COUNT[lie_type](rank)
     if count > _ROOT_BUDGET:
@@ -765,8 +738,8 @@ def enumerate_weyl(rs: RootSystem) -> tuple[WeylElement, ...]:
     roots fixed per j.  Each element is built from four fields, all from
     w: the word, ``v⁻¹ = w⁻¹∘s_j``, ``sm`` (the images ``v⁻¹(α_k) =
     w⁻¹(s_j α_k)``) and ``im`` (``v⁻¹(Φ_v) = w⁻¹(Φ_w) ∪ {w⁻¹(−α_j)}``).
-    The permutation v and the inversion set Φ_v are derived from v⁻¹ on
-    first use, by the callers that need them.  The simple reflections are
+    The permutation v and the inversion set Φ_v are derived from v⁻¹ by the
+    callers that need them.  The simple reflections are
     checked once to be linear bijections of the roots, so their products
     need no check; the group order and the single longest element, of
     length |Φ⁺|, are checked at the end.
@@ -807,7 +780,7 @@ def enumerate_weyl(rs: RootSystem) -> tuple[WeylElement, ...]:
                         sm |= 1 << inv[c]
                     nxt.append(_trusted_element(rs, (j,) + w.word,
                                                 v_inv_of(inv), sm,
-                                                w._im | 1 << inv[neg]))
+                                                w.im | 1 << inv[neg]))
         if not nxt:
             break
         layer = nxt

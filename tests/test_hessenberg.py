@@ -21,7 +21,12 @@ from hessenpave.hessenberg import (
     smallest_containing,
     to_function,
 )
-from hessenpave.rootcore import build_root_system, enumerate_weyl, parse_root
+from hessenpave.rootcore import (
+    Root,
+    build_root_system,
+    enumerate_weyl,
+    parse_root,
+)
 
 
 def test_from_negative_roots_examples():
@@ -83,6 +88,34 @@ def test_enumeration_matches_function_count(n):
 def test_function_round_trip(n):
     for h in _all_hessenberg_functions(n):
         assert to_function(from_function(n, h)) == h
+
+
+def ref_to_function(space):
+    """A type-A space read back as a Hessenberg function one Root at a
+    time: h(j) is the largest i with ε_i − ε_j in Φ_H (j if there is
+    none)."""
+    rs = space.rs
+    n = rs.rank + 1
+    out = []
+    for j in range(1, n + 1):
+        hj = j
+        for i in range(j + 1, n + 1):
+            coeffs = tuple(-1 if j <= k <= i - 1 else 0 for k in range(1, n))
+            if space.contains(Root(coeffs)):
+                hj = max(hj, i)
+        out.append(hj)
+    return tuple(out)
+
+
+@pytest.mark.parametrize("rank", range(1, 8))
+def test_to_function_equals_root_reference(rank):
+    """Every space of A1..A7: the mask read of to_function equals the
+    Root-by-Root reference, and from_function rebuilds the same mask."""
+    rs = build_root_system("A", rank)
+    for space in enumerate_hessenberg(rs):
+        h = to_function(space)
+        assert h == ref_to_function(space), space
+        assert from_function(rank + 1, h).hm == space.hm
 
 
 def ref_function_space(rs, h):

@@ -29,6 +29,7 @@ from hessenpave.rootcore import (
     parse_word,
     stage_table,
 )
+from test_rootcore import ref_inversion_indices
 
 SMALL = [("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 2), ("C", 3),
          ("D", 3), ("D", 4)]
@@ -57,12 +58,12 @@ def ref_cell_nonempty(w, members):
 
 def ref_cell_dimension(w, members):
     inv_perm = w.inverse_root_permutation()
-    return sum(1 for p in w.inversion_indices() if inv_perm[p] in members)
+    return sum(1 for p in ref_inversion_indices(w) if inv_perm[p] in members)
 
 
 def ref_row_dimension_profile(w, members):
     rs = w.rs
-    inv_indices = w.inversion_indices()
+    inv_indices = ref_inversion_indices(w)
     perm = w.root_permutation()
     wh = frozenset(perm[m] for m in members)
     table = stage_table(rs)

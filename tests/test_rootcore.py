@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from hessenpave import cli, rootcore
 from hessenpave.errors import ConsistencyError
+from hessenpave.hessenberg import check_space_budget
 from hessenpave.rootcore import (
     Root,
     RootSystem,
@@ -42,6 +43,13 @@ ALL_SMALL = [("A", 1), ("A", 2), ("A", 3), ("A", 4),
 
 def roots_by_text(rs, *texts):
     return {parse_root(rs, t) for t in texts}
+
+
+def ref_inversion_indices(w):
+    """The inversion set of w as a frozenset of positive-root indices, read
+    off the bits of ``w.inversion_mask()``."""
+    mask = w.inversion_mask()
+    return frozenset(p for p in range(w.rs.num_positive) if mask >> p & 1)
 
 
 # ---------------------------------------------------------------------------
@@ -102,13 +110,14 @@ def test_rank_bounds_rejected():
 @pytest.mark.parametrize("rank", [2.0, True, "2", None])
 def test_non_integer_rank_is_refused(rank):
     """RootSystem refuses a rank that is not an int by name (True is not
-    A1); the budget checks let it through, returning None, so that
+    A1); the three budget checks let it through, returning None, so that
     RootSystem is the one to name it."""
     message = "^" + re.escape(f"rank must be an integer, got {rank!r}") + "$"
     with pytest.raises(ValueError, match=message):
         RootSystem("A", rank)
     assert check_weyl_budget("A", rank) is None
     assert check_root_budget("A", rank) is None
+    assert check_space_budget("A", rank) is None
 
 
 def test_root_text_round_trip():
@@ -703,8 +712,9 @@ def test_enumerate_weyl_matches_matrix_reference(lie_type, rank):
 def test_enumerate_weyl_fast_path_matches_checked_constructor(lie_type, rank):
     """Every enumerated element, whose fields are derived from its parent
     without checks, equals the element the public constructor builds and
-    checks from the same permutation, and the order is strictly increasing
-    in (length, word)."""
+    checks from the same permutation; its cell masks equal the images under
+    w⁻¹ of the simple roots and of the inversion set; and the order is
+    strictly increasing in (length, word)."""
     from hessenpave.rootcore import WeylElement
     rs = build_root_system(lie_type, rank)
     elems = enumerate_weyl(rs)
@@ -712,31 +722,41 @@ def test_enumerate_weyl_fast_path_matches_checked_constructor(lie_type, rank):
         ref = WeylElement(rs, w.root_permutation())
         assert w.word == ref.word
         assert w.inverse_root_permutation() == ref.inverse_root_permutation()
-        assert w.inversion_indices() == ref.inversion_indices()
+        assert ref_inversion_indices(w) == ref_inversion_indices(ref)
         assert (w.sm, w.im, w.word_text) == (ref.sm, ref.im, ref.word_text)
+        inv = ref.inverse_root_permutation()
+        assert w.sm == sum(1 << inv[a] for a in rs._simple_index)
+        assert w.im == sum(1 << inv[p] for p in ref_inversion_indices(ref))
     keys = [(w.length, w.word) for w in elems]
     assert all(a < b for a, b in zip(keys, keys[1:]))
 
 
-def _derived(w):
-    """The lazily derived fields an element holds so far."""
-    return {name for name in ("_root_perm", "_inversions")
-            if hasattr(w, name)}
+def _held(w):
+    """The slots an element holds values in."""
+    return {name for name in type(w).__slots__ if hasattr(w, name)}
 
 
 def test_enumerate_weyl_builds_four_fields_per_element():
     """Work count: an enumerated element holds its word, inverse
-    permutation and cell masks; its permutation and inversion set are
-    built only when asked for, and then kept."""
+    permutation and cell masks, and no slot holds its permutation or its
+    inversion set: both are rebuilt on each call and never kept."""
+    from hessenpave.rootcore import WeylElement
+    assert WeylElement.__slots__ == ("rs", "word", "_inv_root_perm", "sm",
+                                     "im", "_word_text")
+    fields = {"rs", "word", "_inv_root_perm", "sm", "im"}
     rs = build_root_system("D", 4)
     elems = enumerate_weyl(rs)
-    assert all(_derived(w) == set() for w in elems)
-    w = elems[-1]
+    assert all(_held(w) == fields for w in elems)
+    # the longest element of D4 is an involution; take one that is not
+    w = next(v for v in reversed(elems)
+             if v.root_permutation() != v.inverse_root_permutation())
     perm = w.root_permutation()
-    assert w.root_permutation() is perm
-    assert w.inversion_indices() is w.inversion_indices()
-    assert _derived(w) == {"_root_perm", "_inversions"}
-    assert all(_derived(v) == set() for v in elems[:-1])
+    assert w.root_permutation() == perm
+    assert w.root_permutation() is not perm
+    assert len(ref_inversion_indices(w)) == w.length
+    assert _held(w) == fields
+    assert all(getattr(w, name) != perm for name in fields)
+    assert all(_held(v) == fields for v in elems)
 
 
 def test_enumerate_weyl_validates_the_simple_reflections():
