@@ -145,8 +145,8 @@ _SPACE_COUNT = {"A": lambda n: comb(2 * n + 2, n + 1) // (n + 2),
                 "D": lambda n: comb(2 * n, n) - comb(2 * n - 2, n - 1)}
 
 # Most spaces enumerate_hessenberg builds: ``enumerate-hess`` on A10 (58,786
-# spaces) takes about 6 s and 370 MB peak as a fresh process on a 2-vCPU
-# Xeon; the next counts up (D10 136,136, B10 and C10 184,756, A11 208,012)
+# spaces) takes 4-5 s and 290 MB peak as a fresh process on a 2-vCPU Xeon;
+# the next counts up (D10 136,136, B10 and C10 184,756, A11 208,012)
 # would take minutes and hold every space in memory.
 _SPACE_BUDGET = 60_000
 
@@ -271,9 +271,11 @@ def from_function(n: int, h: Iterable[int]) -> HessenbergSpace:
 
 
 def _checked_function(n: int, h: Iterable[int]) -> tuple[int, ...]:
-    """h as a tuple, or ValueError when it is not a Hessenberg function on
-    {1..n}, n ≥ 2, or holds a value that is not an int (a float, a string
-    or a bool is refused, not converted)."""
+    """h as a tuple, or ValueError when n is not an int, when h is not a
+    Hessenberg function on {1..n}, n ≥ 2, or holds a value that is not an
+    int (a float, a string or a bool is refused, not converted)."""
+    if type(n) is not int:
+        raise ValueError(f"n must be an integer, got {n!r}")
     hs = tuple(h)
     if len(hs) != n:
         raise ValueError(f"expected {n} values, got {len(hs)}")
@@ -345,20 +347,28 @@ def complement_ideal(space: HessenbergSpace) -> ComplementIdeal:
 # ---------------------------------------------------------------------------
 
 
+def _negative_texts(space: HessenbergSpace) -> list[str]:
+    """The root texts of the negative part, in ``rs.all_roots`` index
+    order, read from the root system's table of texts."""
+    rs = space.rs
+    npos = rs.num_positive
+    ideal = space.hm >> npos
+    texts = rs._texts
+    return [texts[npos + p] for p in range(npos) if ideal >> p & 1]
+
+
 def format_negative_part(space: HessenbergSpace) -> str:
     """Semicolon-separated negative roots in root text format, in
     ``rs.all_roots`` index order."""
-    rs = space.rs
-    return ";".join(format_root(r)
-                    for r in _negated(rs, space.hm >> rs.num_positive))
+    return ";".join(_negative_texts(space))
 
 
 def space_fields(space: HessenbergSpace) -> tuple[dict, str]:
     """The space as command output shows it: the JSON record
     ``{"neg": [root, ...]}`` and the CSV/table column ``neg=root;root``,
     which :func:`parse_hessenberg` reads back."""
-    text = format_negative_part(space)
-    return {"neg": text.split(";") if text else []}, "neg=" + text
+    texts = _negative_texts(space)
+    return {"neg": texts}, "neg=" + ";".join(texts)
 
 
 def parse_hessenberg(rs: RootSystem, text: str) -> HessenbergSpace:

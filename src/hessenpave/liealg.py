@@ -943,10 +943,13 @@ def verify_lemmata(real: ChevalleyRealization, trial_count: int = 200,
     The realization is checked as given.  The type-D block check is stated
     for the signs ``build_chevalley`` gives (see ``_root_vectors``), so a
     type-D realization with other signs fails ``type_d_block``.  A trial
-    count outside ``check_trial_count`` is refused, and so is a Weyl group
-    over the enumeration budget, before any check runs.
+    count outside ``check_trial_count``, a seed that is not an int (a bool
+    is refused, not converted) and a Weyl group over the enumeration budget
+    are refused before any check runs.
     """
     check_trial_count(trial_count)
+    if type(seed) is not int:
+        raise ValueError(f"seed must be an integer, got {seed!r}")
     check_weyl_budget(real.rs.lie_type, real.rs.rank)
     named = (
         ("row_structure", lambda: _check_row_structure(real, trial_count, seed)),

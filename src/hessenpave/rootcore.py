@@ -9,10 +9,10 @@ In these coordinates the sign of a root and the dominance order ``β ≤ α``
 (``α − β`` a nonnegative combination of simple roots) are componentwise
 integer tests, which keeps every predicate in the package exact.
 
-Positive roots are enumerated by height and then lexicographically on the
-coefficient vector; every structure derived from a root system (Weyl group
-enumeration, row decompositions, Hessenberg spaces, pavings) inherits its
-determinism from this order.
+The roots are the orbit of the simple roots under the reflections of the
+Cartan matrix, ordered by height and then by coefficient vector; every
+structure derived from a root system (Weyl group enumeration, rows,
+Hessenberg spaces, pavings) inherits its determinism from this order.
 
 Whether ``α − β`` or ``α + β`` is a positive root is asked all over the
 package (Hessenberg closure, lower covers, the row operators, the witness
@@ -29,8 +29,9 @@ consists of the positive roots whose expansion in the orthonormal ε-basis
 begins with ``ε_i``.  Each row spans an abelian subalgebra of the nilradical
 except in type C, where rows ``i < n`` are Heisenberg with one-dimensional
 derived algebra spanned by the long root ``2ε_i``.  Row membership is
-computed both from closed-form generators and from the dominance order, and
-the two computations are cross-checked when the stage table is built.  The
+computed both from closed forms (the only per-type list of positive roots,
+so the independent check on the orbit) and from the dominance order, and
+the two are cross-checked when the stage table is built.  The
 one convention worth spelling out: in type D the dominance-order computation
 would place the second fork root ``α_n`` in a row of its own, while the
 closed forms (and everything downstream: the row partition into 0/1/2 parts,
@@ -51,7 +52,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from itertools import compress
 from math import factorial
-from operator import itemgetter
+from operator import itemgetter, mul
 
 from .errors import ConsistencyError
 
@@ -173,67 +174,6 @@ def strictly_dominates(alpha: Root, beta: Root) -> bool:
     return alpha != beta and dominates(alpha, beta)
 
 
-def _positive_coeff_vectors(lie_type: str, rank: int) -> list[tuple[int, ...]]:
-    """Closed-form coefficient vectors of the positive roots, per type."""
-    n = rank
-    roots: list[tuple[int, ...]] = []
-
-    def ones(lo: int, hi: int) -> list[int]:
-        # 1 on positions lo..hi (1-based, inclusive), 0 elsewhere
-        return [1 if lo <= k <= hi else 0 for k in range(1, n + 1)]
-
-    if lie_type == "A":
-        for i in range(1, n + 1):
-            for j in range(i, n + 1):
-                roots.append(tuple(ones(i, j)))
-    elif lie_type == "B":
-        # ε_i − ε_j, ε_i, ε_i + ε_j with α_n = ε_n the short simple root
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                roots.append(tuple(ones(i, j - 1)))          # ε_i − ε_j
-            roots.append(tuple(ones(i, n)))                  # ε_i
-            for j in range(i + 1, n + 1):
-                v = ones(i, n)
-                for k in range(j, n + 1):
-                    v[k - 1] += 1
-                roots.append(tuple(v))                       # ε_i + ε_j
-    elif lie_type == "C":
-        # ε_i − ε_j, ε_i + ε_j, 2ε_i with α_n = 2ε_n the long simple root
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                roots.append(tuple(ones(i, j - 1)))          # ε_i − ε_j
-            for j in range(i + 1, n + 1):
-                v = ones(i, j - 1)
-                for k in range(j, n):
-                    v[k - 1] += 2
-                v[n - 1] += 1
-                roots.append(tuple(v))                       # ε_i + ε_j
-            v = [0] * n
-            for k in range(i, n):
-                v[k - 1] = 2
-            v[n - 1] = 1
-            roots.append(tuple(v))                           # 2ε_i
-    elif lie_type == "D":
-        # ε_i ± ε_j with α_{n-1} = ε_{n-1} − ε_n, α_n = ε_{n-1} + ε_n
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                roots.append(tuple(ones(i, j - 1)))          # ε_i − ε_j
-            for j in range(i + 1, n + 1):
-                if j == n:
-                    v = ones(i, n - 2)
-                    v[n - 1] = 1
-                else:
-                    v = ones(i, j - 1)
-                    for k in range(j, n - 1):
-                        v[k - 1] += 2
-                    v[n - 2] += 1
-                    v[n - 1] += 1
-                roots.append(tuple(v))                       # ε_i + ε_j
-    else:
-        raise ValueError(f"unknown Lie type {lie_type!r}")
-    return roots
-
-
 def _epsilon_of_simple(lie_type: str, rank: int) -> list[tuple[int, ...]]:
     """ε-space vectors of the simple roots (ambient dim n+1 for A, n else)."""
     n = rank
@@ -253,13 +193,45 @@ def _epsilon_of_simple(lie_type: str, rank: int) -> list[tuple[int, ...]]:
     return vecs
 
 
+def _root_orbit(cartan: IntMatrix, limit: int
+                ) -> tuple[list[tuple[int, ...]], list[list[int]]]:
+    """The orbit of the simple roots (listed first) under the reflections
+    ``s_i(β) = β − ⟨β, α_i^∨⟩α_i`` of a Cartan matrix whose entry [j][i] is
+    ``⟨α_j, α_i^∨⟩``, as coefficient vectors, and ``images[i][m]``, the
+    orbit index of ``s_{i+1}`` of vector m.  Raises ConsistencyError once
+    the orbit outgrows ``limit``, so a wrong matrix cannot loop forever."""
+    n = len(cartan)
+    # s_i changes coordinate i only, by the pairing with column i
+    columns = list(zip(*cartan))
+    orbit = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+    index = {v: m for m, v in enumerate(orbit)}
+    images: list[list[int]] = [[] for _ in range(n)]
+    for m, beta in enumerate(orbit):        # the orbit grows as it is walked
+        for i, (column, line) in enumerate(zip(columns, images)):
+            pairing = sum(map(mul, beta, column))
+            if not pairing:
+                line.append(m)
+                continue
+            img = beta[:i] + (beta[i] - pairing,) + beta[i + 1:]
+            k = index.get(img)
+            if k is None:
+                if len(orbit) == limit:
+                    raise ConsistencyError(
+                        "the reflection orbit of the simple roots has more "
+                        f"than {limit} vectors")
+                k = index[img] = len(orbit)
+                orbit.append(img)
+            line.append(k)
+    return orbit, images
+
+
 class RootSystem:
     """An irreducible classical root system with a fixed simple-root order.
 
-    Construction enumerates the positive roots from the closed forms above,
-    orders them by (height, coefficient vector), and cross-checks the count
-    against the type formula.  Instances are immutable; two systems of the
-    same type and rank compare equal.
+    Construction generates the roots from the Cartan matrix (``_root_orbit``),
+    orders the positive ones by (height, coefficient vector), and checks the
+    orbit against the type formula's count.  Instances are immutable; two
+    systems of the same type and rank compare equal.
     """
 
     def __init__(self, lie_type: str, rank: int):
@@ -274,37 +246,36 @@ class RootSystem:
         self.lie_type = lie_type
         self.rank = rank
 
-        vectors = sorted(set(_positive_coeff_vectors(lie_type, rank)),
-                         key=lambda v: (sum(v), v))
-        expected = _POSITIVE_COUNT[lie_type](rank)
-        if len(vectors) != expected:
-            raise ConsistencyError(
-                f"{lie_type}{rank}: built {len(vectors)} positive roots, "
-                f"expected {expected}"
-            )
+        name = f"{lie_type}{rank}"
+        self._eps_simple = _epsilon_of_simple(lie_type, rank)
+        self.cartan_matrix: IntMatrix = self._build_cartan()
 
+        expected = _POSITIVE_COUNT[lie_type](rank)
+        try:
+            orbit, images = _root_orbit(self.cartan_matrix, 2 * expected)
+        except ConsistencyError as exc:
+            raise ConsistencyError(f"{name}: {exc}") from None
+        vectors = sorted((v for v in orbit if min(v) >= 0),
+                         key=lambda v: (sum(v), v))
         self.positive_roots: tuple[Root, ...] = tuple(Root(v) for v in vectors)
         self.negative_roots: tuple[Root, ...] = tuple(-r for r in self.positive_roots)
         self.all_roots: tuple[Root, ...] = self.positive_roots + self.negative_roots
         self.num_positive = len(self.positive_roots)
         self._index = {r.coeffs: k for k, r in enumerate(self.all_roots)}
+        if len(vectors) != expected or self._index.keys() != set(orbit):
+            raise ConsistencyError(
+                f"{name}: the reflection orbit has {len(orbit)} roots, "
+                f"{len(vectors)} of them positive; expected {expected} "
+                "positive roots and their negatives")
+        self._texts = tuple(format_root(r) for r in self.all_roots)
 
-        simple_vecs = []
-        for i in range(1, rank + 1):
-            v = [0] * rank
-            v[i - 1] = 1
-            simple_vecs.append(tuple(v))
-        self.simple_roots: tuple[Root, ...] = tuple(Root(v) for v in simple_vecs)
-        for s in self.simple_roots:
-            if s.coeffs not in self._index:
-                raise ConsistencyError(f"simple root {s} missing from root list")
-
-        self._eps_simple = _epsilon_of_simple(lie_type, rank)
-        self.cartan_matrix: IntMatrix = self._build_cartan()
-
-        self._simple_index = tuple(self._index[s.coeffs]
-                                   for s in self.simple_roots)
-        self._reflections = tuple(self._reflection_perm(i) for i in range(rank))
+        self.simple_roots: tuple[Root, ...] = tuple(map(Root, orbit[:rank]))
+        self._simple_index = tuple(self._index[v] for v in orbit[:rank])
+        # the orbit's images, re-indexed from orbit order to all_roots order
+        where = [self._index[v] for v in orbit]
+        order = sorted(range(len(orbit)), key=where.__getitem__)
+        self._reflections = tuple(tuple(where[line[m]] for m in order)
+                                  for line in images)
         # each root as one integer, additive in the coefficients: a sum or
         # difference of two roots has coefficients in [-4, 4], which base 9
         # keeps apart
@@ -332,8 +303,8 @@ class RootSystem:
             a = next((a for a in self._simple_index
                       if self._pos_diff[k][a] is not None), None)
             if a is None:
-                raise ConsistencyError(f"{self.positive_roots[k]} is not a "
-                                       "root plus a simple root")
+                raise ConsistencyError(f"{name}: {self.positive_roots[k]} is "
+                                       "not a root plus a simple root")
             splits.append((k, self._pos_diff[k][a], a))
         self._splits = tuple(splits)
 
@@ -351,8 +322,12 @@ class RootSystem:
     # -- basic root arithmetic -------------------------------------------
 
     def root(self, coeffs: Iterable[int]) -> Root:
-        """Validate a coefficient vector and wrap it as a Root."""
-        t = tuple(int(c) for c in coeffs)
+        """Validate a vector of int coefficients (no other type is converted)
+        and wrap it as a Root."""
+        t = tuple(coeffs)
+        for c in t:
+            if type(c) is not int:
+                raise ValueError(f"root coefficient {c!r} is not an integer")
         if t not in self._index:
             raise ValueError(f"{','.join(map(str, t))} is not a root of "
                              f"{self.lie_type}{self.rank}")
@@ -390,20 +365,6 @@ class RootSystem:
             out.append(tuple(row))
         # entry [j][i] is the pairing of α_j against the coroot of α_i
         return tuple(out)
-
-    def _reflection_perm(self, i: int) -> tuple[int, ...]:
-        """The simple reflection s_{i+1} as a permutation of all_roots
-        indices: s(β) = β − ⟨β, α^∨⟩α, which only changes coordinate i."""
-        pairing = [row[i] for row in self.cartan_matrix]
-        perm = []
-        for r in self.all_roots:
-            img = list(r.coeffs)
-            img[i] -= sum(c * p for c, p in zip(r.coeffs, pairing))
-            k = self._index.get(tuple(img))
-            if k is None:
-                raise ConsistencyError(f"s_{i + 1}({r}) is not a root")
-            perm.append(k)
-        return tuple(perm)
 
     # -- equality / display ----------------------------------------------
 
@@ -821,7 +782,11 @@ def _closed_form_index_rows(rs: RootSystem
         for lo, hi in spans:
             for k in range(lo, hi + 1):
                 v[k - 1] += 1
-        return rs._index[tuple(v)]
+        k = rs._index.get(tuple(v))
+        if k is None:
+            raise ConsistencyError(f"{t}{n}: closed-form root "
+                                   f"{','.join(map(str, v))} was not generated")
+        return k
 
     rows: list[list[int]] = []
     long_roots: list[int | None] = [None] * n

@@ -1,6 +1,7 @@
 """Hessenberg spaces: construction, closure, enumeration, encodings."""
 
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -19,12 +20,14 @@ from hessenpave.hessenberg import (
     full_space,
     parse_hessenberg,
     smallest_containing,
+    space_fields,
     to_function,
 )
 from hessenpave.rootcore import (
     Root,
     build_root_system,
     enumerate_weyl,
+    format_root,
     parse_root,
 )
 
@@ -57,6 +60,15 @@ def test_from_function_examples():
         from_function(3, (2, 3, 4))       # above n
     with pytest.raises(ValueError, match=r"^h\(1\) = 2.7 is not an integer$"):
         from_function(3, (2.7, 3, 3))     # not truncated to 2
+
+
+@pytest.mark.parametrize("n", [3.0, "3", True, None])
+def test_from_function_refuses_non_integer_n(n):
+    """An n that is not an int is refused by name first, not failing in
+    ``range`` (3.0) or reported as a length mismatch ("3")."""
+    message = "^" + re.escape(f"n must be an integer, got {n!r}") + "$"
+    with pytest.raises(ValueError, match=message):
+        from_function(n, [2, 3, 3])
 
 
 def test_spaces_belong_to_their_root_system():
@@ -371,3 +383,17 @@ def test_space_is_its_mask(lie_type, rank):
         assert from_negative_roots(rs, s.negative_part) == s
     assert len(set(spaces)) == len(spaces)
     assert spaces[0] != spaces[-1]
+
+
+@pytest.mark.parametrize("lie_type,rank", SWEEP)
+def test_space_texts_equal_format_root(lie_type, rank):
+    """The texts read from the root system's table equal ``format_root``
+    of each negative root, in ``rs.all_roots`` index order, on every
+    space of the sweep."""
+    rs = build_root_system(lie_type, rank)
+    for space in enumerate_hessenberg(rs):
+        texts = [format_root(r)
+                 for r in sorted(space.negative_part, key=rs.root_index)]
+        assert space_fields(space) == ({"neg": texts},
+                                       "neg=" + ";".join(texts))
+        assert format_negative_part(space) == ";".join(texts)

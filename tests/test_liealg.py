@@ -1428,6 +1428,20 @@ def test_verify_lemmata_refuses_non_integer_trial_counts(real_a2, trials):
         verify_lemmata(real_a2, trials)
 
 
+@pytest.mark.parametrize("seed", [True, 1.5, 1.0, "1", None])
+def test_verify_lemmata_refuses_non_integer_seeds(monkeypatch, real_a2,
+                                                  seed):
+    """A seed that is not an int is refused by name before any check runs,
+    not reported back as ``"seed": true`` or seeding the trials with 1.5."""
+    def forbidden(*_):
+        raise AssertionError("a lemma check ran")
+
+    monkeypatch.setattr(liealg, "_check_row_structure", forbidden)
+    message = "^" + re.escape(f"seed must be an integer, got {seed!r}") + "$"
+    with pytest.raises(ValueError, match=message):
+        verify_lemmata(real_a2, 1, seed=seed)
+
+
 def test_verify_lemmata_refuses_group_over_budget_before_checks():
     """A realization whose Weyl group is over the enumeration budget is
     refused before any check runs (a stand-in, since building D20 takes

@@ -2,6 +2,7 @@
 
 import itertools
 import re
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -40,6 +41,9 @@ ALL_SMALL = [("A", 1), ("A", 2), ("A", 3), ("A", 4),
              ("C", 2), ("C", 3), ("C", 4),
              ("D", 3), ("D", 4)]
 
+RANK_12 = [(t, r) for t, low in (("A", 1), ("B", 2), ("C", 2), ("D", 3))
+           for r in range(low, 13)]
+
 
 def roots_by_text(rs, *texts):
     return {parse_root(rs, t) for t in texts}
@@ -65,8 +69,11 @@ def test_positive_root_counts_closed_forms():
 
 @pytest.mark.parametrize("lie_type,rank", ALL_SMALL + [("A", 5), ("B", 5), ("D", 5)])
 def test_reflection_closure_oracle(lie_type, rank):
-    """Independent oracle: close the simple roots under all simple
-    reflections; the orbit must be exactly the stored root set."""
+    """Close the simple roots under all simple reflections, through the
+    public ``simple_reflection`` and ``apply``; the orbit must be exactly
+    the stored root set.  This mirrors how the library generates the
+    roots (``_root_orbit``); the independent check on them is the
+    closed-form rows that ``stage_table`` builds."""
     rs = build_root_system(lie_type, rank)
     refl = [simple_reflection(rs, i) for i in range(1, rank + 1)]
     seen = set(rs.simple_roots)
@@ -118,6 +125,90 @@ def test_non_integer_rank_is_refused(rank):
     assert check_weyl_budget("A", rank) is None
     assert check_root_budget("A", rank) is None
     assert check_space_budget("A", rank) is None
+
+
+@pytest.mark.parametrize("coeffs,bad", [((1.9, 0), 1.9), (("1", True), "1"),
+                                        ((1, True), True), ((1.0, 0), 1.0)])
+def test_root_refuses_non_integer_coefficients(coeffs, bad):
+    """A coefficient that is not an int is refused by name, not converted
+    (1.9 would read as 1 and True as 1)."""
+    message = "^" + re.escape(f"root coefficient {bad!r} is not an "
+                              "integer") + "$"
+    with pytest.raises(ValueError, match=message):
+        build_root_system("A", 2).root(coeffs)
+
+
+AFFINE_A1 = ((2, -2), (-2, 2))
+WRONG_CARTAN = [
+    ("A2", AFFINE_A1, "the reflection orbit of the simple roots has more "
+                      "than 6 vectors"),
+    ("B2", AFFINE_A1, "the reflection orbit of the simple roots has more "
+                      "than 8 vectors"),
+    ("C2", AFFINE_A1, "the reflection orbit of the simple roots has more "
+                      "than 8 vectors"),
+    ("A2", ((2, 0), (0, 2)), "the reflection orbit has 4 roots, 2 of them "
+                             "positive; expected 3 positive roots and "
+                             "their negatives"),
+]
+
+
+@pytest.mark.parametrize("system,cartan,message", WRONG_CARTAN,
+                         ids=["affine-A2", "affine-B2", "affine-C2",
+                              "A1xA1-A2"])
+def test_wrong_cartan_matrix_fails_promptly(monkeypatch, system, cartan,
+                                            message):
+    """A wrong Cartan matrix stops construction within a second, with an
+    error naming the system: the affine A1 matrix has infinitely many real
+    roots, so its orbit outgrows twice the positive-root count, and A1×A1
+    gives too few roots."""
+    monkeypatch.setattr(RootSystem, "_build_cartan", lambda self: cartan)
+    start = time.perf_counter()
+    with pytest.raises(ConsistencyError,
+                       match="^" + re.escape(f"{system}: {message}") + "$"):
+        build_root_system(system[0], 2)
+    assert time.perf_counter() - start < 1
+
+
+def _orbit_with_swapped_root(real, k):
+    """The orbit function ``real`` with the k-th positive vector by height
+    (the highest root, last, excluded), and that vector's negative,
+    replaced by the non-root θ + α_1 (θ the highest root) and its
+    negative; the count and the images are kept."""
+    def swapped(cartan, limit):
+        orbit, images = real(cartan, limit)
+        positive = sorted((u for u in orbit if min(u) >= 0), key=sum)
+        v, top = positive[k], positive[-1]
+        fake = (top[0] + 1,) + top[1:]
+        neg = {v: fake, tuple(-c for c in v): tuple(-c for c in fake)}
+        return [neg.get(u, u) for u in orbit], images
+
+    return swapped
+
+
+@pytest.mark.parametrize("system", ["A2", "A3", "B3", "C3", "D4"])
+def test_root_orbit_with_a_non_root_is_caught(monkeypatch, system):
+    """Swap each positive root but the highest in turn, with its negative,
+    for a non-root: either construction or the first stage table (whose
+    closed-form rows no longer find the swapped root) raises
+    ConsistencyError naming the system, never KeyError; some swaps get
+    past construction, so the rows are reached."""
+    lie_type, rank = system[0], int(system[1:])
+    real = rootcore._root_orbit
+    caught_by_rows = 0
+    for k in range(len(build_root_system(lie_type, rank).positive_roots) - 1):
+        monkeypatch.setattr(rootcore, "_root_orbit",
+                            _orbit_with_swapped_root(real, k))
+        try:
+            rs = RootSystem(lie_type, rank)
+        except ConsistencyError as exc:
+            assert str(exc).startswith(f"{system}: ")
+            continue
+        with pytest.raises(ConsistencyError,
+                           match=rf"^{system}: closed-form root [-0-9,]+ "
+                                 r"was not generated$"):
+            stage_table(rs)
+        caught_by_rows += 1
+    assert caught_by_rows
 
 
 def test_root_text_round_trip():
@@ -363,13 +454,12 @@ def test_rows_d4_frozen():
     assert table.rows[3] == ()
 
 
-@pytest.mark.parametrize("lie_type,rank",
-                         ALL_SMALL + [("A", 5), ("A", 6), ("B", 5), ("B", 6),
-                                      ("C", 5), ("C", 6), ("D", 5), ("D", 6)])
+@pytest.mark.parametrize("lie_type,rank", RANK_12)
 def test_rows_partition_and_table_agreement(lie_type, rank):
     """Building the table cross-checks the closed forms against the
-    dominance computation and would raise on disagreement; here we
-    re-verify the partition property."""
+    generated roots and the dominance computation and would raise on
+    disagreement, on every system of rank ≤ 12; here we re-verify the
+    partition property."""
     rs = build_root_system(lie_type, rank)
     members = [k for row in stage_table(rs).rows for k in row]
     assert sorted(members) == list(range(rs.num_positive))
