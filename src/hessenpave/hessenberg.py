@@ -9,19 +9,18 @@ positive roots.  A space is stored as ``hm``, the bitmask of ``Φ_H`` over
 set, so only the negative bits (the negative part ``Φ_H ∩ Φ⁻``) carry
 information.  This module alone turns those bits back into roots.
 
-Closure under adding any positive root is equivalent to closure under
-adding simple roots (positive roots are built up from simples inside Φ⁺),
-so constructors check the simple-root condition; the full condition is
-re-verified exhaustively in the test suite.
-
 Negating everything, negative parts correspond to down-closed subsets
-(order ideals) of the positive-root poset under dominance; their
-complements in Φ⁻ are the ad-nilpotent ideals of the opposite Borel.
-Enumeration therefore walks the lattice of order ideals, each an integer
-mask over the positive-root indices.  Order ideals are
-closed under intersection, so every set of roots lies in a smallest
-Hessenberg space, built by :func:`smallest_containing` from per-root
-down-sets.
+(order ideals) of the positive-root poset under dominance, each an integer
+mask over the positive-root indices; their complements in Φ⁻ are the
+ad-nilpotent ideals of the opposite Borel.  Closure under adding any
+positive root is equivalent to closure under adding simple roots, so one
+rule on those masks decides it: an ideal holding p holds its lower covers,
+p − α_a = ``rs._pos_diff[p][a]`` for each simple root α_a that leaves a
+positive root.  :func:`from_negative_roots` checks it,
+:func:`enumerate_hessenberg` grows ideals by it, and the test suite
+re-verifies the full condition.  Order ideals are closed under
+intersection, so every set of roots lies in a smallest Hessenberg space,
+built by :func:`smallest_containing` from per-root down-sets.
 
 In type A with rank n−1, Hessenberg spaces match nondecreasing functions
 ``h: {1..n} → {1..n}`` with ``h(i) ≥ i``: the matrix entries allowed below
@@ -41,7 +40,6 @@ from .rootcore import (
     _count_text,
     _Record,
     _refused_by_root_system,
-    format_root,
     parse_root,
 )
 
@@ -108,24 +106,30 @@ class ComplementIdeal(_Record):
 def from_negative_roots(rs: RootSystem, negatives: Iterable[Root]) -> HessenbergSpace:
     """Build the Hessenberg space with the given negative part.
 
-    Raises ValueError if some element is not a negative root or if the
-    closure condition fails; the error names the offending pair.
+    Raises ValueError if some element is not a negative root of ``rs``
+    (or not a Root at all) or if the lower-cover rule fails; the error
+    names the offending pair.
     """
-    neg = frozenset(negatives)
-    hm = (1 << rs.num_positive) - 1
-    for beta in neg:
+    npos = rs.num_positive
+    texts = rs._texts
+    ideal = 0
+    for beta in negatives:
+        if not isinstance(beta, Root):
+            raise ValueError(f"{beta!r} is not a Root")
         k = rs.root_index(beta)
-        if not beta.is_negative:
-            raise ValueError(f"{format_root(beta)} is not a negative root")
-        hm |= 1 << k
-    for beta in neg:
-        for i, alpha in enumerate(rs.simple_roots, start=1):
-            s = rs.root_add(beta, alpha)
-            if s is not None and s.is_negative and s not in neg:
-                raise ValueError(
-                    f"closure violation: {format_root(beta)} is in the space "
-                    f"but {format_root(beta)} + α_{i} = {format_root(s)} is not")
-    return HessenbergSpace(rs, hm)
+        if k < npos:
+            raise ValueError(f"{texts[k]} is not a negative root")
+        ideal |= 1 << (k - npos)
+    for p in range(npos):
+        if ideal >> p & 1:
+            for i, a in enumerate(rs._simple_index, start=1):
+                d = rs._pos_diff[p][a]
+                if d is not None and not ideal >> d & 1:
+                    beta = texts[npos + p]
+                    raise ValueError(
+                        f"closure violation: {beta} is in the space but "
+                        f"{beta} + α_{i} = {texts[npos + d]} is not")
+    return HessenbergSpace(rs, (1 << npos) - 1 | ideal << npos)
 
 
 def borel_space(rs: RootSystem) -> HessenbergSpace:
@@ -145,9 +149,9 @@ _SPACE_COUNT = {"A": lambda n: comb(2 * n + 2, n + 1) // (n + 2),
                 "D": lambda n: comb(2 * n, n) - comb(2 * n - 2, n - 1)}
 
 # Most spaces enumerate_hessenberg builds: ``enumerate-hess`` on A10 (58,786
-# spaces) takes 4-5 s and 290 MB peak as a fresh process on a 2-vCPU Xeon;
-# the next counts up (D10 136,136, B10 and C10 184,756, A11 208,012)
-# would take minutes and hold every space in memory.
+# spaces) takes about 2.4 s and 290 MB peak as a fresh process on a 2-vCPU
+# Xeon (0.2 s of it enumerating); the next counts up (D10 136,136, B10 and
+# C10 184,756, A11 208,012) would hold every space and its output in memory.
 _SPACE_BUDGET = 60_000
 
 
@@ -173,9 +177,11 @@ def enumerate_hessenberg(rs: RootSystem) -> tuple[HessenbergSpace, ...]:
     """All Hessenberg spaces, ordered by size of the negative part and then
     lexicographically on the sorted index tuple of the negated roots.
 
-    The enumeration walks down-closed subsets of the positive-root poset:
-    a positive root may join an ideal once everything reachable from it by
-    subtracting one simple root is already present.  The result always
+    Positive-root indices follow height, so an ideal's largest index p is
+    a maximal member: each ideal of size k+1 is exactly one ideal of size
+    k plus a p above every member whose lower covers it holds.  Growing
+    the size-k ideals in order, each by ascending p, builds size k+1 once
+    and in order, with no set of seen ideals and no sort.  The result always
     starts with the Borel and ends with the full Lie algebra; it is cached
     on the root system.  Raises ValueError, before any work, when there are
     more than _SPACE_BUDGET spaces, and ConsistencyError when the count
@@ -237,26 +243,15 @@ def smallest_containing(rs: RootSystem, mask: int) -> int:
 def _build_hessenberg_spaces(rs: RootSystem) -> tuple[HessenbergSpace, ...]:
     npos = rs.num_positive
     covers = [sum(1 << c for c in cs) for cs in _lower_covers(rs)]
-
-    seen = {0}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for ideal in frontier:
-            for p, below in enumerate(covers):
-                bit = 1 << p
-                if not ideal & bit and below & ideal == below:
-                    grown = ideal | bit
-                    if grown not in seen:
-                        seen.add(grown)
-                        nxt.append(grown)
-        frontier = nxt
-
-    ordered = sorted(seen, key=lambda m: (
-        m.bit_count(), [p for p in range(npos) if m >> p & 1]))
+    ideals, level = [0], [0]
+    while level:
+        level = [ideal | 1 << p for ideal in level
+                 for p in range(ideal.bit_length(), npos)
+                 if covers[p] & ideal == covers[p]]
+        ideals += level
     borel = (1 << npos) - 1
     return tuple(HessenbergSpace(rs, borel | ideal << npos)
-                 for ideal in ordered)
+                 for ideal in ideals)
 
 
 def from_function(n: int, h: Iterable[int]) -> HessenbergSpace:
@@ -276,7 +271,10 @@ def _checked_function(n: int, h: Iterable[int]) -> tuple[int, ...]:
     int (a float, a string or a bool is refused, not converted)."""
     if type(n) is not int:
         raise ValueError(f"n must be an integer, got {n!r}")
-    hs = tuple(h)
+    try:
+        hs = tuple(h)
+    except TypeError:
+        raise ValueError(f"h = {h!r} is not a sequence of integers") from None
     if len(hs) != n:
         raise ValueError(f"expected {n} values, got {len(hs)}")
     for i, v in enumerate(hs, start=1):

@@ -1028,9 +1028,10 @@ def find_witness(real: ChevalleyRealization, w: WeylElement,
 
     The result is verified by direct matrix computation, and the stage
     kernel dimensions are checked against the row dimension profile.
-    Raises ValueError for an empty cell, for an N with a key that is not a
-    positive-root index or a coefficient that is not an int or Fraction,
-    and for a non-regular N (a zero simple-root coefficient);
+    Raises ValueError for an empty cell, for an N that is not a Mapping or
+    has a key that is not a positive-root index or a coefficient that is
+    not an int or Fraction, and for a non-regular N (a zero simple-root
+    coefficient);
     ConsistencyError if any stage is infeasible or the final membership
     check fails (both would contradict the paving).
     """
@@ -1042,6 +1043,9 @@ def find_witness(real: ChevalleyRealization, w: WeylElement,
                          "one root system")
     if n is None:
         n = dict.fromkeys(rs._simple_index, 1)
+    elif not isinstance(n, Mapping):
+        raise ValueError(f"N must be a mapping from positive-root index to "
+                         f"coefficient, got {n!r}")
     for k, v in n.items():
         if type(k) is not int or not 0 <= k < rs.num_positive:
             raise ValueError(f"N must be keyed by positive-root indices "

@@ -324,7 +324,11 @@ class RootSystem:
     def root(self, coeffs: Iterable[int]) -> Root:
         """Validate a vector of int coefficients (no other type is converted)
         and wrap it as a Root."""
-        t = tuple(coeffs)
+        try:
+            t = tuple(coeffs)
+        except TypeError:
+            raise ValueError(f"root coefficients {coeffs!r} are not a "
+                             "sequence of integers") from None
         for c in t:
             if type(c) is not int:
                 raise ValueError(f"root coefficient {c!r} is not an integer")
@@ -548,6 +552,8 @@ def identity_element(rs: RootSystem) -> WeylElement:
 
 def simple_reflection(rs: RootSystem, i: int) -> WeylElement:
     """The simple reflection s_i, 1-based."""
+    if type(i) is not int:
+        raise ValueError(f"reflection index must be an integer, got {i!r}")
     if not 1 <= i <= rs.rank:
         raise ValueError(f"reflection index {i} out of range 1..{rs.rank}")
     return WeylElement(rs, rs._reflections[i - 1])

@@ -71,6 +71,26 @@ def test_from_function_refuses_non_integer_n(n):
         from_function(n, [2, 3, 3])
 
 
+@pytest.mark.parametrize("h", [5, None, 2.5])
+def test_from_function_refuses_non_iterable_h(h):
+    """An h that is not a sequence is refused by name, not with a bare
+    TypeError from ``tuple``."""
+    message = "^" + re.escape(
+        f"h = {h!r} is not a sequence of integers") + "$"
+    with pytest.raises(ValueError, match=message):
+        from_function(3, h)
+
+
+@pytest.mark.parametrize("beta", ["-1,0", (-1, 0), None, -1])
+def test_from_negative_roots_refuses_non_roots(beta):
+    """An element that is not a Root (root text, a coefficient tuple) is
+    refused by name, not with a bare AttributeError on ``.coeffs``."""
+    a2 = build_root_system("A", 2)
+    message = "^" + re.escape(f"{beta!r} is not a Root") + "$"
+    with pytest.raises(ValueError, match=message):
+        from_negative_roots(a2, [parse_root(a2, "0,-1"), beta])
+
+
 def test_spaces_belong_to_their_root_system():
     """The spaces are cached on the root system that enumerated them, not
     shared between equal instances."""
@@ -334,11 +354,13 @@ SWEEP = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3),
 
 def ref_negative_parts(rs):
     """Reference enumeration: grow order ideals of positive-root indices as
-    frozensets (an index joins once every lower cover is in), sort by size
-    and then by ascending members, and negate the roots."""
+    frozensets (an index joins once every lower cover, read from
+    ``rs._pos_diff``, is in), sort by size and then by ascending members,
+    and negate the roots."""
     npos = rs.num_positive
     pos = rs.positive_roots
-    covers = hessenberg._lower_covers(rs)
+    covers = [[d for a in rs._simple_index if (d := line[a]) is not None]
+              for line in rs._pos_diff]
     seen = {frozenset()}
     frontier = [frozenset()]
     while frontier:
@@ -355,7 +377,8 @@ def ref_negative_parts(rs):
     return [frozenset(-pos[p] for p in ideal) for ideal in ordered]
 
 
-@pytest.mark.parametrize("lie_type,rank", SWEEP)
+@pytest.mark.parametrize("lie_type,rank", SWEEP + [
+    ("A", 6), ("A", 7), ("B", 5), ("C", 5), ("D", 5), ("D", 6)])
 def test_enumeration_equals_frozenset_reference(lie_type, rank):
     """The mask enumeration yields the reference's spaces in its order, with
     the mask and negative part the reference's roots give."""
@@ -366,6 +389,51 @@ def test_enumeration_equals_frozenset_reference(lie_type, rank):
     borel = (1 << rs.num_positive) - 1
     assert [s.hm for s in spaces] == [
         borel | sum(1 << rs.root_index(b) for b in neg) for neg in ref]
+
+
+def ref_is_closed(rs, neg):
+    """Reference closure test in Root arithmetic: β + α_i stays in ``neg``
+    whenever it is a negative root, for every β in ``neg``."""
+    for beta in neg:
+        for alpha in rs.simple_roots:
+            s = rs.root_add(beta, alpha)
+            if s is not None and s.is_negative and s not in neg:
+                return False
+    return True
+
+
+_VIOLATION = re.compile(r"^closure violation: (\S+) is in the space but "
+                        r"\1 \+ α_(\d+) = (\S+) is not$")
+
+
+@pytest.mark.parametrize("lie_type,rank",
+                         [("A", 3), ("B", 3), ("C", 3), ("D", 4)])
+def test_closure_check_equals_root_reference_on_every_subset(lie_type,
+                                                             rank):
+    """Over every subset of the negative roots, ``from_negative_roots``
+    accepts exactly the subsets the Root-arithmetic reference calls
+    closed, builds the enumerated space with that negative part, and
+    otherwise names a pair β, α_i with β + α_i a negative root outside the
+    subset."""
+    rs = build_root_system(lie_type, rank)
+    by_part = {s.negative_part: s for s in enumerate_hessenberg(rs)}
+    neg = rs.negative_roots
+    accepted = 0
+    for bits in range(1 << len(neg)):
+        subset = frozenset(r for k, r in enumerate(neg) if bits >> k & 1)
+        if ref_is_closed(rs, subset):
+            assert from_negative_roots(rs, subset) == by_part[subset]
+            accepted += 1
+            continue
+        with pytest.raises(ValueError) as exc:
+            from_negative_roots(rs, subset)
+        m = _VIOLATION.match(str(exc.value))
+        assert m, str(exc.value)
+        beta = parse_root(rs, m[1])
+        s = rs.root_add(beta, rs.simple_roots[int(m[2]) - 1])
+        assert beta in subset and s == parse_root(rs, m[3])
+        assert s.is_negative and s not in subset
+    assert accepted == len(by_part)
 
 
 @pytest.mark.parametrize("lie_type,rank", SWEEP)

@@ -1523,6 +1523,12 @@ _MALFORMED_N = {
                   "coefficient '1' of N at "),
     "bool value": (lambda s1, s2, p: {s1: True, s2: 1},
                    "coefficient True of N at "),
+    "list": (lambda s1, s2, p: [1, 1],
+             "N must be a mapping from positive-root index to coefficient, "
+             "got [1, 1]"),
+    "pairs": (lambda s1, s2, p: [(s1, 1), (s2, 1)],
+              "N must be a mapping from positive-root index to coefficient, "
+              "got [("),
     "zero simple coefficient": (lambda s1, s2, p: {s1: 1, s2: 0},
                                 "witness search requires a regular nilpotent"),
 }
@@ -1531,10 +1537,11 @@ _MALFORMED_N = {
 @pytest.mark.parametrize("case", list(_MALFORMED_N))
 def test_witness_refuses_malformed_nilpotent_before_solving(
         monkeypatch, real_a2, case):
-    """A key that is not a positive-root index (a bool is not an int), a
-    coefficient that is not exactly an int or a Fraction, and a zero
-    simple-root coefficient are refused with ValueError before any cell
-    test or solve."""
+    """An N that is not a Mapping (a list, even of pairs, once ended in a
+    bare AttributeError), a key that is not a positive-root index (a bool
+    is not an int), a coefficient that is not exactly an int or a
+    Fraction, and a zero simple-root coefficient are refused with
+    ValueError before any cell test or solve."""
     rs = real_a2.rs
     build, message = _MALFORMED_N[case]
     n = build(*rs._simple_index, rs.num_positive)

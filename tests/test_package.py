@@ -348,6 +348,15 @@ def test_roots_stay_at_the_edge_of_liealg():
     assert _root_calls(ast.parse("f = rs.root_index\nRoot\n")) == set()
 
 
+def test_hessenberg_adds_and_builds_no_root():
+    """Closure and enumeration in ``hessenberg`` read the lower-cover
+    table: the module adds no roots and builds none; it only looks a root
+    up by index (``root_index``) where a caller hands one in."""
+    tree = ast.parse(
+        (SRC / "hessenpave" / "hessenberg.py").read_text(encoding="utf-8"))
+    assert _root_calls(tree) == {"root_index"}
+
+
 def _main_block_calls(tree) -> list[str]:
     """The source of each statement in the ``if __name__ == "__main__":``
     blocks of a module."""

@@ -138,6 +138,16 @@ def test_root_refuses_non_integer_coefficients(coeffs, bad):
         build_root_system("A", 2).root(coeffs)
 
 
+@pytest.mark.parametrize("coeffs", [5, None, 1.5])
+def test_root_refuses_non_iterable_coefficients(coeffs):
+    """Coefficients that are not a sequence at all are refused by name,
+    not with a bare TypeError from ``tuple``."""
+    message = "^" + re.escape(f"root coefficients {coeffs!r} are not a "
+                              "sequence of integers") + "$"
+    with pytest.raises(ValueError, match=message):
+        build_root_system("A", 2).root(coeffs)
+
+
 AFFINE_A1 = ((2, -2), (-2, 2))
 WRONG_CARTAN = [
     ("A2", AFFINE_A1, "the reflection orbit of the simple roots has more "
@@ -626,6 +636,16 @@ def test_simple_reflection_examples():
     assert compose(s1, s1) == identity_element(a2)
     with pytest.raises(ValueError):
         simple_reflection(a2, 3)
+
+
+@pytest.mark.parametrize("i", [True, False, 1.0, "1", None])
+def test_simple_reflection_refuses_non_integer_index(i):
+    """An index that is not an int is refused by name, as ranks are: True
+    once returned s_1, and 1.0 ended in a bare TypeError."""
+    message = "^" + re.escape(
+        f"reflection index must be an integer, got {i!r}") + "$"
+    with pytest.raises(ValueError, match=message):
+        simple_reflection(build_root_system("A", 2), i)
 
 
 def test_enumerate_weyl_counts_and_order():
