@@ -14,13 +14,14 @@ Negating everything, negative parts correspond to down-closed subsets
 mask over the positive-root indices; their complements in Φ⁻ are the
 ad-nilpotent ideals of the opposite Borel.  Closure under adding any
 positive root is equivalent to closure under adding simple roots, so one
-rule on those masks decides it: an ideal holding p holds its lower covers,
-p − α_a = ``rs._pos_diff[p][a]`` for each simple root α_a that leaves a
+rule on those masks decides it: an ideal holding p holds its lower covers
+``rs._covers[p]``, the roots p − α_a for each simple root α_a that leaves a
 positive root.  :func:`from_negative_roots` checks it,
 :func:`enumerate_hessenberg` grows ideals by it, and the test suite
 re-verifies the full condition.  Order ideals are closed under
 intersection, so every set of roots lies in a smallest Hessenberg space,
-built by :func:`smallest_containing` from per-root down-sets.
+which :func:`smallest_containing` reads off the per-root down-sets
+``rs._below``.
 
 In type A with rank n−1, Hessenberg spaces match nondecreasing functions
 ``h: {1..n} → {1..n}`` with ``h(i) ≥ i``: the matrix entries allowed below
@@ -106,29 +107,32 @@ class ComplementIdeal(_Record):
 def from_negative_roots(rs: RootSystem, negatives: Iterable[Root]) -> HessenbergSpace:
     """Build the Hessenberg space with the given negative part.
 
-    Raises ValueError if some element is not a negative root of ``rs``
-    (or not a Root at all) or if the lower-cover rule fails; the error
-    names the offending pair.
+    Raises ValueError if ``negatives`` is not iterable, if some element
+    is not a negative root of ``rs`` (or not a Root at all) or if the
+    lower-cover rule fails; the error names the offending pair.
     """
     npos = rs.num_positive
     texts = rs._texts
+    try:
+        negatives = iter(negatives)
+    except TypeError:
+        raise ValueError(f"negative roots {negatives!r} are not a sequence "
+                         "of Roots") from None
     ideal = 0
     for beta in negatives:
-        if not isinstance(beta, Root):
-            raise ValueError(f"{beta!r} is not a Root")
         k = rs.root_index(beta)
         if k < npos:
             raise ValueError(f"{texts[k]} is not a negative root")
         ideal |= 1 << (k - npos)
     for p in range(npos):
-        if ideal >> p & 1:
-            for i, a in enumerate(rs._simple_index, start=1):
-                d = rs._pos_diff[p][a]
-                if d is not None and not ideal >> d & 1:
-                    beta = texts[npos + p]
-                    raise ValueError(
-                        f"closure violation: {beta} is in the space but "
-                        f"{beta} + α_{i} = {texts[npos + d]} is not")
+        if ideal >> p & 1 and rs._covers[p] & ~ideal:
+            # name the first simple root whose cover is missing
+            i, d = next((i, d) for i, a in enumerate(rs._simple_index, 1)
+                        if (d := rs._pos_diff[p][a]) is not None
+                        and not ideal >> d & 1)
+            beta = texts[npos + p]
+            raise ValueError(f"closure violation: {beta} is in the space but "
+                             f"{beta} + α_{i} = {texts[npos + d]} is not")
     return HessenbergSpace(rs, (1 << npos) - 1 | ideal << npos)
 
 
@@ -198,51 +202,28 @@ def enumerate_hessenberg(rs: RootSystem) -> tuple[HessenbergSpace, ...]:
     return rs._spaces_cache
 
 
-def _lower_covers(rs: RootSystem) -> list[tuple[int, ...]]:
-    """For each positive root, the indices reachable by subtracting one
-    simple root; each has smaller height, so a smaller index."""
-    return [tuple(d for a in rs._simple_index if (d := line[a]) is not None)
-            for line in rs._pos_diff]
-
-
-def _down_set_masks(rs: RootSystem) -> tuple[int, ...]:
-    """Entry p is the bitmask over ``rs.all_roots`` indices of −γ for every
-    positive root γ at or below positive root p (the negative part of the
-    smallest Hessenberg space holding −pos[p]); cached on the root system."""
-    if rs._down_sets_cache is None:
-        npos = rs.num_positive
-        down: list[int] = []
-        for p, covers in enumerate(_lower_covers(rs)):
-            m = 1 << (npos + p)
-            for c in covers:
-                m |= down[c]
-            down.append(m)
-        rs._down_sets_cache = tuple(down)
-    return rs._down_sets_cache
-
-
 def smallest_containing(rs: RootSystem, mask: int) -> int:
     """``hm`` of the smallest Hessenberg space whose root set contains every
     root of ``mask`` (a bitmask over ``rs.all_roots`` indices).
 
     Negative parts are order ideals, and order ideals are closed under
     intersection, so this space exists: Φ⁺ together with the down-sets of
-    the negated negative roots in ``mask``.
+    the negated negative roots in ``mask``, read off ``rs._below``.
     """
     npos = rs.num_positive
-    down = _down_set_masks(rs)
-    hm = (1 << npos) - 1
+    below = rs._below
+    ideal = 0
     neg = mask >> npos
     while neg:
         low = neg & -neg
-        hm |= down[low.bit_length() - 1]
+        ideal |= below[low.bit_length() - 1]
         neg ^= low
-    return hm
+    return (1 << npos) - 1 | ideal << npos
 
 
 def _build_hessenberg_spaces(rs: RootSystem) -> tuple[HessenbergSpace, ...]:
     npos = rs.num_positive
-    covers = [sum(1 << c for c in cs) for cs in _lower_covers(rs)]
+    covers = rs._covers
     ideals, level = [0], [0]
     while level:
         level = [ideal | 1 << p for ideal in level
@@ -377,6 +358,8 @@ def parse_hessenberg(rs: RootSystem, text: str) -> HessenbergSpace:
     ``neg=-1,0;0,-1`` for an explicit negative-root list (``neg=`` with
     nothing after it is the Borel).
     """
+    if not isinstance(text, str):
+        raise ValueError(f"malformed Hessenberg text {text!r}")
     text = text.strip()
     if text == "full":
         return full_space(rs)

@@ -92,12 +92,12 @@ from .rootcore import (
     RootSystem,
     WeylElement,
     _Record,
+    _span_root,
     check_weyl_budget,
     enumerate_weyl,
     format_root,
     format_word,
     stage_table,
-    strictly_dominates,
 )
 
 DEFAULT_SEED = 2026
@@ -351,31 +351,9 @@ def build_chevalley(rs: RootSystem) -> ChevalleyRealization:
     return ChevalleyRealization(rs, _root_vectors(rs))
 
 
-def _chain_root(rs: RootSystem, lo: int, hi: int,
-                fork: bool = False) -> int | None:
-    """The index of the root α_lo + ... + α_hi, plus α_n when ``fork``;
-    None when that sum (or an empty chain) is not a root."""
-    n = rs.rank
-    v = [1 if lo <= k <= hi else 0 for k in range(1, n + 1)]
-    if fork:
-        v[n - 1] += 1
-    return rs._index.get(tuple(v))
-
-
 # ---------------------------------------------------------------------------
 # coefficient-space adjoint calculus
 # ---------------------------------------------------------------------------
-
-
-def _sum_pairs(rs: RootSystem) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """For each positive root i, by index, the pairs (j, k) of indices with
-    ``pos[i] + pos[j] = pos[k]``, read off ``rs._pos_sum``; cached on the
-    root system."""
-    if rs._sum_pairs_cache is None:
-        rs._sum_pairs_cache = tuple(
-            tuple((j, k) for j, k in enumerate(line) if k is not None)
-            for line in rs._pos_sum)
-    return rs._sum_pairs_cache
 
 
 def _ibracket(real: ChevalleyRealization, a: dict[int, Fraction | int],
@@ -384,7 +362,7 @@ def _ibracket(real: ChevalleyRealization, a: dict[int, Fraction | int],
     each root i of A it visits only the roots j with i + j a positive root,
     and it reads the constants off ``real.constants`` on each call."""
     m = real.constants.table
-    pairs = _sum_pairs(real.rs)
+    pairs = real.rs._sum_pairs
     out: dict[int, Fraction | int] = {}
     for i, x in a.items():
         mi = m[i]
@@ -682,8 +660,9 @@ def _check_type_d_coefficients(real: ChevalleyRealization, trials: int,
                 if total.get(a, 0) != scale * expect:
                     return {"trial": t, "row": i, "alpha": format_root(alpha),
                             "reason": "first coefficient formula mismatch"}
-                trimmed = {r: v for r, v in xi.items()
-                           if not strictly_dominates(alpha, pos[r])}
+                # the coordinates of X at roots strictly below α set to 0
+                lower = rs._below[a] ^ 1 << a
+                trimmed = {r: v for r, v in xi.items() if not lower >> r & 1}
                 trimmed_scale, moved = _iad_series(real, trimmed, ni)
                 if moved.get(a, 0) != trimmed_scale * ni.get(a, 0):
                     return {"trial": t, "row": i, "alpha": format_root(alpha),
@@ -739,12 +718,12 @@ def _check_containment(real: ChevalleyRealization, trials: int,
            for nn in samples]
     faults = [_first_entry_faults(rs, psi_rows) for psi_rows in psi]
     any_fault = tuple(set().union(*faults))
-    drops = _positive_simple_drops(rs)
+    covers = rs._covers
 
     # a root some sample flags carries a bit above the positive roots in its
-    # drop mask, which every ~Φ_w has, so one pass over the roots gives risky
+    # cover mask, which every ~Φ_w has, so one pass over the roots gives risky
     flagged = tuple(dm | (a in any_fault) << rs.num_positive
-                    for a, dm in drops)
+                    for a, dm in enumerate(covers))
 
     elements = enumerate_weyl(rs)
     spaces = enumerate_hessenberg(rs)
@@ -774,7 +753,8 @@ def _check_containment(real: ChevalleyRealization, trials: int,
     for k in suspect_w:
         inv = elements[k].inverse_root_permutation()
         outside_phi_w = ~elements[k].inversion_mask()
-        bad[k] = sum(1 << inv[a] for a, dm in drops if dm & outside_phi_w)
+        bad[k] = sum(1 << inv[a] for a, dm in enumerate(covers)
+                     if dm & outside_phi_w)
     for psi_rows, fault in zip(psi, faults):
         for space, k in suspects:
             w = elements[k]
@@ -804,14 +784,6 @@ def _first_entry_faults(rs: RootSystem, psi_rows: dict[int, list]
             if first is None or rs._pos_diff[k][row[first]] not in simple:
                 out.append(k)
     return frozenset(out)
-
-
-def _positive_simple_drops(rs: RootSystem) -> tuple[tuple[int, int], ...]:
-    """For each positive root α, by index: the index and the mask of the
-    positive roots α − α_j."""
-    return tuple((k, sum(1 << d for a in rs._simple_index
-                         if (d := line[a]) is not None))
-                 for k, line in enumerate(rs._pos_diff))
 
 
 def _containment_counterexample(rs: RootSystem, psi_rows: dict[int, list],
@@ -864,12 +836,12 @@ def _check_type_d_block(real: ChevalleyRealization, trials: int,
         # i.e. i <= n-3; the last pairing degenerates (its top row root
         # Σ_{j=i+1}^n α_j stops being a root)
         for i in range(1, n - 2):
-            row_targets = [_chain_root(rs, i + 1, n),
-                           _chain_root(rs, i, n - 1),
-                           _chain_root(rs, i, n - 2, fork=True)]
-            col_roots = [_chain_root(rs, i + 1, n - 1),
-                         _chain_root(rs, i + 1, n - 2, fork=True),
-                         _chain_root(rs, i, n - 2)]
+            row_targets = [_span_root(rs, (i + 1, n)),
+                           _span_root(rs, (i, n - 1)),
+                           _span_root(rs, (i, n - 2), (n, n))]
+            col_roots = [_span_root(rs, (i + 1, n - 1)),
+                         _span_root(rs, (i + 1, n - 2), (n, n)),
+                         _span_root(rs, (i, n - 2))]
             # entry (r, c) is m_{c,r−c} n_{r−c}: the block of −ad(N)
             block = [[-v for v in line]
                      for line in _ad_block(real, cf, row_targets, col_roots)]
@@ -896,9 +868,9 @@ def _check_type_d_block(real: ChevalleyRealization, trials: int,
     fork_a, fork_b = simple[n - 2], simple[n - 1]
     pos = rs.positive_roots
     for i in range(1, n - 1):
-        chain = _chain_root(rs, i, n - 2)                  # c_i
-        next_a = _chain_root(rs, i + 1, n - 1)             # c_{i+1} + α_{n-1}
-        next_b = _chain_root(rs, i + 1, n - 2, fork=True)  # c_{i+1} + α_n
+        chain = _span_root(rs, (i, n - 2))               # c_i
+        next_a = _span_root(rs, (i + 1, n - 1))          # c_{i+1} + α_{n-1}
+        next_b = _span_root(rs, (i + 1, n - 2), (n, n))  # c_{i+1} + α_n
         alpha_i = simple[i - 1]
         for a, b in ((chain, fork_a), (chain, fork_b), (alpha_i, next_a),
                      (alpha_i, next_b), (next_a, fork_b), (next_b, fork_a)):
@@ -1166,7 +1138,12 @@ def _verify_witness_matrix(real: ChevalleyRealization, w: WeylElement,
         u_inv = sp_mul(sp_exp_nilpotent(sp_scale(xmat, -1), size), u_inv)
 
     conj = sp_mul(sp_mul(u, real.matrix_of(n)), u_inv)
-    cartan, expanded = real.expand(conj)
+    try:
+        cartan, expanded = real.expand(conj)
+    except ValueError as exc:
+        raise ConsistencyError(f"conjugated nilpotent is outside the Lie "
+                               f"algebra: {exc} ({_witness_context(space, w)})"
+                               ) from None
     if any(cartan):
         raise ConsistencyError("conjugated nilpotent acquired a Cartan part "
                                f"({_witness_context(space, w)})")

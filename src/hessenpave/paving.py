@@ -178,20 +178,10 @@ def _betti_tally(space: HessenbergSpace, dims: list[int]) -> tuple[int, ...]:
     return product
 
 
-def _height_masks(rs: RootSystem) -> tuple[int, ...]:
-    """Positive-root bitmask of each height; cached on the root system."""
-    if rs._heights_cache is None:
-        masks: dict[int, int] = {}
-        for k, root in enumerate(rs.positive_roots):
-            masks[root.height] = masks.get(root.height, 0) | 1 << k
-        rs._heights_cache = tuple(masks.values())
-    return rs._heights_cache
-
-
 def _exponents(space: HessenbergSpace) -> tuple[int, ...]:
     """e_1..e_rank: e_i = #{k : λ_k ≥ i}, λ_k the roots of I at height k."""
     ideal = space.hm >> space.rs.num_positive   # bit k: −(root k) ∈ Φ_H
-    lam = [(ideal & m).bit_count() for m in _height_masks(space.rs)]
+    lam = [(ideal & m).bit_count() for m in space.rs._heights]
     return tuple(sum(1 for x in lam if x >= i)
                  for i in range(1, space.rs.rank + 1))
 

@@ -15,14 +15,28 @@ structure derived from a root system (Weyl group enumeration, rows,
 Hessenberg spaces, pavings) inherits its determinism from this order.
 
 Whether ``α − β`` or ``α + β`` is a positive root is asked all over the
-package (Hessenberg closure, lower covers, the row operators, the witness
+package (the root-poset tables below, the row operators, the witness
 stages, the lemma checks), so each root system answers it from one table
 built on construction: ``rs._pos_diff[a][b]`` is the index of
 ``positive_roots[a] − positive_roots[b]`` when that is a positive root and
 None otherwise.  Sums read the same table, since ``a + b = c`` iff
-``_pos_diff[c][b] == a``; ``rs._pos_sum[a][b]`` is that inverse view.  The
-lower covers of a positive root (its differences with the simple roots)
-are the entries ``_pos_diff[k][s]`` for ``s`` in ``rs._simple_index``.
+``_pos_diff[c][b] == a``; ``rs._pos_sum[a][b]`` is that inverse view.
+
+The root-poset tables are built from it on construction too, and no other
+module derives them; each is a bitmask over positive-root indices:
+
+* ``rs._covers[p]``: the lower covers of root p, its positive differences
+  with the simple roots (Hessenberg closure and enumeration, the
+  containment check);
+* ``rs._below[p]``: every root at or below root p in the dominance order
+  (the smallest Hessenberg space holding a set of roots);
+* ``rs._heights[h-1]``: the roots of height h (the Betti product);
+* ``rs._sum_pairs[i]``, not a mask: the pairs ``(j, k)`` with
+  ``pos[i] + pos[j] = pos[k]`` (the bracket of the row operators).
+
+``_span_root`` finds a root from runs of simple-root coefficients; the
+closed-form rows and the type-D checks of :mod:`hessenpave.liealg` name
+their roots with it.
 
 The *rows* ``Φ_1, ..., Φ_n`` partition the positive roots: row ``i``
 consists of the positive roots whose expansion in the orthonormal ε-basis
@@ -287,37 +301,53 @@ class RootSystem:
             tuple(pos_key.get(ka - kb) for kb in self._keys[:npos])
             for ka in self._keys[:npos])
         sums = [[None] * npos for _ in range(npos)]
+        # the pairs (b, c) with a + b = c, by a; the index order is additive
+        # (height, then coefficients), so ascending c is ascending b
+        pairs: list[list[tuple[int, int]]] = [[] for _ in range(npos)]
         for c, line in enumerate(self._pos_diff):
             for b, a in enumerate(line):
                 if a is not None:
                     sums[a][b] = c
+                    pairs[a].append((b, c))
         self._pos_sum = tuple(map(tuple, sums))
+        self._sum_pairs = tuple(map(tuple, pairs))
         # bit p of a positive-root mask, by index
         self._pos_bits = tuple(1 << p for p in range(npos))
-        # (β, γ, α_j) as all_roots indices with β = γ + α_j, one for each
-        # non-simple positive root β (the height order puts the simple roots
-        # first); the linearity check of WeylElement inducts on height
-        # along these
-        splits = []
-        for k in range(rank, npos):
-            a = next((a for a in self._simple_index
-                      if self._pos_diff[k][a] is not None), None)
-            if a is None:
-                raise ConsistencyError(f"{name}: {self.positive_roots[k]} is "
-                                       "not a root plus a simple root")
-            splits.append((k, self._pos_diff[k][a], a))
+        # (β, γ, α_j) as all_roots indices with β = γ + α_j, for the first
+        # simple α_j that leaves a positive root γ, one for each non-simple
+        # positive root β (the height order puts the simple roots first);
+        # the linearity check of WeylElement inducts on height along these.
+        # Beside them, the root-poset tables, masks over positive-root
+        # indices (see the module docstring): a lower cover has smaller
+        # height, so a smaller index, and its down-set is built first
+        splits, covers, below = [], [], []
+        heights = [0] * self.positive_roots[-1].height
+        for p, line in enumerate(self._pos_diff):
+            drops = [(d, a) for a in self._simple_index
+                     if (d := line[a]) is not None]
+            if p >= rank:
+                if not drops:
+                    raise ConsistencyError(f"{name}: {self.positive_roots[p]} "
+                                           "is not a root plus a simple root")
+                splits.append((p, *drops[0]))
+            down = 1 << p
+            for d, _ in drops:
+                down |= below[d]
+            covers.append(sum(1 << d for d, _ in drops))
+            below.append(down)
+            heights[self.positive_roots[p].height - 1] |= 1 << p
         self._splits = tuple(splits)
+        self._covers = tuple(covers)
+        self._below = tuple(below)
+        self._heights = tuple(heights)
 
-        # per-system tables other modules build on first use and keep here,
-        # so that they live and die with this instance
+        # the tables that are budgeted or validated, and the type-A column
+        # masks, built on first use by the modules that own them and kept
+        # here, so that they live and die with this instance
         self._stages_cache: StageTable | None = None
         self._weyl_cache: tuple["WeylElement", ...] | None = None
         self._spaces_cache: tuple["HessenbergSpace", ...] | None = None
-        self._down_sets_cache: tuple[int, ...] | None = None
         self._columns_cache: tuple[tuple[int, ...], ...] | None = None
-        self._heights_cache: tuple[int, ...] | None = None
-        self._sum_pairs_cache: tuple[tuple[tuple[int, int], ...], ...] | None
-        self._sum_pairs_cache = None
 
     # -- basic root arithmetic -------------------------------------------
 
@@ -342,6 +372,8 @@ class RootSystem:
 
     def root_index(self, root: Root) -> int:
         """Index into all_roots (positives first, then their negatives)."""
+        if not isinstance(root, Root):
+            raise ValueError(f"{root!r} is not a Root")
         try:
             return self._index[root.coeffs]
         except KeyError:
@@ -398,6 +430,8 @@ def dominance_leq(rs: RootSystem, beta: Root, alpha: Root) -> bool:
 
 def parse_root(rs: RootSystem, text: str) -> Root:
     """Parse the comma-separated signed-integer encoding of a root."""
+    if not isinstance(text, str):
+        raise ValueError(f"malformed root text {text!r}")
     try:
         coeffs = tuple(int(p.strip()) for p in text.split(","))
     except ValueError:
@@ -592,6 +626,8 @@ def format_word(w: WeylElement) -> str:
 
 def parse_word(rs: RootSystem, text: str) -> WeylElement:
     """Parse a space-separated word of reflection indices ('' = identity)."""
+    if not isinstance(text, str):
+        raise ValueError(f"malformed Weyl word {text!r}")
     try:
         letters = [int(p) for p in text.split()]
     except ValueError:
@@ -772,6 +808,15 @@ def enumerate_weyl(rs: RootSystem) -> tuple[WeylElement, ...]:
 # ---------------------------------------------------------------------------
 
 
+def _span_root(rs: RootSystem, *spans: tuple[int, int]) -> int | None:
+    """The index of the root with 1 added on positions lo..hi (1-based,
+    inclusive) of each span ``(lo, hi)`` of simple roots, e.g. ``(i, n),
+    (k, n)`` for ``ε_i + ε_k`` in type B; an empty span (lo > hi) adds
+    nothing.  None when that vector is not a root."""
+    return rs._index.get(tuple(sum(lo <= k <= hi for lo, hi in spans)
+                               for k in range(1, rs.rank + 1)))
+
+
 def _closed_form_index_rows(rs: RootSystem
                             ) -> tuple[list[list[int]], list[int | None]]:
     """Rows from their closed forms, as positive-root indices, and the
@@ -783,13 +828,10 @@ def _closed_form_index_rows(rs: RootSystem
     t = rs.lie_type
 
     def root(*spans: tuple[int, int]) -> int:
-        # the root with 1 added on positions lo..hi (1-based) of each span
-        v = [0] * n
-        for lo, hi in spans:
-            for k in range(lo, hi + 1):
-                v[k - 1] += 1
-        k = rs._index.get(tuple(v))
+        k = _span_root(rs, *spans)
         if k is None:
+            v = [sum(lo <= j <= hi for lo, hi in spans)
+                 for j in range(1, n + 1)]
             raise ConsistencyError(f"{t}{n}: closed-form root "
                                    f"{','.join(map(str, v))} was not generated")
         return k

@@ -5,11 +5,13 @@ to the first 16 hex digits of the sha256 of its stdout.  This test replays
 a fixed, seeded sample of those command lines through ``cli.main`` in this
 process and compares the digests: every subcommand, and every root system
 of the golden query universe for each per-system subcommand.  It only reads
-the file.  Replaying all 14,101 entries takes about two minutes and stays a
-step run by hand (``perfbench/make_golden.py`` shows how the digests are
-made).
+the file.  ``test_every_output_matches_golden_digests`` replays all 14,101
+entries; it carries the ``full_golden`` marker, which the default pytest
+options deselect, and runs with ``pytest -m full_golden tests/test_golden.py``
+(``perfbench/make_golden.py`` shows how the digests are made).
 """
 
+import functools
 import gzip
 import hashlib
 import json
@@ -19,7 +21,7 @@ from pathlib import Path
 
 import pytest
 
-from hessenpave import cli
+from hessenpave import cli, liealg
 
 GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json.gz"
 DIGEST_HEX = 16
@@ -88,3 +90,23 @@ def test_sampled_outputs_match_golden_digests(golden, sample, capsys,
         if code != 0 or digest != golden["digests"][key][0]:
             differ.append(key)
     assert differ == []
+
+
+@pytest.mark.full_golden
+def test_every_output_matches_golden_digests(golden, capsys, monkeypatch):
+    """Every command line of the golden file gives its digest, with exit
+    code 0.  Root systems and realizations are reused across command
+    lines, as ``perfbench/make_golden.py`` reuses them to make the digests:
+    about 20 s and 500 MB peak on a 2-vCPU Xeon."""
+    monkeypatch.delenv("HESSENPAVE_SEED", raising=False)
+    monkeypatch.setattr(cli, "RootSystem",
+                        functools.lru_cache(maxsize=None)(cli.RootSystem))
+    monkeypatch.setattr(liealg, "build_chevalley", functools.lru_cache(
+        maxsize=None)(liealg.build_chevalley))
+    differ = []
+    for key, (want, _) in sorted(golden["digests"].items()):
+        code = cli.main(shlex.split(key))
+        out = capsys.readouterr().out.encode("utf-8")
+        if code != 0 or hashlib.sha256(out).hexdigest()[:DIGEST_HEX] != want:
+            differ.append(key)
+    assert differ == [], f"{len(differ)} differ, first {differ[:5]}"

@@ -91,6 +91,16 @@ def test_from_negative_roots_refuses_non_roots(beta):
         from_negative_roots(a2, [parse_root(a2, "0,-1"), beta])
 
 
+@pytest.mark.parametrize("negatives", [5, None, 2.5])
+def test_from_negative_roots_refuses_non_iterable(negatives):
+    """A negative part that is not iterable is refused by name, not with
+    a bare TypeError from the loop over it."""
+    message = "^" + re.escape(f"negative roots {negatives!r} are not a "
+                              "sequence of Roots") + "$"
+    with pytest.raises(ValueError, match=message):
+        from_negative_roots(build_root_system("A", 2), negatives)
+
+
 def test_spaces_belong_to_their_root_system():
     """The spaces are cached on the root system that enumerated them, not
     shared between equal instances."""
@@ -310,6 +320,10 @@ def test_parse_hessenberg_forms():
         parse_hessenberg(b2, "nonsense")
     for bad in ("h=2,,3", "h=a,b", "h="):
         with pytest.raises(ValueError, match="malformed Hessenberg text"):
+            parse_hessenberg(a2, bad)
+    for bad in (5, None, b"full"):
+        message = "^" + re.escape(f"malformed Hessenberg text {bad!r}") + "$"
+        with pytest.raises(ValueError, match=message):
             parse_hessenberg(a2, bad)
 
 

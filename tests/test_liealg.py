@@ -651,17 +651,17 @@ def ref_gf2_solve(rows, rhs):
 
 def ref_d_normalization_pairs(rs):
     """The six constant families (per valid row index) pinned to +1."""
-    def chain(rs, *args):
-        k = liealg._chain_root(rs, *args)
+    def chain(rs, *spans):
+        k = rootcore._span_root(rs, *spans)
         return None if k is None else rs.positive_roots[k]
 
     n = rs.rank
     alpha = rs.simple_roots
     pairs = []
     for i in range(1, n - 1):
-        chain_in2 = chain(rs, i, n - 2)              # ε_i − ε_{n-1}
-        chain_i1_n1 = chain(rs, i + 1, n - 1)        # ε_{i+1} − ε_n
-        forked_i1 = chain(rs, i + 1, n - 2, True)    # ε_{i+1} + ε_n
+        chain_in2 = chain(rs, (i, n - 2))                   # ε_i − ε_{n-1}
+        chain_i1_n1 = chain(rs, (i + 1, n - 1))             # ε_{i+1} − ε_n
+        forked_i1 = chain(rs, (i + 1, n - 2), (n, n))       # ε_{i+1} + ε_n
         candidates = [
             (chain_in2, alpha[n - 2]),
             (chain_in2, alpha[n - 1]),
@@ -1733,8 +1733,10 @@ Real = liealg.ChevalleyRealization
 # of all ones that misses the constraints, a row profile one larger in
 # stage 1, a type-C long root with no adjusting coordinate, or with a
 # coordinate that is quadratic or constant along its line, a Cartan part
-# in the conjugated matrix, a conjugated matrix twice the coefficient
-# computation, and both computations one larger on every positive root.
+# in the conjugated matrix, a conjugated matrix with an entry at 2ε_1
+# (not a root of B3, so outside the Lie algebra), a conjugated matrix
+# twice the coefficient computation, and both computations one larger on
+# every positive root.
 _WITNESS_FAULTS = {
     "stage infeasible": ("A", 3, lambda: [(liealg, *_stage_solve(
         lambda solve, m, rhs: None))]),
@@ -1756,6 +1758,9 @@ _WITNESS_FAULTS = {
         (Real, "expand", _in_verify(Real.expand, lambda expand, real, m: (
             tuple(c + 1 for c in expand(real, m)[0]),
             expand(real, m)[1])))]),
+    "conjugated nilpotent is outside the Lie algebra": ("B", 3, lambda: [
+        (Real, "matrix_of", _in_verify(Real.matrix_of, lambda matrix_of, *a: {
+            **matrix_of(*a), (0, a[0].dim_rep - 1): 1}))]),
     "matrix conjugation disagrees": ("A", 3, lambda: [
         (Real, "matrix_of", _in_verify(Real.matrix_of, lambda matrix_of, *a:
             liealg.sp_scale(matrix_of(*a), 2)))]),

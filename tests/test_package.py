@@ -325,9 +325,10 @@ def _root_calls(tree) -> set[str]:
 
 def test_roots_stay_at_the_edge_of_liealg():
     """The lemma checks, the coefficient calculus and the witness solver
-    key every coefficient map by root index: none of them converts a root
-    to an index or builds a root, and the module defines no converter
-    between the two key types."""
+    key every coefficient map by root index: none of them, nor the
+    ``rootcore`` span lookup the type-D checks call, converts a root to an
+    index or builds a root, and the module defines no converter between
+    the two key types."""
     tree = ast.parse(
         (SRC / "hessenpave" / "liealg.py").read_text(encoding="utf-8"))
     functions = {node.name: node for node in tree.body
@@ -335,9 +336,15 @@ def test_roots_stay_at_the_edge_of_liealg():
     checks = [name for name in functions if name.startswith("_check_")]
     assert len(checks) == 7, checks
     for name in checks + ["_ibracket", "_iad_series", "_ad_block",
-                          "_chain_root", "find_witness",
-                          "_verify_witness_matrix"]:
+                          "find_witness", "_verify_witness_matrix"]:
         assert _root_calls(functions[name]) == set(), name
+    # the span lookup the type-D checks name their roots with
+    rootcore = ast.parse(
+        (SRC / "hessenpave" / "rootcore.py").read_text(encoding="utf-8"))
+    lookup = next(node for node in rootcore.body
+                  if isinstance(node, ast.FunctionDef)
+                  and node.name == "_span_root")
+    assert _root_calls(lookup) == set()
     assert not {"_to_index_coeffs", "_from_index_coeffs"} & {
         node.name for node in ast.walk(tree)
         if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
@@ -355,6 +362,39 @@ def test_hessenberg_adds_and_builds_no_root():
     tree = ast.parse(
         (SRC / "hessenpave" / "hessenberg.py").read_text(encoding="utf-8"))
     assert _root_calls(tree) == {"root_index"}
+
+
+# The per-module copies of the root-poset tables, and their cache slots,
+# that the tables ``RootSystem`` builds on construction replaced.
+_POSET_COPIES = {"_lower_covers", "_down_set_masks", "_height_masks",
+                 "_positive_simple_drops", "_chain_root", "_down_sets_cache",
+                 "_heights_cache", "_sum_pairs_cache"}
+
+
+def _poset_copies(tree) -> set[str]:
+    """The replaced names a tree defines, imports or reads, and
+    ``_sum_pairs`` where it is defined as a function."""
+    imported, read = _names(tree)
+    defined = {node.name for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    return (((imported | read | defined) & _POSET_COPIES)
+            | ({"_sum_pairs"} & defined))
+
+
+def test_root_poset_tables_are_built_only_in_rootcore():
+    """Lower covers, down-sets, height masks and sum pairs are built once,
+    by ``RootSystem``: no module keeps a helper or a cache slot for them,
+    and every caller reads the system's own table."""
+    for path in sorted((SRC / "hessenpave").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        assert _poset_copies(tree) == set(), path.name
+    # the detector sees the definitions, imports and slots that are gone
+    probe = ast.parse("from .hessenberg import _down_set_masks\n"
+                      "def _sum_pairs(rs): pass\n"
+                      "if rs._heights_cache is None: pass\n"
+                      "pairs = rs._sum_pairs\n")
+    assert _poset_copies(probe) == {"_down_set_masks", "_sum_pairs",
+                                    "_heights_cache"}
 
 
 def _main_block_calls(tree) -> list[str]:

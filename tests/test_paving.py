@@ -346,17 +346,11 @@ def test_mixed_system_rejected(a2):
 
 
 def test_per_system_masks_live_on_their_instance():
-    """The down-set and height masks are kept on the root system they were
-    built from: two equal systems build and keep their own, and the one a
-    system keeps is the one it is given again."""
-    from hessenpave import hessenberg
-
+    """The root-poset tables are built with the root system and kept on
+    it: two equal systems each hold their own tables, and the tables are
+    equal."""
     first, second = build_root_system("D", 4), build_root_system("D", 4)
-    assert first == second
-    for build, field in ((hessenberg._down_set_masks, "_down_sets_cache"),
-                         (paving._height_masks, "_heights_cache")):
-        assert getattr(first, field) is None
-        masks = build(first)
-        assert getattr(first, field) is masks and build(first) is masks
-        assert getattr(second, field) is None
-        assert build(second) == masks and build(second) is not masks
+    assert first == second and first is not second
+    for field in ("_covers", "_below", "_heights", "_sum_pairs"):
+        mine, theirs = getattr(first, field), getattr(second, field)
+        assert mine == theirs and mine is not theirs, field

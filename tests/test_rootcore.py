@@ -229,6 +229,10 @@ def test_root_text_round_trip():
         parse_root(rs, "1,1,1")
     with pytest.raises(ValueError):
         parse_root(rs, "banana")
+    for bad in (5, None, (2, 1)):
+        message = "^" + re.escape(f"malformed root text {bad!r}") + "$"
+        with pytest.raises(ValueError, match=message):
+            parse_root(rs, bad)
 
 
 # ---------------------------------------------------------------------------
@@ -244,6 +248,24 @@ def test_dominance_examples():
     assert not dominance_leq(a2, a1, a2r)
     c2 = build_root_system("C", 2)
     assert dominance_leq(c2, parse_root(c2, "1,1"), parse_root(c2, "2,1"))
+
+
+@pytest.mark.parametrize("bad", ["x", "1,0", (1, 0), 1, None])
+def test_root_lookups_refuse_non_roots(bad):
+    """``root_index``, ``HessenbergSpace.contains`` and ``dominance_leq``
+    refuse an argument that is not a Root by name, not with a bare
+    AttributeError on ``.coeffs``."""
+    from hessenpave.hessenberg import full_space
+
+    a2 = build_root_system("A", 2)
+    theta = parse_root(a2, "1,1")
+    message = "^" + re.escape(f"{bad!r} is not a Root") + "$"
+    for call in (lambda: a2.root_index(bad),
+                 lambda: full_space(a2).contains(bad),
+                 lambda: dominance_leq(a2, bad, theta),
+                 lambda: dominance_leq(a2, theta, bad)):
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
 @pytest.mark.parametrize("lie_type,rank", [("A", 4), ("B", 4), ("C", 4), ("D", 4)])
@@ -711,6 +733,10 @@ def test_word_round_trip_and_canonicalization():
     # non-reduced input canonicalizes
     assert parse_word(b3, "1 1") == identity_element(b3)
     assert parse_word(b3, "").length == 0
+    for bad in (5, None, [1, 2]):
+        message = "^" + re.escape(f"malformed Weyl word {bad!r}") + "$"
+        with pytest.raises(ValueError, match=message):
+            parse_word(b3, bad)
 
 
 @settings(max_examples=60, deadline=None)
@@ -945,3 +971,67 @@ def test_positive_root_tables_match_coefficient_arithmetic(lie_type, rank):
         assert pos[b].coeffs == tuple(
             x + y for x, y in zip(pos[g].coeffs, rs.all_roots[a].coeffs))
         assert rs.all_roots[a] in rs.simple_roots
+
+
+# ---------------------------------------------------------------------------
+# root-poset tables
+# ---------------------------------------------------------------------------
+
+POSET_SYSTEMS = ([("A", r) for r in range(1, 9)]
+                 + [(t, r) for t in "BC" for r in range(2, 9)]
+                 + [("D", r) for r in range(3, 9)] + [("A", 12), ("D", 12)])
+
+
+def ref_poset_tables(rs):
+    """The lower covers, down-sets, height masks and sum pairs of the
+    positive roots, in Root arithmetic: ``root_add``, ``dominates`` and
+    ``Root.height``."""
+    pos = rs.positive_roots
+    index = {r: k for k, r in enumerate(pos)}
+    covers = []
+    for r in pos:
+        drops = (rs.root_add(r, -s) for s in rs.simple_roots)
+        covers.append(sum(1 << index[d] for d in drops if d in index))
+    below = [sum(1 << k for k, r in enumerate(pos) if dominates(alpha, r))
+             for alpha in pos]
+    heights = [sum(1 << k for k, r in enumerate(pos) if r.height == h)
+               for h in range(1, max(r.height for r in pos) + 1)]
+    sum_pairs = [tuple((j, index[s]) for j, rb in enumerate(pos)
+                       if (s := rs.root_add(ra, rb)) in index)
+                 for ra in pos]
+    return covers, below, heights, sum_pairs
+
+
+@pytest.mark.parametrize("lie_type,rank", POSET_SYSTEMS)
+def test_root_poset_tables_match_root_arithmetic(lie_type, rank):
+    """``_covers``, ``_below``, ``_heights`` and ``_sum_pairs`` equal the
+    Root-arithmetic reference, entry for entry and in order."""
+    rs = build_root_system(lie_type, rank)
+    covers, below, heights, sum_pairs = ref_poset_tables(rs)
+    assert list(rs._covers) == covers
+    assert list(rs._below) == below
+    assert list(rs._heights) == heights
+    assert list(rs._sum_pairs) == sum_pairs
+    # every root is in exactly one height mask
+    assert sum(heights) == (1 << rs.num_positive) - 1
+
+
+@pytest.mark.parametrize("lie_type,rank", POSET_SYSTEMS)
+def test_span_root_matches_root_arithmetic(lie_type, rank):
+    """``_span_root`` finds α_lo + … + α_hi, plus α_n when a second span
+    (n, n) is given, exactly when ``root_add`` reaches a root one simple
+    root at a time, and None on an empty span."""
+    rs = build_root_system(lie_type, rank)
+    n = rs.rank
+    alpha = rs.simple_roots
+    for lo in range(1, n + 1):
+        assert rootcore._span_root(rs, (lo, lo - 1)) is None
+        chain = alpha[lo - 1]
+        for hi in range(lo, n + 1):
+            if hi > lo:
+                chain = chain and rs.root_add(chain, alpha[hi - 1])
+            want = None if chain is None else rs.root_index(chain)
+            assert rootcore._span_root(rs, (lo, hi)) == want, (lo, hi)
+            forked = chain and rs.root_add(chain, alpha[n - 1])
+            want = None if forked is None else rs.root_index(forked)
+            assert rootcore._span_root(rs, (lo, hi), (n, n)) == want, (lo, hi)
