@@ -8,8 +8,8 @@ decomposition whose abelian/Heisenberg structure drives everything else.
 """
 
 from hessenpave import (
+    RootSystem,
     apply,
-    build_root_system,
     dominance_leq,
     enumerate_weyl,
     format_root,
@@ -20,7 +20,7 @@ from hessenpave import (
 from hessenpave.rootcore import stage_table
 
 for lie_type, rank in [("A", 2), ("B", 2), ("C", 2), ("D", 4)]:
-    rs = build_root_system(lie_type, rank)
+    rs = RootSystem(lie_type, rank)
     print(f"== {lie_type}{rank}: {rs.num_positive} positive roots ==")
     print("  positives:", ", ".join(format_root(r) for r in rs.positive_roots))
 
@@ -43,7 +43,7 @@ for lie_type, rank in [("A", 2), ("B", 2), ("C", 2), ("D", 4)]:
               texts(constraints))
     print()
 
-a2 = build_root_system("A", 2)
+a2 = RootSystem("A", 2)
 s1 = simple_reflection(a2, 1)
 print("s1 acts on A2 simples:",
       format_root(apply(s1, a2.simple_roots[0])), "and",
@@ -53,7 +53,7 @@ print("dominance: alpha1 <= alpha1+alpha2 ?",
       dominance_leq(a2, a2.simple_roots[0], theta))
 
 print("\nWeyl group of B2, by length with inversion sets:")
-for w in enumerate_weyl(build_root_system("B", 2)):
+for w in enumerate_weyl(RootSystem("B", 2)):
     inv = ", ".join(sorted(format_root(r) for r in inversion_set(w)))
     print(f"  word={format_word(w) or '(identity)':8}  length={w.length}  "
           f"inversions: {inv or '(none)'}")

@@ -8,8 +8,7 @@ as order ideals of the positive-root poset.
 """
 
 from hessenpave import (
-    build_root_system,
-    complement_ideal,
+    RootSystem,
     enumerate_hessenberg,
     from_function,
     from_negative_roots,
@@ -18,7 +17,7 @@ from hessenpave import (
 from hessenpave.hessenberg import format_negative_part
 
 print("Type A3 (GL_4): every space is a staircase function")
-rs = build_root_system("A", 3)
+rs = RootSystem("A", 3)
 for space in enumerate_hessenberg(rs):
     print(f"  h={to_function(space)}  negatives: "
           f"{format_negative_part(space) or '(none: the Borel)'}")
@@ -28,7 +27,8 @@ pet = from_function(3, (2, 3, 3))
 same = from_negative_roots(pet.rs, pet.negative_part)
 print("  equal encodings:", pet == same,
       "| complement ideal:",
-      ", ".join(str(r) for r in complement_ideal(pet).roots))
+      ", ".join(str(r) for r in pet.rs.negative_roots
+                if r not in pet.negative_part))
 
 print("\nClosure rejects a non-space: {-alpha1-alpha2} alone")
 try:
@@ -38,5 +38,5 @@ except ValueError as exc:
 
 print("\nCounts across types (generalized Catalan numbers):")
 for lie_type, rank in [("A", 4), ("B", 4), ("C", 4), ("D", 4)]:
-    n = len(enumerate_hessenberg(build_root_system(lie_type, rank)))
+    n = len(enumerate_hessenberg(RootSystem(lie_type, rank)))
     print(f"  {lie_type}{rank}: {n} Hessenberg spaces")

@@ -9,7 +9,7 @@ cells by dimension, with all odd cohomology vanishing.
 """
 
 from hessenpave import (
-    build_root_system,
+    RootSystem,
     cell_dimension,
     cell_dimension_lie,
     cell_nonempty,
@@ -22,10 +22,10 @@ from hessenpave import (
 )
 from hessenpave.hessenberg import borel_space, parse_hessenberg, to_function
 
-a2 = build_root_system("A", 2)
+a2 = RootSystem("A", 2)
 peterson = parse_hessenberg(a2, "h=2,3,3")
 print("Peterson variety of A2, cell by cell:")
-for cell in compute_paving(a2, peterson):
+for cell in compute_paving(peterson):
     word = format_word(cell.w) or "(identity)"
     if cell.nonempty:
         profile = row_dimension_profile(cell.w, peterson)
@@ -35,24 +35,24 @@ for cell in compute_paving(a2, peterson):
               f"(both formulas: {both}), per-row {profile}")
     else:
         print(f"  {word:10} empty")
-print("Betti numbers:", list(poincare_polynomial(a2, peterson).coefficients))
+print("Betti numbers:", list(poincare_polynomial(peterson).coefficients))
 
 print("\nAll Hessenberg spaces of C2 and their Betti tables:")
-c2 = build_root_system("C", 2)
+c2 = RootSystem("C", 2)
 for space in enumerate_hessenberg(c2):
-    betti = poincare_polynomial(c2, space)
+    betti = poincare_polynomial(space)
     neg = len(space.negative_part)
     print(f"  |negative part|={neg}: betti={list(betti.coefficients)}"
           f"  (cells={betti.total})")
 
 print("\nSpringer fiber sanity in D4: the Borel space has a single cell")
-d4 = build_root_system("D", 4)
-print("  betti:", list(poincare_polynomial(d4, borel_space(d4)).coefficients))
+d4 = RootSystem("D", 4)
+print("  betti:", list(poincare_polynomial(borel_space(d4)).coefficients))
 print("  nonempty cells:",
       sum(1 for w in enumerate_weyl(d4) if cell_nonempty(w, borel_space(d4))))
 
 print("\nType-A Betti tables for all 14 staircases of GL_4:")
-a3 = build_root_system("A", 3)
+a3 = RootSystem("A", 3)
 for space in enumerate_hessenberg(a3):
-    betti = poincare_polynomial(a3, space)
+    betti = poincare_polynomial(space)
     print(f"  h={to_function(space)}: {list(betti.coefficients)}")

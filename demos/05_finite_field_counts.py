@@ -8,7 +8,7 @@ counts with q^(predicted dimension).  Any combinatorial mistake upstream
 would show up here as a mismatch (count_points raises on one).
 """
 
-from hessenpave import build_root_system, count_points, enumerate_hessenberg
+from hessenpave import RootSystem, count_points, enumerate_hessenberg
 from hessenpave.hessenberg import to_function
 
 print("n = 3, q = 2: all five staircase functions")
@@ -18,7 +18,7 @@ for h in [(1, 2, 3), (2, 2, 3), (1, 3, 3), (2, 3, 3), (3, 3, 3)]:
     print(f"  h={h}: total {report.total:2}  per cell {per_cell}")
 
 print("\nn = 4, q = 2 and q = 3: totals for every Hessenberg function")
-rs = build_root_system("A", 3)
+rs = RootSystem("A", 3)
 for space in enumerate_hessenberg(rs):
     h = to_function(space)
     t2 = count_points(4, 2, h).total

@@ -12,8 +12,8 @@ per-stage solution-space dimensions reproduce the cell's row profile.
 from fractions import Fraction
 
 from hessenpave import (
+    RootSystem,
     build_chevalley,
-    build_root_system,
     enumerate_hessenberg,
     enumerate_weyl,
     find_witness,
@@ -23,7 +23,7 @@ from hessenpave import (
 )
 from hessenpave.hessenberg import parse_hessenberg
 
-c2 = build_root_system("C", 2)
+c2 = RootSystem("C", 2)
 real = build_chevalley(c2)
 space = parse_hessenberg(c2, "neg=0,-1")
 print("C2, Hessenberg space with negative part {-alpha2}:")
@@ -48,7 +48,7 @@ wit = find_witness(real, w0, parse_hessenberg(c2, "full"), n)
 print("  stage dims:", wit.stage_kernel_dims, " verified:", wit.verified)
 
 print("\nD4 spot check: every nonempty cell of one mid-sized space")
-d4 = build_root_system("D", 4)
+d4 = RootSystem("D", 4)
 real_d = build_chevalley(d4)
 space = enumerate_hessenberg(d4)[17]
 count = 0

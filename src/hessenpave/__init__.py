@@ -28,21 +28,17 @@ from .rootcore import (
     RootSystem,
     WeylElement,
     apply,
-    build_root_system,
     dominance_leq,
     enumerate_weyl,
     format_root,
     format_word,
-    inverse,
     inversion_set,
     parse_root,
     parse_word,
     simple_reflection,
 )
 from .hessenberg import (
-    ComplementIdeal,
     HessenbergSpace,
-    complement_ideal,
     enumerate_hessenberg,
     from_function,
     from_negative_roots,
@@ -74,16 +70,14 @@ from .fforacle import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BettiTable", "ChevalleyRealization", "ComplementIdeal",
-    "ConsistencyError", "HessenbergSpace", "PavingCell", "Root",
-    "RootSystem", "StructureConstantTable", "WeylElement", "WitnessResult",
-    "apply", "build_chevalley",
-    "build_root_system", "cell_dimension", "cell_dimension_lie",
-    "cell_nonempty", "complement_ideal", "compute_paving",
-    "count_points", "dominance_leq", "enumerate_hessenberg",
-    "enumerate_weyl", "find_witness", "format_root", "format_word",
-    "from_function", "from_negative_roots", "hessenberg_check",
-    "inverse", "inversion_set", "parse_root",
-    "parse_word", "poincare_polynomial", "row_dimension_profile",
-    "simple_reflection", "to_function", "verify_lemmata",
+    "BettiTable", "ChevalleyRealization", "ConsistencyError",
+    "HessenbergSpace", "PavingCell", "Root", "RootSystem",
+    "StructureConstantTable", "WeylElement", "WitnessResult", "apply",
+    "build_chevalley", "cell_dimension", "cell_dimension_lie",
+    "cell_nonempty", "compute_paving", "count_points", "dominance_leq",
+    "enumerate_hessenberg", "enumerate_weyl", "find_witness", "format_root",
+    "format_word", "from_function", "from_negative_roots",
+    "hessenberg_check", "inversion_set", "parse_root", "parse_word",
+    "poincare_polynomial", "row_dimension_profile", "simple_reflection",
+    "to_function", "verify_lemmata",
 ]

@@ -151,7 +151,7 @@ def _run_paving(args) -> tuple:
     check_weyl_budget(args.lie_type, args.rank)
     rs = RootSystem(args.lie_type, args.rank)
     space = parse_hessenberg(rs, _hess_spec(args))
-    record = paving.paving_record(rs, space)
+    record = paving.paving_record(space)
     return (0, record, _PAVING_COLUMNS,
             _paving_rows(record, space_fields(space)[1]))
 
@@ -161,7 +161,7 @@ def _run_betti(args) -> tuple:
     check_weyl_budget(args.lie_type, args.rank)
     rs = RootSystem(args.lie_type, args.rank)
     space = parse_hessenberg(rs, _hess_spec(args))
-    betti = paving.poincare_polynomial(rs, space)
+    betti = paving.poincare_polynomial(space)
     hess, column = space_fields(space)
     record = {
         "type": rs.lie_type,
@@ -265,7 +265,7 @@ def _run_sweep(args) -> tuple:
             f"cells, over the budget of {_CELL_BUDGET}")
     rs = RootSystem(args.lie_type, args.rank)
     spaces = enumerate_hessenberg(rs)
-    records = [paving.paving_record(rs, space) for space in spaces]
+    records = [paving.paving_record(space) for space in spaces]
     record = {"type": rs.lie_type, "rank": rs.rank,
               "hessenberg_count": len(spaces), "pavings": records}
     rows = (row for space, rec in zip(spaces, records)

@@ -308,7 +308,7 @@ def count_points(n: int, q: int, h) -> CountReport:
         cells.append(CellCount(perm, count, predicted))
         total += count
 
-    betti_eval = poincare_polynomial(rs, space).evaluate(q)
+    betti_eval = poincare_polynomial(space).evaluate(q)
     if total != betti_eval:
         raise ConsistencyError(
             f"total {total} differs from the Betti evaluation {betti_eval} "

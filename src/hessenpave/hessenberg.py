@@ -39,7 +39,6 @@ from .rootcore import (
     RootSystem,
     _bounded_count,
     _count_text,
-    _Record,
     _refused_by_root_system,
     parse_root,
 )
@@ -67,7 +66,9 @@ class HessenbergSpace:
     def negative_part(self) -> frozenset[Root]:
         """Φ_H ∩ Φ⁻, the roots of the negative bits of ``hm``."""
         rs = self.rs
-        return frozenset(_negated(rs, self.hm >> rs.num_positive))
+        ideal = self.hm >> rs.num_positive
+        return frozenset(r for p, r in enumerate(rs.negative_roots)
+                         if ideal >> p & 1)
 
     def contains(self, root: Root) -> bool:
         """Membership of a root in Φ_H."""
@@ -83,25 +84,6 @@ class HessenbergSpace:
     def __repr__(self) -> str:
         return (f"HessenbergSpace({self.rs.lie_type}{self.rs.rank}, "
                 f"neg={format_negative_part(self)!r})")
-
-
-def _negated(rs: RootSystem, ideal: int) -> list[Root]:
-    """−pos[p] for each bit p of ``ideal``, a mask over positive-root
-    indices, in ascending p (so in ``rs.all_roots`` index order)."""
-    neg = rs.negative_roots
-    return [neg[p] for p in range(rs.num_positive) if ideal >> p & 1]
-
-
-class ComplementIdeal(_Record):
-    """The negative roots missing from a Hessenberg space.
-
-    This set is downward closed (subtracting a positive root stays inside
-    whenever the difference is a root) and corresponds to an ad-nilpotent
-    ideal of the opposite Borel.
-    """
-
-    __slots__ = ("roots",)
-    roots: frozenset[Root]
 
 
 def from_negative_roots(rs: RootSystem, negatives: Iterable[Root]) -> HessenbergSpace:
@@ -311,14 +293,6 @@ def to_function(space: HessenbergSpace) -> tuple[int, ...]:
     # Φ_H is closed, so the entries it holds in column j are the top h(j) − j
     return tuple(j + (hm & column[-1]).bit_count()
                  for j, column in enumerate(_column_masks(rs), start=1))
-
-
-def complement_ideal(space: HessenbergSpace) -> ComplementIdeal:
-    """The negative roots outside the space (an ad-nilpotent ideal of b⁻)."""
-    rs = space.rs
-    npos = rs.num_positive
-    missing = ~(space.hm >> npos) & ((1 << npos) - 1)
-    return ComplementIdeal(frozenset(_negated(rs, missing)))
 
 
 # ---------------------------------------------------------------------------

@@ -45,7 +45,6 @@ from __future__ import annotations
 from .errors import ConsistencyError
 from .hessenberg import HessenbergSpace, space_fields
 from .rootcore import (
-    RootSystem,
     WeylElement,
     _Record,
     enumerate_weyl,
@@ -149,12 +148,11 @@ def row_dimension_profile(w: WeylElement, space: HessenbergSpace) -> tuple[int, 
                  for vm, cm in stage_table(w.rs).masks)
 
 
-def compute_paving(rs: RootSystem, space: HessenbergSpace) -> tuple[PavingCell, ...]:
-    """One cell per Weyl element, in paving order (length, then word)."""
-    if rs != space.rs:
-        raise ValueError("Hessenberg space belongs to a different root system")
+def compute_paving(space: HessenbergSpace) -> tuple[PavingCell, ...]:
+    """One cell per Weyl element of ``space.rs``, in paving order (length,
+    then word)."""
     cells = []
-    for w in enumerate_weyl(rs):
+    for w in enumerate_weyl(space.rs):
         if cell_nonempty(w, space):
             cells.append(PavingCell(w, True, cell_dimension(w, space)))
         else:
@@ -196,23 +194,24 @@ def betti_product(space: HessenbergSpace) -> BettiTable:
     return BettiTable(tuple(coeffs))
 
 
-def poincare_polynomial(rs: RootSystem, space: HessenbergSpace) -> BettiTable:
+def poincare_polynomial(space: HessenbergSpace) -> BettiTable:
     """Betti numbers: entry k counts nonempty cells of dimension k.  Raises
     ConsistencyError when they differ from ``betti_product``."""
     return BettiTable(_betti_tally(
-        space, [c.dim for c in compute_paving(rs, space) if c.nonempty]))
+        space, [c.dim for c in compute_paving(space) if c.nonempty]))
 
 
-def paving_record(rs: RootSystem, space: HessenbergSpace) -> dict:
+def paving_record(space: HessenbergSpace) -> dict:
     """JSON-ready record of a full paving (deterministic key and cell order).
 
     Raises ConsistencyError when a nonempty cell's row profile does not sum
     to its dimension (the message names the system, space and word), or
     when the Betti numbers differ from ``betti_product``.
     """
+    rs = space.rs
     cells = []
     dims = []
-    for cell in compute_paving(rs, space):
+    for cell in compute_paving(space):
         profile = None
         if cell.nonempty:
             dims.append(cell.dim)

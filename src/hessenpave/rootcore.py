@@ -163,10 +163,6 @@ class Root(_Record):
     def is_positive(self) -> bool:
         return any(self.coeffs) and all(c >= 0 for c in self.coeffs)
 
-    @property
-    def is_negative(self) -> bool:
-        return any(self.coeffs) and all(c <= 0 for c in self.coeffs)
-
     def __neg__(self) -> "Root":
         return Root(tuple(-c for c in self.coeffs))
 
@@ -182,10 +178,6 @@ def format_root(root: Root) -> str:
 def dominates(alpha: Root, beta: Root) -> bool:
     """Componentwise test for ``beta ≤ alpha`` in the dominance order."""
     return all(a >= b for a, b in zip(alpha.coeffs, beta.coeffs))
-
-
-def strictly_dominates(alpha: Root, beta: Root) -> bool:
-    return alpha != beta and dominates(alpha, beta)
 
 
 def _epsilon_of_simple(lie_type: str, rank: int) -> list[tuple[int, ...]]:
@@ -367,9 +359,6 @@ class RootSystem:
                              f"{self.lie_type}{self.rank}")
         return Root(t)
 
-    def is_root(self, coeffs: tuple[int, ...]) -> bool:
-        return coeffs in self._index
-
     def root_index(self, root: Root) -> int:
         """Index into all_roots (positives first, then their negatives)."""
         if not isinstance(root, Root):
@@ -378,11 +367,6 @@ class RootSystem:
             return self._index[root.coeffs]
         except KeyError:
             raise ValueError(f"{root} is not a root of {self.lie_type}{self.rank}")
-
-    def root_add(self, a: Root, b: Root) -> Root | None:
-        """Return a + b when it is a root, else None."""
-        s = tuple(x + y for x, y in zip(a.coeffs, b.coeffs))
-        return Root(s) if s in self._index else None
 
     def _build_cartan(self) -> IntMatrix:
         def dot(u, v):
@@ -413,11 +397,6 @@ class RootSystem:
 
     def __repr__(self) -> str:
         return f"RootSystem({self.lie_type!r}, {self.rank})"
-
-
-def build_root_system(lie_type: str, rank: int) -> RootSystem:
-    """Build the classical root system of the given type and rank."""
-    return RootSystem(lie_type, rank)
 
 
 def dominance_leq(rs: RootSystem, beta: Root, alpha: Root) -> bool:
@@ -580,10 +559,6 @@ def _trusted_element(rs: RootSystem, word: tuple[int, ...],
     return w
 
 
-def identity_element(rs: RootSystem) -> WeylElement:
-    return WeylElement(rs, range(len(rs.all_roots)))
-
-
 def simple_reflection(rs: RootSystem, i: int) -> WeylElement:
     """The simple reflection s_i, 1-based."""
     if type(i) is not int:
@@ -591,18 +566,6 @@ def simple_reflection(rs: RootSystem, i: int) -> WeylElement:
     if not 1 <= i <= rs.rank:
         raise ValueError(f"reflection index {i} out of range 1..{rs.rank}")
     return WeylElement(rs, rs._reflections[i - 1])
-
-
-def compose(w1: WeylElement, w2: WeylElement) -> WeylElement:
-    """The product w1·w2 (apply w2 first when acting on roots)."""
-    if w1.rs != w2.rs:
-        raise ValueError("cannot compose elements of different root systems")
-    p1 = w1.root_permutation()
-    return WeylElement(w1.rs, (p1[k] for k in w2.root_permutation()))
-
-
-def inverse(w: WeylElement) -> WeylElement:
-    return WeylElement(w.rs, w._inv_root_perm)
 
 
 def apply(w: WeylElement, root: Root) -> Root:
@@ -883,15 +846,6 @@ def _row_key(r: Root) -> tuple:
     """Sort key of the row basis order: height descending, then the
     coefficient vector descending."""
     return (-r.height, tuple(-c for c in r.coeffs))
-
-
-def row_order(rs: RootSystem, i: int) -> tuple[Root, ...]:
-    """Basis order of row i: height descending, ties (type D only) broken
-    with the ``α_{n-1}``-bearing root first."""
-    if not 1 <= i <= rs.rank:
-        raise ValueError(f"row index {i} out of range")
-    pos = rs.positive_roots
-    return tuple(pos[k] for k in stage_table(rs).rows[i - 1])
 
 
 class StageTable(_Record):

@@ -15,7 +15,7 @@ from hessenpave.fforacle import (
 )
 from hessenpave.hessenberg import from_function
 from hessenpave.paving import BettiTable
-from hessenpave.rootcore import apply, build_root_system, enumerate_weyl
+from hessenpave.rootcore import RootSystem, apply, enumerate_weyl
 
 
 def ref_cell_flags(n, q, perm):
@@ -54,7 +54,7 @@ def test_flags_are_distinct_points():
 
 
 def test_free_positions_match_inversions():
-    rs = build_root_system("A", 3)
+    rs = RootSystem("A", 3)
     for w in enumerate_weyl(rs):
         perm = weyl_to_permutation(w)
         assert len(free_positions(perm)) == w.length
@@ -63,7 +63,7 @@ def test_free_positions_match_inversions():
 def test_weyl_to_permutation_action():
     """The permutation must reproduce the Weyl element's root action."""
     for rank in (2, 3):
-        rs = build_root_system("A", rank)
+        rs = RootSystem("A", rank)
         n = rank + 1
         for w in enumerate_weyl(rs):
             sigma = weyl_to_permutation(w)
@@ -132,7 +132,7 @@ def test_two_prime_consistency(n):
     powers of q."""
     import math
     from hessenpave.hessenberg import enumerate_hessenberg, to_function
-    rs = build_root_system("A", n - 1)
+    rs = RootSystem("A", n - 1)
     for space in enumerate_hessenberg(rs):
         h = to_function(space)
         r2 = count_points(n, 2, h)
@@ -230,7 +230,7 @@ def test_count_points_total_check_names_the_case(monkeypatch):
     """A total that differs from the Betti evaluation is a consistency
     failure naming n, q and h."""
     monkeypatch.setattr(fforacle, "poincare_polynomial",
-                        lambda rs, space: BettiTable((1, 1)))
+                        lambda space: BettiTable((1, 1)))
     with pytest.raises(ConsistencyError, match=re.escape(
             "total 9 differs from the Betti evaluation 3 "
             "(n=3, q=2, h=(2, 3, 3))")):

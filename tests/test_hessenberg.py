@@ -12,7 +12,6 @@ from hessenpave.errors import ConsistencyError
 from hessenpave.hessenberg import (
     borel_space,
     check_space_budget,
-    complement_ideal,
     enumerate_hessenberg,
     format_negative_part,
     from_function,
@@ -25,15 +24,16 @@ from hessenpave.hessenberg import (
 )
 from hessenpave.rootcore import (
     Root,
-    build_root_system,
+    RootSystem,
     enumerate_weyl,
     format_root,
     parse_root,
 )
+from test_rootcore import ref_root_add
 
 
 def test_from_negative_roots_examples():
-    a2 = build_root_system("A", 2)
+    a2 = RootSystem("A", 2)
     assert from_negative_roots(a2, []).negative_part == frozenset()
     peterson = from_negative_roots(
         a2, [parse_root(a2, "-1,0"), parse_root(a2, "0,-1")])
@@ -85,7 +85,7 @@ def test_from_function_refuses_non_iterable_h(h):
 def test_from_negative_roots_refuses_non_roots(beta):
     """An element that is not a Root (root text, a coefficient tuple) is
     refused by name, not with a bare AttributeError on ``.coeffs``."""
-    a2 = build_root_system("A", 2)
+    a2 = RootSystem("A", 2)
     message = "^" + re.escape(f"{beta!r} is not a Root") + "$"
     with pytest.raises(ValueError, match=message):
         from_negative_roots(a2, [parse_root(a2, "0,-1"), beta])
@@ -98,13 +98,13 @@ def test_from_negative_roots_refuses_non_iterable(negatives):
     message = "^" + re.escape(f"negative roots {negatives!r} are not a "
                               "sequence of Roots") + "$"
     with pytest.raises(ValueError, match=message):
-        from_negative_roots(build_root_system("A", 2), negatives)
+        from_negative_roots(RootSystem("A", 2), negatives)
 
 
 def test_spaces_belong_to_their_root_system():
     """The spaces are cached on the root system that enumerated them, not
     shared between equal instances."""
-    for rs in (build_root_system("B", 3), build_root_system("B", 3)):
+    for rs in (RootSystem("B", 3), RootSystem("B", 3)):
         spaces = enumerate_hessenberg(rs)
         assert len(spaces) == 20
         assert all(space.rs is rs for space in spaces)
@@ -122,7 +122,7 @@ def _all_hessenberg_functions(n):
 def test_enumeration_matches_function_count(n):
     """Independent oracle: direct enumeration of nondecreasing functions
     with h(i) >= i."""
-    rs = build_root_system("A", n - 1)
+    rs = RootSystem("A", n - 1)
     assert len(enumerate_hessenberg(rs)) == len(_all_hessenberg_functions(n))
 
 
@@ -153,7 +153,7 @@ def ref_to_function(space):
 def test_to_function_equals_root_reference(rank):
     """Every space of A1..A7: the mask read of to_function equals the
     Root-by-Root reference, and from_function rebuilds the same mask."""
-    rs = build_root_system("A", rank)
+    rs = RootSystem("A", rank)
     for space in enumerate_hessenberg(rs):
         h = to_function(space)
         assert h == ref_to_function(space), space
@@ -174,7 +174,7 @@ def test_function_mask_equals_root_construction(n):
     """Every Hessenberg function with n <= 5 gives the same mask through
     from_function, through ``h=`` text on a given system, and one Root at
     a time."""
-    rs = build_root_system("A", n - 1)
+    rs = RootSystem("A", n - 1)
     for h in _all_hessenberg_functions(n):
         want = ref_function_space(rs, h).hm
         assert from_function(n, h).hm == want, h
@@ -193,7 +193,7 @@ def test_parse_function_builds_no_root_system(monkeypatch):
         return system(*args)
 
     monkeypatch.setattr(hessenberg, "RootSystem", counted)
-    rs = build_root_system("A", 3)
+    rs = RootSystem("A", 3)
     space = parse_hessenberg(rs, "h=2,3,4,4")
     assert space.rs is rs and built == []
     assert from_function(4, (2, 3, 4, 4)) == space
@@ -201,10 +201,10 @@ def test_parse_function_builds_no_root_system(monkeypatch):
 
 
 def test_enumeration_counts_other_types():
-    assert len(enumerate_hessenberg(build_root_system("B", 2))) == 6
-    assert len(enumerate_hessenberg(build_root_system("B", 3))) == 20
-    assert len(enumerate_hessenberg(build_root_system("C", 3))) == 20
-    assert len(enumerate_hessenberg(build_root_system("D", 4))) == 50
+    assert len(enumerate_hessenberg(RootSystem("B", 2))) == 6
+    assert len(enumerate_hessenberg(RootSystem("B", 3))) == 20
+    assert len(enumerate_hessenberg(RootSystem("C", 3))) == 20
+    assert len(enumerate_hessenberg(RootSystem("D", 4))) == 50
 
 
 # Ad-nilpotent ideal counts: Catalan numbers C_{n+1} in A_n, binom(2n, n) in
@@ -221,7 +221,7 @@ KNOWN_SPACE_COUNTS = {
 def test_enumeration_count_matches_closed_form(lie_type):
     for rank, count in KNOWN_SPACE_COUNTS[lie_type].items():
         assert check_space_budget(lie_type, rank) == count
-        assert len(enumerate_hessenberg(build_root_system(lie_type, rank))) \
+        assert len(enumerate_hessenberg(RootSystem(lie_type, rank))) \
             == count
 
 
@@ -231,7 +231,7 @@ def test_enumeration_count_mismatch_raises(monkeypatch):
                         lambda rs: build(rs)[:-1])
     with pytest.raises(ConsistencyError,
                        match="enumeration of B3 found 19 spaces, expected 20"):
-        enumerate_hessenberg(build_root_system("B", 3))
+        enumerate_hessenberg(RootSystem("B", 3))
 
 
 def test_space_budget():
@@ -252,11 +252,11 @@ def test_space_budget():
                           ("C", 3), ("C", 4), ("D", 3), ("D", 4)])
 def test_enumerated_spaces_closed_under_all_positive_roots(lie_type, rank):
     """Closure holds for adding any positive root, not only simples."""
-    rs = build_root_system(lie_type, rank)
+    rs = RootSystem(lie_type, rank)
     for space in enumerate_hessenberg(rs):
         for beta in space.negative_part:
             for alpha in rs.positive_roots:
-                s = rs.root_add(beta, alpha)
+                s = ref_root_add(rs, beta, alpha)
                 if s is not None:
                     assert space.contains(s)
 
@@ -264,7 +264,7 @@ def test_enumerated_spaces_closed_under_all_positive_roots(lie_type, rank):
 @pytest.mark.parametrize("lie_type,rank",
                          [("A", 4), ("B", 4), ("C", 4), ("D", 4)])
 def test_lattice_closure(lie_type, rank):
-    rs = build_root_system(lie_type, rank)
+    rs = RootSystem(lie_type, rank)
     spaces = enumerate_hessenberg(rs)
     keys = {s.negative_part for s in spaces}
     for s1, s2 in itertools.combinations(spaces, 2):
@@ -273,7 +273,7 @@ def test_lattice_closure(lie_type, rank):
 
 
 def test_enumeration_order_and_extremes():
-    rs = build_root_system("B", 2)
+    rs = RootSystem("B", 2)
     spaces = enumerate_hessenberg(rs)
     assert spaces[0].negative_part == frozenset()
     assert spaces[-1].negative_part == frozenset(rs.negative_roots)
@@ -281,37 +281,32 @@ def test_enumeration_order_and_extremes():
     assert sizes == sorted(sizes)
 
 
-def test_complement_ideal():
-    a2 = build_root_system("A", 2)
-    assert complement_ideal(full_space(a2)).roots == frozenset()
-    assert complement_ideal(borel_space(a2)).roots == frozenset(a2.negative_roots)
-    pet = parse_hessenberg(a2, "h=2,3,3")
-    assert complement_ideal(pet).roots == {parse_root(a2, "-1,-1")}
-
-
 @pytest.mark.parametrize("lie_type,rank",
                          [("A", 3), ("B", 3), ("C", 3), ("D", 4)])
 def test_complement_downward_closed(lie_type, rank):
-    rs = build_root_system(lie_type, rank)
+    """The negative roots outside a space, the clear negative bits of
+    ``space.hm``, are downward closed: β − α stays among them whenever it
+    is a negative root."""
+    rs = RootSystem(lie_type, rank)
+    npos = rs.num_positive
     for space in enumerate_hessenberg(rs):
-        ideal = complement_ideal(space).roots
+        ideal = {r for k, r in enumerate(rs.negative_roots, npos)
+                 if not space.hm >> k & 1}
         for beta in ideal:
             for alpha in rs.positive_roots:
                 d = tuple(b - a for b, a in zip(beta.coeffs, alpha.coeffs))
-                if rs.is_root(d):
-                    from hessenpave.rootcore import Root
-                    if Root(d).is_negative:
-                        assert Root(d) in ideal
+                if d in rs._index and not Root(d).is_positive:
+                    assert Root(d) in ideal
 
 
 def test_parse_hessenberg_forms():
-    b2 = build_root_system("B", 2)
+    b2 = RootSystem("B", 2)
     assert parse_hessenberg(b2, "borel") == borel_space(b2)
     assert parse_hessenberg(b2, "full") == full_space(b2)
     assert parse_hessenberg(b2, "neg=") == borel_space(b2)
     one = parse_hessenberg(b2, "neg=0,-1")
     assert format_negative_part(one) == "0,-1"
-    a2 = build_root_system("A", 2)
+    a2 = RootSystem("A", 2)
     assert parse_hessenberg(a2, "h=2,3,3").negative_part == \
         {parse_root(a2, "-1,0"), parse_root(a2, "0,-1")}
     with pytest.raises(ValueError):
@@ -347,7 +342,7 @@ def test_smallest_containing_is_the_meet_of_nonempty_cells(lie_type, rank):
     """For each w, the smallest space holding w⁻¹(simple roots) is the AND
     of hm over the spaces where the cell of w is nonempty, and it is one of
     the enumerated spaces."""
-    rs = build_root_system(lie_type, rank)
+    rs = RootSystem(lie_type, rank)
     spaces = enumerate_hessenberg(rs)
     known = {s.hm for s in spaces}
     for w in enumerate_weyl(rs):
@@ -396,7 +391,7 @@ def ref_negative_parts(rs):
 def test_enumeration_equals_frozenset_reference(lie_type, rank):
     """The mask enumeration yields the reference's spaces in its order, with
     the mask and negative part the reference's roots give."""
-    rs = build_root_system(lie_type, rank)
+    rs = RootSystem(lie_type, rank)
     spaces = enumerate_hessenberg(rs)
     ref = ref_negative_parts(rs)
     assert [s.negative_part for s in spaces] == ref
@@ -410,8 +405,8 @@ def ref_is_closed(rs, neg):
     whenever it is a negative root, for every β in ``neg``."""
     for beta in neg:
         for alpha in rs.simple_roots:
-            s = rs.root_add(beta, alpha)
-            if s is not None and s.is_negative and s not in neg:
+            s = ref_root_add(rs, beta, alpha)
+            if s is not None and not s.is_positive and s not in neg:
                 return False
     return True
 
@@ -429,7 +424,7 @@ def test_closure_check_equals_root_reference_on_every_subset(lie_type,
     closed, builds the enumerated space with that negative part, and
     otherwise names a pair β, α_i with β + α_i a negative root outside the
     subset."""
-    rs = build_root_system(lie_type, rank)
+    rs = RootSystem(lie_type, rank)
     by_part = {s.negative_part: s for s in enumerate_hessenberg(rs)}
     neg = rs.negative_roots
     accepted = 0
@@ -444,9 +439,9 @@ def test_closure_check_equals_root_reference_on_every_subset(lie_type,
         m = _VIOLATION.match(str(exc.value))
         assert m, str(exc.value)
         beta = parse_root(rs, m[1])
-        s = rs.root_add(beta, rs.simple_roots[int(m[2]) - 1])
+        s = ref_root_add(rs, beta, rs.simple_roots[int(m[2]) - 1])
         assert beta in subset and s == parse_root(rs, m[3])
-        assert s.is_negative and s not in subset
+        assert not s.is_positive and s not in subset
     assert accepted == len(by_part)
 
 
@@ -454,11 +449,11 @@ def test_closure_check_equals_root_reference_on_every_subset(lie_type,
 def test_space_is_its_mask(lie_type, rank):
     """A space stores rs and hm only, compares and hashes by hm, and
     rebuilds from its decoded negative part."""
-    rs = build_root_system(lie_type, rank)
+    rs = RootSystem(lie_type, rank)
     spaces = enumerate_hessenberg(rs)
     assert hessenberg.HessenbergSpace.__slots__ == ("rs", "hm")
     assert len({s.hm for s in spaces}) == len(spaces)
-    fresh = build_root_system(lie_type, rank)     # equal, not identical
+    fresh = RootSystem(lie_type, rank)     # equal, not identical
     for s in spaces:
         again = hessenberg.HessenbergSpace(fresh, s.hm)
         assert again == s and hash(again) == hash(s)
@@ -472,7 +467,7 @@ def test_space_texts_equal_format_root(lie_type, rank):
     """The texts read from the root system's table equal ``format_root``
     of each negative root, in ``rs.all_roots`` index order, on every
     space of the sweep."""
-    rs = build_root_system(lie_type, rank)
+    rs = RootSystem(lie_type, rank)
     for space in enumerate_hessenberg(rs):
         texts = [format_root(r)
                  for r in sorted(space.negative_part, key=rs.root_index)]

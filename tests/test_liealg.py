@@ -24,19 +24,17 @@ from hessenpave.linalg import sp_commutator, sp_equal, sp_scale
 from hessenpave.paving import cell_nonempty, row_dimension_profile
 from hessenpave.rootcore import (
     Root,
+    RootSystem,
     StageTable,
     WeylElement,
     _row_key,
-    build_root_system,
     enumerate_weyl,
     format_root,
-    identity_element,
     parse_root,
     parse_word,
-    row_order,
     stage_table,
 )
-from test_rootcore import ref_inversion_indices
+from test_rootcore import ref_inversion_indices, ref_root_add
 
 REALIZABLE = [("A", 1), ("A", 2), ("A", 3), ("A", 4),
               ("B", 2), ("B", 3), ("B", 4),
@@ -54,14 +52,19 @@ def constant(real, a, b):
     return real.constants.table[rs.root_index(a)][rs.root_index(b)]
 
 
+def _row_roots(rs, i):
+    """Row i (1-based) of the stage table as Roots, in row basis order."""
+    return tuple(rs.positive_roots[k] for k in stage_table(rs).rows[i - 1])
+
+
 @pytest.fixture(scope="module")
 def real_a2():
-    return build_chevalley(build_root_system("A", 2))
+    return build_chevalley(RootSystem("A", 2))
 
 
 @pytest.fixture(scope="module")
 def real_c2():
-    return build_chevalley(build_root_system("C", 2))
+    return build_chevalley(RootSystem("C", 2))
 
 
 # ---------------------------------------------------------------------------
@@ -73,7 +76,7 @@ def real_c2():
 def test_realizations_build_and_selfcheck(lie_type, rank):
     """Construction exhaustively validates every bracket relation, weight,
     and triangularity; building is the test."""
-    rs = build_root_system(lie_type, rank)
+    rs = RootSystem(lie_type, rank)
     real = build_chevalley(rs)
     expected_size = {"A": rank + 1, "B": 2 * rank + 1,
                      "C": 2 * rank, "D": 2 * rank}[lie_type]
@@ -82,12 +85,12 @@ def test_realizations_build_and_selfcheck(lie_type, rank):
     for a, line in zip(rs.all_roots, table):
         for b, m in zip(rs.all_roots, line):
             s = tuple(x + y for x, y in zip(a.coeffs, b.coeffs))
-            assert (m != 0) == rs.is_root(s)
+            assert (m != 0) == (s in rs._index)
             assert constant(real, b, a) == -m
 
 
 def test_a1_single_matrix_unit():
-    real = build_chevalley(build_root_system("A", 1))
+    real = build_chevalley(RootSystem("A", 1))
     vec = real.root_vectors[real.rs.root_index(real.rs.simple_roots[0])]
     assert vec == {(0, 1): 1}
 
@@ -133,7 +136,7 @@ def ref_extract_constants(real):
     for i, a in enumerate(roots):
         for j, b in enumerate(roots):
             br = sp_commutator(vectors[a], vectors[b])
-            ab = rs.root_add(a, b)
+            ab = ref_root_add(rs, a, b)
             if ab is not None:
                 target = vectors[ab]
                 pos, val = next(iter(target.items()))
@@ -202,7 +205,7 @@ def test_constants_equal_the_full_rational_scan(lie_type, rank):
     """The integer table, bracketing only pairs that can be nonzero, equals
     the rational scan of every pair; under seeded corruptions of one root
     vector both raise the same first error, which names the system."""
-    rs = build_root_system(lie_type, rank)
+    rs = RootSystem(lie_type, rank)
     vectors = liealg._root_vectors(rs)
     table = liealg.ChevalleyRealization(rs, vectors).constants
     assert table == RefRealization(rs, vectors).constants
@@ -221,7 +224,7 @@ def test_constants_equal_the_full_rational_scan(lie_type, rank):
 def test_root_sum_pair_without_chaining_supports_is_refused():
     """α_1 at (0, 1) and α_2 at (0, 2): no column of one meets a row of the
     other, so [E_α1, E_α2] = 0 though α_1 + α_2 is a root."""
-    rs = build_root_system("A", 2)
+    rs = RootSystem("A", 2)
     a1, a2, a12 = rs.positive_roots
     vectors = {a1: {(0, 1): 1}, a2: {(0, 2): 1}, a12: {(1, 2): 1}}
     vectors.update({-r: {(c, r_): v for (r_, c), v in m.items()}
@@ -236,7 +239,7 @@ def test_root_sum_pair_without_chaining_supports_is_refused():
 def test_constants_bracket_only_pairs_that_can_be_nonzero(monkeypatch):
     """On A12, 3,588 of the 24,336 root pairs have a + b a root or zero, or
     chaining supports; only those are bracketed."""
-    rs = build_root_system("A", 12)
+    rs = RootSystem("A", 12)
     real = build_chevalley(rs)
     calls = []
 
@@ -251,7 +254,7 @@ def test_constants_bracket_only_pairs_that_can_be_nonzero(monkeypatch):
 
 
 def test_realization_entries_must_be_nonzero_integers():
-    rs = build_root_system("B", 2)
+    rs = RootSystem("B", 2)
     vectors = liealg._root_vectors(rs)
     for value in (Fraction(1, 2), 0):
         bad = ({pos: value for pos in vectors[0]},) + vectors[1:]
@@ -264,7 +267,7 @@ def test_realization_entries_must_be_nonzero_integers():
 def test_realization_takes_vectors_by_root_index(shape):
     """The root vectors are a sequence over ``rs.all_roots``: a map keyed by
     root, or a sequence one short, is refused by name."""
-    rs = build_root_system("B", 2)
+    rs = RootSystem("B", 2)
     vectors = liealg._root_vectors(rs)
     bad = (dict(zip(rs.all_roots, vectors)) if shape == "root-keyed"
            else vectors[:-1])
@@ -336,7 +339,7 @@ def ref_psi_matrix(real, n, i):
         raise ValueError(f"row index {i} out of range")
     row = stage_table(rs).rows[i - 1]
     ni = ref_to_index_coeffs(real, n)
-    order, mat = row_order(rs, i), liealg._ad_block(real, ni, row, row)
+    order, mat = _row_roots(rs, i), liealg._ad_block(real, ni, row, row)
 
     nmat = real.matrix_of(ni)
     for col, beta in enumerate(order):
@@ -377,14 +380,14 @@ def test_reference_psi_matrix_equals_ad_block(lie_type, rank):
     """The reference row operator, which cross-checks itself against
     genuine matrix brackets, equals the block of ad(N) that the containment
     check reads, on every row and for every sample N."""
-    real = build_chevalley(build_root_system(lie_type, rank))
+    real = build_chevalley(RootSystem(lie_type, rank))
     rs = real.rs
     rows = stage_table(rs).rows
     for nn in _reference_samples(rs):
         roots = ref_from_index_coeffs(real, nn)
         for i, row in enumerate(rows, start=1):
             pm = ref_psi_matrix(real, roots, i)
-            assert pm.roots == row_order(rs, i)
+            assert pm.roots == _row_roots(rs, i)
             assert pm.entries == tuple(
                 map(tuple, liealg._ad_block(real, nn, row, row)))
 
@@ -393,7 +396,7 @@ def test_reference_psi_matrix_equals_ad_block(lie_type, rank):
 def test_reference_theta_row_equals_row_projection(lie_type, rank):
     """For seeded X on one row, the reference θ on every row equals the
     row projection of the index-keyed ``_iad_exp``."""
-    real = build_chevalley(build_root_system(lie_type, rank))
+    real = build_chevalley(RootSystem(lie_type, rank))
     rs = real.rs
     rows = stage_table(rs).rows
     rng = random.Random(f"reference-x:{lie_type}{rank}")
@@ -437,7 +440,7 @@ def test_ad_exp_rejects_negative_support(real_a2):
 @pytest.mark.parametrize("lie_type,rank", [("A", 3), ("B", 3), ("C", 3), ("D", 4)])
 def test_regularity_preserved_under_conjugation(lie_type, rank):
     import random
-    rs = build_root_system(lie_type, rank)
+    rs = RootSystem(lie_type, rank)
     real = build_chevalley(rs)
     n = ref_sum_of_simple_vectors(rs)
     rng = random.Random("regularity")
@@ -473,7 +476,7 @@ def test_psi_zero_superdiagonal_for_non_regular(real_a2):
 @pytest.mark.parametrize("lie_type,rank", [("A", 3), ("B", 3), ("C", 3)])
 def test_psi_strictly_upper_with_nonzero_superdiagonal(lie_type, rank):
     import random
-    rs = build_root_system(lie_type, rank)
+    rs = RootSystem(lie_type, rank)
     real = build_chevalley(rs)
     rng = random.Random(f"psi:{lie_type}{rank}")
     samples = [ref_sum_of_simple_vectors(rs)]
@@ -536,8 +539,8 @@ def _theta_as_polynomial(real, n, i, j):
     """Fit a degree-2 polynomial to the row-i projection of Ad(exp X)(N)
     for X on row j, from values on a sparse quadratic grid."""
     rs = real.rs
-    basis = row_order(rs, j)
-    targets = row_order(rs, i)
+    basis = _row_roots(rs, j)
+    targets = _row_roots(rs, i)
 
     def value(point):
         x = {r: v for r, v in zip(basis, point) if v}
@@ -594,7 +597,7 @@ def test_theta_is_degree_two_polynomial(lie_type, rank):
     fitted polynomial reproduces the exact adjoint exponential at points far
     outside the grid; any cubic term would break the match."""
     import random
-    rs = build_root_system(lie_type, rank)
+    rs = RootSystem(lie_type, rank)
     real = build_chevalley(rs)
     rng = random.Random(f"theta:{lie_type}{rank}")
     n = {r: rng.randint(-3, 3) or 2 for r in rs.positive_roots}
@@ -606,7 +609,7 @@ def test_theta_is_degree_two_polynomial(lie_type, rank):
             if not table[i - 1]:
                 continue
             _, value, evaluate = _theta_as_polynomial(real, n, i, j)
-            k = len(row_order(rs, j))
+            k = len(_row_roots(rs, j))
             for _ in range(4):
                 point = tuple(rng.randint(-6, 6) for _ in range(k))
                 assert value(point) == evaluate(point)
@@ -718,7 +721,7 @@ def ref_old_signs(real):
 
 def test_normalize_type_d_pinned_constants():
     """Two constants the normalization pins are +1 as built."""
-    rs = build_root_system("D", 4)
+    rs = RootSystem("D", 4)
     real = build_chevalley(rs)
     chain12 = parse_root(rs, "1,1,0,0")      # α_1 + α_2
     alpha3 = rs.simple_roots[2]
@@ -734,7 +737,7 @@ def test_type_d_build_is_normalized(rank):
     normalizer, and normalizing the old signs gives it back; from D4 on
     those signs differ.  D3 is the trap: its one pinned pair is
     (α_1, α_2), so flipping α_1 there would break it."""
-    rs = build_root_system("D", rank)
+    rs = RootSystem("D", rank)
     real = build_chevalley(rs)
     old = ref_old_signs(real)
     assert ref_normalize_type_D(real).root_vectors == real.root_vectors
@@ -743,7 +746,7 @@ def test_type_d_build_is_normalized(rank):
 
 
 def test_normalize_type_d_idempotent():
-    rs = build_root_system("D", 4)
+    rs = RootSystem("D", 4)
     once = ref_normalize_type_D(ref_old_signs(build_chevalley(rs)))
     twice = ref_normalize_type_D(once)
     assert all(a == b for a, b in zip(once.root_vectors, twice.root_vectors,
@@ -754,7 +757,7 @@ def test_normalize_type_d_idempotent():
 def test_normalize_type_d_equals_validated_rebuild(rank):
     """The rescaled realization equals a full, validated construction from
     the same sign-rescaled root vectors."""
-    rs = build_root_system("D", rank)
+    rs = RootSystem("D", rank)
     real = ref_old_signs(build_chevalley(rs))
     norm = ref_normalize_type_D(real)
     vectors = []
@@ -814,7 +817,7 @@ def test_type_d_sign_rule_without_alpha_1_flip_exits_2(capsys, monkeypatch):
 def test_type_d_block_fails_on_other_signs(rank):
     """``verify_lemmata`` checks the realization it is given: on the old
     signs the type-D block check fails, and every other check passes."""
-    real = ref_old_signs(build_chevalley(build_root_system("D", rank)))
+    real = ref_old_signs(build_chevalley(RootSystem("D", rank)))
     report = verify_lemmata(real, trial_count=2, seed=5)
     assert [c.name for c in report.checks if c.status == "fail"] == [
         "type_d_block"]
@@ -851,11 +854,11 @@ def test_type_d_block_checks_every_pinned_constant(rank):
     D4, 16 on D5, counted with repeats) is checked: set to −1 alone, it
     fails the block check, which names it.  Those left to the pinned pass
     (the last pairing's, which no 3×3 block reads) are named by it."""
-    pairs = ref_d_normalization_pairs(build_root_system("D", rank))
+    pairs = ref_d_normalization_pairs(RootSystem("D", rank))
     assert len(pairs) == {3: 4, 4: 10, 5: 16}[rank]
     named = 0
     for a, b in pairs:
-        real = build_chevalley(build_root_system("D", rank))
+        real = build_chevalley(RootSystem("D", rank))
         set_constant(real, a, b, -1)
         ce = liealg._check_type_d_block(real, 2, 7)
         assert ce is not None, (a, b)
@@ -873,7 +876,7 @@ def test_type_d_block_checks_every_pinned_constant(rank):
 
 @pytest.mark.parametrize("lie_type,rank", [("A", 2), ("B", 2), ("C", 2), ("D", 3)])
 def test_verify_lemmata_small_systems(lie_type, rank):
-    real = build_chevalley(build_root_system(lie_type, rank))
+    real = build_chevalley(RootSystem(lie_type, rank))
     report = verify_lemmata(real, trial_count=25, seed=11)
     assert report.passed, [c for c in report.checks if c.status == "fail"]
     assert [c.name for c in report.checks] == [
@@ -887,11 +890,11 @@ def test_verify_lemmata_small_systems(lie_type, rank):
 def test_c3_row_structure():
     """Rows 1 and 2 of C3 are Heisenberg with their long roots; row 3 is
     abelian."""
-    rs = build_root_system("C", 3)
+    rs = RootSystem("C", 3)
     table = stage_table(rs)
     for i in range(1, 4):
-        row = row_order(rs, i)
-        sums = {rs.root_add(a, b) for a in row for b in row} - {None}
+        row = _row_roots(rs, i)
+        sums = {ref_root_add(rs, a, b) for a in row for b in row} - {None}
         if i < 3:
             assert sums == {rs.positive_roots[table.long_roots[i - 1]]}
         else:
@@ -921,7 +924,7 @@ def test_psi_cross_check_detects_corrupted_table(real_c2):
 def test_verify_lemmata_detects_zeroed_constant():
     """Zeroing the structure constant behind a superdiagonal entry of the
     row operator breaks the first-nonzero-entry structure."""
-    rs = build_root_system("B", 3)
+    rs = RootSystem("B", 3)
     real = build_chevalley(rs)
     highest = parse_root(rs, "1,2,2")
     second = parse_root(rs, "1,1,2")
@@ -951,7 +954,7 @@ def ref_check_containment(real, trials, seed):
     elements = enumerate_weyl(rs)
     for nn in samples:
         psi_rows = {
-            i: (row_order(rs, i),
+            i: (_row_roots(rs, i),
                 liealg._ad_block(real, nn, table[i - 1], table[i - 1]))
             for i in range(1, n + 1) if table[i - 1]
         }
@@ -990,7 +993,7 @@ def ref_check_containment(real, trials, seed):
                         for j, simple in enumerate(rs.simple_roots, start=1):
                             diff = tuple(a - b for a, b in
                                          zip(alpha.coeffs, simple.coeffs))
-                            if rs.is_root(diff) and all(c >= 0 for c in diff):
+                            if diff in rs._index and all(c >= 0 for c in diff):
                                 if rs.root_index(Root(diff)) not in inversions:
                                     return {"word": list(w.word), "row": i,
                                             "alpha": format_root(alpha),
@@ -1001,20 +1004,20 @@ def ref_check_containment(real, trials, seed):
 
 
 def _realization(lie_type, rank):
-    return build_chevalley(build_root_system(lie_type, rank))
+    return build_chevalley(RootSystem(lie_type, rank))
 
 
 def ref_psi_entries(real, coeffs, i):
     """The row operator of row i from coefficient-vector arithmetic, as it
     stood before the positive-root difference table."""
     rs = real.rs
-    order = row_order(rs, i)
+    order = _row_roots(rs, i)
     mat = []
     for alpha in order:
         line = []
         for beta in order:
             d = tuple(x - y for x, y in zip(alpha.coeffs, beta.coeffs))
-            if rs.is_root(d) and all(c >= 0 for c in d):
+            if d in rs._index and all(c >= 0 for c in d):
                 diff = Root(d)
                 line.append(constant(real, diff, beta) * coeffs.get(diff, 0))
             else:
@@ -1034,7 +1037,7 @@ def ref_linear_stage_matrix(real, current, cons, vars_):
         line = []
         for gamma in vars_:
             d = tuple(x - y for x, y in zip(alpha.coeffs, gamma.coeffs))
-            if rs.is_root(d) and all(c >= 0 for c in d):
+            if d in rs._index and all(c >= 0 for c in d):
                 diff = Root(d)
                 line.append(constant(real, gamma, diff)
                             * current.get(rs.root_index(diff), 0))
@@ -1064,7 +1067,7 @@ def test_ad_block_equals_coefficient_arithmetic(lie_type, rank):
         roots = ref_from_index_coeffs(real, current)
         for i, row in enumerate(table.rows, start=1):
             if row:
-                assert ((row_order(rs, i),
+                assert ((_row_roots(rs, i),
                          liealg._ad_block(real, current, row, row))
                         == ref_psi_entries(real, roots, i))
         for cons, vars_ in stages:
@@ -1284,7 +1287,8 @@ def ref_check_type_d_coefficients(real, trials, seed):
                     return {"trial": t, "row": i, "alpha": format_root(alpha),
                             "reason": "first coefficient formula mismatch"}
                 trimmed = {r: v for r, v in xi.items()
-                           if not rootcore.strictly_dominates(alpha, pos[r])}
+                           if pos[r] == alpha
+                           or not rootcore.dominates(alpha, pos[r])}
                 if ref_iad_exp(real, trimmed, ni).get(a, 0) != ni.get(a, 0):
                     return {"trial": t, "row": i, "alpha": format_root(alpha),
                             "reason": "coefficient moved despite zero "
@@ -1389,10 +1393,11 @@ def test_lemma_kernels_equal_reference_with_a_root_moved_a_row(
 def test_set_constant_reaches_the_bracket():
     """The bracket reads the constants at call time, so a replaced table
     reaches it."""
-    rs = build_root_system("B", 3)
+    rs = RootSystem("B", 3)
     real = build_chevalley(rs)
     a, b = rs.simple_roots[:2]
-    ia, ib, isum = (rs.root_index(r) for r in (a, b, rs.root_add(a, b)))
+    ia, ib, isum = (rs.root_index(r)
+                    for r in (a, b, ref_root_add(rs, a, b)))
     assert liealg._ibracket(real, {ia: 1}, {ib: 1}) == {
         isum: constant(real, a, b)}
     set_constant(real, a, b, 7)
@@ -1411,7 +1416,7 @@ def test_lemma_checks_sort_rows_once(monkeypatch, lie_type, rank):
         return _row_key(root)
 
     monkeypatch.setattr(rootcore, "_row_key", counted)
-    rs = build_root_system(lie_type, rank)
+    rs = RootSystem(lie_type, rank)
     assert verify_lemmata(build_chevalley(rs), 50).passed
     assert 0 < len(calls) <= 2 * rs.num_positive
 
@@ -1481,7 +1486,7 @@ def test_containment_tests_each_cell_at_most_once(monkeypatch):
 
     monkeypatch.setattr(liealg, "cell_nonempty", counted)
     monkeypatch.setattr(liealg, "smallest_containing", counted_closure)
-    rs = build_root_system("C", 3)
+    rs = RootSystem("C", 3)
     report = verify_lemmata(build_chevalley(rs), trial_count=3, seed=1)
     assert report.passed
     assert calls == []
@@ -1495,13 +1500,13 @@ def test_containment_tests_each_cell_at_most_once(monkeypatch):
 
 def test_witness_identity_and_errors(real_a2):
     rs = real_a2.rs
-    wit = find_witness(real_a2, identity_element(rs), borel_space(rs))
+    wit = find_witness(real_a2, parse_word(rs, ""), borel_space(rs))
     assert wit.verified and wit.stage_kernel_dims == (0, 0)
     assert all(not s for s in wit.stage_solutions)
     with pytest.raises(ValueError, match="empty"):
         find_witness(real_a2, parse_word(rs, "1"), borel_space(rs))
     with pytest.raises(ValueError, match="regular"):
-        find_witness(real_a2, identity_element(rs), borel_space(rs),
+        find_witness(real_a2, parse_word(rs, ""), borel_space(rs),
                      {rs.root_index(parse_root(rs, "1,1")): 1})
 
 
@@ -1553,7 +1558,7 @@ def test_witness_refuses_malformed_nilpotent_before_solving(
     for name in ("cell_nonempty", "solve_affine", "_iad_exp"):
         monkeypatch.setattr(liealg, name, refused)
     with pytest.raises(ValueError) as exc:
-        find_witness(real_a2, identity_element(rs), borel_space(rs), n)
+        find_witness(real_a2, parse_word(rs, ""), borel_space(rs), n)
     assert str(exc.value).startswith(message)
 
 
@@ -1561,7 +1566,7 @@ def test_witness_refuses_floating_point_nilpotent_on_every_b3_cell():
     """Exact arithmetic throughout: an N with float coefficients is refused
     on every nonempty B3 cell, where it once verified most cells and ended
     in a bare TypeError on the others."""
-    rs = build_root_system("B", 3)
+    rs = RootSystem("B", 3)
     real = build_chevalley(rs)
     n = {k: 0.5 * (1 + k % 3) for k in range(rs.num_positive)}
     cells = 0
@@ -1595,7 +1600,7 @@ def test_witness_c2_full_space(real_c2):
 @pytest.mark.parametrize("lie_type,rank",
                          [("A", 1), ("A", 2), ("B", 2), ("C", 2), ("D", 3)])
 def test_witness_exhaustive_small(lie_type, rank):
-    rs = build_root_system(lie_type, rank)
+    rs = RootSystem(lie_type, rank)
     real = build_chevalley(rs)
     for space in enumerate_hessenberg(rs):
         for w in enumerate_weyl(rs):
@@ -1611,7 +1616,7 @@ def test_witness_sampled_high_rank(lie_type, rank, sample):
     """Beyond the exhaustive envelope: random cells at rank 4/5, where C has
     three Heisenberg rows and D has nontrivial fork parts in every stage."""
     import random
-    rs = build_root_system(lie_type, rank)
+    rs = RootSystem(lie_type, rank)
     real = build_chevalley(rs)
     spaces = enumerate_hessenberg(rs)
     elems = enumerate_weyl(rs)
@@ -1643,7 +1648,7 @@ def test_witness_random_regular_nilpotent(lie_type, rank, sample):
     conjugates by one exponential is exercised.  Type D runs on the
     realization as built and on the old signs, so both sign choices are
     covered."""
-    rs = build_root_system(lie_type, rank)
+    rs = RootSystem(lie_type, rank)
     real = build_chevalley(rs)
     rng = random.Random(f"witness-n:{lie_type}{rank}")
     pairs = [(space, w) for space in enumerate_hessenberg(rs)
@@ -1778,7 +1783,7 @@ def test_witness_failure_names_its_cell(capsys, monkeypatch, fault):
     the word and, when one stage is at fault, the stage; the witness
     command built from those names fails again with exit 2."""
     lie_type, rank, patches = _WITNESS_FAULTS[fault]
-    rs = build_root_system(lie_type, rank)
+    rs = RootSystem(lie_type, rank)
     real = build_chevalley(rs)
     for target, name, value in patches():
         monkeypatch.setattr(target, name, value)

@@ -133,7 +133,7 @@ def test_no_source_file_imports_dataclasses():
 
 def test_all_lists_public_non_module_names():
     names = hessenpave.__all__
-    assert len(names) == len(set(names)) == 38
+    assert len(names) == len(set(names)) == 34
     for name in names:
         assert not name.startswith("_"), name
         assert not isinstance(getattr(hessenpave, name), types.ModuleType), name
@@ -302,6 +302,36 @@ def test_realization_constants_are_read_in_integers():
     probe = ast.parse("def f(x: Fraction) -> Fraction:\n"
                       "    y: Fraction = x\n    return y\n")
     assert "Fraction" not in _names_outside_annotations(probe)
+
+
+def _uses(tree, name) -> bool:
+    """Whether a tree names ``name`` outside the top-level definition of
+    ``name`` itself, type annotations and docstrings."""
+    rest = [node for node in tree.body
+            if not (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and node.name == name)]
+    return name in _names_outside_annotations(
+        ast.Module(body=rest, type_ignores=[]))
+
+
+def test_every_public_name_has_a_caller():
+    """Each name in ``__all__`` is used by a library module other than
+    ``__init__``, or by a demo, so a helper that loses its last caller
+    fails here instead of staying in the public API."""
+    paths = [path for path in sorted((SRC / "hessenpave").glob("*.py"))
+             if path.name != "__init__.py"]
+    paths += sorted((SRC.parent / "demos").glob("*.py"))
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in paths]
+    assert [name for name in hessenpave.__all__
+            if not any(_uses(tree, name) for tree in trees)] == []
+    # the detector skips a name's own definition, annotations, docstrings
+    # and imports, and sees any other use
+    probe = ast.parse("from .rootcore import apply\n"
+                      "def inverse(w):\n    return inverse(w)\n"
+                      "def f(x: Root) -> Root:\n"
+                      "    \"\"\"Root, apply.\"\"\"\n    return compose(x)\n")
+    assert [name for name in ("inverse", "Root", "apply", "compose")
+            if _uses(probe, name)] == ["compose"]
 
 
 # What turns a root into an index or builds one: outside the text of

@@ -22,10 +22,9 @@ from hessenpave.paving import (
     row_dimension_profile,
 )
 from hessenpave.rootcore import (
-    build_root_system,
+    RootSystem,
     enumerate_weyl,
     format_word,
-    identity_element,
     parse_word,
     stage_table,
 )
@@ -80,7 +79,7 @@ def test_mask_kernel_equals_set_definitions(lie_type, rank):
     """Every cell of the sweep: the bitmask kernel agrees with the set-based
     definitions on nonemptiness, both dimensions and the row profile, and
     refuses an empty cell."""
-    rs = build_root_system(lie_type, rank)
+    rs = RootSystem(lie_type, rank)
     elems = enumerate_weyl(rs)
     for space in enumerate_hessenberg(rs):
         members = ref_members(space)
@@ -110,7 +109,7 @@ def refuses_empty(kernel, w, space):
 
 @pytest.fixture(scope="module")
 def a2():
-    return build_root_system("A", 2)
+    return RootSystem("A", 2)
 
 
 @pytest.fixture(scope="module")
@@ -119,14 +118,14 @@ def peterson(a2):
 
 
 def test_nonempty_examples(a2, peterson):
-    e = identity_element(a2)
+    e = parse_word(a2, "")
     assert cell_nonempty(e, borel_space(a2))
     assert not cell_nonempty(parse_word(a2, "1"), borel_space(a2))
     assert not cell_nonempty(parse_word(a2, "1 2"), peterson)
 
 
 def test_dimension_examples(a2, peterson):
-    e = identity_element(a2)
+    e = parse_word(a2, "")
     assert cell_dimension(e, peterson) == 0
     w0 = parse_word(a2, "1 2 1")
     assert cell_dimension(w0, peterson) == 2
@@ -141,37 +140,37 @@ def test_dimension_examples(a2, peterson):
 
 def test_row_profile_examples(a2, peterson):
     w0 = parse_word(a2, "1 2 1")
-    assert row_dimension_profile(identity_element(a2), peterson) == (0, 0)
+    assert row_dimension_profile(parse_word(a2, ""), peterson) == (0, 0)
     assert row_dimension_profile(w0, full_space(a2)) == (2, 1)
     assert row_dimension_profile(w0, peterson) == (1, 1)
 
 
 def test_compute_paving_examples(a2, peterson):
-    cells = compute_paving(a2, borel_space(a2))
+    cells = compute_paving(borel_space(a2))
     live = [c for c in cells if c.nonempty]
     assert len(live) == 1 and live[0].w.length == 0 and live[0].dim == 0
 
     live = {format_word(c.w): c.dim
-            for c in compute_paving(a2, peterson) if c.nonempty}
+            for c in compute_paving(peterson) if c.nonempty}
     assert live == {"": 0, "1": 1, "2": 1, "1 2 1": 2}
 
     h223 = parse_hessenberg(a2, "h=2,2,3")
     live = {format_word(c.w): c.dim
-            for c in compute_paving(a2, h223) if c.nonempty}
+            for c in compute_paving(h223) if c.nonempty}
     assert live == {"": 0, "1": 1}
 
 
 def test_poincare_examples(a2, peterson):
-    assert poincare_polynomial(a2, full_space(a2)).coefficients == (1, 2, 2, 1)
-    assert poincare_polynomial(a2, peterson).coefficients == (1, 2, 1)
+    assert poincare_polynomial(full_space(a2)).coefficients == (1, 2, 2, 1)
+    assert poincare_polynomial(peterson).coefficients == (1, 2, 1)
     h223 = parse_hessenberg(a2, "h=2,2,3")
-    assert poincare_polynomial(a2, h223).coefficients == (1, 1)
-    assert poincare_polynomial(a2, borel_space(a2)).coefficients == (1,)
+    assert poincare_polynomial(h223).coefficients == (1, 1)
+    assert poincare_polynomial(borel_space(a2)).coefficients == (1,)
 
 
 @pytest.mark.parametrize("lie_type,rank", SMALL)
 def test_dimension_formulas_agree(lie_type, rank):
-    rs = build_root_system(lie_type, rank)
+    rs = RootSystem(lie_type, rank)
     for space in enumerate_hessenberg(rs):
         for w in enumerate_weyl(rs):
             if cell_nonempty(w, space):
@@ -180,7 +179,7 @@ def test_dimension_formulas_agree(lie_type, rank):
 
 @pytest.mark.parametrize("lie_type,rank", SMALL)
 def test_row_profiles_sum_and_nonnegative(lie_type, rank):
-    rs = build_root_system(lie_type, rank)
+    rs = RootSystem(lie_type, rank)
     for space in enumerate_hessenberg(rs):
         for w in enumerate_weyl(rs):
             if cell_nonempty(w, space):
@@ -193,7 +192,7 @@ def test_row_profiles_sum_and_nonnegative(lie_type, rank):
 @pytest.mark.parametrize("lie_type,rank",
                          [("A", 3), ("B", 3), ("C", 3), ("D", 4)])
 def test_monotonicity_and_bounds(lie_type, rank):
-    rs = build_root_system(lie_type, rank)
+    rs = RootSystem(lie_type, rank)
     spaces = enumerate_hessenberg(rs)
     elems = enumerate_weyl(rs)
     data = {
@@ -225,9 +224,9 @@ def test_monotonicity_and_bounds(lie_type, rank):
 
 @pytest.mark.parametrize("lie_type,rank", SMALL)
 def test_identity_cell_always_single_point(lie_type, rank):
-    rs = build_root_system(lie_type, rank)
+    rs = RootSystem(lie_type, rank)
     for space in enumerate_hessenberg(rs):
-        betti = poincare_polynomial(rs, space)
+        betti = poincare_polynomial(space)
         assert betti.coefficients[0] == 1
         assert betti.total == sum(
             1 for w in enumerate_weyl(rs) if cell_nonempty(w, space))
@@ -243,7 +242,7 @@ def test_full_space_betti_is_length_generating_function():
         ("D", 4): [2, 4, 6, 4],
     }
     for (lie_type, rank), degs in degrees.items():
-        rs = build_root_system(lie_type, rank)
+        rs = RootSystem(lie_type, rank)
         poly = [1]
         for d in degs:
             factor = [1] * d
@@ -252,7 +251,7 @@ def test_full_space_betti_is_length_generating_function():
                 for j, b in enumerate(factor):
                     out[i + j] += a * b
             poly = out
-        betti = poincare_polynomial(rs, full_space(rs))
+        betti = poincare_polynomial(full_space(rs))
         assert list(betti.coefficients) == poly
 
 
@@ -261,8 +260,8 @@ def test_d3_matches_a3_under_diagram_isomorphism():
     to the fork node) must carry pavings to pavings cell by cell.  This
     pits the type-D stage machinery against the type-A path, which is
     independently backed by the finite-field oracle."""
-    d3 = build_root_system("D", 3)
-    a3 = build_root_system("A", 3)
+    d3 = RootSystem("D", 3)
+    a3 = RootSystem("A", 3)
 
     def to_a3(root):
         c = root.coeffs
@@ -290,9 +289,9 @@ def test_peterson_betti_numbers_are_binomial(lie_type, rank):
     simple roots, of dimension the subset size."""
     from math import comb
     from hessenpave.hessenberg import from_negative_roots
-    rs = build_root_system(lie_type, rank)
+    rs = RootSystem(lie_type, rank)
     peterson = from_negative_roots(rs, [-a for a in rs.simple_roots])
-    betti = poincare_polynomial(rs, peterson).coefficients
+    betti = poincare_polynomial(peterson).coefficients
     assert betti == tuple(comb(rank, k) for k in range(rank + 1))
 
 
@@ -300,9 +299,9 @@ def test_peterson_betti_numbers_are_binomial(lie_type, rank):
 def test_betti_product_equals_cell_count(lie_type, rank):
     """The closed-form product equals the nonempty cells counted by
     dimension, for every space of the sweep."""
-    rs = build_root_system(lie_type, rank)
+    rs = RootSystem(lie_type, rank)
     for space in enumerate_hessenberg(rs):
-        dims = [c.dim for c in compute_paving(rs, space) if c.nonempty]
+        dims = [c.dim for c in compute_paving(space) if c.nonempty]
         tally = [0] * (max(dims) + 1)
         for d in dims:
             tally[d] += 1
@@ -329,7 +328,7 @@ def test_betti_product_off_by_one_exits_2(monkeypatch, capsys):
 
 
 def test_paving_record_shape(a2, peterson):
-    record = paving_record(a2, peterson)
+    record = paving_record(peterson)
     assert record["betti"] == [1, 2, 1]
     assert record["hessenberg"]["neg"] == ["0,-1", "-1,0"]
     assert len(record["cells"]) == 6
@@ -340,16 +339,16 @@ def test_paving_record_shape(a2, peterson):
 
 
 def test_mixed_system_rejected(a2):
-    b2 = build_root_system("B", 2)
+    b2 = RootSystem("B", 2)
     with pytest.raises(ValueError):
-        cell_nonempty(identity_element(b2), borel_space(a2))
+        cell_nonempty(parse_word(b2, ""), borel_space(a2))
 
 
 def test_per_system_masks_live_on_their_instance():
     """The root-poset tables are built with the root system and kept on
     it: two equal systems each hold their own tables, and the tables are
     equal."""
-    first, second = build_root_system("D", 4), build_root_system("D", 4)
+    first, second = RootSystem("D", 4), RootSystem("D", 4)
     assert first == second and first is not second
     for field in ("_covers", "_below", "_heights", "_sum_pairs"):
         mine, theirs = getattr(first, field), getattr(second, field)

@@ -13,7 +13,6 @@ from fractions import Fraction
 import pytest
 
 from hessenpave.fforacle import CellCount, CountReport
-from hessenpave.hessenberg import ComplementIdeal
 from hessenpave.liealg import (
     CheckResult,
     LemmataReport,
@@ -23,13 +22,13 @@ from hessenpave.liealg import (
 from hessenpave.paving import BettiTable, PavingCell
 from hessenpave.rootcore import (
     Root,
+    RootSystem,
     StageTable,
-    build_root_system,
     enumerate_weyl,
 )
 from test_liealg import ref_RowMatrix
 
-_RS = build_root_system("A", 2)
+_RS = RootSystem("A", 2)
 _A1, _A12 = Root((1, 0)), Root((1, 1))
 _W = enumerate_weyl(_RS)[1]
 _CHECK = CheckResult("row_structure", "pass", None)
@@ -41,7 +40,6 @@ RECORDS = [
     (StageTable, ("rows", "stages", "long_roots", "masks"),
      (((2, 0), (1,)), (((2, 0), (2, 0)), ((1,), (1,))), (None, None),
       ((5, 5), (2, 2)))),
-    (ComplementIdeal, ("roots",), (frozenset({-_A12}),)),
     (PavingCell, ("w", "nonempty", "dim"), (_W, True, 1)),
     (BettiTable, ("coefficients",), ((1, 2, 1),)),
     (StructureConstantTable, ("rs", "table"),
