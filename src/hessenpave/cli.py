@@ -59,7 +59,6 @@ from collections.abc import Iterable, Iterator
 from . import fforacle, liealg, paving
 from .errors import ConsistencyError
 from .hessenberg import (
-    check_space_budget,
     enumerate_hessenberg,
     parse_hessenberg,
     space_fields,
@@ -67,8 +66,7 @@ from .hessenberg import (
 )
 from .rootcore import (
     RootSystem,
-    check_root_budget,
-    check_weyl_budget,
+    check_budget,
     format_word,
     parse_word,
 )
@@ -148,7 +146,7 @@ def _paving_rows(record: dict, hess: str) -> Iterator[list]:
 
 def _run_paving(args) -> tuple:
     """The cells of one Hessenberg variety and their dimensions."""
-    check_weyl_budget(args.lie_type, args.rank)
+    check_budget("weyl", args.lie_type, args.rank)
     rs = RootSystem(args.lie_type, args.rank)
     space = parse_hessenberg(rs, _hess_spec(args))
     record = paving.paving_record(space)
@@ -158,7 +156,7 @@ def _run_paving(args) -> tuple:
 
 def _run_betti(args) -> tuple:
     """The Betti numbers of one Hessenberg variety."""
-    check_weyl_budget(args.lie_type, args.rank)
+    check_budget("weyl", args.lie_type, args.rank)
     rs = RootSystem(args.lie_type, args.rank)
     space = parse_hessenberg(rs, _hess_spec(args))
     betti = paving.poincare_polynomial(space)
@@ -176,7 +174,7 @@ def _run_betti(args) -> tuple:
 
 def _run_enumerate_hess(args) -> tuple:
     """Every Hessenberg space of one root system."""
-    check_space_budget(args.lie_type, args.rank)
+    check_budget("spaces", args.lie_type, args.rank)
     rs = RootSystem(args.lie_type, args.rank)
     spaces = enumerate_hessenberg(rs)
     entries = []
@@ -202,14 +200,14 @@ def _format_rational(v) -> str:
 
 def _run_witness(args) -> tuple:
     """Solve for and check a point of one cell, stage by stage."""
-    check_root_budget(args.lie_type, args.rank)
+    check_budget("roots", args.lie_type, args.rank)
     rs = RootSystem(args.lie_type, args.rank)
     space = parse_hessenberg(rs, _hess_spec(args))
     w = parse_word(rs, args.word)
     result = liealg.find_witness(liealg.build_chevalley(rs), w, space)
     profile = paving.row_dimension_profile(w, space)
-    pos = rs.positive_roots
-    stages = [{str(pos[p]): _format_rational(v) for p, v in sorted(sol.items())}
+    stages = [{rs._texts[p]: _format_rational(v)
+               for p, v in sorted(sol.items())}
               for sol in result.stage_solutions]
     record = {
         "type": rs.lie_type,
@@ -230,7 +228,7 @@ def _run_witness(args) -> tuple:
 def _run_verify_lemmata(args) -> tuple:
     """Check the lemmata the paving rests on, in seeded trials."""
     liealg.check_trial_count(args.trials)
-    check_weyl_budget(args.lie_type, args.rank)
+    check_budget("weyl", args.lie_type, args.rank)
     rs = RootSystem(args.lie_type, args.rank)
     real = liealg.build_chevalley(rs)
     report = liealg.verify_lemmata(real, args.trials, args.seed)
@@ -249,20 +247,10 @@ def _run_count_points(args) -> tuple:
     return 0, record, ["n", "q", "h", "perm", "count", "predicted"], rows
 
 
-# Most cells (|W| times the number of spaces) that sweep computes: every
-# rank <= 5 system and A6 (2,162,160 cells) fit; D6 (15.5 M cells), B6 and
-# C6 (42.6 M) and A7 (57.7 M) pass the Weyl budget but would run for hours.
-_CELL_BUDGET = 2_500_000
-
-
 def _run_sweep(args) -> tuple:
     """The paving of every Hessenberg space of one root system."""
-    order = check_weyl_budget(args.lie_type, args.rank)
-    count = check_space_budget(args.lie_type, args.rank)
-    if order is not None and order * count > _CELL_BUDGET:
-        raise ValueError(
-            f"a sweep of {args.lie_type}{args.rank} has {order * count} "
-            f"cells, over the budget of {_CELL_BUDGET}")
+    for kind in ("weyl", "spaces", "cells"):
+        check_budget(kind, args.lie_type, args.rank)
     rs = RootSystem(args.lie_type, args.rank)
     spaces = enumerate_hessenberg(rs)
     records = [paving.paving_record(space) for space in spaces]

@@ -31,15 +31,12 @@ the diagonal in column ``j`` reach down to row ``h(j)``.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from math import comb
 
 from .errors import ConsistencyError
 from .rootcore import (
     Root,
     RootSystem,
-    _bounded_count,
-    _count_text,
-    _refused_by_root_system,
+    check_budget,
     parse_root,
 )
 
@@ -128,37 +125,6 @@ def full_space(rs: RootSystem) -> HessenbergSpace:
     return HessenbergSpace(rs, (1 << len(rs.all_roots)) - 1)
 
 
-# The number of ad-nilpotent ideals, so of Hessenberg spaces, by type.
-_SPACE_COUNT = {"A": lambda n: comb(2 * n + 2, n + 1) // (n + 2),
-                "B": lambda n: comb(2 * n, n),
-                "C": lambda n: comb(2 * n, n),
-                "D": lambda n: comb(2 * n, n) - comb(2 * n - 2, n - 1)}
-
-# Most spaces enumerate_hessenberg builds: ``enumerate-hess`` on A10 (58,786
-# spaces) takes about 2.4 s and 290 MB peak as a fresh process on a 2-vCPU
-# Xeon (0.2 s of it enumerating); the next counts up (D10 136,136, B10 and
-# C10 184,756, A11 208,012) would hold every space and its output in memory.
-_SPACE_BUDGET = 60_000
-
-
-def check_space_budget(lie_type: str, rank: int) -> int | None:
-    """Return the number of Hessenberg spaces of the given type and rank,
-    and raise ValueError when it is over _SPACE_BUDGET.
-
-    Like ``check_weyl_budget`` it needs no RootSystem, and a type or rank
-    that RootSystem refuses passes here (returning None) so that RootSystem
-    names the problem.  A count over 10^18 is named as such, not computed.
-    """
-    if _refused_by_root_system(lie_type, rank):
-        return None
-    count = _bounded_count(_SPACE_COUNT[lie_type], lie_type, rank)
-    if count is None or count > _SPACE_BUDGET:
-        raise ValueError(f"{lie_type}{rank} has {_count_text(count)} "
-                         f"Hessenberg spaces, over the budget of "
-                         f"{_SPACE_BUDGET}")
-    return count
-
-
 def enumerate_hessenberg(rs: RootSystem) -> tuple[HessenbergSpace, ...]:
     """All Hessenberg spaces, ordered by size of the negative part and then
     lexicographically on the sorted index tuple of the negated roots.
@@ -169,12 +135,13 @@ def enumerate_hessenberg(rs: RootSystem) -> tuple[HessenbergSpace, ...]:
     the size-k ideals in order, each by ascending p, builds size k+1 once
     and in order, with no set of seen ideals and no sort.  The result always
     starts with the Borel and ends with the full Lie algebra; it is cached
-    on the root system.  Raises ValueError, before any work, when there are
-    more than _SPACE_BUDGET spaces, and ConsistencyError when the count
-    differs from the closed form for ad-nilpotent ideals.
+    on the root system.  Raises ValueError, before any work, when the count
+    is over the "spaces" budget of ``check_budget``, and ConsistencyError
+    when the count found differs from the budget's closed form for
+    ad-nilpotent ideals.
     """
     if rs._spaces_cache is None:
-        expected = check_space_budget(rs.lie_type, rs.rank)
+        expected = check_budget("spaces", rs.lie_type, rs.rank)
         spaces = _build_hessenberg_spaces(rs)
         if len(spaces) != expected:
             raise ConsistencyError(

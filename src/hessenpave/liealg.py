@@ -71,6 +71,7 @@ from collections.abc import Mapping, Sequence
 from .errors import ConsistencyError
 from .hessenberg import (
     HessenbergSpace,
+    _negative_texts,
     enumerate_hessenberg,
     format_negative_part,
     smallest_containing,
@@ -93,9 +94,8 @@ from .rootcore import (
     WeylElement,
     _Record,
     _span_root,
-    check_weyl_budget,
+    check_budget,
     enumerate_weyl,
-    format_root,
     format_word,
     stage_table,
 )
@@ -496,7 +496,7 @@ def _check_row_structure(real: ChevalleyRealization, trials: int,
                          seed: int) -> dict | None:
     rs = real.rs
     table = stage_table(rs)
-    pos = rs.positive_roots
+    texts = rs._texts
     sums = rs._pos_sum
     for i, row in enumerate(table.rows, start=1):
         gidx = table.long_roots[i - 1]
@@ -505,19 +505,17 @@ def _check_row_structure(real: ChevalleyRealization, trials: int,
             for b in row:
                 s = sums[a][b]
                 if not heisenberg and s is not None:
-                    return {"row": i, "alpha": format_root(pos[a]),
-                            "beta": format_root(pos[b]),
+                    return {"row": i, "alpha": texts[a], "beta": texts[b],
                             "reason": "abelian row with a root sum"}
                 if heisenberg and s not in (None, gidx):
-                    return {"row": i, "alpha": format_root(pos[a]),
-                            "beta": format_root(pos[b]),
+                    return {"row": i, "alpha": texts[a], "beta": texts[b],
                             "reason": "Heisenberg bracket escapes the long root"}
         if heisenberg:
             if not any(sums[a][b] == gidx for a in row for b in row):
                 return {"row": i, "reason": "derived algebra is zero"}
             for a in row:
                 if a != gidx and rs._pos_diff[gidx][a] not in row:
-                    return {"row": i, "alpha": format_root(pos[a]),
+                    return {"row": i, "alpha": texts[a],
                             "reason": "no Heisenberg partner"}
             non_central = [a for a in row if a != gidx]
             for t in range(min(trials, 25)):
@@ -539,11 +537,11 @@ def _check_factorization_count(real: ChevalleyRealization) -> dict | None:
     seen = [k for row in stage_table(rs).rows for k in row]
     if sorted(seen) == list(range(rs.num_positive)):
         return None
-    pos = rs.positive_roots
+    texts = rs._texts
     return {"sum_of_rows": len(seen), "positive_roots": rs.num_positive,
-            "missing": [format_root(pos[k]) for k in range(len(pos))
+            "missing": [texts[k] for k in range(rs.num_positive)
                         if k not in seen],
-            "repeated": [format_root(pos[k]) for k in sorted(set(seen))
+            "repeated": [texts[k] for k in sorted(set(seen))
                          if seen.count(k) > 1]}
 
 
@@ -658,14 +656,14 @@ def _check_type_d_coefficients(real: ChevalleyRealization, trials: int,
                     if d is not None and d in conjugating:
                         expect += m[d][b] * xi.get(d, 0) * ni.get(b, 0)
                 if total.get(a, 0) != scale * expect:
-                    return {"trial": t, "row": i, "alpha": format_root(alpha),
+                    return {"trial": t, "row": i, "alpha": rs._texts[a],
                             "reason": "first coefficient formula mismatch"}
                 # the coordinates of X at roots strictly below α set to 0
                 lower = rs._below[a] ^ 1 << a
                 trimmed = {r: v for r, v in xi.items() if not lower >> r & 1}
                 trimmed_scale, moved = _iad_series(real, trimmed, ni)
                 if moved.get(a, 0) != trimmed_scale * ni.get(a, 0):
-                    return {"trial": t, "row": i, "alpha": format_root(alpha),
+                    return {"trial": t, "row": i, "alpha": rs._texts[a],
                             "reason": "coefficient moved despite zero "
                                       "lower coordinates"}
     return None
@@ -795,17 +793,15 @@ def _containment_counterexample(rs: RootSystem, psi_rows: dict[int, list],
     phi_w = w.inversion_mask()
     table = stage_table(rs).rows
     simple = rs._simple_index
-    pos = rs.positive_roots
     for i, mat in psi_rows.items():
         row = table[i - 1]
         for k, line in zip(row, mat):
             if space.hm >> inv_perm[k] & 1:
                 continue          # α ∈ wΦ_H: no claim
-            alpha = format_root(pos[k])
+            alpha = rs._texts[k]
             first = next((c for c, v in enumerate(line) if v), None)
             if first is None:
-                return {"hessenberg": sorted(
-                            format_root(r) for r in space.negative_part),
+                return {"hessenberg": sorted(_negative_texts(space)),
                         "word": list(w.word), "row": i, "alpha": alpha,
                         "reason": "zero row for an excluded root"}
             if rs._pos_diff[k][row[first]] not in simple:
@@ -866,7 +862,7 @@ def _check_type_d_block(real: ChevalleyRealization, trials: int,
     # wherever the sum is a root: the blocks above read them for i <= n-3,
     # and the last pairing and D3's m(α_1, α_2) only here
     fork_a, fork_b = simple[n - 2], simple[n - 1]
-    pos = rs.positive_roots
+    texts = rs._texts
     for i in range(1, n - 1):
         chain = _span_root(rs, (i, n - 2))               # c_i
         next_a = _span_root(rs, (i + 1, n - 1))          # c_{i+1} + α_{n-1}
@@ -875,8 +871,8 @@ def _check_type_d_block(real: ChevalleyRealization, trials: int,
         for a, b in ((chain, fork_a), (chain, fork_b), (alpha_i, next_a),
                      (alpha_i, next_b), (next_a, fork_b), (next_b, fork_a)):
             if rs._pos_sum[a][b] is not None and m[a][b] != 1:
-                return {"row": i, "alpha": format_root(pos[a]),
-                        "beta": format_root(pos[b]), "constant": str(m[a][b]),
+                return {"row": i, "alpha": texts[a], "beta": texts[b],
+                        "constant": str(m[a][b]),
                         "reason": "pinned structure constant is not +1"}
     return None
 
@@ -922,7 +918,7 @@ def verify_lemmata(real: ChevalleyRealization, trial_count: int = 200,
     check_trial_count(trial_count)
     if type(seed) is not int:
         raise ValueError(f"seed must be an integer, got {seed!r}")
-    check_weyl_budget(real.rs.lie_type, real.rs.rank)
+    check_budget("weyl", real.rs.lie_type, real.rs.rank)
     named = (
         ("row_structure", lambda: _check_row_structure(real, trial_count, seed)),
         ("factorization_count", lambda: _check_factorization_count(real)),
@@ -1158,5 +1154,5 @@ def _verify_witness_matrix(real: ChevalleyRealization, w: WeylElement,
         if v and not space.hm >> inv[k] & 1:
             raise ConsistencyError(
                 f"witness lands outside the translated Hessenberg space "
-                f"at {format_root(rs.all_roots[k])} "
+                f"at {rs._texts[k]} "
                 f"({_witness_context(space, w)})")

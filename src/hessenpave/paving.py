@@ -83,7 +83,19 @@ class BettiTable(_Record):
         return sum(self.coefficients)
 
 
+def _check_space(space: HessenbergSpace) -> None:
+    if type(space) is not HessenbergSpace:
+        raise ValueError(f"{space!r} is not a HessenbergSpace")
+
+
 def _check_compatible(w: WeylElement, space: HessenbergSpace) -> None:
+    """Refuse a w that is not a WeylElement, a space that is not a
+    HessenbergSpace (before any attribute is read, in O(1)) and a pair from
+    different root systems, with ValueError."""
+    if type(w) is not WeylElement:
+        raise ValueError(f"{w!r} is not a WeylElement")
+    if type(space) is not HessenbergSpace:    # inline: once per cell
+        _check_space(space)
     if w.rs is not space.rs and w.rs != space.rs:
         raise ValueError("Weyl element and Hessenberg space live in "
                          "different root systems")
@@ -151,6 +163,7 @@ def row_dimension_profile(w: WeylElement, space: HessenbergSpace) -> tuple[int, 
 def compute_paving(space: HessenbergSpace) -> tuple[PavingCell, ...]:
     """One cell per Weyl element of ``space.rs``, in paving order (length,
     then word)."""
+    _check_space(space)
     cells = []
     for w in enumerate_weyl(space.rs):
         if cell_nonempty(w, space):
@@ -186,6 +199,7 @@ def _exponents(space: HessenbergSpace) -> tuple[int, ...]:
 
 def betti_product(space: HessenbergSpace) -> BettiTable:
     """The Betti numbers in closed form, ∏_{i=1..rank} [e_i + 1]_q."""
+    _check_space(space)
     coeffs = [1]
     for e in _exponents(space):
         # times 1 + q + ... + q^e
@@ -208,6 +222,7 @@ def paving_record(space: HessenbergSpace) -> dict:
     to its dimension (the message names the system, space and word), or
     when the Betti numbers differ from ``betti_product``.
     """
+    _check_space(space)
     rs = space.rs
     cells = []
     dims = []

@@ -65,7 +65,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from itertools import compress
-from math import factorial
+from math import comb, factorial
 from operator import itemgetter, mul
 
 from .errors import ConsistencyError
@@ -74,10 +74,20 @@ LIE_TYPES = ("A", "B", "C", "D")
 
 _MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 3}
 
+# Closed forms by type: the positive roots, the Weyl group order and the
+# number of ad-nilpotent ideals, so of Hessenberg spaces.
 _POSITIVE_COUNT = {"A": lambda n: n * (n + 1) // 2,
                    "B": lambda n: n * n,
                    "C": lambda n: n * n,
                    "D": lambda n: n * (n - 1)}
+_WEYL_ORDER = {"A": lambda n: factorial(n + 1),
+               "B": lambda n: 2 ** n * factorial(n),
+               "C": lambda n: 2 ** n * factorial(n),
+               "D": lambda n: 2 ** (n - 1) * factorial(n)}
+_SPACE_COUNT = {"A": lambda n: comb(2 * n + 2, n + 1) // (n + 2),
+                "B": lambda n: comb(2 * n, n),
+                "C": lambda n: comb(2 * n, n),
+                "D": lambda n: comb(2 * n, n) - comb(2 * n - 2, n - 1)}
 
 IntMatrix = tuple[tuple[int, ...], ...]
 
@@ -231,6 +241,20 @@ def _root_orbit(cartan: IntMatrix, limit: int
     return orbit, images
 
 
+def _check_system(lie_type: str, rank: int) -> None:
+    """Refuse a type that is not one of LIE_TYPES, or a rank that is not an
+    int (a float or a bool is refused, not converted) or is below the
+    type's smallest rank, with ValueError."""
+    if lie_type not in LIE_TYPES:
+        raise ValueError(f"lie_type must be one of {LIE_TYPES}, got {lie_type!r}")
+    if type(rank) is not int:
+        raise ValueError(f"rank must be an integer, got {rank!r}")
+    if rank < _MIN_RANK[lie_type]:
+        raise ValueError(
+            f"type {lie_type} needs rank >= {_MIN_RANK[lie_type]}, got {rank}"
+        )
+
+
 class RootSystem:
     """An irreducible classical root system with a fixed simple-root order.
 
@@ -241,14 +265,7 @@ class RootSystem:
     """
 
     def __init__(self, lie_type: str, rank: int):
-        if lie_type not in LIE_TYPES:
-            raise ValueError(f"lie_type must be one of {LIE_TYPES}, got {lie_type!r}")
-        if type(rank) is not int:
-            raise ValueError(f"rank must be an integer, got {rank!r}")
-        if rank < _MIN_RANK[lie_type]:
-            raise ValueError(
-                f"type {lie_type} needs rank >= {_MIN_RANK[lie_type]}, got {rank}"
-            )
+        _check_system(lie_type, rank)
         self.lie_type = lie_type
         self.rank = rank
 
@@ -603,11 +620,6 @@ def parse_word(rs: RootSystem, text: str) -> WeylElement:
     return WeylElement(rs, perm)
 
 
-_WEYL_ORDER = {"A": lambda n: factorial(n + 1),
-               "B": lambda n: 2 ** n * factorial(n),
-               "C": lambda n: 2 ** n * factorial(n),
-               "D": lambda n: 2 ** (n - 1) * factorial(n)}
-
 # Counts in refusal messages are exact up to this size and named "more than
 # 10^18" past it, so a budget check never builds a number of thousands of
 # digits: 2001! has 5,700, which Python refuses to print, and the order at
@@ -615,82 +627,79 @@ _WEYL_ORDER = {"A": lambda n: factorial(n + 1),
 _SHOWN_COUNT_LIMIT = 10 ** 18
 
 
-def _bounded_count(count, lie_type: str, rank: int) -> int | None:
+def _bounded_count(count, low: int, rank: int) -> int | None:
     """``count(rank)``, or None when it is over _SHOWN_COUNT_LIMIT.
 
-    ``count`` must grow with the rank, as the Weyl orders and the numbers
-    of Hessenberg spaces do, so walking up from the smallest rank can stop
-    at the first count over the limit (below rank 40 for every type).
+    ``count`` must not decrease with the rank, as every budgeted count
+    does, so a count over the limit at a smaller rank settles it.  The
+    ranks tried double from the smallest rank ``low``, so each is at most
+    twice one whose count was within the limit: no count computed has more
+    than a few dozen digits, and a rank of 10^8 takes 28 steps, where a
+    walk rank by rank would take 10^8 (2n² roots stay within the limit up
+    to n ≈ 7·10^8).
     """
-    value = None
-    for r in range(_MIN_RANK[lie_type], rank + 1):
+    r = low
+    while True:
         value = count(r)
         if value > _SHOWN_COUNT_LIMIT:
             return None
-    return value
+        if r == rank:
+            return value
+        r = min(2 * r, rank)
 
 
-def _refused_by_root_system(lie_type: str, rank: int) -> bool:
-    """Whether RootSystem refuses the type or rank (a rank that is not an
-    int included: a float, a string or a bool)."""
-    return (lie_type not in _MIN_RANK or type(rank) is not int
-            or rank < _MIN_RANK[lie_type])
+# Every per-system budget, by kind: the count of that kind for a type and
+# rank, its limit, and the refusal, which names the system and the count.
+# ``check_budget`` is the only reader.
+_BUDGETS = {
+    # Largest group enumerate_weyl builds: every rank <= 6 and A7 fit.  B6
+    # (46,080 elements) takes about 0.3 s, in a process of 60 MB peak, on a
+    # 2-vCPU Xeon; the next groups up (D7, A8, B7 and C7: 322,560 to
+    # 645,120 elements) are 6 to 13 times the budget.
+    "weyl": (lambda t, n: _WEYL_ORDER[t](n), 50_000,
+             "the Weyl group of {} has {} elements"),
+    # Most roots of a system the witness command builds a realization for:
+    # A19 (380 roots) and B14 and C14 (392) take 0.25-0.5 s as a fresh
+    # process on a 2-vCPU Xeon (five runs each).  The realization brackets
+    # only the root pairs whose supports can meet, about 10 % of the |Φ|²
+    # pairs, but still looks every pair up once (building A19 takes 0.2 s
+    # in-process, A30 0.9 s).
+    "roots": (lambda t, n: 2 * _POSITIVE_COUNT[t](n), 400, "{} has {} roots"),
+    # Most spaces enumerate_hessenberg builds: ``enumerate-hess`` on A10
+    # (58,786 spaces) takes about 2.4 s and 290 MB peak as a fresh process
+    # on a 2-vCPU Xeon (0.2 s of it enumerating); the next counts up (D10
+    # 136,136, B10 and C10 184,756, A11 208,012) would hold every space and
+    # its output in memory.
+    "spaces": (lambda t, n: _SPACE_COUNT[t](n), 60_000,
+               "{} has {} Hessenberg spaces"),
+    # Most cells (|W| times the number of spaces) that sweep computes: every
+    # rank <= 5 system and A6 (2,162,160 cells) fit; D6 (15.5 M cells), B6
+    # and C6 (42.6 M) and A7 (57.7 M) pass the Weyl budget but would run
+    # for hours.
+    "cells": (lambda t, n: _WEYL_ORDER[t](n) * _SPACE_COUNT[t](n), 2_500_000,
+              "a sweep of {} has {} cells"),
+}
 
 
-def _count_text(value: int | None) -> str:
-    """A count from ``_bounded_count`` as refusal messages print it."""
-    return "more than 10^18" if value is None else str(value)
-
-
-# Largest group enumerate_weyl builds: every rank <= 6 and A7 fit.  B6
-# (46,080 elements) takes about 0.3 s, in a process of 60 MB peak, on a
-# 2-vCPU Xeon; the next groups up (D7, A8, B7 and C7: 322,560 to 645,120
-# elements) are 6 to 13 times the budget.
-_WEYL_BUDGET = 50_000
-
-
-def check_weyl_budget(lie_type: str, rank: int) -> int | None:
-    """Return the order of the Weyl group of the given type and rank, and
-    raise ValueError when it has more than _WEYL_BUDGET elements.
+def check_budget(kind: str, lie_type: str, rank: int) -> int:
+    """Return the count of one kind of work (a key of _BUDGETS: "weyl",
+    "roots", "spaces" or "cells") for the given type and rank, and raise
+    ValueError when it is over that kind's budget.
 
     It needs no RootSystem, so callers can refuse before building one
     (construction grows with the rank).  A type or rank that RootSystem
-    refuses passes here (returning None), so that RootSystem names the
-    problem.  An order over 10^18 is named as such, not computed.
+    refuses is refused here first, with RootSystem's message.  A count over
+    10^18 is named as such, not computed.
     """
-    if _refused_by_root_system(lie_type, rank):
-        return None
-    order = _bounded_count(_WEYL_ORDER[lie_type], lie_type, rank)
-    if order is None or order > _WEYL_BUDGET:
-        raise ValueError(
-            f"the Weyl group of {lie_type}{rank} has {_count_text(order)} "
-            f"elements, over the budget of {_WEYL_BUDGET}")
-    return order
-
-
-# Most roots of a system the witness command builds a realization for:
-# A19 (380 roots) and B14 and C14 (392) take 0.25-0.5 s as a fresh process
-# on a 2-vCPU Xeon (five runs each).  The realization brackets only the
-# root pairs whose supports can meet, about 10 % of the |Φ|² pairs, but
-# still looks every pair up once (building A19 takes 0.2 s in-process,
-# A30 0.9 s).
-_ROOT_BUDGET = 400
-
-
-def check_root_budget(lie_type: str, rank: int) -> int | None:
-    """Return the number of roots of the given type and rank, and raise
-    ValueError when it is over _ROOT_BUDGET.
-
-    Like ``check_weyl_budget`` it needs no RootSystem, and a type or rank
-    that RootSystem refuses passes here (returning None).
-    """
-    if _refused_by_root_system(lie_type, rank):
-        return None
-    count = 2 * _POSITIVE_COUNT[lie_type](rank)
-    if count > _ROOT_BUDGET:
-        raise ValueError(f"{lie_type}{rank} has {count} roots, over the "
-                         f"budget of {_ROOT_BUDGET}")
-    return count
+    _check_system(lie_type, rank)
+    count, limit, text = _BUDGETS[kind]
+    value = _bounded_count(lambda n: count(lie_type, n), _MIN_RANK[lie_type],
+                           rank)
+    if value is None or value > limit:
+        shown = "more than 10^18" if value is None else value
+        raise ValueError(text.format(f"{lie_type}{rank}", shown)
+                         + f", over the budget of {limit}")
+    return value
 
 
 def enumerate_weyl(rs: RootSystem) -> tuple[WeylElement, ...]:
@@ -710,12 +719,12 @@ def enumerate_weyl(rs: RootSystem) -> tuple[WeylElement, ...]:
     need no check; the group order and the single longest element, of
     length |Φ⁺|, are checked at the end.
 
-    Raises ValueError, before any work, when the group has more than
-    _WEYL_BUDGET elements.  The result is cached on the root system.
+    Raises ValueError, before any work, when the group is over the "weyl"
+    budget of ``check_budget``.  The result is cached on the root system.
     """
     if rs._weyl_cache is not None:
         return rs._weyl_cache
-    expected = check_weyl_budget(rs.lie_type, rs.rank)
+    expected = check_budget("weyl", rs.lie_type, rs.rank)
     for s in rs._reflections:
         _check_root_permutation(rs, s)
     npos = rs.num_positive

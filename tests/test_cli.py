@@ -250,6 +250,9 @@ _HUGE_SPACES = "Hessenberg spaces, over the budget of 60000"
      f"the Weyl group of B100000000 has more than 10^18 {_HUGE_WEYL}"),
     (["enumerate-hess", "--type", "C", "--rank", "100000000"],
      f"C100000000 has more than 10^18 {_HUGE_SPACES}"),
+    (["witness", "--type", "A", "--rank", "100000000", "--hess", "full",
+      "--word", ""],
+     "A100000000 has 10000000100000000 roots, over the budget of 400"),
 ])
 def test_budget_refusals_at_huge_ranks_are_prompt(argv, message):
     """From rank ~1,700 an exact Weyl order or space count has more digits
@@ -286,6 +289,33 @@ def test_weyl_budget_refused_before_any_build(capsys, monkeypatch, argv):
     assert err.startswith(f"hessenpave: the Weyl group of {argv[2]}{argv[4]} "
                           "has ")
     assert err.endswith(" elements, over the budget of 50000\n")
+
+
+_HUGE_SYSTEM = {"--type": "A", "--rank": "100000000", "--hess": "full",
+                "--word": ""}
+
+
+@pytest.mark.parametrize("command", [
+    name for name, (_, options) in cli._COMMANDS.items()
+    if {"--type", "--rank"} <= {row[0] for row in options}])
+def test_every_system_command_checks_a_budget_first(capsys, monkeypatch,
+                                                    command):
+    """Every command that reads --type/--rank, whatever the option table
+    holds, refuses a system of rank 10^8 by a budget before it builds a
+    root system or a realization.  Its argv holds the table's required
+    options, and --hess from its one-of group."""
+    def forbidden(*_, **__):
+        raise AssertionError("built before the budget check")
+
+    monkeypatch.setattr(cli, "RootSystem", forbidden)
+    monkeypatch.setattr(liealg, "build_chevalley", forbidden)
+    argv = [command]
+    for flag, _, _, _, _, rule, _ in cli._COMMANDS[command][1]:
+        if rule == "required" or flag == "--hess":
+            argv += [flag, _HUGE_SYSTEM[flag]]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert "over the budget of" in err and len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("argv, message", [

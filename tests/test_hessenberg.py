@@ -11,7 +11,6 @@ from hessenpave import hessenberg
 from hessenpave.errors import ConsistencyError
 from hessenpave.hessenberg import (
     borel_space,
-    check_space_budget,
     enumerate_hessenberg,
     format_negative_part,
     from_function,
@@ -25,6 +24,7 @@ from hessenpave.hessenberg import (
 from hessenpave.rootcore import (
     Root,
     RootSystem,
+    check_budget,
     enumerate_weyl,
     format_root,
     parse_root,
@@ -220,7 +220,7 @@ KNOWN_SPACE_COUNTS = {
 @pytest.mark.parametrize("lie_type", sorted(KNOWN_SPACE_COUNTS))
 def test_enumeration_count_matches_closed_form(lie_type):
     for rank, count in KNOWN_SPACE_COUNTS[lie_type].items():
-        assert check_space_budget(lie_type, rank) == count
+        assert check_budget("spaces", lie_type, rank) == count
         assert len(enumerate_hessenberg(RootSystem(lie_type, rank))) \
             == count
 
@@ -235,16 +235,20 @@ def test_enumeration_count_mismatch_raises(monkeypatch):
 
 
 def test_space_budget():
-    assert check_space_budget("A", 10) == 58786
+    assert check_budget("spaces", "A", 10) == 58786
     for lie_type, rank, count in [("A", 11, 208012), ("B", 10, 184756),
                                   ("C", 10, 184756), ("D", 10, 136136)]:
         with pytest.raises(ValueError, match=(
                 f"^{lie_type}{rank} has {count} Hessenberg spaces, over the "
                 "budget of 60000$")):
-            check_space_budget(lie_type, rank)
-    # left for RootSystem to refuse with its own message
-    assert check_space_budget("B", 1) is None
-    assert check_space_budget("E", 6) is None
+            check_budget("spaces", lie_type, rank)
+    # refused with RootSystem's own message
+    for lie_type, rank in [("B", 1), ("E", 6)]:
+        with pytest.raises(ValueError) as refused:
+            RootSystem(lie_type, rank)
+        with pytest.raises(ValueError,
+                           match=f"^{re.escape(str(refused.value))}$"):
+            check_budget("spaces", lie_type, rank)
 
 
 @pytest.mark.parametrize("lie_type,rank",

@@ -344,6 +344,25 @@ def test_mixed_system_rejected(a2):
         cell_nonempty(parse_word(b2, ""), borel_space(a2))
 
 
+_PAIR_FUNCTIONS = [cell_nonempty, cell_dimension, cell_dimension_lie,
+                   row_dimension_profile]
+_SPACE_FUNCTIONS = [compute_paving, poincare_polynomial, paving_record,
+                    betti_product]
+
+
+@pytest.mark.parametrize("call, args, kind", [
+    *[(f, (5, "space"), "WeylElement") for f in _PAIR_FUNCTIONS],
+    *[(f, ("w", 5), "HessenbergSpace") for f in _PAIR_FUNCTIONS],
+    *[(f, (5,), "HessenbergSpace") for f in _SPACE_FUNCTIONS],
+], ids=lambda x: getattr(x, "__name__", None))
+def test_wrong_typed_argument_is_refused_by_name(a2, call, args, kind):
+    """The int 5 in each Weyl-element or space slot is a ValueError naming
+    it, never a bare AttributeError."""
+    given = {"w": parse_word(a2, "1"), "space": full_space(a2), 5: 5}
+    with pytest.raises(ValueError, match=f"^5 is not a {kind}$"):
+        call(*[given[x] for x in args])
+
+
 def test_per_system_masks_live_on_their_instance():
     """The root-poset tables are built with the root system and kept on
     it: two equal systems each hold their own tables, and the tables are

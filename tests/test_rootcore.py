@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from hessenpave import cli, rootcore
 from hessenpave.errors import ConsistencyError
-from hessenpave.hessenberg import check_space_budget
 from hessenpave.rootcore import (
     Root,
     RootSystem,
@@ -18,8 +17,7 @@ from hessenpave.rootcore import (
     _Record,
     _row_key,
     apply,
-    check_root_budget,
-    check_weyl_budget,
+    check_budget,
     dominance_leq,
     dominates,
     enumerate_weyl,
@@ -131,14 +129,13 @@ def test_rank_bounds_rejected():
 @pytest.mark.parametrize("rank", [2.0, True, "2", None])
 def test_non_integer_rank_is_refused(rank):
     """RootSystem refuses a rank that is not an int by name (True is not
-    A1); the three budget checks let it through, returning None, so that
-    RootSystem is the one to name it."""
+    A1), and every budget check refuses it first with the same message."""
     message = "^" + re.escape(f"rank must be an integer, got {rank!r}") + "$"
     with pytest.raises(ValueError, match=message):
         RootSystem("A", rank)
-    assert check_weyl_budget("A", rank) is None
-    assert check_root_budget("A", rank) is None
-    assert check_space_budget("A", rank) is None
+    for kind in ("weyl", "roots", "spaces", "cells"):
+        with pytest.raises(ValueError, match=message):
+            check_budget(kind, "A", rank)
 
 
 @pytest.mark.parametrize("coeffs,bad", [((1.9, 0), 1.9), (("1", True), "1"),
@@ -940,6 +937,36 @@ def test_enumerate_weyl_checks_generators_not_products(monkeypatch):
 def test_enumerate_weyl_refuses_groups_over_budget():
     with pytest.raises(ValueError, match="362880 elements, over the budget"):
         enumerate_weyl(RootSystem("A", 8))
+
+
+@pytest.mark.parametrize("lie_type,rank", [("A", 3), ("B", 3), ("C", 4),
+                                           ("D", 4)])
+def test_budget_counts_match_the_root_system(lie_type, rank):
+    """The "weyl" and "roots" rows count what the root system has, and a
+    sweep's cells are their Weyl order times their spaces."""
+    rs = RootSystem(lie_type, rank)
+    order = check_budget("weyl", lie_type, rank)
+    assert order == len(enumerate_weyl(rs))
+    assert check_budget("roots", lie_type, rank) == len(rs.all_roots)
+    assert check_budget("cells", lie_type, rank) == \
+        order * check_budget("spaces", lie_type, rank)
+
+
+def test_bounded_count_doubles_the_rank():
+    """A count that stays within 10^18 up to a rank of 7·10^8 is not
+    walked rank by rank: the ranks tried double."""
+    tried = []
+
+    def roots(n):
+        tried.append(n)
+        return 2 * n * n
+
+    assert rootcore._bounded_count(roots, 1, 10 ** 8) == 2 * 10 ** 16
+    assert len(tried) == 28 and tried[-1] == 10 ** 8
+    assert rootcore._bounded_count(roots, 1, 10 ** 9) is None
+    with pytest.raises(ValueError, match="^A10000000000 has more than 10\\^18 "
+                                         "roots, over the budget of 400$"):
+        check_budget("roots", "A", 10 ** 10)
 
 
 # ---------------------------------------------------------------------------
