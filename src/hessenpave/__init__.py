@@ -56,7 +56,6 @@ from .paving import (
 )
 from .liealg import (
     ChevalleyRealization,
-    StructureConstantTable,
     WitnessResult,
     build_chevalley,
     find_witness,
@@ -71,13 +70,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BettiTable", "ChevalleyRealization", "ConsistencyError",
-    "HessenbergSpace", "PavingCell", "Root", "RootSystem",
-    "StructureConstantTable", "WeylElement", "WitnessResult", "apply",
-    "build_chevalley", "cell_dimension", "cell_dimension_lie",
-    "cell_nonempty", "compute_paving", "count_points", "dominance_leq",
-    "enumerate_hessenberg", "enumerate_weyl", "find_witness", "format_root",
-    "format_word", "from_function", "from_negative_roots",
-    "hessenberg_check", "inversion_set", "parse_root", "parse_word",
-    "poincare_polynomial", "row_dimension_profile", "simple_reflection",
-    "to_function", "verify_lemmata",
+    "HessenbergSpace", "PavingCell", "Root", "RootSystem", "WeylElement",
+    "WitnessResult", "apply", "build_chevalley", "cell_dimension",
+    "cell_dimension_lie", "cell_nonempty", "compute_paving", "count_points",
+    "dominance_leq", "enumerate_hessenberg", "enumerate_weyl",
+    "find_witness", "format_root", "format_word", "from_function",
+    "from_negative_roots", "hessenberg_check", "inversion_set", "parse_root",
+    "parse_word", "poincare_polynomial", "row_dimension_profile",
+    "simple_reflection", "to_function", "verify_lemmata",
 ]

@@ -232,11 +232,9 @@ def weyl_to_permutation(w: WeylElement) -> tuple[int, ...]:
 
 class CellCount(_Record):
     __slots__ = ("perm", "count", "predicted")
-
-    def __init__(self, perm: tuple[int, ...], count: int, predicted: int):
-        object.__setattr__(self, "perm", perm)
-        object.__setattr__(self, "count", count)
-        object.__setattr__(self, "predicted", predicted)
+    perm: tuple[int, ...]
+    count: int
+    predicted: int
 
 
 class CountReport(_Record):

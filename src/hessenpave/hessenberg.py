@@ -233,7 +233,8 @@ def _column_masks(rs: RootSystem) -> tuple[tuple[int, ...], ...]:
             masks, p = [0], None
             for a in rs._simple_index[j:]:
                 # ε_j − ε_i = α_j + … + α_{i−1}, one simple root at a time
-                p = a if p is None else rs._pos_sum[p][a]
+                p = a if p is None else next(c for b, c in rs._sum_pairs[p]
+                                             if b == a)
                 masks.append(masks[-1] | 1 << (npos + p))
             columns.append(tuple(masks))
         rs._columns_cache = tuple(columns)

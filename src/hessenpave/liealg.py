@@ -14,7 +14,7 @@ triangular and has at most two nonzero entries.
 
 The realization is integer: root-vector entries, structure constants
 ``[E_α, E_β] = m_{α,β} E_{α+β}`` and Cartan eigenvalues are all ints.  The
-constants are stored once, as ``StructureConstantTable.table`` over
+constants are stored once, as the integer table ``real.constants`` over
 ``rs.all_roots`` indices (positives first), which the calculus and the
 lemma checks read.  Construction brackets only the root pairs that can be
 nonzero and re-verifies every defining relation; a realization that fails
@@ -45,8 +45,9 @@ count of the paving.
 ``verify_lemmata`` turns the structural facts into executable checks
 (abelian/Heisenberg rows, the near-linearity case formulas, invariance of
 the row operator under higher-row conjugation, the type-D coefficient
-formulas, the first-nonzero-entry containment, and the type-D 3×3 block
-with determinant ``2·n_{α_i}n_{α_{n-1}}n_{α_n}``).
+formulas, the first-nonzero-entry containment, and the normalized form of
+the type-D 3×3 block, from which its determinant
+``2·n_{α_i}n_{α_{n-1}}n_{α_n}`` follows).
 
 ``find_witness`` solves, stage by stage and exactly over the rationals,
 for a unipotent group element conjugating a regular nilpotent into the
@@ -103,19 +104,6 @@ from .rootcore import (
 DEFAULT_SEED = 2026
 
 
-class StructureConstantTable(_Record):
-    """The constants m_{α,β} with [E_α, E_β] = m_{α,β} E_{α+β}.
-
-    ``table[a][b]`` is the int m for the roots of ``rs.all_roots`` indices
-    a and b (positives first), 0 where α + β is not a root; nonzero entries
-    are antisymmetric in the arguments.
-    """
-
-    __slots__ = ("rs", "table")
-    rs: RootSystem
-    table: tuple[tuple[int, ...], ...]
-
-
 class ChevalleyRealization:
     """A validated matrix realization of a classical Lie algebra.
 
@@ -123,8 +111,11 @@ class ChevalleyRealization:
     ``root_vectors``, the sparse matrix with nonzero integer entries of
     every root, by ``rs.all_roots`` index (positives first, then their
     negatives in the same order), ``cartan_basis`` (the n diagonal brackets
-    [E_{α_i}, E_{−α_i}]), and ``constants``.  A construction error names
-    the system.
+    [E_{α_i}, E_{−α_i}]), and ``constants``, the structure constants
+    m_{α,β} with [E_α, E_β] = m_{α,β} E_{α+β}: ``constants[a][b]`` is the
+    int m for the roots of ``rs.all_roots`` indices a and b, 0 where α + β
+    is not a root, and nonzero entries are antisymmetric in the arguments.
+    A construction error names the system.
     """
 
     def __init__(self, rs: RootSystem, root_vectors: Sequence[Sparse]):
@@ -171,7 +162,7 @@ class ChevalleyRealization:
         # anchor: deterministic representative entry of each root vector
         self._anchor = [min(mat) for mat in self.root_vectors]
 
-    def _extract_constants(self) -> StructureConstantTable:
+    def _extract_constants(self) -> tuple[tuple[int, ...], ...]:
         """Read each m_{α,β} off [E_α, E_β] in integers, forming the
         commutator only where α + β is a root or zero or the supports chain
         (a column of one matrix meets a row of the other): every other pair
@@ -214,7 +205,7 @@ class ChevalleyRealization:
         for a, b in sums:
             if table[b][a] != -table[a][b]:
                 raise ConsistencyError("structure constants not antisymmetric")
-        return StructureConstantTable(rs, tuple(map(tuple, table)))
+        return tuple(map(tuple, table))
 
     def _validate_weights(self) -> None:
         rs = self.rs
@@ -312,10 +303,10 @@ def _root_vectors(rs: RootSystem) -> tuple[Sparse, ...]:
     i, with c_i = α_i + … + α_{n−2} and wherever the sum is a root,
     m(c_i, α_{n−1}), m(c_i, α_n), m(α_i, c_{i+1} + α_{n−1}),
     m(α_i, c_{i+1} + α_n), m(c_{i+1} + α_{n−1}, α_n) and
-    m(c_{i+1} + α_n, α_{n−1}).  So each 3×3 block has the normalized form,
-    with determinant 2·n_{α_i}n_{α_{n−1}}n_{α_n}, that
-    ``_check_type_d_block`` tests; a realization with other signs fails
-    that check.
+    m(c_{i+1} + α_n, α_{n−1}).  So each 3×3 block has the normalized form
+    that ``_check_type_d_block`` tests, and its determinant
+    2·n_{α_i}n_{α_{n−1}}n_{α_n} follows from that form; a realization with
+    other signs fails that check.
     """
     n, t = rs.rank, rs.lie_type
     size = _dim_rep(rs)
@@ -361,7 +352,7 @@ def _ibracket(real: ChevalleyRealization, a: dict[int, Fraction | int],
     """[A, B] for coefficient maps supported on the positive roots.  For
     each root i of A it visits only the roots j with i + j a positive root,
     and it reads the constants off ``real.constants`` on each call."""
-    m = real.constants.table
+    m = real.constants
     pairs = real.rs._sum_pairs
     out: dict[int, Fraction | int] = {}
     for i, x in a.items():
@@ -422,7 +413,7 @@ def _ad_block(real: ChevalleyRealization, coeffs: dict[int, Fraction | int],
     ``targets`` (positive-root indices, N index-keyed): entry (α, β) is
     ``m_{α−β,β} n_{α−β}`` when α − β is a positive root and 0 otherwise."""
     diff = real.rs._pos_diff
-    m = real.constants.table
+    m = real.constants
     return [[0 if (d := line[b]) is None
              else m[d][b] * coeffs.get(d, 0)
              for b in sources]
@@ -497,13 +488,14 @@ def _check_row_structure(real: ChevalleyRealization, trials: int,
     rs = real.rs
     table = stage_table(rs)
     texts = rs._texts
-    sums = rs._pos_sum
     for i, row in enumerate(table.rows, start=1):
         gidx = table.long_roots[i - 1]
         heisenberg = gidx is not None
+        # sums[a][b] is the index of a + b, for a in the row
+        sums = {a: dict(rs._sum_pairs[a]) for a in row}
         for a in row:
             for b in row:
-                s = sums[a][b]
+                s = sums[a].get(b)
                 if not heisenberg and s is not None:
                     return {"row": i, "alpha": texts[a], "beta": texts[b],
                             "reason": "abelian row with a root sum"}
@@ -511,7 +503,7 @@ def _check_row_structure(real: ChevalleyRealization, trials: int,
                     return {"row": i, "alpha": texts[a], "beta": texts[b],
                             "reason": "Heisenberg bracket escapes the long root"}
         if heisenberg:
-            if not any(sums[a][b] == gidx for a in row for b in row):
+            if not any(sums[a].get(b) == gidx for a in row for b in row):
                 return {"row": i, "reason": "derived algebra is zero"}
             for a in row:
                 if a != gidx and rs._pos_diff[gidx][a] not in row:
@@ -596,7 +588,7 @@ def _check_psi_invariance(real: ChevalleyRealization, trials: int,
     rs = real.rs
     table = stage_table(rs).rows
     diff = rs._pos_diff
-    m = real.constants.table
+    m = real.constants
     # the (d, m_{d,β}) of each row's entries with d = α − β a positive root
     entries = [[(d, m[d][b]) for a in row for b in row
                 if (d := diff[a][b]) is not None] for row in table]
@@ -627,7 +619,7 @@ def _check_type_d_coefficients(real: ChevalleyRealization, trials: int,
     table = stage_table(rs).rows
     pos = rs.positive_roots
     diff = rs._pos_diff
-    m = real.constants.table
+    m = real.constants
     for t in range(trials):
         rng = _rng(seed, f"dcoef:{t}")
         ni = _random_coeffs(rs, rng, regular=False)
@@ -824,7 +816,7 @@ def _check_type_d_block(real: ChevalleyRealization, trials: int,
         return None
     n = rs.rank
     simple = rs._simple_index
-    m = real.constants.table
+    m = real.constants
     for t in range(trials):
         rng = _rng(seed, f"dblock:{t}")
         cf = _random_coeffs(rs, rng, regular=True)
@@ -844,25 +836,18 @@ def _check_type_d_block(real: ChevalleyRealization, trials: int,
             na = cf.get(simple[i - 1], 0)
             nb = cf.get(simple[n - 2], 0)
             nc = cf.get(simple[n - 1], 0)
-            expected = [[nc, nb, 0], [-na, 0, nb], [0, -na, nc]]
-            if block != expected:
+            # the determinant 2·na·nb·nc of this form is nonzero, since the
+            # sample is regular
+            if block != [[nc, nb, 0], [-na, 0, nb], [0, -na, nc]]:
                 return {"trial": t, "stage": i, "block": [
                             [str(x) for x in line] for line in block],
                         "reason": "block deviates from the normalized form"}
-            det = (block[0][0] * (block[1][1] * block[2][2]
-                                  - block[1][2] * block[2][1])
-                   - block[0][1] * (block[1][0] * block[2][2]
-                                    - block[1][2] * block[2][0])
-                   + block[0][2] * (block[1][0] * block[2][1]
-                                    - block[1][1] * block[2][0]))
-            if det != 2 * na * nb * nc or det == 0:
-                return {"trial": t, "stage": i, "det": str(det),
-                        "reason": "determinant differs from 2·n_i·n_{n-1}·n_n"}
     # the constants _root_vectors pins to +1, on every row i <= n-2 and
     # wherever the sum is a root: the blocks above read them for i <= n-3,
     # and the last pairing and D3's m(α_1, α_2) only here
     fork_a, fork_b = simple[n - 2], simple[n - 1]
     texts = rs._texts
+    sums = {(a, b) for a, line in enumerate(rs._sum_pairs) for b, _ in line}
     for i in range(1, n - 1):
         chain = _span_root(rs, (i, n - 2))               # c_i
         next_a = _span_root(rs, (i + 1, n - 1))          # c_{i+1} + α_{n-1}
@@ -870,7 +855,7 @@ def _check_type_d_block(real: ChevalleyRealization, trials: int,
         alpha_i = simple[i - 1]
         for a, b in ((chain, fork_a), (chain, fork_b), (alpha_i, next_a),
                      (alpha_i, next_b), (next_a, fork_b), (next_b, fork_a)):
-            if rs._pos_sum[a][b] is not None and m[a][b] != 1:
+            if (a, b) in sums and m[a][b] != 1:
                 return {"row": i, "alpha": texts[a], "beta": texts[b],
                         "constant": str(m[a][b]),
                         "reason": "pinned structure constant is not +1"}

@@ -19,8 +19,8 @@ package (the root-poset tables below, the row operators, the witness
 stages, the lemma checks), so each root system answers it from one table
 built on construction: ``rs._pos_diff[a][b]`` is the index of
 ``positive_roots[a] − positive_roots[b]`` when that is a positive root and
-None otherwise.  Sums read the same table, since ``a + b = c`` iff
-``_pos_diff[c][b] == a``; ``rs._pos_sum[a][b]`` is that inverse view.
+None otherwise.  Sums are the same facts read backwards, since ``a + b = c``
+iff ``_pos_diff[c][b] == a``; ``rs._sum_pairs`` below lists them by a.
 
 The root-poset tables are built from it on construction too, and no other
 module derives them; each is a bitmask over positive-root indices:
@@ -99,8 +99,9 @@ class _Record:
     built positionally or by keyword, equal exactly the instances of their
     own class with equal fields, hash as the tuple of their field values,
     print as ``Name(field=value, ...)``, refuse assignment, and copy and
-    pickle by value.  A record built once per cell or per flag defines its
-    own ``__init__``, which stores each field with ``object.__setattr__``.
+    pickle by value.  ``PavingCell``, built once per (w, space) pair, is the
+    one record with its own ``__init__``, which stores each field with
+    ``object.__setattr__``.
     """
 
     __slots__ = ()
@@ -152,18 +153,7 @@ class Root(_Record):
     """A root, stored as its coefficient vector over the simple roots."""
 
     __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: tuple[int, ...]):
-        object.__setattr__(self, "coeffs", coeffs)
-
-    # roots key most dicts in the package, so these two skip _values()
-    def __eq__(self, other):
-        if other.__class__ is Root:
-            return self.coeffs == other.coeffs
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.coeffs,))
+    coeffs: tuple[int, ...]
 
     @property
     def height(self) -> int:
@@ -309,16 +299,13 @@ class RootSystem:
         self._pos_diff = tuple(
             tuple(pos_key.get(ka - kb) for kb in self._keys[:npos])
             for ka in self._keys[:npos])
-        sums = [[None] * npos for _ in range(npos)]
         # the pairs (b, c) with a + b = c, by a; the index order is additive
         # (height, then coefficients), so ascending c is ascending b
         pairs: list[list[tuple[int, int]]] = [[] for _ in range(npos)]
         for c, line in enumerate(self._pos_diff):
             for b, a in enumerate(line):
                 if a is not None:
-                    sums[a][b] = c
                     pairs[a].append((b, c))
-        self._pos_sum = tuple(map(tuple, sums))
         self._sum_pairs = tuple(map(tuple, pairs))
         # bit p of a positive-root mask, by index
         self._pos_bits = tuple(1 << p for p in range(npos))
@@ -500,15 +487,6 @@ class WeylElement:
         return sum(compress(rs._pos_bits,
                             map(rs.num_positive.__le__, self._inv_root_perm)))
 
-    @property
-    def word_text(self) -> str:
-        """The reduced word as space-separated reflection indices."""
-        try:
-            return self._word_text
-        except AttributeError:
-            self._word_text = " ".join(str(i) for i in self.word)
-            return self._word_text
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, WeylElement) and self.rs == other.rs
                 and self._inv_root_perm == other._inv_root_perm)
@@ -601,7 +579,11 @@ def inversion_set(w: WeylElement) -> frozenset[Root]:
 def format_word(w: WeylElement) -> str:
     """Text form of a Weyl element: space-separated reflection indices,
     built once per element."""
-    return w.word_text
+    try:
+        return w._word_text
+    except AttributeError:
+        w._word_text = " ".join(str(i) for i in w.word)
+        return w._word_text
 
 
 def parse_word(rs: RootSystem, text: str) -> WeylElement:

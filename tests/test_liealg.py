@@ -34,7 +34,7 @@ from hessenpave.rootcore import (
     parse_word,
     stage_table,
 )
-from test_rootcore import ref_inversion_indices, ref_root_add
+from test_rootcore import ref_inversion_indices, ref_pos_sum, ref_root_add
 
 REALIZABLE = [("A", 1), ("A", 2), ("A", 3), ("A", 4),
               ("B", 2), ("B", 3), ("B", 4),
@@ -49,7 +49,7 @@ def sp_is_diagonal(a):
 def constant(real, a, b):
     """The structure constant m_{a,b} of two roots."""
     rs = real.rs
-    return real.constants.table[rs.root_index(a)][rs.root_index(b)]
+    return real.constants[rs.root_index(a)][rs.root_index(b)]
 
 
 def _row_roots(rs, i):
@@ -81,7 +81,7 @@ def test_realizations_build_and_selfcheck(lie_type, rank):
     expected_size = {"A": rank + 1, "B": 2 * rank + 1,
                      "C": 2 * rank, "D": 2 * rank}[lie_type]
     assert real.dim_rep == expected_size
-    table = real.constants.table
+    table = real.constants
     for a, line in zip(rs.all_roots, table):
         for b, m in zip(rs.all_roots, line):
             s = tuple(x + y for x, y in zip(a.coeffs, b.coeffs))
@@ -158,7 +158,7 @@ def ref_extract_constants(real):
     for i, j in found:
         if table[j][i] != -table[i][j]:
             raise ConsistencyError("structure constants not antisymmetric")
-    return liealg.StructureConstantTable(rs, tuple(map(tuple, table)))
+    return tuple(map(tuple, table))
 
 
 class RefRealization(liealg.ChevalleyRealization):
@@ -675,8 +675,7 @@ def ref_d_normalization_pairs(rs):
         ]
         for a, b in candidates:
             if (a is not None and b is not None
-                    and rs._pos_sum[rs.root_index(a)][rs.root_index(b)]
-                    is not None):
+                    and ref_root_add(rs, a, b) is not None):
                 pairs.append((a, b))
     return pairs
 
@@ -693,10 +692,10 @@ def ref_normalize_type_D(real):
     rows_gf2, rhs = [], []
     for a, b in targets:
         ia, ib = rs.root_index(a), rs.root_index(b)
-        m = real.constants.table[ia][ib]
+        m = real.constants[ia][ib]
         assert abs(m) == 1, (a, b, m)
         row = [0] * rs.num_positive
-        for k in (ia, ib, rs._pos_sum[ia][ib]):
+        for k in (ia, ib, rs.root_index(ref_root_add(rs, a, b))):
             row[k] ^= 1
         rows_gf2.append(row)
         rhs.append(0 if m == 1 else 1)
@@ -904,10 +903,9 @@ def test_c3_row_structure():
 def set_constant(real, a, b, value):
     """Replace the one stored m_{a,b} of a realization by ``value``."""
     rs = real.rs
-    table = [list(line) for line in real.constants.table]
+    table = [list(line) for line in real.constants]
     table[rs.root_index(a)][rs.root_index(b)] = value
-    real.constants = liealg.StructureConstantTable(
-        rs, tuple(map(tuple, table)))
+    real.constants = tuple(map(tuple, table))
 
 
 def test_psi_cross_check_detects_corrupted_table(real_c2):
@@ -1140,14 +1138,12 @@ def test_containment_short_inversion_set_matches_reference(
 
 def ref_ibracket(real, a, b):
     """[A, B] for coefficient maps supported on the positive roots."""
-    m = real.constants.table
-    sums = real.rs._pos_sum
+    m = real.constants
     out = {}
     for i, x in a.items():
         mi = m[i]
-        si = sums[i]
         for j, y in b.items():
-            k = si[j]
+            k = ref_pos_sum(real.rs, i, j)
             if k is not None:
                 w = out.get(k, 0) + mi[j] * x * y
                 if w:
@@ -1255,7 +1251,7 @@ def ref_check_type_d_coefficients(real, trials, seed):
     table = liealg.stage_table(rs).rows
     pos = rs.positive_roots
     diff = rs._pos_diff
-    m = real.constants.table
+    m = real.constants
     for t in range(trials):
         rng = liealg._rng(seed, f"dcoef:{t}")
         ni = liealg._random_coeffs(rs, rng, regular=False)
@@ -1354,12 +1350,13 @@ def test_lemma_kernels_equal_reference_on_corrupted_constants(lie_type,
     rs = real.rs
     pos = rs.positive_roots
     sums = [(a, b) for a in range(rs.num_positive)
-            for b in range(rs.num_positive) if rs._pos_sum[a][b] is not None]
+            for b in range(rs.num_positive)
+            if ref_pos_sum(rs, a, b) is not None]
     built = real.constants
     rng = random.Random(f"corrupt:{lie_type}{rank}")
     for k in range(12):
         a, b = rng.choice(sums)
-        m = built.table[a][b]
+        m = built[a][b]
         set_constant(real, pos[a], pos[b], (0, -m, 2 * m)[k % 3])
         _assert_kernels_equal_reference(real, rng, 2, k)
         real.constants = built

@@ -133,7 +133,7 @@ def test_no_source_file_imports_dataclasses():
 
 def test_all_lists_public_non_module_names():
     names = hessenpave.__all__
-    assert len(names) == len(set(names)) == 34
+    assert len(names) == len(set(names)) == 33
     for name in names:
         assert not name.startswith("_"), name
         assert not isinstance(getattr(hessenpave, name), types.ModuleType), name
@@ -332,6 +332,108 @@ def test_every_public_name_has_a_caller():
                       "    \"\"\"Root, apply.\"\"\"\n    return compose(x)\n")
     assert [name for name in ("inverse", "Root", "apply", "compose")
             if _uses(probe, name)] == ["compose"]
+
+
+def _private_definitions(tree) -> list:
+    """The module-level functions and classes of a tree whose names start
+    with ``_``, then the methods of its classes that do, dunders aside."""
+    classes = [node for node in tree.body if isinstance(node, ast.ClassDef)]
+    return ([node for node in tree.body
+             if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+             and node.name.startswith("_")]
+            + [node for cls in classes for node in cls.body
+               if isinstance(node, ast.FunctionDef)
+               and node.name.startswith("_")
+               and not node.name.endswith("__")])
+
+
+def _reads(tree) -> dict[str, list[frozenset[int]]]:
+    """Each name and attribute a tree reads outside type annotations, with,
+    for each read, the ids of the function and class definitions around
+    it."""
+    skip = set()
+    for node in ast.walk(tree):
+        for note in (getattr(node, "annotation", None),
+                     getattr(node, "returns", None)):
+            if note is not None:
+                skip.update(map(id, ast.walk(note)))
+    out: dict[str, list[frozenset[int]]] = {}
+
+    def visit(node, around):
+        if id(node) in skip:
+            return
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            around = around | {id(node)}
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.setdefault(node.id, []).append(around)
+        elif (isinstance(node, ast.Attribute)
+              and isinstance(node.ctx, ast.Load)):
+            out.setdefault(node.attr, []).append(around)
+        for child in ast.iter_child_nodes(node):
+            visit(child, around)
+
+    visit(tree, frozenset())
+    return out
+
+
+def _unread_definitions(trees) -> list[str]:
+    """The private definitions of the trees (see ``_private_definitions``)
+    that no tree reads outside the definition itself."""
+    reads: dict[str, list[frozenset[int]]] = {}
+    for tree in trees:
+        for name, arounds in _reads(tree).items():
+            reads.setdefault(name, []).extend(arounds)
+    return [node.name for tree in trees for node in _private_definitions(tree)
+            if all(id(node) in around for around in reads.get(node.name, []))]
+
+
+def _init_attributes(tree, class_name: str) -> list[str]:
+    """The attributes the ``__init__`` of a class of the tree assigns on
+    ``self``, sorted."""
+    cls = next(node for node in tree.body
+               if isinstance(node, ast.ClassDef) and node.name == class_name)
+    init = next(node for node in cls.body
+                if isinstance(node, ast.FunctionDef)
+                and node.name == "__init__")
+    return sorted({node.attr for node in ast.walk(init)
+                   if isinstance(node, ast.Attribute)
+                   and isinstance(node.ctx, ast.Store)
+                   and isinstance(node.value, ast.Name)
+                   and node.value.id == "self"})
+
+
+def test_every_private_name_is_read():
+    """Each private function, class and method of the library, and each
+    attribute that ``RootSystem`` or ``ChevalleyRealization`` sets on
+    construction, is read somewhere in the library outside its own
+    definition, so a helper or a table that loses its last reader fails
+    here instead of staying in the code."""
+    def parse(name):
+        return ast.parse((SRC / "hessenpave" / name).read_text(encoding="utf-8"))
+
+    trees = [parse(path.name)
+             for path in sorted((SRC / "hessenpave").glob("*.py"))]
+    assert _unread_definitions(trees) == []
+    attributes = (_init_attributes(parse("rootcore.py"), "RootSystem")
+                  + _init_attributes(parse("liealg.py"),
+                                     "ChevalleyRealization"))
+    assert {"_pos_diff", "_sum_pairs", "constants"} <= set(attributes)
+    read = set().union(*(_reads(tree) for tree in trees))
+    assert [name for name in attributes if name not in read] == []
+    # the detector skips a definition's reads of itself, reads in type
+    # annotations and dunder methods, and sees every other read
+    probe = ast.parse("def _dead(x):\n    return _dead(x)\n"
+                      "def _live(x: _Unused) -> _Unused:\n    return x\n"
+                      "class _Unused:\n"
+                      "    def _helper(self):\n        return self._other()\n"
+                      "    def _other(self):\n        pass\n"
+                      "    def __eq__(self, other):\n        pass\n"
+                      "_live(1)\n")
+    assert _unread_definitions([probe]) == ["_dead", "_Unused", "_helper"]
+    probe = ast.parse("class K:\n    def __init__(self):\n"
+                      "        self.a, self.b = 1, 2\n"
+                      "        self.c: int = self.a\n        x.d = 3\n")
+    assert _init_attributes(probe, "K") == ["a", "b", "c"]
 
 
 # What turns a root into an index or builds one: outside the text of

@@ -57,6 +57,14 @@ def ref_root_add(rs, a, b):
     return Root(s) if s in rs._index else None
 
 
+def ref_pos_sum(rs, a, b):
+    """The positive-root index of ``pos[a] + pos[b]`` when that is a root,
+    else None, by adding the coefficient vectors."""
+    pos = rs.positive_roots
+    return rs._index.get(tuple(x + y for x, y in zip(pos[a].coeffs,
+                                                     pos[b].coeffs)))
+
+
 def ref_compose(w1, w2):
     """The product w1·w2 (w2 acts first on roots), from the two root
     permutations."""
@@ -854,7 +862,8 @@ def test_enumerate_weyl_fast_path_matches_checked_constructor(lie_type, rank):
         assert w.word == ref.word
         assert w.inverse_root_permutation() == ref.inverse_root_permutation()
         assert ref_inversion_indices(w) == ref_inversion_indices(ref)
-        assert (w.sm, w.im, w.word_text) == (ref.sm, ref.im, ref.word_text)
+        assert (w.sm, w.im, format_word(w)) == (ref.sm, ref.im,
+                                                format_word(ref))
         inv = ref.inverse_root_permutation()
         assert w.sm == sum(1 << inv[a] for a in rs._simple_index)
         assert w.im == sum(1 << inv[p] for p in ref_inversion_indices(ref))
@@ -979,18 +988,22 @@ def test_bounded_count_doubles_the_rank():
                          + [(t, r) for t in "BC" for r in range(2, 7)]
                          + [("D", r) for r in range(3, 7)])
 def test_positive_root_tables_match_coefficient_arithmetic(lie_type, rank):
-    """Every positive pair: ``_pos_diff`` and ``_pos_sum`` agree with
-    subtracting and adding coefficient vectors, and the lower covers
+    """Every positive pair: ``_pos_diff`` agrees with subtracting
+    coefficient vectors, ``_sum_pairs[a]`` lists exactly the ``(b, c)``
+    with ``pos[a] + pos[b] = pos[c]``, by ascending b, and the lower covers
     behind ``_splits`` are differences with simple roots."""
     rs = RootSystem(lie_type, rank)
     pos = rs.positive_roots
     index = {r.coeffs: k for k, r in enumerate(pos)}
     for a, ra in enumerate(pos):
+        sums = []
         for b, rb in enumerate(pos):
             d = tuple(x - y for x, y in zip(ra.coeffs, rb.coeffs))
             s = tuple(x + y for x, y in zip(ra.coeffs, rb.coeffs))
             assert rs._pos_diff[a][b] == index.get(d)
-            assert rs._pos_sum[a][b] == index.get(s)
+            if s in index:
+                sums.append((b, index[s]))
+        assert rs._sum_pairs[a] == tuple(sums)
     assert len(rs._splits) == rs.num_positive - rank
     for b, g, a in rs._splits:
         assert pos[b].coeffs == tuple(

@@ -16,7 +16,6 @@ from hessenpave.fforacle import CellCount, CountReport
 from hessenpave.liealg import (
     CheckResult,
     LemmataReport,
-    StructureConstantTable,
     WitnessResult,
 )
 from hessenpave.paving import BettiTable, PavingCell
@@ -42,8 +41,6 @@ RECORDS = [
       ((5, 5), (2, 2)))),
     (PavingCell, ("w", "nonempty", "dim"), (_W, True, 1)),
     (BettiTable, ("coefficients",), ((1, 2, 1),)),
-    (StructureConstantTable, ("rs", "table"),
-     (_RS, ((0, 1, 0), (-1, 0, 0), (0, 0, 0)))),
     (ref_RowMatrix, ("roots", "entries"),
      ((_A12, _A1), ((0, Fraction(1, 2)), (0, 0)))),
     (CheckResult, ("name", "status", "counterexample"),
