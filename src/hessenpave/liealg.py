@@ -26,12 +26,13 @@ ad(X) is nilpotent; ``_iad_series`` adds up K!·Ad(exp X)(N) with integer
 weights, K the last nonzero power, and the lemma checks compare those
 integers, so they run in integers throughout and ``verify-lemmata`` never
 loads ``fractions``.  Rationals (``fractions.Fraction``) enter only in
-``ChevalleyRealization.expand``, in the witness's exponential
-``_iad_exp`` (the series divided by K!) and in the witness solves
-(``find_witness``, ``_verify_witness_matrix``); no truncation or tolerance
-appears anywhere.  ``Fraction`` is imported inside those functions and
-``random`` inside ``_rng``, which seeds every lemma trial, so that
-importing the module, which every CLI call does, loads neither.
+the witness: its exponential ``_iad_exp`` (the series divided by K!), its
+solves (``find_witness``, ``linalg.solve_affine``) and the matrix
+exponentials that check it (``linalg.sp_exp_nilpotent``, called by
+``_verify_witness_matrix``); no truncation or tolerance appears anywhere.
+``Fraction`` is imported inside those functions and ``random`` inside
+``_rng``, which seeds every lemma trial, so that importing the module,
+which every CLI call does, loads neither.
 
 Row operators
 -------------
@@ -59,7 +60,7 @@ checks, come from ``rootcore.stage_table``, which alone knows the type-D
 pairing.
 
 Every coefficient map is keyed by root index: ``root_vectors`` and
-``expand`` by ``rs.all_roots`` index (positives first), N, the calculus
+``matrix_of`` by ``rs.all_roots`` index (positives first), N, the calculus
 (``_ibracket``, ``_iad_series``, ``_iad_exp``, ``_ad_block``), the lemma
 checks and the witness stages by positive-root index.  Roots appear only
 in text: counterexamples, error messages and the CLI's witness output.
@@ -84,6 +85,7 @@ from .linalg import (
     sp_commutator,
     sp_equal,
     sp_exp_nilpotent,
+    sp_identity,
     sp_is_strictly_upper,
     sp_mul,
     sp_scale,
@@ -159,8 +161,6 @@ class ChevalleyRealization:
             if root.is_positive and not sp_is_strictly_upper(mat):
                 raise ConsistencyError(
                     f"positive root vector {root} is not strictly upper triangular")
-        # anchor: deterministic representative entry of each root vector
-        self._anchor = [min(mat) for mat in self.root_vectors]
 
     def _extract_constants(self) -> tuple[tuple[int, ...], ...]:
         """Read each m_{α,β} off [E_α, E_β] in integers, forming the
@@ -235,39 +235,6 @@ class ChevalleyRealization:
             if v:
                 out = sp_add(out, sp_scale(self.root_vectors[k], v))
         return out
-
-    def expand(self, mat: Sparse
-               ) -> tuple[tuple[Fraction, ...], dict[int, Fraction]]:
-        """Expand a matrix over the root-vector basis plus the Cartan.
-
-        Returns (cartan coefficients, root coefficient map keyed by
-        ``rs.all_roots`` index); raises ValueError when the matrix is not
-        in the span.
-        """
-        from fractions import Fraction
-
-        coeffs: dict[int, Fraction] = {}
-        residual = dict(mat)
-        for k, (anchor, vec) in enumerate(zip(self._anchor,
-                                              self.root_vectors)):
-            if anchor in residual:
-                c = Fraction(residual[anchor]) / vec[anchor]
-                if c:
-                    coeffs[k] = c
-                    residual = sp_add(residual, sp_scale(vec, -c))
-        if any(r != c for (r, c) in residual):
-            raise ValueError("matrix is not expressible in the root-vector "
-                             "basis plus the Cartan")
-        n = self.rs.rank
-        size = self.dim_rep
-        cols = [[Fraction(h.get((k, k), 0)) for h in self.cartan_basis]
-                for k in range(size)]
-        rhs = [Fraction(residual.get((k, k), 0)) for k in range(size)]
-        solved = solve_affine(cols, rhs)
-        if solved is None:
-            raise ValueError("diagonal part is outside the Cartan span")
-        cartan = tuple(solved[0][:n])
-        return cartan, coeffs
 
     def __repr__(self) -> str:
         return (f"ChevalleyRealization({self.rs.lie_type}{self.rs.rank}, "
@@ -817,19 +784,20 @@ def _check_type_d_block(real: ChevalleyRealization, trials: int,
     n = rs.rank
     simple = rs._simple_index
     m = real.constants
+    # the 3x3 middle block exists for stages pairing two full rows, i.e.
+    # i <= n-3; the last pairing degenerates (its top row root
+    # Σ_{j=i+1}^n α_j stops being a root).  Its roots depend on i alone.
+    blocks = [(i, [_span_root(rs, (i + 1, n)),
+                   _span_root(rs, (i, n - 1)),
+                   _span_root(rs, (i, n - 2), (n, n))],
+               [_span_root(rs, (i + 1, n - 1)),
+                _span_root(rs, (i + 1, n - 2), (n, n)),
+                _span_root(rs, (i, n - 2))])
+              for i in range(1, n - 2)]
     for t in range(trials):
         rng = _rng(seed, f"dblock:{t}")
         cf = _random_coeffs(rs, rng, regular=True)
-        # the 3x3 middle block exists for stages pairing two full rows,
-        # i.e. i <= n-3; the last pairing degenerates (its top row root
-        # Σ_{j=i+1}^n α_j stops being a root)
-        for i in range(1, n - 2):
-            row_targets = [_span_root(rs, (i + 1, n)),
-                           _span_root(rs, (i, n - 1)),
-                           _span_root(rs, (i, n - 2), (n, n))]
-            col_roots = [_span_root(rs, (i + 1, n - 1)),
-                         _span_root(rs, (i + 1, n - 2), (n, n)),
-                         _span_root(rs, (i, n - 2))]
+        for i, row_targets, col_roots in blocks:
             # entry (r, c) is m_{c,r−c} n_{r−c}: the block of −ad(N)
             block = [[-v for v in line]
                      for line in _ad_block(real, cf, row_targets, col_roots)]
@@ -981,15 +949,21 @@ def find_witness(real: ChevalleyRealization, w: WeylElement,
 
     The result is verified by direct matrix computation, and the stage
     kernel dimensions are checked against the row dimension profile.
-    Raises ValueError for an empty cell, for an N that is not a Mapping or
-    has a key that is not a positive-root index or a coefficient that is
-    not an int or Fraction, and for a non-regular N (a zero simple-root
+    Raises ValueError for a realization, Weyl element or space of the
+    wrong type (before any attribute is read) or from different root
+    systems, for an empty cell, for an N that is not a Mapping or has a
+    key that is not a positive-root index or a coefficient that is not an
+    int or Fraction, and for a non-regular N (a zero simple-root
     coefficient);
     ConsistencyError if any stage is infeasible or the final membership
     check fails (both would contradict the paving).
     """
     from fractions import Fraction
 
+    for arg, kind in ((real, ChevalleyRealization), (w, WeylElement),
+                      (space, HessenbergSpace)):
+        if type(arg) is not kind:
+            raise ValueError(f"{arg!r} is not a {kind.__name__}")
     rs = real.rs
     if w.rs != rs or space.rs != rs:
         raise ValueError("Weyl element, space, and realization must share "
@@ -1104,40 +1078,28 @@ def _verify_witness_matrix(real: ChevalleyRealization, w: WeylElement,
                            n: Mapping[int, Fraction | int],
                            solutions: list[dict[int, Fraction]],
                            final: dict[int, Fraction | int]) -> None:
-    """Direct matrix check: conjugate N by the solved unipotent element and
-    confirm both the coefficient-space computation and the membership."""
-    from fractions import Fraction
-
-    rs = real.rs
+    """Direct matrix check: u·N·u⁻¹ must equal the matrix of the
+    coefficient-space result, each nonzero root of which must lie in wΦ_H.
+    Root vectors are nonzero, off the diagonal and on pairwise distinct
+    positions (``_validate_supports``), so ``matrix_of`` is injective with a
+    zero diagonal: equal matrices mean equal coefficients."""
     size = real.dim_rep
-
-    u = {(i, i): Fraction(1) for i in range(size)}
-    u_inv = {(i, i): Fraction(1) for i in range(size)}
+    u = u_inv = sp_identity(size)
     for sol in filter(None, solutions):
         xmat = real.matrix_of(sol)
         u = sp_mul(u, sp_exp_nilpotent(xmat, size))
         u_inv = sp_mul(sp_exp_nilpotent(sp_scale(xmat, -1), size), u_inv)
 
     conj = sp_mul(sp_mul(u, real.matrix_of(n)), u_inv)
-    try:
-        cartan, expanded = real.expand(conj)
-    except ValueError as exc:
-        raise ConsistencyError(f"conjugated nilpotent is outside the Lie "
-                               f"algebra: {exc} ({_witness_context(space, w)})"
-                               ) from None
-    if any(cartan):
-        raise ConsistencyError("conjugated nilpotent acquired a Cartan part "
-                               f"({_witness_context(space, w)})")
-    if {k: Fraction(v) for k, v in expanded.items()} != \
-            {k: Fraction(v) for k, v in final.items() if v}:
+    if not sp_equal(conj, real.matrix_of(final)):
         raise ConsistencyError(
             "matrix conjugation disagrees with the coefficient-space "
             f"computation ({_witness_context(space, w)})")
 
     inv = w.inverse_root_permutation()
-    for k, v in expanded.items():
+    for k, v in sorted(final.items()):
         if v and not space.hm >> inv[k] & 1:
             raise ConsistencyError(
                 f"witness lands outside the translated Hessenberg space "
-                f"at {rs._texts[k]} "
+                f"at {real.rs._texts[k]} "
                 f"({_witness_context(space, w)})")

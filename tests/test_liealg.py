@@ -1,5 +1,6 @@
 """Matrix realizations, row operators, lemma checks, witnesses."""
 
+import functools
 import json
 import random
 import re
@@ -20,7 +21,15 @@ from hessenpave.hessenberg import (
     smallest_containing,
 )
 from hessenpave.liealg import build_chevalley, find_witness, verify_lemmata
-from hessenpave.linalg import sp_commutator, sp_equal, sp_scale
+from hessenpave.linalg import (
+    solve_affine,
+    sp_add,
+    sp_commutator,
+    sp_equal,
+    sp_exp_nilpotent,
+    sp_mul,
+    sp_scale,
+)
 from hessenpave.paving import cell_nonempty, row_dimension_profile
 from hessenpave.rootcore import (
     Root,
@@ -117,11 +126,6 @@ def test_bracket_opposite_roots_is_diagonal(real_a2):
         h = sp_commutator(vectors[rs.root_index(a)],
                           vectors[rs.root_index(-a)])
         assert h and sp_is_diagonal(h)
-
-
-def test_expand_rejects_foreign_matrix(real_a2):
-    with pytest.raises(ValueError):
-        real_a2.expand({(1, 0): 1, (0, 1): 1, (2, 2): 1, (0, 0): 5})
 
 
 def ref_extract_constants(real):
@@ -320,6 +324,44 @@ def ref_ad_exp(real, x, n):
     return ref_from_index_coeffs(real, liealg._iad_exp(real, xi, ni))
 
 
+def ref_expand(real, mat):
+    """A matrix over the root-vector basis plus the Cartan, as the
+    realization once expanded it: sweep each root vector's anchor (its
+    least matrix position) off the matrix in ``rs.all_roots`` order, then
+    solve the diagonal left over in the Cartan basis.  Returns (Cartan
+    coefficients, root coefficient map by ``rs.all_roots`` index); raises
+    ValueError when the matrix is not in the span."""
+    coeffs = {}
+    residual = dict(mat)
+    for k, vec in enumerate(real.root_vectors):
+        anchor = min(vec)
+        if anchor in residual:
+            c = Fraction(residual[anchor]) / vec[anchor]
+            if c:
+                coeffs[k] = c
+                residual = sp_add(residual, sp_scale(vec, -c))
+    if any(r != c for (r, c) in residual):
+        raise ValueError("matrix is not expressible in the root-vector "
+                         "basis plus the Cartan")
+    size = real.dim_rep
+    cartan = _ref_cartan_coefficients(
+        tuple(tuple(h.get((k, k), 0) for h in real.cartan_basis)
+              for k in range(size)),
+        tuple(residual.get((k, k), 0) for k in range(size)))
+    if cartan is None:
+        raise ValueError("diagonal part is outside the Cartan span")
+    return cartan, coeffs
+
+
+@functools.cache
+def _ref_cartan_coefficients(cols, rhs):
+    """The coefficients of a diagonal over the Cartan basis, by the exact
+    solve (a pure function of its input, so kept per input), or None."""
+    solved = solve_affine([[Fraction(x) for x in line] for line in cols],
+                          [Fraction(x) for x in rhs])
+    return None if solved is None else tuple(solved[0][:len(cols[0])])
+
+
 class ref_RowMatrix(rootcore._Record):
     """A square matrix indexed by the roots of one row, in the fixed order
     (height descending, type-D ties resolved by coefficient order)."""
@@ -344,7 +386,7 @@ def ref_psi_matrix(real, n, i):
     nmat = real.matrix_of(ni)
     for col, beta in enumerate(order):
         br = sp_commutator(nmat, real.root_vectors[rs.root_index(beta)])
-        _, expanded = real.expand(br)
+        _, expanded = ref_expand(real, br)
         for r, alpha in enumerate(order):
             if expanded.get(rs.root_index(alpha), 0) != mat[r][col]:
                 raise ConsistencyError(
@@ -769,7 +811,6 @@ def test_normalize_type_d_equals_validated_rebuild(rank):
     assert norm.root_vectors == ref.root_vectors
     assert norm.constants == ref.constants
     assert norm.cartan_basis == ref.cartan_basis
-    assert norm._anchor == ref._anchor
 
 
 def test_type_d_verify_lemmata_builds_one_realization(capsys, monkeypatch):
@@ -939,65 +980,68 @@ def test_verify_lemmata_detects_zeroed_constant():
 
 def ref_check_containment(real, trials, seed):
     """The containment check root by root for every (N sample, space, w)
-    triple, as it stood before the bitmask split.  Module-level helpers are
-    looked up on ``liealg`` so that a monkeypatch reaches both paths."""
+    triple, as it stood before the bitmask split, keyed by root index with
+    α − β found by coefficient arithmetic.  Module-level helpers are looked
+    up on ``liealg`` so that a monkeypatch reaches both paths."""
     rs = real.rs
-    n = rs.rank
     table = stage_table(rs).rows
+    rows = [(i, row) for i, row in enumerate(table, start=1) if row]
     samples = [dict.fromkeys(rs._simple_index, 1)]
     for t in range(min(trials, 3)):
         samples.append(liealg._random_coeffs(
             rs, liealg._rng(seed, f"cont:{t}"), regular=True))
+    coeffs = [r.coeffs for r in rs.all_roots]
+
+    def positive_difference(a, b):
+        """The index of the root α − β when it is a positive root."""
+        d = tuple(x - y for x, y in zip(coeffs[a], coeffs[b]))
+        return rs._index[d] if d in rs._index and min(d) >= 0 else None
+
+    # per row root α: the simple roots α_j (1-based j) with α − α_j a
+    # positive root, and the index of that root
+    simple_diffs = {
+        k: [(j, d) for j, a in enumerate(rs._simple_index, start=1)
+            if (d := positive_difference(k, a)) is not None]
+        for _, row in rows for k in row}
+    elements = [(w, w.inverse_root_permutation(), ref_inversion_indices(w))
+                for w in enumerate_weyl(rs)]
     spaces = enumerate_hessenberg(rs)
-    elements = enumerate_weyl(rs)
     for nn in samples:
-        psi_rows = {
-            i: (_row_roots(rs, i),
-                liealg._ad_block(real, nn, table[i - 1], table[i - 1]))
-            for i in range(1, n + 1) if table[i - 1]
-        }
+        # per row root α of this sample: None, or why its line fails
+        faults = {}
+        for i, row in rows:
+            for k, line in zip(row, liealg._ad_block(real, nn, row, row)):
+                first = next((c for c, v in enumerate(line) if v), None)
+                if first is None:
+                    faults[k] = "zero row for an excluded root"
+                elif sum(coeffs[k]) - sum(coeffs[row[first]]) != 1:
+                    faults[k] = "first entry not at a simple difference"
+                else:
+                    faults[k] = None
         for space in spaces:
             members = (frozenset(range(rs.num_positive))
                        | {rs.root_index(b) for b in space.negative_part})
-            for w in elements:
+            for w, inv_perm, inversions in elements:
                 if not liealg.cell_nonempty(w, space):
                     continue
-                inv_perm = w.inverse_root_permutation()
-                inversions = ref_inversion_indices(w)
-                for i, (order, mat) in psi_rows.items():
-                    index_of = {r: k for k, r in enumerate(order)}
-                    for alpha in order:
-                        aidx = rs.root_index(alpha)
-                        if inv_perm[aidx] in members:
+                for i, row in rows:
+                    for k in row:
+                        if inv_perm[k] in members:
                             continue
-                        line = mat[index_of[alpha]]
-                        first = next((c for c, v in enumerate(line) if v),
-                                     None)
-                        if first is None:
+                        ce = {"word": list(w.word), "row": i,
+                              "alpha": rs._texts[k]}
+                        if faults[k] == "zero row for an excluded root":
                             return {"hessenberg": sorted(
                                         format_root(r) for r in
                                         space.negative_part),
-                                    "word": list(w.word), "row": i,
-                                    "alpha": format_root(alpha),
-                                    "reason": "zero row for an excluded root"}
-                        beta = order[first]
-                        d = Root(tuple(a - b for a, b in
-                                       zip(alpha.coeffs, beta.coeffs)))
-                        if d.height != 1:
-                            return {"word": list(w.word), "row": i,
-                                    "alpha": format_root(alpha),
-                                    "reason": "first entry not at a simple "
-                                              "difference"}
-                        for j, simple in enumerate(rs.simple_roots, start=1):
-                            diff = tuple(a - b for a, b in
-                                         zip(alpha.coeffs, simple.coeffs))
-                            if diff in rs._index and all(c >= 0 for c in diff):
-                                if rs.root_index(Root(diff)) not in inversions:
-                                    return {"word": list(w.word), "row": i,
-                                            "alpha": format_root(alpha),
-                                            "simple": j,
-                                            "reason": "simple-difference root "
-                                                      "escapes the inversion set"}
+                                    **ce, "reason": faults[k]}
+                        if faults[k] is not None:
+                            return {**ce, "reason": faults[k]}
+                        for j, d in simple_diffs[k]:
+                            if d not in inversions:
+                                return {**ce, "simple": j,
+                                        "reason": "simple-difference root "
+                                                  "escapes the inversion set"}
     return None
 
 
@@ -1507,6 +1551,28 @@ def test_witness_identity_and_errors(real_a2):
                      {rs.root_index(parse_root(rs, "1,1")): 1})
 
 
+@pytest.mark.parametrize("slot,kind", [(0, "ChevalleyRealization"),
+                                       (1, "WeylElement"),
+                                       (2, "HessenbergSpace")])
+def test_witness_refuses_wrong_typed_argument_by_name(real_a2, slot, kind):
+    """The int 5 in the realization, Weyl-element or space slot is a
+    ValueError naming it, raised before any attribute is read; it once ended
+    in a bare AttributeError."""
+    rs = real_a2.rs
+    args = [real_a2, parse_word(rs, ""), borel_space(rs)]
+    args[slot] = 5
+    with pytest.raises(ValueError, match=f"^5 is not a {kind}$"):
+        find_witness(*args)
+
+
+def test_witness_refuses_arguments_from_two_root_systems(real_a2):
+    b2 = RootSystem("B", 2)
+    with pytest.raises(ValueError, match="must share one root system"):
+        find_witness(real_a2, parse_word(b2, ""), borel_space(real_a2.rs))
+    with pytest.raises(ValueError, match="must share one root system"):
+        find_witness(real_a2, parse_word(real_a2.rs, ""), borel_space(b2))
+
+
 # N maps for A2, built from its simple-root indices s1, s2 and the number of
 # positive roots p, each refused by find_witness with the message matched
 _MALFORMED_N = {
@@ -1664,6 +1730,131 @@ def test_witness_random_regular_nilpotent(lie_type, rank, sample):
         assert moved
 
 
+def ref_unipotent(real, solutions):
+    """u = exp(X_0) exp(X_1) ... of the stage solutions and its inverse, as
+    matrices."""
+    size = real.dim_rep
+    u = u_inv = {(i, i): 1 for i in range(size)}
+    for sol in filter(None, solutions):
+        xmat = real.matrix_of(sol)
+        u = sp_mul(u, sp_exp_nilpotent(xmat, size))
+        u_inv = sp_mul(sp_exp_nilpotent(sp_scale(xmat, -1), size), u_inv)
+    return u, u_inv
+
+
+def ref_verify_witness_matrix(real, w, space, n, solutions, final):
+    """The matrix check of a witness as it stood before it compared two
+    matrices: the conjugate u·N·u⁻¹ is expanded with ``ref_expand``, must
+    have no Cartan part and the coefficients of ``final`` (compared as
+    rationals), and every nonzero one must lie in wΦ_H.  Raises
+    ConsistencyError with the old messages, without the cell."""
+    u, u_inv = ref_unipotent(real, solutions)
+    conj = sp_mul(sp_mul(u, real.matrix_of(n)), u_inv)
+    try:
+        cartan, expanded = ref_expand(real, conj)
+    except ValueError as exc:
+        raise ConsistencyError("conjugated nilpotent is outside the Lie "
+                               f"algebra: {exc}") from None
+    if any(cartan):
+        raise ConsistencyError("conjugated nilpotent acquired a Cartan part")
+    if ({k: Fraction(v) for k, v in expanded.items()}
+            != {k: Fraction(v) for k, v in final.items() if v}):
+        raise ConsistencyError("matrix conjugation disagrees with the "
+                               "coefficient-space computation")
+    inv = w.inverse_root_permutation()
+    for k, v in expanded.items():
+        if v and not space.hm >> inv[k] & 1:
+            raise ConsistencyError("witness lands outside the translated "
+                                   "Hessenberg space")
+
+
+class _MovedN:
+    """A realization whose ``matrix_of`` adds ``extra`` to the matrix of one
+    coefficient map, N (found by identity), and answers everything else
+    from ``real``."""
+
+    def __init__(self, real, n, extra):
+        self.real, self.n, self.extra = real, n, extra
+
+    def __getattr__(self, name):
+        return getattr(self.real, name)
+
+    def matrix_of(self, coeffs):
+        mat = self.real.matrix_of(coeffs)
+        return sp_add(mat, self.extra) if coeffs is self.n else mat
+
+
+def _conjugate_perturbations(real, k):
+    """Matrices to add to a witness's conjugate: a trace-zero diagonal
+    entry, the root vector of ``rs.all_roots`` index k (one coefficient
+    changed by 1) and, in types B and D, a 1 at the first off-diagonal
+    position outside every root vector's support (in types A and C every
+    off-diagonal position lies in one)."""
+    size = real.dim_rep
+    owned = {pos for mat in real.root_vectors for pos in mat}
+    free = [(r, c) for r in range(size) for c in range(size)
+            if r != c and (r, c) not in owned]
+    assert bool(free) == (real.rs.lie_type in "BD")
+    return [{(0, 0): 1, (1, 1): -1}, real.root_vectors[k],
+            *({pos: 1} for pos in free[:1])]
+
+
+def _rejects(check, *args):
+    try:
+        check(*args)
+    except ConsistencyError:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("lie_type,rank,random_n", [
+    *[(t, r, False) for t, r in REALIZABLE + [("A", 5)]],
+    *[(t, r, True) for t, r in REALIZABLE if r <= 3 or (t, r) == ("D", 4)]])
+def test_matrix_check_equals_expansion_reference(monkeypatch, lie_type, rank,
+                                                 random_n):
+    """The witness's matrix check compares the conjugate of N with the
+    matrix of the coefficient-space result; the reference expands the
+    conjugate over the root vectors and the Cartan.  Both accept every
+    witness that find_witness reaches, with the CLI's N (the sum of the
+    simple vectors) on every nonempty cell of rank ≤ 4 and A5, and with
+    seeded random regular N on rank ≤ 3 and D4.  On a spread of those
+    cells both reject the conjugate after each perturbation P of
+    ``_conjugate_perturbations``: the matrix of N is moved by u⁻¹·P·u, so
+    the conjugate moves by exactly P."""
+    rs = RootSystem(lie_type, rank)
+    real = build_chevalley(rs)
+    rng = random.Random(f"matrix-check:{lie_type}{rank}")
+    calls = []
+    monkeypatch.setattr(liealg, "_verify_witness_matrix",
+                        lambda *args: calls.append(args))
+    cells = [(w, space) for space in enumerate_hessenberg(rs)
+             for w in enumerate_weyl(rs) if cell_nonempty(w, space)]
+    for w, space in cells:
+        find_witness(real, w, space, liealg._random_coeffs(
+            rs, rng, regular=True) if random_n else None)
+    monkeypatch.undo()
+    assert len(calls) == len(cells)
+    for _, *args in calls:
+        liealg._verify_witness_matrix(real, *args)
+        ref_verify_witness_matrix(real, *args)
+    # the CLI's N needs no stage to move it; a random one does from rank 3
+    moved = any(any(solutions) for *_, solutions, _ in calls)
+    if random_n:
+        assert moved or rank < 3
+    else:
+        assert not moved
+    # perturbed on about 250 cells spread over the enumeration, each with
+    # the root vector of another index
+    for k, (_, w, space, n, solutions, final) in enumerate(
+            calls[::max(1, len(calls) // 250)]):
+        args = (w, space, n, solutions, final)
+        u, u_inv = ref_unipotent(real, solutions)
+        for extra in _conjugate_perturbations(real, k % len(rs.all_roots)):
+            perturbed = _MovedN(real, n, sp_mul(sp_mul(u_inv, extra), u))
+            assert _rejects(liealg._verify_witness_matrix, perturbed, *args)
+            assert _rejects(ref_verify_witness_matrix, perturbed, *args)
+
+
 def _from(caller, original, fake):
     """``original`` with ``fake(original, *args)`` answering the calls made
     from the function named ``caller``; every other caller gets the real
@@ -1677,8 +1868,7 @@ def _from(caller, original, fake):
 
 def _stage_solve(fake):
     """solve_affine with ``fake`` answering the stage solves of find_witness;
-    every other caller (the realization's own expansions) gets the real
-    solve."""
+    every other caller gets the real solve."""
     return "solve_affine", _from("find_witness", liealg.solve_affine, fake)
 
 
@@ -1709,10 +1899,6 @@ def _quadratic(iad_exp, real, x, n):
     return {p: out.get(p, 0) + sq for p in range(real.rs.num_positive)}
 
 
-def _in_verify(original, fake):
-    return _from("_verify_witness_matrix", original, fake)
-
-
 def _plus_every_root(rs, coeffs):
     """A coefficient map with 1 added on every positive root."""
     out = dict(coeffs)
@@ -1721,24 +1907,34 @@ def _plus_every_root(rs, coeffs):
     return out
 
 
-def _final_plus_every_root(verify):
-    """_verify_witness_matrix handed the coefficient-space result with 1
-    added on every positive root."""
-    return lambda real, w, space, n, solutions, final: verify(
-        real, w, space, n, solutions, _plus_every_root(real.rs, final))
+def _n_moved_by(extra):
+    """_verify_witness_matrix handed a realization whose matrix of N has
+    ``extra(real, n)`` added (see ``_MovedN``)."""
+    verify = liealg._verify_witness_matrix
+    return lambda real, w, space, n, *rest: verify(
+        _MovedN(real, n, extra(real, n)), w, space, n, *rest)
 
 
-Real = liealg.ChevalleyRealization
+def _plus_every_root_in_both(verify):
+    """_verify_witness_matrix handed N plus 1 on every positive root as both
+    N and the coefficient-space result, with no stage solution: the two
+    computations agree, so the membership test is reached."""
+    def patched(real, w, space, n, solutions, final):
+        plus = _plus_every_root(real.rs, n)
+        return verify(real, w, space, plus, [{}] * len(solutions), plus)
+    return patched
 
-# One fault injected into find_witness per failure message it must raise,
-# with the system where the message first shows: no solution, a solution
-# of all ones that misses the constraints, a row profile one larger in
-# stage 1, a type-C long root with no adjusting coordinate, or with a
-# coordinate that is quadratic or constant along its line, a Cartan part
-# in the conjugated matrix, a conjugated matrix with an entry at 2ε_1
-# (not a root of B3, so outside the Lie algebra), a conjugated matrix
-# twice the coefficient computation, and both computations one larger on
-# every positive root.
+
+# One fault injected into find_witness per failure it must report, with the
+# system where the failure first shows: no solution, a solution of all ones
+# that misses the constraints, a row profile one larger in stage 1, a
+# type-C long root with no adjusting coordinate, or with a coordinate that
+# is quadratic or constant along its line, a matrix of N with a trace-zero
+# diagonal entry (so the conjugate has a Cartan part), with an entry at
+# 2ε_1 (not a root of B3, so outside the Lie algebra) or doubled, and both
+# computations one larger on every positive root.  The matrix check
+# compares the conjugate with the matrix of the coefficient-space result,
+# so the three faults in the matrix of N fail with its disagreement message.
 _WITNESS_FAULTS = {
     "stage infeasible": ("A", 3, lambda: [(liealg, *_stage_solve(
         lambda solve, m, rhs: None))]),
@@ -1757,20 +1953,17 @@ _WITNESS_FAULTS = {
         (liealg, *_long_root_line(
             lambda iad_exp, real, x, n: iad_exp(real, {}, n)))]),
     "conjugated nilpotent acquired a Cartan part": ("A", 3, lambda: [
-        (Real, "expand", _in_verify(Real.expand, lambda expand, real, m: (
-            tuple(c + 1 for c in expand(real, m)[0]),
-            expand(real, m)[1])))]),
+        (liealg, "_verify_witness_matrix", _n_moved_by(
+            lambda real, n: {(0, 0): 1, (1, 1): -1}))]),
     "conjugated nilpotent is outside the Lie algebra": ("B", 3, lambda: [
-        (Real, "matrix_of", _in_verify(Real.matrix_of, lambda matrix_of, *a: {
-            **matrix_of(*a), (0, a[0].dim_rep - 1): 1}))]),
+        (liealg, "_verify_witness_matrix", _n_moved_by(
+            lambda real, n: {(0, real.dim_rep - 1): 1}))]),
     "matrix conjugation disagrees": ("A", 3, lambda: [
-        (Real, "matrix_of", _in_verify(Real.matrix_of, lambda matrix_of, *a:
-            liealg.sp_scale(matrix_of(*a), 2)))]),
+        (liealg, "_verify_witness_matrix", _n_moved_by(
+            lambda real, n: real.matrix_of(n)))]),
     "witness lands outside the translated Hessenberg space": ("A", 3, lambda: [
-        (Real, "expand", _in_verify(Real.expand, lambda expand, real, m: (
-            expand(real, m)[0], _plus_every_root(real.rs, expand(real, m)[1])))),
         (liealg, "_verify_witness_matrix",
-         _final_plus_every_root(liealg._verify_witness_matrix))]),
+         _plus_every_root_in_both(liealg._verify_witness_matrix))]),
 }
 
 
@@ -1780,6 +1973,8 @@ def test_witness_failure_names_its_cell(capsys, monkeypatch, fault):
     the word and, when one stage is at fault, the stage; the witness
     command built from those names fails again with exit 2."""
     lie_type, rank, patches = _WITNESS_FAULTS[fault]
+    reason = ("matrix conjugation disagrees" if fault.startswith("conjugated")
+              else fault)
     rs = RootSystem(lie_type, rank)
     real = build_chevalley(rs)
     for target, name, value in patches():
@@ -1792,7 +1987,7 @@ def test_witness_failure_names_its_cell(capsys, monkeypatch, fault):
                     find_witness(real, w, space)
                 except ConsistencyError as exc:
                     message = str(exc)
-    assert message is not None and message.startswith(fault)
+    assert message is not None and message.startswith(reason), message
     found = re.search(r"\(system ([ABCD])(\d+), space neg=(\S*), "
                       r"word '([\d ]*)'(, stage (\d+))?\)$", message)
     assert found, message

@@ -298,7 +298,7 @@ def test_realization_constants_are_read_in_integers():
                           checks + ["_ibracket", "_iad_series"]]):
         assert "Fraction" not in _names_outside_annotations(node), name
     # the detector sees the name where it is used, and not in annotations
-    assert "Fraction" in _names_outside_annotations(methods["expand"])
+    assert "Fraction" in _names_outside_annotations(functions["_iad_exp"])
     probe = ast.parse("def f(x: Fraction) -> Fraction:\n"
                       "    y: Fraction = x\n    return y\n")
     assert "Fraction" not in _names_outside_annotations(probe)
