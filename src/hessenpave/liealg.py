@@ -490,18 +490,24 @@ def _check_row_structure(real: ChevalleyRealization, trials: int,
 
 
 def _check_factorization_count(real: ChevalleyRealization) -> dict | None:
-    """The rows of the stage table, which the witness stages and the row
-    profiles read, partition the positive roots: each index exactly once."""
+    """The rows of the stage table, and its stages on the variable side and
+    on the constraint side, each partition the positive roots: each index
+    exactly once.  The witness stages and the row profiles read them."""
     rs = real.rs
-    seen = [k for row in stage_table(rs).rows for k in row]
-    if sorted(seen) == list(range(rs.num_positive)):
-        return None
-    texts = rs._texts
-    return {"sum_of_rows": len(seen), "positive_roots": rs.num_positive,
-            "missing": [texts[k] for k in range(rs.num_positive)
-                        if k not in seen],
-            "repeated": [texts[k] for k in sorted(set(seen))
-                         if seen.count(k) > 1]}
+    npos, texts = rs.num_positive, rs._texts
+    table = stage_table(rs)
+    for side, parts in zip(("rows", "variables", "constraints"),
+                           (table.rows, *zip(*table.stages))):
+        seen = [k for part in parts for k in part]
+        if sorted(seen) == list(range(npos)):
+            continue
+        roots = {"missing": [texts[k] for k in range(npos) if k not in seen],
+                 "repeated": [texts[k] for k in sorted(set(seen))
+                              if seen.count(k) > 1]}
+        if side == "rows":
+            return {"sum_of_rows": len(seen), "positive_roots": npos, **roots}
+        return {"stage_side": side, **roots}
+    return None
 
 
 def _check_near_linearity(real: ChevalleyRealization, trials: int,

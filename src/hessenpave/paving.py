@@ -24,9 +24,10 @@ The kernel works on integer bitmasks over the indices of ``rs.all_roots``:
 holds ``w⁻¹(simple roots)`` and ``w.im`` holds ``w⁻¹(Φ_w)``, both stored
 on the element.  A cell is nonempty iff ``sm & hm == sm`` and its
 dimension is ``(im & hm).bit_count()``; the Lie-algebra formula counts the
-negative bits of ``hm`` that ``w`` sends to positive roots.  A row profile
-entry ANDs ``w.inversion_mask()``, and the positive roots outside ``wΦ_H``,
-with the variable and constraint masks of one stage of ``stage_table``:
+negative bits of ``hm`` that ``w``, applied through its word's simple
+reflections, sends to positive roots.  A row profile entry ANDs
+``w.inversion_mask()``, and the positive roots outside ``wΦ_H``, with the
+variable and constraint masks of one stage of ``stage_table``:
 one formula for every type, since the type-D pairing lives in the table.
 No function here turns ``hm`` back into roots.  ``compute_paving`` tests
 each cell once, and ``cell_dimension`` and ``row_dimension_profile`` refuse
@@ -123,15 +124,16 @@ def cell_dimension(w: WeylElement, space: HessenbergSpace) -> int:
 def cell_dimension_lie(w: WeylElement, space: HessenbergSpace) -> int:
     """The same dimension via the Lie-algebra intersection formula: count
     the negative roots of Φ_H sent positive by w (the Cartan contributes
-    exactly the rank, which the formula subtracts)."""
+    exactly the rank, which the formula subtracts).  w acts through its
+    word, not the inverse permutation and masks ``cell_dimension`` reads."""
     _check_compatible(w, space)
     if w.sm & space.hm != w.sm:
         raise ValueError("cell is empty; it has no dimension")
-    perm = w.root_permutation()
     npos = w.rs.num_positive
-    hm = space.hm
-    return sum(1 for k in range(npos, len(perm))
-               if hm >> k & 1 and perm[k] < npos)
+    images = [k for k in range(npos, 2 * npos) if space.hm >> k & 1]
+    for i in reversed(w.word):
+        images = [w.rs._reflections[i - 1][k] for k in images]
+    return sum(1 for k in images if k < npos)
 
 
 def row_dimension_profile(w: WeylElement, space: HessenbergSpace) -> tuple[int, ...]:

@@ -443,8 +443,8 @@ class WeylElement:
     element and a validated simple reflection.  Either way the element
     holds its word, its inverse permutation and the cell masks ``sm`` (w⁻¹
     of the simple roots) and ``im`` (w⁻¹ of the inversion set Φ_w) over
-    ``rs.all_roots`` indices.  The permutation (``root_permutation``) and
-    Φ_w as a mask (``inversion_mask``) are rebuilt on each call.
+    ``rs.all_roots`` indices, and no other action: w acts through its word
+    (``apply``), and Φ_w as a mask (``inversion_mask``) is rebuilt per call.
     """
 
     __slots__ = ("rs", "word", "_inv_root_perm", "sm", "im", "_word_text")
@@ -461,21 +461,13 @@ class WeylElement:
         self._inv_root_perm = inv
         self.sm = sum(1 << inv[a] for a in rs._simple_index)
         self.im = sum(1 << x for x in inv[:npos] if x >= npos)
-        self.word = _canonical_word(rs, perm, inv)
+        self.word = _canonical_word(rs, inv)
         if len(self.word) != self.im.bit_count():
             raise ConsistencyError("reduced word length != inversion count")
 
     @property
     def length(self) -> int:
         return len(self.word)
-
-    def root_permutation(self) -> tuple[int, ...]:
-        """Action on all_roots indices (positives first, then negatives)."""
-        inv = self._inv_root_perm
-        perm = [0] * len(inv)
-        for dst, src in enumerate(inv):
-            perm[src] = dst
-        return tuple(perm)
 
     def inverse_root_permutation(self) -> tuple[int, ...]:
         return self._inv_root_perm
@@ -521,23 +513,20 @@ def _check_root_permutation(rs: RootSystem, perm: tuple[int, ...]) -> None:
                          "coordinates")
 
 
-def _canonical_word(rs: RootSystem, perm: tuple[int, ...],
-                    inv: tuple[int, ...]) -> tuple[int, ...]:
-    """Greedy descent on permutations: w = s_i·(s_i·w) with i the smallest
-    left descent, until the identity is reached."""
-    identity = tuple(range(len(perm)))
+def _canonical_word(rs: RootSystem, inv: tuple[int, ...]) -> tuple[int, ...]:
+    """Greedy descent on w⁻¹: w = s_i·(s_i·w) with i the smallest left
+    descent, until the identity is reached."""
+    identity = tuple(range(len(inv)))
     npos = rs.num_positive
     word = []
-    while perm != identity:
+    while inv != identity:
         i = next((i for i, a in enumerate(rs._simple_index) if inv[a] >= npos),
                  None)
         if i is None:
             raise ValueError("root permutation is not induced by a Weyl "
                              "group element")
         word.append(i + 1)
-        s = rs._reflections[i]
-        perm = tuple(s[k] for k in perm)      # s_i·w
-        inv = tuple(inv[k] for k in s)        # (s_i·w)⁻¹ = w⁻¹·s_i
+        inv = tuple(inv[k] for k in rs._reflections[i])  # (s_i·w)⁻¹ = w⁻¹·s_i
     return tuple(word)
 
 
@@ -564,9 +553,11 @@ def simple_reflection(rs: RootSystem, i: int) -> WeylElement:
 
 
 def apply(w: WeylElement, root: Root) -> Root:
-    """The image w(root); always a valid root."""
-    idx = w.rs.root_index(root)
-    return w.rs.all_roots[w.root_permutation()[idx]]
+    """The image w(root), by the word's reflections; always a valid root."""
+    k = w.rs.root_index(root)
+    for i in reversed(w.word):
+        k = w.rs._reflections[i - 1][k]
+    return w.rs.all_roots[k]
 
 
 def inversion_set(w: WeylElement) -> frozenset[Root]:
@@ -695,8 +686,8 @@ def enumerate_weyl(rs: RootSystem) -> tuple[WeylElement, ...]:
     roots fixed per j.  Each element is built from four fields, all from
     w: the word, ``v⁻¹ = w⁻¹∘s_j``, ``sm`` (the images ``v⁻¹(α_k) =
     w⁻¹(s_j α_k)``) and ``im`` (``v⁻¹(Φ_v) = w⁻¹(Φ_w) ∪ {w⁻¹(−α_j)}``).
-    The permutation v and the inversion set Φ_v are derived from v⁻¹ by the
-    callers that need them.  The simple reflections are
+    The inversion set Φ_v is derived from v⁻¹ by the callers that need it,
+    and v itself acts through its word.  The simple reflections are
     checked once to be linear bijections of the roots, so their products
     need no check; the group order and the single longest element, of
     length |Φ⁺|, are checked at the end.

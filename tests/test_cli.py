@@ -790,6 +790,33 @@ def test_stage_table_off_partition_fails_factorization_count(
     assert check["counterexample"] == {**expected, "positive_roots": 9}
 
 
+def test_stage_off_partition_fails_factorization_count(capsys, monkeypatch):
+    """The witness and the row profiles read the stages: a D4 stage table
+    with one root dropped from one stage's variables fails
+    ``factorization_count``, which names the side and the missing root."""
+    original = rootcore.stage_table
+
+    def corrupted(rs):
+        table = original(rs)
+        (vars_, cons), *rest = table.stages
+        return rootcore.StageTable(table.rows, ((vars_[1:], cons), *rest),
+                                   table.long_roots, table.masks)
+
+    for module in (rootcore, liealg, paving):
+        monkeypatch.setattr(module, "stage_table", corrupted)
+    code, out, _ = run_cli(capsys, "verify-lemmata", "--type", "D",
+                           "--rank", "4", "--trials", "2")
+    assert code == 2
+    check = next(c for c in json.loads(out)["checks"]
+                 if c["name"] == "factorization_count")
+    rs = rootcore.RootSystem("D", 4)
+    dropped = original(rs).stages[0][0][0]
+    assert check == {"name": "factorization_count", "status": "fail",
+                     "counterexample": {"stage_side": "variables",
+                                        "missing": [rs._texts[dropped]],
+                                        "repeated": []}}
+
+
 # ---------------------------------------------------------------------------
 # the exit path: cli.run, as both launchers call it
 # ---------------------------------------------------------------------------

@@ -1501,12 +1501,14 @@ def test_verify_lemmata_refuses_group_over_budget_before_checks():
 def test_containment_leaves_inversion_sets_unbuilt(monkeypatch, lie_type,
                                                    rank):
     """Work count: a passing containment check reads each Weyl element's
-    inverse permutation and masks, and never builds a permutation."""
-    def refused(w):
-        raise AssertionError("root_permutation called")
+    inverse permutation and masks, and never builds a permutation: it
+    builds no element through the checked constructor, the one place
+    outside the tests where a permutation of the roots is inverted."""
+    def refused(w, rs, perm):
+        raise AssertionError("WeylElement constructor called")
 
     real = _realization(lie_type, rank)
-    monkeypatch.setattr(WeylElement, "root_permutation", refused)
+    monkeypatch.setattr(WeylElement, "__init__", refused)
     assert liealg._check_containment(real, 3, 1) is None
 
 

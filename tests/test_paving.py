@@ -1,5 +1,9 @@
 """Paving cells: nonemptiness, both dimension formulas, profiles, Betti."""
 
+import itertools
+import math
+from operator import mul
+
 import pytest
 
 from hessenpave import paving
@@ -23,12 +27,13 @@ from hessenpave.paving import (
 )
 from hessenpave.rootcore import (
     RootSystem,
+    _trusted_element,
     enumerate_weyl,
     format_word,
     parse_word,
     stage_table,
 )
-from test_rootcore import ref_inversion_indices
+from test_rootcore import ref_inversion_indices, ref_root_permutation
 
 SMALL = [("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 2), ("C", 3),
          ("D", 3), ("D", 4)]
@@ -63,7 +68,7 @@ def ref_cell_dimension(w, members):
 def ref_row_dimension_profile(w, members):
     rs = w.rs
     inv_indices = ref_inversion_indices(w)
-    perm = w.root_permutation()
+    perm = ref_root_permutation(w)
     wh = frozenset(perm[m] for m in members)
     table = stage_table(rs)
     if rs.lie_type != "D":
@@ -177,6 +182,23 @@ def test_dimension_formulas_agree(lie_type, rank):
                 assert cell_dimension(w, space) == cell_dimension_lie(w, space)
 
 
+def test_dimension_formulas_read_independent_data():
+    """The two formulas read different fields of an element: given the
+    word of one B3 element u and the inverse permutation and masks of the
+    longest element, the mask formula counts the longest element's 9
+    inversions on the full space and the Lie-algebra formula counts u's,
+    so the two disagree whenever u is shorter."""
+    rs = RootSystem("B", 3)
+    elems = enumerate_weyl(rs)
+    space = full_space(rs)
+    longest = elems[-1]
+    for u in elems[:-1]:
+        w = _trusted_element(rs, u.word, longest.inverse_root_permutation(),
+                             longest.sm, longest.im)
+        assert cell_dimension(w, space) == longest.length == 9
+        assert cell_dimension_lie(w, space) == u.length < 9, u.word
+
+
 @pytest.mark.parametrize("lie_type,rank", SMALL)
 def test_row_profiles_sum_and_nonnegative(lie_type, rank):
     rs = RootSystem(lie_type, rank)
@@ -195,29 +217,24 @@ def test_monotonicity_and_bounds(lie_type, rank):
     rs = RootSystem(lie_type, rank)
     spaces = enumerate_hessenberg(rs)
     elems = enumerate_weyl(rs)
-    data = {
-        s.negative_part: {
-            w: (cell_dimension(w, s) if cell_nonempty(w, s) else None)
-            for w in elems
-        }
-        for s in spaces
-    }
-    for s in spaces:
-        dims = [d for d in data[s.negative_part].values() if d is not None]
-        bound = len(s.negative_part)
+    # each negative part is decoded once: a decode builds a frozenset
+    negs = [s.negative_part for s in spaces]
+    data = [[(cell_dimension(w, s) if cell_nonempty(w, s) else None)
+             for w in elems]
+            for s in spaces]
+    for neg, dims_by_w in zip(negs, data):
+        dims = [d for d in dims_by_w if d is not None]
+        bound = len(neg)
         assert max(dims) <= bound
-        if data[s.negative_part][elems[-1]] is not None:
+        if dims_by_w[-1] is not None:
             assert max(dims) == bound
-        for w in elems:
-            d = data[s.negative_part][w]
+        for w, d in zip(elems, dims_by_w):
             if d is not None:
                 assert d <= w.length
-    for s1 in spaces:
-        for s2 in spaces:
-            if s1.negative_part <= s2.negative_part:
-                for w in elems:
-                    d1 = data[s1.negative_part][w]
-                    d2 = data[s2.negative_part][w]
+    for neg1, data1 in zip(negs, data):
+        for neg2, data2 in zip(negs, data):
+            if neg1 <= neg2:
+                for d1, d2 in zip(data1, data2):
                     if d1 is not None:
                         assert d2 is not None and d2 >= d1
 
@@ -306,6 +323,50 @@ def test_betti_product_equals_cell_count(lie_type, rank):
         for d in dims:
             tally[d] += 1
         assert betti_product(space) == BettiTable(tuple(tally)), space
+
+
+def ref_arrangement_count(space, p):
+    """The points x of F_p^rank off every hyperplane Σ c_i x_i = 0, one for
+    each root α = Σ c_i α_i of the ideal I = {α > 0 : −α ∈ Φ_H}, counted
+    point by point over the first rank − 1 coordinates: a form with
+    c_rank = 0 is tested there, and each other form rules out the one
+    value x_rank = −(Σ_{i<rank} c_i x_i)/c_rank."""
+    ideal = [(-beta).coeffs for beta in space.negative_part]
+    flat = [c[:-1] for c in ideal if not c[-1]]
+    tilted = [(c[:-1], pow(c[-1], -1, p)) for c in ideal if c[-1]]
+    count = 0
+    for x in itertools.product(range(p), repeat=space.rs.rank - 1):
+        if all(sum(map(mul, c, x)) % p for c in flat):
+            count += p - len({-sum(map(mul, c, x)) * inv % p
+                              for c, inv in tilted})
+    return count
+
+
+def _two_primes_above(n):
+    primes = [q for q in range(n + 1, 4 * n + 4)
+              if all(q % d for d in range(2, q))]
+    return primes[:2]
+
+
+@pytest.mark.parametrize("lie_type,rank", [
+    ("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 2), ("C", 3),
+    ("D", 3), ("A", 4), ("D", 4),
+    *(pytest.param(t, r, marks=pytest.mark.full_arrangement)
+      for t, r in [("B", 4), ("C", 4), ("A", 5)])])
+def test_betti_exponents_count_the_ideal_arrangement(lie_type, rank):
+    """The exponents e_i of ``betti_product`` are those of the ideal
+    arrangement of I (Abe–Barakat–Cuntz–Hoge–Terao, arXiv:1304.8034): by
+    the finite-field method (Athanasiadis), its complement over F_p has
+    ∏ (p − e_i) points for p a large prime, here the two smallest above
+    twice the highest root's height.  B4, C4 and A5, about 25 s together,
+    are deselected by default; run them with ``-m full_arrangement``."""
+    rs = RootSystem(lie_type, rank)
+    primes = _two_primes_above(2 * rs.positive_roots[-1].height)
+    for space in enumerate_hessenberg(rs):
+        exponents = paving._exponents(space)
+        for p in primes:
+            assert (ref_arrangement_count(space, p)
+                    == math.prod(p - e for e in exponents)), (space, p)
 
 
 def test_betti_product_off_by_one_exits_2(monkeypatch, capsys):
