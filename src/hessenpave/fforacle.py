@@ -49,7 +49,7 @@ from __future__ import annotations
 import itertools
 import math
 
-from .errors import ConsistencyError
+from .errors import ConsistencyError, expect
 from .hessenberg import _checked_function, from_function
 from .paving import (
     cell_dimension,
@@ -90,6 +90,10 @@ def hessenberg_check(q: int, perm: tuple[int, ...], cols: list[list[int]],
     therefore yields its coordinates in the basis v_1..v_n, and N·v_k lies
     in V_m iff its coordinates past m vanish.
     """
+    expect(q, int, "q")
+    expect(perm, (tuple, list))
+    expect(cols, (tuple, list))
+    expect(h, (tuple, list))
     n = len(perm)
     sweep = sorted(range(n), key=lambda j: -perm[j])
     reach = 0              # least m with N·V_i ⊆ V_m
@@ -273,12 +277,10 @@ def count_points(n: int, q: int, h) -> CountReport:
     than _FLAG_BUDGET points over F_q, and then when h is not a Hessenberg
     function of ints.
     """
-    if type(q) is not int:
-        raise ValueError(f"q must be an integer, got {q!r}")
+    expect(q, int, "q")
     if q not in _ALLOWED_PRIMES:
         raise ValueError(f"q must be one of {_ALLOWED_PRIMES}, got {q}")
-    if type(n) is not int:
-        raise ValueError(f"n must be an integer, got {n!r}")
+    expect(n, int, "n")
     if not 2 <= n <= _MAX_N:
         raise ValueError(f"n must be between 2 and {_MAX_N}, got {n}")
     flags = math.prod((q ** k - 1) // (q - 1) for k in range(1, n + 1))

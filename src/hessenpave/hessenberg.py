@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 
-from .errors import ConsistencyError
+from .errors import ConsistencyError, expect
 from .rootcore import (
     Root,
     RootSystem,
@@ -90,6 +90,7 @@ def from_negative_roots(rs: RootSystem, negatives: Iterable[Root]) -> Hessenberg
     is not a negative root of ``rs`` (or not a Root at all) or if the
     lower-cover rule fails; the error names the offending pair.
     """
+    expect(rs, RootSystem)
     npos = rs.num_positive
     texts = rs._texts
     try:
@@ -140,6 +141,7 @@ def enumerate_hessenberg(rs: RootSystem) -> tuple[HessenbergSpace, ...]:
     when the count found differs from the budget's closed form for
     ad-nilpotent ideals.
     """
+    expect(rs, RootSystem)
     if rs._spaces_cache is None:
         expected = check_budget("spaces", rs.lie_type, rs.rank)
         spaces = _build_hessenberg_spaces(rs)
@@ -199,17 +201,17 @@ def _checked_function(n: int, h: Iterable[int]) -> tuple[int, ...]:
     """h as a tuple, or ValueError when n is not an int, when h is not a
     Hessenberg function on {1..n}, n ≥ 2, or holds a value that is not an
     int (a float, a string or a bool is refused, not converted)."""
-    if type(n) is not int:
-        raise ValueError(f"n must be an integer, got {n!r}")
+    expect(n, int, "n")
     try:
         hs = tuple(h)
     except TypeError:
         raise ValueError(f"h = {h!r} is not a sequence of integers") from None
-    if len(hs) != n:
-        raise ValueError(f"expected {n} values, got {len(hs)}")
     for i, v in enumerate(hs, start=1):
         if type(v) is not int:
             raise ValueError(f"h({i}) = {v!r} is not an integer")
+    if len(hs) != n:
+        raise ValueError(f"expected {n} values, got {len(hs)}")
+    for i, v in enumerate(hs, start=1):
         if v < i:
             raise ValueError(f"h({i}) = {v} < {i}")
         if v > n:
@@ -254,6 +256,7 @@ def _function_mask(rs: RootSystem, hs: tuple[int, ...]) -> int:
 
 def to_function(space: HessenbergSpace) -> tuple[int, ...]:
     """Read a type-A Hessenberg space back as a Hessenberg function."""
+    expect(space, HessenbergSpace)
     rs = space.rs
     if rs.lie_type != "A":
         raise ValueError("Hessenberg functions only encode type-A spaces")

@@ -70,7 +70,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
 
-from .errors import ConsistencyError
+from .errors import ConsistencyError, expect
 from .hessenberg import (
     HessenbergSpace,
     _negative_texts,
@@ -121,6 +121,9 @@ class ChevalleyRealization:
     """
 
     def __init__(self, rs: RootSystem, root_vectors: Sequence[Sparse]):
+        expect(rs, RootSystem)
+        # a map keyed by root passes, to fail the by-index check below
+        expect(root_vectors, (tuple, list, dict))
         self.rs = rs
         self.dim_rep = _dim_rep(rs)
         self.root_vectors = root_vectors
@@ -306,6 +309,7 @@ def _root_vectors(rs: RootSystem) -> tuple[Sparse, ...]:
 
 def build_chevalley(rs: RootSystem) -> ChevalleyRealization:
     """Build and fully validate the matrix realization for a root system."""
+    expect(rs, RootSystem)
     return ChevalleyRealization(rs, _root_vectors(rs))
 
 
@@ -359,7 +363,8 @@ def _iad_series(real: ChevalleyRealization, x: dict[int, Fraction | int],
                 out[i] = w
             elif i in out:
                 del out[i]
-    raise ConsistencyError("adjoint exponential series failed to terminate")
+    raise ConsistencyError(f"{real.rs.lie_type}{real.rs.rank}: adjoint "
+                           "exponential series failed to terminate")
 
 
 def _iad_exp(real: ChevalleyRealization, x: dict[int, Fraction | int],
@@ -492,7 +497,9 @@ def _check_row_structure(real: ChevalleyRealization, trials: int,
 def _check_factorization_count(real: ChevalleyRealization) -> dict | None:
     """The rows of the stage table, and its stages on the variable side and
     on the constraint side, each partition the positive roots: each index
-    exactly once.  The witness stages and the row profiles read them."""
+    exactly once.  Each stage's ``(vars, cons)`` masks must also be the bit
+    sums of its index lists.  The witness stages read the lists, and the
+    row profiles the masks."""
     rs = real.rs
     npos, texts = rs.num_positive, rs._texts
     table = stage_table(rs)
@@ -507,6 +514,11 @@ def _check_factorization_count(real: ChevalleyRealization) -> dict | None:
         if side == "rows":
             return {"sum_of_rows": len(seen), "positive_roots": npos, **roots}
         return {"stage_side": side, **roots}
+    for stage, (parts, masks) in enumerate(zip(table.stages, table.masks)):
+        for side, part, mask in zip(("variables", "constraints"), parts, masks):
+            if mask != sum(1 << k for k in part):
+                return {"stage": stage, "stage_side": side,
+                        "reason": "mask differs from the stage's index list"}
     return None
 
 
@@ -847,9 +859,7 @@ def check_trial_count(trial_count: int) -> None:
     """Refuse a trial count that is not an int (a float or a bool is
     refused, not converted), below 1 (zero trials would pass unchecked) or
     over _TRIAL_BUDGET, with ValueError; it needs no realization."""
-    if type(trial_count) is not int:
-        raise ValueError(
-            f"trial count must be an integer, got {trial_count!r}")
+    expect(trial_count, int, "trial count")
     if trial_count < 1:
         raise ValueError(f"trial count must be at least 1, got {trial_count}")
     if trial_count > _TRIAL_BUDGET:
@@ -874,9 +884,9 @@ def verify_lemmata(real: ChevalleyRealization, trial_count: int = 200,
     is refused, not converted) and a Weyl group over the enumeration budget
     are refused before any check runs.
     """
+    expect(real, ChevalleyRealization)
     check_trial_count(trial_count)
-    if type(seed) is not int:
-        raise ValueError(f"seed must be an integer, got {seed!r}")
+    expect(seed, int, "seed")
     check_budget("weyl", real.rs.lie_type, real.rs.rank)
     named = (
         ("row_structure", lambda: _check_row_structure(real, trial_count, seed)),
@@ -966,10 +976,9 @@ def find_witness(real: ChevalleyRealization, w: WeylElement,
     """
     from fractions import Fraction
 
-    for arg, kind in ((real, ChevalleyRealization), (w, WeylElement),
-                      (space, HessenbergSpace)):
-        if type(arg) is not kind:
-            raise ValueError(f"{arg!r} is not a {kind.__name__}")
+    expect(real, ChevalleyRealization)
+    expect(w, WeylElement)
+    expect(space, HessenbergSpace)
     rs = real.rs
     if w.rs != rs or space.rs != rs:
         raise ValueError("Weyl element, space, and realization must share "

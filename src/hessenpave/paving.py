@@ -43,7 +43,7 @@ e_i = #{k : λ_k ≥ i}.
 
 from __future__ import annotations
 
-from .errors import ConsistencyError
+from .errors import ConsistencyError, expect
 from .hessenberg import HessenbergSpace, space_fields
 from .rootcore import (
     WeylElement,
@@ -84,19 +84,14 @@ class BettiTable(_Record):
         return sum(self.coefficients)
 
 
-def _check_space(space: HessenbergSpace) -> None:
-    if type(space) is not HessenbergSpace:
-        raise ValueError(f"{space!r} is not a HessenbergSpace")
-
-
 def _check_compatible(w: WeylElement, space: HessenbergSpace) -> None:
     """Refuse a w that is not a WeylElement, a space that is not a
     HessenbergSpace (before any attribute is read, in O(1)) and a pair from
     different root systems, with ValueError."""
-    if type(w) is not WeylElement:
-        raise ValueError(f"{w!r} is not a WeylElement")
-    if type(space) is not HessenbergSpace:    # inline: once per cell
-        _check_space(space)
+    if type(w) is not WeylElement:            # inline: once per cell
+        expect(w, WeylElement)
+    if type(space) is not HessenbergSpace:
+        expect(space, HessenbergSpace)
     if w.rs is not space.rs and w.rs != space.rs:
         raise ValueError("Weyl element and Hessenberg space live in "
                          "different root systems")
@@ -165,7 +160,7 @@ def row_dimension_profile(w: WeylElement, space: HessenbergSpace) -> tuple[int, 
 def compute_paving(space: HessenbergSpace) -> tuple[PavingCell, ...]:
     """One cell per Weyl element of ``space.rs``, in paving order (length,
     then word)."""
-    _check_space(space)
+    expect(space, HessenbergSpace)
     cells = []
     for w in enumerate_weyl(space.rs):
         if cell_nonempty(w, space):
@@ -201,7 +196,7 @@ def _exponents(space: HessenbergSpace) -> tuple[int, ...]:
 
 def betti_product(space: HessenbergSpace) -> BettiTable:
     """The Betti numbers in closed form, ∏_{i=1..rank} [e_i + 1]_q."""
-    _check_space(space)
+    expect(space, HessenbergSpace)
     coeffs = [1]
     for e in _exponents(space):
         # times 1 + q + ... + q^e
@@ -224,7 +219,7 @@ def paving_record(space: HessenbergSpace) -> dict:
     to its dimension (the message names the system, space and word), or
     when the Betti numbers differ from ``betti_product``.
     """
-    _check_space(space)
+    expect(space, HessenbergSpace)
     rs = space.rs
     cells = []
     dims = []

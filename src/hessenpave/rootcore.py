@@ -68,7 +68,7 @@ from itertools import compress
 from math import comb, factorial
 from operator import itemgetter, mul
 
-from .errors import ConsistencyError
+from .errors import ConsistencyError, expect
 
 LIE_TYPES = ("A", "B", "C", "D")
 
@@ -172,6 +172,7 @@ class Root(_Record):
 
 def format_root(root: Root) -> str:
     """Text form of a root: comma-separated signed integers, e.g. ``1,1,0``."""
+    expect(root, Root)
     return ",".join(str(c) for c in root.coeffs)
 
 
@@ -237,8 +238,7 @@ def _check_system(lie_type: str, rank: int) -> None:
     type's smallest rank, with ValueError."""
     if lie_type not in LIE_TYPES:
         raise ValueError(f"lie_type must be one of {LIE_TYPES}, got {lie_type!r}")
-    if type(rank) is not int:
-        raise ValueError(f"rank must be an integer, got {rank!r}")
+    expect(rank, int, "rank")
     if rank < _MIN_RANK[lie_type]:
         raise ValueError(
             f"type {lie_type} needs rank >= {_MIN_RANK[lie_type]}, got {rank}"
@@ -365,8 +365,7 @@ class RootSystem:
 
     def root_index(self, root: Root) -> int:
         """Index into all_roots (positives first, then their negatives)."""
-        if not isinstance(root, Root):
-            raise ValueError(f"{root!r} is not a Root")
+        expect(root, Root)
         try:
             return self._index[root.coeffs]
         except KeyError:
@@ -384,7 +383,8 @@ class RootSystem:
                 num = 2 * dot(eps[j], eps[i])
                 den = dot(eps[i], eps[i])
                 if num % den:
-                    raise ConsistencyError("non-integral Cartan pairing")
+                    raise ConsistencyError(f"{self.lie_type}{self.rank}: "
+                                           "non-integral Cartan pairing")
                 row.append(num // den)
             out.append(tuple(row))
         # entry [j][i] is the pairing of α_j against the coroot of α_i
@@ -406,6 +406,7 @@ class RootSystem:
 def dominance_leq(rs: RootSystem, beta: Root, alpha: Root) -> bool:
     """True iff ``beta ≤ alpha``: equal, or α − β a nonzero nonnegative
     integer combination of simple roots."""
+    expect(rs, RootSystem)
     rs.root_index(beta)
     rs.root_index(alpha)
     return dominates(alpha, beta)
@@ -413,6 +414,7 @@ def dominance_leq(rs: RootSystem, beta: Root, alpha: Root) -> bool:
 
 def parse_root(rs: RootSystem, text: str) -> Root:
     """Parse the comma-separated signed-integer encoding of a root."""
+    expect(rs, RootSystem)
     if not isinstance(text, str):
         raise ValueError(f"malformed root text {text!r}")
     try:
@@ -434,11 +436,11 @@ class WeylElement:
     The roots span, so the permutation determines the element.  The word
     comes from greedy descent (repeatedly strip the smallest ``s_i`` with
     ``w⁻¹α_i < 0``), so equal permutations always carry identical words.
-    The public constructor is for outside input: it checks that the
-    permutation is a bijection, that it is linear on simple-root
-    coordinates, that greedy descent reaches the identity (a diagram
-    automorphism has no descent), and that the word length matches the
-    inversion count.  ``enumerate_weyl`` builds its elements through
+    The public constructor is for outside input: it takes the permutation
+    as a tuple, list or range, and checks that it is a bijection, that it
+    is linear on simple-root coordinates, that greedy descent reaches the
+    identity (a diagram automorphism has no descent), and that the word
+    length matches the inversion count.  ``enumerate_weyl`` builds its elements through
     ``_trusted_element`` instead, from fields it derives from a parent
     element and a validated simple reflection.  Either way the element
     holds its word, its inverse permutation and the cell masks ``sm`` (w⁻¹
@@ -449,7 +451,10 @@ class WeylElement:
 
     __slots__ = ("rs", "word", "_inv_root_perm", "sm", "im", "_word_text")
 
-    def __init__(self, rs: RootSystem, perm: Iterable[int]):
+    def __init__(self, rs: RootSystem,
+                 perm: tuple[int, ...] | list[int] | range):
+        expect(rs, RootSystem)
+        expect(perm, (tuple, list, range))
         perm = tuple(perm)
         _check_root_permutation(rs, perm)
         inv = [0] * len(perm)
@@ -463,7 +468,8 @@ class WeylElement:
         self.im = sum(1 << x for x in inv[:npos] if x >= npos)
         self.word = _canonical_word(rs, inv)
         if len(self.word) != self.im.bit_count():
-            raise ConsistencyError("reduced word length != inversion count")
+            raise ConsistencyError(f"{rs.lie_type}{rs.rank}: reduced word "
+                                   "length != inversion count")
 
     @property
     def length(self) -> int:
@@ -545,8 +551,8 @@ def _trusted_element(rs: RootSystem, word: tuple[int, ...],
 
 def simple_reflection(rs: RootSystem, i: int) -> WeylElement:
     """The simple reflection s_i, 1-based."""
-    if type(i) is not int:
-        raise ValueError(f"reflection index must be an integer, got {i!r}")
+    expect(rs, RootSystem)
+    expect(i, int, "reflection index")
     if not 1 <= i <= rs.rank:
         raise ValueError(f"reflection index {i} out of range 1..{rs.rank}")
     return WeylElement(rs, rs._reflections[i - 1])
@@ -554,6 +560,7 @@ def simple_reflection(rs: RootSystem, i: int) -> WeylElement:
 
 def apply(w: WeylElement, root: Root) -> Root:
     """The image w(root), by the word's reflections; always a valid root."""
+    expect(w, WeylElement)
     k = w.rs.root_index(root)
     for i in reversed(w.word):
         k = w.rs._reflections[i - 1][k]
@@ -562,6 +569,7 @@ def apply(w: WeylElement, root: Root) -> Root:
 
 def inversion_set(w: WeylElement) -> frozenset[Root]:
     """The positive roots sent negative by w⁻¹."""
+    expect(w, WeylElement)
     mask = w.inversion_mask()
     return frozenset(r for p, r in enumerate(w.rs.positive_roots)
                      if mask >> p & 1)
@@ -573,12 +581,14 @@ def format_word(w: WeylElement) -> str:
     try:
         return w._word_text
     except AttributeError:
+        expect(w, WeylElement)
         w._word_text = " ".join(str(i) for i in w.word)
         return w._word_text
 
 
 def parse_word(rs: RootSystem, text: str) -> WeylElement:
     """Parse a space-separated word of reflection indices ('' = identity)."""
+    expect(rs, RootSystem)
     if not isinstance(text, str):
         raise ValueError(f"malformed Weyl word {text!r}")
     try:
@@ -695,6 +705,7 @@ def enumerate_weyl(rs: RootSystem) -> tuple[WeylElement, ...]:
     Raises ValueError, before any work, when the group is over the "weyl"
     budget of ``check_budget``.  The result is cached on the root system.
     """
+    expect(rs, RootSystem)
     if rs._weyl_cache is not None:
         return rs._weyl_cache
     expected = check_budget("weyl", rs.lie_type, rs.rank)
@@ -824,12 +835,6 @@ def _fork_parts(rs: RootSystem, row: list[int]
     return parts
 
 
-def _row_key(r: Root) -> tuple:
-    """Sort key of the row basis order: height descending, then the
-    coefficient vector descending."""
-    return (-r.height, tuple(-c for c in r.coeffs))
-
-
 class StageTable(_Record):
     """Rows and solve stages as positive-root indices in row basis order.
 
@@ -856,7 +861,9 @@ def stage_table(rs: RootSystem) -> StageTable:
     The closed-form rows must partition the positive roots and equal the
     dominance-order rows, and each type-C long root must lie in its row;
     a failure raises ConsistencyError naming the system.  Every index list
-    follows one sort of the positive roots by ``_row_key``.
+    is in row basis order, height descending and then coefficient vector
+    descending, which is descending index, since the positive roots are
+    indexed by ascending (height, coefficient vector).
     """
     if rs._stages_cache is not None:
         return rs._stages_cache
@@ -873,12 +880,9 @@ def stage_table(rs: RootSystem) -> StageTable:
         if gamma is not None and gamma not in row:
             raise ConsistencyError(
                 f"{name}: long root of row {i} not in the row")
-    pos = rs.positive_roots
-    basis = sorted(range(rs.num_positive), key=lambda k: _row_key(pos[k]))
 
     def ordered(*parts: list[int]) -> tuple[int, ...]:
-        chosen = set().union(*parts)
-        return tuple(k for k in basis if k in chosen)
+        return tuple(sorted(set().union(*parts), reverse=True))
 
     row_idx = tuple(ordered(row) for row in rows)
     if rs.lie_type == "D":

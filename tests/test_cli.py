@@ -817,6 +817,34 @@ def test_stage_off_partition_fails_factorization_count(capsys, monkeypatch):
                                         "repeated": []}}
 
 
+def test_stage_masks_off_their_lists_fail_factorization_count(capsys,
+                                                              monkeypatch):
+    """The row profiles read the stage masks, not the lists: a D4 stage
+    table whose stage-0 variable mask misses its lowest bit, with every
+    index list intact, fails ``factorization_count``, which names the
+    stage and the side."""
+    original = rootcore.stage_table
+
+    def corrupted(rs):
+        table = original(rs)
+        (vars_, cons), *rest = table.masks
+        return rootcore.StageTable(table.rows, table.stages, table.long_roots,
+                                   ((vars_ & vars_ - 1, cons), *rest))
+
+    for module in (rootcore, liealg, paving):
+        monkeypatch.setattr(module, "stage_table", corrupted)
+    code, out, _ = run_cli(capsys, "verify-lemmata", "--type", "D",
+                           "--rank", "4", "--trials", "2")
+    assert code == 2
+    check = next(c for c in json.loads(out)["checks"]
+                 if c["name"] == "factorization_count")
+    assert check == {"name": "factorization_count", "status": "fail",
+                     "counterexample": {
+                         "stage": 0, "stage_side": "variables",
+                         "reason": "mask differs from the stage's index "
+                                   "list"}}
+
+
 # ---------------------------------------------------------------------------
 # the exit path: cli.run, as both launchers call it
 # ---------------------------------------------------------------------------

@@ -6,7 +6,6 @@ import random
 import re
 import sys
 from fractions import Fraction
-from types import SimpleNamespace
 
 import pytest
 
@@ -36,7 +35,6 @@ from hessenpave.rootcore import (
     RootSystem,
     StageTable,
     WeylElement,
-    _row_key,
     enumerate_weyl,
     format_root,
     parse_root,
@@ -1216,6 +1214,15 @@ def ref_iad_exp(real, x, n):
     raise ConsistencyError("adjoint exponential series failed to terminate")
 
 
+def test_unending_adjoint_series_names_the_system(monkeypatch, real_a2):
+    """An adjoint series that never reaches zero (a bracket that is never
+    nilpotent) is refused after its bound, naming the system."""
+    monkeypatch.setattr(liealg, "_ibracket", lambda real, x, n: {0: 1})
+    with pytest.raises(ConsistencyError, match="^A2: adjoint exponential "
+                       "series failed to terminate$"):
+        liealg._iad_series(real_a2, {0: 1}, {0: 1})
+
+
 def ref_check_near_linearity(real, trials, seed):
     rs = real.rs
     n = rs.rank
@@ -1448,18 +1455,19 @@ def test_set_constant_reaches_the_bracket():
 
 @pytest.mark.parametrize("lie_type,rank", [("B", 4), ("D", 5)])
 def test_lemma_checks_sort_rows_once(monkeypatch, lie_type, rank):
-    """Work count: a whole lemma run on a fresh system computes the row
-    basis order once, not once per row and trial."""
+    """Work count: a whole lemma run on a fresh system builds the rows,
+    and so their basis order, once, not once per row and trial."""
     calls = []
+    original = rootcore._closed_form_index_rows
 
-    def counted(root):
-        calls.append(root)
-        return _row_key(root)
+    def counted(rs):
+        calls.append(rs)
+        return original(rs)
 
-    monkeypatch.setattr(rootcore, "_row_key", counted)
+    monkeypatch.setattr(rootcore, "_closed_form_index_rows", counted)
     rs = RootSystem(lie_type, rank)
     assert verify_lemmata(build_chevalley(rs), 50).passed
-    assert 0 < len(calls) <= 2 * rs.num_positive
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("trials", [2.5, 2.0, True, "2"])
@@ -1488,13 +1496,15 @@ def test_verify_lemmata_refuses_non_integer_seeds(monkeypatch, real_a2,
         verify_lemmata(real_a2, 1, seed=seed)
 
 
-def test_verify_lemmata_refuses_group_over_budget_before_checks():
+def test_verify_lemmata_refuses_group_over_budget_before_checks(monkeypatch):
     """A realization whose Weyl group is over the enumeration budget is
-    refused before any check runs (a stand-in, since building D20 takes
-    seconds)."""
-    fake = SimpleNamespace(rs=SimpleNamespace(lie_type="D", rank=20))
+    refused before any check runs: D7 builds in milliseconds, and its
+    322,560 Weyl elements are over the budget."""
+    real = build_chevalley(RootSystem("D", 7))
+    monkeypatch.setattr(liealg, "_check_row_structure",
+                        lambda *_: pytest.fail("a check ran"))
     with pytest.raises(ValueError, match="over the budget of 50000"):
-        verify_lemmata(fake, 1)
+        verify_lemmata(real, 1)
 
 
 @pytest.mark.parametrize("lie_type,rank", [("C", 3), ("D", 5)])

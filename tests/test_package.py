@@ -2,6 +2,7 @@
 
 import ast
 import os
+import re
 import subprocess
 import sys
 import types
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import hessenpave
-from hessenpave import rootcore
+from hessenpave import liealg, rootcore
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -142,6 +143,129 @@ def test_all_lists_public_non_module_names():
     star: dict = {}
     exec("from hessenpave import *", star)
     assert set(star) - {"__builtins__"} == set(names)
+
+
+# Junk for each kind of positional slot: an object slot takes a root
+# system, element, space, realization, root, text or sequence; an int slot
+# refuses what is not exactly an int; a slot whose default is None takes
+# the rest of the object junk.
+_JUNK = {"o": (5, None, "x"), "i": (None, "x", 2.0, True), "d": (5, "x")}
+_RECORD = "a value record, built unchecked in the library's loops"
+
+# Per public name: the kinds of its positional slots and valid arguments
+# for them, built from the namespace ``v`` of the fixture below, or the
+# reason it takes no guard.
+_JUNK_ROWS = {
+    "BettiTable": _RECORD,
+    "ConsistencyError": "an exception: it takes any message",
+    "HessenbergSpace": _RECORD,
+    "PavingCell": _RECORD,
+    "Root": _RECORD,
+    "WitnessResult": _RECORD,
+    "ChevalleyRealization": ("oo", lambda v: (v.rs, v.vectors)),
+    "RootSystem": ("oi", lambda v: ("A", 2)),
+    "WeylElement": ("oo", lambda v: (v.rs, tuple(range(6)))),
+    "apply": ("oo", lambda v: (v.w, v.root)),
+    "build_chevalley": ("o", lambda v: (v.rs,)),
+    "cell_dimension": ("oo", lambda v: (v.w, v.space)),
+    "cell_dimension_lie": ("oo", lambda v: (v.w, v.space)),
+    "cell_nonempty": ("oo", lambda v: (v.w, v.space)),
+    "compute_paving": ("o", lambda v: (v.space,)),
+    "count_points": ("iio", lambda v: (3, 2, (2, 3, 3))),
+    "dominance_leq": ("ooo", lambda v: (v.rs, v.root, v.root)),
+    "enumerate_hessenberg": ("o", lambda v: (v.rs,)),
+    "enumerate_weyl": ("o", lambda v: (v.rs,)),
+    "find_witness": ("oood", lambda v: (v.real, v.w, v.space, None)),
+    "format_root": ("o", lambda v: (v.root,)),
+    "format_word": ("o", lambda v: (v.w,)),
+    "from_function": ("io", lambda v: (3, (2, 3, 3))),
+    "from_negative_roots": ("oo", lambda v: (v.rs, ())),
+    "hessenberg_check": ("iooo", lambda v: (2, (1, 2, 3), v.columns,
+                                            (3, 3, 3))),
+    "inversion_set": ("o", lambda v: (v.w,)),
+    "parse_root": ("oo", lambda v: (v.rs, "1,0")),
+    "parse_word": ("oo", lambda v: (v.rs, "1")),
+    "poincare_polynomial": ("o", lambda v: (v.space,)),
+    "row_dimension_profile": ("oo", lambda v: (v.w, v.space)),
+    "simple_reflection": ("oi", lambda v: (v.rs, 1)),
+    "to_function": ("o", lambda v: (v.space,)),
+    "verify_lemmata": ("oii", lambda v: (v.real, 1, 2026)),
+}
+
+
+def test_every_public_name_has_a_junk_row():
+    assert set(_JUNK_ROWS) == set(hessenpave.__all__)
+
+
+@pytest.fixture(scope="module")
+def valid():
+    rs = hessenpave.RootSystem("A", 2)
+    return types.SimpleNamespace(
+        rs=rs, vectors=liealg._root_vectors(rs),
+        real=hessenpave.build_chevalley(rs),
+        w=hessenpave.parse_word(rs, "1"), root=rs.positive_roots[0],
+        space=hessenpave.from_function(3, (3, 3, 3)),
+        columns=[[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+
+
+@pytest.mark.parametrize("name", sorted(
+    name for name, row in _JUNK_ROWS.items() if type(row) is tuple))
+def test_public_callables_refuse_junk_by_name(valid, name):
+    """Junk in any one positional slot of a public callable, with valid
+    values in the others, is refused with a ValueError that shows the
+    junk; never a bare TypeError or AttributeError from inside, nor a
+    ConsistencyError, which reports a fault of the library."""
+    kinds, make = _JUNK_ROWS[name]
+    function = getattr(hessenpave, name)
+    args = make(valid)
+    assert len(args) == len(kinds)
+    for slot, kind in enumerate(kinds):
+        for junk in _JUNK[kind]:
+            call = args[:slot] + (junk,) + args[slot + 1:]
+            with pytest.raises(ValueError) as info:
+                function(*call)
+            assert repr(junk) in str(info.value), (slot, junk, info.value)
+
+
+_TYPE_WORDING = re.compile(r"must be an integer, got|is not a [A-Z]")
+
+
+def _type_refusals(tree) -> list[int]:
+    """Lines of the ``raise ValueError(...)`` whose message text, with each
+    formatted value read as ``{}``, has a wrong-type wording."""
+    out = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                and isinstance(node.exc.func, ast.Name)
+                and node.exc.func.id == "ValueError"):
+            continue
+        text = "".join(
+            "{}" if isinstance(part, ast.FormattedValue) else part.value
+            for arg in node.exc.args for part in ast.walk(arg)
+            if isinstance(part, ast.FormattedValue)
+            or isinstance(part, ast.Constant) and type(part.value) is str)
+        if _TYPE_WORDING.search(text):
+            out.append(node.lineno)
+    return out
+
+
+def test_wrong_type_refusals_live_in_errors():
+    """Only ``errors.expect`` words a wrong-type refusal; every other
+    module calls it rather than raising its own."""
+    files = sorted((SRC / "hessenpave").glob("*.py"))
+    assert files
+    for path in files:
+        if path.name != "errors.py":
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            assert _type_refusals(tree) == [], path.name
+    # the detector reads f-strings, split strings and ``from`` clauses, and
+    # passes a lowercase noun
+    probe = ast.parse(
+        "raise ValueError(f'{w!r} is not a WeylElement')\n"
+        "raise ValueError('n must be an integer, '\n"
+        "                 f'got {n!r}') from None\n"
+        "raise ValueError(f'{r} is not a root of A2')\n")
+    assert _type_refusals(probe) == [1, 2]
 
 
 def _type_d_comparisons(tree) -> list[int]:

@@ -15,7 +15,6 @@ from hessenpave.rootcore import (
     RootSystem,
     WeylElement,
     _Record,
-    _row_key,
     apply,
     check_budget,
     dominance_leq,
@@ -60,6 +59,12 @@ def ref_root_permutation(w):
     return tuple(perm)
 
 
+def _row_key(r):
+    """Sort key of the row basis order, from the roots themselves: height
+    descending, then the coefficient vector descending."""
+    return (-r.height, tuple(-c for c in r.coeffs))
+
+
 def ref_root_add(rs, a, b):
     """a + b as a Root when it is a root of rs, else None, by adding the
     coefficient vectors."""
@@ -79,7 +84,7 @@ def ref_compose(w1, w2):
     """The product w1·w2 (w2 acts first on roots), from the two root
     permutations."""
     p1 = ref_root_permutation(w1)
-    return WeylElement(w1.rs, (p1[k] for k in ref_root_permutation(w2)))
+    return WeylElement(w1.rs, [p1[k] for k in ref_root_permutation(w2)])
 
 
 def ref_inverse(w):
@@ -650,6 +655,26 @@ def test_stage_table_build_checks_can_fail(monkeypatch, system, builder,
     rs = RootSystem(system[0], int(system[1:]))
     with pytest.raises(ConsistencyError, match=rf"^{system}: {message}$"):
         stage_table(rs)
+
+
+def test_non_integral_cartan_pairing_names_the_system(monkeypatch):
+    """The Cartan pairing is checked before the orbit, whose errors get the
+    system's name from one ``try``; its error names the system too."""
+    monkeypatch.setattr(rootcore, "_epsilon_of_simple",
+                        lambda lie_type, rank: [(1, 0, 0), (1, 1, 1)])
+    with pytest.raises(ConsistencyError,
+                       match="^A2: non-integral Cartan pairing$"):
+        RootSystem("A", 2)
+
+
+def test_word_length_mismatch_names_the_system(monkeypatch):
+    """A canonical word shorter than the inversion count is refused on
+    construction, naming the system."""
+    rs = RootSystem("A", 2)
+    monkeypatch.setattr(rootcore, "_canonical_word", lambda rs, inv: ())
+    with pytest.raises(ConsistencyError,
+                       match="^A2: reduced word length != inversion count$"):
+        WeylElement(rs, rs._reflections[0])
 
 
 def test_broken_stage_table_exits_2(monkeypatch, capsys):
