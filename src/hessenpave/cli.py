@@ -318,8 +318,9 @@ _COMMANDS = {
                 help="space-separated reflection indices ('' = identity)"),
     ) + _OUTPUT),
     "verify-lemmata": (_run_verify_lemmata, _SYSTEM + (
-        _option("--trials", type=int, default=200,
-                help="random trials per check (default 200)"),
+        _option("--trials", type=int, default=liealg.DEFAULT_TRIALS,
+                help="random trials per check (default "
+                     f"{liealg.DEFAULT_TRIALS})"),
         _option("--seed", type=int, default=liealg.DEFAULT_SEED,
                 help=f"seed (default {liealg.DEFAULT_SEED}; "
                      "HESSENPAVE_SEED overrides it)"),

@@ -104,6 +104,7 @@ from .rootcore import (
 )
 
 DEFAULT_SEED = 2026
+DEFAULT_TRIALS = 200
 
 
 class ChevalleyRealization:
@@ -122,8 +123,7 @@ class ChevalleyRealization:
 
     def __init__(self, rs: RootSystem, root_vectors: Sequence[Sparse]):
         expect(rs, RootSystem)
-        # a map keyed by root passes, to fail the by-index check below
-        expect(root_vectors, (tuple, list, dict))
+        expect(root_vectors, (tuple, list))
         self.rs = rs
         self.dim_rep = _dim_rep(rs)
         self.root_vectors = root_vectors
@@ -143,8 +143,7 @@ class ChevalleyRealization:
 
     def _validate_supports(self) -> None:
         rs = self.rs
-        if (not isinstance(self.root_vectors, Sequence)
-                or len(self.root_vectors) != len(rs.all_roots)):
+        if len(self.root_vectors) != len(rs.all_roots):
             raise ConsistencyError("realization must carry every root, by "
                                    "rs.all_roots index")
         owner: dict[tuple[int, int], Root] = {}
@@ -677,34 +676,30 @@ def _check_containment(real: ChevalleyRealization, trials: int,
     can leave it: the mask is built, in one pass over the positive roots,
     only for the w with ``w.im`` outside their smallest space.  That
     smallest space is also checked to be one of the enumerated spaces.
-    Only for the suspect w, those whose smallest space fails, are the
-    (space, w) cells tested; the samples are then scanned in order, and the
-    first failing triple (N, then space, then w) is rerun root by root to
-    name the row, the root and the reason.
+    When some w is risky, the samples are scanned in order, then the
+    spaces, then the risky w in enumeration order, and each nonempty cell
+    that ``risky(w)`` leaves is checked root by root against the sample's
+    ``_first_entry_faults``: the first root that fails names the row, the
+    root and the reason.  If no such cell fails for any sample, the masks
+    and the rule disagree, and the check raises ``ConsistencyError``.
     """
     rs = real.rs
-    table = stage_table(rs).rows
     samples = [dict.fromkeys(rs._simple_index, 1)]
     for t in range(min(trials, 3)):
         samples.append(_random_coeffs(rs, _rng(seed, f"cont:{t}"),
                                       regular=True))
-    rows = [(i, row) for i, row in enumerate(table, start=1) if row]
-    psi = [{i: _ad_block(real, nn, row, row) for i, row in rows}
-           for nn in samples]
-    faults = [_first_entry_faults(rs, psi_rows) for psi_rows in psi]
-    any_fault = tuple(set().union(*faults))
-    covers = rs._covers
+    faults = [_first_entry_faults(real, nn) for nn in samples]
+    any_fault = set().union(*faults)
 
     # a root some sample flags carries a bit above the positive roots in its
     # cover mask, which every ~Φ_w has, so one pass over the roots gives risky
     flagged = tuple(dm | (a in any_fault) << rs.num_positive
-                    for a, dm in enumerate(covers))
+                    for a, dm in enumerate(rs._covers))
 
-    elements = enumerate_weyl(rs)
     spaces = enumerate_hessenberg(rs)
     known = {space.hm for space in spaces}
-    risky = {}        # bad(w) | w⁻¹F(N), F(N) over all samples, by suspect w
-    for k, w in enumerate(elements):
+    risky = []        # (w, bad(w) | w⁻¹F(N)), F(N) over all samples
+    for w in enumerate_weyl(rs):
         least = smallest_containing(rs, w.sm)
         if least not in known:
             raise ConsistencyError(
@@ -717,73 +712,61 @@ def _check_containment(real: ChevalleyRealization, trials: int,
                         zip(w.inverse_root_permutation(), flagged)
                         if dm & outside_phi_w])
             if mask & ~least:
-                risky[k] = mask
+                risky.append((w, mask))
     if not risky:
         return None
-    suspect_w = list(risky)
-
-    suspects = [(space, k) for space in spaces for k in suspect_w
-                if risky[k] & ~space.hm and cell_nonempty(elements[k], space)]
-    bad = {}
-    for k in suspect_w:
-        inv = elements[k].inverse_root_permutation()
-        outside_phi_w = ~elements[k].inversion_mask()
-        bad[k] = sum(1 << inv[a] for a, dm in enumerate(covers)
-                     if dm & outside_phi_w)
-    for psi_rows, fault in zip(psi, faults):
-        for space, k in suspects:
-            w = elements[k]
-            inv = w.inverse_root_permutation()
-            if (bad[k] | sum(1 << inv[a] for a in fault)) & ~space.hm:
-                ce = _containment_counterexample(rs, psi_rows, space, w)
-                if ce is None:
-                    raise ConsistencyError(
-                        f"containment masks flag {rs.lie_type}{rs.rank} "
-                        f"word {list(w.word)} but no root fails")
-                return ce
+    for fault in faults:
+        for space in spaces:
+            for w, mask in risky:
+                if mask & ~space.hm and cell_nonempty(w, space):
+                    ce = _containment_counterexample(rs, fault, space, w)
+                    if ce is not None:
+                        return ce
     raise ConsistencyError(f"{rs.lie_type}{rs.rank}: a containment suspect "
                            "fails for no sample")
 
 
-def _first_entry_faults(rs: RootSystem, psi_rows: dict[int, list]
-                        ) -> frozenset[int]:
-    """Indices of the row roots whose row-operator line is zero or has its
-    first nonzero entry at a β with α − β not simple."""
-    table = stage_table(rs).rows
+def _first_entry_faults(real: ChevalleyRealization, nn: dict[int, int]
+                        ) -> dict[int, str]:
+    """The first-entry rule for one N, written only here: the row roots α
+    whose line in the row operator (``_ad_block`` on its row) is zero or
+    has its first nonzero entry at a β with α − β not simple, each mapped
+    by index to the reason its counterexample gives."""
+    rs = real.rs
     simple = frozenset(rs._simple_index)
-    out = []
-    for i, mat in psi_rows.items():
-        row = table[i - 1]
-        for k, line in zip(row, mat):
+    out = {}
+    for row in stage_table(rs).rows:
+        for k, line in zip(row, _ad_block(real, nn, row, row)):
             first = next((c for c, v in enumerate(line) if v), None)
-            if first is None or rs._pos_diff[k][row[first]] not in simple:
-                out.append(k)
-    return frozenset(out)
+            if first is None:
+                out[k] = "zero row for an excluded root"
+            elif rs._pos_diff[k][row[first]] not in simple:
+                out[k] = "first entry not at a simple difference"
+    return out
 
 
-def _containment_counterexample(rs: RootSystem, psi_rows: dict[int, list],
+def _containment_counterexample(rs: RootSystem, fault: dict[int, str],
                                 space: HessenbergSpace,
                                 w: WeylElement) -> dict | None:
-    """The containment conditions of one nonempty cell for one N, root by
-    root: the first failing row root as a counterexample, or None."""
+    """The containment conditions of one nonempty cell for one N, whose
+    ``_first_entry_faults`` are ``fault``, root by root: the first failing
+    row root as a counterexample, or None.  A zero-line counterexample
+    also names the space, by its negative part."""
     inv_perm = w.inverse_root_permutation()
     phi_w = w.inversion_mask()
-    table = stage_table(rs).rows
     simple = rs._simple_index
-    for i, mat in psi_rows.items():
-        row = table[i - 1]
-        for k, line in zip(row, mat):
+    for i, row in enumerate(stage_table(rs).rows, start=1):
+        for k in row:
             if space.hm >> inv_perm[k] & 1:
                 continue          # α ∈ wΦ_H: no claim
             alpha = rs._texts[k]
-            first = next((c for c, v in enumerate(line) if v), None)
-            if first is None:
-                return {"hessenberg": sorted(_negative_texts(space)),
-                        "word": list(w.word), "row": i, "alpha": alpha,
-                        "reason": "zero row for an excluded root"}
-            if rs._pos_diff[k][row[first]] not in simple:
-                return {"word": list(w.word), "row": i, "alpha": alpha,
-                        "reason": "first entry not at a simple difference"}
+            reason = fault.get(k)
+            if reason is not None:
+                ce = {"word": list(w.word), "row": i, "alpha": alpha,
+                      "reason": reason}
+                if reason.startswith("zero row"):
+                    return {"hessenberg": sorted(_negative_texts(space)), **ce}
+                return ce
             for j, a in enumerate(simple, start=1):
                 d = rs._pos_diff[k][a]
                 if d is not None and not phi_w >> d & 1:
@@ -867,7 +850,8 @@ def check_trial_count(trial_count: int) -> None:
                          f"{_TRIAL_BUDGET}")
 
 
-def verify_lemmata(real: ChevalleyRealization, trial_count: int = 200,
+def verify_lemmata(real: ChevalleyRealization,
+                   trial_count: int = DEFAULT_TRIALS,
                    seed: int = DEFAULT_SEED) -> LemmataReport:
     """Run the structural checks (row structure, factorization count,
     near-linearity, row-operator invariance, type-D coefficient formulas,

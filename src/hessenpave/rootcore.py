@@ -504,6 +504,8 @@ def _check_root_permutation(rs: RootSystem, perm: tuple[int, ...]) -> None:
     negation and send each split ``β = γ + α_j`` of a non-simple positive
     root to a sum of images.
     """
+    for x in perm:
+        expect(x, int, "root permutation entry")
     size = len(rs.all_roots)
     if sorted(perm) != list(range(size)):
         raise ValueError(f"not a permutation of the {size} roots of "

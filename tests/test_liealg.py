@@ -265,16 +265,20 @@ def test_realization_entries_must_be_nonzero_integers():
             liealg.ChevalleyRealization(rs, bad)
 
 
-@pytest.mark.parametrize("shape", ["root-keyed", "short"])
-def test_realization_takes_vectors_by_root_index(shape):
+@pytest.mark.parametrize("shape,error,message", [
+    pytest.param("root-keyed", ValueError, r"is not a tuple or list$",
+                 id="root-keyed"),
+    pytest.param("short", ConsistencyError, r"^B2: realization must carry "
+                 r"every root, by rs\.all_roots index$", id="short")])
+def test_realization_takes_vectors_by_root_index(shape, error, message):
     """The root vectors are a sequence over ``rs.all_roots``: a map keyed by
-    root, or a sequence one short, is refused by name."""
+    root is a caller's mistake, refused as a wrong type, and a sequence one
+    short is refused by name."""
     rs = RootSystem("B", 2)
     vectors = liealg._root_vectors(rs)
     bad = (dict(zip(rs.all_roots, vectors)) if shape == "root-keyed"
            else vectors[:-1])
-    with pytest.raises(ConsistencyError, match=r"^B2: realization must carry "
-                       r"every root, by rs\.all_roots index$"):
+    with pytest.raises(error, match=message):
         liealg.ChevalleyRealization(rs, bad)
 
 
@@ -976,6 +980,24 @@ def test_verify_lemmata_detects_zeroed_constant():
     assert ce == ref_check_containment(real, 5, 3)
 
 
+def ref_first_entry_faults(real, nn):
+    """Per row root α of the sample N: None, or why its line in the row
+    operator fails, with α − β found by coefficient arithmetic."""
+    rs = real.rs
+    coeffs = [r.coeffs for r in rs.all_roots]
+    faults = {}
+    for row in stage_table(rs).rows:
+        for k, line in zip(row, liealg._ad_block(real, nn, row, row)):
+            first = next((c for c, v in enumerate(line) if v), None)
+            if first is None:
+                faults[k] = "zero row for an excluded root"
+            elif sum(coeffs[k]) - sum(coeffs[row[first]]) != 1:
+                faults[k] = "first entry not at a simple difference"
+            else:
+                faults[k] = None
+    return faults
+
+
 def ref_check_containment(real, trials, seed):
     """The containment check root by root for every (N sample, space, w)
     triple, as it stood before the bitmask split, keyed by root index with
@@ -1005,17 +1027,7 @@ def ref_check_containment(real, trials, seed):
                 for w in enumerate_weyl(rs)]
     spaces = enumerate_hessenberg(rs)
     for nn in samples:
-        # per row root α of this sample: None, or why its line fails
-        faults = {}
-        for i, row in rows:
-            for k, line in zip(row, liealg._ad_block(real, nn, row, row)):
-                first = next((c for c, v in enumerate(line) if v), None)
-                if first is None:
-                    faults[k] = "zero row for an excluded root"
-                elif sum(coeffs[k]) - sum(coeffs[row[first]]) != 1:
-                    faults[k] = "first entry not at a simple difference"
-                else:
-                    faults[k] = None
+        faults = ref_first_entry_faults(real, nn)
         for space in spaces:
             members = (frozenset(range(rs.num_positive))
                        | {rs.root_index(b) for b in space.negative_part})
@@ -1168,6 +1180,80 @@ def test_containment_short_inversion_set_matches_reference(
     assert got is not None
     assert got["reason"] == "simple-difference root escapes the inversion set"
     assert got == ref_check_containment(real, 3, 5)
+
+
+@pytest.mark.parametrize("lie_type,rank", REALIZABLE)
+def test_first_entry_faults_match_reference(lie_type, rank):
+    """The fault map names each failing row root with the reference's
+    reason, on the four samples of a check and on samples with one zero
+    simple coefficient."""
+    real = _realization(lie_type, rank)
+    rs = real.rs
+    # the four samples of a check with three trials, then the degenerate ones
+    samples = [dict.fromkeys(rs._simple_index, 1)] + [
+        liealg._random_coeffs(rs, liealg._rng(5, f"cont:{t}"), regular=True)
+        for t in range(3)]
+    samples += [{a: int(j != zeroed)
+                 for j, a in enumerate(rs._simple_index, start=1)}
+                for zeroed in range(1, rank + 1)]
+    for nn in samples:
+        want = {k: reason for k, reason in
+                ref_first_entry_faults(real, nn).items() if reason is not None}
+        assert liealg._first_entry_faults(real, nn) == want
+
+
+@pytest.mark.parametrize("lie_type,rank", [("A", 3), ("B", 3), ("C", 3),
+                                           ("D", 4)])
+def test_containment_mask_without_failing_cell_raises(monkeypatch, lie_type,
+                                                      rank):
+    """With every smallest space reported as the Borel, the masks flag
+    cells whose real smallest space holds the flagged roots: no sample
+    fails them, and the check refuses to pass or to name a cell."""
+    real = _realization(lie_type, rank)
+    borel = borel_space(real.rs).hm
+    monkeypatch.setattr(liealg, "smallest_containing", lambda rs, mask: borel)
+    with pytest.raises(ConsistencyError, match=f"^{lie_type}{rank}: a "
+                       "containment suspect fails for no sample$"):
+        liealg._check_containment(real, 3, 5)
+
+
+def test_containment_rule_disagreeing_with_masks_raises(monkeypatch):
+    """A cell the masks flag but that no root fails is a fault of the
+    check, named by its system."""
+    rs = RootSystem("B", 3)
+    real = build_chevalley(rs)
+    set_constant(real, rs.simple_roots[1], parse_root(rs, "1,1,2"), 0)
+    monkeypatch.setattr(liealg, "_containment_counterexample",
+                        lambda *_: None)
+    with pytest.raises(ConsistencyError, match="B3"):
+        liealg._check_containment(real, 5, 3)
+
+
+@pytest.mark.parametrize("reason", ["zero row for an excluded root",
+                                    "first entry not at a simple difference",
+                                    "simple-difference root escapes the "
+                                    "inversion set"])
+def test_containment_counterexample_key_order(monkeypatch, reason):
+    """verify-lemmata prints a counterexample as JSON in its key order,
+    which dict equality does not compare."""
+    lie_type, rank = ("C", 3) if reason.startswith("first") else ("A", 3)
+    real = _realization(lie_type, rank)
+    simple = real.rs._simple_index
+    if reason.startswith("simple"):
+        full = WeylElement.inversion_mask
+        monkeypatch.setattr(WeylElement, "inversion_mask",
+                            lambda w: full(w) & full(w) - 1)
+    else:
+        # one simple coefficient zero: the sample's line of some row root
+        # starts at a non-simple difference (C3) or is zero (A3)
+        zeroed = simple[0] if lie_type == "C" else simple[1]
+        nn = {k: int(k != zeroed) for k in range(real.rs.num_positive)}
+        monkeypatch.setattr(liealg, "_random_coeffs",
+                            lambda *_, **__: dict(nn))
+    got = liealg._check_containment(real, 3, 5)
+    want = ref_check_containment(real, 3, 5)
+    assert got["reason"] == reason
+    assert got == want and list(got) == list(want)
 
 
 # ---------------------------------------------------------------------------

@@ -268,6 +268,39 @@ def test_wrong_type_refusals_live_in_errors():
     assert _type_refusals(probe) == [1, 2]
 
 
+_FIRST_ENTRY_REASONS = {"zero row for an excluded root",
+                        "first entry not at a simple difference"}
+
+
+def _first_entry_reason_owners(tree) -> list[str | None]:
+    """The innermost function around each first-entry reason string of a
+    tree, None at module level."""
+    owners = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if (isinstance(child, ast.Constant)
+                    and child.value in _FIRST_ENTRY_REASONS):
+                owners.append(owner)
+            visit(child, owner)
+
+    visit(tree, None)
+    return owners
+
+
+def test_first_entry_rule_lives_in_one_function():
+    """Only ``liealg._first_entry_faults`` words the first-entry reasons;
+    a containment counterexample reads them from its fault map."""
+    found = [(path.stem, owner)
+             for path in sorted((SRC / "hessenpave").glob("*.py"))
+             for owner in _first_entry_reason_owners(
+                 ast.parse(path.read_text(encoding="utf-8")))]
+    assert found == [("liealg", "_first_entry_faults")] * 2
+
+
 def _type_d_comparisons(tree) -> list[int]:
     """Lines of the comparisons of a ``lie_type`` with ``"D"`` in a tree."""
     out = []

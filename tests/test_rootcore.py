@@ -802,6 +802,10 @@ def test_weyl_element_rejects_non_root_permutation():
         WeylElement(rs, (0, 1, 2, 3, 4))
     with pytest.raises(ValueError, match="not a permutation"):
         WeylElement(rs, (0, 0, 2, 3, 4, 5))
+    for junk in ([0, "x", 2, 3, 4, 5], (0, 1, 2, 3, 4, 5.0)):
+        with pytest.raises(ValueError, match="^root permutation entry must "
+                           "be an integer, got "):
+            WeylElement(rs, junk)
     # swaps α_1 and α_2 but not their negatives
     with pytest.raises(ValueError, match="not linear"):
         WeylElement(rs, (1, 0, 2, 3, 4, 5))
