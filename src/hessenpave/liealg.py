@@ -18,9 +18,12 @@ constants are stored once, as the integer table ``real.constants`` over
 ``rs.all_roots`` indices (positives first), which the calculus and the
 lemma checks read.  Construction brackets only the root pairs that can be
 nonzero and re-verifies every defining relation; a realization that fails
-its own bracket table refuses to build, naming its system.  Type D is
-built in the root-vector signs for which the constants of the paired stages
-are +1 (see ``_root_vectors``); the type-D block check fails on other signs.
+its own bracket table refuses to build, naming its system.  The Cartan
+weights are read off the diagonal of each [E_{α_i}, E_{−α_i}], which the
+constant scan has already found diagonal, with no matrix product.  Type D
+is built in the root-vector signs for which the constants of the paired
+stages are +1 (see ``_root_vectors``); the type-D block check fails on
+other signs.
 The adjoint exponential ``Ad(exp X) = Σ ad(X)^k / k!`` terminates because
 ad(X) is nilpotent; ``_iad_series`` adds up K!·Ad(exp X)(N) with integer
 weights, K the last nonzero power, and the lemma checks compare those
@@ -81,12 +84,9 @@ from .hessenberg import (
 from .linalg import (
     Sparse,
     solve_affine,
-    sp_add,
     sp_commutator,
-    sp_equal,
     sp_exp_nilpotent,
     sp_identity,
-    sp_is_strictly_upper,
     sp_mul,
     sp_scale,
 )
@@ -160,7 +160,7 @@ class ChevalleyRealization:
                     raise ConsistencyError(
                         f"matrix position {pos} shared by {owner[pos]} and {root}")
                 owner[pos] = root
-            if root.is_positive and not sp_is_strictly_upper(mat):
+            if root.is_positive and any(r >= c for r, c in mat):
                 raise ConsistencyError(
                     f"positive root vector {root} is not strictly upper triangular")
 
@@ -193,7 +193,7 @@ class ChevalleyRealization:
                     if not num or num % val:
                         raise ConsistencyError(
                             f"bad structure constant for {ra} + {rb}")
-                    if not sp_equal(br, sp_scale(target, num // val)):
+                    if br != sp_scale(target, num // val):
                         raise ConsistencyError(f"[E_{ra}, E_{rb}] is not a "
                                                f"multiple of E_{roots[s]}")
                     table[a][b] = num // val
@@ -210,20 +210,22 @@ class ChevalleyRealization:
         return tuple(map(tuple, table))
 
     def _validate_weights(self) -> None:
+        """Each root vector is a weight vector of the weight its root
+        gives.  Every h of ``cartan_basis`` is diagonal, which
+        ``_extract_constants`` checks of each [E_α, E_−α] before this runs,
+        so [h, E] scales entry (r, c) of E by h_rr − h_cc: E has weight λ
+        for h iff each of its entries carries λ.  The eigenvalue on each
+        E_{α_j} is read at its first entry."""
         rs = self.rs
         for h in self.cartan_basis:
-            eig = []              # the integer eigenvalue on each E_{α_j}
-            for a, s in zip(rs.simple_roots, rs._simple_index):
-                ea = self.root_vectors[s]
-                pos, val = next(iter(ea.items()))
-                num = sp_commutator(h, ea).get(pos, 0)
-                if num % val:
-                    raise ConsistencyError(f"Cartan eigenvalue {num}/{val} "
-                                           f"on E_{a} is not an integer")
-                eig.append(num // val)
+            d = {r: v for (r, _), v in h.items()}
+            eig = []              # the eigenvalue on each E_{α_j}
+            for s in rs._simple_index:
+                r, c = next(iter(self.root_vectors[s]))
+                eig.append(d.get(r, 0) - d.get(c, 0))
             for root, er in zip(rs.all_roots, self.root_vectors):
                 lam = sum(c * e for c, e in zip(root.coeffs, eig))
-                if not sp_equal(sp_commutator(h, er), sp_scale(er, lam)):
+                if any(d.get(r, 0) - d.get(c, 0) != lam for r, c in er):
                     raise ConsistencyError(
                         f"E_{root} is not a weight vector for the Cartan")
 
@@ -231,12 +233,11 @@ class ChevalleyRealization:
 
     def matrix_of(self, coeffs: Mapping[int, Fraction | int]) -> Sparse:
         """The matrix Σ n_α E_α of a coefficient map keyed by
-        ``rs.all_roots`` index."""
-        out: Sparse = {}
-        for k, v in coeffs.items():
-            if v:
-                out = sp_add(out, sp_scale(self.root_vectors[k], v))
-        return out
+        ``rs.all_roots`` index.  Root vectors hold pairwise distinct
+        positions (``_validate_supports``), so no two terms share an entry
+        and each is placed directly."""
+        return {pos: v * x for k, v in coeffs.items() if v
+                for pos, x in self.root_vectors[k].items()}
 
     def __repr__(self) -> str:
         return (f"ChevalleyRealization({self.rs.lie_type}{self.rs.rank}, "
@@ -676,12 +677,14 @@ def _check_containment(real: ChevalleyRealization, trials: int,
     can leave it: the mask is built, in one pass over the positive roots,
     only for the w with ``w.im`` outside their smallest space.  That
     smallest space is also checked to be one of the enumerated spaces.
-    When some w is risky, the samples are scanned in order, then the
-    spaces, then the risky w in enumeration order, and each nonempty cell
-    that ``risky(w)`` leaves is checked root by root against the sample's
-    ``_first_entry_faults``: the first root that fails names the row, the
-    root and the reason.  If no such cell fails for any sample, the masks
-    and the rule disagree, and the check raises ``ConsistencyError``.
+    When some w is risky, the nonempty cells that ``risky(w)`` leaves are
+    listed once, by space, then by risky w in enumeration order, so the
+    cell kernel runs at most once per (space, w) pair.  The samples are
+    scanned in order over that list, and each cell is checked root by root
+    against the sample's ``_first_entry_faults``: the first root that fails
+    names the row, the root and the reason.  If no such cell fails for any
+    sample, the masks and the rule disagree, and the check raises
+    ``ConsistencyError``.
     """
     rs = real.rs
     samples = [dict.fromkeys(rs._simple_index, 1)]
@@ -715,13 +718,13 @@ def _check_containment(real: ChevalleyRealization, trials: int,
                 risky.append((w, mask))
     if not risky:
         return None
+    cells = [(space, w) for space in spaces for w, mask in risky
+             if mask & ~space.hm and cell_nonempty(w, space)]
     for fault in faults:
-        for space in spaces:
-            for w, mask in risky:
-                if mask & ~space.hm and cell_nonempty(w, space):
-                    ce = _containment_counterexample(rs, fault, space, w)
-                    if ce is not None:
-                        return ce
+        for space, w in cells:
+            ce = _containment_counterexample(rs, fault, space, w)
+            if ce is not None:
+                return ce
     raise ConsistencyError(f"{rs.lie_type}{rs.rank}: a containment suspect "
                            "fails for no sample")
 
@@ -1090,7 +1093,7 @@ def _verify_witness_matrix(real: ChevalleyRealization, w: WeylElement,
         u_inv = sp_mul(sp_exp_nilpotent(sp_scale(xmat, -1), size), u_inv)
 
     conj = sp_mul(sp_mul(u, real.matrix_of(n)), u_inv)
-    if not sp_equal(conj, real.matrix_of(final)):
+    if conj != real.matrix_of(final):
         raise ConsistencyError(
             "matrix conjugation disagrees with the coefficient-space "
             f"computation ({_witness_context(space, w)})")

@@ -62,10 +62,6 @@ def sp_identity(n: int) -> Sparse:
     return {(i, i): 1 for i in range(n)}
 
 
-def sp_equal(a: Sparse, b: Sparse) -> bool:
-    return not sp_add(a, sp_scale(b, -1))
-
-
 def sp_exp_nilpotent(x: Sparse, size: int) -> Sparse:
     """exp of a nilpotent matrix; the series must terminate within `size`
     steps, which is checked."""
@@ -81,10 +77,6 @@ def sp_exp_nilpotent(x: Sparse, size: int) -> Sparse:
     if sp_mul(term, x):
         raise ValueError("matrix is not nilpotent")
     return out
-
-
-def sp_is_strictly_upper(a: Sparse) -> bool:
-    return all(r < c for (r, c) in a)
 
 
 # ---------------------------------------------------------------------------

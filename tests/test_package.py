@@ -383,11 +383,14 @@ def test_type_d_stage_split_stays_in_rootcore():
 
 
 # The finite-field flag types the oracle dropped for its normal-form
-# columns, the commutator wrapper ``sp_commutator`` replaced, and the type-D
-# sign normalization that the signs of ``liealg._root_vectors`` replaced.
+# columns, the commutator wrapper ``sp_commutator`` replaced, the type-D
+# sign normalization that the signs of ``liealg._root_vectors`` replaced,
+# and the sparse-matrix predicates that ``==`` and one inline test replaced
+# (sparse results hold no zero entries).
 _REMOVED_NAMES = {"BruhatFlag", "PrimeFieldMatrix", "jordan_nilpotent",
                   "enumerate_cell_flags", "bracket", "normalize_type_D",
-                  "_d_normalization_pairs", "gf2_solve"}
+                  "_d_normalization_pairs", "gf2_solve", "sp_equal",
+                  "sp_is_strictly_upper"}
 
 
 def _removed_names(tree) -> set[str]:
@@ -403,7 +406,8 @@ def test_removed_flag_types_stay_out_of_the_library():
     or imports the old flag, matrix and Jordan-block types, the cell
     enumerator, or the ``bracket`` wrapper.  Type D is built in its
     normalized signs: no module defines or imports the sign normalizer or
-    its GF(2) solver."""
+    its GF(2) solver.  Sparse matrices compare with ``==``: ``sp_equal``
+    and ``sp_is_strictly_upper`` are gone."""
     for path in sorted((SRC / "hessenpave").glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         assert _removed_names(tree) == set(), path.name
@@ -415,7 +419,9 @@ def test_removed_flag_types_stay_out_of_the_library():
                       "def bracket(real, a, b): pass\n"
                       "from .linalg import gf2_solve\n"
                       "def normalize_type_D(real): pass\n"
-                      "def _d_normalization_pairs(rs): pass\n")
+                      "def _d_normalization_pairs(rs): pass\n"
+                      "def sp_equal(a, b): pass\n"
+                      "from .linalg import sp_is_strictly_upper\n")
     assert _removed_names(probe) == _REMOVED_NAMES
     assert _removed_names(ast.parse("bracket = sp_commutator(a, b)")) == set()
 
