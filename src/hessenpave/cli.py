@@ -205,7 +205,6 @@ def _run_witness(args) -> tuple:
     space = parse_hessenberg(rs, _hess_spec(args))
     w = parse_word(rs, args.word)
     result = liealg.find_witness(liealg.build_chevalley(rs), w, space)
-    profile = paving.row_dimension_profile(w, space)
     stages = [{rs._texts[p]: _format_rational(v)
                for p, v in sorted(sol.items())}
               for sol in result.stage_solutions]
@@ -216,7 +215,7 @@ def _run_witness(args) -> tuple:
         "word": format_word(w),
         "verified": result.verified,
         "stage_kernel_dims": list(result.stage_kernel_dims),
-        "row_profile": list(profile),
+        "row_profile": list(result.stage_kernel_dims),
         "stages": stages,
     }
     rows = ([k, d, " ".join(f"{r}={v}" for r, v in s.items())]

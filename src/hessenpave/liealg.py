@@ -16,11 +16,13 @@ The realization is integer: root-vector entries, structure constants
 ``[E_α, E_β] = m_{α,β} E_{α+β}`` and Cartan eigenvalues are all ints.  The
 constants are stored once, as the integer table ``real.constants`` over
 ``rs.all_roots`` indices (positives first), which the calculus and the
-lemma checks read.  Construction brackets only the root pairs that can be
-nonzero and re-verifies every defining relation; a realization that fails
-its own bracket table refuses to build, naming its system.  The Cartan
-weights are read off the diagonal of each [E_{α_i}, E_{−α_i}], which the
-constant scan has already found diagonal, with no matrix product.  Type D
+lemma checks read.  Construction brackets once each unordered root pair
+that can be nonzero, writes both m_{α,β} and m_{β,α} = −m_{α,β} from that
+bracket (so the table is antisymmetric by construction), and re-verifies
+every defining relation; a realization that fails its own bracket table
+refuses to build, naming its system.  The Cartan weights are read off the
+diagonal of each [E_{α_i}, E_{−α_i}], which the constant scan has already
+found diagonal, with no matrix product.  Type D
 is built in the root-vector signs for which the constants of the paired
 stages are +1 (see ``_root_vectors``); the type-D block check fails on
 other signs.
@@ -168,7 +170,10 @@ class ChevalleyRealization:
         """Read each m_{α,β} off [E_α, E_β] in integers, forming the
         commutator only where α + β is a root or zero or the supports chain
         (a column of one matrix meets a row of the other): every other pair
-        brackets to zero exactly."""
+        brackets to zero exactly.  Each unordered pair is bracketed once:
+        [E_β, E_α] is exactly −[E_α, E_β], so every check holds for (β, α)
+        when it holds for (α, β), and m_{β,α} = −m_{α,β} is written with
+        m_{α,β}."""
         rs = self.rs
         roots = rs.all_roots
         keys = rs._keys
@@ -178,9 +183,9 @@ class ChevalleyRealization:
         rows_in = [sum({1 << r for r, _ in mat}) for mat in vectors]
         cols_in = [sum({1 << c for _, c in mat}) for mat in vectors]
         table = [[0] * len(roots) for _ in roots]
-        sums = []
         for a, (ra, ka, ea) in enumerate(zip(roots, keys, vectors)):
-            for b, (rb, kb) in enumerate(zip(roots, keys)):
+            for b in range(a, len(roots)):
+                rb, kb = roots[b], keys[b]
                 s = by_key.get(ka + kb)
                 if s is None and ka + kb and not (cols_in[a] & rows_in[b]
                                                   or cols_in[b] & rows_in[a]):
@@ -197,16 +202,13 @@ class ChevalleyRealization:
                         raise ConsistencyError(f"[E_{ra}, E_{rb}] is not a "
                                                f"multiple of E_{roots[s]}")
                     table[a][b] = num // val
-                    sums.append((a, b))
+                    table[b][a] = -table[a][b]
                 elif ka + kb:
                     if br:
                         raise ConsistencyError(f"[E_{ra}, E_{rb}] nonzero but "
                                                f"{ra} + {rb} is not a root")
                 elif any(r != c for (r, c) in br):
                     raise ConsistencyError(f"[E_{ra}, E_{rb}] is not diagonal")
-        for a, b in sums:
-            if table[b][a] != -table[a][b]:
-                raise ConsistencyError("structure constants not antisymmetric")
         return tuple(map(tuple, table))
 
     def _validate_weights(self) -> None:
@@ -584,8 +586,6 @@ def _check_psi_invariance(real: ChevalleyRealization, trials: int,
             if not table[i - 1]:
                 continue
             for j in range(1, i):
-                if not table[i - j - 1]:
-                    continue
                 scale, moved = _iad_series(
                     real, _random_row_element(rs, rng, i - j), ni)
                 if any(c * (moved.get(d, 0) - scale * ni.get(d, 0))
@@ -1015,20 +1015,18 @@ def find_witness(real: ChevalleyRealization, w: WeylElement,
             solve_vars, solve_cons = vars_, cons
 
         if not solve_cons:
-            x: list[Fraction] = [Fraction(0)] * len(solve_vars)
-            kernel = len(solve_vars)
+            coeffs, kernel = {}, len(solve_vars)
         else:
             # coeff_α(Ad exp X (M)) = 0 for each constraint α; the linear
-            # part in X is −ad(M) from the variables to the constraints
-            block = _ad_block(real, current, solve_cons, solve_vars)
+            # part of Ad(exp X)(M) is M − ad(M)X, so ad(M)·x = M there
             solved = solve_affine(
-                [[-v for v in line] for line in block],
-                [-current.get(alpha, 0) for alpha in solve_cons])
+                _ad_block(real, current, solve_cons, solve_vars),
+                [current.get(alpha, 0) for alpha in solve_cons])
             if solved is None:
                 raise ConsistencyError(
                     f"stage infeasible ({_witness_context(space, w, k)})")
             x, kernel = solved
-        coeffs = {p: v for p, v in zip(solve_vars, x) if v}
+            coeffs = {p: v for p, v in zip(solve_vars, x) if v}
 
         if quad:
             def gamma_coeff(tval: Fraction) -> Fraction:

@@ -74,9 +74,7 @@ def sp_exp_nilpotent(x: Sparse, size: int) -> Sparse:
         if not term:
             return out
         out = sp_add(out, term)
-    if sp_mul(term, x):
-        raise ValueError("matrix is not nilpotent")
-    return out
+    raise ValueError("matrix is not nilpotent")
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import hessenpave
-from hessenpave import liealg, rootcore
+from hessenpave import fforacle, liealg, rootcore
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -225,6 +225,52 @@ def test_public_callables_refuse_junk_by_name(valid, name):
             with pytest.raises(ValueError) as info:
                 function(*call)
             assert repr(junk) in str(info.value), (slot, junk, info.value)
+
+
+_B2 = hessenpave.RootSystem("B", 2)
+
+# Refusals of well-typed but wrong values, each built from the namespace
+# ``v`` of the ``valid`` fixture, with the exception and exact message.
+_VALUE_REFUSALS = {
+    "empty root vector": (
+        lambda v: hessenpave.ChevalleyRealization(
+            v.rs, ({},) + v.vectors[1:]),
+        hessenpave.ConsistencyError, "A2: zero root vector at 0,1"),
+    "diagonal entry": (
+        lambda v: hessenpave.ChevalleyRealization(
+            v.rs, ({(0, 0): 1},) + v.vectors[1:]),
+        hessenpave.ConsistencyError, "A2: root vector with diagonal entry"),
+    "short function": (
+        lambda v: hessenpave.from_function(3, (2, 3)),
+        ValueError, "expected 3 values, got 2"),
+    "rank 0": (
+        lambda v: hessenpave.from_function(1, (1,)),
+        ValueError, "need n >= 2 for a rank >= 1 ambient system"),
+    "function of a B2 space": (
+        lambda v: hessenpave.to_function(
+            hessenpave.enumerate_hessenberg(_B2)[0]),
+        ValueError, "Hessenberg functions only encode type-A spaces"),
+    "permutation of a B2 element": (
+        lambda v: fforacle.weyl_to_permutation(
+            hessenpave.parse_word(_B2, "1")),
+        ValueError, "permutations encode type-A Weyl elements only"),
+    "index of a non-root": (
+        lambda v: v.rs.root_index(hessenpave.Root((2, 2))),
+        ValueError, "2,2 is not a root of A2"),
+    "reflection out of range": (
+        lambda v: hessenpave.parse_word(v.rs, "3"),
+        ValueError, "reflection index 3 out of range 1..2"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_VALUE_REFUSALS))
+def test_wrong_values_are_refused_by_name(valid, case):
+    """Each well-typed but wrong value is refused with its own message."""
+    call, error, message = _VALUE_REFUSALS[case]
+    with pytest.raises(error) as info:
+        call(valid)
+    assert type(info.value) is error
+    assert str(info.value) == message
 
 
 _TYPE_WORDING = re.compile(r"must be an integer, got|is not a [A-Z]")
