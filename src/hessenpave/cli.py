@@ -26,8 +26,9 @@ once (``_emit``), so a failed lemma check writes its report before exiting 2.
 ``main`` looks the renderers up as module attributes at call time, so they
 can be replaced on the module, as the benchmark's tracer does to time them.
 
-One exit path: both launchers, ``python -m hessenpave.cli`` and the
-``hessenpave`` script, end through ``run``, ``--help`` included.  It calls
+One exit path: every launcher, ``python -m hessenpave``, ``python -m
+hessenpave.cli`` and the ``hessenpave`` script, ends through ``run``,
+``--help`` included.  It calls
 ``main``, then does what CPython's own shutdown does before teardown: it
 runs the ``atexit`` handlers and flushes stdout and stderr.  Then it ends
 the process with ``os._exit``, which skips only the freeing of every module

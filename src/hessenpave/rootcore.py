@@ -644,11 +644,12 @@ _BUDGETS = {
     "weyl": (lambda t, n: _WEYL_ORDER[t](n), 50_000,
              "the Weyl group of {} has {} elements"),
     # Most roots of a system the witness command builds a realization for:
-    # A19 (380 roots) and B14 and C14 (392) take 0.12-0.13 s as a fresh
-    # process on a 2-vCPU Xeon (medians of five runs).  The realization
-    # brackets once each unordered root pair whose supports can meet, 5-7 %
-    # of the |Φ|² ordered pairs, but still looks up (|Φ|² + |Φ|)/2 pairs
-    # (building A19 takes 0.05 s in-process, A30 0.25 s).
+    # A19 (380 roots) and B14 and C14 (392) take 0.12-0.21 s as a fresh
+    # process on a shared 2-vCPU Xeon (medians of seven runs).  The
+    # realization brackets once each unordered root pair whose supports can
+    # meet, 5-7 % of the |Φ|² ordered pairs, but still looks up
+    # (|Φ|² + |Φ|)/2 pairs (building A19 takes 0.06-0.09 s in-process, A30
+    # 0.4 s).
     "roots": (lambda t, n: 2 * _POSITIVE_COUNT[t](n), 400, "{} has {} roots"),
     # Most spaces enumerate_hessenberg builds: ``enumerate-hess`` on A10
     # (58,786 spaces) takes about 2.4 s and 290 MB peak as a fresh process

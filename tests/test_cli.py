@@ -422,10 +422,13 @@ _SYSTEM_A2 = ["--type", "A", "--rank", "2"]
      "--hess-fn must be comma-separated integers, got 'a,b'"),
     (["witness", *_SYSTEM_A2, "--word", "", "--hess-fn", "2,,3,3"],
      "--hess-fn must be comma-separated integers, got '2,,3,3'"),
+    (["betti", "--type", "B", "--rank", "2", "--hess-fn", "2,3"],
+     "h=... requires a type-A root system"),
 ])
 def test_count_points_refuses_bad_input(capsys, argv, message):
     """count-points refuses a bad n, and every subcommand that takes
-    --hess-fn refuses a list that is not all integers, with one line."""
+    --hess-fn refuses a list that is not all integers, and a function for
+    a system that is not of type A, with one line."""
     code, out, err = run_cli(capsys, *argv)
     assert code == 1 and out == ""
     assert err == f"hessenpave: {message}\n"
@@ -864,6 +867,23 @@ def cli_child(argv, code=None, stdout=subprocess.PIPE, env=CHILD_ENV,
     cmd += ["-m", "hessenpave.cli"] if code is None else ["-c", code]
     return subprocess.run(cmd + list(argv), stdout=stdout,
                           stderr=subprocess.PIPE, env=env, timeout=120)
+
+
+@pytest.mark.parametrize("argv, rc", [
+    (["betti", "--type", "B", "--rank", "2", "--hess", "full"], 0),
+    (["betti", "--type", "B", "--rank", "2", "--bogus"], 1),
+    (["--help"], 0),
+])
+def test_package_runs_as_the_cli(argv, rc):
+    """``python -m hessenpave`` gives the stdout, stderr and exit code of
+    ``python -m hessenpave.cli``: for a query, a usage error and --help."""
+    expected = cli_child(argv)
+    assert expected.returncode == rc and expected.stdout + expected.stderr
+    proc = subprocess.run([sys.executable, "-m", "hessenpave", *argv],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          env=CHILD_ENV, timeout=120)
+    assert ((proc.returncode, proc.stdout, proc.stderr)
+            == (expected.returncode, expected.stdout, expected.stderr))
 
 
 @pytest.mark.parametrize("argv", [

@@ -232,6 +232,10 @@ def test_enumeration_count_mismatch_raises(monkeypatch):
     with pytest.raises(ConsistencyError,
                        match="enumeration of B3 found 19 spaces, expected 20"):
         enumerate_hessenberg(RootSystem("B", 3))
+    with pytest.raises(ConsistencyError) as info:
+        enumerate_hessenberg(RootSystem("A", 2))
+    assert str(info.value) == ("Hessenberg enumeration of A2 found 4 "
+                               "spaces, expected 5")
 
 
 def test_space_budget():

@@ -1053,6 +1053,82 @@ def set_constant(real, a, b, value):
     real.constants = tuple(map(tuple, table))
 
 
+def _root_moved_to_row(real, text, row):
+    """Move the root ``text`` into row ``row`` of the stage table, keeping
+    each row in row basis order (descending index)."""
+    rs = real.rs
+    table = stage_table(rs)
+    k = rs.root_index(parse_root(rs, text))
+    rows = tuple(tuple(sorted(set(r) - {k} | ({k} if i == row else set()),
+                              reverse=True))
+                 for i, r in enumerate(table.rows, start=1))
+    rs._stages_cache = StageTable(rows, table.stages, table.long_roots,
+                                  table.masks)
+
+
+def _long_root_named(real, row, text):
+    """Name the root ``text`` as the long root of row ``row``."""
+    rs = real.rs
+    table = stage_table(rs)
+    long_roots = list(table.long_roots)
+    long_roots[row - 1] = rs.root_index(parse_root(rs, text))
+    rs._stages_cache = StageTable(table.rows, table.stages,
+                                  tuple(long_roots), table.masks)
+
+
+def _zero_c3_pairing(real):
+    """Set m(α1+α2, α1+α2+α3) of C3 to 0, leaving m(α1+α2+α3, α1+α2)."""
+    rs = real.rs
+    set_constant(real, parse_root(rs, "1,1,0"), parse_root(rs, "1,1,1"), 0)
+
+
+# One seeded fault per reason of the row-structure check, with the system
+# it is seeded in and the rest of the counterexample it must give.
+_ROW_STRUCTURE_FAULTS = {
+    "abelian row with a root sum": (
+        ("A", 3), lambda real: _root_moved_to_row(real, "0,1,0", 1),
+        {"row": 1, "alpha": "1,0,0", "beta": "0,1,0"}),
+    "Heisenberg bracket escapes the long root": (
+        ("C", 3), lambda real: _long_root_named(real, 1, "1,2,1"),
+        {"row": 1, "alpha": "1,2,1", "beta": "1,0,0"}),
+    "derived algebra is zero": (
+        ("C", 3), lambda real: _long_root_named(real, 3, "0,0,1"),
+        {"row": 3}),
+    "no Heisenberg partner": (
+        ("C", 3), lambda real: _root_moved_to_row(real, "1,2,1", 2),
+        {"row": 1, "alpha": "1,0,0"}),
+    "ad X misses the long root": (
+        ("C", 3), _zero_c3_pairing, {"row": 1, "alpha": "1,1,0"}),
+}
+
+
+@pytest.mark.parametrize("reason", sorted(_ROW_STRUCTURE_FAULTS))
+def test_row_structure_names_each_fault(reason):
+    """Each reason the row-structure check gives, under one seeded fault
+    of the stage table or the constants, with its exact counterexample;
+    the realization as built passes."""
+    (lie_type, rank), fault, where = _ROW_STRUCTURE_FAULTS[reason]
+    real = build_chevalley(RootSystem(lie_type, rank))
+    assert liealg._check_row_structure(real) is None
+    fault(real)
+    ce = liealg._check_row_structure(real)
+    assert list(ce.items()) == [*where.items(), ("reason", reason)]
+
+
+def test_verify_lemmata_detects_degenerate_heisenberg_pairing():
+    """A zero pairing constant onto a type-C long root leaves an X on the
+    row whose bracket misses the long root: row_structure reads every
+    pairing constant, so it fails whatever the trial count."""
+    real = build_chevalley(RootSystem("C", 3))
+    _zero_c3_pairing(real)
+    for trials in (1, 25):
+        report = verify_lemmata(real, trials, liealg.DEFAULT_SEED)
+        check = report.checks[0]
+        assert (check.name, check.status) == ("row_structure", "fail")
+        assert check.counterexample == {
+            "row": 1, "alpha": "1,1,0", "reason": "ad X misses the long root"}
+
+
 def test_psi_cross_check_detects_corrupted_table(real_c2):
     """The formula route of the row operator is checked against genuine
     matrix brackets; corrupting the stored constants must trip it."""
@@ -1980,6 +2056,29 @@ def ref_verify_witness_matrix(real, w, space, n, solutions, final):
         if v and not space.hm >> inv[k] & 1:
             raise ConsistencyError("witness lands outside the translated "
                                    "Hessenberg space")
+
+
+def test_matrix_check_exponentiates_each_stage_once(monkeypatch):
+    """Work count: the witness's matrix check takes one matrix exponential
+    per nonempty stage solution, exp(X_k), and none of −X_k: it compares
+    u·N with F·u and forms no u⁻¹.  Seeded random regular N on the
+    nonempty cells of C3 move at least one stage."""
+    rs = RootSystem("C", 3)
+    real = build_chevalley(rs)
+    rng = random.Random("exp-count:C3")
+    exponentials = []
+    exp = liealg.sp_exp_nilpotent
+    monkeypatch.setattr(liealg, "sp_exp_nilpotent",
+                        lambda x, size: exponentials.append(x) or exp(x, size))
+    moved = 0
+    for space, w in ((space, w) for space in enumerate_hessenberg(rs)
+                     for w in enumerate_weyl(rs) if cell_nonempty(w, space)):
+        exponentials.clear()
+        wit = find_witness(real, w, space,
+                           liealg._random_coeffs(rs, rng, regular=True))
+        assert len(exponentials) == sum(map(bool, wit.stage_solutions))
+        moved += bool(exponentials)
+    assert moved
 
 
 class _MovedN:

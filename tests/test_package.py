@@ -229,6 +229,18 @@ def test_public_callables_refuse_junk_by_name(valid, name):
 
 _B2 = hessenpave.RootSystem("B", 2)
 
+
+def _first_entry_moved(rs, text, pos):
+    """The root vectors of ``rs`` with the first entry of E_text moved to
+    ``pos``, a position no root vector holds."""
+    vectors = list(liealg._root_vectors(rs))
+    assert all(pos not in mat for mat in vectors)
+    k = rs._texts.index(text)
+    (_, value), *rest = vectors[k].items()
+    vectors[k] = {pos: value, **dict(rest)}
+    return tuple(vectors)
+
+
 # Refusals of well-typed but wrong values, each built from the namespace
 # ``v`` of the ``valid`` fixture, with the exception and exact message.
 _VALUE_REFUSALS = {
@@ -260,6 +272,11 @@ _VALUE_REFUSALS = {
     "reflection out of range": (
         lambda v: hessenpave.parse_word(v.rs, "3"),
         ValueError, "reflection index 3 out of range 1..2"),
+    "positive root vector below the diagonal": (
+        lambda v: hessenpave.ChevalleyRealization(
+            _B2, _first_entry_moved(_B2, "0,1", (3, 1))),
+        hessenpave.ConsistencyError,
+        "B2: positive root vector 0,1 is not strictly upper triangular"),
 }
 
 
@@ -751,13 +768,41 @@ def _main_block_calls(tree) -> list[str]:
 
 
 def test_cli_main_block_only_calls_run():
-    """``python -m hessenpave.cli`` ends through ``cli.run``, the one exit
-    path."""
-    tree = ast.parse((SRC / "hessenpave" / "cli.py").read_text(encoding="utf-8"))
-    assert _main_block_calls(tree) == ["run()"]
+    """``python -m hessenpave.cli`` and ``python -m hessenpave`` end
+    through ``cli.run``, the one exit path."""
+    trees = {name: ast.parse((SRC / "hessenpave" / name).read_text(
+        encoding="utf-8")) for name in ("cli.py", "__main__.py")}
+    for name, tree in trees.items():
+        assert _main_block_calls(tree) == ["run()"], name
+    assert [ast.unparse(node) for node in trees["__main__.py"].body
+            if isinstance(node, ast.ImportFrom)] == ["from .cli import run"]
     # the detector sees a block that bypasses run
     probe = ast.parse("if __name__ == '__main__':\n    sys.exit(main())\n")
     assert _main_block_calls(probe) == ["sys.exit(main())"]
+
+
+def _undocumented_checks(tree) -> list[str]:
+    """The ``_check_*`` functions of a module that have no docstring."""
+    return [node.name for node in tree.body
+            if isinstance(node, ast.FunctionDef)
+            and node.name.startswith("_check_") and not ast.get_docstring(node)]
+
+
+def test_every_lemma_check_states_what_it_tests():
+    """Each of the seven lemma checks of ``liealg`` carries a docstring
+    stating what it tests."""
+    tree = ast.parse(
+        (SRC / "hessenpave" / "liealg.py").read_text(encoding="utf-8"))
+    checks = [node.name for node in tree.body
+              if isinstance(node, ast.FunctionDef)
+              and node.name.startswith("_check_")]
+    assert len(checks) == 7, checks
+    assert _undocumented_checks(tree) == []
+    # the detector sees a check without a docstring, and only that one
+    probe = ast.parse('def _check_bare(real):\n    return None\n'
+                      'def _check_told(real):\n    """Tests x."""\n'
+                      'def _helper(real):\n    return None\n')
+    assert _undocumented_checks(probe) == ["_check_bare"]
 
 
 def test_console_script_is_run():
