@@ -89,12 +89,29 @@ def hessenberg_check(q: int, perm: tuple[int, ...], cols: list[list[int]],
     rows, lowest pivot first, by subtracting multiples of the pivot's column
     therefore yields its coordinates in the basis v_1..v_n, and N·v_k lies
     in V_m iff its coordinates past m vanish.
+
+    Raises ValueError, before any work, for a ``perm`` that is not a
+    permutation of 1..n, ``cols`` that are not n columns of n entries, an
+    ``h`` of another length, and a column that is not in the normal form
+    of ``perm``: 1 at its pivot and 0 off its ``free_positions``.
     """
     expect(q, int, "q")
     expect(perm, (tuple, list))
     expect(cols, (tuple, list))
     expect(h, (tuple, list))
     n = len(perm)
+    if sorted(perm) != list(range(1, n + 1)):
+        raise ValueError(f"perm {perm!r} is not a permutation of 1..{n}")
+    if len(cols) != n or any(len(col) != n for col in cols):
+        raise ValueError(f"cols must be {n} columns of {n} entries")
+    if len(h) != n:
+        raise ValueError(f"h must have {n} values, got {len(h)}")
+    for j, (p, col) in enumerate(zip(perm, cols)):
+        # 1 at the pivot, 0 below it and in the rows of earlier pivots
+        if col[p - 1] != 1 or any(col[p:]) or any(
+                col[r - 1] for r in perm[:j]):
+            raise ValueError(
+                f"column {j + 1} is not in the normal form of perm {perm!r}")
     sweep = sorted(range(n), key=lambda j: -perm[j])
     reach = 0              # least m with N·V_i ⊆ V_m
     top = 0                # max(h(1..i)), h(i) for a Hessenberg function

@@ -996,21 +996,84 @@ def test_type_d_block_pins_d3(capsys, monkeypatch):
 def test_type_d_block_checks_every_pinned_constant(rank):
     """Each constant ``ref_d_normalization_pairs`` lists (4 on D3, 10 on
     D4, 16 on D5, counted with repeats) is checked: set to −1 alone, it
-    fails the block check, which names it.  Those left to the pinned pass
-    (the last pairing's, which no 3×3 block reads) are named by it."""
+    fails the block check, which names it."""
     pairs = ref_d_normalization_pairs(RootSystem("D", rank))
     assert len(pairs) == {3: 4, 4: 10, 5: 16}[rank]
     named = 0
     for a, b in pairs:
         real = build_chevalley(RootSystem("D", rank))
         set_constant(real, a, b, -1)
-        ce = liealg._check_type_d_block(real, 2, 7)
+        ce = liealg._check_type_d_block(real)
         assert ce is not None, (a, b)
         if "constant" in ce:
             assert (ce["alpha"], ce["beta"]) == (format_root(a),
                                                  format_root(b))
             named += 1
-    assert named >= 4
+    assert named == len(pairs)
+
+
+def ref_check_type_d_block(real, trials, seed):
+    """The type-D block check as it stood with seeded regular N: the 3×3
+    middle block of −ad(N) on each stage pairing two full rows compared
+    with its normalized form per trial, then the pinned constants.
+    Module-level helpers are looked up on ``liealg``."""
+    rs = real.rs
+    if rs.lie_type != "D":
+        return None
+    n = rs.rank
+    simple = rs._simple_index
+    span = rootcore._span_root
+    blocks = [(i, [span(rs, (i + 1, n)), span(rs, (i, n - 1)),
+                   span(rs, (i, n - 2), (n, n))],
+               [span(rs, (i + 1, n - 1)), span(rs, (i + 1, n - 2), (n, n)),
+                span(rs, (i, n - 2))])
+              for i in range(1, n - 2)]
+    for t in range(trials):
+        cf = liealg._random_coeffs(rs, liealg._rng(seed, f"dblock:{t}"),
+                                   regular=True)
+        for i, row_targets, col_roots in blocks:
+            block = [[-v for v in line] for line in
+                     liealg._ad_block(real, cf, row_targets, col_roots)]
+            na = cf.get(simple[i - 1], 0)
+            nb = cf.get(simple[n - 2], 0)
+            nc = cf.get(simple[n - 1], 0)
+            if block != [[nc, nb, 0], [-na, 0, nb], [0, -na, nc]]:
+                return {"trial": t, "stage": i, "block": [
+                            [str(x) for x in line] for line in block],
+                        "reason": "block deviates from the normalized form"}
+    for a, b in ref_d_normalization_pairs(rs):
+        if constant(real, a, b) != 1:
+            return {"alpha": format_root(a), "beta": format_root(b),
+                    "reason": "pinned structure constant is not +1"}
+    return None
+
+
+@pytest.mark.parametrize("rank", range(3, 9))
+def test_type_d_block_fails_exactly_when_the_sampled_blocks_do(rank):
+    """Under seeded antisymmetric corruptions of the constants, one to
+    three at a time and half of them on pinned constants, the check that
+    reads the pinned constants fails exactly when the reference, which
+    also compares the block of seeded regular N, fails: the block reads
+    nothing else."""
+    rs = RootSystem("D", rank)
+    real = build_chevalley(rs)
+    built = real.constants
+    pinned = [(rs.root_index(a), rs.root_index(b))
+              for a, b in ref_d_normalization_pairs(rs)]
+    sums = [(a, b) for a, line in enumerate(rs._sum_pairs) for b, _ in line]
+    rng = random.Random(f"dblock-corrupt:{rank}")
+    verdicts = set()
+    for _ in range(40):
+        table = [list(line) for line in built]
+        for _ in range(rng.randint(1, 3)):
+            a, b = rng.choice(pinned if rng.random() < 0.5 else sums)
+            v = rng.choice([-2, -1, 0, 1, 2])
+            table[a][b], table[b][a] = v, -v
+        real.constants = tuple(map(tuple, table))
+        fails = liealg._check_type_d_block(real) is not None
+        assert fails == (ref_check_type_d_block(real, 2, rank) is not None)
+        verdicts.add(fails)
+    assert verdicts == {True, False}
 
 
 # ---------------------------------------------------------------------------
@@ -1318,9 +1381,9 @@ def test_containment_equals_reference(lie_type, rank, trials, seed):
     assert got == ref_check_containment(real, trials, seed)
 
 
-# (space, w) pairs flagged on the failing runs below, each of which the cell
-# kernel tests once
-FLAGGED_CELLS = {"A3": 47, "B3": 304, "C3": 218, "D4": 2_139}
+# containment suspects on the failing runs below: each w whose mask leaves
+# its smallest space, which the cell kernel tests once, in that space only
+FLAGGED_CELLS = {"A3": 4, "B3": 17, "C3": 12, "D4": 47}
 
 
 @pytest.mark.parametrize("sampler", ["sum_of_simple_vectors",
@@ -1333,7 +1396,7 @@ def test_containment_zero_simple_coefficient_matches_reference(
     first sample, the sum of the simple vectors, or every later, seeded one
     (the parameter names the function that once drew it).  Both paths name
     the same first counterexample, and the cell kernel runs once per
-    flagged (space, w) pair however many samples are scanned."""
+    suspect w, in its smallest space, however many samples are scanned."""
     real = _realization(lie_type, rank)
     simple = real.rs._simple_index
     degenerate = {a: int(k != zeroed) for k, a in enumerate(simple, start=1)}

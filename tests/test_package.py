@@ -277,6 +277,25 @@ _VALUE_REFUSALS = {
             _B2, _first_entry_moved(_B2, "0,1", (3, 1))),
         hessenpave.ConsistencyError,
         "B2: positive root vector 0,1 is not strictly upper triangular"),
+    "flag pivots not a permutation": (
+        lambda v: fforacle.hessenberg_check(
+            2, (3, 1), [[1, 0], [0, 1]], (2, 2)),
+        ValueError, "perm (3, 1) is not a permutation of 1..2"),
+    "flag with a column missing": (
+        lambda v: fforacle.hessenberg_check(2, (1, 2), [[1, 0]], (2, 2)),
+        ValueError, "cols must be 2 columns of 2 entries"),
+    "flag with a short column": (
+        lambda v: fforacle.hessenberg_check(
+            2, (1, 2), [[1], [0, 1]], (2, 2)),
+        ValueError, "cols must be 2 columns of 2 entries"),
+    "flag with a short function": (
+        lambda v: fforacle.hessenberg_check(
+            2, (1, 2), [[1, 0], [0, 1]], (2,)),
+        ValueError, "h must have 2 values, got 1"),
+    "flag column off its normal form": (
+        lambda v: fforacle.hessenberg_check(
+            2, (1, 2), [[1, 0], [1, 1]], (2, 2)),
+        ValueError, "column 2 is not in the normal form of perm (1, 2)"),
 }
 
 
@@ -803,6 +822,41 @@ def test_every_lemma_check_states_what_it_tests():
                       'def _check_told(real):\n    """Tests x."""\n'
                       'def _helper(real):\n    return None\n')
     assert _undocumented_checks(probe) == ["_check_bare"]
+
+
+def _trial_parameter_faults(tree) -> list[str]:
+    """The ``_check_*`` functions of a module that take ``trials`` and
+    ``seed`` but call no ``_rng``, or call ``_rng`` without taking both."""
+    out = []
+    for node in tree.body:
+        if not (isinstance(node, ast.FunctionDef)
+                and node.name.startswith("_check_")):
+            continue
+        takes = {"trials", "seed"} <= {arg.arg for arg in node.args.args}
+        draws = any(isinstance(call, ast.Call)
+                    and isinstance(call.func, ast.Name)
+                    and call.func.id == "_rng" for call in ast.walk(node))
+        if takes != draws:
+            out.append(node.name)
+    return out
+
+
+def test_lemma_checks_take_trials_exactly_when_they_draw():
+    """A lemma check of ``liealg`` takes ``trials`` and ``seed`` exactly
+    when it draws from ``_rng``, so no check keeps a parameter it does not
+    use and ``verify_lemmata`` passes the trial count only to those that
+    sample."""
+    tree = ast.parse(
+        (SRC / "hessenpave" / "liealg.py").read_text(encoding="utf-8"))
+    assert _trial_parameter_faults(tree) == []
+    # the detector sees an unused pair and a draw without the pair
+    probe = ast.parse("def _check_idle(real, trials, seed):\n"
+                      "    return None\n"
+                      "def _check_blind(real):\n"
+                      "    return _rng(1, 'x')\n"
+                      "def _check_fine(real, trials, seed):\n"
+                      "    return _rng(seed, 'x')\n")
+    assert _trial_parameter_faults(probe) == ["_check_idle", "_check_blind"]
 
 
 def test_console_script_is_run():

@@ -1093,6 +1093,22 @@ def test_root_poset_tables_match_root_arithmetic(lie_type, rank):
     assert sum(heights) == (1 << rs.num_positive) - 1
 
 
+def test_sum_pairs_lie_strictly_below_their_sum():
+    """Every system of rank ≤ 8: each (j, k) of ``_sum_pairs[i]`` has i and
+    j in ``_below[k]`` and k ≠ i, j, so a bracket term reaches a root only
+    from roots strictly below it (the type-D coefficient check rests on
+    this).  4,116 pairs in all."""
+    count = 0
+    for lie_type, rank in RANK_8:
+        rs = RootSystem(lie_type, rank)
+        for i, pairs in enumerate(rs._sum_pairs):
+            for j, k in pairs:
+                assert rs._below[k] >> i & 1 and rs._below[k] >> j & 1
+                assert k not in (i, j)
+                count += 1
+    assert count == 4_116
+
+
 @pytest.mark.parametrize("lie_type,rank", POSET_SYSTEMS)
 def test_span_root_matches_root_arithmetic(lie_type, rank):
     """``_span_root`` finds α_lo + … + α_hi, plus α_n when a second span
