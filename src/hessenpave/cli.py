@@ -44,9 +44,10 @@ Every call pays the import of this module, so it loads no ``argparse``,
 cost about a tenth of a small query.  Standard-library modules that only
 some commands need are imported where they are used: ``json`` in
 ``_json_text``, ``csv`` in ``_csv_text``, and ``fractions`` only by the
-``linalg`` and ``liealg`` functions that build rationals (``witness`` and
-``verify-lemmata``).  ``_format_rational`` reads ``numerator`` and
-``denominator``, which ints and Fractions both have.
+``linalg`` and ``liealg`` functions that build rationals (``witness``;
+``verify-lemmata`` runs in integers and loads none).  ``_format_rational``
+reads ``numerator`` and ``denominator``, which ints and Fractions both
+have.
 """
 
 from __future__ import annotations
@@ -226,7 +227,7 @@ def _run_witness(args) -> tuple:
 
 
 def _run_verify_lemmata(args) -> tuple:
-    """Check the lemmata the paving rests on, in seeded trials."""
+    """Check the lemmata the paving rests on."""
     liealg.check_trial_count(args.trials)
     check_budget("weyl", args.lie_type, args.rank)
     rs = RootSystem(args.lie_type, args.rank)
@@ -319,8 +320,8 @@ _COMMANDS = {
     ) + _OUTPUT),
     "verify-lemmata": (_run_verify_lemmata, _SYSTEM + (
         _option("--trials", type=int, default=liealg.DEFAULT_TRIALS,
-                help="random trials per check (default "
-                     f"{liealg.DEFAULT_TRIALS})"),
+                help="containment's seeded samples are min(TRIALS, 3) "
+                     f"(default {liealg.DEFAULT_TRIALS})"),
         _option("--seed", type=int, default=liealg.DEFAULT_SEED,
                 help=f"seed (default {liealg.DEFAULT_SEED}; "
                      "HESSENPAVE_SEED overrides it)"),

@@ -292,6 +292,18 @@ _VALUE_REFUSALS = {
         lambda v: fforacle.hessenberg_check(
             2, (1, 2), [[1, 0], [0, 1]], (2,)),
         ValueError, "h must have 2 values, got 1"),
+    "flag over q 0": (
+        lambda v: fforacle.hessenberg_check(
+            0, (2, 1), [[0, 1], [1, 0]], (1, 2)),
+        ValueError, "q must be at least 2, got 0"),
+    "flag over q 1": (
+        lambda v: fforacle.hessenberg_check(
+            1, (2, 1), [[0, 1], [1, 0]], (1, 2)),
+        ValueError, "q must be at least 2, got 1"),
+    "flag over a negative q": (
+        lambda v: fforacle.hessenberg_check(
+            -3, (2, 1), [[0, 1], [1, 0]], (1, 2)),
+        ValueError, "q must be at least 2, got -3"),
     "flag column off its normal form": (
         lambda v: fforacle.hessenberg_check(
             2, (1, 2), [[1, 0], [1, 1]], (2, 2)),
@@ -857,6 +869,41 @@ def test_lemma_checks_take_trials_exactly_when_they_draw():
                       "def _check_fine(real, trials, seed):\n"
                       "    return _rng(seed, 'x')\n")
     assert _trial_parameter_faults(probe) == ["_check_idle", "_check_blind"]
+
+
+# What reads the realization's structure constants or the row operators
+# they make: a lemma check that names one of these tests the realization.
+_REALIZATION_READERS = {"constants", "_ibracket", "_iad_series", "_ad_block",
+                        "_first_entry_faults"}
+
+
+def _realization_checks(tree) -> list[str]:
+    """The ``_check_*`` functions of a module that name one of
+    ``_REALIZATION_READERS``, as a name or an attribute, sorted."""
+    return sorted(
+        node.name for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+        and node.name.startswith("_check_")
+        and any(getattr(n, "id", getattr(n, "attr", None))
+                in _REALIZATION_READERS for n in ast.walk(node)))
+
+
+def test_only_three_lemma_checks_read_the_realization():
+    """Of the lemma checks of ``liealg``, exactly the row structure, the
+    containment and the type-D block read the structure constants; the
+    other four decide their claims on the stage table and the root
+    tables."""
+    tree = ast.parse(
+        (SRC / "hessenpave" / "liealg.py").read_text(encoding="utf-8"))
+    assert _realization_checks(tree) == [
+        "_check_containment", "_check_row_structure", "_check_type_d_block"]
+    # the detector sees an attribute, a called name and a bare name
+    probe = ast.parse("def _check_a(real):\n    return real.constants\n"
+                      "def _check_b(real):\n    return _ibracket(real, {}, {})\n"
+                      "def _check_c(real):\n    f = _ad_block\n"
+                      "def _check_d(real):\n    return real.rs._sum_pairs\n"
+                      "def _helper(real):\n    return real.constants\n")
+    assert _realization_checks(probe) == ["_check_a", "_check_b", "_check_c"]
 
 
 def test_console_script_is_run():
