@@ -5,7 +5,7 @@ are abelian (Heisenberg in type C), the row-projected adjoint exponential
 is affine except for one long-root coordinate, the row operator has its
 first nonzero entries on simple-root differences, and the type-D paired
 stages produce an invertible 3x3 block.  This script runs all of those as
-seeded exact checks and prints the reports.
+exact checks, each decided for every N at once, and prints the reports.
 """
 
 import json

@@ -45,7 +45,8 @@ cost about a tenth of a small query.  Standard-library modules that only
 some commands need are imported where they are used: ``json`` in
 ``_json_text``, ``csv`` in ``_csv_text``, and ``fractions`` only by the
 ``linalg`` and ``liealg`` functions that build rationals (``witness``;
-``verify-lemmata`` runs in integers and loads none).  ``_format_rational``
+``verify-lemmata`` runs in integers and samples nothing, so it loads
+neither ``fractions`` nor ``random``).  ``_format_rational``
 reads ``numerator`` and ``denominator``, which ints and Fractions both
 have.
 """
@@ -320,11 +321,11 @@ _COMMANDS = {
     ) + _OUTPUT),
     "verify-lemmata": (_run_verify_lemmata, _SYSTEM + (
         _option("--trials", type=int, default=liealg.DEFAULT_TRIALS,
-                help="containment's seeded samples are min(TRIALS, 3) "
+                help="echoed in the report; no check samples "
                      f"(default {liealg.DEFAULT_TRIALS})"),
         _option("--seed", type=int, default=liealg.DEFAULT_SEED,
-                help=f"seed (default {liealg.DEFAULT_SEED}; "
-                     "HESSENPAVE_SEED overrides it)"),
+                help=f"echoed in the report; no check samples (default "
+                     f"{liealg.DEFAULT_SEED}; HESSENPAVE_SEED overrides it)"),
     ) + _OUTPUT),
     "count-points": (_run_count_points, (
         _option("--n", type=int, rule=_REQUIRED,

@@ -90,15 +90,16 @@ def hessenberg_check(q: int, perm: tuple[int, ...], cols: list[list[int]],
     therefore yields its coordinates in the basis v_1..v_n, and N·v_k lies
     in V_m iff its coordinates past m vanish.
 
-    Raises ValueError, before any work, for a q below 2 (no field has
-    fewer than two elements), a ``perm`` that is not a permutation of
-    1..n, ``cols`` that are not n columns of n entries, an ``h`` of another
-    length, and a column that is not in the normal form of ``perm``: 1 at
-    its pivot and 0 off its ``free_positions``.
+    Raises ValueError, before any work, for a q outside the primes
+    ``count_points`` admits (Z/q is the field F_q only for q prime), a
+    ``perm`` that is not a permutation of 1..n, ``cols`` that are not n
+    columns of n entries, an ``h`` of another length, and a column that is
+    not in the normal form of ``perm``: 1 at its pivot and 0 off its
+    ``free_positions``.
     """
     expect(q, int, "q")
-    if q < 2:
-        raise ValueError(f"q must be at least 2, got {q}")
+    if q not in _ALLOWED_PRIMES:
+        raise ValueError(f"q must be one of {_ALLOWED_PRIMES}, got {q}")
     expect(perm, (tuple, list))
     expect(cols, (tuple, list))
     expect(h, (tuple, list))

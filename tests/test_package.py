@@ -57,7 +57,7 @@ _NEVER = {"argparse", "gettext", "locale"}
      {"fractions", "decimal", "numbers"}),
     # the lemma checks run in integers
     (["verify-lemmata", "--type", "C", "--rank", "3", "--trials", "3"],
-     {"json", "random"}),
+     {"json"}),
 ])
 def test_cli_loads_stdlib_modules_only_where_used(argv, loaded):
     """``json``, ``csv``, ``fractions`` and ``random`` cost 7-8 ms of a
@@ -295,15 +295,27 @@ _VALUE_REFUSALS = {
     "flag over q 0": (
         lambda v: fforacle.hessenberg_check(
             0, (2, 1), [[0, 1], [1, 0]], (1, 2)),
-        ValueError, "q must be at least 2, got 0"),
+        ValueError, "q must be one of (2, 3, 5), got 0"),
     "flag over q 1": (
         lambda v: fforacle.hessenberg_check(
             1, (2, 1), [[0, 1], [1, 0]], (1, 2)),
-        ValueError, "q must be at least 2, got 1"),
+        ValueError, "q must be one of (2, 3, 5), got 1"),
     "flag over a negative q": (
         lambda v: fforacle.hessenberg_check(
             -3, (2, 1), [[0, 1], [1, 0]], (1, 2)),
-        ValueError, "q must be at least 2, got -3"),
+        ValueError, "q must be one of (2, 3, 5), got -3"),
+    "flag over q 4": (
+        lambda v: fforacle.hessenberg_check(
+            4, (2, 1), [[2, 1], [1, 0]], (1, 2)),
+        ValueError, "q must be one of (2, 3, 5), got 4"),
+    "flag over q 6": (
+        lambda v: fforacle.hessenberg_check(
+            6, (1, 2), [[1, 0], [0, 1]], (1, 2)),
+        ValueError, "q must be one of (2, 3, 5), got 6"),
+    "flag over q 7": (
+        lambda v: fforacle.hessenberg_check(
+            7, (2, 1), [[0, 1], [1, 0]], (1, 2)),
+        ValueError, "q must be one of (2, 3, 5), got 7"),
     "flag column off its normal form": (
         lambda v: fforacle.hessenberg_check(
             2, (1, 2), [[1, 0], [1, 1]], (2, 2)),
@@ -536,8 +548,8 @@ def _names_outside_annotations(tree) -> set[str]:
 def test_realization_constants_are_read_in_integers():
     """The structure constants and the Cartan eigenvalues are integers: the
     methods that read them off the matrices never name ``Fraction``, and
-    neither do the seven lemma checks, the bracket and the scaled series
-    they run on."""
+    neither do the seven lemma checks, the bracket and the first-entry
+    rule."""
     tree = ast.parse(
         (SRC / "hessenpave" / "liealg.py").read_text(encoding="utf-8"))
     realization = next(node for node in tree.body
@@ -552,7 +564,7 @@ def test_realization_constants_are_read_in_integers():
     for name, node in ([(name, methods[name]) for name in
                         ("_extract_constants", "_validate_weights")]
                        + [(name, functions[name]) for name in
-                          checks + ["_ibracket", "_iad_series"]]):
+                          checks + ["_ibracket", "_first_entry_faults"]]):
         assert "Fraction" not in _names_outside_annotations(node), name
     # the detector sees the name where it is used, and not in annotations
     assert "Fraction" in _names_outside_annotations(functions["_iad_exp"])
@@ -724,7 +736,7 @@ def test_roots_stay_at_the_edge_of_liealg():
                  if isinstance(node, ast.FunctionDef)}
     checks = [name for name in functions if name.startswith("_check_")]
     assert len(checks) == 7, checks
-    for name in checks + ["_ibracket", "_iad_series", "_ad_block",
+    for name in checks + ["_ibracket", "_iad_exp", "_ad_block",
                           "find_witness", "_verify_witness_matrix"]:
         assert _root_calls(functions[name]) == set(), name
     # the span lookup the type-D checks name their roots with
@@ -836,44 +848,48 @@ def test_every_lemma_check_states_what_it_tests():
     assert _undocumented_checks(probe) == ["_check_bare"]
 
 
-def _trial_parameter_faults(tree) -> list[str]:
-    """The ``_check_*`` functions of a module that take ``trials`` and
-    ``seed`` but call no ``_rng``, or call ``_rng`` without taking both."""
+def _sampling_faults(tree) -> list[str]:
+    """The ``_check_*`` functions of a module that take ``trials`` or
+    ``seed``, and an ``import random`` for each import of it anywhere in
+    the module."""
     out = []
-    for node in tree.body:
-        if not (isinstance(node, ast.FunctionDef)
-                and node.name.startswith("_check_")):
-            continue
-        takes = {"trials", "seed"} <= {arg.arg for arg in node.args.args}
-        draws = any(isinstance(call, ast.Call)
-                    and isinstance(call.func, ast.Name)
-                    and call.func.id == "_rng" for call in ast.walk(node))
-        if takes != draws:
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.FunctionDef)
+                and node.name.startswith("_check_")
+                and {"trials", "seed"} & {a.arg for a in node.args.args}):
             out.append(node.name)
+        elif isinstance(node, ast.Import) and any(
+                alias.name.split(".")[0] == "random" for alias in node.names):
+            out.append("import random")
+        elif (isinstance(node, ast.ImportFrom) and node.level == 0
+              and node.module.split(".")[0] == "random"):
+            out.append("import random")
     return out
 
 
 def test_lemma_checks_take_trials_exactly_when_they_draw():
-    """A lemma check of ``liealg`` takes ``trials`` and ``seed`` exactly
-    when it draws from ``_rng``, so no check keeps a parameter it does not
-    use and ``verify_lemmata`` passes the trial count only to those that
-    sample."""
-    tree = ast.parse(
-        (SRC / "hessenpave" / "liealg.py").read_text(encoding="utf-8"))
-    assert _trial_parameter_faults(tree) == []
-    # the detector sees an unused pair and a draw without the pair
-    probe = ast.parse("def _check_idle(real, trials, seed):\n"
-                      "    return None\n"
-                      "def _check_blind(real):\n"
-                      "    return _rng(1, 'x')\n"
-                      "def _check_fine(real, trials, seed):\n"
-                      "    return _rng(seed, 'x')\n")
-    assert _trial_parameter_faults(probe) == ["_check_idle", "_check_blind"]
+    """No lemma check draws: each decides its claim for every N at once.
+    So no ``_check_*`` takes ``trials`` or ``seed``, and no module of the
+    package imports ``random``, at module level or in a function."""
+    files = sorted((SRC / "hessenpave").glob("*.py"))
+    assert files
+    for path in files:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        assert _sampling_faults(tree) == [], path.name
+    # the detector sees either parameter and every form of the import
+    probe = ast.parse("def _check_idle(real, trials):\n    return None\n"
+                      "def _check_seeded(real, seed):\n    return None\n"
+                      "def _check_fine(real):\n    return None\n"
+                      "def _helper(trials, seed):\n    return None\n"
+                      "def f():\n    import random\n"
+                      "from random import Random\n")
+    assert sorted(_sampling_faults(probe)) == [
+        "_check_idle", "_check_seeded", "import random", "import random"]
 
 
 # What reads the realization's structure constants or the row operators
 # they make: a lemma check that names one of these tests the realization.
-_REALIZATION_READERS = {"constants", "_ibracket", "_iad_series", "_ad_block",
+_REALIZATION_READERS = {"constants", "_ibracket", "_iad_exp", "_ad_block",
                         "_first_entry_faults"}
 
 
