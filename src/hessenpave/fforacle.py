@@ -61,7 +61,11 @@ from .rootcore import RootSystem, WeylElement, _Record, enumerate_weyl
 _ALLOWED_PRIMES = (2, 3, 5)
 _MAX_N = 5
 # Most flags count_points enumerates, [n]_q! in all.  Every n <= 4 and n = 5
-# at q = 3 (251,680 flags) fit; n = 5 at q = 5 has 22,661,496 flags.
+# at q = 3 (251,680 flags) fit; n = 5 at q = 5 has 22,661,496 flags.  The
+# worst case, the full space at n = 5 and q = 3 (``count-points --n 5 --q 3
+# --hess-fn 5,5,5,5,5``), takes 9.2-11.0 s as a fresh process on a shared
+# 2-vCPU Xeon, at 16 MB peak; the largest n = 4 case, the full space at
+# q = 5 (29,016 flags), takes 0.8-0.9 s.
 _FLAG_BUDGET = 300_000
 
 

@@ -10,7 +10,11 @@ vector of ``ε_i − ε_j`` the (i, j) matrix unit.  Types B, C, D preserve an
 antidiagonal symmetric (B: odd size, D: even size) or antidiagonal-block
 alternating (C) bilinear form, chosen precisely so that the Borel consists
 of upper-triangular matrices: every positive root vector is strictly upper
-triangular and has at most two nonzero entries.
+triangular and has at most two nonzero entries.  The root vectors are a
+Chevalley basis in every type: |m_{α,β}| = p + 1, for β − pα the bottom
+of the α-string through β, which construction checks of every constant;
+type B reaches it by doubling the entries of its middle row, so its form
+has 1 in the middle and 2 elsewhere on the antidiagonal.
 
 The realization is integer: root-vector entries, structure constants
 ``[E_α, E_β] = m_{α,β} E_{α+β}`` and Cartan eigenvalues are all ints.  The
@@ -20,12 +24,13 @@ lemma checks read: row structure, containment (through the first-entry
 rule) and the type-D block.  Construction brackets once each unordered
 root pair that can be nonzero, writes both m_{α,β} and m_{β,α} = −m_{α,β}
 from that bracket (so the table is antisymmetric by construction), and
-re-verifies every defining relation; a realization that fails its own
-bracket table refuses to build, naming its system.  The Cartan weights are
-read off the diagonal of each [E_{α_i}, E_{−α_i}], which the constant scan
-has already found diagonal, with no matrix product.  Type D is built in
-the root-vector signs for which the constants of the paired stages are +1
-(see ``_root_vectors``); the type-D block check fails on other signs.
+re-verifies every defining relation and the Chevalley magnitude; a
+realization that fails its own bracket table refuses to build, naming its
+system.  The Cartan weights are read off the diagonal of each
+[E_{α_i}, E_{−α_i}], which the constant scan has already found diagonal,
+with no matrix product.  Type D is built in the root-vector signs for
+which the constants of the paired stages are +1 (see ``_root_vectors``);
+the type-D block check fails on other signs.
 The adjoint exponential ``Ad(exp X) = Σ ad(X)^k / k!`` terminates because
 ad(X) is nilpotent; ``_iad_exp`` divides each power by k as it forms it.
 The lemma checks build no exponential and draw nothing: they read
@@ -100,7 +105,7 @@ from .linalg import (
     sp_mul,
     sp_scale,
 )
-from .paving import cell_nonempty, row_dimension_profile
+from .paving import _outside_mask, cell_nonempty, row_dimension_profile
 from .rootcore import (
     Root,
     RootSystem,
@@ -127,7 +132,8 @@ class ChevalleyRealization:
     [E_{α_i}, E_{−α_i}]), and ``constants``, the structure constants
     m_{α,β} with [E_α, E_β] = m_{α,β} E_{α+β}: ``constants[a][b]`` is the
     int m for the roots of ``rs.all_roots`` indices a and b, 0 where α + β
-    is not a root, and nonzero entries are antisymmetric in the arguments.
+    is not a root, and nonzero entries are antisymmetric in the arguments,
+    with the magnitudes of a Chevalley basis (see ``_extract_constants``).
     A construction error names the system.
     """
 
@@ -181,7 +187,10 @@ class ChevalleyRealization:
         brackets to zero exactly.  Each unordered pair is bracketed once:
         [E_β, E_α] is exactly −[E_α, E_β], so every check holds for (β, α)
         when it holds for (α, β), and m_{β,α} = −m_{α,β} is written with
-        m_{α,β}."""
+        m_{α,β}.  Each constant written must have the magnitude of a
+        Chevalley basis, |m_{α,β}| = p + 1 for β − pα the bottom of the
+        α-string through β, walked on ``rs._keys``; p is symmetric in α and
+        β when α + β is a root, so one check serves both orders."""
         rs = self.rs
         roots = rs.all_roots
         keys = rs._keys
@@ -206,11 +215,18 @@ class ChevalleyRealization:
                     if not num or num % val:
                         raise ConsistencyError(
                             f"bad structure constant for {ra} + {rb}")
-                    if br != sp_scale(target, num // val):
+                    m = num // val
+                    if br != sp_scale(target, m):
                         raise ConsistencyError(f"[E_{ra}, E_{rb}] is not a "
                                                f"multiple of E_{roots[s]}")
-                    table[a][b] = num // val
-                    table[b][a] = -table[a][b]
+                    length = 1      # p + 1: rb, rb − ra, …, rb − p·ra
+                    while kb - length * ka in by_key:
+                        length += 1
+                    if abs(m) != length:
+                        raise ConsistencyError(
+                            f"|m| = {abs(m)} for {ra} + {rb}, not {length}, "
+                            f"the length of the {ra}-string down from {rb}")
+                    table[a][b], table[b][a] = m, -m
                 elif ka + kb:
                     if br:
                         raise ConsistencyError(f"[E_{ra}, E_{rb}] nonzero but "
@@ -277,7 +293,13 @@ def _root_vectors(rs: RootSystem) -> tuple[Sparse, ...]:
     position (r, c) by row, and in types B, C, D also its mirror
     (size−1−c, size−1−r), unless that is (r, c) (a long root of C), with the
     sign that preserves the form: −s in B and D, −σ(r)σ(c)s in C, σ being +1
-    on the first n basis vectors and −1 after.
+    on the first n basis vectors and −1 after.  In type B each entry in the
+    middle row (row n) is then doubled, so that B preserves the
+    antidiagonal form with 1 in the middle and 2 elsewhere, and the basis
+    is a Chevalley basis:
+    every short + short = long bracket has |m| = 2, as the root-string rule
+    |m_{α,β}| = p + 1 that ``_extract_constants`` checks asks.  With ±1
+    entries only, those brackets have |m| = 1.
 
     s is +1 except in type D, where it is −1 on ±β for β = ε_1 − ε_2 when
     n ≥ 4 and for β = ε_j − ε_{n−1}, ε_j − ε_n and ε_j + ε_n with
@@ -316,7 +338,8 @@ def _root_vectors(rs: RootSystem) -> tuple[Sparse, ...]:
         mirror = (size - 1 - c, size - 1 - r)
         if t != "A" and mirror != (r, c):
             mat[mirror] = -s if t != "C" or (r < n) == (c < n) else s
-        vectors.append(mat)
+        vectors.append({(i, j): 2 * v if t == "B" and i == n else v
+                        for (i, j), v in mat.items()})
     return tuple(vectors)
 
 
@@ -610,73 +633,62 @@ def _check_containment(real: ChevalleyRealization) -> dict | None:
     a β for which α − β is simple, and every positive α − α_j must lie in
     the inversion set Φ_w.
 
-    The conditions split into two bitmasks over ``rs.all_roots`` indices:
-
-    * the (w, space) part, built once per w: ``bad(w)``, the w⁻¹-image of
-      the row roots α with some positive α − α_j outside Φ_w;
-    * the N part, built once: ``F``, the row roots whose line is zero or
-      starts off a simple difference for some regular N
-      (``_first_entry_faults``, which decides every regular N at once).
-
-    A (space, w) pair fails iff its cell is nonempty and
-    ``(bad(w) | w⁻¹F) & ~hm`` is nonzero; call that mask ``risky(w)``.  The
+    One rule decides a root α outside wΦ_H: it fails iff it is in
+    ``_first_entry_faults`` (the N part, decided for every regular N at
+    once) or ``rs._covers[α]``, its positive α − α_j, leaves Φ_w.  The
     cell of w is nonempty in exactly the spaces whose ``hm`` contains
     ``w.sm``.  Negative parts of Hessenberg spaces are order ideals, closed
     under intersection, so among these spaces there is a smallest,
-    ``smallest_containing(rs, w.sm)``, and every other one contains it.
-    Hence some space fails for w iff the smallest one does, and a passing
-    run tests one mask per w and no (space, w) pair.  Every space holds
-    Φ⁺, so only the bits of ``risky(w)`` in ``w.im`` (the negative
-    w⁻¹-images of positive roots) can leave it: the mask is built, in one
-    pass over the positive roots, only for the w with ``w.im`` outside
-    their smallest space.  That smallest space is also checked to be one of
-    the enumerated spaces.  A w whose mask leaves its smallest space is a
-    suspect, tried only there: a w that fails in a space fails in its
-    smallest space, which is enumerated no later (spaces come by the size
-    of their negative part), so the first failing (space, w) pair is a
-    suspect in its smallest space.  The suspects are ordered by that space,
-    then by w in enumeration order, the cell kernel confirms each once,
-    and each is checked root by root against ``F``: the first root that
-    fails names the row, the root and the reason.  If no suspect fails,
-    the masks and the rule disagree, and the check raises
-    ``ConsistencyError``.
+    ``smallest_containing(rs, w.sm)``, and every other one contains it and
+    leaves fewer roots outside wΦ_H.  Hence some space fails for w iff the
+    smallest one does, and the rule is evaluated once per w, on
+    ``_outside_mask`` in that space, which is checked to be an enumerated
+    space holding ``w.sm``.  Spaces come by the size of their negative
+    part, so a w that fails in a space fails in one enumerated no later:
+    the first failing (space, w) pair is the first w, in enumeration
+    order, of the earliest smallest space in which some w fails.  The walk
+    keeps it, skipping each w whose smallest space comes no earlier, and
+    its first failing root in row order names the row, the root and the
+    reason.
+
+    On a realization that passes its construction checks the Φ_w half
+    never fires, by b-stability.  Take α with w⁻¹α ∉ Φ_H and α − α_j a
+    positive root outside Φ_w, so that w⁻¹(α − α_j) is positive.  The cell
+    is nonempty, so w⁻¹α_j ∈ Φ_H, and Φ_H is closed under adding a
+    positive root: w⁻¹α = w⁻¹α_j + w⁻¹(α − α_j) lies in Φ_H, which
+    contradicts the choice of α.  Nor is a simple root ever outside wΦ_H,
+    since w⁻¹α_j ∈ Φ_H is the nonemptiness condition itself.
     """
     rs = real.rs
     fault = _first_entry_faults(real)
-
-    # a faulted root carries a bit above the positive roots in its cover
-    # mask, which every ~Φ_w has, so one pass over the roots gives risky
-    flagged = tuple(dm | (a in fault) << rs.num_positive
-                    for a, dm in enumerate(rs._covers))
-
+    faulted = sum(1 << k for k in fault)
+    order = [(i, k) for i, row in enumerate(stage_table(rs).rows, start=1)
+             for k in row]
     spaces = enumerate_hessenberg(rs)
     position = {space.hm: k for k, space in enumerate(spaces)}
-    suspects = []     # (position of w's smallest space, w), w risky there
+    first = None      # (position of the space, w, row, root) failing first
     for w in enumerate_weyl(rs):
         least = smallest_containing(rs, w.sm)
-        if least not in position:
+        if least not in position or w.sm & least != w.sm:
             raise ConsistencyError(
                 f"{rs.lie_type}{rs.rank} word {list(w.word)}: the smallest "
-                "space with a nonempty cell is not an enumerated space")
-        if w.im & ~least:         # else no risky bit can leave least
-            # inv lists the positive roots first, as flagged does
-            outside_phi_w = ~w.inversion_mask()
-            mask = sum([1 << x for x, dm in
-                        zip(w.inverse_root_permutation(), flagged)
-                        if dm & outside_phi_w])
-            if mask & ~least:
-                suspects.append((position[least], w))
-    if not suspects:
-        return None
-    suspects.sort(key=lambda suspect: suspect[0])
-    cells = [(spaces[k], w) for k, w in suspects
-             if cell_nonempty(w, spaces[k])]
-    for space, w in cells:
-        ce = _containment_counterexample(rs, fault, space, w)
-        if ce is not None:
-            return ce
-    raise ConsistencyError(f"{rs.lie_type}{rs.rank}: no row root fails "
-                           "a containment suspect")
+                "space with a nonempty cell is not an enumerated space "
+                "holding it")
+        if first is not None and position[least] >= first[0]:
+            continue
+        outside = _outside_mask(w, least)
+        escaped = ~w.inversion_mask() if outside else 0
+        failed = outside & faulted
+        while outside:            # the rule, root by root outside wΦ_H
+            low = outside & -outside
+            if rs._covers[low.bit_length() - 1] & escaped:
+                failed |= low
+            outside ^= low
+        if failed:
+            first = (position[least], w,
+                     *next((i, k) for i, k in order if failed >> k & 1))
+    return first and _containment_counterexample(rs, fault, spaces[first[0]],
+                                                 *first[1:])
 
 
 def _first_entry_faults(real: ChevalleyRealization) -> dict[int, str]:
@@ -709,35 +721,27 @@ def _first_entry_faults(real: ChevalleyRealization) -> dict[int, str]:
 
 
 def _containment_counterexample(rs: RootSystem, fault: dict[int, str],
-                                space: HessenbergSpace,
-                                w: WeylElement) -> dict | None:
-    """The containment conditions of one nonempty cell, given the
-    ``_first_entry_faults`` as ``fault``, root by root: the first failing
-    row root as a counterexample, or None.  A zero-line counterexample
-    also names the space, by its negative part."""
-    inv_perm = w.inverse_root_permutation()
-    phi_w = w.inversion_mask()
-    simple = rs._simple_index
-    for i, row in enumerate(stage_table(rs).rows, start=1):
-        for k in row:
-            if space.hm >> inv_perm[k] & 1:
-                continue          # α ∈ wΦ_H: no claim
-            alpha = rs._texts[k]
-            reason = fault.get(k)
-            if reason is not None:
-                ce = {"word": list(w.word), "row": i, "alpha": alpha,
-                      "reason": reason}
-                if reason.startswith("zero row"):
-                    return {"hessenberg": sorted(_negative_texts(space)), **ce}
-                return ce
-            for j, a in enumerate(simple, start=1):
-                d = rs._pos_diff[k][a]
-                if d is not None and not phi_w >> d & 1:
-                    return {"word": list(w.word), "row": i,
-                            "alpha": alpha, "simple": j,
-                            "reason": "simple-difference root escapes "
-                                      "the inversion set"}
-    return None
+                                space: HessenbergSpace, w: WeylElement,
+                                row: int, k: int) -> dict:
+    """The counterexample of root k of row ``row``, outside wΦ_H in
+    ``space``, that fails containment: its reason is its fault in
+    ``fault`` (the ``_first_entry_faults``) if it has one, and else the
+    first simple α_j whose α − α_j is positive and outside Φ_w.  A
+    zero-line counterexample also names the space, by its negative
+    part."""
+    ce = {"word": list(w.word), "row": row, "alpha": rs._texts[k]}
+    reason = fault.get(k)
+    if reason is None:
+        phi_w = w.inversion_mask()
+        j = next(j for j, a in enumerate(rs._simple_index, start=1)
+                 if (d := rs._pos_diff[k][a]) is not None
+                 and not phi_w >> d & 1)
+        return {**ce, "simple": j, "reason": "simple-difference root "
+                                             "escapes the inversion set"}
+    if reason.startswith("zero row"):
+        return {"hessenberg": sorted(_negative_texts(space)), **ce,
+                "reason": reason}
+    return {**ce, "reason": reason}
 
 
 def _check_type_d_block(real: ChevalleyRealization) -> dict | None:
@@ -806,10 +810,9 @@ def verify_lemmata(real: ChevalleyRealization,
     its claim for every N at once.  ``trial_count`` and ``seed`` change no
     work and no verdict; they are checked and reported back as given.
 
-    The containment check covers every regular N, space and w, but a
-    passing run tests one mask per Weyl element, against the smallest space
-    in which its cell is nonempty, and a failing run tries each suspect in
-    that space only (see ``_check_containment``).
+    The containment check covers every regular N, space and w, but it
+    evaluates its rule once per Weyl element, in the smallest space in
+    which its cell is nonempty (see ``_check_containment``).
 
     The realization is checked as given.  The type-D block check is stated
     for the signs ``build_chevalley`` gives (see ``_root_vectors``), so a
@@ -932,8 +935,7 @@ def find_witness(real: ChevalleyRealization, w: WeylElement,
     if not cell_nonempty(w, space):
         raise ValueError("cell is empty; no witness exists")
 
-    inv = w.inverse_root_permutation()
-    phi_w = w.inversion_mask()
+    phi_w, outside = w.inversion_mask(), _outside_mask(w, space.hm)
     table = stage_table(rs)
     stages = table.stages
     current = {k: v for k, v in n.items() if v}
@@ -943,8 +945,7 @@ def find_witness(real: ChevalleyRealization, w: WeylElement,
     for k in range(len(stages) - 1, -1, -1):
         stage_vars, stage_cons = stages[k]
         vars_ = [p for p in stage_vars if phi_w >> p & 1]
-        # the stage's roots outside wΦ_H, i.e. with w⁻¹p outside Φ_H
-        cons = [p for p in stage_cons if not space.hm >> inv[p] & 1]
+        cons = [p for p in stage_cons if outside >> p & 1]   # not in wΦ_H
         gamma = table.long_roots[k]
         quad = gamma in cons
 
@@ -1038,9 +1039,9 @@ def _verify_witness_matrix(real: ChevalleyRealization, w: WeylElement,
             "matrix conjugation disagrees with the coefficient-space "
             f"computation ({_witness_context(space, w)})")
 
-    inv = w.inverse_root_permutation()
+    outside = _outside_mask(w, space.hm)
     for k, v in sorted(final.items()):
-        if v and not space.hm >> inv[k] & 1:
+        if v and outside >> k & 1:
             raise ConsistencyError(
                 f"witness lands outside the translated Hessenberg space "
                 f"at {real.rs._texts[k]} "

@@ -26,10 +26,11 @@ on the element.  A cell is nonempty iff ``sm & hm == sm`` and its
 dimension is ``(im & hm).bit_count()``; the Lie-algebra formula counts the
 negative bits of ``hm`` that ``w``, applied through its word's simple
 reflections, sends to positive roots.  A row profile entry ANDs
-``w.inversion_mask()``, and the positive roots outside ``wΦ_H``, with the
-variable and constraint masks of one stage of ``stage_table``:
-one formula for every type, since the type-D pairing lives in the table.
-No function here turns ``hm`` back into roots.  ``compute_paving`` tests
+``w.inversion_mask()``, and the positive roots outside ``wΦ_H``
+(``_outside_mask``, read off ``w.im``), with the variable and constraint
+masks of one stage of ``stage_table``: one formula for every type, since
+the type-D pairing lives in the table.
+No function here turns ``hm`` back into ``Root`` objects.  ``compute_paving`` tests
 each cell once, and ``cell_dimension`` and ``row_dimension_profile`` refuse
 an empty cell with the same one-AND test rather than a second call of
 ``cell_nonempty``.  ``paving_record`` requires each printed row profile to
@@ -146,15 +147,29 @@ def row_dimension_profile(w: WeylElement, space: HessenbergSpace) -> tuple[int, 
     hm = space.hm
     if w.sm & hm != w.sm:
         raise ValueError("cell is empty; it has no profile")
-    inv = w.inverse_root_permutation()
-    phi_w = w.inversion_mask()
-    # the positive roots outside wΦ_H, all of which are in Φ_w
-    outside = 0
-    for p in range(w.rs.num_positive):
-        if not hm >> inv[p] & 1:
-            outside |= 1 << p
+    phi_w, outside = w.inversion_mask(), _outside_mask(w, hm)
     return tuple((phi_w & vm).bit_count() - (outside & cm).bit_count()
                  for vm, cm in stage_table(w.rs).masks)
+
+
+def _outside_mask(w: WeylElement, hm: int) -> int:
+    """The positive roots outside wΦ_H, the α with w⁻¹α ∉ Φ_H for ``hm``
+    the mask of Φ_H, as a mask over positive-root indices.  This is the
+    one place they are computed: row profiles, witnesses and the
+    containment check read it.
+
+    Φ⁺ ⊆ Φ_H, so w⁻¹α ∉ Φ_H makes w⁻¹α negative: every such α is an
+    inversion of w, and w⁻¹α is a bit of ``w.im``.  So the roots are the
+    bits of ``w.im & ~hm``, each mapped back to α through the inverse
+    permutation, with no pass over the positive roots."""
+    index = w.inverse_root_permutation().index
+    out = 0
+    bits = w.im & ~hm
+    while bits:
+        low = bits & -bits
+        out |= 1 << index(low.bit_length() - 1)
+        bits ^= low
+    return out
 
 
 def compute_paving(space: HessenbergSpace) -> tuple[PavingCell, ...]:

@@ -28,7 +28,11 @@ from hessenpave.linalg import (
     sp_mul,
     sp_scale,
 )
-from hessenpave.paving import cell_nonempty, row_dimension_profile
+from hessenpave.paving import (
+    _outside_mask,
+    cell_nonempty,
+    row_dimension_profile,
+)
 from hessenpave.rootcore import (
     Root,
     RootSystem,
@@ -148,7 +152,9 @@ def test_bracket_opposite_roots_is_diagonal(real_a2):
 def ref_extract_constants(real):
     """The structure constants as they were read before the integer table:
     a rational commutator for every one of the |Φ|² root pairs, in
-    ``rs.all_roots`` order, with the same checks and messages."""
+    ``rs.all_roots`` order, with the same checks and messages, and the
+    Chevalley magnitude |m_{α,β}| = p + 1 with the α-string through β
+    walked by coefficient arithmetic."""
     rs = real.rs
     roots = rs.all_roots
     vectors = dict(zip(roots, real.root_vectors))
@@ -170,6 +176,14 @@ def ref_extract_constants(real):
                         f"[E_{a}, E_{b}] is not a multiple of E_{ab}")
                 table[i][j] = int(coeff)
                 found.append((i, j))
+                length = 1           # p + 1: the roots b, b − a, …, b − p·a
+                while tuple(y - length * x for x, y in zip(a.coeffs, b.coeffs)
+                            ) in rs._index:
+                    length += 1
+                if abs(coeff) != length:
+                    raise ConsistencyError(
+                        f"|m| = {abs(coeff)} for {a} + {b}, not {length}, "
+                        f"the length of the {a}-string down from {b}")
             elif a != -b:
                 if br:
                     raise ConsistencyError(
@@ -402,6 +416,113 @@ def test_realization_takes_vectors_by_root_index(shape, error, message):
            else vectors[:-1])
     with pytest.raises(error, match=message):
         liealg.ChevalleyRealization(rs, bad)
+
+
+def ref_root_vectors_unnormalized(rs):
+    """The root vectors as ``liealg._root_vectors`` built them before the
+    type-B normalization: every entry ±1, so that type B preserves the
+    antidiagonal form with 1 in the middle, and each short + short = long
+    bracket of B has |m| = 1 where the root-string rule gives 2.  A, C and
+    D are unchanged."""
+    n, t = rs.rank, rs.lie_type
+    size = liealg._dim_rep(rs)
+    wt = [8 ** k for k in range(size if t == "A" else n)]
+    if t != "A":
+        wt += [0] * (t == "B") + [-w for w in reversed(wt)]
+    index = {w: k for k, w in enumerate(wt)}
+    simple = [sum(e * 8 ** k for k, e in enumerate(v)) for v in rs._eps_simple]
+    flip = set()
+    if t == "D":
+        flip = {wt[0] - wt[1]} if n >= 4 else set()
+        for e in wt[1:n - 2]:
+            flip |= {e - wt[n - 2], e - wt[n - 1], e + wt[n - 1]}
+        flip |= {-k for k in flip}
+    vectors = []
+    for root in rs.all_roots:
+        key = sum(c * e for c, e in zip(root.coeffs, simple))
+        r, c = next((r, index[w - key]) for r, w in enumerate(wt)
+                    if w - key in index)
+        s = -1 if key in flip else 1
+        mat = {(r, c): s}
+        mirror = (size - 1 - c, size - 1 - r)
+        if t != "A" and mirror != (r, c):
+            mat[mirror] = -s if t != "C" or (r < n) == (c < n) else s
+        vectors.append(mat)
+    return tuple(vectors)
+
+
+def ref_string_length(rs, a, b):
+    """p + 1 for the roots b, b − a, …, b − p·a of the a-string through b,
+    by coefficient arithmetic."""
+    length = 1
+    while tuple(y - length * x
+                for x, y in zip(a.coeffs, b.coeffs)) in rs._index:
+        length += 1
+    return length
+
+
+# every system of rank <= 8, and A12 and D12
+_CHEVALLEY_SYSTEMS = ([("A", r) for r in range(1, 9)]
+                      + [(t, r) for t in "BC" for r in range(2, 9)]
+                      + [("D", r) for r in range(3, 9)]
+                      + [("A", 12), ("D", 12)])
+
+
+@pytest.mark.parametrize("lie_type,rank", _CHEVALLEY_SYSTEMS)
+def test_realization_is_a_chevalley_basis(lie_type, rank):
+    """Every nonzero constant has |m_{α,β}| = p + 1, for β − pα the bottom
+    of the α-string through β (Chevalley; Carter, *Simple Groups of Lie
+    Type*, §4.2).  The type-B root vectors carry 2 in the middle row; A, C
+    and D keep the unnormalized vectors, and so exactly their constants."""
+    rs = RootSystem(lie_type, rank)
+    real = build_chevalley(rs)
+    roots = rs.all_roots
+    for a, line in zip(roots, real.constants):
+        for b, m in zip(roots, line):
+            assert not m or abs(m) == ref_string_length(rs, a, b), (a, b, m)
+    old = ref_root_vectors_unnormalized(rs)
+    if lie_type == "B":
+        assert real.root_vectors == tuple(
+            {(r, c): 2 * v if r == rank else v for (r, c), v in mat.items()}
+            for mat in old)
+    else:
+        assert real.root_vectors == old
+        assert (liealg.ChevalleyRealization(rs, old).constants
+                == real.constants)
+
+
+@pytest.mark.parametrize("rank", range(2, 9))
+def test_unnormalized_type_b_vectors_are_refused(rank):
+    """The type-B vectors without the doubled middle row fail the
+    root-string magnitude check at construction, in both builds, with the
+    same first error naming the system and the pair."""
+    rs = RootSystem("B", rank)
+    old = ref_root_vectors_unnormalized(rs)
+    got = _constants_or_error(liealg.ChevalleyRealization, rs, old)
+    assert got == _constants_or_error(RefRealization, rs, old)
+    assert re.fullmatch(rf"B{rank}: \|m\| = 1 for \S+ \+ \S+, not 2, the "
+                        r"length of the \S+-string down from \S+", got), got
+
+
+@pytest.mark.parametrize("lie_type,rank", [("A", 3), ("B", 3), ("C", 4),
+                                           ("D", 5)])
+def test_scaled_simple_root_vector_fails_the_magnitude_check(lie_type, rank):
+    """A seeded simple root vector scaled by 2 or 3 brackets with its
+    neighbour on the diagram to a constant of the wrong magnitude before
+    any bracket targets it: both builds refuse it, naming the pair."""
+    rs = RootSystem(lie_type, rank)
+    rng = random.Random(f"magnitude:{lie_type}{rank}")
+    k = rng.choice(rs._simple_index)
+    factor = rng.choice((2, 3, -2))
+    vectors = liealg._root_vectors(rs)
+    bad = vectors[:k] + ({pos: factor * v
+                          for pos, v in vectors[k].items()},) + vectors[k + 1:]
+    got = _constants_or_error(liealg.ChevalleyRealization, rs, bad)
+    assert got == _constants_or_error(RefRealization, rs, bad)
+    assert re.fullmatch(rf"{lie_type}{rank}: \|m\| = \d+ for \S+ \+ \S+, "
+                        r"not \d+, the length of the \S+-string down from "
+                        r"\S+", got), got
+    assert rs._texts[k] in got
 
 
 # ---------------------------------------------------------------------------
@@ -1407,11 +1528,6 @@ def test_containment_equals_reference(lie_type, rank, trials, seed):
     assert got == ref_check_containment(real, trials, seed)
 
 
-# containment suspects on the failing runs below: each w whose mask leaves
-# its smallest space, which the cell kernel tests once, in that space only
-FLAGGED_CELLS = {"A3": 7, "B3": 17, "C3": 14, "D4": 47}
-
-
 def _zero_simple_constants(real, j):
     """Set every constant m(α_j, ·) of a realization to 0, and m(·, α_j)
     with it, so that the table stays antisymmetric.  Entry (α, β) of a row
@@ -1430,23 +1546,19 @@ def _zero_simple_constants(real, j):
 def test_containment_zero_simple_coefficient_matches_reference(
         monkeypatch, lie_type, rank, zeroed, sampler):
     """With every constant m(α_j, ·) zero, containment fails with a zero
-    row: both paths name the same first counterexample, and the cell
-    kernel runs once per suspect w, in its smallest space.  The named root
-    fails for the N the parameter names too (the sum of the simple
-    vectors, or a seeded regular one): its line is zero or starts off a
-    simple difference."""
+    row: both paths name the same first counterexample, and the failing
+    run, like a passing one, never calls the cell kernel (each w is tested
+    once, in its smallest space, by one AND).  The named root fails for
+    the N the parameter names too (the sum of the simple vectors, or a
+    seeded regular one): its line is zero or starts off a simple
+    difference."""
     real = _realization(lie_type, rank)
     rs = real.rs
     _zero_simple_constants(real, zeroed)
-    calls = []
-
-    def counted(w, space):
-        calls.append((space.hm, w.word))
-        return cell_nonempty(w, space)
-
-    monkeypatch.setattr(liealg, "cell_nonempty", counted)
+    monkeypatch.setattr(liealg, "cell_nonempty",
+                        lambda *_: pytest.fail("the cell kernel ran"))
     got = liealg._check_containment(real)
-    assert len(set(calls)) == len(calls) == FLAGGED_CELLS[f"{lie_type}{rank}"]
+    monkeypatch.undo()          # the reference tests each cell
     assert got is not None
     assert got["reason"] == "zero row for an excluded root"
     assert got == ref_check_containment(real, 3, 5)
@@ -1569,27 +1681,40 @@ def test_containment_equals_sampled_reference_on_corrupted_constants(
                                            ("D", 4)])
 def test_containment_mask_without_failing_cell_raises(monkeypatch, lie_type,
                                                       rank):
-    """With every smallest space reported as the Borel, the masks flag
-    cells whose real smallest space holds the flagged roots: no row root
-    fails them, and the check refuses to pass or to name a cell."""
+    """With every smallest space reported as the Borel, the cell of s_1,
+    the first w with a negative root in ``w.sm``, is empty in the space
+    reported: the check refuses to pass or to name a cell, and names the
+    system and the word."""
     real = _realization(lie_type, rank)
     borel = borel_space(real.rs).hm
     monkeypatch.setattr(liealg, "smallest_containing", lambda rs, mask: borel)
-    with pytest.raises(ConsistencyError, match=f"^{lie_type}{rank}: no row "
-                       "root fails a containment suspect$"):
+    with pytest.raises(ConsistencyError, match=fr"^{lie_type}{rank} word "
+                       r"\[1\]: the smallest space with a nonempty cell is "
+                       "not an enumerated space holding it$"):
         liealg._check_containment(real)
 
 
-def test_containment_rule_disagreeing_with_masks_raises(monkeypatch):
-    """A cell the masks flag but that no root fails is a fault of the
-    check, named by its system."""
-    rs = RootSystem("B", 3)
-    real = build_chevalley(rs)
-    set_constant(real, rs.simple_roots[1], parse_root(rs, "1,1,2"), 0)
-    monkeypatch.setattr(liealg, "_containment_counterexample",
-                        lambda *_: None)
-    with pytest.raises(ConsistencyError, match="B3"):
-        liealg._check_containment(real)
+# the 20 systems of rank <= 6
+_RANK_6 = ([("A", r) for r in range(1, 7)] + [(t, r) for t in "BC"
+           for r in range(2, 7)] + [("D", r) for r in range(3, 7)])
+
+
+@pytest.mark.parametrize("lie_type,rank", _RANK_6)
+def test_containment_theorem_on_every_smallest_space(lie_type, rank):
+    """The statement ``_check_containment`` proves by b-stability, over
+    every w in its smallest space: no root outside wΦ_H has a positive
+    α − α_j outside Φ_w, and the roots outside wΦ_H, over all w, are
+    exactly the non-simple positive roots."""
+    rs = RootSystem(lie_type, rank)
+    excluded = 0
+    for w in enumerate_weyl(rs):
+        outside = _outside_mask(w, smallest_containing(rs, w.sm))
+        escaped = ~w.inversion_mask()
+        assert not [k for k in range(rs.num_positive)
+                    if outside >> k & 1 and rs._covers[k] & escaped], w
+        excluded |= outside
+    simple = sum(1 << k for k in rs._simple_index)
+    assert excluded == (1 << rs.num_positive) - 1 & ~simple
 
 
 @pytest.mark.parametrize("reason", ["zero row for an excluded root",

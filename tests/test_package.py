@@ -407,6 +407,59 @@ def test_first_entry_rule_lives_in_one_function():
     assert found == [("liealg", "_first_entry_faults")] * 2
 
 
+def _own_nodes(node):
+    """The nodes under a function, but not under a function nested in it."""
+    for child in ast.iter_child_nodes(node):
+        if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield child
+            yield from _own_nodes(child)
+
+
+def _is_hm(node) -> bool:
+    return (isinstance(node, ast.Name) and node.id == "hm"
+            or isinstance(node, ast.Attribute) and node.attr == "hm")
+
+
+def _outside_root_readers(tree) -> list[str]:
+    """The functions of a tree that read ``hm`` and either shift it by a
+    subscript (``hm >> inv[p]``, one root at a time) or read
+    ``inverse_root_permutation``: each works out which roots w⁻¹ sends
+    out of Φ_H."""
+    owners = []
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        body = list(_own_nodes(func))
+        per_root = any(isinstance(n, ast.BinOp) and isinstance(n.op, ast.RShift)
+                       and _is_hm(n.left) and isinstance(n.right, ast.Subscript)
+                       for n in body)
+        inverse = any(isinstance(n, ast.Attribute)
+                      and n.attr == "inverse_root_permutation" for n in body)
+        if any(map(_is_hm, body)) and (per_root or inverse):
+            owners.append(func.name)
+    return owners
+
+
+def test_outside_roots_have_one_definition():
+    """Only ``paving._outside_mask`` computes the positive roots outside
+    wΦ_H; row profiles, witnesses and the containment check read it."""
+    found = [(path.stem, owner)
+             for path in sorted((SRC / "hessenpave").glob("*.py"))
+             for owner in _outside_root_readers(
+                 ast.parse(path.read_text(encoding="utf-8")))]
+    assert found == [("paving", "_outside_mask")]
+    # the detector finds the per-root loop that the helper replaced
+    probe = ast.parse(
+        "def profile(w, hm, inv):\n"
+        "    return [p for p in range(9) if not hm >> inv[p] & 1]\n"
+        "def landing(w, space):\n"
+        "    inv = w.inverse_root_permutation()\n"
+        "    return space.hm >> inv[0] & 1\n"
+        "def dimension(w, space):\n"
+        "    return (w.im & space.hm).bit_count()\n")
+    assert _outside_root_readers(probe) == ["profile", "landing"]
+
+
 def _type_d_comparisons(tree) -> list[int]:
     """Lines of the comparisons of a ``lie_type`` with ``"D"`` in a tree."""
     out = []

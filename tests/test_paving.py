@@ -79,6 +79,34 @@ def ref_row_dimension_profile(w, members):
                  for vars_, cons in table.stages)
 
 
+def ref_outside_mask(w, hm):
+    """The positive roots outside wΦ_H as ``row_dimension_profile`` read
+    them before ``paving._outside_mask``: one test of ``hm`` per positive
+    root, at its w⁻¹-image."""
+    inv = w.inverse_root_permutation()
+    outside = 0
+    for p in range(w.rs.num_positive):
+        if not hm >> inv[p] & 1:
+            outside |= 1 << p
+    return outside
+
+
+@pytest.mark.parametrize("lie_type,rank", SWEEP)
+def test_outside_mask_equals_the_per_root_loop(lie_type, rank):
+    """On every nonempty cell of every space, the roots read off the bits
+    of ``w.im & ~hm`` are those of the per-root loop, all inversions."""
+    rs = RootSystem(lie_type, rank)
+    cells = 0
+    for space in enumerate_hessenberg(rs):
+        for w in enumerate_weyl(rs):
+            if cell_nonempty(w, space):
+                got = paving._outside_mask(w, space.hm)
+                assert got == ref_outside_mask(w, space.hm), (space, w)
+                assert got & ~w.inversion_mask() == 0
+                cells += 1
+    assert cells
+
+
 @pytest.mark.parametrize("lie_type,rank", SWEEP)
 def test_mask_kernel_equals_set_definitions(lie_type, rank):
     """Every cell of the sweep: the bitmask kernel agrees with the set-based
