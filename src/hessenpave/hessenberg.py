@@ -25,7 +25,11 @@ which :func:`smallest_containing` reads off the per-root down-sets
 
 In type A with rank n−1, Hessenberg spaces match nondecreasing functions
 ``h: {1..n} → {1..n}`` with ``h(i) ≥ i``: the matrix entries allowed below
-the diagonal in column ``j`` reach down to row ``h(j)``.
+the diagonal in column ``j`` reach down to row ``h(j)``.  Column j holds
+the negated roots of row j of ``rootcore.stage_table``, so
+:func:`to_function` counts the ideal's bits in each row's mask, and
+:func:`from_function` builds the space by the same closure rule as any
+other, as the smallest one holding each column's lowest allowed entry.
 """
 
 from __future__ import annotations
@@ -36,8 +40,10 @@ from .errors import ConsistencyError, expect
 from .rootcore import (
     Root,
     RootSystem,
+    _span_root,
     check_budget,
     parse_root,
+    stage_table,
 )
 
 
@@ -223,47 +229,37 @@ def _checked_function(n: int, h: Iterable[int]) -> tuple[int, ...]:
     return hs
 
 
-def _column_masks(rs: RootSystem) -> tuple[tuple[int, ...], ...]:
-    """Entry j−1 is column j of a type-A_{n−1} matrix: for t = 0..n−j, the
-    mask over ``rs.all_roots`` indices of its top t entries below the
-    diagonal, the roots ``ε_i − ε_j`` with ``j < i ≤ j + t``.  Cached on
-    the root system."""
-    if rs._columns_cache is None:
-        npos = rs.num_positive
-        columns = []
-        for j in range(rs.rank + 1):
-            masks, p = [0], None
-            for a in rs._simple_index[j:]:
-                # ε_j − ε_i = α_j + … + α_{i−1}, one simple root at a time
-                p = a if p is None else next(c for b, c in rs._sum_pairs[p]
-                                             if b == a)
-                masks.append(masks[-1] | 1 << (npos + p))
-            columns.append(tuple(masks))
-        rs._columns_cache = tuple(columns)
-    return rs._columns_cache
-
-
 def _function_mask(rs: RootSystem, hs: tuple[int, ...]) -> int:
     """Φ_H of a Hessenberg function as a mask over the roots of ``rs``, of
     type A_{n−1}: every positive root, and ``ε_i − ε_j`` for
-    ``j < i ≤ h(j)``.  A nondecreasing h with ``h(i) ≥ i`` makes that set
-    closed, so the mask needs no further check."""
-    hm = (1 << rs.num_positive) - 1
-    for j, (column, h) in enumerate(zip(_column_masks(rs), hs), start=1):
-        hm |= column[h - j]
-    return hm
+    ``j < i ≤ h(j)``.  That is the smallest space holding each column's
+    lowest allowed entry ``−(ε_j − ε_{h(j)})``, the negated sum
+    ``α_j + … + α_{h(j)−1}``.  The down-set of that sum is every
+    ``α_k + … + α_l`` with ``j ≤ k ≤ l < h(j)``, the entries ``(l+1, k)``
+    with ``l+1 ≤ h(j) ≤ h(k)``, all allowed because h is nondecreasing;
+    and every allowed entry of column k lies below column k's own
+    lowest one, so the down-sets hold nothing else."""
+    npos = rs.num_positive
+    return smallest_containing(rs, sum(
+        1 << (npos + _span_root(rs, (j, h - 1)))
+        for j, h in enumerate(hs, start=1) if h > j))
 
 
 def to_function(space: HessenbergSpace) -> tuple[int, ...]:
-    """Read a type-A Hessenberg space back as a Hessenberg function."""
+    """Read a type-A Hessenberg space back as a Hessenberg function.
+
+    Column j below the diagonal holds the roots ``−(ε_j − ε_i)``, i > j,
+    the negated row j of ``stage_table`` (type-A stage j−1 is row j on
+    both sides); Φ_H is closed, so the ones it holds are the top
+    h(j) − j."""
     expect(space, HessenbergSpace)
     rs = space.rs
     if rs.lie_type != "A":
         raise ValueError("Hessenberg functions only encode type-A spaces")
-    hm = space.hm
-    # Φ_H is closed, so the entries it holds in column j are the top h(j) − j
-    return tuple(j + (hm & column[-1]).bit_count()
-                 for j, column in enumerate(_column_masks(rs), start=1))
+    ideal = space.hm >> rs.num_positive
+    return tuple(j + (ideal & row).bit_count()
+                 for j, (row, _) in enumerate(stage_table(rs).masks, start=1)
+                 ) + (rs.rank + 1,)
 
 
 # ---------------------------------------------------------------------------

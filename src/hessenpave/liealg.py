@@ -28,7 +28,10 @@ re-verifies every defining relation and the Chevalley magnitude; a
 realization that fails its own bracket table refuses to build, naming its
 system.  The Cartan weights are read off the diagonal of each
 [E_{α_i}, E_{−α_i}], which the constant scan has already found diagonal,
-with no matrix product.  Type D is built in the root-vector signs for
+with no matrix product, and each must be the coroot of α_i: its
+eigenvalues on the simple root vectors are a column of the Cartan matrix.
+So the basis is checked for both the Chevalley magnitudes and the
+coroots.  Type D is built in the root-vector signs for
 which the constants of the paired stages are +1 (see ``_root_vectors``);
 the type-D block check fails on other signs.
 The adjoint exponential ``Ad(exp X) = Σ ad(X)^k / k!`` terminates because
@@ -237,14 +240,17 @@ class ChevalleyRealization:
 
     def _validate_weights(self) -> None:
         """Each root vector is a weight vector of the weight its root
-        gives.  Every h of ``cartan_basis`` is diagonal, which
-        ``_extract_constants`` checks of each [E_α, E_−α] before this runs,
-        so [h, E] scales entry (r, c) of E by h_rr − h_cc: E has weight λ
-        for h iff each of its entries carries λ.  The eigenvalue on each
-        E_{α_j} is read at its first entry, and a negative root's weight is
-        its positive root's, negated."""
+        gives, and each h_i = [E_{α_i}, E_{−α_i}] of ``cartan_basis`` is
+        the coroot of α_i: its eigenvalues α_j(h_i) on the E_{α_j} are
+        column i of ``rs.cartan_matrix``, from which the roots were
+        generated.  Every h is diagonal, which ``_extract_constants``
+        checks of each [E_α, E_−α] before this runs, so [h, E] scales entry
+        (r, c) of E by h_rr − h_cc: E has weight λ for h iff each of its
+        entries carries λ.  The eigenvalue on each E_{α_j} is read at its
+        first entry, and a negative root's weight is its positive root's,
+        negated."""
         rs = self.rs
-        for h in self.cartan_basis:
+        for i, h in enumerate(self.cartan_basis):
             d = {r: v for (r, _), v in h.items()}
             eig = []              # the eigenvalue on each E_{α_j}
             for s in rs._simple_index:
@@ -257,6 +263,11 @@ class ChevalleyRealization:
                 if any(d.get(r, 0) - d.get(c, 0) != lam for r, c in er):
                     raise ConsistencyError(
                         f"E_{root} is not a weight vector for the Cartan")
+            if eig != [row[i] for row in rs.cartan_matrix]:
+                a = rs._simple_index[i]
+                raise ConsistencyError(
+                    f"[E_{rs._texts[a]}, E_{rs._texts[a + rs.num_positive]}] "
+                    f"is not the coroot: eigenvalues {eig}")
 
     # -- conversions -------------------------------------------------------
 
@@ -767,7 +778,6 @@ def _check_type_d_block(real: ChevalleyRealization) -> dict | None:
     # D3's m(α_1, α_2) have no block
     fork_a, fork_b = simple[n - 2], simple[n - 1]
     texts = rs._texts
-    sums = {(a, b) for a, line in enumerate(rs._sum_pairs) for b, _ in line}
     for i in range(1, n - 1):
         chain = _span_root(rs, (i, n - 2))               # c_i
         next_a = _span_root(rs, (i + 1, n - 1))          # c_{i+1} + α_{n-1}
@@ -775,7 +785,7 @@ def _check_type_d_block(real: ChevalleyRealization) -> dict | None:
         alpha_i = simple[i - 1]
         for a, b in ((chain, fork_a), (chain, fork_b), (alpha_i, next_a),
                      (alpha_i, next_b), (next_a, fork_b), (next_b, fork_a)):
-            if (a, b) in sums and m[a][b] != 1:
+            if m[a][b] != 1 and b in dict(rs._sum_pairs[a]):
                 return {"row": i, "alpha": texts[a], "beta": texts[b],
                         "constant": str(m[a][b]),
                         "reason": "pinned structure constant is not +1"}

@@ -39,13 +39,15 @@ sum to its cell's dimension.
 Every Betti tally must also equal ``betti_product``, the closed form
 ∏_{i=1..rank} [e_i + 1]_q (Sommers–Tymoczko; Abe–Horiguchi–Masuda–Murai–
 Sato): with λ_k the number of roots of I = −(Φ_H ∩ Φ⁻) at height k,
-e_i = #{k : λ_k ≥ i}.
+e_i = #{k : λ_k ≥ i}.  In type A the exponents must also be the column
+lengths h(j) − j of the Hessenberg function, read off the stage-table
+rows, so the tally is ∏_j [h(j) − j + 1]_q too.
 """
 
 from __future__ import annotations
 
 from .errors import ConsistencyError, expect
-from .hessenberg import HessenbergSpace, space_fields
+from .hessenberg import HessenbergSpace, space_fields, to_function
 from .rootcore import (
     WeylElement,
     _Record,
@@ -188,16 +190,29 @@ def compute_paving(space: HessenbergSpace) -> tuple[PavingCell, ...]:
 def _betti_tally(space: HessenbergSpace, dims: list[int]) -> tuple[int, ...]:
     """Entry k counts the nonempty cells of dimension k; raises
     ConsistencyError, naming the system and space, when the tally differs
-    from ``betti_product``."""
+    from ``betti_product``.  In type A the exponents must also be the
+    column lengths h(j) − j of ``to_function``, so that the tally is
+    ∏_j [h(j) − j + 1]_q as well (Mbirika; Anderson–Tymoczko), read off
+    the stage-table rows rather than the heights."""
+    rs = space.rs
     coeffs = [0] * (max(dims) + 1)
     for d in dims:
         coeffs[d] += 1
     product = betti_product(space).coefficients
+    fault = None
     if tuple(coeffs) != product:
-        raise ConsistencyError(
-            f"cell Betti numbers {coeffs} differ from the closed-form "
-            f"product {list(product)} ({space.rs.lie_type}{space.rs.rank}, "
-            f"{space_fields(space)[1]})")
+        fault = (f"cell Betti numbers {coeffs} differ from the closed-form "
+                 f"product {list(product)}")
+    elif rs.lie_type == "A":
+        hs = to_function(space)
+        lengths = sorted(h - j for j, h in enumerate(hs[:-1], start=1))
+        exponents = sorted(_exponents(space))
+        if exponents != lengths:
+            fault = (f"exponents {exponents} differ from the column lengths "
+                     f"{lengths} of h = {','.join(map(str, hs))}")
+    if fault:
+        raise ConsistencyError(f"{fault} ({rs.lie_type}{rs.rank}, "
+                               f"{space_fields(space)[1]})")
     return product
 
 

@@ -337,13 +337,12 @@ class RootSystem:
         self._below = tuple(below)
         self._heights = tuple(heights)
 
-        # the tables that are budgeted or validated, and the type-A column
-        # masks, built on first use by the modules that own them and kept
-        # here, so that they live and die with this instance
+        # the tables that are budgeted or validated, built on first use by
+        # the modules that own them and kept here, so that they live and
+        # die with this instance
         self._stages_cache: StageTable | None = None
         self._weyl_cache: tuple["WeylElement", ...] | None = None
         self._spaces_cache: tuple["HessenbergSpace", ...] | None = None
-        self._columns_cache: tuple[tuple[int, ...], ...] | None = None
 
     # -- basic root arithmetic -------------------------------------------
 

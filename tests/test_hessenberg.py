@@ -169,9 +169,9 @@ def ref_function_space(rs, h):
     return from_negative_roots(rs, neg)
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
 def test_function_mask_equals_root_construction(n):
-    """Every Hessenberg function with n <= 5 gives the same mask through
+    """Every Hessenberg function with n <= 7 gives the same mask through
     from_function, through ``h=`` text on a given system, and one Root at
     a time."""
     rs = RootSystem("A", n - 1)

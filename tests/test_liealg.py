@@ -198,9 +198,11 @@ def ref_extract_constants(real):
 
 def ref_validate_weights(real):
     """The weight check as it stood before it read the Cartan diagonal: the
-    commutator of every Cartan basis element with every root vector."""
+    commutator of every Cartan basis element with every root vector; then
+    each h_i's eigenvalues on the simple root vectors must be column i of
+    the Cartan matrix (h_i is the coroot of α_i)."""
     rs = real.rs
-    for h in real.cartan_basis:
+    for i, h in enumerate(real.cartan_basis):
         eig = []
         for a, s in zip(rs.simple_roots, rs._simple_index):
             ea = real.root_vectors[s]
@@ -215,6 +217,10 @@ def ref_validate_weights(real):
             if sp_commutator(h, er) != sp_scale(er, lam):
                 raise ConsistencyError(
                     f"E_{root} is not a weight vector for the Cartan")
+        if eig != [row[i] for row in rs.cartan_matrix]:
+            a = rs.simple_roots[i]
+            raise ConsistencyError(f"[E_{a}, E_{-a}] is not the coroot: "
+                                   f"eigenvalues {eig}")
 
 
 class RefRealization(liealg.ChevalleyRealization):
@@ -502,6 +508,26 @@ def test_unnormalized_type_b_vectors_are_refused(rank):
     assert got == _constants_or_error(RefRealization, rs, old)
     assert re.fullmatch(rf"B{rank}: \|m\| = 1 for \S+ \+ \S+, not 2, the "
                         r"length of the \S+-string down from \S+", got), got
+
+
+@pytest.mark.parametrize("lie_type,rank", [("A", 1), ("A", 3), ("B", 3),
+                                           ("C", 3), ("D", 4)])
+def test_negated_negative_root_vectors_are_refused(lie_type, rank):
+    """Negating every negative root vector keeps each constant's magnitude
+    and each root vector a weight vector, but makes each [E_{α_i},
+    E_{−α_i}] minus the coroot of α_i: both builds refuse it at α_1, with
+    the eigenvalues of minus column 1 of the Cartan matrix."""
+    rs = RootSystem(lie_type, rank)
+    vectors = liealg._root_vectors(rs)
+    npos = rs.num_positive
+    bad = vectors[:npos] + tuple({pos: -v for pos, v in mat.items()}
+                                 for mat in vectors[npos:])
+    got = _constants_or_error(liealg.ChevalleyRealization, rs, bad)
+    assert got == _constants_or_error(RefRealization, rs, bad)
+    a = rs.simple_roots[0]
+    eig = [-row[0] for row in rs.cartan_matrix]
+    assert got == (f"{lie_type}{rank}: [E_{a}, E_{-a}] is not the coroot: "
+                   f"eigenvalues {eig}")
 
 
 @pytest.mark.parametrize("lie_type,rank", [("A", 3), ("B", 3), ("C", 4),

@@ -819,10 +819,12 @@ def test_hessenberg_adds_and_builds_no_root():
 
 
 # The per-module copies of the root-poset tables, and their cache slots,
-# that the tables ``RootSystem`` builds on construction replaced.
+# that the tables ``RootSystem`` builds on construction replaced; the
+# type-A column masks are the stage-table rows.
 _POSET_COPIES = {"_lower_covers", "_down_set_masks", "_height_masks",
                  "_positive_simple_drops", "_chain_root", "_down_sets_cache",
-                 "_heights_cache", "_sum_pairs_cache"}
+                 "_heights_cache", "_sum_pairs_cache", "_column_masks",
+                 "_columns_cache"}
 
 
 def _poset_copies(tree) -> set[str]:
@@ -837,8 +839,9 @@ def _poset_copies(tree) -> set[str]:
 
 def test_root_poset_tables_are_built_only_in_rootcore():
     """Lower covers, down-sets, height masks and sum pairs are built once,
-    by ``RootSystem``: no module keeps a helper or a cache slot for them,
-    and every caller reads the system's own table."""
+    by ``RootSystem``, and the type-A columns are the stage-table rows: no
+    module keeps a helper or a cache slot for them, and every caller reads
+    the system's own table."""
     for path in sorted((SRC / "hessenpave").glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         assert _poset_copies(tree) == set(), path.name

@@ -416,6 +416,21 @@ def test_betti_product_off_by_one_exits_2(monkeypatch, capsys):
         assert f"({argv[2]}{argv[4]}, neg=" in out.err
 
 
+def test_exponents_off_the_column_lengths_exit_2(monkeypatch, capsys):
+    """A ``to_function`` that reads 3,3,4,4 for the space of 2,3,4,4 leaves
+    the tally equal to the product, but its column lengths [1, 1, 2] are
+    not the exponents [1, 1, 1]: ``betti`` exits 2 with one line naming
+    the system and the space."""
+    monkeypatch.setattr(paving, "to_function", lambda space: (3, 3, 4, 4))
+    assert main(["betti", "--type", "A", "--rank", "3",
+                 "--hess-fn", "2,3,4,4"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == ("hessenpave: consistency failure: exponents "
+                       "[1, 1, 1] differ from the column lengths [1, 1, 2] "
+                       "of h = 3,3,4,4 (A3, neg=0,0,-1;0,-1,0;-1,0,0)\n")
+
+
 def test_paving_record_shape(a2, peterson):
     record = paving_record(peterson)
     assert record["betti"] == [1, 2, 1]
