@@ -51,12 +51,8 @@ import math
 
 from .errors import ConsistencyError, expect
 from .hessenberg import _checked_function, from_function
-from .paving import (
-    cell_dimension,
-    cell_nonempty,
-    poincare_polynomial,
-)
-from .rootcore import RootSystem, WeylElement, _Record, enumerate_weyl
+from .paving import compute_paving, poincare_polynomial
+from .rootcore import WeylElement, _Record
 
 _ALLOWED_PRIMES = (2, 3, 5)
 _MAX_N = 5
@@ -86,7 +82,9 @@ def hessenberg_check(q: int, perm: tuple[int, ...], cols: list[list[int]],
                      h: tuple[int, ...]) -> bool:
     """Whether the flag with normal-form columns ``cols`` (pivot pattern
     ``perm``, 1-based: column j has its pivot in row perm[j-1]) satisfies
-    N·V_i ⊆ V_{h(i)} for all i, N the Jordan block.
+    N·V_i ⊆ V_{h(i)} for all i, N the Jordan block.  ``h`` need not be
+    nondecreasing: N·V_i ⊆ V_{h(k)} for every k ≥ i, so condition i reads
+    V_{max h(1..i)}, which is V_{h(i)} for a Hessenberg function.
 
     N·v is v shifted up one row.  The normal-form column v_j has a 1 in row
     perm[j] and zeros below it.  Clearing a vector's entries at the pivot
@@ -97,9 +95,11 @@ def hessenberg_check(q: int, perm: tuple[int, ...], cols: list[list[int]],
     Raises ValueError, before any work, for a q outside the primes
     ``count_points`` admits (Z/q is the field F_q only for q prime), a
     ``perm`` that is not a permutation of 1..n, ``cols`` that are not n
-    columns of n entries, an ``h`` of another length, and a column that is
-    not in the normal form of ``perm``: 1 at its pivot and 0 off its
-    ``free_positions``.
+    columns of n entries, an ``h`` of another length or with a value that
+    is not an int in 1..n, an entry that is not an int in 0..q−1, and a
+    column that is not in the normal form of ``perm``: 1 at its pivot and 0
+    off its ``free_positions``.  A float or a bool is refused, not
+    converted.
     """
     expect(q, int, "q")
     if q not in _ALLOWED_PRIMES:
@@ -110,10 +110,20 @@ def hessenberg_check(q: int, perm: tuple[int, ...], cols: list[list[int]],
     n = len(perm)
     if sorted(perm) != list(range(1, n + 1)):
         raise ValueError(f"perm {perm!r} is not a permutation of 1..{n}")
+    for col in cols:
+        expect(col, (tuple, list))
     if len(cols) != n or any(len(col) != n for col in cols):
         raise ValueError(f"cols must be {n} columns of {n} entries")
     if len(h) != n:
         raise ValueError(f"h must have {n} values, got {len(h)}")
+    for i, v in enumerate(h, start=1):
+        if type(v) is not int or not 1 <= v <= n:
+            raise ValueError(f"h({i}) = {v!r} is not an integer in 1..{n}")
+    for j, col in enumerate(cols, start=1):
+        for x in col:
+            if type(x) is not int or not 0 <= x < q:
+                raise ValueError(f"column {j} entry {x!r} is not an integer "
+                                 f"in 0..{q - 1}")
     for j, (p, col) in enumerate(zip(perm, cols)):
         # 1 at the pivot, 0 below it and in the rows of earlier pivots
         if col[p - 1] != 1 or any(col[p:]) or any(
@@ -124,7 +134,7 @@ def hessenberg_check(q: int, perm: tuple[int, ...], cols: list[list[int]],
     reach = 0              # least m with N·V_i ⊆ V_m
     top = 0                # max(h(1..i)), h(i) for a Hessenberg function
     for i in range(n):
-        vec = cols[i][1:] + [0]
+        vec = [*cols[i][1:], 0]
         for j in sweep:
             f = vec[perm[j] - 1]
             if f:
@@ -295,12 +305,12 @@ def count_points(n: int, q: int, h) -> CountReport:
     paving prediction; a mismatch raises ConsistencyError.
 
     For every permutation cell the count must be ``q^dim`` when the paving
-    declares the cell nonempty of dimension dim, and 0 when empty; the total
-    must equal the Betti evaluation at q.  Raises ValueError, before any
-    work, when q or n is not an int (a float or a bool is refused, not
-    converted), when n is outside 2.._MAX_N or the flag variety has more
-    than _FLAG_BUDGET points over F_q, and then when h is not a Hessenberg
-    function of ints.
+    (``compute_paving``) declares the cell nonempty of dimension dim, and 0
+    when empty; the total must equal the Betti evaluation at q.  Raises
+    ValueError, before any work, when q or n is not an int (a float or a
+    bool is refused, not converted), when n is outside 2.._MAX_N or the
+    flag variety has more than _FLAG_BUDGET points over F_q, and then when
+    h is not a Hessenberg function of ints.
     """
     expect(q, int, "q")
     if q not in _ALLOWED_PRIMES:
@@ -315,16 +325,12 @@ def count_points(n: int, q: int, h) -> CountReport:
             f"the budget of {_FLAG_BUDGET}")
     hs = _checked_function(n, h)
     space = from_function(n, hs)
-    rs: RootSystem = space.rs
 
     cells = []
     total = 0
-    for w in enumerate_weyl(rs):
-        perm = weyl_to_permutation(w)
-        if cell_nonempty(w, space):
-            predicted = q ** cell_dimension(w, space)
-        else:
-            predicted = 0
+    for cell in compute_paving(space):
+        perm = weyl_to_permutation(cell.w)
+        predicted = q ** cell.dim if cell.nonempty else 0
         count = _count_cell(n, q, perm, hs)
         if count != predicted:
             raise ConsistencyError(

@@ -105,6 +105,20 @@ def test_verify_lemmata_json(capsys, schema):
     validate(schema, "verifyLemmata", record)
 
 
+def test_verify_lemmata_schema_bounds_trials_as_the_cli_does(capsys, schema):
+    """The schema admits exactly the trial counts the CLI accepts,
+    1..liealg._TRIAL_BUDGET."""
+    code, out, _ = run_cli(capsys, "verify-lemmata", "--type", "A",
+                           "--rank", "2", "--trials", "1")
+    assert code == 0
+    record = json.loads(out)
+    for trials in (1, liealg._TRIAL_BUDGET):
+        validate(schema, "verifyLemmata", {**record, "trials": trials})
+    for trials in (0, liealg._TRIAL_BUDGET + 1):
+        with pytest.raises(jsonschema.ValidationError):
+            validate(schema, "verifyLemmata", {**record, "trials": trials})
+
+
 def test_sweep_json(capsys, schema):
     code, out, _ = run_cli(capsys, "sweep", "--type", "A", "--rank", "2")
     assert code == 0

@@ -1597,18 +1597,26 @@ def test_containment_zero_simple_coefficient_matches_reference(
 
 @pytest.mark.parametrize("lie_type,rank", [("A", 3), ("B", 3), ("C", 3),
                                            ("D", 4)])
-def test_containment_short_inversion_set_matches_reference(
-        monkeypatch, lie_type, rank):
-    """Reporting each inversion set one root short breaks the (w, space)
-    part of the check; both paths must name the same first
+def test_containment_reads_no_inversion_set(monkeypatch, lie_type, rank):
+    """The inversion-set clause is a theorem of b-stability
+    (``test_containment_theorem_on_every_smallest_space``), so the check
+    reads no inversion set and no lower cover: with
+    ``WeylElement.inversion_mask`` refused and ``rs._covers`` deleted once
+    the spaces are enumerated, it passes on the built realization, and
+    with every constant m(α_2, ·) zero it names the reference's zero-row
     counterexample."""
-    full = WeylElement.inversion_mask
-    monkeypatch.setattr(WeylElement, "inversion_mask",
-                        lambda w: full(w) & full(w) - 1)
     real = _realization(lie_type, rank)
+    rs = real.rs
+    enumerate_hessenberg(rs)    # growing the ideals reads the lower covers
+    monkeypatch.setattr(WeylElement, "inversion_mask",
+                        lambda w: pytest.fail("an inversion set was built"))
+    monkeypatch.delattr(rs, "_covers")
+    assert liealg._check_containment(real) is None
+    _zero_simple_constants(real, 2)
     got = liealg._check_containment(real)
+    monkeypatch.undo()          # the reference reads every inversion set
     assert got is not None
-    assert got["reason"] == "simple-difference root escapes the inversion set"
+    assert got["reason"] == "zero row for an excluded root"
     assert got == ref_check_containment(real, 3, 5)
 
 
@@ -1744,20 +1752,14 @@ def test_containment_theorem_on_every_smallest_space(lie_type, rank):
 
 
 @pytest.mark.parametrize("reason", ["zero row for an excluded root",
-                                    "first entry not at a simple difference",
-                                    "simple-difference root escapes the "
-                                    "inversion set"])
-def test_containment_counterexample_key_order(monkeypatch, reason):
+                                    "first entry not at a simple difference"])
+def test_containment_counterexample_key_order(reason):
     """verify-lemmata prints a counterexample as JSON in its key order,
     which dict equality does not compare."""
     lie_type, rank = ("C", 3) if reason.startswith("first") else ("A", 3)
     real = _realization(lie_type, rank)
     rs = real.rs
-    if reason.startswith("simple"):
-        full = WeylElement.inversion_mask
-        monkeypatch.setattr(WeylElement, "inversion_mask",
-                            lambda w: full(w) & full(w) - 1)
-    elif reason.startswith("zero"):
+    if reason.startswith("zero"):
         _zero_simple_constants(real, 2)
     else:
         # row 1 out of row basis order: some root's line starts at a

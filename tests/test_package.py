@@ -320,6 +320,41 @@ _VALUE_REFUSALS = {
         lambda v: fforacle.hessenberg_check(
             2, (1, 2), [[1, 0], [1, 1]], (2, 2)),
         ValueError, "column 2 is not in the normal form of perm (1, 2)"),
+    "flag column not a sequence": (
+        lambda v: fforacle.hessenberg_check(2, (1, 2), [5, 5], (2, 2)),
+        ValueError, "5 is not a tuple or list"),
+    "flag function of strings": (
+        lambda v: fforacle.hessenberg_check(
+            3, (1, 2, 3), v.columns, ("x", "y", "z")),
+        ValueError, "h(1) = 'x' is not an integer in 1..3"),
+    "flag function with a float": (
+        lambda v: fforacle.hessenberg_check(
+            3, (1, 2, 3), v.columns, (2.0, 3, 3)),
+        ValueError, "h(1) = 2.0 is not an integer in 1..3"),
+    "flag function with a bool": (
+        lambda v: fforacle.hessenberg_check(
+            3, (1, 2, 3), v.columns, (True, 3, 3)),
+        ValueError, "h(1) = True is not an integer in 1..3"),
+    "flag function over n": (
+        lambda v: fforacle.hessenberg_check(
+            3, (1, 2, 3), v.columns, (3, 3, 9)),
+        ValueError, "h(3) = 9 is not an integer in 1..3"),
+    "flag function at 0": (
+        lambda v: fforacle.hessenberg_check(
+            3, (1, 2, 3), v.columns, (0, 0, 0)),
+        ValueError, "h(1) = 0 is not an integer in 1..3"),
+    "flag free entry a string": (
+        lambda v: fforacle.hessenberg_check(
+            2, (2, 1), [["a", 1], [1, 0]], (2, 2)),
+        ValueError, "column 1 entry 'a' is not an integer in 0..1"),
+    "flag free entry outside the field": (
+        lambda v: fforacle.hessenberg_check(
+            3, (2, 1), [[3, 1], [1, 0]], (2, 2)),
+        ValueError, "column 1 entry 3 is not an integer in 0..2"),
+    "flag free entry negative": (
+        lambda v: fforacle.hessenberg_check(
+            3, (2, 1), [[-1, 1], [1, 0]], (2, 2)),
+        ValueError, "column 1 entry -1 is not an integer in 0..2"),
 }
 
 
