@@ -16,11 +16,10 @@ from one back-substitution mod q with no inverse, and the condition reads
 off which coordinates vanish.
 
 A cell is counted without visiting all of its flags.  The columns are
-assigned left to right.  With ``top(i) = max(h(1..i))`` the condition is
-equivalent to ``N·v_i ∈ V_{top(i)}`` for every i, and this depends on
-columns 1..max(top(i), i) only (for a Hessenberg function ``h(i) ≥ i``, so
-that is 1..top(i)).  It is tested as soon as those columns are set.  Later
-columns cannot change its answer, so a failure rules out the whole subtree.
+assigned left to right.  The condition is ``N·v_i ∈ V_{h(i)}`` for every
+i, and since a Hessenberg function has ``h(i) ≥ i`` it depends on columns
+1..h(i) only.  It is tested as soon as column h(i) is set.  Later columns
+cannot change its answer, so a failure rules out the whole subtree.
 A condition due at column j with i < j reads ``N·v_i ∈ V_{j−1} + F·v_j``
 with v_i already fixed.  Clearing the pivot rows of v_1..v_{j−1} from
 ``N·v_i`` leaves a residual r; if r = 0 every v_j passes, and otherwise
@@ -178,56 +177,38 @@ def _count_cell(n: int, q: int, perm: tuple[int, ...],
                 h: tuple[int, ...]) -> int:
     """The number of flags of one Bruhat cell with N·V_i ⊆ V_{h(i)} for all
     i, N the Jordan block, found by assigning the normal-form columns left
-    to right.  N·v_j is v_j shifted up one row.
+    to right.  N·v_i is v_i shifted up one row.
 
-    Condition i is N·v_i ∈ V_{top(i)}, top(i) = max(h(1..i)), and is tested
-    as soon as columns 1..max(top(i), i) are set; a failure cuts the whole
-    subtree.  When a condition due at column j has i < j and a nonzero
-    residual modulo V_{j−1}, it pins v_j, and ``_solve_column`` proposes
-    that one column; otherwise every value of the free entries is tried.
-    Either way each tried column is tested against every due condition, so
-    the walk reaches the same partial flags as trying every value would.
-    Each flag that survives is confirmed by ``hessenberg_check``, and a
-    disagreement raises ConsistencyError.
+    ``h`` is a Hessenberg function (nondecreasing, h(i) ≥ i), so condition
+    i, N·v_i ∈ V_{h(i)}, reads columns 1..h(i) only and is tested as soon
+    as column h(i) is set; a failure cuts the whole subtree.  When a
+    condition due at column j has i < j and a nonzero residual modulo
+    V_{j−1}, it pins v_j, and ``_solve_column`` proposes that one column;
+    otherwise every value of the free entries is tried.  Either way each
+    tried column is tested against every due condition, so the walk reaches
+    the same partial flags as trying every value would.  Each flag that
+    survives is confirmed by ``hessenberg_check``, and a disagreement
+    raises ConsistencyError.
     """
     positions = free_positions(perm)
     free_rows = [[r - 1 for r, c in positions if c == j]
                  for j in range(1, n + 1)]
     pivot = [p - 1 for p in perm]
-    due: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    top = 0
-    for i in range(n):
-        top = max(top, h[i])
-        due[max(top, i + 1) - 1].append((i, top))
-    # columns 1..m, lowest pivot first: the order that clears pivot rows
-    sweeps = [sorted(range(m), key=lambda j: -pivot[j]) for m in range(n + 1)]
+    due = [[i for i, m in enumerate(h) if m == j] for j in range(1, n + 1)]
+    # lowest pivot first: the order that clears pivot rows
+    sweep = sorted(range(n), key=lambda j: -pivot[j])
     cols: list[list[int]] = [[] for _ in range(n)]
-    images: list[list[int]] = [[] for _ in range(n)]
     count = 0
 
-    def residual(vec: list[int], m: int) -> list[int]:
-        """vec with the pivot rows of v_1..v_m cleared, lowest pivot first:
-        zero exactly when vec lies in V_m."""
-        for j in sweeps[m]:
+    def residual(i: int, m: int) -> list[int]:
+        """N·v_i with the pivot rows of v_1..v_m cleared: zero exactly when
+        N·v_i lies in V_m."""
+        vec = cols[i][1:] + [0]
+        for j in sweep:
             f = vec[pivot[j]]
-            if f:
+            if f and j < m:
                 vec = [(x - f * y) % q for x, y in zip(vec, cols[j])]
         return vec
-
-    def inside(vec: list[int], m: int) -> bool:
-        """Whether vec lies in V_m, by clearing the pivot rows of v_1..v_m."""
-        return not any(residual(vec, m))
-
-    def choices(j: int):
-        """The values of column j's free entries worth trying: the one that
-        the first due condition with a nonzero residual pins, else all."""
-        for i, _ in due[j]:
-            if i < j:
-                r = residual(images[i], j)
-                if any(r):
-                    values = _solve_column(q, r, pivot[j], free_rows[j])
-                    return () if values is None else (values,)
-        return itertools.product(range(q), repeat=len(free_rows[j]))
 
     def walk(j: int) -> None:
         nonlocal count
@@ -240,11 +221,15 @@ def _count_cell(n: int, q: int, perm: tuple[int, ...],
                     f"test but not hessenberg_check (n={n}, q={q}, h={h})")
             count += 1
             return
-        for values in choices(j):
-            col = _column(n, pivot[j], free_rows[j], values)
-            cols[j] = col
-            images[j] = col[1:] + [0]
-            if all(inside(images[i], m) for i, m in due[j]):
+        tries = itertools.product(range(q), repeat=len(free_rows[j]))
+        for i in due[j]:
+            if i < j and any(r := residual(i, j)):
+                values = _solve_column(q, r, pivot[j], free_rows[j])
+                tries = () if values is None else (values,)
+                break
+        for values in tries:
+            cols[j] = _column(n, pivot[j], free_rows[j], values)
+            if not any(any(residual(i, j + 1)) for i in due[j]):
                 walk(j + 1)
 
     walk(0)
@@ -252,21 +237,16 @@ def _count_cell(n: int, q: int, perm: tuple[int, ...],
 
 
 def weyl_to_permutation(w: WeylElement) -> tuple[int, ...]:
-    """The permutation of 1..n matching a type-A Weyl element's root action."""
+    """The permutation s_{i1}···s_{ik} of 1..n for a type-A Weyl element
+    with word i1..ik, which matches its root action: entries i and i+1 of
+    the identity swapped once per letter, left to right."""
     rs = w.rs
     if rs.lie_type != "A":
         raise ValueError("permutations encode type-A Weyl elements only")
-    n = rs.rank + 1
-    out = []
-    for a in range(1, n + 1):
-        b = a
-        for i in reversed(w.word):
-            if b == i:
-                b = i + 1
-            elif b == i + 1:
-                b = i
-        out.append(b)
-    return tuple(out)
+    perm = list(range(1, rs.rank + 2))
+    for i in w.word:
+        perm[i - 1], perm[i] = perm[i], perm[i - 1]
+    return tuple(perm)
 
 
 class CellCount(_Record):

@@ -612,7 +612,16 @@ def _check_type_d_coefficients(real: ChevalleyRealization) -> dict | None:
     0, needs no check: ``_ibracket`` adds into α only from a pair (β, γ) in
     ``rs._sum_pairs`` with β + γ = α, so every X-root whose term reaches α
     lies strictly below α, and with those coordinates 0 no term reaches α,
-    whatever the constants."""
+    whatever the constants.
+
+    As stated, the check cannot fail, on any stage table.  A root α that a
+    power k ≥ 2 reaches is x_k + y with x_k in the conjugating row and y
+    reached by power k − 1, and y = x_{k−1} + z with z a positive root, so
+    α − x_k = y and y − x_{k−1} are both positive roots and the pair clause
+    is False.  ``_sum_pairs`` and ``_pos_diff`` come from one table, so this
+    holds for injected tables too.  On D4-D9 the pair clause is exactly
+    what excludes the one low-coefficient root per system that a power
+    reaches.  Restating the check needs the lemma's hypothesis."""
     rs = real.rs
     if rs.lie_type != "D":
         return None
@@ -620,16 +629,15 @@ def _check_type_d_coefficients(real: ChevalleyRealization) -> dict | None:
     diff = rs._pos_diff
     for i, conjugating in enumerate(rows[1:], start=1):
         higher = _powers(rs, conjugating)[1:]     # ad(X)^k(N) for k >= 2
-        double = [2 * c for c in rs.simple_roots[i].coeffs]
-        # the hypothesis excludes α ≥ 2α_{i+1}.  The affine conclusion needs
+        # the hypothesis excludes α ≥ 2α_{i+1}, which for a positive root is
+        # a coefficient of at least 2 at α_{i+1}.  The affine conclusion needs
         # α − β1 − β2 to never be a positive root; away from the fork row
         # that is the same condition, but the fork pair sums low in the
         # dominance order and must be excluded directly.  The row is
         # abelian, so when α − β1 − β2 is a root, so is α − β1 or α − β2.
         for a in rows[i - 1]:
             if (any(p >> a & 1 for p in higher)
-                    and any(c < d for c, d in
-                            zip(rs.positive_roots[a].coeffs, double))
+                    and rs.positive_roots[a].coeffs[i] < 2
                     and all(diff[a][b1] is None or diff[diff[a][b1]][b2] is None
                             for b1 in conjugating for b2 in conjugating)):
                 return {"row": i, "alpha": rs._texts[a],

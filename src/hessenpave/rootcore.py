@@ -283,7 +283,8 @@ class RootSystem:
         self._texts = tuple(format_root(r) for r in self.all_roots)
 
         self.simple_roots: tuple[Root, ...] = tuple(map(Root, orbit[:rank]))
-        self._simple_index = tuple(self._index[v] for v in orbit[:rank])
+        self._simple_index = tuple(self._index[r.coeffs]
+                                   for r in self.simple_roots)
         # the orbit's images, re-indexed from orbit order to all_roots order
         where = [self._index[v] for v in orbit]
         order = sorted(range(len(orbit)), key=where.__getitem__)

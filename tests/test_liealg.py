@@ -2077,6 +2077,25 @@ def test_near_linearity_fails_with_an_a3_root_moved_down_a_row():
             "reason": "case formula mismatch"}
 
 
+def test_near_linearity_fails_in_type_c_without_a_long_root():
+    """With row 1 of C3 naming no long root, the square of the adjoint
+    action on row 1 has nowhere to land in the row."""
+    real = _realization("C", 3)
+    rs = real.rs
+    table = stage_table(rs)
+    rs._stages_cache = StageTable(table.rows, table.stages,
+                                  (None, *table.long_roots[1:]), table.masks)
+    assert liealg._check_near_linearity(real) == {
+        "row": 1, "reason": "quadratic part escapes the long root"}
+
+
+def test_exp_refuses_a_matrix_that_is_not_nilpotent():
+    """The swap matrix squares to the identity, so its exponential series
+    never terminates and is refused."""
+    with pytest.raises(ValueError, match="^matrix is not nilpotent$"):
+        sp_exp_nilpotent({(0, 1): 1, (1, 0): 1}, 2)
+
+
 def test_root_table_checks_draw_and_bracket_nothing(monkeypatch):
     """The three root-table checks run with the bracket and the adjoint
     exponential refused, and on a faulted table report the same
