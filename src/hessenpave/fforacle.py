@@ -107,7 +107,8 @@ def hessenberg_check(q: int, perm: tuple[int, ...], cols: list[list[int]],
     expect(cols, (tuple, list))
     expect(h, (tuple, list))
     n = len(perm)
-    if sorted(perm) != list(range(1, n + 1)):
+    if (any(type(p) is not int for p in perm)
+            or sorted(perm) != list(range(1, n + 1))):
         raise ValueError(f"perm {perm!r} is not a permutation of 1..{n}")
     for col in cols:
         expect(col, (tuple, list))

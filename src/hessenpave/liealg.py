@@ -123,9 +123,6 @@ from .rootcore import (
     stage_table,
 )
 
-DEFAULT_SEED = 2026
-DEFAULT_TRIALS = 200
-
 
 class ChevalleyRealization:
     """A validated matrix realization of a classical Lie algebra.
@@ -433,21 +430,22 @@ def _ad_block(real: ChevalleyRealization, coeffs: dict[int, Fraction | int],
 
 
 class CheckResult(_Record):
-    __slots__ = ("name", "status", "counterexample")
+    __slots__ = ("name", "counterexample")
     name: str
-    status: str                      # "pass" | "fail"
-    counterexample: dict | None
+    counterexample: dict | None      # None exactly when the check passes
+
+    @property
+    def status(self) -> str:
+        return "pass" if self.counterexample is None else "fail"
 
 
 class LemmataReport(_Record):
-    __slots__ = ("checks", "seed", "trials")
+    __slots__ = ("checks",)
     checks: tuple[CheckResult, ...]
-    seed: int
-    trials: int
 
     @property
     def passed(self) -> bool:
-        return all(c.status == "pass" for c in self.checks)
+        return all(c.counterexample is None for c in self.checks)
 
     def to_record(self) -> dict:
         return {
@@ -456,8 +454,6 @@ class LemmataReport(_Record):
                  "counterexample": c.counterexample}
                 for c in self.checks
             ],
-            "seed": self.seed,
-            "trials": self.trials,
         }
 
 
@@ -779,33 +775,12 @@ def _check_type_d_block(real: ChevalleyRealization) -> dict | None:
     return None
 
 
-# Most trials verify_lemmata accepts.  No check samples, so every count up
-# to this bound does the same work; the bound still limits --trials and the
-# "trials" a report carries.
-_TRIAL_BUDGET = 10_000
-
-
-def check_trial_count(trial_count: int) -> None:
-    """Refuse a trial count that is not an int (a float or a bool is
-    refused, not converted), below 1 or over _TRIAL_BUDGET, with
-    ValueError; it needs no realization."""
-    expect(trial_count, int, "trial count")
-    if trial_count < 1:
-        raise ValueError(f"trial count must be at least 1, got {trial_count}")
-    if trial_count > _TRIAL_BUDGET:
-        raise ValueError(f"trial count {trial_count} is over the budget of "
-                         f"{_TRIAL_BUDGET}")
-
-
-def verify_lemmata(real: ChevalleyRealization,
-                   trial_count: int = DEFAULT_TRIALS,
-                   seed: int = DEFAULT_SEED) -> LemmataReport:
+def verify_lemmata(real: ChevalleyRealization) -> LemmataReport:
     """Run the structural checks (row structure, factorization count,
     near-linearity, row-operator invariance, type-D coefficient formulas,
     containment of first entries, type-D block).  No check samples: each
     reads the stage table, the root tables and the constants, and decides
-    its claim for every N at once.  ``trial_count`` and ``seed`` change no
-    work and no verdict; they are checked and reported back as given.
+    its claim for every N at once.
 
     The containment check covers every regular N, space and w, but it
     takes one AND per Weyl element, of the roots outside wΦ_H in the
@@ -815,14 +790,10 @@ def verify_lemmata(real: ChevalleyRealization,
 
     The realization is checked as given.  The type-D block check is stated
     for the signs ``build_chevalley`` gives (see ``_root_vectors``), so a
-    type-D realization with other signs fails ``type_d_block``.  A trial
-    count outside ``check_trial_count``, a seed that is not an int (a bool
-    is refused, not converted) and a Weyl group over the enumeration budget
-    are refused before any check runs.
+    type-D realization with other signs fails ``type_d_block``.  A Weyl
+    group over the enumeration budget is refused before any check runs.
     """
     expect(real, ChevalleyRealization)
-    check_trial_count(trial_count)
-    expect(seed, int, "seed")
     check_budget("weyl", real.rs.lie_type, real.rs.rank)
     named = (
         ("row_structure", _check_row_structure),
@@ -833,11 +804,8 @@ def verify_lemmata(real: ChevalleyRealization,
         ("containment_first_entry", _check_containment),
         ("type_d_block", _check_type_d_block),
     )
-    results = []
-    for name, run in named:
-        ce = run(real)
-        results.append(CheckResult(name, "pass" if ce is None else "fail", ce))
-    return LemmataReport(tuple(results), seed, trial_count)
+    return LemmataReport(tuple(CheckResult(name, run(real))
+                               for name, run in named))
 
 
 # ---------------------------------------------------------------------------

@@ -26,8 +26,7 @@ The root-poset tables are built from it on construction too, and no other
 module derives them; each is a bitmask over positive-root indices:
 
 * ``rs._covers[p]``: the lower covers of root p, its positive differences
-  with the simple roots (Hessenberg closure and enumeration, the
-  containment check);
+  with the simple roots (Hessenberg closure and enumeration);
 * ``rs._below[p]``: every root at or below root p in the dominance order
   (the smallest Hessenberg space holding a set of roots);
 * ``rs._heights[h-1]``: the roots of height h (the Betti product);

@@ -107,14 +107,14 @@ def test_verify_lemmata_json(capsys, schema):
 
 def test_verify_lemmata_schema_bounds_trials_as_the_cli_does(capsys, schema):
     """The schema admits exactly the trial counts the CLI accepts,
-    1..liealg._TRIAL_BUDGET."""
+    1..cli._TRIAL_BUDGET."""
     code, out, _ = run_cli(capsys, "verify-lemmata", "--type", "A",
                            "--rank", "2", "--trials", "1")
     assert code == 0
     record = json.loads(out)
-    for trials in (1, liealg._TRIAL_BUDGET):
+    for trials in (1, cli._TRIAL_BUDGET):
         validate(schema, "verifyLemmata", {**record, "trials": trials})
-    for trials in (0, liealg._TRIAL_BUDGET + 1):
+    for trials in (0, cli._TRIAL_BUDGET + 1):
         with pytest.raises(jsonschema.ValidationError):
             validate(schema, "verifyLemmata", {**record, "trials": trials})
 
@@ -139,6 +139,28 @@ def test_env_seed_overrides_flag(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "verify-lemmata", "--type", "A",
                            "--rank", "2")
     assert code == 1 and "HESSENPAVE_SEED" in err
+
+
+@pytest.mark.parametrize("system", [("D", "4"), ("C", "3")])
+def test_trials_and_seed_are_only_echoed(capsys, monkeypatch, system):
+    """No check samples: the checks of ``verify-lemmata`` are byte-identical
+    at the smallest and the largest trial count, at any seed and with
+    HESSENPAVE_SEED set, and the report echoes the count and seed used."""
+    lie_type, rank = system
+    runs = []
+    for trials, seed, env_seed in (("1", "0", None), ("10000", "-5", None),
+                                   ("3", "1", "321")):
+        if env_seed is not None:
+            monkeypatch.setenv("HESSENPAVE_SEED", env_seed)
+        code, out, _ = run_cli(capsys, "verify-lemmata", "--type", lie_type,
+                               "--rank", rank, "--trials", trials,
+                               "--seed", seed)
+        assert code == 0
+        record = json.loads(out)
+        assert (record["trials"], record["seed"]) == (
+            int(trials), int(env_seed or seed))
+        runs.append(json.dumps(record["checks"]))
+    assert runs[1:] == runs[:1] * 2
 
 
 def test_env_seed_ignored_by_commands_without_seed(capsys, monkeypatch):
@@ -527,7 +549,7 @@ def ref_build_parser() -> _RefParser:
     sp = sub.add_parser("verify-lemmata")
     add_system(sp)
     sp.add_argument("--trials", type=int, default=200)
-    sp.add_argument("--seed", type=int, default=liealg.DEFAULT_SEED)
+    sp.add_argument("--seed", type=int, default=2026)
     add_common(sp)
 
     sp = sub.add_parser("count-points")

@@ -189,7 +189,7 @@ _JUNK_ROWS = {
     "row_dimension_profile": ("oo", lambda v: (v.w, v.space)),
     "simple_reflection": ("oi", lambda v: (v.rs, 1)),
     "to_function": ("o", lambda v: (v.space,)),
-    "verify_lemmata": ("oii", lambda v: (v.real, 1, 2026)),
+    "verify_lemmata": ("o", lambda v: (v.real,)),
 }
 
 
@@ -281,6 +281,14 @@ _VALUE_REFUSALS = {
         lambda v: fforacle.hessenberg_check(
             2, (3, 1), [[1, 0], [0, 1]], (2, 2)),
         ValueError, "perm (3, 1) is not a permutation of 1..2"),
+    "flag pivot a bool": (
+        lambda v: fforacle.hessenberg_check(
+            2, (True, 2), [[1, 0], [0, 1]], (2, 2)),
+        ValueError, "perm (True, 2) is not a permutation of 1..2"),
+    "flag pivot a float": (
+        lambda v: fforacle.hessenberg_check(
+            2, (1.0, 2), [[1, 0], [0, 1]], (2, 2)),
+        ValueError, "perm (1.0, 2) is not a permutation of 1..2"),
     "flag with a column missing": (
         lambda v: fforacle.hessenberg_check(2, (1, 2), [[1, 0]], (2, 2)),
         ValueError, "cols must be 2 columns of 2 entries"),
@@ -939,15 +947,18 @@ def test_every_lemma_check_states_what_it_tests():
     assert _undocumented_checks(probe) == ["_check_bare"]
 
 
+_SAMPLER_PARAMETERS = {"trial_count", "trials", "seed"}
+
+
 def _sampling_faults(tree) -> list[str]:
-    """The ``_check_*`` functions of a module that take ``trials`` or
-    ``seed``, and an ``import random`` for each import of it anywhere in
-    the module."""
+    """The functions of a module that take a ``trial_count``, ``trials``
+    or ``seed`` parameter, and an ``import random`` for each import of it
+    anywhere in the module."""
     out = []
     for node in ast.walk(tree):
-        if (isinstance(node, ast.FunctionDef)
-                and node.name.startswith("_check_")
-                and {"trials", "seed"} & {a.arg for a in node.args.args}):
+        if isinstance(node, ast.FunctionDef) and _SAMPLER_PARAMETERS & {
+                a.arg for a in (*node.args.posonlyargs, *node.args.args,
+                                *node.args.kwonlyargs)}:
             out.append(node.name)
         elif isinstance(node, ast.Import) and any(
                 alias.name.split(".")[0] == "random" for alias in node.names):
@@ -960,22 +971,28 @@ def _sampling_faults(tree) -> list[str]:
 
 def test_lemma_checks_take_trials_exactly_when_they_draw():
     """No lemma check draws: each decides its claim for every N at once.
-    So no ``_check_*`` takes ``trials`` or ``seed``, and no module of the
-    package imports ``random``, at module level or in a function."""
+    So no function of the package takes a trial count or a seed (the CLI
+    reads ``--trials`` and ``--seed`` off its parsed arguments, only to
+    echo them), and no module imports ``random``, at module level or in a
+    function."""
     files = sorted((SRC / "hessenpave").glob("*.py"))
     assert files
     for path in files:
         tree = ast.parse(path.read_text(encoding="utf-8"))
         assert _sampling_faults(tree) == [], path.name
-    # the detector sees either parameter and every form of the import
+    # the detector sees each parameter in any function and every form of
+    # the import
     probe = ast.parse("def _check_idle(real, trials):\n    return None\n"
                       "def _check_seeded(real, seed):\n    return None\n"
                       "def _check_fine(real):\n    return None\n"
-                      "def _helper(trials, seed):\n    return None\n"
+                      "def verify(real, trial_count=200, *, seed=1):\n"
+                      "    return None\n"
+                      "def _helper(real, rows):\n    return None\n"
                       "def f():\n    import random\n"
                       "from random import Random\n")
     assert sorted(_sampling_faults(probe)) == [
-        "_check_idle", "_check_seeded", "import random", "import random"]
+        "_check_idle", "_check_seeded", "import random", "import random",
+        "verify"]
 
 
 # What reads the realization's structure constants or the row operators

@@ -30,7 +30,7 @@ from test_liealg import ref_RowMatrix
 _RS = RootSystem("A", 2)
 _A1, _A12 = Root((1, 0)), Root((1, 1))
 _W = enumerate_weyl(_RS)[1]
-_CHECK = CheckResult("row_structure", "pass", None)
+_CHECK = CheckResult("row_structure", None)
 _CELL = CellCount((2, 1), 3, 3)
 
 # (class, field names in order, one value per field)
@@ -43,9 +43,9 @@ RECORDS = [
     (BettiTable, ("coefficients",), ((1, 2, 1),)),
     (ref_RowMatrix, ("roots", "entries"),
      ((_A12, _A1), ((0, Fraction(1, 2)), (0, 0)))),
-    (CheckResult, ("name", "status", "counterexample"),
-     ("containment_first_entry", "fail", {"w": "1 2"})),
-    (LemmataReport, ("checks", "seed", "trials"), ((_CHECK,), 2026, 3)),
+    (CheckResult, ("name", "counterexample"),
+     ("containment_first_entry", {"w": "1 2"})),
+    (LemmataReport, ("checks",), ((_CHECK,),)),
     (WitnessResult, ("stage_solutions", "stage_kernel_dims", "verified"),
      (({0: 1}, {}), (1, 0), True)),
     (CellCount, ("perm", "count", "predicted"), ((2, 1), 3, 3)),
