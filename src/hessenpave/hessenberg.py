@@ -16,7 +16,7 @@ ad-nilpotent ideals of the opposite Borel.  Closure under adding any
 positive root is equivalent to closure under adding simple roots, so one
 rule on those masks decides it: an ideal holding p holds its lower covers
 ``rs._covers[p]``, the roots p − α_a for each simple root α_a that leaves a
-positive root.  :func:`from_negative_roots` checks it,
+positive root.  The :class:`HessenbergSpace` constructor checks it,
 :func:`enumerate_hessenberg` grows ideals by it, and the test suite
 re-verifies the full condition.  Order ideals are closed under
 intersection, so every set of roots lies in a smallest Hessenberg space,
@@ -54,14 +54,40 @@ class HessenbergSpace:
     root k lies in Φ_H); the paving kernel tests cells against it, and it is
     the space's identity: two spaces are equal when they live in equal root
     systems and have the same mask.  ``negative_part`` decodes the negative
-    bits into roots on demand.  Use :func:`from_negative_roots`,
-    :func:`from_function`, :func:`parse_hessenberg` or
-    :func:`enumerate_hessenberg` to construct validated instances.
+    bits into roots on demand.
+
+    The constructor refuses, with ValueError, a mask that is not the root
+    set of a Hessenberg space: one with a bit beyond the roots of ``rs``
+    (a negative int among them), one that leaves out a positive root, and
+    one whose negative part breaks the lower-cover rule, named as for
+    :func:`from_negative_roots`.  The library's own builders, whose masks
+    are closed by construction, go through ``_trusted_space`` instead.
     """
 
     __slots__ = ("rs", "hm")
 
     def __init__(self, rs: RootSystem, hm: int):
+        expect(rs, RootSystem)
+        expect(hm, int, "hm")
+        npos = rs.num_positive
+        texts = rs._texts
+        name = f"{rs.lie_type}{rs.rank}"
+        if hm >> 2 * npos:
+            raise ValueError(f"hm = {hm} has bits beyond the {2 * npos} "
+                             f"roots of {name}")
+        if ~hm & (1 << npos) - 1:
+            raise ValueError(f"hm = {hm} leaves out a positive root of {name}")
+        ideal = hm >> npos
+        for p in range(npos):
+            if ideal >> p & 1 and rs._covers[p] & ~ideal:
+                # name the first simple root whose cover is missing
+                i, d = next((i, d) for i, a in enumerate(rs._simple_index, 1)
+                            if (d := rs._pos_diff[p][a]) is not None
+                            and not ideal >> d & 1)
+                beta = texts[npos + p]
+                raise ValueError(f"closure violation: {beta} is in the space "
+                                 f"but {beta} + α_{i} = {texts[npos + d]} is "
+                                 "not")
         self.rs = rs
         self.hm = hm
 
@@ -94,7 +120,8 @@ def from_negative_roots(rs: RootSystem, negatives: Iterable[Root]) -> Hessenberg
 
     Raises ValueError if ``negatives`` is not iterable, if some element
     is not a negative root of ``rs`` (or not a Root at all) or if the
-    lower-cover rule fails; the error names the offending pair.
+    lower-cover rule fails, which the constructor checks; the error names
+    the offending pair.
     """
     expect(rs, RootSystem)
     npos = rs.num_positive
@@ -110,16 +137,16 @@ def from_negative_roots(rs: RootSystem, negatives: Iterable[Root]) -> Hessenberg
         if k < npos:
             raise ValueError(f"{texts[k]} is not a negative root")
         ideal |= 1 << (k - npos)
-    for p in range(npos):
-        if ideal >> p & 1 and rs._covers[p] & ~ideal:
-            # name the first simple root whose cover is missing
-            i, d = next((i, d) for i, a in enumerate(rs._simple_index, 1)
-                        if (d := rs._pos_diff[p][a]) is not None
-                        and not ideal >> d & 1)
-            beta = texts[npos + p]
-            raise ValueError(f"closure violation: {beta} is in the space but "
-                             f"{beta} + α_{i} = {texts[npos + d]} is not")
     return HessenbergSpace(rs, (1 << npos) - 1 | ideal << npos)
+
+
+def _trusted_space(rs: RootSystem, hm: int) -> HessenbergSpace:
+    """A HessenbergSpace from a mask the caller has closed itself, with no
+    checks: the enumeration and the type-A Hessenberg functions call it."""
+    space = object.__new__(HessenbergSpace)
+    space.rs = rs
+    space.hm = hm
+    return space
 
 
 def borel_space(rs: RootSystem) -> HessenbergSpace:
@@ -188,7 +215,7 @@ def _build_hessenberg_spaces(rs: RootSystem) -> tuple[HessenbergSpace, ...]:
                  if covers[p] & ideal == covers[p]]
         ideals += level
     borel = (1 << npos) - 1
-    return tuple(HessenbergSpace(rs, borel | ideal << npos)
+    return tuple(_trusted_space(rs, borel | ideal << npos)
                  for ideal in ideals)
 
 
@@ -200,7 +227,7 @@ def from_function(n: int, h: Iterable[int]) -> HessenbergSpace:
     """
     hs = _checked_function(n, h)
     rs = RootSystem("A", n - 1)
-    return HessenbergSpace(rs, _function_mask(rs, hs))
+    return _trusted_space(rs, _function_mask(rs, hs))
 
 
 def _checked_function(n: int, h: Iterable[int]) -> tuple[int, ...]:
@@ -314,7 +341,7 @@ def parse_hessenberg(rs: RootSystem, text: str) -> HessenbergSpace:
         except ValueError:
             raise ValueError(f"malformed Hessenberg text {text!r}") from None
         hs = _checked_function(rs.rank + 1, values)
-        return HessenbergSpace(rs, _function_mask(rs, hs))
+        return _trusted_space(rs, _function_mask(rs, hs))
     if text.startswith("neg="):
         body = text[4:].strip()
         if not body:

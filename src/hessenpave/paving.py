@@ -79,7 +79,9 @@ class BettiTable(_Record):
     coefficients: tuple[int, ...]
 
     def evaluate(self, q: int) -> int:
-        """The Poincaré polynomial at q — the point count over F_q."""
+        """The Poincaré polynomial at q — the point count over F_q.  q must
+        be an int; anything else is refused with ValueError."""
+        expect(q, int, "q")
         return sum(b * q ** k for k, b in enumerate(self.coefficients))
 
     @property

@@ -2170,6 +2170,85 @@ def test_root_table_checks_fail_wherever_the_references_do():
     assert stricter == _CANCELLING_CUBES
 
 
+def ref_type_d_coefficient_reach(rs, rows, pair_clause=True):
+    """The evaluation ``liealg._check_type_d_coefficients`` made before its
+    docstring proved it, on the stage-table rows ``rows`` of ``rs``: the
+    (row i, root index) pairs of the row-i roots α that some power
+    ad(X)^k(N), k >= 2, of an X on row i+1 reaches, that have coefficient
+    < 2 at α_{i+1} and (with ``pair_clause``) that no two roots of row i+1
+    leave α − β1 − β2 a positive root.  The check reported the first pair
+    as its counterexample.  The proof uses no type, so this runs on any
+    system and on any list of rows."""
+    diff = rs._pos_diff
+    out = []
+    for i, conjugating in enumerate(rows[1:], start=1):
+        higher = liealg._powers(rs, conjugating)[1:]   # ad(X)^k(N), k >= 2
+        for a in rows[i - 1]:
+            if (any(p >> a & 1 for p in higher)
+                    and rs.positive_roots[a].coeffs[i] < 2
+                    and (not pair_clause or all(
+                        diff[a][b1] is None or diff[diff[a][b1]][b2] is None
+                        for b1 in conjugating for b2 in conjugating))):
+                out.append((i, a))
+    return out
+
+
+def test_type_d_coefficient_proof_on_every_built_table():
+    """On the built tables of D3-D12 the old evaluation of the type-D
+    coefficient lemma finds no root, as its proof says.  Its first two
+    clauses alone keep exactly one row root per system (α_{n-2} + α_{n-1}
+    + α_n in row n-2), so the pair clause is what excludes it."""
+    for rank in range(3, 13):
+        rs = RootSystem("D", rank)
+        rows = stage_table(rs).rows
+        assert ref_type_d_coefficient_reach(rs, rows) == [], rank
+        (row, k), = ref_type_d_coefficient_reach(rs, rows, pair_clause=False)
+        assert row == rank - 2, rank
+        assert rs._texts[k] == ",".join("0" * (rank - 3) + "111"), rank
+
+
+@pytest.mark.parametrize("rank", [4, 5, 6, 7])
+def test_type_d_coefficient_proof_on_random_partitions(rank):
+    """100 seeded random partitions of the positive roots of D_rank into
+    rank rows: the old evaluation finds no root on any of them, though on
+    most the first two clauses keep some root."""
+    rs = RootSystem("D", rank)
+    rng = random.Random(f"partition:D{rank}")
+    decided = 0
+    for _ in range(100):
+        rows = [[] for _ in range(rank)]
+        for k in range(rs.num_positive):
+            rows[rng.randrange(rank)].append(k)
+        assert ref_type_d_coefficient_reach(rs, rows) == [], rows
+        decided += bool(ref_type_d_coefficient_reach(rs, rows,
+                                                     pair_clause=False))
+    assert decided >= 50
+
+
+def test_type_d_coefficient_proof_on_every_moved_root_table():
+    """Every move of one positive root to another row of A3, A4, B3, B4,
+    C3, C4, D4 and D5 (290 tables, a superset of the tables the moved-root
+    tests inject, long roots included): the old evaluation finds no root
+    on any of them, though on 130 the first two clauses keep some root."""
+    tables = decided = 0
+    for lie_type, rank in (("A", 3), ("A", 4), ("B", 3), ("B", 4),
+                           ("C", 3), ("C", 4), ("D", 4), ("D", 5)):
+        rs = RootSystem(lie_type, rank)
+        rows = stage_table(rs).rows
+        for source, row in enumerate(rows):
+            for k in row:
+                for target in set(range(rank)) - {source}:
+                    moved = [tuple(j for j in r if j != k)
+                             + ((k,) if t == target else ())
+                             for t, r in enumerate(rows)]
+                    tables += 1
+                    assert ref_type_d_coefficient_reach(rs, moved) == [], (
+                        lie_type, rank, rs._texts[k], target + 1)
+                    decided += bool(ref_type_d_coefficient_reach(
+                        rs, moved, pair_clause=False))
+    assert (tables, decided) == (290, 130)
+
+
 def test_set_constant_reaches_the_bracket():
     """The bracket reads the constants at call time, so a replaced table
     reaches it."""

@@ -158,11 +158,11 @@ _RECORD = "a value record, built unchecked in the library's loops"
 _JUNK_ROWS = {
     "BettiTable": _RECORD,
     "ConsistencyError": "an exception: it takes any message",
-    "HessenbergSpace": _RECORD,
     "PavingCell": _RECORD,
     "Root": _RECORD,
     "WitnessResult": _RECORD,
     "ChevalleyRealization": ("oo", lambda v: (v.rs, v.vectors)),
+    "HessenbergSpace": ("oi", lambda v: (v.rs, v.space.hm)),
     "RootSystem": ("oi", lambda v: ("A", 2)),
     "WeylElement": ("oo", lambda v: (v.rs, tuple(range(6)))),
     "apply": ("oo", lambda v: (v.w, v.root)),
@@ -193,8 +193,54 @@ _JUNK_ROWS = {
 }
 
 
+# Per public method of a class in ``__all__`` that takes a positional
+# parameter: the kinds of those slots, and the instance followed by valid
+# arguments, built from the namespace ``v`` of the fixture below.
+_METHOD_ROWS = {
+    "BettiTable.evaluate": ("i", lambda v: (v.betti, 2)),
+    "ChevalleyRealization.matrix_of": ("o", lambda v: (v.real, {0: 1})),
+    "HessenbergSpace.contains": ("o", lambda v: (v.space, v.root)),
+    "RootSystem.root": ("o", lambda v: (v.rs, (1, 0))),
+    "RootSystem.root_index": ("o", lambda v: (v.rs, v.root)),
+}
+
+
 def test_every_public_name_has_a_junk_row():
     assert set(_JUNK_ROWS) == set(hessenpave.__all__)
+
+
+def _positional_methods(tree, names) -> list[str]:
+    """``Class.method`` for each public method of a class of a tree named
+    in ``names`` that takes a positional parameter besides ``self``."""
+    return [f"{node.name}.{item.name}"
+            for node in tree.body
+            if isinstance(node, ast.ClassDef) and node.name in names
+            for item in node.body
+            if isinstance(item, ast.FunctionDef)
+            and not item.name.startswith("_")
+            and len(item.args.posonlyargs + item.args.args) > 1]
+
+
+def test_every_public_method_has_a_junk_row():
+    """A public method with a positional parameter, on a class in
+    ``__all__``, needs a row of ``_METHOD_ROWS``, so that the junk test
+    below reaches it."""
+    found = [method for path in sorted((SRC / "hessenpave").glob("*.py"))
+             for method in _positional_methods(
+                 ast.parse(path.read_text(encoding="utf-8")),
+                 set(hessenpave.__all__))]
+    assert sorted(found) == sorted(_METHOD_ROWS)
+    # the detector passes private methods, methods of self alone (a
+    # property among them), classes outside the names and functions
+    probe = ast.parse("class Kept:\n"
+                      "    def take(self, x):\n        pass\n"
+                      "    def alone(self):\n        pass\n"
+                      "    def _hidden(self, x):\n        pass\n"
+                      "    @property\n    def size(self):\n        pass\n"
+                      "class Other:\n"
+                      "    def take(self, x):\n        pass\n"
+                      "def take(x):\n    pass\n")
+    assert _positional_methods(probe, {"Kept", "take"}) == ["Kept.take"]
 
 
 @pytest.fixture(scope="module")
@@ -203,6 +249,7 @@ def valid():
     return types.SimpleNamespace(
         rs=rs, vectors=liealg._root_vectors(rs),
         real=hessenpave.build_chevalley(rs),
+        betti=hessenpave.BettiTable((1, 2, 1)),
         w=hessenpave.parse_word(rs, "1"), root=rs.positive_roots[0],
         space=hessenpave.from_function(3, (3, 3, 3)),
         columns=[[1, 0, 0], [0, 1, 0], [0, 0, 1]])
@@ -216,8 +263,19 @@ def test_public_callables_refuse_junk_by_name(valid, name):
     junk; never a bare TypeError or AttributeError from inside, nor a
     ConsistencyError, which reports a fault of the library."""
     kinds, make = _JUNK_ROWS[name]
-    function = getattr(hessenpave, name)
-    args = make(valid)
+    _assert_junk_refused(getattr(hessenpave, name), kinds, make(valid))
+
+
+@pytest.mark.parametrize("name", sorted(_METHOD_ROWS))
+def test_public_methods_refuse_junk_by_name(valid, name):
+    """The same for each public method with a positional parameter."""
+    kinds, make = _METHOD_ROWS[name]
+    owner, *args = make(valid)
+    _assert_junk_refused(getattr(owner, name.partition(".")[2]), kinds,
+                         tuple(args))
+
+
+def _assert_junk_refused(function, kinds, args):
     assert len(args) == len(kinds)
     for slot, kind in enumerate(kinds):
         for junk in _JUNK[kind]:
@@ -244,6 +302,32 @@ def _first_entry_moved(rs, text, pos):
 # Refusals of well-typed but wrong values, each built from the namespace
 # ``v`` of the ``valid`` fixture, with the exception and exact message.
 _VALUE_REFUSALS = {
+    "space of every bit": (
+        lambda v: hessenpave.HessenbergSpace(v.rs, -1),
+        ValueError, "hm = -1 has bits beyond the 6 roots of A2"),
+    "space of no bit": (
+        lambda v: hessenpave.HessenbergSpace(v.rs, 0),
+        ValueError, "hm = 0 leaves out a positive root of A2"),
+    "space of a bit past the roots": (
+        lambda v: hessenpave.HessenbergSpace(v.rs, 1 << 40),
+        ValueError, "hm = 1099511627776 has bits beyond the 6 roots of A2"),
+    "space without the covers of its negative part": (
+        lambda v: hessenpave.compute_paving(
+            hessenpave.HessenbergSpace(v.rs, 39)),
+        ValueError, "closure violation: -1,-1 is in the space but "
+                    "-1,-1 + α_1 = 0,-1 is not"),
+    "Betti polynomial at a float": (
+        lambda v: v.betti.evaluate(2.5),
+        ValueError, "q must be an integer, got 2.5"),
+    "matrix of a string key": (
+        lambda v: v.real.matrix_of({"a": 1}),
+        ValueError, "N must be keyed by root indices 0..5, got 'a'"),
+    "matrix of a key past the roots": (
+        lambda v: v.real.matrix_of({99: 1}),
+        ValueError, "N must be keyed by root indices 0..5, got 99"),
+    "matrix of a float coefficient": (
+        lambda v: v.real.matrix_of({0: 2.5}),
+        ValueError, "coefficient 2.5 of N at 0 is not an int or a Fraction"),
     "empty root vector": (
         lambda v: hessenpave.ChevalleyRealization(
             v.rs, ({},) + v.vectors[1:]),
