@@ -291,7 +291,7 @@ def count_points(n: int, q: int, h) -> CountReport:
     ValueError, before any work, when q or n is not an int (a float or a
     bool is refused, not converted), when n is outside 2.._MAX_N or the
     flag variety has more than _FLAG_BUDGET points over F_q, and then when
-    h is not a Hessenberg function of ints.
+    h is not a tuple or a list that is a Hessenberg function of ints.
     """
     expect(q, int, "q")
     if q not in _ALLOWED_PRIMES:

@@ -34,7 +34,7 @@ other, as the smallest one holding each column's lowest allowed entry.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 
 from .errors import ConsistencyError, expect
 from .rootcore import (
@@ -219,26 +219,28 @@ def _build_hessenberg_spaces(rs: RootSystem) -> tuple[HessenbergSpace, ...]:
                  for ideal in ideals)
 
 
-def from_function(n: int, h: Iterable[int]) -> HessenbergSpace:
+def from_function(n: int, h: Sequence[int]) -> HessenbergSpace:
     """The Hessenberg space of a Hessenberg function, in ambient type A_{n−1}.
 
-    The function must be nondecreasing with ``i ≤ h(i) ≤ n``.  The negative
-    root ``ε_i − ε_j`` (for ``i > j``) belongs to the space iff ``i ≤ h(j)``.
+    The function, a tuple or a list of ints, must be nondecreasing with
+    ``i ≤ h(i) ≤ n``.  The negative root ``ε_i − ε_j`` (for ``i > j``)
+    belongs to the space iff ``i ≤ h(j)``.
     """
     hs = _checked_function(n, h)
     rs = RootSystem("A", n - 1)
     return _trusted_space(rs, _function_mask(rs, hs))
 
 
-def _checked_function(n: int, h: Iterable[int]) -> tuple[int, ...]:
+def _checked_function(n: int, h: Sequence[int]) -> tuple[int, ...]:
     """h as a tuple, or ValueError when n is not an int, when h is not a
-    Hessenberg function on {1..n}, n ≥ 2, or holds a value that is not an
-    int (a float, a string or a bool is refused, not converted)."""
+    tuple or a list (a mapping, a set or a string is refused, not read as
+    its keys, members or digits), when h is not a Hessenberg function on
+    {1..n}, n ≥ 2, or holds a value that is not an int (a float, a string
+    or a bool is refused, not converted)."""
     expect(n, int, "n")
-    try:
-        hs = tuple(h)
-    except TypeError:
-        raise ValueError(f"h = {h!r} is not a sequence of integers") from None
+    if type(h) not in (tuple, list):
+        raise ValueError(f"h = {h!r} is not a sequence of integers")
+    hs = tuple(h)
     for i, v in enumerate(hs, start=1):
         if type(v) is not int:
             raise ValueError(f"h({i}) = {v!r} is not an integer")

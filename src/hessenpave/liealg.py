@@ -19,11 +19,12 @@ has 1 in the middle and 2 elsewhere on the antidiagonal.
 The realization is integer: root-vector entries, structure constants
 ``[E_α, E_β] = m_{α,β} E_{α+β}`` and Cartan eigenvalues are all ints.  The
 constants are stored once, as the integer table ``real.constants`` over
-``rs.all_roots`` indices (positives first), which the calculus and three
-lemma checks read: row structure, containment (through the first-entry
-rule) and the type-D block.  Construction brackets once each unordered
-root pair that can be nonzero, writes both m_{α,β} and m_{β,α} = −m_{α,β}
-from that bracket (so the table is antisymmetric by construction), and
+``rs.all_roots`` indices (positives first), which the calculus, the
+witness's type-C long-root slope and three lemma checks read: row
+structure, containment (through the first-entry rule) and the type-D
+block.  Construction brackets once each unordered root pair that can be
+nonzero, writes both m_{α,β} and m_{β,α} = −m_{α,β} from that bracket (so
+the table is antisymmetric by construction), and
 re-verifies every defining relation and the Chevalley magnitude; a
 realization that fails its own bracket table refuses to build, naming its
 system.  The Cartan weights are read off the diagonal of each
@@ -80,9 +81,12 @@ for a unipotent group element conjugating a regular nilpotent into the
 translated Hessenberg space, confirming each nonempty cell with an actual
 point and matching the per-stage solution-space dimensions against the
 combinatorial row profile; each solved stage conjugates by one
-exponential.  Its stages and type-C long roots, like the rows of the lemma
-checks, come from ``rootcore.stage_table``, which alone knows the type-D
-pairing.
+exponential.  A type-C long-root coordinate is not linear in a stage's
+variables, but it is affine along its pivot, with a slope read off one
+constant, so it is set in closed form after one more exponential (see
+``find_witness``).  Its stages and type-C long roots, like the rows of
+the lemma checks, come from ``rootcore.stage_table``, which alone knows
+the type-D pairing.
 
 Every coefficient map is keyed by root index: ``root_vectors`` and
 ``matrix_of`` by ``rs.all_roots`` index (positives first), N, the calculus
@@ -849,10 +853,25 @@ def find_witness(real: ChevalleyRealization, w: WeylElement,
     same way.
 
     Works stage by stage from the deepest row outward; each stage is an
-    exact affine solve over the rationals (plus the one quadratic long-root
-    coordinate in type C, adjusted last along its own line), with free
-    parameters pinned to zero, and its solution X moves the current element
-    M to Ad(exp X)(M), one exponential per stage.
+    exact affine solve over the rationals, with free parameters pinned to
+    zero, and its solution X moves the current element M to Ad(exp X)(M),
+    one exponential per stage.
+
+    In type C a stage's constraints may hold its row's long root γ, the
+    derived algebra of the row's Heisenberg algebra, whose coordinate is
+    not affine in the stage's variables.  The stage then solves without γ
+    and without its pivot p = γ − α_k, giving X₀, and sets the pivot in
+    closed form: along X₀ + tE_p the coordinate of γ in Ad(exp X)(M) is
+    c₀ + t·m_{p,α_k}·M_{α_k}, with c₀ its value at t = 0, so one more
+    exponential gives t.  A term ad(X)^j(M)/j! brackets j roots of X onto
+    one root of M.  With p twice among them it has height at least
+    2·ht(p) + 1 > ht(γ); with p and a root of X₀, reaching γ would write
+    the simple root α_k = γ − p as a sum of two or more positive roots.  So
+    only ad(tE_p)(M) moves the coordinate with t.  This holds for every γ
+    with γ − α_k positive, for X₀ and M on any positive roots and for any
+    table of constants.  The slope is nonzero for a built realization and a
+    regular N, since |m_{p,α_k}| ≥ 1 and no stage adds into a simple root;
+    a zero slope or a stage table without the pivot is a ConsistencyError.
 
     A type-D stage solves on the plain part of row k and the fork parts of
     row k+1 at once, and needs no order between the two: a term that
@@ -904,7 +923,8 @@ def find_witness(real: ChevalleyRealization, w: WeylElement,
         quad = gamma in cons
 
         if quad:
-            pivot = rs._pos_diff[gamma][rs._simple_index[k]]
+            alpha = rs._simple_index[k]
+            pivot = rs._pos_diff[gamma][alpha]
             if pivot not in vars_:
                 raise ConsistencyError(
                     "long-root constraint without its adjusting coordinate "
@@ -929,23 +949,14 @@ def find_witness(real: ChevalleyRealization, w: WeylElement,
             coeffs = {p: v for p, v in zip(solve_vars, x) if v}
 
         if quad:
-            def gamma_coeff(tval: Fraction) -> Fraction:
-                trial = dict(coeffs)
-                if tval:
-                    trial[pivot] = tval
-                return _iad_exp(real, trial, current).get(gamma, 0)
-
-            c0, c1, c2 = (gamma_coeff(Fraction(t)) for t in range(3))
-            if c2 - 2 * c1 + c0 != 0:
-                raise ConsistencyError(
-                    "long-root coordinate is not affine along its adjusting "
-                    f"line ({_witness_context(space, w, k)})")
-            slope = c1 - c0
+            # γ's coordinate is c0 + t·m_{p,α}·M_α along X + tE_p (docstring)
+            slope = real.constants[pivot][alpha] * current.get(alpha, 0)
             if slope == 0:
                 raise ConsistencyError(
                     "degenerate long-root adjustment "
                     f"({_witness_context(space, w, k)})")
-            tval = Fraction(-c0) / Fraction(slope)
+            c0 = _iad_exp(real, coeffs, current).get(gamma, 0)
+            tval = Fraction(-c0) / slope
             if tval:
                 coeffs[pivot] = tval
 

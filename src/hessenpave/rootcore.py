@@ -62,7 +62,7 @@ decided there and nowhere else.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Sequence
 from itertools import compress
 from math import comb, factorial
 from operator import itemgetter, mul
@@ -346,14 +346,14 @@ class RootSystem:
 
     # -- basic root arithmetic -------------------------------------------
 
-    def root(self, coeffs: Iterable[int]) -> Root:
-        """Validate a vector of int coefficients (no other type is converted)
-        and wrap it as a Root."""
-        try:
-            t = tuple(coeffs)
-        except TypeError:
+    def root(self, coeffs: Sequence[int]) -> Root:
+        """Validate a tuple or list of int coefficients (no other type is
+        converted: a mapping, a set or a range is refused) and wrap it as a
+        Root."""
+        if type(coeffs) not in (tuple, list):
             raise ValueError(f"root coefficients {coeffs!r} are not a "
-                             "sequence of integers") from None
+                             "sequence of integers")
+        t = tuple(coeffs)
         for c in t:
             if type(c) is not int:
                 raise ValueError(f"root coefficient {c!r} is not an integer")

@@ -268,7 +268,7 @@ def test_count_points_total_check_names_the_case(monkeypatch):
 @pytest.mark.parametrize("h, bad", [
     ((2.9, 3.5, 3), "h(1) = 2.9"),
     ((2, 3.0, 3), "h(2) = 3.0"),
-    ("233", "h(1) = '2'"),
+    ((2, "3", 3), "h(2) = '3'"),
     ((True, 2, 3), "h(1) = True"),
     ((2, 3, False), "h(3) = False"),
 ])

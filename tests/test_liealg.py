@@ -5,6 +5,7 @@ import json
 import random
 import re
 import sys
+import types
 from fractions import Fraction
 
 import pytest
@@ -2588,6 +2589,143 @@ def test_matrix_check_exponentiates_each_stage_once(monkeypatch):
     assert moved
 
 
+def test_witness_forms_one_series_per_stage_and_one_per_long_root(
+        monkeypatch):
+    """Work count: find_witness forms one adjoint series per stage,
+    Ad(exp X_k)(M), and one more per stage whose constraints hold its
+    type-C long root, the value c₀ that sets the pivot in closed form.
+    Seeded random regular N on every nonempty C3 cell, some of which hold
+    a long-root constraint."""
+    rs = RootSystem("C", 3)
+    real = build_chevalley(rs)
+    table = stage_table(rs)
+    rng = random.Random("series-count:C3")
+    series = []
+    iad_exp = liealg._iad_exp
+    monkeypatch.setattr(liealg, "_iad_exp",
+                        lambda *args: series.append(args) or iad_exp(*args))
+    long_stages = 0
+    for space, w in ((space, w) for space in enumerate_hessenberg(rs)
+                     for w in enumerate_weyl(rs) if cell_nonempty(w, space)):
+        series.clear()
+        outside = _outside_mask(w, space.hm)
+        extra = sum(g is not None and g in cons and outside >> g & 1
+                    for g, (_, cons) in zip(table.long_roots, table.stages))
+        find_witness(real, w, space, ref_random_coeffs(rs, rng, regular=True))
+        assert len(series) == len(table.stages) + extra
+        long_stages += extra
+    assert long_stages
+
+
+def ref_long_root_line(real, x0, m, gamma, pivot):
+    """The coordinate of γ in Ad(exp(X₀ + tE_p))(M) at t = 0, 1 and 2: the
+    three probes find_witness once took to fit the long-root line."""
+    def coeff(t):
+        x = dict(x0)
+        if t:
+            x[pivot] = Fraction(t)
+        return liealg._iad_exp(real, x, m).get(gamma, 0)
+    return tuple(coeff(t) for t in range(3))
+
+
+def _assert_long_root_line(real, k, x0, m):
+    """The proof in find_witness's docstring, run on one stage: along the
+    pivot of row k's long root the coordinate has second difference 0 and
+    first difference m_{p,α_k}·M_{α_k}."""
+    _, gamma, pivot, alpha = next(
+        line for line in _long_root_lines(real.rs) if line[0] == k)
+    assert pivot not in x0
+    c0, c1, c2 = ref_long_root_line(real, x0, m, gamma, pivot)
+    assert c2 - 2 * c1 + c0 == 0
+    assert c1 - c0 == real.constants[pivot][alpha] * m.get(alpha, 0)
+
+
+def _random_fractions(rng, keys):
+    """Seeded Fraction coefficients on about half of ``keys``."""
+    out = {}
+    for k in keys:
+        if rng.random() < 0.5:
+            v = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+            if v:
+                out[k] = v
+    return out
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4, 5])
+def test_long_root_line_on_random_elements(rank):
+    """The long-root coordinate is affine along the pivot with slope
+    m_{p,α_k}·M_{α_k}, for seeded X₀ on every positive root but the pivot
+    and M on every positive root, with Fraction values and non-simple
+    support, on the built realization and on seeded antisymmetric random
+    constant tables (the proof reads no property of the constants)."""
+    rs = RootSystem("C", rank)
+    real = build_chevalley(rs)
+    rng = random.Random(f"long-root-line:C{rank}")
+    size = len(rs.all_roots)
+    simple = set(rs._simple_index)
+    lines = _long_root_lines(rs)
+    assert [k for k, *_ in lines] == list(range(rank - 1))
+    stages, nonsimple, fractional = 0, 0, 0
+    for trial in range(80):
+        if trial % 2:
+            m = [[0] * size for _ in range(size)]
+            for a in range(size):
+                for b in range(a + 1, size):
+                    m[a][b] = rng.randint(-3, 3)
+                    m[b][a] = -m[a][b]
+            realization = types.SimpleNamespace(rs=rs, constants=m)
+        else:
+            realization = real
+        for k, _, pivot, _ in lines:
+            x0 = _random_fractions(
+                rng, [a for a in range(rs.num_positive) if a != pivot])
+            n = _random_fractions(rng, range(rs.num_positive))
+            _assert_long_root_line(realization, k, x0, n)
+            stages += 1
+            nonsimple += bool(set(n) - simple and set(x0) - simple)
+            fractional += any(v.denominator > 1 for v in n.values())
+    assert stages == 80 * (rank - 1)
+    assert nonsimple > stages // 4 and fractional > stages // 4
+
+
+@pytest.mark.parametrize("rank,sample", [(2, None), (3, None), (4, 400)])
+def test_long_root_line_on_every_witness_stage(monkeypatch, rank, sample):
+    """The same proof on the stages find_witness forms itself: seeded random
+    regular N on every nonempty cell of C2 and C3 and on 400 of C4.  Each
+    long-root stage's first series is X₀ on M, with the pivot left out
+    (copied, since the stage then sets the pivot in the same map)."""
+    rs = RootSystem("C", rank)
+    real = build_chevalley(rs)
+    table = stage_table(rs)
+    rng = random.Random(f"long-root-stages:C{rank}")
+    pairs = [(space, w) for space in enumerate_hessenberg(rs)
+             for w in enumerate_weyl(rs) if cell_nonempty(w, space)]
+    if sample is not None:
+        pairs = rng.sample(pairs, sample)
+    series = []
+    iad_exp = liealg._iad_exp
+    monkeypatch.setattr(liealg, "_iad_exp",
+                        lambda real, x, n: series.append((dict(x), n))
+                        or iad_exp(real, x, n))
+    runs = []
+    for space, w in pairs:
+        find_witness(real, w, space, ref_random_coeffs(rs, rng, regular=True))
+        runs.append((_outside_mask(w, space.hm), series[:]))
+        series.clear()
+    monkeypatch.undo()
+    stages = 0
+    for outside, calls in runs:
+        calls = iter(calls)
+        for k in range(len(table.stages) - 1, -1, -1):
+            gamma = table.long_roots[k]
+            if gamma is not None and outside >> gamma & 1:
+                _assert_long_root_line(real, k, *next(calls))
+                stages += 1
+            next(calls)
+        assert next(calls, None) is None
+    assert stages
+
+
 class _MovedN:
     """A realization whose ``matrix_of`` adds ``extra`` to the matrix of one
     coefficient map, N (found by identity), and answers everything else
@@ -2700,23 +2838,35 @@ def _without_long_root_pivots(rs):
     """The stage table with the adjusting coordinate of each type-C long
     root dropped from the stage variables."""
     table = stage_table(rs)
-    pivots = {rs._pos_diff[g][rs._simple_index[k]]
-              for k, g in enumerate(table.long_roots) if g is not None}
+    pivots = {pivot for _, _, pivot, _ in _long_root_lines(rs)}
     return StageTable(table.rows, tuple(
         (tuple(p for p in vars_ if p not in pivots), cons)
         for vars_, cons in table.stages), table.long_roots, table.masks)
 
 
-def _long_root_line(fake):
-    """_iad_exp with ``fake`` answering the long-root adjustment's probes."""
-    return "_iad_exp", _from("gamma_coeff", liealg._iad_exp, fake)
+def _long_root_lines(rs):
+    """(k, γ, p, α_k) for each type-C row k: its long root γ, the pivot
+    p = γ − α_k and the simple root α_k, as positive-root indices."""
+    out = []
+    for k, gamma in enumerate(stage_table(rs).long_roots):
+        if gamma is not None:
+            alpha = rs._simple_index[k]
+            pivot = rs._pos_diff[gamma][alpha]
+            assert pivot is not None
+            out.append((k, gamma, pivot, alpha))
+    return out
 
 
-def _quadratic(iad_exp, real, x, n):
-    """Every coefficient plus the square norm of X: not affine in X."""
-    out = iad_exp(real, x, n)
-    sq = sum(v * v for v in x.values())
-    return {p: out.get(p, 0) + sq for p in range(real.rs.num_positive)}
+def _without_long_root_slopes(rs):
+    """build_chevalley with m_{p,α_k} = m_{α_k,p} = 0 for the pivot p of
+    every type-C long root γ = p + α_k, so every long-root slope is 0."""
+    real = build_chevalley(rs)
+    m = [list(line) for line in real.constants]
+    for _, _, pivot, alpha in _long_root_lines(rs):
+        assert m[pivot][alpha] and m[alpha][pivot]
+        m[pivot][alpha] = m[alpha][pivot] = 0
+    real.constants = tuple(map(tuple, m))
+    return real
 
 
 def _plus_every_root(rs, coeffs):
@@ -2748,13 +2898,16 @@ def _plus_every_root_in_both(verify):
 # One fault injected into find_witness per failure it must report, with the
 # system where the failure first shows: no solution, a solution of all ones
 # that misses the constraints, a row profile one larger in stage 1, a
-# type-C long root with no adjusting coordinate, or with a coordinate that
-# is quadratic or constant along its line, a matrix of N with a trace-zero
-# diagonal entry (so the conjugate has a Cartan part), with an entry at
-# 2ε_1 (not a root of B3, so outside the Lie algebra) or doubled, and both
-# computations one larger on every positive root.  The matrix check
-# compares the conjugate with the matrix of the coefficient-space result,
-# so the three faults in the matrix of N fail with its disagreement message.
+# type-C long root with no adjusting coordinate, or with a zero slope along
+# its line (a realization with m_{p,α_k} = 0, which the witness command
+# rebuilt from the message builds too; a built realization's never is), a
+# matrix of N with a trace-zero diagonal entry (so the conjugate has a
+# Cartan part), with an entry at 2ε_1 (not a root of B3, so outside the Lie
+# algebra) or doubled, and both computations one larger on every positive
+# root.  The matrix check compares the conjugate with the matrix of the
+# coefficient-space result, so the three faults in the matrix of N fail
+# with its disagreement message.  The test builds its realization after
+# the patches.
 _WITNESS_FAULTS = {
     "stage infeasible": ("A", 3, lambda: [(liealg, *_stage_solve(
         lambda solve, m, rhs: None))]),
@@ -2767,11 +2920,8 @@ _WITNESS_FAULTS = {
         _bump_second_entry(liealg.row_dimension_profile))]),
     "long-root constraint without its adjusting coordinate": ("C", 3, lambda: [
         (liealg, "stage_table", _without_long_root_pivots)]),
-    "long-root coordinate is not affine": ("C", 3, lambda: [
-        (liealg, *_long_root_line(_quadratic))]),
     "degenerate long-root adjustment": ("C", 3, lambda: [
-        (liealg, *_long_root_line(
-            lambda iad_exp, real, x, n: iad_exp(real, {}, n)))]),
+        (liealg, "build_chevalley", _without_long_root_slopes)]),
     "conjugated nilpotent acquired a Cartan part": ("A", 3, lambda: [
         (liealg, "_verify_witness_matrix", _n_moved_by(
             lambda real, n: {(0, 0): 1, (1, 1): -1}))]),
@@ -2796,9 +2946,9 @@ def test_witness_failure_names_its_cell(capsys, monkeypatch, fault):
     reason = ("matrix conjugation disagrees" if fault.startswith("conjugated")
               else fault)
     rs = RootSystem(lie_type, rank)
-    real = build_chevalley(rs)
     for target, name, value in patches():
         monkeypatch.setattr(target, name, value)
+    real = liealg.build_chevalley(rs)
     message = None
     for space in enumerate_hessenberg(rs):
         for w in enumerate_weyl(rs):

@@ -339,6 +339,30 @@ _VALUE_REFUSALS = {
     "short function": (
         lambda v: hessenpave.from_function(3, (2, 3)),
         ValueError, "expected 3 values, got 2"),
+    "function of a mapping": (
+        lambda v: hessenpave.from_function(3, {1: "a", 2: "b", 3: "c"}),
+        ValueError,
+        "h = {1: 'a', 2: 'b', 3: 'c'} is not a sequence of integers"),
+    "function of a set": (
+        lambda v: hessenpave.from_function(3, {3, 2, 1}),
+        ValueError, "h = {1, 2, 3} is not a sequence of integers"),
+    "function of a string": (
+        lambda v: hessenpave.from_function(3, "233"),
+        ValueError, "h = '233' is not a sequence of integers"),
+    "point count of a mapping": (
+        lambda v: hessenpave.count_points(3, 2, {1: 2, 2: 3, 3: 3}),
+        ValueError, "h = {1: 2, 2: 3, 3: 3} is not a sequence of integers"),
+    "root of a mapping": (
+        lambda v: v.rs.root({1: 5, 0: 7}),
+        ValueError,
+        "root coefficients {1: 5, 0: 7} are not a sequence of integers"),
+    "root of a set": (
+        lambda v: v.rs.root({1, 0}),
+        ValueError, "root coefficients {0, 1} are not a sequence of integers"),
+    "root of a range": (
+        lambda v: v.rs.root(range(2)),
+        ValueError,
+        "root coefficients range(0, 2) are not a sequence of integers"),
     "rank 0": (
         lambda v: hessenpave.from_function(1, (1,)),
         ValueError, "need n >= 2 for a rank >= 1 ambient system"),
